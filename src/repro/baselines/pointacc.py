@@ -101,28 +101,23 @@ class PointAccSimulator:
         tile_outputs = max(1, (self.cache_bytes // 2) // max(out_bytes, 1))
         num_outputs = rules.num_outputs
         accesses = sum(len(pair) for pair in rules.pairs) + num_outputs
-        fetched_lines = 0
-        tile_start = 0
-        while tile_start < num_outputs:
-            tile_end = min(tile_start + tile_outputs, num_outputs)
-            # Union input range needed by this output tile across offsets;
-            # inputs in the overlap with the next tile's range have been
-            # evicted in between and are fetched twice — the boundary
-            # refetches the paper's trace analysis reports.
-            lo, hi = None, None
-            for pair in rules.pairs:
-                if not len(pair):
-                    continue
-                left = np.searchsorted(pair.out_idx, tile_start, side="left")
-                right = np.searchsorted(pair.out_idx, tile_end, side="left")
-                if right > left:
-                    first = int(pair.in_idx[left])
-                    last = int(pair.in_idx[right - 1]) + 1
-                    lo = first if lo is None else min(lo, first)
-                    hi = last if hi is None else max(hi, last)
-            if lo is not None:
-                fetched_lines += (hi - lo) * lines_per_input
-            tile_start = tile_end
+        # Union input range [lo, hi) each output tile needs across
+        # offsets; inputs in the overlap with the next tile's range have
+        # been evicted in between and are fetched twice — the boundary
+        # refetches the paper's trace analysis reports.
+        edges = np.append(np.arange(0, num_outputs, tile_outputs),
+                          num_outputs)
+        lo = np.full(len(edges) - 1, np.iinfo(np.int64).max)
+        hi = np.zeros(len(edges) - 1, dtype=np.int64)
+        for pair in rules.pairs:
+            bounds = np.searchsorted(pair.out_idx, edges)
+            left, right = bounds[:-1], bounds[1:]
+            hit = np.flatnonzero(right > left)
+            lo[hit] = np.minimum(lo[hit], pair.in_idx[left[hit]])
+            hi[hit] = np.maximum(hi[hit], pair.in_idx[right[hit] - 1] + 1)
+        touched = hi > 0
+        fetched_lines = (int((hi[touched] - lo[touched]).sum())
+                         * lines_per_input)
         # Output scatter: each output line written back once.
         out_lines = -(-num_outputs * out_bytes // self.cache_line)
         fetched_lines += out_lines

@@ -65,7 +65,6 @@ class LayerSchedule:
     dram_bytes: int = 0
     rule_entries: int = 0
     pruned_outputs: int = 0
-    timeline: list = field(default_factory=list)
     weight_grouping: bool = False
     ganged_scatter: bool = False
     effective_ta: float = 0.0
@@ -161,7 +160,6 @@ def schedule_sparse_layer(
 
     group = _group_factor(rules.conv_type, rules.stride,
                           schedule.weight_grouping, rules.kernel_size)
-    rgu = RGUModel(config)
     bpc = config.dram_bytes_per_cycle
 
     weight_tile_bytes = pe_r * pe_c * config.wgt_bytes
@@ -170,79 +168,43 @@ def schedule_sparse_layer(
     )
     weights_fit = layer_weight_bytes <= config.buf_wgt_bytes
 
-    mxu_busy = 0
-    load_wgt = 0
-    copy_psum = 0
-    stall_gather = 0
-    stall_scatter = 0
-    stall_rulegen = 0
-    gather_wgt_stall = 0
-    prev_mxu = 0
-    total_pairs = 0
+    # Per-tile cost vectors; index t is tile t of the plan.
+    tile_pairs = tiling.pairs_per_offset.sum(axis=0)
+    passes = np.count_nonzero(tiling.pairs_per_offset, axis=0) * n_c * n_m
+    # Passes stream back-to-back (weights preloaded into shadow
+    # registers), so the systolic fill/drain is paid once per tile.
+    tile_mxu = tile_pairs * n_c * n_m + fill
+    tile_loads = _ceil_div(passes, group)
+    tile_gather = _ceil_div((tiling.in_end - tiling.in_start) * in_channels
+                            * config.act_bytes, bpc)
+    tile_scatter = _ceil_div((tiling.out_end - tiling.out_start)
+                             * out_channels * config.act_bytes, bpc)
+    tile_rulegen = tile_pairs + RGUModel.PIPELINE_FILL
+    # Gathers and RuleGen of tile t hide behind the MXU time of tile t-1;
+    # nothing precedes the first tile.
+    hiding = np.concatenate(([0], tile_mxu[:-1]))
 
-    for index, tile in enumerate(tiling.tiles):
-        nonzero_offsets = sum(1 for count in tile.pairs_per_offset if count)
-        passes = nonzero_offsets * n_c * n_m
-        # Passes stream back-to-back (weights preloaded into shadow
-        # registers), so the systolic fill/drain is paid once per tile.
-        tile_mxu = tile.total_pairs * n_c * n_m + fill
-        tile_load = _ceil_div(passes, group) * pe_r
-        tile_copy = tile.overlap_with_prev * n_m
-        tile_gather = _ceil_div(tile.num_inputs * in_channels
-                                * config.act_bytes, bpc)
-        tile_scatter = _ceil_div(tile.num_outputs * out_channels
-                                 * config.act_bytes, bpc)
-        tile_rulegen = tile.total_pairs + RGUModel.PIPELINE_FILL
-        tile_gather_wgt = 0
-        if not weights_fit:
-            tile_gather_wgt = _ceil_div(
-                _ceil_div(passes, group) * weight_tile_bytes, bpc
-            )
+    def stalls(cycles):
+        return int(np.maximum(cycles - hiding, 0).sum())
 
-        mxu_busy += tile_mxu
-        load_wgt += tile_load
-        copy_psum += tile_copy
-        total_pairs += tile.total_pairs
-        if index == 0:
-            # Nothing to hide behind on the first tile.
-            stall_gather += tile_gather
-            stall_rulegen += tile_rulegen
-            gather_wgt_stall += tile_gather_wgt
-        else:
-            stall_gather += max(0, tile_gather - prev_mxu)
-            stall_rulegen += max(0, tile_rulegen - prev_mxu)
-            gather_wgt_stall += max(0, tile_gather_wgt - prev_mxu)
-        stall_scatter += max(0, tile_scatter - tile_mxu)
-        prev_mxu = tile_mxu
-        schedule.timeline.append(
-            {
-                "tile": index,
-                "inputs": tile.num_inputs,
-                "outputs": tile.num_outputs,
-                "mxu": tile_mxu,
-                "load_wgt": tile_load,
-                "copy_psum": tile_copy,
-                "gather_inp": tile_gather,
-                "scatter_out": tile_scatter,
-                "rulegen": tile_rulegen,
-            }
-        )
-
-    if weights_fit and tiling.num_tiles:
+    if weights_fit:
         # One up-front streamed fetch of the layer weights, paid at layer
         # start (nothing of this layer runs yet, so it cannot hide).
         gather_wgt_stall = _ceil_div(layer_weight_bytes, bpc)
+    else:
+        gather_wgt_stall = stalls(
+            _ceil_div(tile_loads * weight_tile_bytes, bpc))
 
-    schedule.rule_entries = total_pairs
+    schedule.rule_entries = int(tile_pairs.sum())
     schedule.pruned_outputs = rules.num_outputs if prune else 0
     schedule.breakdown = {
-        "rulegen": stall_rulegen,
-        "gather_inp": stall_gather,
+        "rulegen": stalls(tile_rulegen),
+        "gather_inp": stalls(tile_gather),
         "gather_wgt": gather_wgt_stall,
-        "load_wgt": load_wgt,
-        "mxu": mxu_busy,
-        "copy_psum": copy_psum,
-        "scatter_out": stall_scatter,
+        "load_wgt": int(tile_loads.sum()) * pe_r,
+        "mxu": int(tile_mxu.sum()),
+        "copy_psum": int(tiling.overlap.sum()) * n_m,
+        "scatter_out": int(np.maximum(tile_scatter - tile_mxu, 0).sum()),
     }
     weight_refetches = 1 if weights_fit else tiling.num_tiles
     schedule.dram_bytes = (
@@ -280,10 +242,8 @@ def schedule_dense_layer(
         if upsample_stride == 1
         else upsample_stride * upsample_stride
     )
+    # num_pixels counts *input* pixels for deconvs.
     macs = num_pixels * kernel_elems * in_channels * out_channels
-    if upsample_stride > 1:
-        # num_pixels counts *input* pixels for deconvs.
-        macs = num_pixels * kernel_elems * in_channels * out_channels
 
     ta_cap = config.buf_in_capacity_pillars(in_channels)
     to_cap = config.buf_out_capacity_pillars(out_channels)

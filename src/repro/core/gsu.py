@@ -9,16 +9,38 @@ which is why GSU traffic matches the ideal all-reuse DRAM latency in
 Fig. 6(c).
 
 Outputs whose accumulation spans two consecutive input tiles are the
-``Copy_psum`` overlap the dataflow has to pay for (Fig. 7(b))."""
+``Copy_psum`` overlap the dataflow has to pay for (Fig. 7(b)).
+
+The planner never searches the rule lists per candidate tile.  It first
+reduces each layer to two per-input *output extents*: ``first[i]`` and
+``last[i]``, the smallest and largest output index over every pair of
+input ``i``.  The window of inputs ``[s, e)`` is then
+``(min(first[s:e]), max(last[s:e]) + 1)``, so one running minimum and
+one running maximum over ``[s, s + max_inputs)`` price every candidate
+length of a tile at once, and the halving search of the greedy reads its
+candidates (``L, L // 2, ...``) straight out of them.  This is exact
+because every per-offset ``in_idx`` list is unique and ascending and its
+``out_idx`` non-decreasing (:mod:`repro.sparse.rulegen` guarantees it):
+the pairs of a contiguous input range are then a contiguous slice of
+each offset's list whose first and last outputs are its extremes — what
+the scalar search reads, and what the extents summarize.  Per-tile pair
+counts come last, from one ``searchsorted`` per offset over all tile
+edges.  :func:`_output_window` keeps the scalar per-offset search as the
+definition the planner is tested against.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..sparse.rulegen import Rules
 from .config import SpadeConfig
+
+#: ``first`` extent of an input without pairs: larger than any output.
+_NO_OUTPUT = np.iinfo(np.int32).max
 
 
 @dataclass
@@ -53,22 +75,67 @@ class TilePlan:
         return int(sum(self.pairs_per_offset))
 
 
-@dataclass
+@dataclass(eq=False)
 class TileSchedule:
-    """All tiles of one layer plus aggregate traffic statistics."""
+    """All tiles of one layer as per-tile vectors.
 
-    tiles: list = field(default_factory=list)
-    total_copy_psum: int = 0
+    Attributes:
+        in_start / in_end: (T,) input ranges [start, end).
+        out_start / out_end: (T,) output windows; (0, 0) for a tile
+            whose inputs have no pairs.
+        pairs_per_offset: (K, T) rule entries of each tile per offset.
+        overlap: (T,) outputs shared with the previous non-empty window.
+    """
+
+    in_start: np.ndarray
+    in_end: np.ndarray
+    out_start: np.ndarray
+    out_end: np.ndarray
+    pairs_per_offset: np.ndarray
+    overlap: np.ndarray
 
     @property
     def num_tiles(self) -> int:
-        return len(self.tiles)
+        return len(self.in_start)
+
+    @property
+    def total_copy_psum(self) -> int:
+        return int(self.overlap.sum())
+
+    @property
+    def tiles(self) -> "_Tiles":
+        """The tiles as :class:`TilePlan` objects, built on access."""
+        return _Tiles(self)
+
+
+class _Tiles(Sequence):
+    """Read-only :class:`TilePlan` view of a :class:`TileSchedule`."""
+
+    def __init__(self, schedule: TileSchedule):
+        self._schedule = schedule
+
+    def __len__(self) -> int:
+        return self._schedule.num_tiles
+
+    def __getitem__(self, index: int) -> TilePlan:
+        s = self._schedule
+        if not -len(self) <= index < len(self):
+            raise IndexError(index)
+        return TilePlan(
+            in_start=int(s.in_start[index]),
+            in_end=int(s.in_end[index]),
+            out_start=int(s.out_start[index]),
+            out_end=int(s.out_end[index]),
+            pairs_per_offset=s.pairs_per_offset[:, index].tolist(),
+            overlap_with_prev=int(s.overlap[index]),
+        )
 
 
 def _output_window(rules: Rules, in_start: int, in_end: int) -> tuple:
     """Output index window touched by inputs [in_start, in_end).
 
-    Relies on per-offset in_idx/out_idx being ascending (CPR property).
+    The scalar definition: two ``searchsorted`` calls per offset.  Relies
+    on per-offset in_idx/out_idx being ascending (CPR property).
     """
     lo, hi = None, None
     counts = []
@@ -85,10 +152,30 @@ def _output_window(rules: Rules, in_start: int, in_end: int) -> tuple:
     return lo, hi + 1, counts
 
 
+def _output_extents(rules: Rules) -> tuple:
+    """(first, last): per input, its smallest and largest output index.
+
+    Inputs without pairs get ``first = _NO_OUTPUT`` and ``last = -1``, so
+    they never widen a window.
+    """
+    first = np.full(rules.num_inputs, _NO_OUTPUT, dtype=np.int32)
+    last = np.full(rules.num_inputs, -1, dtype=np.int32)
+    # One offset at a time: concatenating the offsets first is a little
+    # faster but raises peak memory by a copy of every pair.
+    for pair in rules.pairs:
+        out_idx = pair.out_idx.astype(np.int32)
+        np.minimum.at(first, pair.in_idx, out_idx)
+        np.maximum.at(last, pair.in_idx, out_idx)
+    return first, last
+
+
 def plan_tiles(
     rules: Rules, max_inputs: int, max_outputs: int
 ) -> TileSchedule:
     """Greedy ATM tiling: largest input tile whose output window fits.
+
+    Each tile starts at ``max_inputs`` inputs and halves until its output
+    window fits BUFout (or it holds one input).
 
     Args:
         rules: Layer mapping (indices ascending per offset).
@@ -98,39 +185,46 @@ def plan_tiles(
     Returns:
         A :class:`TileSchedule` covering all inputs.
     """
-    schedule = TileSchedule()
     num_inputs = rules.num_inputs
-    if num_inputs == 0:
-        return schedule
+    starts, out_starts, out_ends, overlaps = [], [], [], []
+    first, last = _output_extents(rules)
     in_start = 0
-    prev_out_end = None
-    prev_out_start = None
+    prev_start = prev_end = None
     while in_start < num_inputs:
-        in_end = min(in_start + max_inputs, num_inputs)
-        out_start, out_end, counts = _output_window(rules, in_start, in_end)
-        # Shrink until the output window fits BUFout (binary search).
-        while out_end - out_start > max_outputs and in_end - in_start > 1:
-            in_end = in_start + max(1, (in_end - in_start) // 2)
-            out_start, out_end, counts = _output_window(rules, in_start, in_end)
+        stop = min(in_start + max_inputs, num_inputs)
+        lows = np.minimum.accumulate(first[in_start:stop])
+        highs = np.maximum.accumulate(last[in_start:stop])
+        # Window width minus one of every prefix; negative when empty
+        # (-1 - _NO_OUTPUT is still an int32).
+        spans = highs - lows
+        size = stop - in_start
+        while spans[size - 1] >= max_outputs and size > 1:
+            size //= 2
+        out_end = int(highs[size - 1]) + 1
+        out_start = int(lows[size - 1]) if out_end else 0
         overlap = 0
-        if prev_out_end is not None and out_end > out_start:
-            overlap = max(0, min(prev_out_end, out_end) - max(prev_out_start,
-                                                              out_start))
-        schedule.tiles.append(
-            TilePlan(
-                in_start=in_start,
-                in_end=in_end,
-                out_start=out_start,
-                out_end=out_end,
-                pairs_per_offset=counts,
-                overlap_with_prev=overlap,
-            )
-        )
-        schedule.total_copy_psum += overlap
-        if out_end > out_start:
-            prev_out_start, prev_out_end = out_start, out_end
-        in_start = in_end
-    return schedule
+        if out_end:
+            if prev_end is not None:
+                overlap = max(0, min(prev_end, out_end)
+                              - max(prev_start, out_start))
+            prev_start, prev_end = out_start, out_end
+        starts.append(in_start)
+        out_starts.append(out_start)
+        out_ends.append(out_end)
+        overlaps.append(overlap)
+        in_start += size
+    edges = np.array(starts + [num_inputs], dtype=np.int64)
+    bounds = np.array([pair.in_idx.searchsorted(edges)
+                       for pair in rules.pairs], dtype=np.int64)
+    bounds = bounds.reshape(len(rules.pairs), len(edges))
+    return TileSchedule(
+        in_start=edges[:-1],
+        in_end=edges[1:],
+        out_start=np.array(out_starts, dtype=np.int64),
+        out_end=np.array(out_ends, dtype=np.int64),
+        pairs_per_offset=bounds[:, 1:] - bounds[:, :-1],
+        overlap=np.array(overlaps, dtype=np.int64),
+    )
 
 
 @dataclass

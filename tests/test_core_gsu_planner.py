@@ -1,0 +1,195 @@
+"""GSU tile planner against the scalar greedy it replaced.
+
+:func:`reference_plan` is the original planner: every halving candidate
+of a tile priced by :func:`repro.core.gsu._output_window` (two scalar
+``searchsorted`` calls per kernel offset).  :func:`plan_tiles` must
+return the same tiles on random frames of every :class:`ConvType`, on
+degenerate frames and on capacities that force one-input tiles.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import trace_model
+from repro.core import TilePlan, plan_tiles
+from repro.core.gsu import _output_window
+from repro.engine import TraceCache
+from repro.models import build_model_spec
+from repro.sparse import ConvType, Rules, RulePairs, build_rules, unflatten
+
+#: (conv type, stride) of every sparse convolution variant.
+VARIANTS = [
+    (ConvType.SPCONV, 1),
+    (ConvType.SUBM, 1),
+    (ConvType.SPCONV_P, 1),
+    (ConvType.STRIDED, 2),
+    (ConvType.STRIDED_SUBM, 2),
+    (ConvType.DECONV, 2),
+]
+
+
+def reference_plan(rules, max_inputs, max_outputs):
+    """The scalar greedy: halve each tile until its window fits."""
+    tiles = []
+    in_start = 0
+    prev = None
+    while in_start < rules.num_inputs:
+        in_end = min(in_start + max_inputs, rules.num_inputs)
+        out_start, out_end, counts = _output_window(rules, in_start, in_end)
+        while out_end - out_start > max_outputs and in_end - in_start > 1:
+            in_end = in_start + max(1, (in_end - in_start) // 2)
+            out_start, out_end, counts = _output_window(rules, in_start,
+                                                        in_end)
+        overlap = 0
+        if out_end > out_start:
+            if prev is not None:
+                overlap = max(0, min(prev[1], out_end)
+                              - max(prev[0], out_start))
+            prev = (out_start, out_end)
+        tiles.append(TilePlan(in_start, in_end, out_start, out_end, counts,
+                              overlap))
+        in_start = in_end
+    return tiles
+
+
+def without_pairs(rules, dropped):
+    """``rules`` with every pair of the ``dropped`` inputs removed."""
+    pairs = []
+    for pair in rules.pairs:
+        keep = ~np.isin(pair.in_idx, dropped)
+        pairs.append(RulePairs(pair.in_idx[keep], pair.out_idx[keep]))
+    return Rules(rules.conv_type, rules.kernel_size, rules.stride,
+                 rules.in_shape, rules.out_shape, rules.in_coords,
+                 rules.out_coords, pairs)
+
+
+def check_plan(rules, max_inputs, max_outputs):
+    """Assert the planner matches the reference and its invariants."""
+    schedule = plan_tiles(rules, max_inputs, max_outputs)
+    tiles = list(schedule.tiles)
+    assert tiles == reference_plan(rules, max_inputs, max_outputs)
+    assert len(schedule.tiles) == schedule.num_tiles == len(tiles)
+    # Tiles partition [0, n).
+    edges = [0] + [tile.in_end for tile in tiles]
+    assert [tile.in_start for tile in tiles] == edges[:-1]
+    assert edges[-1] == rules.num_inputs
+    for tile in tiles:
+        assert 1 <= tile.num_inputs <= max_inputs
+        # A window may exceed BUFout only when it holds one input.
+        assert tile.num_outputs <= max_outputs or tile.num_inputs == 1
+    # Per-offset counts sum to each offset's pairs, and every pair's
+    # output lies in its tile's window.
+    for index, pair in enumerate(rules.pairs):
+        assert sum(tile.pairs_per_offset[index] for tile in tiles) == len(pair)
+    for tile in tiles:
+        for pair in rules.pairs:
+            inside = (pair.in_idx >= tile.in_start) & (
+                pair.in_idx < tile.in_end)
+            outs = pair.out_idx[inside]
+            assert ((outs >= tile.out_start) & (outs < tile.out_end)).all()
+    assert schedule.total_copy_psum == sum(
+        tile.overlap_with_prev for tile in tiles)
+    return schedule
+
+
+@st.composite
+def frames(draw):
+    """(rules, max_inputs, max_outputs) on a random small frame."""
+    conv_type, stride = draw(st.sampled_from(VARIANTS))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 14)))
+    total = shape[0] * shape[1]
+    flat = draw(st.lists(st.integers(0, total - 1), max_size=total,
+                         unique=True))
+    coords = unflatten(np.sort(np.asarray(flat, np.int64)), shape)
+    rules = build_rules(coords, shape, conv_type, stride=stride)
+    if draw(st.booleans()) and rules.num_inputs:
+        dropped = draw(st.lists(st.integers(0, rules.num_inputs - 1),
+                                unique=True))
+        rules = without_pairs(rules, np.asarray(dropped, np.int64))
+    max_inputs = draw(st.integers(1, 40))
+    # Small BUFout capacities force halving down to one-input tiles.
+    max_outputs = draw(st.one_of(st.integers(1, 4), st.integers(1, 80)))
+    return rules, max_inputs, max_outputs
+
+
+class TestPlannerMatchesReference:
+    @given(frames())
+    @settings(max_examples=300, deadline=None)
+    def test_random_frames(self, case):
+        check_plan(*case)
+
+    @pytest.mark.parametrize("conv_type,stride", VARIANTS)
+    @pytest.mark.parametrize("shape,flat", [
+        ((6, 7), []),                        # empty
+        ((6, 7), [17]),                      # one pillar
+        ((1, 23), list(range(0, 23, 2))),    # 1xN strip
+        ((6, 7), list(range(42))),           # fully occupied grid
+    ], ids=["empty", "single", "strip", "full"])
+    @pytest.mark.parametrize("caps", [(1, 1), (4, 2), (8, 64), (64, 1000)])
+    def test_degenerate_frames(self, conv_type, stride, shape, flat, caps):
+        coords = unflatten(np.asarray(flat, np.int64), shape)
+        rules = build_rules(coords, shape, conv_type, stride=stride)
+        check_plan(rules, *caps)
+
+    @pytest.mark.parametrize("conv_type,stride", VARIANTS)
+    def test_inputs_without_pairs(self, conv_type, stride):
+        shape = (8, 9)
+        coords = unflatten(np.arange(0, 72, 3, dtype=np.int64), shape)
+        rules = build_rules(coords, shape, conv_type, stride=stride)
+        for dropped in (np.arange(0, rules.num_inputs, 2),
+                        np.arange(rules.num_inputs)):
+            stripped = without_pairs(rules, dropped)
+            for caps in ((1, 1), (3, 5), (16, 16)):
+                check_plan(stripped, *caps)
+        # With no pairs at all every window is empty and fits.
+        schedule = check_plan(without_pairs(rules, np.arange(
+            rules.num_inputs)), 5, 1)
+        assert all(tile.num_outputs == 0 for tile in schedule.tiles)
+        assert schedule.total_copy_psum == 0
+
+    def test_one_input_tiles(self):
+        coords = unflatten(np.arange(0, 120, 2, dtype=np.int64), (10, 12))
+        rules = build_rules(coords, (10, 12), ConvType.SPCONV)
+        schedule = check_plan(rules, 32, 1)
+        assert {tile.num_inputs for tile in schedule.tiles} == {1}
+
+
+class TestPlanningLeavesTracesAlone:
+    """Planning must not change what the trace cache pickles."""
+
+    def test_pickled_rules_unchanged_by_planning(self):
+        coords = unflatten(np.arange(0, 200, 3, dtype=np.int64), (12, 20))
+        rules = build_rules(coords, (12, 20), ConvType.SPCONV)
+        before = pickle.dumps(rules, protocol=pickle.HIGHEST_PROTOCOL)
+        plan_tiles(rules, 8, 24)
+        plan_tiles(rules, 16, 40)
+        assert pickle.dumps(rules, protocol=pickle.HIGHEST_PROTOCOL) == before
+
+    def test_disk_tier_round_trip_plans_same_tiles(self, tmp_path,
+                                                   kitti_batch):
+        spec = build_model_spec("SPP2")
+        coords = kitti_batch.coords
+        memory = trace_model(spec, coords)
+        caps = [(512, 1024), (128, 256)]
+        planned = [[list(plan_tiles(layer.rules, *cap).tiles)
+                    for cap in caps]
+                   for layer in memory.layers if layer.rules is not None]
+        before = pickle.dumps(memory, protocol=pickle.HIGHEST_PROTOCOL)
+
+        writer = TraceCache(disk_dir=tmp_path)
+        stored = writer.get_trace(spec, coords)
+        for layer in stored.layers:
+            if layer.rules is not None:
+                plan_tiles(layer.rules, *caps[0])
+        reader = TraceCache(disk_dir=tmp_path)
+        loaded = reader.get_trace(spec, coords)
+        assert (writer.disk_writes, reader.disk_hits) == (1, 1)
+        assert pickle.dumps(memory, protocol=pickle.HIGHEST_PROTOCOL) == before
+        assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == before
+        assert [[list(plan_tiles(layer.rules, *cap).tiles) for cap in caps]
+                for layer in loaded.layers
+                if layer.rules is not None] == planned
