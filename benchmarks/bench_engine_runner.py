@@ -6,11 +6,13 @@ Times the same scenarios x models x simulators grid several ways —
   cell re-traces the model (rulegen included) before simulating, the
   way the benchmark files looped before the engine existed;
 * **cold / cached / parallel**: fresh-cache serial run, warm-cache
-  serial re-run, warm-cache thread fan-out (the PR-1 trajectory);
+  serial re-run, warm-cache ``parallel=True`` run through the runner's
+  default backend (serial unless ``REPRO_ENGINE_BACKEND`` says
+  otherwise);
 * **trace split**: the cold sweep separated into its trace stage
   (rulegen, the hot path) and its simulate stage;
 * **backends**: a cold multi-scenario sweep through each execution
-  backend — serial, thread, process — each from its own fresh cache;
+  backend — serial, process — each from its own fresh cache;
 * **batching**: one batched scenario carrying N seeded frames vs N
   single-frame scenarios — identical numbers, one rulegen pass.
   Variants alternate over two cold rounds and each run releases its
@@ -91,7 +93,7 @@ SCENARIOS = (Scenario("drive-0", seed=0), Scenario("drive-1", seed=1))
 SMOKE_SIMULATORS = ("spade-he", "dense-he")
 SMOKE_MODELS = ("SPP2", "SPP3")
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 DIST_WORKERS = 2
 BATCH_FRAMES = 4
 BATCH_ROUNDS = 2

@@ -14,7 +14,6 @@ from .sparsity import (
     dense_counterpart,
     iopr_series,
     trace_model,
-    trace_model_delta,
 )
 from .tradeoff import (
     AccuracySparsityCurve,
@@ -43,5 +42,4 @@ __all__ = [
     "paper_vs_measured",
     "single_object_scene",
     "trace_model",
-    "trace_model_delta",
 ]

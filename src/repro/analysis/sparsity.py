@@ -413,29 +413,6 @@ def trace_model(
     return trace
 
 
-def trace_model_delta(
-    spec: ModelSpec,
-    prev_trace: ModelTrace,
-    coords: np.ndarray,
-    importance: np.ndarray = None,
-    grid_shape: tuple = None,
-    rulegen_shards: int = None,
-    delta_threshold: float = None,
-) -> ModelTrace:
-    """Trace one frame by patching the previous sequential frame's trace.
-
-    Thin named wrapper over :func:`trace_model` with ``prev_trace``
-    required — the entry point the engine's delta-chain trace stage
-    uses.  Bit-identical to a full :func:`trace_model` of the same
-    frame.
-    """
-    return trace_model(
-        spec, coords, importance=importance, grid_shape=grid_shape,
-        rulegen_shards=rulegen_shards, prev_trace=prev_trace,
-        delta_threshold=delta_threshold,
-    )
-
-
 def dense_counterpart(name: str) -> str:
     """Table I dense baseline for each model."""
     if name.startswith("SPP") or name == "PP":

@@ -183,7 +183,6 @@ def _cmd_run(args) -> int:
         for key, value in (
             ("backend", args.backend),
             ("workers", args.workers),
-            ("trace_workers", args.trace_workers),
             ("rulegen_shards", args.rulegen_shards),
             ("cache_dir", args.cache_dir),
             ("delta_trace", args.delta_trace),
@@ -808,7 +807,6 @@ def _describe_spec_file(name: str) -> bool:
          f"{[(s.name, s.seed, s.frames) for s in spec.scenarios]}")
     _out(f"  resolved    : backend={settings.backend} "
          f"workers={settings.workers} "
-         f"trace_workers={settings.trace_workers} "
          f"rulegen_shards={settings.rulegen_shards} "
          f"delta_trace={settings.delta_trace}")
     _out(f"  cache_dir   : {settings.cache_dir}")
@@ -850,9 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("spec", help="path to an ExperimentSpec .json file")
     run.add_argument("--backend",
                      help="override the spec's execution backend")
-    run.add_argument("--workers", help="simulate-stage pool width")
-    run.add_argument("--trace-workers", dest="trace_workers",
-                     help="trace-stage pool width")
+    run.add_argument("--workers", help="parallel backend pool width")
     run.add_argument("--rulegen-shards", dest="rulegen_shards",
                      help="rulegen row bands")
     run.add_argument("--cache-dir", dest="cache_dir",

@@ -46,7 +46,6 @@ from .engine.settings import (
 ENGINE_KNOB_ENV = {
     "backend": _settings.BACKEND_ENV_VAR,
     "workers": _settings.WORKERS_ENV_VAR,
-    "trace_workers": _settings.TRACE_WORKERS_ENV_VAR,
     "rulegen_shards": _settings.RULEGEN_SHARDS_ENV_VAR,
     "cache_dir": _settings.CACHE_DIR_ENV_VAR,
     "delta_trace": _settings.DELTA_TRACE_ENV_VAR,

@@ -10,7 +10,7 @@
 * :mod:`repro.engine.cache`      — the content-keyed :class:`TraceCache`
   (rulegen once per (model, frame), shared across simulators and runs);
 * :mod:`repro.engine.backends`   — pluggable execution backends
-  (serial / thread / process) with chunked IPC and per-worker caches;
+  (serial / process) with chunked IPC and per-worker caches;
 * :mod:`repro.engine.runner`     — the multi-scenario, multi-backend
   :class:`ExperimentRunner` with frame batching;
 * :mod:`repro.engine.registry`   — named-factory registries
@@ -54,7 +54,6 @@ from .backends import (
     BackendUnavailable,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     WorkGroup,
     resolve_backend,
 )
@@ -129,7 +128,6 @@ from .settings import (
     ENGINE_ENV_VARS,
     FAULTS_ENV_VAR,
     RULEGEN_SHARDS_ENV_VAR,
-    TRACE_WORKERS_ENV_VAR,
     WORKERS_ENV_VAR,
     EngineSettings,
     TelemetrySettings,
@@ -189,7 +187,6 @@ __all__ = [
     "RULEGEN_SHARDS_ENV_VAR",
     "SIMULATORS",
     "SPEC_VERSION",
-    "TRACE_WORKERS_ENV_VAR",
     "WORKERS_ENV_VAR",
     "Backend",
     "BackendUnavailable",
@@ -231,7 +228,6 @@ __all__ = [
     "SpadeNoOverlapSim",
     "SpadeSimulator",
     "TelemetrySettings",
-    "ThreadBackend",
     "TraceCache",
     "TraceStatsSim",
     "UnknownNameError",

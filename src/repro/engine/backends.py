@@ -4,30 +4,26 @@ The runner plans a grid of *work groups* — one per (scenario, model),
 carrying every simulator that consumes that trace — and hands the plan to
 a :class:`Backend` for execution:
 
-* :class:`SerialBackend`   — one thread, no pool; the debugging and
-  baseline-measurement path;
-* :class:`ThreadBackend`   — the default; traces and simulations fan out
-  over ``concurrent.futures`` threads (the simulators are numpy-bound and
-  release the GIL in their hot loops);
-* :class:`ProcessBackend`  — a process pool for many-scenario sweeps:
-  work groups are pickled to workers in contiguous chunks (amortizing
-  IPC), each worker process keeps its own :class:`TraceCache` and
-  :class:`FrameProvider` seeded on first use, and results come back with
-  the heavyweight ``raw`` legacy objects stripped so a row costs
-  kilobytes, not megabytes, to ship.
+* :class:`SerialBackend`   — the default; one thread, no pool, plan
+  order;
+* :class:`ProcessBackend`  — the one parallel path, a process pool for
+  many-scenario sweeps: work groups are pickled to workers in contiguous
+  chunks (amortizing IPC), each worker process keeps its own
+  :class:`TraceCache` and :class:`FrameProvider` seeded on first use,
+  and results come back with the heavyweight ``raw`` legacy objects
+  stripped so a row costs kilobytes, not megabytes, to ship.
 
 Parallel execution is a **split trace/simulate pipeline**: every unique
 (scenario, model, frame) is traced exactly once as a first-class work
-unit — fanned out over ``runner.trace_workers`` — before any simulator
-runs.  The process backend shares the finished traces across its workers
-through the :class:`TraceCache` disk tier (``REPRO_TRACE_CACHE_DIR``,
-or a run-scoped temporary directory when unset), so a cold sweep no
-longer re-traces the same frame once per worker.  Backends whose
-resolved worker count is 1 fall back to plain serial execution — a
-width-1 pool is pure overhead.
+unit — fanned out over the pool — before any simulator runs.  The
+process backend shares the finished traces across its workers through
+the :class:`TraceCache` disk tier (``REPRO_TRACE_CACHE_DIR``, or a
+run-scoped temporary directory when unset), so a cold sweep traces
+each frame once, not once per worker.  A resolved worker count of 1
+falls back to plain serial execution — a width-1 pool is pure overhead.
 
 Backends are selected by :class:`ExperimentRunner(backend=...)`, by the
-``REPRO_ENGINE_BACKEND`` environment variable (``serial`` / ``thread`` /
+``REPRO_ENGINE_BACKEND`` environment variable (``serial`` /
 ``process``), or per call via ``runner.run(backend=...)``.
 
 Every backend produces the identical :class:`ExperimentTable` — same
@@ -42,7 +38,7 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -176,10 +172,10 @@ def chunk_payload(payload: list, workers: int,
 class ProgressReporter:
     """Per-group completion ticker for long sweeps (stderr by default).
 
-    Thread-safe: parallel backends advance it from pool threads and the
-    distributed coordinator from connection handlers.  ``sink`` may be a
-    callable ``(done, total, elapsed_seconds)`` for programmatic
-    consumers (tests, dashboards); the default prints
+    Thread-safe: the distributed coordinator advances it from its
+    connection handler threads.  ``sink`` may be a callable
+    ``(done, total, elapsed_seconds)`` for programmatic consumers
+    (tests, dashboards); the default prints
     ``groups done/total (elapsed)`` lines to ``stderr`` — through
     :func:`repro.engine.telemetry.log_line`, the one lock-guarded
     line-buffered writer worker warnings also use, so concurrent
@@ -298,8 +294,8 @@ class Backend:
     :class:`~repro.engine.result.SimResult` rows per group, in plan
     order.  Backends with preconditions on the runner override
     :meth:`incompatibility`; when the backend was only an environment
-    default (not an explicit choice) the runner falls back to threads
-    instead of failing.
+    default (not an explicit choice) the runner falls back to the serial
+    backend instead of failing.
     """
 
     name: str = "backend"
@@ -331,134 +327,6 @@ class SerialBackend(Backend):
                               time.monotonic() - started, rows)
             nested.append(rows)
             report_group_done(runner)
-        return nested
-
-
-@register_backend("thread")
-class ThreadBackend(Backend):
-    """Thread-pool fan-out (the default, and PR-1 behaviour).
-
-    The trace stage parallelizes over (scenario, model, frame) jobs
-    first — ``runner.trace_workers`` wide, with the shared
-    :class:`TraceCache` suppressing duplicates — then simulation fans
-    out over (group, simulator) cells at ``max_workers``.  A resolved
-    width of 1 skips the pools entirely and runs the plan serially.
-
-    Args:
-        max_workers: Pool width for both stages; defaults to the
-            runner's ``max_workers`` (simulate) and ``trace_workers``
-            (trace).
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int = None):
-        self.max_workers = max_workers
-
-    def execute(self, runner, groups: list) -> list:
-        """Trace-then-simulate the plan through thread pools."""
-        workers = self.max_workers or runner.max_workers
-        trace_workers = self.max_workers or runner.trace_workers
-        if workers == 1 and trace_workers == 1:
-            # A width-1 pool is pure overhead (baseline: 1.30 s through
-            # the pool vs 0.87-1.11 s serial on one CPU) — run the plan
-            # exactly like the serial backend.
-            return SerialBackend().execute(runner, groups)
-        trace_started = time.monotonic()
-        if getattr(runner, "delta_trace", False):
-            # Delta chains are sequential within a (scenario, model) —
-            # frame N patches frame N-1 — so the fan-out unit becomes
-            # the whole chain; distinct chains still run concurrently.
-            chain_jobs = [(group.scenario, group.model)
-                          for group in groups]
-            if trace_workers > 1 and len(chain_jobs) > 1:
-                with ThreadPoolExecutor(trace_workers) as pool:
-                    chains = list(pool.map(
-                        lambda job: runner.trace_chain(*job), chain_jobs
-                    ))
-            else:
-                chains = [runner.trace_chain(*job) for job in chain_jobs]
-            # Model specs are mutable (unhashable); key by model name.
-            trace_of = {
-                (scenario, _model_name(model), frame): trace
-                for (scenario, model), chain in zip(chain_jobs, chains)
-                for frame, trace in enumerate(chain)
-            }
-        else:
-            trace_jobs = [
-                (group.scenario, group.model, frame)
-                for group in groups
-                for frame in range(group.scenario.frames)
-            ]
-            if trace_workers > 1 and len(trace_jobs) > 1:
-                with ThreadPoolExecutor(trace_workers) as pool:
-                    traces = list(pool.map(
-                        lambda job: runner.trace_for(*job), trace_jobs
-                    ))
-            else:
-                traces = [runner.trace_for(*job) for job in trace_jobs]
-            trace_of = {
-                (scenario, _model_name(model), frame): trace
-                for (scenario, model, frame), trace
-                in zip(trace_jobs, traces)
-            }
-        observe_phase(runner, "trace", time.monotonic() - trace_started)
-
-        def group_traces(group):
-            """The finished traces backing one group's frames."""
-            return [
-                trace_of[(group.scenario, _model_name(group.model), frame)]
-                for frame in range(group.scenario.frames)
-            ]
-
-        cells = [(group, simulator)
-                 for group in groups
-                 for simulator in group.simulators]
-        remaining = {id(group): len(group.simulators) for group in groups}
-        remaining_lock = threading.Lock()
-        # Per-group observer accounting: a group's unit record carries
-        # the *sum* of its cells' seconds (the work done, not the wall
-        # span of interleaved cells) plus every row it streamed.
-        observing = (observer_of(runner) is not None
-                     or journal_of(runner) is not None)
-        group_seconds = {id(group): 0.0 for group in groups}
-        group_rows = {id(group): [] for group in groups}
-
-        def run_cell(cell):
-            """Simulate one (group, simulator) cell; book its timing."""
-            group, simulator = cell
-            started = time.monotonic()
-            rows = execute_cell(group.scenario, simulator,
-                                group_traces(group))
-            elapsed = time.monotonic() - started
-            with remaining_lock:
-                remaining[id(group)] -= 1
-                finished = remaining[id(group)] == 0
-                if observing:
-                    group_seconds[id(group)] += elapsed
-                    group_rows[id(group)].extend(rows)
-            if finished:
-                observe_unit_done(runner, group.scenario.name,
-                                  _model_name(group.model),
-                                  group_seconds[id(group)],
-                                  group_rows[id(group)])
-                report_group_done(runner)
-            return rows
-
-        if workers > 1 and len(cells) > 1:
-            with ThreadPoolExecutor(workers) as pool:
-                cell_rows = list(pool.map(run_cell, cells))
-        else:
-            cell_rows = [run_cell(cell) for cell in cells]
-
-        nested = []
-        cursor = 0
-        for group in groups:
-            rows = []
-            for _ in group.simulators:
-                rows.extend(cell_rows[cursor])
-                cursor += 1
-            nested.append(rows)
         return nested
 
 
@@ -616,7 +484,7 @@ class ProcessBackend(Backend):
     def incompatibility(runner) -> str:
         """Why this runner cannot go through worker processes (or None).
 
-        Lets the runner fall back to threads when the process backend
+        Lets the runner fall back to serial when the process backend
         was only an environment default rather than an explicit choice.
         """
         from .runner import FrameProvider
@@ -624,7 +492,7 @@ class ProcessBackend(Backend):
         if runner.trace_provider is not None:
             return (
                 "ProcessBackend cannot ship a trace_provider closure to "
-                "worker processes; use the serial or thread backend, or "
+                "worker processes; use the serial backend, or "
                 "let workers trace through the default frame path"
             )
         if type(runner.frame_provider) is not FrameProvider:
@@ -632,7 +500,7 @@ class ProcessBackend(Backend):
                 "ProcessBackend re-creates the default FrameProvider "
                 f"inside each worker; a custom "
                 f"{type(runner.frame_provider).__name__} instance would "
-                "be silently ignored — use the serial or thread backend"
+                "be silently ignored — use the serial backend"
             )
         return None
 
@@ -687,7 +555,7 @@ class ProcessBackend(Backend):
                         trace_jobs.append(
                             (group.scenario, group.model, frame)
                         )
-        trace_width = min(workers, runner.trace_workers, len(trace_jobs))
+        trace_width = min(workers, len(trace_jobs))
         trace_chunks = [
             trace_jobs[start::trace_width] for start in range(trace_width)
         ]
@@ -733,7 +601,7 @@ def resolve_backend(spec) -> Backend:
     """Normalize a backend name or instance to a :class:`Backend`.
 
     Names resolve through the backend registry — ``"serial"`` /
-    ``"thread"`` / ``"process"`` built in, case insensitive, plus
+    ``"process"`` built in, case insensitive, plus
     anything third-party code added via
     :func:`~repro.engine.registry.register_backend`.  Instances pass
     through untouched; unknown names raise a

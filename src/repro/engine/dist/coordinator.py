@@ -138,7 +138,6 @@ def group_spec_dict(runner, group, base: dict = None,
         }],
         "backend": "serial",
         "workers": 1,
-        "trace_workers": 1,
         "rulegen_shards": runner.rulegen_shards,
         "delta_trace": runner.delta_trace,
         "delta_threshold": runner.delta_threshold,
@@ -818,7 +817,7 @@ class DistBackend(Backend):
             return (
                 "DistBackend cannot ship a trace_provider closure to "
                 "remote workers; workers trace through the default "
-                "frame path — use the serial or thread backend"
+                "frame path — use the serial backend"
             )
         spec = getattr(runner, "source_spec", None)
         if spec is None:
@@ -844,8 +843,7 @@ class DistBackend(Backend):
                     "DistBackend re-creates frame providers by "
                     "registry name inside each worker; a custom "
                     f"{type(provider).__name__} instance would be "
-                    "silently ignored — use the serial or thread "
-                    "backend"
+                    "silently ignored — use the serial backend"
                 )
         elif getattr(runner, "frame_provider_explicit", False):
             return (
@@ -853,7 +851,7 @@ class DistBackend(Backend):
                 f"name ({spec.frame_provider!r}) inside each worker; "
                 f"the {type(provider).__name__} instance passed to "
                 "build_runner would be silently ignored — drop the "
-                "instance or use the serial or thread backend"
+                "instance or use the serial backend"
             )
         return None
 
@@ -981,7 +979,7 @@ class DistBackend(Backend):
                     rulegen_shards=runner.rulegen_shards,
                 )
 
-        width = min(runner.trace_workers, len(jobs))
+        width = min(runner.max_workers, len(jobs))
         if width > 1:
             with ThreadPoolExecutor(width) as pool:
                 list(pool.map(trace, jobs))

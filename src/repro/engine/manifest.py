@@ -22,9 +22,9 @@ per-layer detail feeds a
 :class:`~repro.analysis.sparsity.SparsityAnalyzer` incrementally, so
 observation never retains tables or traces.
 
-Coverage by backend: the serial and thread backends time units
-in-process; the process backend times them inside its worker processes
-and ships the seconds back with the rows; the distributed backend's
+Coverage by backend: the serial backend times units in-process; the
+process backend times them inside its worker processes and ships the
+seconds back with the rows; the distributed backend's
 workers time each group and return timings in the existing row-stream
 ``result`` message, so unit records stay complete even when units are
 requeued across worker failures (the first accepted result carries the
@@ -113,8 +113,8 @@ class RunObserver:
     <repro.engine.runner.ExperimentRunner.run>`; every backend then
     reports per-unit timings, phase timings and streamed rows through
     it (see :func:`~repro.engine.backends.observe_unit_done`).  All
-    methods are thread-safe — parallel backends call them from pool
-    threads and the distributed backend from connection handlers.
+    methods are thread-safe — the distributed backend calls them from
+    its connection handler threads.
 
     Attributes:
         units: One dict per finished work group: ``{"scenario",
@@ -339,7 +339,6 @@ class RunManifest:
             settings={
                 "backend": backend,
                 "workers": runner.max_workers,
-                "trace_workers": runner.trace_workers,
                 "rulegen_shards": runner.rulegen_shards,
                 "cache_dir": str(cache_dir) if cache_dir else None,
                 "delta_trace": runner.delta_trace,

@@ -7,8 +7,8 @@ generation — happens exactly once per (scenario, model, frame) through a
 shared :class:`~repro.engine.cache.TraceCache`, no matter how many
 simulators consume the trace or how many times the grid re-runs.
 Execution then goes through a pluggable
-:class:`~repro.engine.backends.Backend` — serial, thread pool (default)
-or process pool — selected per runner, per call, or via the
+:class:`~repro.engine.backends.Backend` — serial (default) or process
+pool — selected per runner, per call, or via the
 ``REPRO_ENGINE_BACKEND`` environment variable.
 
 A :class:`Scenario` can carry one frame (the default) or a batch of
@@ -39,7 +39,6 @@ from .backends import (
     ProcessBackend,
     ProgressReporter,
     SerialBackend,
-    ThreadBackend,
     WorkGroup,
     default_backend_name,
     resolve_backend,
@@ -49,14 +48,11 @@ from .journal import RunJournal, unit_key
 from .registry import register_frame_provider
 from .result import ExperimentTable
 from .settings import (
-    TRACE_WORKERS_ENV_VAR,
-    WORKERS_ENV_VAR,
     resolve_degrade,
     resolve_delta_threshold,
     resolve_delta_trace,
     resolve_faults,
     resolve_rulegen_shards,
-    resolve_trace_workers,
     resolve_workers,
 )
 from .simulators import resolve_simulators
@@ -219,16 +215,12 @@ class ExperimentRunner:
             their dense counterparts.
         backend: Execution backend — a
             :class:`~repro.engine.backends.Backend` instance or one of
-            ``"serial"`` / ``"thread"`` / ``"process"``.  Defaults to the
+            ``"serial"`` / ``"process"``.  Defaults to the
             ``REPRO_ENGINE_BACKEND`` environment variable, else
-            ``"thread"``.
+            ``"serial"``.
         max_workers: Pool width for parallel backends; the
             ``REPRO_ENGINE_WORKERS`` environment variable overrides the
             default when no explicit value is given.
-        trace_workers: Pool width of the dedicated *trace stage* (the
-            rulegen-heavy first phase every parallel backend runs before
-            simulating); defaults to ``REPRO_ENGINE_TRACE_WORKERS``,
-            else to ``max_workers``.
         rulegen_shards: Row-band count for within-trace parallel rule
             generation (:func:`~repro.sparse.rulegen.build_rules_sharded`);
             defaults to ``REPRO_ENGINE_RULEGEN_SHARDS``, else 1 (fused
@@ -251,7 +243,7 @@ class ExperimentRunner:
                  cache: TraceCache = None, trace_provider=None,
                  frame_provider: FrameProvider = None,
                  cell_filter=None, backend=None, max_workers: int = None,
-                 trace_workers: int = None, rulegen_shards: int = None,
+                 rulegen_shards: int = None,
                  delta_trace: bool = None, delta_threshold: float = None,
                  faults: str = None, degrade: bool = None):
         self.simulators = resolve_simulators(simulators)
@@ -287,8 +279,6 @@ class ExperimentRunner:
             default_backend_name()
         )
         self.max_workers = resolve_workers(max_workers)
-        self.trace_workers = resolve_trace_workers(trace_workers,
-                                                   self.max_workers)
         self.rulegen_shards = resolve_rulegen_shards(rulegen_shards)
         self.delta_trace = resolve_delta_trace(delta_trace)
         self.delta_threshold = resolve_delta_threshold(delta_threshold)
@@ -424,9 +414,9 @@ class ExperimentRunner:
                 # this runner fails its preconditions (in-process
                 # trace/frame plumbing for the process pool, a
                 # spec-built runner for the distributed backend) — fall
-                # back to threads rather than failing a runner the
+                # back to serial rather than failing a runner the
                 # caller never asked to put on that backend.
-                chosen = ThreadBackend()
+                chosen = SerialBackend()
         if self.trace_provider is not None and any(
             scenario.frames > 1 for scenario in self.scenarios
         ):

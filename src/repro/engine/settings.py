@@ -1,13 +1,7 @@
 """The single resolver for every engine environment knob.
 
-Before this module, each engine layer read its own ``os.environ``:
-the runner parsed ``REPRO_ENGINE_WORKERS`` / ``REPRO_ENGINE_TRACE_WORKERS``,
-the backends read ``REPRO_ENGINE_BACKEND``, the trace cache read
-``REPRO_TRACE_CACHE_DIR`` and rulegen read
-``REPRO_ENGINE_RULEGEN_SHARDS`` — five copies of the same
-argument > environment > default resolution with subtly duplicated
-validation.  :class:`EngineSettings` (and the per-knob ``resolve_*``
-helpers it is built from) is now the *one* place those variables are
+:class:`EngineSettings` (and the per-knob ``resolve_*`` helpers it is
+built from) is the *one* place the engine's environment variables are
 read; the runner, the backends, the cache and rulegen all delegate
 here, and declarative :class:`~repro.engine.spec.ExperimentSpec` files
 resolve through the identical code path, so a spec, a keyword argument
@@ -28,12 +22,8 @@ from dataclasses import dataclass
 #: Environment variable naming the default execution backend.
 BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
 
-#: Environment variable overriding the simulate-stage pool width.
+#: Environment variable overriding the parallel backends' pool width.
 WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
-
-#: Environment variable overriding the trace-stage pool width
-#: (defaults to the simulate-stage width when unset).
-TRACE_WORKERS_ENV_VAR = "REPRO_ENGINE_TRACE_WORKERS"
 
 #: Environment variable giving the default row-band count for sharded
 #: rule generation.
@@ -140,7 +130,6 @@ TELEMETRY_METRICS_PORT_ENV_VAR = "REPRO_ENGINE_TELEMETRY_METRICS_PORT"
 ENGINE_ENV_VARS = (
     BACKEND_ENV_VAR,
     WORKERS_ENV_VAR,
-    TRACE_WORKERS_ENV_VAR,
     RULEGEN_SHARDS_ENV_VAR,
     CACHE_DIR_ENV_VAR,
     DELTA_TRACE_ENV_VAR,
@@ -245,32 +234,20 @@ def fraction(value, source: str) -> float:
 
 
 def resolve_backend_name(value=None) -> str:
-    """Backend name: explicit value > ``REPRO_ENGINE_BACKEND`` > thread."""
+    """Backend name: explicit value > ``REPRO_ENGINE_BACKEND`` > serial."""
     if value is not None:
         return value
-    return os.environ.get(BACKEND_ENV_VAR, "thread")
+    return os.environ.get(BACKEND_ENV_VAR, "serial")
 
 
 def resolve_workers(value=None, source: str = "max_workers") -> int:
-    """Simulate-stage width: value > ``REPRO_ENGINE_WORKERS`` > cpus."""
+    """Pool width: value > ``REPRO_ENGINE_WORKERS`` > cpus."""
     if value is not None:
         return positive_int(value, source)
     env = os.environ.get(WORKERS_ENV_VAR)
     if env is not None:
         return positive_int(env, WORKERS_ENV_VAR)
     return min(8, os.cpu_count() or 1)
-
-
-def resolve_trace_workers(value=None, workers: int = None,
-                          source: str = "trace_workers") -> int:
-    """Trace-stage width: value > ``REPRO_ENGINE_TRACE_WORKERS`` >
-    the simulate-stage width (resolved here when not supplied)."""
-    if value is not None:
-        return positive_int(value, source)
-    env = os.environ.get(TRACE_WORKERS_ENV_VAR)
-    if env is not None:
-        return positive_int(env, TRACE_WORKERS_ENV_VAR)
-    return workers if workers is not None else resolve_workers()
 
 
 def resolve_rulegen_shards(value=None,
@@ -767,10 +744,9 @@ class EngineSettings:
     """One fully-resolved snapshot of every engine knob.
 
     Attributes:
-        backend: Execution backend name (``"serial"`` / ``"thread"`` /
-            ``"process"`` or any registered third-party backend).
-        workers: Simulate-stage pool width.
-        trace_workers: Trace-stage pool width.
+        backend: Execution backend name (``"serial"`` / ``"process"``
+            or any registered third-party backend).
+        workers: Pool width of the parallel backends.
         rulegen_shards: Row bands per rule-generation pass.
         cache_dir: Persistent trace-cache directory, or ``None`` for a
             memory-only cache.
@@ -787,9 +763,8 @@ class EngineSettings:
             failing; default off.
     """
 
-    backend: str = "thread"
+    backend: str = "serial"
     workers: int = 1
-    trace_workers: int = 1
     rulegen_shards: int = 1
     cache_dir: str = None
     delta_trace: bool = False
@@ -798,10 +773,9 @@ class EngineSettings:
     degrade: bool = False
 
     @classmethod
-    def resolve(cls, backend=None, workers=None, trace_workers=None,
-                rulegen_shards=None, cache_dir=UNSET, delta_trace=None,
-                delta_threshold=None, faults=None,
-                degrade=None) -> "EngineSettings":
+    def resolve(cls, backend=None, workers=None, rulegen_shards=None,
+                cache_dir=UNSET, delta_trace=None, delta_threshold=None,
+                faults=None, degrade=None) -> "EngineSettings":
         """Resolve every knob: explicit argument > environment > default.
 
         This is the constructor the runner and the declarative spec
@@ -809,11 +783,9 @@ class EngineSettings:
         environment) or an explicit override, and malformed values from
         either source raise a :class:`ValueError` naming the offender.
         """
-        workers = resolve_workers(workers)
         return cls(
             backend=resolve_backend_name(backend),
-            workers=workers,
-            trace_workers=resolve_trace_workers(trace_workers, workers),
+            workers=resolve_workers(workers),
             rulegen_shards=resolve_rulegen_shards(rulegen_shards),
             cache_dir=resolve_cache_dir(cache_dir),
             delta_trace=resolve_delta_trace(delta_trace),
@@ -827,7 +799,6 @@ class EngineSettings:
         return {
             "backend": self.backend,
             "workers": self.workers,
-            "trace_workers": self.trace_workers,
             "rulegen_shards": self.rulegen_shards,
             "cache_dir": self.cache_dir,
             "delta_trace": self.delta_trace,

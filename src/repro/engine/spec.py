@@ -146,11 +146,9 @@ class ExperimentSpec:
             ``seed`` / ``frames`` in spec files.
         name: Label for error messages, output files and the CLI.
         backend: Execution-backend registry name, or ``None`` to inherit
-            ``REPRO_ENGINE_BACKEND`` (default thread).
-        workers: Simulate-stage pool width, or ``None`` to inherit
-            ``REPRO_ENGINE_WORKERS``.
-        trace_workers: Trace-stage pool width, or ``None`` to inherit
-            ``REPRO_ENGINE_TRACE_WORKERS``.
+            ``REPRO_ENGINE_BACKEND`` (default serial).
+        workers: Pool width of the parallel backends, or ``None`` to
+            inherit ``REPRO_ENGINE_WORKERS``.
         rulegen_shards: Rulegen row bands, or ``None`` to inherit
             ``REPRO_ENGINE_RULEGEN_SHARDS``.
         cache_dir: Persistent trace-cache directory for this experiment,
@@ -184,7 +182,6 @@ class ExperimentSpec:
     name: str = "experiment"
     backend: str = None
     workers: int = None
-    trace_workers: int = None
     rulegen_shards: int = None
     cache_dir: str = None
     delta_trace: bool = None
@@ -298,7 +295,7 @@ class ExperimentSpec:
                 f"unknown frame provider {self.frame_provider!r}; "
                 f"registered: {FRAME_PROVIDERS.names()}",
             )
-        for knob in ("workers", "trace_workers", "rulegen_shards"):
+        for knob in ("workers", "rulegen_shards"):
             value = getattr(self, knob)
             if value is not None:
                 positive_int(value, knob)
@@ -387,7 +384,6 @@ class ExperimentSpec:
             ],
             "backend": self.backend,
             "workers": self.workers,
-            "trace_workers": self.trace_workers,
             "rulegen_shards": self.rulegen_shards,
             "cache_dir": (str(self.cache_dir)
                           if self.cache_dir is not None else None),
@@ -417,9 +413,9 @@ class ExperimentSpec:
             )
         allowed = {
             "name", "simulators", "models", "scenarios", "backend",
-            "workers", "trace_workers", "rulegen_shards", "cache_dir",
-            "delta_trace", "delta_threshold", "faults", "degrade",
-            "frame_provider", "cells", "out",
+            "workers", "rulegen_shards", "cache_dir", "delta_trace",
+            "delta_threshold", "faults", "degrade", "frame_provider",
+            "cells", "out",
         }
         unknown = sorted(set(data) - allowed)
         if unknown:
@@ -480,8 +476,6 @@ class ExperimentSpec:
         return EngineSettings.resolve(
             backend=overrides.get("backend", self.backend),
             workers=overrides.get("workers", self.workers),
-            trace_workers=overrides.get("trace_workers",
-                                        self.trace_workers),
             rulegen_shards=overrides.get("rulegen_shards",
                                          self.rulegen_shards),
             cache_dir=(overrides["cache_dir"] if "cache_dir" in overrides
@@ -509,9 +503,8 @@ class ExperimentSpec:
         """
         unknown = sorted(
             set(overrides)
-            - {"backend", "workers", "trace_workers", "rulegen_shards",
-               "cache_dir", "delta_trace", "delta_threshold", "faults",
-               "degrade"}
+            - {"backend", "workers", "rulegen_shards", "cache_dir",
+               "delta_trace", "delta_threshold", "faults", "degrade"}
         )
         if unknown:
             raise _spec_error(
@@ -540,7 +533,7 @@ class ExperimentSpec:
         # `--workers 0` errors as "workers", never the runner-internal
         # "max_workers" kwarg the user never typed.
         knobs = {}
-        for knob in ("workers", "trace_workers", "rulegen_shards"):
+        for knob in ("workers", "rulegen_shards"):
             value = overrides.get(knob, getattr(self, knob))
             if value is not None:
                 value = positive_int(value, knob)
@@ -569,7 +562,6 @@ class ExperimentSpec:
             cell_filter=cell_filter,
             backend=backend,
             max_workers=knobs["workers"],
-            trace_workers=knobs["trace_workers"],
             rulegen_shards=knobs["rulegen_shards"],
             delta_trace=knobs["delta_trace"],
             delta_threshold=knobs["delta_threshold"],

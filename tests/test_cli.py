@@ -50,7 +50,7 @@ class TestList:
         assert "SPP2" in capsys.readouterr().out
         assert main(["list", "backends"]) == 0
         out = capsys.readouterr().out
-        assert "serial" in out and "thread" in out and "process" in out
+        assert "serial" in out and "process" in out
         assert main(["list", "frame-providers"]) == 0
         assert "synthetic" in capsys.readouterr().out
 

@@ -1,4 +1,4 @@
-"""Execution backends and frame batching: parity across serial / thread /
+"""Execution backends and frame batching: parity across the serial and
 process backends, batched-vs-single-frame equivalence, backend and
 worker-count selection (arguments and environment variables), and the
 process backend's restrictions."""
@@ -9,7 +9,6 @@ from repro.engine import (
     BACKEND_ENV_VAR,
     CACHE_DIR_ENV_VAR,
     RULEGEN_SHARDS_ENV_VAR,
-    TRACE_WORKERS_ENV_VAR,
     WORKERS_ENV_VAR,
     ExperimentRunner,
     FrameProvider,
@@ -17,7 +16,6 @@ from repro.engine import (
     Scenario,
     SerialBackend,
     SimResult,
-    ThreadBackend,
     TraceCache,
     mean_result,
     resolve_backend,
@@ -37,20 +35,17 @@ def _subset_runner(**kwargs):
 
 
 class TestBackendParity:
-    def test_serial_thread_process_identical_tables(self):
+    def test_serial_process_identical_tables(self):
         """Acceptance: every backend produces the same ExperimentTable
         for a Table-1 subset — rows, order and numbers."""
         runner = _subset_runner(
             scenarios=[Scenario("a", seed=0), Scenario("b", seed=9)],
         )
         serial = runner.run(backend="serial")
-        thread = runner.run(backend="thread")
         process = runner.run(backend="process")
-        assert len(serial) == len(thread) == len(process) == 8
-        for left, right in zip(serial, thread):
-            assert left == right     # SimResult equality excludes `raw`
+        assert len(serial) == len(process) == 8
         for left, right in zip(serial, process):
-            assert left == right
+            assert left == right     # SimResult equality excludes `raw`
 
     def test_process_backend_strips_raw(self):
         runner = _subset_runner(models=["SPP3"], simulators=["spade-he"])
@@ -93,9 +88,8 @@ class TestBackendParity:
 class TestBackendSelection:
     def test_resolve_names_and_instances(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("Thread"), ThreadBackend)
-        assert isinstance(resolve_backend("process"), ProcessBackend)
-        backend = ThreadBackend(max_workers=2)
+        assert isinstance(resolve_backend("Process"), ProcessBackend)
+        backend = ProcessBackend(max_workers=2)
         assert resolve_backend(backend) is backend
         with pytest.raises(KeyError, match="unknown backend"):
             resolve_backend("cluster")
@@ -103,11 +97,13 @@ class TestBackendSelection:
             resolve_backend(42)
 
     def test_env_var_selects_default_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         runner = _subset_runner()
-        assert runner.backend == "serial"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert _subset_runner().backend == "thread"
+        assert runner.backend == "process"
+
+    def test_default_backend_is_serial(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        assert _subset_runner().backend == "serial"
 
     def test_constructor_backend_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
@@ -118,7 +114,7 @@ class TestBackendSelection:
         self, monkeypatch
     ):
         # REPRO_ENGINE_BACKEND=process must not break fixture-fed
-        # runners: the env default falls back to threads, while the
+        # runners: the env default falls back to serial, while the
         # same runner still fails on an *explicit* process request.
         from repro.analysis import trace_model
         from repro.models import build_model_spec
@@ -131,6 +127,14 @@ class TestBackendSelection:
             frame.coords,
             frame.point_counts.astype(float),
         )
+        executed = []
+        real_execute = SerialBackend.execute
+
+        def spy(self, runner, groups):
+            executed.append(type(self))
+            return real_execute(self, runner, groups)
+
+        monkeypatch.setattr(SerialBackend, "execute", spy)
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         runner = _subset_runner(
             simulators=["spade-he"], models=["SPP3"],
@@ -138,6 +142,7 @@ class TestBackendSelection:
         )
         table = runner.run()                    # falls back, succeeds
         assert len(table) == 1
+        assert executed == [SerialBackend]
         assert table.results[0].raw is not None  # ran in-process
         with pytest.raises(ValueError, match="trace_provider"):
             runner.run(backend="process")
@@ -146,7 +151,7 @@ class TestBackendSelection:
         # parallel=False stays the debugging escape hatch regardless of
         # the configured backend.
         runner = _subset_runner(models=["SPP3"], simulators=["spade-he"],
-                                backend="thread")
+                                backend="process")
         table = runner.run(parallel=False)
         assert len(table) == 1
 
@@ -271,31 +276,6 @@ class TestFrameBatching:
 
 
 class TestTraceStageKnobs:
-    def test_trace_workers_defaults_to_max_workers(self, monkeypatch):
-        monkeypatch.delenv(TRACE_WORKERS_ENV_VAR, raising=False)
-        runner = _subset_runner(max_workers=3)
-        assert runner.trace_workers == 3
-
-    def test_trace_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv(TRACE_WORKERS_ENV_VAR, "5")
-        assert _subset_runner(max_workers=2).trace_workers == 5
-
-    def test_trace_workers_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(TRACE_WORKERS_ENV_VAR, "5")
-        runner = _subset_runner(max_workers=2, trace_workers=4)
-        assert runner.trace_workers == 4
-
-    @pytest.mark.parametrize("value", ["0", "-1", "one", "1.5", ""])
-    def test_invalid_trace_workers_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv(TRACE_WORKERS_ENV_VAR, value)
-        with pytest.raises(ValueError, match=TRACE_WORKERS_ENV_VAR):
-            _subset_runner()
-
-    @pytest.mark.parametrize("value", [0, -2, "two", 2.5])
-    def test_invalid_trace_workers_argument_rejected(self, value):
-        with pytest.raises(ValueError, match="trace_workers"):
-            _subset_runner(trace_workers=value)
-
     @pytest.mark.parametrize("value", ["0", "-1", "half", ""])
     def test_invalid_rulegen_shards_env_rejected(self, monkeypatch, value):
         monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, value)
@@ -317,27 +297,14 @@ class TestTraceStageKnobs:
         """Acceptance: rulegen sharding changes speed only — the table is
         bit-identical to the unsharded run."""
         plain = _subset_runner(models=["SPP3"]).run(backend="serial")
-        sharded = _subset_runner(models=["SPP3"], rulegen_shards=3,
-                                 trace_workers=2).run(backend="serial")
+        sharded = _subset_runner(models=["SPP3"],
+                                 rulegen_shards=3).run(backend="serial")
         assert len(plain) == len(sharded)
         for left, right in zip(plain, sharded):
             assert left == right
 
 
 class TestSerialFallback:
-    def test_thread_backend_width_one_skips_pool(self, monkeypatch):
-        import repro.engine.backends as backends_module
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("width-1 thread backend must not pool")
-
-        monkeypatch.setattr(backends_module, "ThreadPoolExecutor", no_pool)
-        runner = _subset_runner(models=["SPP3"], simulators=["spade-he"],
-                                max_workers=1)
-        table = runner.run(backend="thread")
-        assert len(table) == 1
-        assert table.results[0].raw is not None  # in-process, like serial
-
     def test_process_backend_width_one_skips_pool(self, monkeypatch):
         import repro.engine.backends as backends_module
 
@@ -428,7 +395,7 @@ class TestProgressReporting:
         )
         return table, events
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_report_every_group(self, backend):
         table, events = self._events(backend)
         assert len(table) == 8
@@ -524,7 +491,7 @@ class TestDeltaTrace:
         full = _subset_runner(
             scenarios=list(self.SCENARIOS)).run(backend="serial")
         expected = full.to_csv()
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             delta = _subset_runner(
                 scenarios=list(self.SCENARIOS), delta_trace=True,
             ).run(backend=backend)

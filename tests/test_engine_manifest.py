@@ -192,7 +192,7 @@ class TestRunManifest:
 class TestBackendCoverage:
     """Every local backend produces complete unit records."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_units_cover_the_table(self, backend):
         spec = small_spec(
             models=["SPP2", "SPP3"],
@@ -216,12 +216,12 @@ class TestBackendCoverage:
         if backend != "serial":
             assert "trace" in [p["name"] for p in observer.phases]
 
-    def test_thread_backend_matches_serial_analytics(self):
+    def test_process_backend_matches_serial_analytics(self):
         serial = observed_run(small_spec())[2]
-        threaded = observed_run(
-            small_spec(backend="thread", workers=2))[2]
+        pooled = observed_run(
+            small_spec(backend="process", workers=2))[2]
         assert serial.analyzer.layer_stats() \
-            == threaded.analyzer.layer_stats()
+            == pooled.analyzer.layer_stats()
 
 
 class TestSparsityAnalyzerUnit:

@@ -67,7 +67,8 @@ class TestRegistry:
     def test_builtin_registries_populated(self):
         assert {"spade", "dense", "pointacc", "spconv2d", "platform",
                 "stats"} <= set(SIMULATORS.names())
-        assert {"serial", "thread", "process"} <= set(BACKENDS.names())
+        assert {"serial", "process"} <= set(BACKENDS.names())
+        assert "thread" not in BACKENDS
         assert "synthetic" in FRAME_PROVIDERS
 
 

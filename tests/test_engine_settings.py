@@ -9,7 +9,6 @@ from repro.engine import (
     DELTA_TRACE_ENV_VAR,
     ENGINE_ENV_VARS,
     RULEGEN_SHARDS_ENV_VAR,
-    TRACE_WORKERS_ENV_VAR,
     WORKERS_ENV_VAR,
     EngineSettings,
     ExperimentRunner,
@@ -20,7 +19,6 @@ from repro.engine.settings import (
     resolve_delta_threshold,
     resolve_delta_trace,
     resolve_rulegen_shards,
-    resolve_trace_workers,
     resolve_workers,
 )
 from repro.sparse import rulegen as sparse_rulegen
@@ -35,25 +33,23 @@ def clean_env(monkeypatch):
 class TestPrecedence:
     def test_defaults(self):
         settings = EngineSettings.resolve()
-        assert settings.backend == "thread"
+        assert settings.backend == "serial"
         assert settings.workers >= 1
-        assert settings.trace_workers == settings.workers
         assert settings.rulegen_shards == 1
         assert settings.cache_dir is None
         assert settings.delta_trace is False
         assert settings.delta_threshold == 0.5
 
     def test_env_overrides_defaults(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(TRACE_WORKERS_ENV_VAR, "2")
         monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "4")
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "1")
         monkeypatch.setenv(DELTA_THRESHOLD_ENV_VAR, "0.25")
         settings = EngineSettings.resolve()
         assert settings == EngineSettings(
-            backend="serial", workers=3, trace_workers=2,
+            backend="process", workers=3,
             rulegen_shards=4, cache_dir=str(tmp_path),
             delta_trace=True, delta_threshold=0.25,
         )
@@ -70,12 +66,6 @@ class TestPrecedence:
         # Explicit None disables the disk tier despite the env var.
         assert settings.cache_dir is None
 
-    def test_trace_workers_follow_workers(self):
-        assert EngineSettings.resolve(workers=6).trace_workers == 6
-        assert EngineSettings.resolve(
-            workers=6, trace_workers=2
-        ).trace_workers == 2
-
 
 class TestBadValuesNameTheOffender:
     """A bad value for *any* knob names the offending variable."""
@@ -84,8 +74,6 @@ class TestBadValuesNameTheOffender:
         (WORKERS_ENV_VAR, "zero"),
         (WORKERS_ENV_VAR, "0"),
         (WORKERS_ENV_VAR, "-2"),
-        (TRACE_WORKERS_ENV_VAR, "many"),
-        (TRACE_WORKERS_ENV_VAR, "0"),
         (RULEGEN_SHARDS_ENV_VAR, "x"),
         (RULEGEN_SHARDS_ENV_VAR, "-1"),
         (DELTA_TRACE_ENV_VAR, "maybe"),
@@ -101,7 +89,6 @@ class TestBadValuesNameTheOffender:
 
     @pytest.mark.parametrize("kwarg, source", [
         ("workers", "max_workers"),
-        ("trace_workers", "trace_workers"),
         ("rulegen_shards", "rulegen_shards"),
     ])
     def test_explicit_knobs(self, kwarg, source):
@@ -114,8 +101,6 @@ class TestBadValuesNameTheOffender:
     def test_resolvers_name_arguments(self):
         with pytest.raises(ValueError, match="max_workers"):
             resolve_workers("nope")
-        with pytest.raises(ValueError, match="trace_workers"):
-            resolve_trace_workers(0)
         with pytest.raises(ValueError, match="rulegen_shards"):
             resolve_rulegen_shards(-3)
         with pytest.raises(ValueError, match="delta_trace"):
@@ -129,12 +114,10 @@ class TestDelegation:
 
     def test_runner_delegates(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        monkeypatch.setenv(TRACE_WORKERS_ENV_VAR, "2")
         monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "3")
         runner = ExperimentRunner(simulators=["spade-he"],
                                   models=["SPP3"])
         assert runner.max_workers == 4
-        assert runner.trace_workers == 2
         assert runner.rulegen_shards == 3
 
     def test_cache_delegates(self, monkeypatch, tmp_path):

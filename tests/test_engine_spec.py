@@ -1,6 +1,7 @@
 """ExperimentSpec: validation, JSON round trip, runner materialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,12 @@ from repro.engine import (
     cell_filter_from_rules,
 )
 from repro.models import build_model_spec
+
+#: The spec files shipped for users to run (`repro run`/`describe`).
+SHIPPED_SPECS = sorted(
+    (Path(__file__).resolve().parent.parent / "examples" / "specs")
+    .glob("*.json")
+)
 
 
 def _spec(**overrides):
@@ -88,6 +95,22 @@ class TestValidation:
         data["version"] = 99
         with pytest.raises(ValueError, match="version"):
             ExperimentSpec.from_dict(data)
+
+    def test_removed_thread_knobs_rejected(self):
+        data = _spec().to_dict()
+        data["trace_workers"] = 2
+        with pytest.raises(ValueError, match="unknown key.*trace_workers"):
+            ExperimentSpec.from_dict(data)
+        data = _spec().to_dict()
+        data["backend"] = "thread"
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            ExperimentSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("path", SHIPPED_SPECS, ids=lambda path: path.name)
+def test_shipped_spec_loads(path):
+    spec = ExperimentSpec.load(path)
+    assert spec.simulators and spec.models
 
 
 class TestSharedScenarioValidator:
@@ -167,7 +190,7 @@ class TestCellRules:
 
 class TestBuildRunner:
     def test_runner_matches_spec(self):
-        spec = _spec(workers=2, trace_workers=1, rulegen_shards=2)
+        spec = _spec(workers=2, rulegen_shards=2)
         runner = spec.build_runner()
         assert isinstance(runner, ExperimentRunner)
         assert [s.name for s in runner.simulators] == ["SPADE.HE",
@@ -175,13 +198,12 @@ class TestBuildRunner:
         assert runner.models == ["SPP3"]
         assert runner.backend == "serial"
         assert runner.max_workers == 2
-        assert runner.trace_workers == 1
         assert runner.rulegen_shards == 2
 
     def test_overrides_beat_spec(self):
-        runner = _spec(workers=2).build_runner(backend="thread",
+        runner = _spec(workers=2).build_runner(backend="process",
                                                workers=4)
-        assert runner.backend == "thread"
+        assert runner.backend == "process"
         assert runner.max_workers == 4
 
     def test_unknown_override_rejected(self):
@@ -263,7 +285,6 @@ class TestBuildRunner:
         from repro.engine import WORKERS_ENV_VAR
 
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        settings = _spec(trace_workers=2).settings()
+        settings = _spec().settings()
         assert settings.backend == "serial"      # spec beats env default
         assert settings.workers == 3             # env fills spec's None
-        assert settings.trace_workers == 2
