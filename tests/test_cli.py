@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,13 @@ SPEC = {
     "scenarios": [{"name": "cli", "seed": 0}],
     "backend": "serial",
 }
+
+
+#: The spec files shipped for users to run (`repro run`/`describe`).
+SHIPPED_SPECS = sorted(
+    (Path(__file__).resolve().parent.parent / "examples" / "specs")
+    .glob("*.json")
+)
 
 
 @pytest.fixture()
@@ -81,6 +89,17 @@ class TestDescribe:
         assert main(["describe", "gibberish"]) == 2
         assert "nothing named" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", SHIPPED_SPECS,
+                             ids=lambda path: path.name)
+    def test_describe_shipped_spec(self, capsys, path):
+        """Every shipped spec goes through the CLI path users run, and
+        names a backend that is still registered."""
+        assert main(["describe", str(path)]) == 0
+        out = capsys.readouterr().out
+        backend = json.loads(path.read_text()).get("backend", "serial")
+        assert f"backend={backend}" in out
+        assert backend in BACKENDS
+
 
 class TestRun:
     def test_run_parity_with_hand_built_runner(self, capsys, spec_path,
@@ -133,6 +152,18 @@ class TestRun:
         assert main(["run", spec_path, "--backend", "quantum"]) == 2
         err = capsys.readouterr().err
         assert "quantum" in err and "serial" in err
+
+    def test_run_thread_backend_is_gone(self, capsys, spec_path):
+        assert main(["run", spec_path, "--backend", "thread"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown backend 'thread'" in err
+        assert "serial" in err and "process" in err
+
+    def test_run_has_no_trace_workers_flag(self, capsys, spec_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", spec_path, "--trace-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--trace-workers" in capsys.readouterr().err
 
     def test_run_bad_workers_names_knob(self, capsys, spec_path):
         assert main(["run", spec_path, "--workers", "lots"]) == 2

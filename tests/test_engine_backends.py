@@ -275,7 +275,59 @@ class TestFrameBatching:
             mean_result([])
 
 
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that runs every job in-process and
+    records how many chunks each ``map`` call fans out."""
+
+    def __init__(self, maps, max_workers, initializer, initargs):
+        self.maps = maps
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, chunks):
+        chunks = list(chunks)
+        self.maps.append(len(chunks))
+        return [fn(chunk) for chunk in chunks]
+
+
 class TestTraceStageKnobs:
+    @pytest.mark.parametrize("workers, models, frames, delta, width", [
+        (2, ["SPP3"], 1, False, 1),          # one job: one trace chunk
+        (4, ["SPP2", "SPP3"], 1, False, 2),  # fewer jobs than workers
+        (2, ["SPP2", "SPP3"], 2, False, 2),  # more jobs than workers
+        (3, ["SPP2", "SPP3"], 2, True, 2),   # delta: one job per chain
+    ], ids=["one-job", "few-jobs", "many-jobs", "delta-chains"])
+    def test_process_trace_stage_width(self, monkeypatch, workers, models,
+                                       frames, delta, width):
+        """The process backend traces at min(workers, trace jobs), and
+        the table is the serial one."""
+        import functools
+
+        import repro.engine.backends as backends_module
+
+        for name in ("_WORKER_CACHE", "_WORKER_FRAMES",
+                     "_WORKER_CACHE_DIR"):
+            monkeypatch.setattr(backends_module, name, None)
+        maps = []
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
+                            functools.partial(_InlinePool, maps))
+
+        def runner():
+            return _subset_runner(
+                models=models, simulators=["spade-he"],
+                scenarios=[Scenario("w", seed=4, frames=frames)],
+                max_workers=workers, delta_trace=delta,
+            )
+
+        table = runner().run(backend="process")
+        assert maps[0] == width
+        assert table.to_csv() == runner().run(backend="serial").to_csv()
+
     @pytest.mark.parametrize("value", ["0", "-1", "half", ""])
     def test_invalid_rulegen_shards_env_rejected(self, monkeypatch, value):
         monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, value)

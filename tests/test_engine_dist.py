@@ -274,6 +274,35 @@ class TestDistParity:
         # The worker loaded the shipped artifact instead of re-tracing.
         assert worker.units_done == 1
 
+    @pytest.mark.parametrize("max_workers, scenarios, width", [
+        (1, 2, 1),   # width 1 traces inline, without a pool
+        (4, 2, 2),   # fewer jobs than workers
+        (2, 3, 2),   # more jobs than workers
+    ], ids=["inline", "few-jobs", "many-jobs"])
+    def test_trace_stage_width(self, tmp_path, monkeypatch, max_workers,
+                               scenarios, width):
+        """The coordinator's trace pool runs at min(max_workers, jobs)
+        and still traces every unique frame into the shared tier."""
+        import concurrent.futures
+
+        widths = []
+        real_pool = concurrent.futures.ThreadPoolExecutor
+
+        def spy(max_workers=None, *args, **kwargs):
+            widths.append(max_workers)
+            return real_pool(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+        spec = dist_spec(
+            models=["SPP3"], workers=max_workers,
+            scenarios=[{"name": f"s{index}", "seed": index}
+                       for index in range(scenarios)],
+        )
+        runner = spec.build_runner()
+        DistBackend._trace_stage(runner, runner.plan(), str(tmp_path))
+        assert widths == ([width] if width > 1 else [])
+        assert len(list(tmp_path.glob("*.trace.pkl"))) == scenarios
+
 
 class _FailSim(Simulator):
     name = "FailSim"

@@ -157,6 +157,7 @@ class TestRunManifest:
         assert manifest.backend == "serial"
         assert manifest.settings["workers"] == runner.max_workers
         assert manifest.settings["delta_trace"] is False
+        assert "trace_workers" not in manifest.settings
         assert manifest.table["rows"] == 2
         assert manifest.table["simulators"] == ["SPADE.HE",
                                                 "DenseAcc.HE"]

@@ -67,6 +67,27 @@ class TestPrecedence:
         assert settings.cache_dir is None
 
 
+class TestRemovedTraceWorkersKnob:
+    """The trace stage runs at the pool width; it has no knob of its
+    own in the environment, the settings or the runner."""
+
+    def test_env_var_is_not_an_engine_knob(self, monkeypatch):
+        assert "REPRO_ENGINE_TRACE_WORKERS" not in ENGINE_ENV_VARS
+        assert len(ENGINE_ENV_VARS) == 28
+        # A value the old knob rejected no longer reaches any resolver.
+        monkeypatch.setenv("REPRO_ENGINE_TRACE_WORKERS", "0")
+        settings = EngineSettings.resolve(workers=3)
+        assert settings.workers == 3
+        assert not hasattr(settings, "trace_workers")
+
+    def test_argument_is_rejected(self):
+        with pytest.raises(TypeError, match="trace_workers"):
+            EngineSettings.resolve(trace_workers=2)
+        with pytest.raises(TypeError, match="trace_workers"):
+            ExperimentRunner(simulators=["spade-he"], models=["SPP3"],
+                             trace_workers=2)
+
+
 class TestBadValuesNameTheOffender:
     """A bad value for *any* knob names the offending variable."""
 
