@@ -67,7 +67,6 @@ from pathlib import Path
 # pre-engine re-trace-per-cell loop as the measured baseline.
 from repro.analysis import trace_model
 from repro.engine import (
-    CACHE_DIR_ENV_VAR,
     RESULT_COLUMNS,
     DistBackend,
     ExperimentRunner,
@@ -78,6 +77,7 @@ from repro.engine import (
     TraceCache,
     Worker,
 )
+from repro.engine.settings import CACHE_DIR_ENV_VAR
 from repro.models import build_model_spec, grid_for
 from repro.sparse import (
     ConvType,

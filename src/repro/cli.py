@@ -69,7 +69,7 @@ from .engine.manifest import (
 )
 from .engine.registry import BACKENDS, FRAME_PROVIDERS, SIMULATORS
 from .engine.simulators import build_simulator
-from .engine.spec import ExperimentSpec
+from .engine.spec import KNOBS, ExperimentSpec
 from .models.specs import build_model_spec
 from .models.zoo import TABLE1_PAPER
 
@@ -178,20 +178,8 @@ def _run_journal(args):
 
 def _cmd_run(args) -> int:
     spec = ExperimentSpec.load(args.spec)
-    overrides = {
-        key: value
-        for key, value in (
-            ("backend", args.backend),
-            ("workers", args.workers),
-            ("rulegen_shards", args.rulegen_shards),
-            ("cache_dir", args.cache_dir),
-            ("delta_trace", args.delta_trace),
-            ("delta_threshold", args.delta_threshold),
-            ("faults", args.faults),
-            ("degrade", args.degrade),
-        )
-        if value is not None
-    }
+    overrides = {knob: getattr(args, knob) for knob in KNOBS
+                 if getattr(args, knob) is not None}
     journal = _run_journal(args)
     # Fail on an unusable sink *before* the (possibly long) run, not
     # after the table is already computed.
@@ -645,10 +633,10 @@ def _cmd_cache(args) -> int:
         scan_disk_tier,
         shared_trace_cache,
     )
-    from .engine.settings import resolve_cache_dir
+    from .engine.settings import EngineSettings
 
     cache_dir = (args.cache_dir if args.cache_dir is not None
-                 else resolve_cache_dir())
+                 else EngineSettings.resolve_one("cache_dir"))
     if args.action == "stats":
         memory = shared_trace_cache().stats()
         _out("memory tier (this process)")

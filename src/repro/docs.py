@@ -6,11 +6,10 @@
 :class:`~repro.engine.settings.ServiceSettings` and
 :class:`~repro.engine.settings.TelemetrySettings` — the dataclasses
 that *are* the engine's knob surface — and emits one reference table per
-class, pulling each knob's environment variable from the settings
-module's ``*_ENV_VAR`` constants, its default from the dataclass field
-and its description from the class docstring's ``Attributes:`` section.
-One source of truth; the doc cannot drift without the sync check
-noticing:
+class, pulling each knob's environment variable and default from its
+field declaration and its description from the class docstring's
+``Attributes:`` section.  One source of truth; the doc cannot drift
+without the sync check noticing:
 
 * ``python -m repro.docs``                 — (re)write ``docs/knobs.md``;
 * ``python -m repro.docs --check``         — exit 1 when the committed
@@ -20,10 +19,9 @@ noticing:
   markdown link under ``docs/`` and in ``README.md`` resolves to a
   real file.
 
-Generation also asserts completeness: every variable in
-:data:`~repro.engine.settings.ENGINE_ENV_VARS` must be claimed by
-exactly one knob, so adding a knob to the settings module without
-mapping it here fails loudly instead of silently missing from the doc.
+Generation also asserts completeness: a settings field not declared
+with :func:`~repro.engine.settings.knob` has no environment variable
+and fails loudly instead of silently missing from the doc.
 """
 
 from __future__ import annotations
@@ -34,60 +32,12 @@ import re
 import sys
 from pathlib import Path
 
-from .engine import settings as _settings
 from .engine.settings import (
     DistSettings,
     EngineSettings,
     ServiceSettings,
     TelemetrySettings,
 )
-
-#: EngineSettings field -> the environment variable that overrides it.
-ENGINE_KNOB_ENV = {
-    "backend": _settings.BACKEND_ENV_VAR,
-    "workers": _settings.WORKERS_ENV_VAR,
-    "rulegen_shards": _settings.RULEGEN_SHARDS_ENV_VAR,
-    "cache_dir": _settings.CACHE_DIR_ENV_VAR,
-    "delta_trace": _settings.DELTA_TRACE_ENV_VAR,
-    "delta_threshold": _settings.DELTA_THRESHOLD_ENV_VAR,
-    "faults": _settings.FAULTS_ENV_VAR,
-    "degrade": _settings.DEGRADE_ENV_VAR,
-}
-
-#: DistSettings field -> environment variable (not mechanically
-#: derivable: ``heartbeat_interval`` maps to ``..._DIST_HEARTBEAT``).
-DIST_KNOB_ENV = {
-    "host": _settings.DIST_HOST_ENV_VAR,
-    "port": _settings.DIST_PORT_ENV_VAR,
-    "chunksize": _settings.DIST_CHUNKSIZE_ENV_VAR,
-    "unit_timeout": _settings.DIST_UNIT_TIMEOUT_ENV_VAR,
-    "heartbeat_interval": _settings.DIST_HEARTBEAT_ENV_VAR,
-    "worker_timeout": _settings.DIST_WORKER_TIMEOUT_ENV_VAR,
-    "max_attempts": _settings.DIST_MAX_ATTEMPTS_ENV_VAR,
-    "start_timeout": _settings.DIST_START_TIMEOUT_ENV_VAR,
-    "trace_stage": _settings.DIST_TRACE_STAGE_ENV_VAR,
-    "token": _settings.DIST_TOKEN_ENV_VAR,
-    "batch_rows": _settings.DIST_BATCH_ROWS_ENV_VAR,
-}
-
-#: ServiceSettings field -> environment variable (``store_dir`` maps to
-#: ``..._SERVICE_DIR``).
-SERVICE_KNOB_ENV = {
-    "host": _settings.SERVICE_HOST_ENV_VAR,
-    "port": _settings.SERVICE_PORT_ENV_VAR,
-    "store_dir": _settings.SERVICE_DIR_ENV_VAR,
-    "max_inflight": _settings.SERVICE_MAX_INFLIGHT_ENV_VAR,
-    "submitter_cap": _settings.SERVICE_SUBMITTER_CAP_ENV_VAR,
-    "drain_timeout": _settings.SERVICE_DRAIN_TIMEOUT_ENV_VAR,
-}
-
-#: TelemetrySettings field -> environment variable (``enabled`` maps
-#: to the bare ``..._TELEMETRY`` switch).
-TELEMETRY_KNOB_ENV = {
-    "enabled": _settings.TELEMETRY_ENV_VAR,
-    "trace_out": _settings.TELEMETRY_TRACE_OUT_ENV_VAR,
-    "metrics_port": _settings.TELEMETRY_METRICS_PORT_ENV_VAR,
-}
 
 #: Marker stamped into the generated file (the sync test greps for it).
 GENERATED_MARKER = (
@@ -130,7 +80,8 @@ def attribute_docs(cls) -> dict:
     return out
 
 
-def _format_default(value) -> str:
+def _format_default(field) -> str:
+    value = field.metadata.get("shown") or field.default
     if value is None:
         return "`None`"
     if isinstance(value, bool):
@@ -138,21 +89,18 @@ def _format_default(value) -> str:
     return f"`{value}`"
 
 
-def knob_rows(cls, env_map: dict) -> list:
+def knob_rows(cls) -> list:
     """One ``(field, env var, default, description)`` row per knob."""
     docs = attribute_docs(cls)
     rows = []
     for field in dataclasses.fields(cls):
-        env_var = env_map.get(field.name)
-        if env_var is None:
+        if "env" not in field.metadata:
             raise ValueError(
                 f"{cls.__name__}.{field.name} has no environment "
-                f"variable mapped in repro.docs — add it to the "
-                f"*_KNOB_ENV table"
+                f"variable — declare it with repro.engine.settings.knob"
             )
-        rows.append((field.name, env_var,
-                     _format_default(field.default),
-                     docs.get(field.name, "")))
+        rows.append((field.name, field.metadata["env"],
+                     _format_default(field), docs.get(field.name, "")))
     return rows
 
 
@@ -169,35 +117,32 @@ def generate_knobs_markdown() -> str:
     """The full ``docs/knobs.md`` document, and its completeness proof.
 
     Raises:
-        ValueError: when a settings field has no mapped environment
-            variable, or an :data:`ENGINE_ENV_VARS` entry is claimed by
-            no knob (the doc would silently under-document the engine).
+        ValueError: when a settings field is not declared as a knob
+            (the doc would silently under-document the engine).
     """
     sections = []
-    claimed = set()
-    for cls, env_map, title, blurb in (
-        (EngineSettings, ENGINE_KNOB_ENV, "Engine knobs",
+    for cls, title, blurb in (
+        (EngineSettings, "Engine knobs",
          "Resolved by `EngineSettings.resolve` — explicit argument > "
          "environment variable > default. Every `repro run` flag with "
          "the same name overrides the variable below."),
-        (DistSettings, DIST_KNOB_ENV, "Distributed-backend knobs",
+        (DistSettings, "Distributed-backend knobs",
          "Resolved by `DistSettings.resolve` when `--backend dist` "
          "runs; workers inherit the coordinator's announcements "
          "(cache dir, heartbeat interval, batch rows) over the wire."),
-        (ServiceSettings, SERVICE_KNOB_ENV, "Experiment-service knobs",
+        (ServiceSettings, "Experiment-service knobs",
          "Resolved by `ServiceSettings.resolve` when `repro serve` "
          "starts; the client verbs (`repro submit` / `status` / "
          "`results` / `cancel` / `queue`) read the same host/port "
          "variables to find the daemon."),
-        (TelemetrySettings, TELEMETRY_KNOB_ENV, "Telemetry knobs",
+        (TelemetrySettings, "Telemetry knobs",
          "Resolved by `TelemetrySettings.resolve` — span tracing "
          "(`repro run --trace-out`), the run manifest's `telemetry` "
          "snapshot, and the Prometheus endpoint behind `repro serve "
          "--metrics-port`; see [docs/observability.md]"
          "(observability.md)."),
     ):
-        rows = knob_rows(cls, env_map)
-        claimed.update(env for _, env, _, _ in rows)
+        rows = knob_rows(cls)
         sections.append(
             f"## {title} (`{cls.__module__}.{cls.__name__}`)\n\n"
             f"{blurb}\n\n"
@@ -206,14 +151,6 @@ def generate_knobs_markdown() -> str:
                  "description"],
                 rows,
             )
-        )
-    unclaimed = [env for env in _settings.ENGINE_ENV_VARS
-                 if env not in claimed]
-    if unclaimed:
-        raise ValueError(
-            f"ENGINE_ENV_VARS entr(ies) {unclaimed} are not mapped to "
-            f"any settings field — repro.docs would under-document "
-            f"the engine"
         )
     return (
         f"{GENERATED_MARKER}\n\n"

@@ -16,9 +16,9 @@
 * :mod:`repro.engine.registry`   — named-factory registries
   (``@register_simulator`` / ``@register_frame_provider`` /
   ``@register_backend``): the plugin seam third-party code extends;
-* :mod:`repro.engine.settings`   — :class:`EngineSettings`, the single
-  resolver for every ``REPRO_ENGINE_*`` / ``REPRO_TRACE_CACHE_DIR``
-  environment knob;
+* :mod:`repro.engine.settings`   — the settings dataclasses whose
+  fields declare every ``REPRO_ENGINE_*`` / ``REPRO_TRACE_CACHE_DIR``
+  environment knob (import them from there);
 * :mod:`repro.engine.spec`       — :class:`ExperimentSpec`, the
   declarative (JSON-serializable) form of an experiment, which the
   ``repro`` CLI front-end (:mod:`repro.cli`) runs from the shell;
@@ -119,19 +119,6 @@ from .telemetry import (
     serve_metrics,
     tracing,
 )
-from .settings import (
-    BACKEND_ENV_VAR,
-    CACHE_DIR_ENV_VAR,
-    DEGRADE_ENV_VAR,
-    DELTA_THRESHOLD_ENV_VAR,
-    DELTA_TRACE_ENV_VAR,
-    ENGINE_ENV_VARS,
-    FAULTS_ENV_VAR,
-    RULEGEN_SHARDS_ENV_VAR,
-    WORKERS_ENV_VAR,
-    EngineSettings,
-    TelemetrySettings,
-)
 from .simulators import (
     DenseAccSimulator,
     PlatformSim,
@@ -170,24 +157,15 @@ from .service import (  # noqa: E402
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "CACHE_DIR_ENV_VAR",
     "DEFAULT_SCENARIO",
-    "DEGRADE_ENV_VAR",
-    "DELTA_THRESHOLD_ENV_VAR",
-    "DELTA_TRACE_ENV_VAR",
-    "ENGINE_ENV_VARS",
-    "FAULTS_ENV_VAR",
     "FRAME_PROVIDERS",
     "JOURNAL_SCHEMA",
     "JOURNAL_VERSION",
     "MANIFEST_SCHEMA",
     "MANIFEST_VERSION",
     "RESULT_COLUMNS",
-    "RULEGEN_SHARDS_ENV_VAR",
     "SIMULATORS",
     "SPEC_VERSION",
-    "WORKERS_ENV_VAR",
     "Backend",
     "BackendUnavailable",
     "Coordinator",
@@ -195,7 +173,6 @@ __all__ = [
     "DistBackend",
     "DistRunError",
     "DistStartTimeout",
-    "EngineSettings",
     "ExperimentRunner",
     "ExperimentService",
     "ExperimentSpec",
@@ -227,7 +204,6 @@ __all__ = [
     "SpConv2DSim",
     "SpadeNoOverlapSim",
     "SpadeSimulator",
-    "TelemetrySettings",
     "TraceCache",
     "TraceStatsSim",
     "UnknownNameError",

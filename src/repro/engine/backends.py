@@ -46,11 +46,7 @@ from . import telemetry
 from .cache import TraceCache
 from .registry import BACKENDS, register_backend
 from .result import mean_result
-from .settings import (
-    BACKEND_ENV_VAR,
-    resolve_backend_name,
-    resolve_cache_dir,
-)
+from .settings import EngineSettings
 
 
 def _model_name(model) -> str:
@@ -124,6 +120,29 @@ def execute_group(group: WorkGroup, trace_lookup) -> list:
     return results
 
 
+def plan_trace_jobs(groups: list, delta_trace: bool) -> list:
+    """The deduplicated trace-stage jobs of a plan.
+
+    Each job is ``(scenario, model, frames)``: one frame (a one-element
+    ``range``) per unique (scenario, model, frame), or — in delta mode —
+    one job per unique (scenario, model) covering its whole frame range,
+    a sequential chain in which each frame patches its predecessor.
+    Every parallel backend's trace stage fans these jobs out.
+    """
+    jobs = {}
+    for group in groups:
+        scenario, model = group.scenario, group.model
+        if delta_trace:
+            chains = [range(scenario.frames)]
+        else:
+            chains = [range(frame, frame + 1)
+                      for frame in range(scenario.frames)]
+        for frames in chains:
+            key = (scenario.name, _model_name(model), frames.start)
+            jobs.setdefault(key, (scenario, model, frames))
+    return list(jobs.values())
+
+
 @contextlib.contextmanager
 def run_scoped_cache_dir(prefix: str = "repro-trace-cache-"):
     """The shared trace-artifact directory of one run, as a context.
@@ -137,7 +156,7 @@ def run_scoped_cache_dir(prefix: str = "repro-trace-cache-"):
     directory (the process pool, the distributed coordinator) gets
     leak-free cleanup instead of re-implementing it.
     """
-    cache_dir = resolve_cache_dir()
+    cache_dir = EngineSettings.resolve_one("cache_dir")
     if cache_dir is not None:
         yield cache_dir, False
         return
@@ -384,29 +403,23 @@ def _worker_trace(cache, frames, scenario, model, frame,
     )
 
 
-def _trace_chunk(chunk: list, rulegen_shards=None, delta_trace=False,
+def _trace_chunk(chunk: list, rulegen_shards=None,
                  delta_threshold=None) -> None:
     """Trace-stage work unit: warm the shared tiers with unique frames.
 
-    Each job is one (scenario, model, frame) — or, in delta mode, one
-    (scenario, model, frame_count) *chain* traced sequentially so each
-    frame patches its predecessor.  The finished traces land in this
-    worker's memory tier *and* the shared disk tier, making them
+    Each job is a :func:`plan_trace_jobs` entry, its frames traced in
+    order so each patches its predecessor.  The finished traces land in
+    this worker's memory tier *and* the shared disk tier, making them
     available to every simulate-stage worker.
     """
-    cache, frames = _worker_state()
-    if delta_trace:
-        for scenario, model, frame_count in chunk:
-            prev = None
-            for frame in range(frame_count):
-                prev = _worker_trace(
-                    cache, frames, scenario, model, frame, rulegen_shards,
-                    prev_trace=prev, delta_threshold=delta_threshold,
-                )
-        return
-    for scenario, model, frame in chunk:
-        _worker_trace(cache, frames, scenario, model, frame,
-                      rulegen_shards)
+    cache, provider = _worker_state()
+    for scenario, model, frames in chunk:
+        prev = None
+        for frame in frames:
+            prev = _worker_trace(
+                cache, provider, scenario, model, frame, rulegen_shards,
+                prev_trace=prev, delta_threshold=delta_threshold,
+            )
 
 
 def _run_chunk(chunk: list, rulegen_shards=None, delta_trace=False,
@@ -530,31 +543,9 @@ class ProcessBackend(Backend):
         ]
         chunks = chunk_payload(payload, workers, self.chunksize)
 
-        # Trace stage: every unique (scenario, model, frame) exactly
-        # once, round-robin across the pool.  In delta mode the unit is
-        # the whole sequential chain of a (scenario, model) instead —
-        # frames patch their predecessor, so they cannot round-robin.
-        seen = set()
-        trace_jobs = []
-        if delta:
-            for group in groups:
-                key = (group.scenario.name, _model_name(group.model))
-                if key not in seen:
-                    seen.add(key)
-                    trace_jobs.append(
-                        (group.scenario, group.model,
-                         group.scenario.frames)
-                    )
-        else:
-            for group in groups:
-                for frame in range(group.scenario.frames):
-                    key = (group.scenario.name, _model_name(group.model),
-                           frame)
-                    if key not in seen:
-                        seen.add(key)
-                        trace_jobs.append(
-                            (group.scenario, group.model, frame)
-                        )
+        # Trace stage: every unique frame (or, in delta mode, every
+        # sequential chain) exactly once, round-robin across the pool.
+        trace_jobs = plan_trace_jobs(groups, delta)
         trace_width = min(workers, len(trace_jobs))
         trace_chunks = [
             trace_jobs[start::trace_width] for start in range(trace_width)
@@ -572,7 +563,7 @@ class ProcessBackend(Backend):
                 trace_started = time.monotonic()
                 list(pool.map(
                     partial(_trace_chunk, rulegen_shards=shards,
-                            delta_trace=delta, delta_threshold=threshold),
+                            delta_threshold=threshold),
                     trace_chunks,
                 ))
                 observe_phase(runner, "trace",
@@ -615,8 +606,3 @@ def resolve_backend(spec) -> Backend:
     raise TypeError(
         f"expected a Backend instance or name string, got {type(spec)!r}"
     )
-
-
-def default_backend_name() -> str:
-    """The backend new runners use when none is given explicitly."""
-    return resolve_backend_name()

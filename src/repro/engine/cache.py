@@ -36,7 +36,7 @@ import numpy as np
 from ..analysis.sparsity import ModelTrace, trace_model
 from ..models.specs import ModelSpec
 from . import faults, telemetry
-from .settings import CACHE_DIR_ENV_VAR, UNSET, resolve_cache_dir
+from .settings import UNSET, EngineSettings
 
 #: Sentinel distinguishing "no disk_dir given, use the environment" from
 #: an explicit ``disk_dir=None`` (which disables the disk tier even when
@@ -120,7 +120,7 @@ class TraceCache:
 
     def __init__(self, maxsize: int = None, disk_dir=_FROM_ENV):
         self.maxsize = maxsize
-        disk_dir = resolve_cache_dir(disk_dir)
+        disk_dir = EngineSettings.resolve_one("cache_dir", disk_dir)
         self.disk_dir = Path(disk_dir) if disk_dir else None
         self.hits = 0
         self.misses = 0

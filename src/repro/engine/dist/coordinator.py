@@ -56,6 +56,7 @@ from ..backends import (
     observe_phase,
     observe_unit_done,
     observer_of,
+    plan_trace_jobs,
     report_group_done,
     run_scoped_cache_dir,
 )
@@ -103,6 +104,14 @@ def _utc_now() -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Knobs every work unit pins over the run's own values: a worker runs
+#: its unit in-process, takes its cache dir from the welcome handshake,
+#: and leaves fault plans and backend degradation to the coordinator
+#: (``None`` inherits the worker's own environment).
+UNIT_KNOBS = {"backend": "serial", "workers": 1, "cache_dir": None,
+              "faults": None, "degrade": None}
+
+
 def group_spec_dict(runner, group, base: dict = None,
                     index_of: dict = None) -> dict:
     """One work group as a self-contained ExperimentSpec dict.
@@ -136,12 +145,8 @@ def group_spec_dict(runner, group, base: dict = None,
             "seed": scenario.seed,
             "frames": scenario.frames,
         }],
-        "backend": "serial",
-        "workers": 1,
-        "rulegen_shards": runner.rulegen_shards,
-        "delta_trace": runner.delta_trace,
-        "delta_threshold": runner.delta_threshold,
-        "cache_dir": None,       # the worker's cache is handed over welcome
+        **runner.settings.as_dict(),
+        **UNIT_KNOBS,
         "frame_provider": base["frame_provider"],
         "cells": [],
         "out": None,
@@ -913,8 +918,8 @@ class DistBackend(Backend):
 
     @staticmethod
     def _trace_stage(runner, groups: list, cache_dir: str) -> None:
-        """Trace every unique (scenario, model, frame) into the shared
-        disk tier, so workers load artifacts instead of re-tracing.
+        """Trace every :func:`plan_trace_jobs` job into the shared disk
+        tier, so workers load artifacts instead of re-tracing.
 
         Uses the runner's own cache when it already persists to the
         shared directory (warm sweeps reuse its memory tier), otherwise
@@ -927,56 +932,25 @@ class DistBackend(Backend):
             cache = runner.cache
         else:
             cache = TraceCache(maxsize=4, disk_dir=cache_dir)
-        delta = getattr(runner, "delta_trace", False)
         threshold = getattr(runner, "delta_threshold", None)
-        seen = set()
-        jobs = []
-        if delta:
-            # Delta tracing: the unit of fan-out is a sequential
-            # per-(scenario, model) chain — frame 0 full, later frames
-            # patched from the previous frame's trace.  Content keys
-            # (and therefore the artifacts workers load) are unchanged.
-            for group in groups:
-                key = (group.scenario.name, _model_name(group.model))
-                if key not in seen:
-                    seen.add(key)
-                    jobs.append((group.scenario, group.model))
+        jobs = plan_trace_jobs(groups,
+                               getattr(runner, "delta_trace", False))
 
-            def trace(job):
-                """Trace one (scenario, model) delta chain."""
-                scenario, model = job
-                prev = None
-                for frame in range(scenario.frames):
-                    built = runner.frame_provider.frame_for(
-                        scenario, model, frame)
-                    prev = cache.get_trace(
-                        runner._spec_for(model),
-                        built.coords,
-                        built.point_counts.astype(float),
-                        rulegen_shards=runner.rulegen_shards,
-                        prev_trace=prev,
-                        delta_threshold=threshold,
-                        label=(scenario.name, _model_name(model)),
-                    )
-        else:
-            for group in groups:
-                for frame in range(group.scenario.frames):
-                    key = (group.scenario.name, _model_name(group.model),
-                           frame)
-                    if key not in seen:
-                        seen.add(key)
-                        jobs.append((group.scenario, group.model, frame))
-
-            def trace(job):
-                """Trace one (scenario, model, frame) job."""
-                scenario, model, frame = job
+        def trace(job):
+            """Trace one job's frames, each patching its predecessor."""
+            scenario, model, frames = job
+            prev = None
+            for frame in frames:
                 built = runner.frame_provider.frame_for(scenario, model,
                                                         frame)
-                cache.get_trace(
+                prev = cache.get_trace(
                     runner._spec_for(model),
                     built.coords,
                     built.point_counts.astype(float),
                     rulegen_shards=runner.rulegen_shards,
+                    prev_trace=prev,
+                    delta_threshold=threshold,
+                    label=(scenario.name, _model_name(model)),
                 )
 
         width = min(runner.max_workers, len(jobs))

@@ -41,7 +41,7 @@ import traceback
 from .. import faults, telemetry
 from ..cache import TraceCache
 from ..runner import FrameProvider
-from ..settings import UNSET, resolve_dist_token
+from ..settings import UNSET, DistSettings
 from .protocol import (
     ProtocolError,
     auth_digest,
@@ -302,7 +302,7 @@ class Worker:
                                  pid=os.getpid()))
         welcome = recv_message(sock)
         if welcome.get("type") == "challenge":
-            token = resolve_dist_token()
+            token = DistSettings.resolve_one("token")
             if token is None:
                 self._log(
                     "coordinator requires authentication but no "

@@ -64,7 +64,7 @@ import random
 import threading
 import time
 
-from .settings import resolve_faults
+from .settings import EngineSettings
 
 __all__ = [
     "FAULT_KINDS",
@@ -331,7 +331,7 @@ def _active():
         with _LOCK:
             if not _ENV_LOADED:
                 try:
-                    text = resolve_faults()
+                    text = EngineSettings.resolve_one("faults")
                 except ValueError:
                     text = None  # a bad env plan must not crash runs
                 plan = FaultPlan.parse(text) if text else FaultPlan()

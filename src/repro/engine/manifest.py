@@ -42,7 +42,7 @@ import json
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -322,12 +322,10 @@ class RunManifest:
                 digest = spec_hash(spec_dict)
             except ValueError:
                 spec_dict = None       # unserializable programmatic spec
-        if backend is None:
-            configured = runner.backend
-            backend = configured if isinstance(configured, str) \
-                else configured.name
+        settings = runner.settings
+        if backend is not None:
+            settings = replace(settings, backend=backend)
         observed = observer.as_dict() if observer is not None else {}
-        cache_dir = getattr(runner.cache, "disk_dir", None)
         return cls(
             name=(spec_dict or {}).get("name")
                  or getattr(source, "name", None) or "run",
@@ -335,17 +333,8 @@ class RunManifest:
             spec=spec_dict,
             spec_hash=digest,
             git_rev=git_revision(),
-            backend=backend,
-            settings={
-                "backend": backend,
-                "workers": runner.max_workers,
-                "rulegen_shards": runner.rulegen_shards,
-                "cache_dir": str(cache_dir) if cache_dir else None,
-                "delta_trace": runner.delta_trace,
-                "delta_threshold": runner.delta_threshold,
-                "faults": runner.faults,
-                "degrade": runner.degrade,
-            },
+            backend=settings.backend,
+            settings=settings.as_dict(),
             table={
                 "rows": len(table),
                 "scenarios": list(table.scenarios),

@@ -40,21 +40,13 @@ from .backends import (
     ProgressReporter,
     SerialBackend,
     WorkGroup,
-    default_backend_name,
     resolve_backend,
 )
 from .cache import TraceCache, shared_trace_cache
 from .journal import RunJournal, unit_key
 from .registry import register_frame_provider
 from .result import ExperimentTable
-from .settings import (
-    resolve_degrade,
-    resolve_delta_threshold,
-    resolve_delta_trace,
-    resolve_faults,
-    resolve_rulegen_shards,
-    resolve_workers,
-)
+from .settings import EngineSettings
 from .simulators import resolve_simulators
 
 
@@ -275,15 +267,28 @@ class ExperimentRunner:
         # inherited from the environment: an explicit incompatible
         # choice is an error, an environment default falls back.
         self._backend_explicit = backend is not None
-        self.backend = backend if backend is not None else (
-            default_backend_name()
+        #: Every knob of this runner, resolved once (explicit argument >
+        #: environment > default); the manifest records this snapshot
+        #: and the distributed backend ships it in its work units.
+        self.settings = EngineSettings.resolve(
+            backend=getattr(backend, "name", backend),
+            workers=max_workers,
+            rulegen_shards=rulegen_shards,
+            cache_dir=getattr(self.cache, "disk_dir", None),
+            delta_trace=delta_trace,
+            delta_threshold=delta_threshold,
+            faults=faults,
+            degrade=degrade,
         )
-        self.max_workers = resolve_workers(max_workers)
-        self.rulegen_shards = resolve_rulegen_shards(rulegen_shards)
-        self.delta_trace = resolve_delta_trace(delta_trace)
-        self.delta_threshold = resolve_delta_threshold(delta_threshold)
-        self.faults = resolve_faults(faults)
-        self.degrade = resolve_degrade(degrade)
+        self.backend = backend if backend is not None else (
+            self.settings.backend
+        )
+        self.max_workers = self.settings.workers
+        self.rulegen_shards = self.settings.rulegen_shards
+        self.delta_trace = self.settings.delta_trace
+        self.delta_threshold = self.settings.delta_threshold
+        self.faults = self.settings.faults
+        self.degrade = self.settings.degrade
         self._specs = {}
         self._progress = None
         self._observer = None

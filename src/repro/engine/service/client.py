@@ -24,11 +24,7 @@ from ..dist.protocol import (
     recv_message,
     send_message,
 )
-from ..settings import (
-    resolve_dist_token,
-    resolve_service_host,
-    resolve_service_port,
-)
+from ..settings import DistSettings, ServiceSettings
 from .store import TERMINAL_STATES
 
 
@@ -51,9 +47,10 @@ class ServiceClient:
 
     def __init__(self, host: str = None, port: int = None,
                  token: str = None, timeout: float = 30.0):
-        self.host = resolve_service_host(host)
-        self.port = resolve_service_port(port)
-        self.token = token if token is not None else resolve_dist_token()
+        self.host = ServiceSettings.resolve_one("host", host)
+        self.port = ServiceSettings.resolve_one("port", port)
+        self.token = (token if token is not None
+                      else DistSettings.resolve_one("token"))
         self.timeout = float(timeout)
 
     def request(self, kind: str, **fields) -> dict:

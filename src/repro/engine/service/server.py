@@ -43,11 +43,7 @@ from ..dist.coordinator import Coordinator, DistBackend, build_units
 from ..dist.protocol import ProtocolError, message, send_message
 from ..journal import RunJournal
 from ..manifest import RunManifest, RunObserver
-from ..settings import (
-    DistSettings,
-    ServiceSettings,
-    resolve_cache_dir,
-)
+from ..settings import DistSettings, EngineSettings, ServiceSettings
 from ..spec import ExperimentSpec
 from .scheduler import RunScheduler
 from .store import RunStore, TERMINAL_STATES
@@ -280,7 +276,7 @@ class ExperimentService:
                  dist: DistSettings = None):
         self.settings = settings or ServiceSettings.resolve()
         self.store = RunStore(self.settings.store_dir)
-        cache_dir = resolve_cache_dir()
+        cache_dir = EngineSettings.resolve_one("cache_dir")
         if cache_dir is None:
             cache_dir = str(self.store.root / "trace-cache")
         self.cache_dir = cache_dir

@@ -1,12 +1,17 @@
-"""The single resolver for every engine environment knob.
+"""The one declaration of every engine environment knob.
 
-:class:`EngineSettings` (and the per-knob ``resolve_*`` helpers it is
-built from) is the *one* place the engine's environment variables are
-read; the runner, the backends, the cache and rulegen all delegate
-here, and declarative :class:`~repro.engine.spec.ExperimentSpec` files
-resolve through the identical code path, so a spec, a keyword argument
-and an environment override can never disagree about precedence or
-error wording.
+Each field of :class:`EngineSettings`, :class:`DistSettings`,
+:class:`ServiceSettings` and :class:`TelemetrySettings` *is* its knob:
+declared with :func:`knob`, it carries its default, the environment
+variable that overrides it and the parser that validates it.  Everything
+that lists knobs derives the list from these fields — resolution
+(:meth:`~Settings.resolve` for a whole snapshot,
+:meth:`~Settings.resolve_one` for a single knob), the manifest form
+(:meth:`~Settings.as_dict`), :data:`ENGINE_ENV_VARS`, the generated
+``docs/knobs.md``, the spec's knob keys, the ``repro run`` overrides
+and the distributed backend's work units.  This module is also the one
+place the engine's environment variables are read: the runner, the
+backends, the cache and rulegen all delegate here.
 
 Every knob resolves explicit value > environment variable > default,
 and a malformed value — wherever it came from — raises a
@@ -16,8 +21,9 @@ or the environment variable, verbatim).
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 #: Environment variable naming the default execution backend.
 BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
@@ -125,43 +131,22 @@ TELEMETRY_TRACE_OUT_ENV_VAR = "REPRO_ENGINE_TELEMETRY_TRACE_OUT"
 #: --metrics-port``); 0 = ephemeral, unset = endpoint disabled.
 TELEMETRY_METRICS_PORT_ENV_VAR = "REPRO_ENGINE_TELEMETRY_METRICS_PORT"
 
-#: Every environment variable the engine reads, in one tuple — the
-#: contract tested by ``tests/test_engine_settings.py``.
-ENGINE_ENV_VARS = (
-    BACKEND_ENV_VAR,
-    WORKERS_ENV_VAR,
-    RULEGEN_SHARDS_ENV_VAR,
-    CACHE_DIR_ENV_VAR,
-    DELTA_TRACE_ENV_VAR,
-    DELTA_THRESHOLD_ENV_VAR,
-    FAULTS_ENV_VAR,
-    DEGRADE_ENV_VAR,
-    DIST_HOST_ENV_VAR,
-    DIST_PORT_ENV_VAR,
-    DIST_CHUNKSIZE_ENV_VAR,
-    DIST_UNIT_TIMEOUT_ENV_VAR,
-    DIST_HEARTBEAT_ENV_VAR,
-    DIST_WORKER_TIMEOUT_ENV_VAR,
-    DIST_MAX_ATTEMPTS_ENV_VAR,
-    DIST_START_TIMEOUT_ENV_VAR,
-    DIST_TRACE_STAGE_ENV_VAR,
-    DIST_TOKEN_ENV_VAR,
-    DIST_BATCH_ROWS_ENV_VAR,
-    SERVICE_HOST_ENV_VAR,
-    SERVICE_PORT_ENV_VAR,
-    SERVICE_DIR_ENV_VAR,
-    SERVICE_MAX_INFLIGHT_ENV_VAR,
-    SERVICE_SUBMITTER_CAP_ENV_VAR,
-    SERVICE_DRAIN_TIMEOUT_ENV_VAR,
-    TELEMETRY_ENV_VAR,
-    TELEMETRY_TRACE_OUT_ENV_VAR,
-    TELEMETRY_METRICS_PORT_ENV_VAR,
-)
-
 #: Sentinel distinguishing "no value given, consult the environment"
 #: from an explicit ``None`` (which for ``cache_dir`` means "disable the
 #: disk tier even when the environment names a directory").
 UNSET = object()
+
+
+def _number(convert, value, source: str, what: str, ok):
+    """``convert(value)`` if it parses and passes ``ok``, else a
+    :class:`ValueError` saying ``source`` must be ``what``."""
+    try:
+        number = convert(str(value).strip())
+    except (TypeError, ValueError):
+        number = None
+    if number is None or not ok(number):
+        raise ValueError(f"{source} must be {what}, got {value!r}")
+    return number
 
 
 def positive_int(value, source: str) -> int:
@@ -173,34 +158,32 @@ def positive_int(value, source: str) -> int:
     (``"REPRO_ENGINE_WORKERS"``) — instead of propagating an opaque
     failure out of an executor or a worker process.
     """
-    try:
-        count = int(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a positive integer, got {value!r}"
-        ) from None
-    if count <= 0:
-        raise ValueError(
-            f"{source} must be a positive integer, got {value!r}"
-        )
-    return count
+    return _number(int, value, source, "a positive integer",
+                   lambda count: count > 0)
+
+
+def nonnegative_int(value, source: str) -> int:
+    """Validate a count-or-disabled knob into an int >= 0."""
+    return _number(int, value, source, "a non-negative integer",
+                   lambda count: count >= 0)
 
 
 def positive_float(value, source: str) -> float:
     """Validate any duration-like knob into a positive float (seconds)."""
-    try:
-        seconds = float(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a positive number of seconds, "
-            f"got {value!r}"
-        ) from None
-    if not seconds > 0:
-        raise ValueError(
-            f"{source} must be a positive number of seconds, "
-            f"got {value!r}"
-        )
-    return seconds
+    return _number(float, value, source, "a positive number of seconds",
+                   lambda seconds: seconds > 0)
+
+
+def fraction(value, source: str) -> float:
+    """Validate a ratio-like knob into a float in ``(0, 1]``."""
+    return _number(float, value, source, "a fraction in (0, 1]",
+                   lambda ratio: 0 < ratio <= 1)
+
+
+def tcp_port(value, source: str) -> int:
+    """Validate a port knob into an int in ``0-65535`` (0 = ephemeral)."""
+    return _number(int, value, source, "a TCP port (0-65535)",
+                   lambda port: 0 <= port <= 65535)
 
 
 def boolean_flag(value, source: str) -> bool:
@@ -218,346 +201,163 @@ def boolean_flag(value, source: str) -> bool:
     )
 
 
-def fraction(value, source: str) -> float:
-    """Validate a ratio-like knob into a float in ``(0, 1]``."""
-    try:
-        ratio = float(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a fraction in (0, 1], got {value!r}"
-        ) from None
-    if not 0 < ratio <= 1:
-        raise ValueError(
-            f"{source} must be a fraction in (0, 1], got {value!r}"
-        )
-    return ratio
+def text(value, source: str) -> str:
+    """A free-form string knob (host, path, backend name)."""
+    return str(value)
 
 
-def resolve_backend_name(value=None) -> str:
-    """Backend name: explicit value > ``REPRO_ENGINE_BACKEND`` > serial."""
-    if value is not None:
-        return value
-    return os.environ.get(BACKEND_ENV_VAR, "serial")
-
-
-def resolve_workers(value=None, source: str = "max_workers") -> int:
-    """Pool width: value > ``REPRO_ENGINE_WORKERS`` > cpus."""
-    if value is not None:
-        return positive_int(value, source)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        return positive_int(env, WORKERS_ENV_VAR)
-    return min(8, os.cpu_count() or 1)
-
-
-def resolve_rulegen_shards(value=None,
-                           source: str = "rulegen_shards") -> int:
-    """Rulegen row bands: value > ``REPRO_ENGINE_RULEGEN_SHARDS`` > 1."""
-    if value is None:
-        value = os.environ.get(RULEGEN_SHARDS_ENV_VAR)
-        if value is None:
-            return 1
-        source = RULEGEN_SHARDS_ENV_VAR
-    return positive_int(value, source)
-
-
-def resolve_cache_dir(value=UNSET):
-    """Disk-tier directory: value > ``REPRO_TRACE_CACHE_DIR`` > None.
-
-    An explicit ``None`` (or empty string) disables the disk tier even
-    when the environment names a directory; pass nothing to inherit the
-    environment.
-    """
-    if value is UNSET:
-        value = os.environ.get(CACHE_DIR_ENV_VAR)
+def text_or_none(value, source: str):
+    """A string knob where an empty value means "not set" (``None``)."""
     return str(value) if value else None
 
 
-def _resolve_env(value, env_var: str, default, source: str, convert):
-    """Shared explicit > environment > default resolution for one knob."""
-    if value is None:
-        value = os.environ.get(env_var)
-        if value is None:
-            return default
-        source = env_var
-    return convert(value, source)
+def fault_plan(value, source: str):
+    """Validate a fault-injection plan (not armed) into its text.
 
-
-def resolve_delta_trace(value=None, source: str = "delta_trace") -> bool:
-    """Delta-chain tracing toggle: value > ``REPRO_ENGINE_DELTA_TRACE``
-    > off."""
-    return _resolve_env(value, DELTA_TRACE_ENV_VAR, False, source,
-                        boolean_flag)
-
-
-def resolve_delta_threshold(value=None,
-                            source: str = "delta_threshold") -> float:
-    """Delta-fallback fraction: value >
-    ``REPRO_ENGINE_DELTA_THRESHOLD`` > 0.5."""
-    return _resolve_env(value, DELTA_THRESHOLD_ENV_VAR, 0.5, source,
-                        fraction)
-
-
-def resolve_faults(value=None, source: str = "faults"):
-    """Fault-injection plan text: value > ``REPRO_ENGINE_FAULTS`` > None.
-
-    The plan is validated (but not armed) via
-    :meth:`repro.engine.faults.FaultPlan.parse`; a malformed plan
-    raises :class:`ValueError` naming the offending source.  Returns
-    the normalized plan text, or ``None`` when no plan is set.
+    The plan is checked by :meth:`repro.engine.faults.FaultPlan.parse`;
+    a malformed plan raises :class:`ValueError` prefixed by the
+    offending source.  A blank plan is ``None`` (disarmed).
     """
-    if value is None:
-        value = os.environ.get(FAULTS_ENV_VAR)
-        source = FAULTS_ENV_VAR
-    if value is None:
-        return None
-    text = str(value).strip()
-    if not text:
+    plan = str(value).strip()
+    if not plan:
         return None
     from .faults import FaultPlan  # local import: faults imports this module
 
     try:
-        FaultPlan.parse(text)
+        FaultPlan.parse(plan)
     except ValueError as error:
         raise ValueError(f"{source}: {error}") from None
-    return text
+    return plan
 
 
-def resolve_degrade(value=None, source: str = "degrade") -> bool:
-    """Backend-degradation toggle: value > ``REPRO_ENGINE_DEGRADE`` >
-    off."""
-    return _resolve_env(value, DEGRADE_ENV_VAR, False, source,
-                        boolean_flag)
+def default_workers() -> int:
+    """The pool width when nothing sets one: ``min(8, cpus)``."""
+    return min(8, os.cpu_count() or 1)
 
 
-def resolve_dist_host(value=None) -> str:
-    """Coordinator bind host: value > ``REPRO_ENGINE_DIST_HOST`` >
-    loopback."""
-    if value is not None:
-        return str(value)
-    return os.environ.get(DIST_HOST_ENV_VAR) or "127.0.0.1"
+def knob(env: str, parse, default=None, *, factory=None, shown=None,
+         source=None, blank_is_unset=False, none_is_value=False,
+         secret=False):
+    """Declare one settings field as an engine knob.
 
-
-def resolve_dist_port(value=None, source: str = "port") -> int:
-    """Coordinator port: value > ``REPRO_ENGINE_DIST_PORT`` > 7463.
-
-    0 is allowed and means "bind an ephemeral port" (the actual port is
-    reported by the coordinator once bound).
+    Args:
+        env: Environment variable overriding the default.
+        parse: ``(value, source) -> value`` validator/normalizer; raises
+            :class:`ValueError` naming ``source`` on a bad value.
+        default: Value when neither an argument nor the variable is set.
+        factory: Zero-argument callable computing the default instead;
+            ``shown`` is how ``docs/knobs.md`` renders it.
+        source: Name an explicit bad value is reported under (default:
+            the field name).
+        blank_is_unset: An empty environment variable means "unset".
+        none_is_value: An explicit ``None`` is a value handed to
+            ``parse`` rather than "inherit the environment".
+        secret: :meth:`Settings.as_dict` records only whether the value
+            is set, never the value.
     """
-    if value is None:
-        value = os.environ.get(DIST_PORT_ENV_VAR)
-        if value is None:
-            return 7463
-        source = DIST_PORT_ENV_VAR
-    try:
-        port = int(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a TCP port (0-65535), got {value!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise ValueError(
-            f"{source} must be a TCP port (0-65535), got {value!r}"
-        )
-    return port
+    metadata = {
+        "env": env, "parse": parse, "shown": shown, "source": source,
+        "blank_is_unset": blank_is_unset,
+        "none_is_value": none_is_value, "secret": secret,
+    }
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
-def resolve_dist_chunksize(value=None, source: str = "chunksize") -> int:
-    """Groups per dispatched unit: value >
-    ``REPRO_ENGINE_DIST_CHUNKSIZE`` > 1 (finest-grained stealing)."""
-    return _resolve_env(value, DIST_CHUNKSIZE_ENV_VAR, 1, source,
-                        positive_int)
+@functools.lru_cache(maxsize=None)
+def knob_fields(cls) -> dict:
+    """``{name: dataclasses.Field}`` of one settings class, in order."""
+    return {spec.name: spec for spec in fields(cls)}
 
 
-def resolve_dist_unit_timeout(value=None,
-                              source: str = "unit_timeout") -> float:
-    """Per-unit execution budget in seconds: value >
-    ``REPRO_ENGINE_DIST_UNIT_TIMEOUT`` > 300."""
-    return _resolve_env(value, DIST_UNIT_TIMEOUT_ENV_VAR, 300.0, source,
-                        positive_float)
+class Settings:
+    """Resolution and manifest form shared by the settings classes."""
 
+    @classmethod
+    def resolve(cls, **values):
+        """Resolve every knob: explicit argument > environment > default.
 
-def resolve_dist_heartbeat(value=None,
-                           source: str = "heartbeat_interval") -> float:
-    """Worker heartbeat period in seconds: value >
-    ``REPRO_ENGINE_DIST_HEARTBEAT`` > 1."""
-    return _resolve_env(value, DIST_HEARTBEAT_ENV_VAR, 1.0, source,
-                        positive_float)
+        Each keyword names a field; an omitted (or ``None``) argument
+        inherits the environment — except where ``None`` is itself a
+        value (``cache_dir=None`` disables the disk tier) — and a
+        malformed value from either source raises a :class:`ValueError`
+        naming the offender.
+        """
+        knobs = knob_fields(cls)
+        for name in values:
+            if name not in knobs:
+                raise TypeError(
+                    f"{cls.__name__}.resolve() got an unexpected keyword "
+                    f"argument {name!r}"
+                )
+        return cls(**{name: cls.resolve_one(name, values.get(name, UNSET))
+                      for name in knobs})
 
+    @classmethod
+    def resolve_one(cls, name: str, value=UNSET, source: str = None):
+        """Resolve the single knob ``name`` (same contract as
+        :meth:`resolve`); ``source`` renames an explicit value in
+        errors, e.g. to the spec-file key the user typed."""
+        spec = knob_fields(cls)[name]
+        meta = spec.metadata
+        if value is UNSET or (value is None and not meta["none_is_value"]):
+            value = os.environ.get(meta["env"])
+            if value is None or (meta["blank_is_unset"] and not value):
+                if spec.default is MISSING:
+                    return spec.default_factory()
+                return spec.default
+            source = meta["env"]
+        return meta["parse"](value, source or meta["source"] or name)
 
-def resolve_dist_worker_timeout(value=None,
-                                source: str = "worker_timeout") -> float:
-    """Heartbeat-silence budget in seconds: value >
-    ``REPRO_ENGINE_DIST_WORKER_TIMEOUT`` > 10."""
-    return _resolve_env(value, DIST_WORKER_TIMEOUT_ENV_VAR, 10.0, source,
-                        positive_float)
-
-
-def resolve_dist_max_attempts(value=None,
-                              source: str = "max_attempts") -> int:
-    """Dispatch attempts per unit: value >
-    ``REPRO_ENGINE_DIST_MAX_ATTEMPTS`` > 3."""
-    return _resolve_env(value, DIST_MAX_ATTEMPTS_ENV_VAR, 3, source,
-                        positive_int)
-
-
-def resolve_dist_start_timeout(value=None,
-                               source: str = "start_timeout") -> float:
-    """Worker-arrival budget in seconds: value >
-    ``REPRO_ENGINE_DIST_START_TIMEOUT`` > 60."""
-    return _resolve_env(value, DIST_START_TIMEOUT_ENV_VAR, 60.0, source,
-                        positive_float)
-
-
-def resolve_dist_trace_stage(value=None,
-                             source: str = "trace_stage") -> bool:
-    """Coordinator pre-trace stage toggle: value >
-    ``REPRO_ENGINE_DIST_TRACE_STAGE`` > on."""
-    return _resolve_env(value, DIST_TRACE_STAGE_ENV_VAR, True, source,
-                        boolean_flag)
-
-
-def resolve_dist_token(value=None):
-    """Shared auth secret: value > ``REPRO_ENGINE_DIST_TOKEN`` > None.
-
-    An empty string (either source) means "no authentication", the
-    same as leaving the variable unset.
-    """
-    if value is None:
-        value = os.environ.get(DIST_TOKEN_ENV_VAR)
-    token = str(value) if value else None
-    return token or None
-
-
-def nonnegative_int(value, source: str) -> int:
-    """Validate a count-or-disabled knob into an int >= 0."""
-    try:
-        count = int(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a non-negative integer, got {value!r}"
-        ) from None
-    if count < 0:
-        raise ValueError(
-            f"{source} must be a non-negative integer, got {value!r}"
-        )
-    return count
-
-
-def resolve_dist_batch_rows(value=None,
-                            source: str = "batch_rows") -> int:
-    """Rows per worker result frame: value >
-    ``REPRO_ENGINE_DIST_BATCH_ROWS`` > 0 (one frame per unit)."""
-    return _resolve_env(value, DIST_BATCH_ROWS_ENV_VAR, 0, source,
-                        nonnegative_int)
-
-
-def resolve_service_host(value=None) -> str:
-    """Service bind host: value > ``REPRO_ENGINE_SERVICE_HOST`` >
-    loopback."""
-    if value is not None:
-        return str(value)
-    return os.environ.get(SERVICE_HOST_ENV_VAR) or "127.0.0.1"
-
-
-def resolve_service_port(value=None, source: str = "port") -> int:
-    """Service port: value > ``REPRO_ENGINE_SERVICE_PORT`` > 7464.
-
-    0 is allowed and means "bind an ephemeral port" (the bound port is
-    reported by the service once listening).
-    """
-    if value is None:
-        value = os.environ.get(SERVICE_PORT_ENV_VAR)
-        if value is None:
-            return 7464
-        source = SERVICE_PORT_ENV_VAR
-    try:
-        port = int(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a TCP port (0-65535), got {value!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise ValueError(
-            f"{source} must be a TCP port (0-65535), got {value!r}"
-        )
-    return port
-
-
-def resolve_service_dir(value=None) -> str:
-    """Run-store root: value > ``REPRO_ENGINE_SERVICE_DIR`` >
-    ``"runs"``."""
-    if value is not None:
-        return str(value)
-    return os.environ.get(SERVICE_DIR_ENV_VAR) or "runs"
-
-
-def resolve_service_max_inflight(value=None,
-                                 source: str = "max_inflight") -> int:
-    """Concurrent runs on the fleet: value >
-    ``REPRO_ENGINE_SERVICE_MAX_INFLIGHT`` > 1."""
-    return _resolve_env(value, SERVICE_MAX_INFLIGHT_ENV_VAR, 1, source,
-                        positive_int)
-
-
-def resolve_service_submitter_cap(value=None,
-                                  source: str = "submitter_cap") -> int:
-    """Per-submitter inflight cap: value >
-    ``REPRO_ENGINE_SERVICE_SUBMITTER_CAP`` > 1."""
-    return _resolve_env(value, SERVICE_SUBMITTER_CAP_ENV_VAR, 1, source,
-                        positive_int)
-
-
-def resolve_service_drain_timeout(value=None,
-                                  source: str = "drain_timeout") -> float:
-    """Graceful-shutdown drain budget in seconds: value >
-    ``REPRO_ENGINE_SERVICE_DRAIN_TIMEOUT`` > 30."""
-    return _resolve_env(value, SERVICE_DRAIN_TIMEOUT_ENV_VAR, 30.0,
-                        source, positive_float)
-
-
-def resolve_telemetry_enabled(value=None,
-                              source: str = "enabled") -> bool:
-    """Span tracing on/off: value > ``REPRO_ENGINE_TELEMETRY`` >
-    off."""
-    return _resolve_env(value, TELEMETRY_ENV_VAR, False, source,
-                        boolean_flag)
-
-
-def resolve_telemetry_trace_out(value=None):
-    """Default trace export path: value >
-    ``REPRO_ENGINE_TELEMETRY_TRACE_OUT`` > ``None`` (no file)."""
-    if value is not None:
-        return str(value)
-    return os.environ.get(TELEMETRY_TRACE_OUT_ENV_VAR) or None
-
-
-def resolve_telemetry_metrics_port(value=None, source: str = "metrics_port"):
-    """Prometheus endpoint port: value >
-    ``REPRO_ENGINE_TELEMETRY_METRICS_PORT`` > ``None`` (disabled).
-
-    0 is allowed and binds an ephemeral port.
-    """
-    if value is None:
-        value = os.environ.get(TELEMETRY_METRICS_PORT_ENV_VAR)
-        if value is None:
-            return None
-        source = TELEMETRY_METRICS_PORT_ENV_VAR
-    try:
-        port = int(str(value).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a TCP port (0-65535), got {value!r}"
-        ) from None
-    if not 0 <= port <= 65535:
-        raise ValueError(
-            f"{source} must be a TCP port (0-65535), got {value!r}"
-        )
-    return port
+    def as_dict(self) -> dict:
+        """The resolved knobs as a JSON-safe dict (manifest form)."""
+        return {
+            name: (bool(getattr(self, name)) if spec.metadata["secret"]
+                   else getattr(self, name))
+            for name, spec in knob_fields(type(self)).items()
+        }
 
 
 @dataclass(frozen=True)
-class DistSettings:
+class EngineSettings(Settings):
+    """One fully-resolved snapshot of every engine knob.
+
+    Attributes:
+        backend: Execution backend name (``"serial"`` / ``"process"``
+            or any registered third-party backend).
+        workers: Pool width of the parallel backends.
+        rulegen_shards: Row bands per rule-generation pass.
+        cache_dir: Persistent trace-cache directory, or ``None`` for a
+            memory-only cache.
+        delta_trace: When True, batched scenarios trace as sequential
+            delta chains (frame 0 full, later frames patched from the
+            previous frame's rules).
+        delta_threshold: Fraction of a frame the diff may touch before
+            the delta path falls back to a full rebuild.
+        faults: Deterministic fault-injection plan text (chaos
+            harness; see ``docs/robustness.md``), or ``None`` when
+            disarmed.
+        degrade: When True, a run whose backend cannot start degrades
+            along the ladder (dist to process to serial) instead of
+            failing; default off.
+    """
+
+    backend: str = knob(BACKEND_ENV_VAR, text, "serial")
+    workers: int = knob(WORKERS_ENV_VAR, positive_int,
+                        factory=default_workers, shown="min(8, cpus)",
+                        source="max_workers")
+    rulegen_shards: int = knob(RULEGEN_SHARDS_ENV_VAR, positive_int, 1)
+    cache_dir: str = knob(CACHE_DIR_ENV_VAR, text_or_none,
+                          none_is_value=True)
+    delta_trace: bool = knob(DELTA_TRACE_ENV_VAR, boolean_flag, False)
+    delta_threshold: float = knob(DELTA_THRESHOLD_ENV_VAR, fraction, 0.5)
+    faults: str = knob(FAULTS_ENV_VAR, fault_plan)
+    degrade: bool = knob(DEGRADE_ENV_VAR, boolean_flag, False)
+
+
+@dataclass(frozen=True)
+class DistSettings(Settings):
     """One fully-resolved snapshot of every distributed-backend knob.
 
     Attributes:
@@ -585,63 +385,26 @@ class DistSettings:
             rows into a single frame.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 7463
-    chunksize: int = 1
-    unit_timeout: float = 300.0
-    heartbeat_interval: float = 1.0
-    worker_timeout: float = 10.0
-    max_attempts: int = 3
-    start_timeout: float = 60.0
-    trace_stage: bool = True
-    token: str = None
-    batch_rows: int = 0
-
-    @classmethod
-    def resolve(cls, host=None, port=None, chunksize=None,
-                unit_timeout=None, heartbeat_interval=None,
-                worker_timeout=None, max_attempts=None,
-                start_timeout=None, trace_stage=None, token=None,
-                batch_rows=None) -> "DistSettings":
-        """Resolve every dist knob: explicit argument > environment >
-        default — the same contract as :meth:`EngineSettings.resolve`."""
-        return cls(
-            host=resolve_dist_host(host),
-            port=resolve_dist_port(port),
-            chunksize=resolve_dist_chunksize(chunksize),
-            unit_timeout=resolve_dist_unit_timeout(unit_timeout),
-            heartbeat_interval=resolve_dist_heartbeat(heartbeat_interval),
-            worker_timeout=resolve_dist_worker_timeout(worker_timeout),
-            max_attempts=resolve_dist_max_attempts(max_attempts),
-            start_timeout=resolve_dist_start_timeout(start_timeout),
-            trace_stage=resolve_dist_trace_stage(trace_stage),
-            token=resolve_dist_token(token),
-            batch_rows=resolve_dist_batch_rows(batch_rows),
-        )
-
-    def as_dict(self) -> dict:
-        """The resolved dist knobs as a JSON-safe dict (manifest form).
-
-        The auth token is a secret: the manifest form records only
-        whether one is set, never its value.
-        """
-        return {
-            "host": self.host,
-            "port": self.port,
-            "chunksize": self.chunksize,
-            "unit_timeout": self.unit_timeout,
-            "heartbeat_interval": self.heartbeat_interval,
-            "worker_timeout": self.worker_timeout,
-            "max_attempts": self.max_attempts,
-            "start_timeout": self.start_timeout,
-            "trace_stage": self.trace_stage,
-            "token": bool(self.token),
-            "batch_rows": self.batch_rows,
-        }
+    host: str = knob(DIST_HOST_ENV_VAR, text, "127.0.0.1",
+                     blank_is_unset=True)
+    port: int = knob(DIST_PORT_ENV_VAR, tcp_port, 7463)
+    chunksize: int = knob(DIST_CHUNKSIZE_ENV_VAR, positive_int, 1)
+    unit_timeout: float = knob(DIST_UNIT_TIMEOUT_ENV_VAR, positive_float,
+                               300.0)
+    heartbeat_interval: float = knob(DIST_HEARTBEAT_ENV_VAR,
+                                     positive_float, 1.0)
+    worker_timeout: float = knob(DIST_WORKER_TIMEOUT_ENV_VAR,
+                                 positive_float, 10.0)
+    max_attempts: int = knob(DIST_MAX_ATTEMPTS_ENV_VAR, positive_int, 3)
+    start_timeout: float = knob(DIST_START_TIMEOUT_ENV_VAR, positive_float,
+                                60.0)
+    trace_stage: bool = knob(DIST_TRACE_STAGE_ENV_VAR, boolean_flag, True)
+    token: str = knob(DIST_TOKEN_ENV_VAR, text_or_none, secret=True)
+    batch_rows: int = knob(DIST_BATCH_ROWS_ENV_VAR, nonnegative_int, 0)
 
 
 @dataclass(frozen=True)
-class ServiceSettings:
+class ServiceSettings(Settings):
     """One fully-resolved snapshot of every experiment-service knob.
 
     Attributes:
@@ -662,43 +425,20 @@ class ServiceSettings:
             units to drain into the run journals before closing.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 7464
-    store_dir: str = "runs"
-    max_inflight: int = 1
-    submitter_cap: int = 1
-    drain_timeout: float = 30.0
-
-    @classmethod
-    def resolve(cls, host=None, port=None, store_dir=None,
-                max_inflight=None, submitter_cap=None,
-                drain_timeout=None) -> "ServiceSettings":
-        """Resolve every service knob: explicit argument > environment
-        > default — the same contract as
-        :meth:`EngineSettings.resolve`."""
-        return cls(
-            host=resolve_service_host(host),
-            port=resolve_service_port(port),
-            store_dir=resolve_service_dir(store_dir),
-            max_inflight=resolve_service_max_inflight(max_inflight),
-            submitter_cap=resolve_service_submitter_cap(submitter_cap),
-            drain_timeout=resolve_service_drain_timeout(drain_timeout),
-        )
-
-    def as_dict(self) -> dict:
-        """The resolved service knobs as a JSON-safe dict."""
-        return {
-            "host": self.host,
-            "port": self.port,
-            "store_dir": self.store_dir,
-            "max_inflight": self.max_inflight,
-            "submitter_cap": self.submitter_cap,
-            "drain_timeout": self.drain_timeout,
-        }
+    host: str = knob(SERVICE_HOST_ENV_VAR, text, "127.0.0.1",
+                     blank_is_unset=True)
+    port: int = knob(SERVICE_PORT_ENV_VAR, tcp_port, 7464)
+    store_dir: str = knob(SERVICE_DIR_ENV_VAR, text, "runs",
+                          blank_is_unset=True)
+    max_inflight: int = knob(SERVICE_MAX_INFLIGHT_ENV_VAR, positive_int, 1)
+    submitter_cap: int = knob(SERVICE_SUBMITTER_CAP_ENV_VAR, positive_int,
+                              1)
+    drain_timeout: float = knob(SERVICE_DRAIN_TIMEOUT_ENV_VAR,
+                                positive_float, 30.0)
 
 
 @dataclass(frozen=True)
-class TelemetrySettings:
+class TelemetrySettings(Settings):
     """One fully-resolved snapshot of every telemetry knob.
 
     Attributes:
@@ -714,95 +454,20 @@ class TelemetrySettings:
             ephemeral port, ``None`` disables the endpoint.
     """
 
-    enabled: bool = False
-    trace_out: str = None
-    metrics_port: int = None
-
-    @classmethod
-    def resolve(cls, enabled=None, trace_out=None,
-                metrics_port=None) -> "TelemetrySettings":
-        """Resolve every telemetry knob: explicit argument >
-        environment > default — the same contract as
-        :meth:`EngineSettings.resolve`."""
-        return cls(
-            enabled=resolve_telemetry_enabled(enabled),
-            trace_out=resolve_telemetry_trace_out(trace_out),
-            metrics_port=resolve_telemetry_metrics_port(metrics_port),
-        )
-
-    def as_dict(self) -> dict:
-        """The resolved telemetry knobs as a JSON-safe dict."""
-        return {
-            "enabled": self.enabled,
-            "trace_out": self.trace_out,
-            "metrics_port": self.metrics_port,
-        }
+    enabled: bool = knob(TELEMETRY_ENV_VAR, boolean_flag, False)
+    trace_out: str = knob(TELEMETRY_TRACE_OUT_ENV_VAR, text,
+                          blank_is_unset=True)
+    metrics_port: int = knob(TELEMETRY_METRICS_PORT_ENV_VAR, tcp_port)
 
 
-@dataclass(frozen=True)
-class EngineSettings:
-    """One fully-resolved snapshot of every engine knob.
+#: The settings classes, in documentation order.
+SETTINGS_CLASSES = (EngineSettings, DistSettings, ServiceSettings,
+                    TelemetrySettings)
 
-    Attributes:
-        backend: Execution backend name (``"serial"`` / ``"process"``
-            or any registered third-party backend).
-        workers: Pool width of the parallel backends.
-        rulegen_shards: Row bands per rule-generation pass.
-        cache_dir: Persistent trace-cache directory, or ``None`` for a
-            memory-only cache.
-        delta_trace: When True, batched scenarios trace as sequential
-            delta chains (frame 0 full, later frames patched from the
-            previous frame's rules).
-        delta_threshold: Fraction of a frame the diff may touch before
-            the delta path falls back to a full rebuild.
-        faults: Deterministic fault-injection plan text (chaos
-            harness; see ``docs/robustness.md``), or ``None`` when
-            disarmed.
-        degrade: When True, a run whose backend cannot start degrades
-            along the ladder (dist to process to serial) instead of
-            failing; default off.
-    """
-
-    backend: str = "serial"
-    workers: int = 1
-    rulegen_shards: int = 1
-    cache_dir: str = None
-    delta_trace: bool = False
-    delta_threshold: float = 0.5
-    faults: str = None
-    degrade: bool = False
-
-    @classmethod
-    def resolve(cls, backend=None, workers=None, rulegen_shards=None,
-                cache_dir=UNSET, delta_trace=None, delta_threshold=None,
-                faults=None, degrade=None) -> "EngineSettings":
-        """Resolve every knob: explicit argument > environment > default.
-
-        This is the constructor the runner and the declarative spec
-        layer share; each argument may be ``None`` (inherit the
-        environment) or an explicit override, and malformed values from
-        either source raise a :class:`ValueError` naming the offender.
-        """
-        return cls(
-            backend=resolve_backend_name(backend),
-            workers=resolve_workers(workers),
-            rulegen_shards=resolve_rulegen_shards(rulegen_shards),
-            cache_dir=resolve_cache_dir(cache_dir),
-            delta_trace=resolve_delta_trace(delta_trace),
-            delta_threshold=resolve_delta_threshold(delta_threshold),
-            faults=resolve_faults(faults),
-            degrade=resolve_degrade(degrade),
-        )
-
-    def as_dict(self) -> dict:
-        """The resolved knobs as a JSON-safe dict (manifest form)."""
-        return {
-            "backend": self.backend,
-            "workers": self.workers,
-            "rulegen_shards": self.rulegen_shards,
-            "cache_dir": self.cache_dir,
-            "delta_trace": self.delta_trace,
-            "delta_threshold": self.delta_threshold,
-            "faults": self.faults,
-            "degrade": self.degrade,
-        }
+#: Every environment variable the engine reads, in one tuple — derived
+#: from the settings fields; the contract tested by
+#: ``tests/test_engine_settings.py``.
+ENGINE_ENV_VARS = tuple(
+    spec.metadata["env"]
+    for cls in SETTINGS_CLASSES for spec in knob_fields(cls).values()
+)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..models.specs import ModelSpec
@@ -45,14 +45,7 @@ from ..models.zoo import TABLE1_PAPER
 from .cache import TraceCache
 from .registry import BACKENDS, FRAME_PROVIDERS
 from .runner import ExperimentRunner, Scenario
-from .settings import (
-    EngineSettings,
-    UNSET,
-    boolean_flag,
-    fraction,
-    positive_int,
-    resolve_faults,
-)
+from .settings import EngineSettings, knob_fields
 from .simulators import Simulator, build_simulator
 
 #: Schema version stamped into serialized specs; bumped on breaking
@@ -61,6 +54,10 @@ SPEC_VERSION = 1
 
 #: Default frame-provider registry name (the synthetic-scene provider).
 DEFAULT_FRAME_PROVIDER = "synthetic"
+
+#: The engine knobs a spec carries: one spec key (and one
+#: :class:`ExperimentSpec` field) per :class:`EngineSettings` field.
+KNOBS = tuple(knob_fields(EngineSettings))
 
 _SCENARIO_KEYS = ("name", "seed", "frames")
 _CELL_KEYS = ("scenario", "model", "simulator")
@@ -295,23 +292,6 @@ class ExperimentSpec:
                 f"unknown frame provider {self.frame_provider!r}; "
                 f"registered: {FRAME_PROVIDERS.names()}",
             )
-        for knob in ("workers", "rulegen_shards"):
-            value = getattr(self, knob)
-            if value is not None:
-                positive_int(value, knob)
-        if self.delta_trace is not None:
-            self.delta_trace = boolean_flag(self.delta_trace,
-                                            "delta_trace")
-        if self.delta_threshold is not None:
-            self.delta_threshold = fraction(self.delta_threshold,
-                                            "delta_threshold")
-        if self.faults is not None:
-            try:
-                self.faults = resolve_faults(self.faults, "faults")
-            except ValueError as error:
-                raise _spec_error(self.name, str(error)) from None
-        if self.degrade is not None:
-            self.degrade = boolean_flag(self.degrade, "degrade")
         if self.cache_dir is not None \
                 and not isinstance(self.cache_dir, (str, Path)):
             raise _spec_error(
@@ -319,6 +299,26 @@ class ExperimentSpec:
                 f"cache_dir must be a directory path or null, "
                 f"got {self.cache_dir!r}",
             )
+        for name, value in self._knob_values().items():
+            setattr(self, name, value)
+
+    def _knob_values(self, overrides: dict = None) -> dict:
+        """Every engine knob of this spec, ``overrides`` beating the
+        spec's own values, parsed by its :class:`EngineSettings` field.
+
+        Errors name the spec-file key (a CLI ``--workers 0`` errors as
+        "workers", never the runner-internal "max_workers" kwarg the
+        user never typed); ``None`` stays ``None`` (inherit the
+        environment).
+        """
+        overrides = overrides or {}
+        values = {}
+        for name in KNOBS:
+            value = overrides.get(name, getattr(self, name))
+            if value is not None:
+                value = EngineSettings.resolve_one(name, value, source=name)
+            values[name] = value
+        return values
 
     def _validate_cells(self):
         if not isinstance(self.cells, (list, tuple)):
@@ -382,15 +382,7 @@ class ExperimentSpec:
                 {"name": s.name, "seed": s.seed, "frames": s.frames}
                 for s in self.scenarios
             ],
-            "backend": self.backend,
-            "workers": self.workers,
-            "rulegen_shards": self.rulegen_shards,
-            "cache_dir": (str(self.cache_dir)
-                          if self.cache_dir is not None else None),
-            "delta_trace": self.delta_trace,
-            "delta_threshold": self.delta_threshold,
-            "faults": self.faults,
-            "degrade": self.degrade,
+            **self._knob_values(),
             "frame_provider": self.frame_provider,
             "cells": [dict(rule) for rule in self.cells],
             "out": self.out,
@@ -411,12 +403,7 @@ class ExperimentSpec:
                 f"experiment spec version {version!r} is not supported "
                 f"(this engine reads version {SPEC_VERSION})"
             )
-        allowed = {
-            "name", "simulators", "models", "scenarios", "backend",
-            "workers", "rulegen_shards", "cache_dir", "delta_trace",
-            "delta_threshold", "faults", "degrade", "frame_provider",
-            "cells", "out",
-        }
+        allowed = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(data) - allowed)
         if unknown:
             raise ValueError(
@@ -473,20 +460,9 @@ class ExperimentSpec:
         """This spec's knobs resolved through the one settings resolver
         (spec value > environment > default; ``overrides`` win over
         both)."""
-        return EngineSettings.resolve(
-            backend=overrides.get("backend", self.backend),
-            workers=overrides.get("workers", self.workers),
-            rulegen_shards=overrides.get("rulegen_shards",
-                                         self.rulegen_shards),
-            cache_dir=(overrides["cache_dir"] if "cache_dir" in overrides
-                       else (self.cache_dir if self.cache_dir is not None
-                             else UNSET)),
-            delta_trace=overrides.get("delta_trace", self.delta_trace),
-            delta_threshold=overrides.get("delta_threshold",
-                                          self.delta_threshold),
-            faults=overrides.get("faults", self.faults),
-            degrade=overrides.get("degrade", self.degrade),
-        )
+        values = {name: value for name, value in self._knob_values().items()
+                  if value is not None}
+        return EngineSettings.resolve(**{**values, **overrides})
 
     def build_runner(self, *, cache=None, trace_provider=None,
                      frame_provider=None, cell_filter=None,
@@ -501,25 +477,19 @@ class ExperimentSpec:
         rebind any engine knob (``backend=``, ``workers=``, ...) —
         that is how CLI flags beat spec values.
         """
-        unknown = sorted(
-            set(overrides)
-            - {"backend", "workers", "rulegen_shards", "cache_dir",
-               "delta_trace", "delta_threshold", "faults", "degrade"}
-        )
+        unknown = sorted(set(overrides) - set(KNOBS))
         if unknown:
             raise _spec_error(
                 self.name,
                 f"unknown build_runner override(s) {unknown}",
             )
-        backend = overrides.get("backend", self.backend)
+        knobs = self._knob_values(overrides)
         explicit_provider = frame_provider is not None
-        explicit_cache_dir = "cache_dir" in overrides
-        cache_dir = (overrides["cache_dir"] if explicit_cache_dir
-                     else self.cache_dir)
+        cache_dir = knobs.pop("cache_dir")
         if cache is None:
             if cache_dir is not None:
                 cache = TraceCache(disk_dir=cache_dir)
-            elif explicit_cache_dir:
+            elif "cache_dir" in overrides:
                 # An explicit None override means "memory-only", even
                 # when REPRO_TRACE_CACHE_DIR is set — matching
                 # spec.settings() and TraceCache(disk_dir=None).
@@ -529,23 +499,6 @@ class ExperimentSpec:
             frame_provider = FRAME_PROVIDERS.create(self.frame_provider)
         if cell_filter is None:
             cell_filter = cell_filter_from_rules(self.cells)
-        # Validate knob overrides under their spec-file names, so a CLI
-        # `--workers 0` errors as "workers", never the runner-internal
-        # "max_workers" kwarg the user never typed.
-        knobs = {}
-        for knob in ("workers", "rulegen_shards"):
-            value = overrides.get(knob, getattr(self, knob))
-            if value is not None:
-                value = positive_int(value, knob)
-            knobs[knob] = value
-        for knob, check in (("delta_trace", boolean_flag),
-                            ("delta_threshold", fraction),
-                            ("degrade", boolean_flag),
-                            ("faults", resolve_faults)):
-            value = overrides.get(knob, getattr(self, knob))
-            if value is not None:
-                value = check(value, knob)
-            knobs[knob] = value
         # Reuse the instances validation already built (unless the list
         # was mutated since); resolve_simulators accepts instances.
         if self.simulators == getattr(self, "_validated_source", None):
@@ -560,13 +513,8 @@ class ExperimentSpec:
             trace_provider=trace_provider,
             frame_provider=frame_provider,
             cell_filter=cell_filter,
-            backend=backend,
-            max_workers=knobs["workers"],
-            rulegen_shards=knobs["rulegen_shards"],
-            delta_trace=knobs["delta_trace"],
-            delta_threshold=knobs["delta_threshold"],
-            faults=knobs["faults"],
-            degrade=knobs["degrade"],
+            max_workers=knobs.pop("workers"),
+            **knobs,
         )
         # The distributed backend re-serializes its work units from the
         # source spec; keep the provenance on the runner (and whether

@@ -84,29 +84,31 @@ DELTA_THRESHOLD_ENV_VAR = "REPRO_ENGINE_DELTA_THRESHOLD"
 def resolve_delta_threshold(value=None) -> float:
     """Validate a delta-fallback fraction; ``None`` reads the environment.
 
-    Delegates to :func:`repro.engine.settings.resolve_delta_threshold`
-    (lazy import, same reason as :func:`resolve_rulegen_shards`).  Values
+    Delegates to the engine's ``delta_threshold`` knob
+    (:meth:`repro.engine.settings.EngineSettings.resolve_one`; lazy
+    import, same reason as :func:`resolve_rulegen_shards`).  Values
     outside ``(0, 1]`` raise a :class:`ValueError` naming the source; the
     default is 0.5.
     """
-    from ..engine.settings import resolve_delta_threshold as _resolve
+    from ..engine.settings import EngineSettings
 
-    return _resolve(value)
+    return EngineSettings.resolve_one("delta_threshold", value)
 
 
 def resolve_rulegen_shards(value=None) -> int:
     """Validate a shard count; ``None`` falls back to the environment.
 
-    Delegates to :func:`repro.engine.settings.resolve_rulegen_shards` —
-    the single resolver for every engine environment knob — imported
-    lazily to keep the sparse layer free of module-level engine
-    dependencies.  Non-integer and non-positive values raise a
-    :class:`ValueError` naming the offending source; with no explicit
-    value and no environment override the result is 1 (unsharded).
+    Delegates to the engine's ``rulegen_shards`` knob
+    (:meth:`repro.engine.settings.EngineSettings.resolve_one`, where
+    every engine environment knob is declared) — imported lazily to keep
+    the sparse layer free of module-level engine dependencies.
+    Non-integer and non-positive values raise a :class:`ValueError`
+    naming the offending source; with no explicit value and no
+    environment override the result is 1 (unsharded).
     """
-    from ..engine.settings import resolve_rulegen_shards as _resolve
+    from ..engine.settings import EngineSettings
 
-    return _resolve(value)
+    return EngineSettings.resolve_one("rulegen_shards", value)
 
 
 class ConvType(Enum):

@@ -12,12 +12,15 @@ import pytest
 
 from repro import cli, docs
 from repro.engine import (
-    ENGINE_ENV_VARS,
-    EngineSettings,
     ExperimentSpec,
     RunManifest,
     RunObserver,
     manifest_path_for,
+)
+from repro.engine.settings import (
+    ENGINE_ENV_VARS,
+    DistSettings,
+    EngineSettings,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,8 +42,8 @@ class TestKnobReference:
 
     def test_dist_knobs_are_documented(self):
         text = (REPO_ROOT / docs.KNOBS_DOC).read_text()
-        for env_var in docs.DIST_KNOB_ENV.values():
-            assert f"| {env_var} |" in text
+        for field in dataclasses.fields(DistSettings):
+            assert f"| {field.metadata['env']} |" in text
 
     def test_marker_warns_against_hand_edits(self):
         text = (REPO_ROOT / docs.KNOBS_DOC).read_text()
@@ -48,9 +51,9 @@ class TestKnobReference:
 
     def test_attribute_docs_reads_the_settings_docstring(self):
         parsed = docs.attribute_docs(EngineSettings)
-        for field_name in docs.ENGINE_KNOB_ENV:
-            assert parsed.get(field_name), (
-                f"EngineSettings docstring documents {field_name}")
+        for field in dataclasses.fields(EngineSettings):
+            assert parsed.get(field.name), (
+                f"EngineSettings docstring documents {field.name}")
 
     def test_unmapped_field_is_an_error(self):
         @dataclasses.dataclass
@@ -58,13 +61,13 @@ class TestKnobReference:
             """Odd.
 
             Attributes:
-                mystery: An attribute no env map covers.
+                mystery: An attribute not declared as a knob.
             """
 
             mystery: int = 3
 
         with pytest.raises(ValueError, match="mystery"):
-            docs.knob_rows(Odd, {})
+            docs.knob_rows(Odd)
 
     def test_check_mode_exit_codes(self, tmp_path, monkeypatch):
         assert docs.main(["--check"]) == 0

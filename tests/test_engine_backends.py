@@ -6,10 +6,6 @@ process backend's restrictions."""
 import pytest
 
 from repro.engine import (
-    BACKEND_ENV_VAR,
-    CACHE_DIR_ENV_VAR,
-    RULEGEN_SHARDS_ENV_VAR,
-    WORKERS_ENV_VAR,
     ExperimentRunner,
     FrameProvider,
     ProcessBackend,
@@ -19,6 +15,12 @@ from repro.engine import (
     TraceCache,
     mean_result,
     resolve_backend,
+)
+from repro.engine.settings import (
+    BACKEND_ENV_VAR,
+    CACHE_DIR_ENV_VAR,
+    RULEGEN_SHARDS_ENV_VAR,
+    WORKERS_ENV_VAR,
 )
 
 #: A Table-1 subset small enough to trace in test time but covering two
@@ -575,7 +577,7 @@ class TestDeltaTrace:
                     assert (lp.out_idx == rp.out_idx).all()
 
     def test_env_knob_resolves_through_settings(self, monkeypatch):
-        from repro.engine import DELTA_TRACE_ENV_VAR
+        from repro.engine.settings import DELTA_TRACE_ENV_VAR
 
         monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "1")
         runner = _subset_runner(scenarios=list(self.SCENARIOS))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.data.grids import GridSpec
-from repro.engine import CACHE_DIR_ENV_VAR, TraceCache
+from repro.engine import TraceCache
+from repro.engine.settings import CACHE_DIR_ENV_VAR
 from repro.models.specs import LayerOp, LayerSpec, ModelSpec
 from repro.sparse import ConvType
 from repro.sparse.coords import unflatten

@@ -16,8 +16,6 @@ from repro.engine.settings import (
     ENGINE_ENV_VARS,
     FAULTS_ENV_VAR,
     EngineSettings,
-    resolve_degrade,
-    resolve_faults,
 )
 from repro.models.specs import build_model_spec
 
@@ -140,22 +138,24 @@ class TestSettings:
         assert DEGRADE_ENV_VAR in ENGINE_ENV_VARS
 
     def test_resolve_faults_validates(self, monkeypatch):
-        assert resolve_faults("kill_worker:unit=1") \
+        resolve = EngineSettings.resolve_one
+        assert resolve("faults", "kill_worker:unit=1") \
             == "kill_worker:unit=1"
-        assert resolve_faults(None) is None
+        assert resolve("faults", None) is None
         monkeypatch.setenv(FAULTS_ENV_VAR, "explode")
         with pytest.raises(ValueError, match=FAULTS_ENV_VAR):
-            resolve_faults()
+            resolve("faults")
         with pytest.raises(ValueError, match="faults"):
-            resolve_faults("explode")
+            resolve("faults", "explode")
 
     def test_resolve_degrade(self, monkeypatch):
-        assert resolve_degrade(None) is False
+        resolve = EngineSettings.resolve_one
+        assert resolve("degrade", None) is False
         monkeypatch.setenv(DEGRADE_ENV_VAR, "1")
-        assert resolve_degrade() is True
+        assert resolve("degrade") is True
         monkeypatch.setenv(DEGRADE_ENV_VAR, "maybe")
         with pytest.raises(ValueError, match=DEGRADE_ENV_VAR):
-            resolve_degrade()
+            resolve("degrade")
 
     def test_settings_resolve_and_as_dict(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "stall_heartbeat:after=2")

@@ -1,25 +1,21 @@
 """EngineSettings: the single resolver for every engine env knob."""
 
+import os
+
 import pytest
 
-from repro.engine import (
+from repro.engine import ExperimentRunner, TraceCache
+from repro.engine.settings import (
     BACKEND_ENV_VAR,
     CACHE_DIR_ENV_VAR,
     DELTA_THRESHOLD_ENV_VAR,
     DELTA_TRACE_ENV_VAR,
     ENGINE_ENV_VARS,
     RULEGEN_SHARDS_ENV_VAR,
+    SETTINGS_CLASSES,
     WORKERS_ENV_VAR,
+    DistSettings,
     EngineSettings,
-    ExperimentRunner,
-    TraceCache,
-)
-from repro.engine.settings import (
-    resolve_cache_dir,
-    resolve_delta_threshold,
-    resolve_delta_trace,
-    resolve_rulegen_shards,
-    resolve_workers,
 )
 from repro.sparse import rulegen as sparse_rulegen
 
@@ -53,6 +49,18 @@ class TestPrecedence:
             rulegen_shards=4, cache_dir=str(tmp_path),
             delta_trace=True, delta_threshold=0.25,
         )
+
+    @pytest.mark.parametrize("cls", SETTINGS_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_clean_env_resolves_to_declared_defaults(self, monkeypatch,
+                                                     cls):
+        for var in list(os.environ):
+            if var.startswith("REPRO_"):
+                monkeypatch.delenv(var)
+        assert cls.resolve() == cls()
+        if cls is EngineSettings:
+            # The computed default, evaluated the same way on both sides.
+            assert cls().workers == min(8, os.cpu_count() or 1)
 
     def test_explicit_beats_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
@@ -120,14 +128,15 @@ class TestBadValuesNameTheOffender:
             )
 
     def test_resolvers_name_arguments(self):
+        resolve = EngineSettings.resolve_one
         with pytest.raises(ValueError, match="max_workers"):
-            resolve_workers("nope")
+            resolve("workers", "nope")
         with pytest.raises(ValueError, match="rulegen_shards"):
-            resolve_rulegen_shards(-3)
+            resolve("rulegen_shards", -3)
         with pytest.raises(ValueError, match="delta_trace"):
-            resolve_delta_trace("sometimes")
+            resolve("delta_trace", "sometimes")
         with pytest.raises(ValueError, match="delta_threshold"):
-            resolve_delta_threshold(0)
+            resolve("delta_threshold", 0)
 
 
 class TestDelegation:
@@ -199,7 +208,7 @@ class TestDelegation:
 
     def test_resolve_cache_dir_empty_string_is_none(self, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, "")
-        assert resolve_cache_dir() is None
+        assert EngineSettings.resolve_one("cache_dir") is None
 
 
 class TestDistKnobs:
@@ -276,18 +285,13 @@ class TestDistKnobs:
             DistSettings.resolve()
 
     def test_bad_arguments_name_the_knob(self):
-        from repro.engine.settings import (
-            resolve_dist_max_attempts,
-            resolve_dist_port,
-            resolve_dist_unit_timeout,
-        )
-
+        resolve = DistSettings.resolve_one
         with pytest.raises(ValueError, match="port"):
-            resolve_dist_port("80000")
+            resolve("port", "80000")
         with pytest.raises(ValueError, match="unit_timeout"):
-            resolve_dist_unit_timeout(0)
+            resolve("unit_timeout", 0)
         with pytest.raises(ValueError, match="max_attempts"):
-            resolve_dist_max_attempts("few")
+            resolve("max_attempts", "few")
 
     def test_empty_token_means_no_auth(self, monkeypatch):
         from repro.engine.settings import DistSettings

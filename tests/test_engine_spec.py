@@ -8,6 +8,8 @@ import pytest
 from repro.engine import (
     ExperimentRunner,
     ExperimentSpec,
+    ExperimentTable,
+    RunManifest,
     Scenario,
     TraceCache,
     cell_filter_from_rules,
@@ -133,9 +135,25 @@ class TestSharedScenarioValidator:
 
 
 class TestRoundTrip:
-    def test_dict_round_trip(self):
-        spec = _spec(workers=2, cells=[{"model": "SPP3"}], out="-")
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    @pytest.mark.parametrize("knobs", [
+        {"workers": 2},
+        # A non-default value for every EngineSettings knob.
+        {"backend": "process", "workers": 3, "rulegen_shards": 2,
+         "cache_dir": "trace-cache", "delta_trace": True,
+         "delta_threshold": 0.25, "faults": "kill_worker:unit=99",
+         "degrade": True},
+    ], ids=["workers", "every-knob"])
+    def test_dict_round_trip(self, knobs, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)          # the relative cache_dir
+        spec = _spec(cells=[{"model": "SPP3"}], out="-", **knobs)
+        again = ExperimentSpec.from_dict(spec.to_dict())
+        assert again == spec
+        for name, value in knobs.items():
+            assert getattr(again, name) == value
+        runner = again.build_runner()
+        manifest = RunManifest.collect(runner, ExperimentTable(results=[]))
+        for name, value in knobs.items():
+            assert manifest.settings[name] == value, name
 
     def test_json_round_trip(self):
         spec = _spec(scenarios=[{"name": "d", "seed": 3, "frames": 2}])
@@ -219,7 +237,7 @@ class TestBuildRunner:
         # Regression: build_runner(cache_dir=None) must mean
         # "memory-only" even when the environment names a directory —
         # agreeing with spec.settings(cache_dir=None).
-        from repro.engine import CACHE_DIR_ENV_VAR
+        from repro.engine.settings import CACHE_DIR_ENV_VAR
 
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         spec = _spec()
@@ -282,7 +300,7 @@ class TestBuildRunner:
             assert left == right
 
     def test_settings_snapshot(self, monkeypatch):
-        from repro.engine import WORKERS_ENV_VAR
+        from repro.engine.settings import WORKERS_ENV_VAR
 
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         settings = _spec().settings()
