@@ -8,19 +8,15 @@ a :class:`Backend` for execution:
   order;
 * :class:`ProcessBackend`  — the one parallel path, a process pool for
   many-scenario sweeps: work groups are pickled to workers in contiguous
-  chunks (amortizing IPC), each worker process keeps its own
-  :class:`TraceCache` and :class:`FrameProvider` seeded on first use,
-  and results come back with the heavyweight ``raw`` legacy objects
+  chunks (amortizing IPC), each worker traces the groups it simulates
+  through its own :class:`TraceCache` and :class:`FrameProvider`, and
+  results come back with the heavyweight ``raw`` legacy objects
   stripped so a row costs kilobytes, not megabytes, to ship.
 
-Parallel execution is a **split trace/simulate pipeline**: every unique
-(scenario, model, frame) is traced exactly once as a first-class work
-unit — fanned out over the pool — before any simulator runs.  The
-process backend shares the finished traces across its workers through
-the :class:`TraceCache` disk tier (``REPRO_TRACE_CACHE_DIR``, or a
-run-scoped temporary directory when unset), so a cold sweep traces
-each frame once, not once per worker.  A resolved worker count of 1
-falls back to plain serial execution — a width-1 pool is pure overhead.
+A work group is one (scenario, model), so tracing where it is simulated
+traces every unique frame exactly once, with no stage or shared
+directory between the workers.  A resolved worker count of 1 falls back
+to plain serial execution — a width-1 pool is pure overhead.
 
 Backends are selected by :class:`ExperimentRunner(backend=...)`, by the
 ``REPRO_ENGINE_BACKEND`` environment variable (``serial`` /
@@ -40,7 +36,6 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 from . import telemetry
 from .cache import TraceCache
@@ -127,7 +122,7 @@ def plan_trace_jobs(groups: list, delta_trace: bool) -> list:
     ``range``) per unique (scenario, model, frame), or — in delta mode —
     one job per unique (scenario, model) covering its whole frame range,
     a sequential chain in which each frame patches its predecessor.
-    Every parallel backend's trace stage fans these jobs out.
+    The distributed backend's trace stage fans these jobs out.
     """
     jobs = {}
     for group in groups:
@@ -151,10 +146,9 @@ def run_scoped_cache_dir(prefix: str = "repro-trace-cache-"):
     ``REPRO_TRACE_CACHE_DIR`` when one is set (``is_run_scoped=False``,
     nothing is ever deleted), otherwise a freshly created run-scoped
     temporary directory (``is_run_scoped=True``) that is removed on
-    exit **whether or not the run succeeded** — the ``try/finally``
-    lives here, once, so every backend that shares traces through a
-    directory (the process pool, the distributed coordinator) gets
-    leak-free cleanup instead of re-implementing it.
+    exit **whether or not the run succeeded**, so the distributed
+    coordinator, which shares traces with its workers through this
+    directory, never leaks it.
     """
     cache_dir = EngineSettings.resolve_one("cache_dir")
     if cache_dir is not None:
@@ -353,97 +347,62 @@ class SerialBackend(Backend):
 # Process pool
 # ---------------------------------------------------------------------------
 
-#: Per-worker state, created lazily on first chunk: each worker process
-#: keeps a two-tier :class:`TraceCache` — the memory tier is
-#: worker-local, while the disk tier (the directory the parent's
-#: :class:`ProcessBackend` hands to :func:`_init_worker`) is shared by
-#: every worker of the pool, so a frame traced during the trace stage is
-#: loaded, not re-traced, wherever its simulate chunks land.
+#: Per-worker state, set once by the pool initializer: the runner's
+#: :class:`EngineSettings`, and a :class:`TraceCache` (a worker-local
+#: memory tier over the runner's disk tier, if it has one) and a
+#: :class:`FrameProvider` of this worker's own — the same plumbing the
+#: serial backend uses in-process.
+_WORKER_SETTINGS = None
 _WORKER_CACHE = None
 _WORKER_FRAMES = None
-_WORKER_CACHE_DIR = None
 
 
-def _init_worker(cache_dir) -> None:
-    """Pool initializer: pin this worker to its run's shared disk tier.
+def _init_worker(settings: EngineSettings) -> None:
+    """Pool initializer: build this worker's trace plumbing once.
 
-    The directory arrives as an explicit initializer argument — never
-    via environment mutation in the parent, which would race when two
+    The settings arrive as an explicit initializer argument — never via
+    environment mutation in the parent, which would race when two
     process-backend runs overlap in one process.
     """
-    global _WORKER_CACHE_DIR
-    _WORKER_CACHE_DIR = cache_dir
+    global _WORKER_SETTINGS, _WORKER_CACHE, _WORKER_FRAMES
+    from .runner import FrameProvider
+
+    _WORKER_SETTINGS = settings
+    _WORKER_CACHE = TraceCache(maxsize=16, disk_dir=settings.cache_dir)
+    _WORKER_FRAMES = FrameProvider()
 
 
-def _worker_state():
-    global _WORKER_CACHE, _WORKER_FRAMES
-    if _WORKER_CACHE is None:
-        from .runner import FrameProvider
-
-        _WORKER_CACHE = TraceCache(maxsize=16, disk_dir=_WORKER_CACHE_DIR)
-        _WORKER_FRAMES = FrameProvider()
-    return _WORKER_CACHE, _WORKER_FRAMES
-
-
-def _worker_trace(cache, frames, scenario, model, frame,
-                  rulegen_shards=None, prev_trace=None,
-                  delta_threshold=None):
+def _worker_trace(scenario, model, frame, prev_trace=None):
+    """This worker's ``trace_lookup`` for :func:`execute_group`."""
     from ..models.specs import ModelSpec, build_model_spec
 
-    pillar_frame = frames.frame_for(scenario, model, frame)
+    settings = _WORKER_SETTINGS
+    pillar_frame = _WORKER_FRAMES.frame_for(scenario, model, frame)
     spec = model if isinstance(model, ModelSpec) else build_model_spec(model)
-    return cache.get_trace(
+    return _WORKER_CACHE.get_trace(
         spec,
         pillar_frame.coords,
         pillar_frame.point_counts.astype(float),
-        rulegen_shards=rulegen_shards,
-        prev_trace=prev_trace,
-        delta_threshold=delta_threshold,
+        rulegen_shards=settings.rulegen_shards,
+        prev_trace=prev_trace if settings.delta_trace else None,
+        delta_threshold=settings.delta_threshold,
         label=(scenario.name, _model_name(model)),
     )
 
 
-def _trace_chunk(chunk: list, rulegen_shards=None,
-                 delta_threshold=None) -> None:
-    """Trace-stage work unit: warm the shared tiers with unique frames.
-
-    Each job is a :func:`plan_trace_jobs` entry, its frames traced in
-    order so each patches its predecessor.  The finished traces land in
-    this worker's memory tier *and* the shared disk tier, making them
-    available to every simulate-stage worker.
-    """
-    cache, provider = _worker_state()
-    for scenario, model, frames in chunk:
-        prev = None
-        for frame in frames:
-            prev = _worker_trace(
-                cache, provider, scenario, model, frame, rulegen_shards,
-                prev_trace=prev, delta_threshold=delta_threshold,
-            )
-
-
-def _run_chunk(chunk: list, rulegen_shards=None, delta_trace=False,
-               delta_threshold=None) -> dict:
+def _run_chunk(chunk: list) -> dict:
     """Execute one pickled chunk of (scenario, model, simulators) units.
 
     Returns ``{"rows": [row list per group], "seconds": [wall seconds
     per group]}`` — groups are timed *here*, in the worker process,
     because the parent only observes chunk completions.
     """
-    cache, frames = _worker_state()
     nested = []
     seconds = []
     for scenario, model, simulators in chunk:
         group = WorkGroup(scenario, model, tuple(simulators))
         started = time.monotonic()
-        rows = execute_group(
-            group,
-            lambda s, m, f, prev=None: _worker_trace(
-                cache, frames, s, m, f, rulegen_shards,
-                prev_trace=prev if delta_trace else None,
-                delta_threshold=delta_threshold,
-            ),
-        )
+        rows = execute_group(group, _worker_trace)
         seconds.append(time.monotonic() - started)
         for row in rows:
             # The legacy result objects retain whole rule arrays; never
@@ -457,18 +416,16 @@ def _run_chunk(chunk: list, rulegen_shards=None, delta_trace=False,
 class ProcessBackend(Backend):
     """Process-pool fan-out for many-scenario sweeps.
 
-    Execution is a two-stage pipeline.  The **trace stage** distributes
-    every unique (scenario, model, frame) across the pool exactly once;
-    finished traces persist to the :class:`TraceCache` disk tier — the
-    ``REPRO_TRACE_CACHE_DIR`` directory, or a run-scoped temporary
-    directory the backend creates (and removes) when the variable is
-    unset.  The **simulate stage** then ships (scenario, model,
-    simulators) work units in contiguous chunks; workers load the shared
-    traces from disk instead of each re-tracing its own copy (the cold
-    per-worker re-trace was the committed baseline's regression: 1.51 s
-    process vs 1.11 s serial).  Contiguous chunks keep IPC count low and
-    let a worker's local :class:`FrameProvider` reuse a scenario's
-    frames across the models that share a grid.
+    The plan's (scenario, model, simulators) work units ship to the pool
+    in contiguous chunks, one ``map`` over them.  Each worker traces the
+    groups it simulates, through its own :class:`TraceCache` and
+    :class:`FrameProvider` — a group is one (scenario, model), so every
+    unique frame is traced exactly once, by the worker that simulates
+    it.  The workers' caches sit over the runner's disk tier
+    (``runner.settings.cache_dir``) when it has one and are memory-only
+    otherwise.  Contiguous chunks keep IPC count low and let a worker's
+    :class:`FrameProvider` reuse a scenario's frames across the models
+    that share a grid.
 
     A resolved worker count of 1 skips the pool entirely and runs the
     plan in-process (still stripping ``raw``, preserving the backend's
@@ -518,7 +475,7 @@ class ProcessBackend(Backend):
         return None
 
     def execute(self, runner, groups: list) -> list:
-        """Trace into the shared store, then fan chunks out to a pool."""
+        """Fan the plan's chunks out to a pool; rows in plan order."""
         reason = self.incompatibility(runner)
         if reason is not None:
             raise ValueError(reason)
@@ -534,57 +491,22 @@ class ProcessBackend(Backend):
                     row.raw = None
             return nested
 
-        shards = runner.rulegen_shards
-        delta = getattr(runner, "delta_trace", False)
-        threshold = getattr(runner, "delta_threshold", None)
         payload = [
             (group.scenario, group.model, tuple(group.simulators))
             for group in groups
         ]
         chunks = chunk_payload(payload, workers, self.chunksize)
-
-        # Trace stage: every unique frame (or, in delta mode, every
-        # sequential chain) exactly once, round-robin across the pool.
-        trace_jobs = plan_trace_jobs(groups, delta)
-        trace_width = min(workers, len(trace_jobs))
-        trace_chunks = [
-            trace_jobs[start::trace_width] for start in range(trace_width)
-        ]
-
-        # Workers share traces through the disk tier, handed to each
-        # worker by the pool initializer; when the environment names no
-        # cache directory, a run-scoped temporary one stands in (and is
-        # cleaned up by the context manager even when the run fails).
-        with run_scoped_cache_dir() as (cache_dir, _):
-            width = min(workers, max(len(chunks), len(trace_chunks)))
-            with ProcessPoolExecutor(max_workers=width,
-                                     initializer=_init_worker,
-                                     initargs=(cache_dir,)) as pool:
-                trace_started = time.monotonic()
-                list(pool.map(
-                    partial(_trace_chunk, rulegen_shards=shards,
-                            delta_threshold=threshold),
-                    trace_chunks,
-                ))
-                observe_phase(runner, "trace",
-                              time.monotonic() - trace_started)
-                chunk_results = []
-                for chunk, outcome in zip(
-                    chunks,
-                    pool.map(
-                        partial(_run_chunk, rulegen_shards=shards,
-                                delta_trace=delta,
-                                delta_threshold=threshold),
-                        chunks,
-                    ),
-                ):
-                    chunk_results.append(outcome["rows"])
-                    for (scenario, model, _), rows, seconds in zip(
-                            chunk, outcome["rows"], outcome["seconds"]):
-                        observe_unit_done(runner, scenario.name,
-                                          _model_name(model), seconds,
-                                          rows)
-                    report_group_done(runner, count=len(chunk))
+        chunk_results = []
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+                                 initializer=_init_worker,
+                                 initargs=(runner.settings,)) as pool:
+            for chunk, outcome in zip(chunks, pool.map(_run_chunk, chunks)):
+                chunk_results.append(outcome["rows"])
+                for (scenario, model, _), rows, seconds in zip(
+                        chunk, outcome["rows"], outcome["seconds"]):
+                    observe_unit_done(runner, scenario.name,
+                                      _model_name(model), seconds, rows)
+                report_group_done(runner, count=len(chunk))
         return [rows for chunk in chunk_results for rows in chunk]
 
 

@@ -195,7 +195,6 @@ class _WorkerConn:
         self.inflight = None          # unit id this worker is executing
         self.dead = False
         self.graceful = False         # announced goodbye (drain mode)
-        self.partial = {}             # unit id -> staged partial result
 
     def close(self) -> None:
         """Tear the worker's socket down, both directions."""
@@ -462,7 +461,6 @@ class Coordinator:
                 "welcome",
                 cache_dir=self.cache_dir,
                 heartbeat_interval=self.settings.heartbeat_interval,
-                batch_rows=getattr(self.settings, "batch_rows", 0),
                 telemetry=telemetry.active_tracer() is not None,
             ))
             while True:
@@ -552,27 +550,11 @@ class Coordinator:
 
     def _handle_result(self, worker, msg: dict) -> None:
         unit_id = msg.get("unit")
-        if msg.get("done") is False:
-            # A partial flush (result batching): stage the rows on the
-            # connection until the unit's final frame arrives — the
-            # unit books exactly once, whole, so requeue accounting is
-            # untouched by the framing granularity.
-            with self._cond:
-                worker.last_seen = time.monotonic()
-                staged = worker.partial.setdefault(
-                    unit_id, {"groups": {}, "timings": {}})
-                staged["groups"].update(msg.get("groups") or {})
-                staged["timings"].update(msg.get("timings") or {})
-            return
-        staged = worker.partial.pop(unit_id, None)
-        raw_groups = dict((staged or {}).get("groups") or {})
-        raw_groups.update(msg.get("groups") or {})
         decoded = {
             int(index): [_record_to_result(record) for record in records]
-            for index, records in raw_groups.items()
+            for index, records in (msg.get("groups") or {}).items()
         }
-        timings = dict((staged or {}).get("timings") or {})
-        timings.update(msg.get("timings") or {})
+        timings = msg.get("timings") or {}
         with self._cond:
             worker.last_seen = time.monotonic()
             if worker.inflight == unit_id:
@@ -624,7 +606,6 @@ class Coordinator:
         unit_id = msg.get("unit")
         with self._cond:
             worker.last_seen = time.monotonic()
-            worker.partial.pop(unit_id, None)
             if worker.inflight == unit_id:
                 worker.inflight = None
             # Only the current owner's error counts: a stale report
@@ -794,8 +775,7 @@ class DistBackend(Backend):
     def __init__(self, host=None, port=None, chunksize=None,
                  unit_timeout=None, heartbeat_interval=None,
                  worker_timeout=None, max_attempts=None,
-                 start_timeout=None, trace_stage=None, token=None,
-                 batch_rows=None):
+                 start_timeout=None, trace_stage=None, token=None):
         self._overrides = {
             "host": host,
             "port": port,
@@ -807,7 +787,6 @@ class DistBackend(Backend):
             "start_timeout": start_timeout,
             "trace_stage": trace_stage,
             "token": token,
-            "batch_rows": batch_rows,
         }
         #: The coordinator of the most recent ``execute`` call — state
         #: introspection for tests and operator tooling.

@@ -20,18 +20,14 @@ worker →   request     pull one unit (sent when idle)
 worker →   heartbeat   liveness beacon (background thread, every
                        ``heartbeat_interval`` seconds)
 worker →   result      ``unit`` (id), ``groups`` ({index: [row records]}),
-                       ``timings``; ``done: false`` marks a partial
-                       flush (result batching — the final frame of the
-                       unit omits ``done`` or sends ``true``); traced
-                       runs add ``spans`` (the worker's Chrome
-                       trace-event batch for the unit) on the final
-                       frame
+                       ``timings``, one frame per unit; traced runs
+                       add ``spans`` (the worker's Chrome trace-event
+                       batch for the unit)
 worker →   error       ``unit`` (id), ``error`` (message string)
 worker →   goodbye     announced clean exit (drain mode) — not a failure
 coord  →   welcome     ``cache_dir``, ``heartbeat_interval``,
-                       ``batch_rows``, ``telemetry`` (true when the
-                       coordinator's run is traced and span batches
-                       should ship back)
+                       ``telemetry`` (true when the coordinator's run
+                       is traced and span batches should ship back)
 coord  →   unit        ``unit`` (id), ``groups`` ([{index, spec}, ...])
 coord  →   wait        nothing to do right now; re-request (bounds the
                        worker's read timeout while idle)

@@ -204,48 +204,16 @@ class Worker:
             except OSError:
                 return
 
-    def _run_unit(self, sock, unit_id, entries, cache, providers,
-                  batch_rows: int) -> dict:
-        """Execute one unit's groups and build its final ``result``.
-
-        With ``batch_rows`` off (0, the default) this is the classic
-        one-frame-per-unit path.  With it on, groups execute one at a
-        time and completed rows are coalesced and flushed early as
-        partial ``result`` frames (``done: false``) once the buffer
-        reaches ``batch_rows`` rows, so a unit of many small groups
-        streams back in a few frames instead of one giant one at the
-        end.  The returned frame (``done: true``) carries whatever is
-        still buffered; the coordinator merges staged frames per unit.
-        """
-        if batch_rows <= 0 or len(entries) <= 1:
-            timings = {}
-            groups = execute_unit(entries, cache, providers,
-                                  timings=timings)
-            return self._with_spans(message(
-                "result", unit=unit_id, groups=groups, timings=timings,
-            ))
-        staged, timings, buffered = {}, {}, 0
-        for position, entry in enumerate(entries):
-            part = execute_unit([entry], cache, providers,
-                                timings=timings)
-            key = str(entry["index"])
-            staged[key] = part[key]
-            buffered += len(part[key])
-            if buffered >= batch_rows and position + 1 < len(entries):
-                self._send(sock, message(
-                    "result", unit=unit_id, groups=staged,
-                    timings={k: timings[k] for k in staged},
-                    done=False,
-                ))
-                staged, buffered = {}, 0
+    def _run_unit(self, unit_id, entries, cache, providers) -> dict:
+        """Execute one unit's groups and build its ``result`` frame."""
+        timings = {}
+        groups = execute_unit(entries, cache, providers, timings=timings)
         return self._with_spans(message(
-            "result", unit=unit_id, groups=staged,
-            timings={k: timings[k] for k in staged},
-            done=True,
+            "result", unit=unit_id, groups=groups, timings=timings,
         ))
 
     def _with_spans(self, reply: dict) -> dict:
-        """Attach the unit's traced span batch to its final ``result``.
+        """Attach the unit's traced span batch to its ``result`` frame.
 
         Only a tracer this worker activated itself is drained: an
         in-process loopback worker shares the coordinator's tracer
@@ -327,10 +295,9 @@ class Worker:
         from ..spec import DEFAULT_FRAME_PROVIDER
 
         providers = {DEFAULT_FRAME_PROVIDER: FrameProvider()}
-        batch_rows = int(welcome.get("batch_rows") or 0)
         interval = float(welcome.get("heartbeat_interval") or 1.0)
         # A traced coordinator asks the fleet to trace too: spans
-        # recorded while a unit executes ride home on its final
+        # recorded while a unit executes ride home on its
         # `result` frame (see _with_spans) and merge into one timeline.
         owns_tracer = False
         if welcome.get("telemetry") and telemetry.active_tracer() is None:
@@ -364,9 +331,8 @@ class Worker:
                 # K-th unit runs.
                 faults.check("worker.unit", unit=unit_id)
                 try:
-                    reply = self._run_unit(sock, unit_id,
-                                           msg.get("groups") or [],
-                                           cache, providers, batch_rows)
+                    reply = self._run_unit(unit_id, msg.get("groups") or [],
+                                           cache, providers)
                 except Exception as error:  # noqa: BLE001 — reported upstream
                     detail = traceback.format_exception_only(
                         type(error), error

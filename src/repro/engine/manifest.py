@@ -30,8 +30,8 @@ workers time each group and return timings in the existing row-stream
 requeued across worker failures (the first accepted result carries the
 timings).  Trace-cache statistics are the *coordinating* process's
 cache delta — for process and distributed runs the per-worker caches
-live elsewhere, so those manifests record the local trace-stage
-activity only.
+live elsewhere, so process manifests record no cache activity and
+distributed ones the coordinator's trace-stage activity only.
 """
 
 from __future__ import annotations

@@ -90,11 +90,6 @@ DIST_TRACE_STAGE_ENV_VAR = "REPRO_ENGINE_DIST_TRACE_STAGE"
 #: unset disables authentication.
 DIST_TOKEN_ENV_VAR = "REPRO_ENGINE_DIST_TOKEN"
 
-#: Row-record count per worker result frame: a worker flushes a
-#: ``result`` message once this many rows have accumulated; 0 (the
-#: default) coalesces a whole unit's rows into one frame.
-DIST_BATCH_ROWS_ENV_VAR = "REPRO_ENGINE_DIST_BATCH_ROWS"
-
 #: Address the experiment service (``repro serve``) binds; clients and
 #: workers connect to it.
 SERVICE_HOST_ENV_VAR = "REPRO_ENGINE_SERVICE_HOST"
@@ -160,12 +155,6 @@ def positive_int(value, source: str) -> int:
     """
     return _number(int, value, source, "a positive integer",
                    lambda count: count > 0)
-
-
-def nonnegative_int(value, source: str) -> int:
-    """Validate a count-or-disabled knob into an int >= 0."""
-    return _number(int, value, source, "a non-negative integer",
-                   lambda count: count >= 0)
 
 
 def positive_float(value, source: str) -> float:
@@ -379,10 +368,6 @@ class DistSettings(Settings):
         token: Shared secret for the HMAC challenge/response handshake
             on the listening socket; unauthenticated peers are dropped.
             ``None`` (the default) disables authentication.
-        batch_rows: Row records per worker result frame — a worker
-            flushes a partial ``result`` message once this many rows
-            have accumulated; 0 (the default) coalesces a whole unit's
-            rows into a single frame.
     """
 
     host: str = knob(DIST_HOST_ENV_VAR, text, "127.0.0.1",
@@ -400,7 +385,6 @@ class DistSettings(Settings):
                                 60.0)
     trace_stage: bool = knob(DIST_TRACE_STAGE_ENV_VAR, boolean_flag, True)
     token: str = knob(DIST_TOKEN_ENV_VAR, text_or_none, secret=True)
-    batch_rows: int = knob(DIST_BATCH_ROWS_ENV_VAR, nonnegative_int, 0)
 
 
 @dataclass(frozen=True)

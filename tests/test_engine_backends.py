@@ -298,38 +298,6 @@ class _InlinePool:
 
 
 class TestTraceStageKnobs:
-    @pytest.mark.parametrize("workers, models, frames, delta, width", [
-        (2, ["SPP3"], 1, False, 1),          # one job: one trace chunk
-        (4, ["SPP2", "SPP3"], 1, False, 2),  # fewer jobs than workers
-        (2, ["SPP2", "SPP3"], 2, False, 2),  # more jobs than workers
-        (3, ["SPP2", "SPP3"], 2, True, 2),   # delta: one job per chain
-    ], ids=["one-job", "few-jobs", "many-jobs", "delta-chains"])
-    def test_process_trace_stage_width(self, monkeypatch, workers, models,
-                                       frames, delta, width):
-        """The process backend traces at min(workers, trace jobs), and
-        the table is the serial one."""
-        import functools
-
-        import repro.engine.backends as backends_module
-
-        for name in ("_WORKER_CACHE", "_WORKER_FRAMES",
-                     "_WORKER_CACHE_DIR"):
-            monkeypatch.setattr(backends_module, name, None)
-        maps = []
-        monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
-                            functools.partial(_InlinePool, maps))
-
-        def runner():
-            return _subset_runner(
-                models=models, simulators=["spade-he"],
-                scenarios=[Scenario("w", seed=4, frames=frames)],
-                max_workers=workers, delta_trace=delta,
-            )
-
-        table = runner().run(backend="process")
-        assert maps[0] == width
-        assert table.to_csv() == runner().run(backend="serial").to_csv()
-
     @pytest.mark.parametrize("value", ["0", "-1", "half", ""])
     def test_invalid_rulegen_shards_env_rejected(self, monkeypatch, value):
         monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, value)
@@ -384,12 +352,64 @@ class TestSerialFallback:
             assert left == right
 
 
-class TestProcessTraceStage:
+class TestProcessWorkerTracing:
+    """Each process worker traces the groups it simulates."""
+
+    @pytest.mark.parametrize("workers, models, frames, delta", [
+        (2, ["SPP3"], 1, False),          # one group, one frame
+        (4, ["SPP2", "SPP3"], 1, False),  # fewer groups than workers
+        (2, ["SPP2", "SPP3"], 2, False),  # more frames than workers
+        (3, ["SPP2", "SPP3"], 2, True),   # delta-traced chains
+    ], ids=["one-job", "few-jobs", "many-jobs", "delta-chains"])
+    def test_one_map_traces_each_frame_once(self, monkeypatch, workers,
+                                            models, frames, delta):
+        """One pool ``map`` over the chunk_payload chunks, one trace per
+        unique frame, no temporary directory, and the serial table."""
+        import functools
+        import tempfile
+
+        import repro.engine.backends as backends_module
+        from repro.engine import cache as cache_module
+        from repro.engine.backends import chunk_payload
+
+        for name in ("_WORKER_SETTINGS", "_WORKER_CACHE", "_WORKER_FRAMES"):
+            monkeypatch.setattr(backends_module, name, None)
+        maps = []
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
+                            functools.partial(_InlinePool, maps))
+        traced = []
+        real_trace_model = cache_module.trace_model
+
+        def counting_trace_model(*args, **kwargs):
+            traced.append(args[0].name)
+            return real_trace_model(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "trace_model",
+                            counting_trace_model)
+        made_dirs = []
+        monkeypatch.setattr(tempfile, "mkdtemp",
+                            lambda *args, **kwargs: made_dirs.append(args))
+        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+
+        def runner():
+            return _subset_runner(
+                models=models, simulators=["spade-he"],
+                scenarios=[Scenario("w", seed=4, frames=frames)],
+                max_workers=workers, delta_trace=delta,
+            )
+
+        process = runner()
+        table = process.run(backend="process")
+        assert maps == [len(chunk_payload(process.plan(), workers))]
+        assert len(traced) == len(models) * frames
+        assert made_dirs == []
+        assert table.to_csv() == runner().run(backend="serial").to_csv()
+
     def test_workers_share_traces_through_disk_tier(self, tmp_path,
                                                     monkeypatch):
-        """The trace stage persists every unique (scenario, model, frame)
-        to the shared disk tier, and the simulate stage's rows match the
-        serial backend bit for bit."""
+        """Workers trace over the runner's disk tier, leaving one
+        artifact per unique (scenario, model, frame), and their rows
+        match the serial backend bit for bit."""
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         scenarios = [Scenario("a", seed=0), Scenario("b", seed=9)]
         process = _subset_runner(
@@ -407,29 +427,27 @@ class TestProcessTraceStage:
         for left, right in zip(serial, process):
             assert left == right
 
-    def test_auto_tempdir_cleaned_up(self, monkeypatch):
-        import repro.engine.backends as backends_module
-
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        created = []
-        real_mkdtemp = backends_module.tempfile.mkdtemp
-
-        def tracking_mkdtemp(*args, **kwargs):
-            path = real_mkdtemp(*args, **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr(backends_module.tempfile, "mkdtemp",
-                            tracking_mkdtemp)
-        table = _subset_runner(
-            models=["SPP3"], simulators=["spade-he"], max_workers=2,
-        ).run(backend="process")
-        assert len(table) == 1
-        assert len(created) == 1
-        import os
-
-        assert not os.path.exists(created[0])
-        assert os.environ.get(CACHE_DIR_ENV_VAR) is None
+    @pytest.mark.parametrize("own_tier", [False, True],
+                             ids=["tier-off", "runner-tier"])
+    def test_workers_follow_the_runner_cache_tier(self, tmp_path,
+                                                  monkeypatch, own_tier):
+        """The runner's cache decides where workers write, not the
+        environment: an explicit ``disk_dir=None`` writes nowhere, and
+        ``disk_dir=X`` gets one artifact per (scenario, model, frame)."""
+        env_dir = tmp_path / "env"
+        own_dir = tmp_path / "own"
+        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(env_dir))
+        runner = _subset_runner(
+            simulators=["spade-he"],
+            scenarios=[Scenario("a", seed=0),
+                       Scenario("b", seed=9, frames=2)],
+            cache=TraceCache(disk_dir=own_dir if own_tier else None),
+            max_workers=2,
+        )
+        runner.run(backend="process")
+        assert not list(env_dir.glob("*.trace.pkl"))
+        artifacts = list(own_dir.glob("*.trace.pkl"))
+        assert len(artifacts) == (len(SUBSET_MODELS) * 3 if own_tier else 0)
 
 
 class TestProgressReporting:
@@ -477,38 +495,6 @@ class TestProgressReporting:
 
 
 class TestRunScopedTempdirCleanup:
-    def test_failing_run_cleans_up_tempdir(self, monkeypatch):
-        """A run that dies mid-pool must still remove its run-scoped
-        trace-share directory (the try/finally lives in
-        run_scoped_cache_dir, shared by process and dist backends)."""
-        import os
-
-        import repro.engine.backends as backends_module
-
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        created = []
-        real_mkdtemp = backends_module.tempfile.mkdtemp
-
-        def tracking_mkdtemp(*args, **kwargs):
-            path = real_mkdtemp(*args, **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr(backends_module.tempfile, "mkdtemp",
-                            tracking_mkdtemp)
-
-        def exploding_pool(*args, **kwargs):
-            raise RuntimeError("pool refused to start")
-
-        monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
-                            exploding_pool)
-        runner = _subset_runner(models=["SPP3"], simulators=["spade-he"],
-                                max_workers=2)
-        with pytest.raises(RuntimeError, match="pool refused"):
-            runner.run(backend="process")
-        assert len(created) == 1
-        assert not os.path.exists(created[0])
-
     def test_env_cache_dir_is_never_deleted(self, tmp_path, monkeypatch):
         from repro.engine.backends import run_scoped_cache_dir
 

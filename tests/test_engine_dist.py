@@ -547,58 +547,6 @@ class TestAuth:
         assert table.to_csv() == serial_projection(spec).to_csv()
 
 
-class TestResultBatching:
-    def test_batched_run_matches_serial(self):
-        """batch_rows streams partial result frames; the assembled
-        table is still byte-identical to the serial run."""
-        spec = dist_spec()
-        port = free_port()
-        start_worker_thread(port)
-        table = spec.build_runner().run(
-            backend=DistBackend(port=port, start_timeout=30,
-                                chunksize=4, batch_rows=1))
-        assert table.to_csv() == serial_projection(spec).to_csv()
-
-    def test_worker_flushes_partial_frames(self):
-        spec = dist_spec(models=["SPP3"])
-        runner = spec.build_runner()
-        units = build_units(runner, runner.plan(), chunksize=2)
-        entries = units[0]["groups"]
-        assert len(entries) == 2
-        left, right = socket.socketpair()
-        try:
-            worker = Worker(("127.0.0.1", 0))
-            final = worker._run_unit(left, "u7", entries, TraceCache(),
-                                     {"synthetic": FrameProvider()},
-                                     batch_rows=1)
-            partial = recv_message(right)
-        finally:
-            left.close()
-            right.close()
-        assert partial["type"] == "result"
-        assert partial["done"] is False
-        assert set(partial["groups"]) == {"0"}
-        assert final["done"] is True
-        assert set(final["groups"]) == {"1"}
-        # Between them the frames cover the unit exactly once.
-        assert partial["groups"]["0"] and final["groups"]["1"]
-
-    def test_single_group_units_stay_one_frame(self):
-        spec = dist_spec(models=["SPP3"],
-                         scenarios=[{"name": "a", "seed": 0}])
-        runner = spec.build_runner()
-        units = build_units(runner, runner.plan(), chunksize=1)
-        worker = Worker(("127.0.0.1", 0))
-        final = worker._run_unit(None, "u1", units[0]["groups"],
-                                 TraceCache(),
-                                 {"synthetic": FrameProvider()},
-                                 batch_rows=1)
-        # No socket needed: one group never flushes a partial frame,
-        # and the legacy single-frame shape (no "done" key) is kept.
-        assert final.get("done", True) is True
-        assert set(final["groups"]) == {"0"}
-
-
 class TestDistSelection:
     def test_dist_requires_a_spec_built_runner(self):
         runner = ExperimentRunner(simulators=["spade-he"],

@@ -214,8 +214,6 @@ class TestBackendCoverage:
         assert all(unit["seconds"] > 0 for unit in observer.units)
         assert sum(unit["rows"] for unit in observer.units) \
             == len(table) == 8
-        if backend != "serial":
-            assert "trace" in [p["name"] for p in observer.phases]
 
     def test_process_backend_matches_serial_analytics(self):
         serial = observed_run(small_spec())[2]

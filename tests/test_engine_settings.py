@@ -76,12 +76,12 @@ class TestPrecedence:
 
 
 class TestRemovedTraceWorkersKnob:
-    """The trace stage runs at the pool width; it has no knob of its
-    own in the environment, the settings or the runner."""
+    """Tracing has no worker-count knob of its own in the environment,
+    the settings or the runner."""
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert "REPRO_ENGINE_TRACE_WORKERS" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 28
+        assert len(ENGINE_ENV_VARS) == 27
         # A value the old knob rejected no longer reaches any resolver.
         monkeypatch.setenv("REPRO_ENGINE_TRACE_WORKERS", "0")
         settings = EngineSettings.resolve(workers=3)
@@ -228,7 +228,6 @@ class TestDistKnobs:
         assert settings.start_timeout == 60.0
         assert settings.trace_stage is True
         assert settings.token is None
-        assert settings.batch_rows == 0
 
     def test_env_overrides_defaults(self, monkeypatch):
         from repro.engine.settings import DistSettings
@@ -243,13 +242,11 @@ class TestDistKnobs:
         monkeypatch.setenv("REPRO_ENGINE_DIST_START_TIMEOUT", "5")
         monkeypatch.setenv("REPRO_ENGINE_DIST_TRACE_STAGE", "0")
         monkeypatch.setenv("REPRO_ENGINE_DIST_TOKEN", "s3cret")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_BATCH_ROWS", "16")
         settings = DistSettings.resolve()
         assert settings == DistSettings(
             host="0.0.0.0", port=9001, chunksize=4, unit_timeout=12.5,
             heartbeat_interval=0.5, worker_timeout=3.0, max_attempts=7,
             start_timeout=5.0, trace_stage=False, token="s3cret",
-            batch_rows=16,
         )
 
     def test_explicit_beats_env(self, monkeypatch):
@@ -273,8 +270,6 @@ class TestDistKnobs:
         ("REPRO_ENGINE_DIST_MAX_ATTEMPTS", "1.5"),
         ("REPRO_ENGINE_DIST_START_TIMEOUT", "0"),
         ("REPRO_ENGINE_DIST_TRACE_STAGE", "maybe"),
-        ("REPRO_ENGINE_DIST_BATCH_ROWS", "-1"),
-        ("REPRO_ENGINE_DIST_BATCH_ROWS", "lots"),
     ])
     def test_bad_env_values_name_the_variable(self, monkeypatch, var,
                                               bad):
@@ -311,7 +306,7 @@ class TestDistKnobs:
     def test_dist_vars_are_in_the_engine_contract(self):
         dist_vars = [var for var in ENGINE_ENV_VARS
                      if var.startswith("REPRO_ENGINE_DIST_")]
-        assert len(dist_vars) == 11
+        assert len(dist_vars) == 10
 
 
 class TestServiceKnobs:
