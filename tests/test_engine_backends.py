@@ -495,6 +495,58 @@ class TestProgressReporting:
 
 
 class TestRunScopedTempdirCleanup:
+    def test_failing_run_cleans_up_tempdir(self, monkeypatch):
+        """A dist run that dies before any worker connects must still
+        remove its run-scoped trace-share directory (the try/finally
+        lives in run_scoped_cache_dir)."""
+        import os
+
+        import repro.engine.backends as backends_module
+        from repro.engine import DistBackend, DistRunError, ExperimentSpec
+
+        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+        created = []
+        real_mkdtemp = backends_module.tempfile.mkdtemp
+
+        def tracking_mkdtemp(*args, **kwargs):
+            path = real_mkdtemp(*args, **kwargs)
+            created.append(path)
+            return path
+
+        monkeypatch.setattr(backends_module.tempfile, "mkdtemp",
+                            tracking_mkdtemp)
+        spec = ExperimentSpec.from_dict({
+            "simulators": ["spade-he"], "models": ["SPP3"],
+            "scenarios": [{"name": "a", "seed": 0}],
+        })
+        backend = DistBackend(port=0, start_timeout=0.5,
+                              trace_stage=False)
+        with pytest.raises(DistRunError, match="no connected workers"):
+            spec.build_runner().run(backend=backend)
+        assert len(created) == 1
+        assert not os.path.exists(created[0])
+
+    def test_failing_process_run_makes_no_tempdir(self, monkeypatch):
+        """A process run that dies mid-pool raises its error and has no
+        temporary directory to leave behind."""
+        import repro.engine.backends as backends_module
+
+        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+        created = []
+        monkeypatch.setattr(backends_module.tempfile, "mkdtemp",
+                            lambda *args, **kwargs: created.append(args))
+
+        def exploding_pool(*args, **kwargs):
+            raise RuntimeError("pool refused to start")
+
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
+                            exploding_pool)
+        runner = _subset_runner(models=["SPP3"], simulators=["spade-he"],
+                                max_workers=2)
+        with pytest.raises(RuntimeError, match="pool refused"):
+            runner.run(backend="process")
+        assert created == []
+
     def test_env_cache_dir_is_never_deleted(self, tmp_path, monkeypatch):
         from repro.engine.backends import run_scoped_cache_dir
 

@@ -547,6 +547,34 @@ class TestAuth:
         assert table.to_csv() == serial_projection(spec).to_csv()
 
 
+class TestOneResultPerUnit:
+    def test_chunked_run_matches_serial(self):
+        """A unit of several groups comes back as one result frame; the
+        assembled table is still byte-identical to the serial run."""
+        spec = dist_spec()
+        port = free_port()
+        start_worker_thread(port)
+        backend = DistBackend(port=port, start_timeout=30, chunksize=4)
+        table = spec.build_runner().run(backend=backend)
+        assert backend.last_coordinator.stats["units"] == 1
+        assert table.to_csv() == serial_projection(spec).to_csv()
+
+    def test_multi_group_unit_is_one_frame(self):
+        spec = dist_spec(models=["SPP3"])
+        runner = spec.build_runner()
+        units = build_units(runner, runner.plan(), chunksize=2)
+        entries = units[0]["groups"]
+        assert len(entries) == 2
+        worker = Worker(("127.0.0.1", 0))
+        final = worker._run_unit("u7", entries, TraceCache(),
+                                 {"synthetic": FrameProvider()})
+        assert final["type"] == "result"
+        assert final["unit"] == "u7"
+        assert "done" not in final
+        assert set(final["groups"]) == {"0", "1"}
+        assert final["groups"]["0"] and final["groups"]["1"]
+
+
 class TestDistSelection:
     def test_dist_requires_a_spec_built_runner(self):
         runner = ExperimentRunner(simulators=["spade-he"],

@@ -96,6 +96,27 @@ class TestRemovedTraceWorkersKnob:
                              trace_workers=2)
 
 
+class TestRemovedBatchRowsKnob:
+    """Every dist unit returns one result frame; partial flushes have
+    no knob in the environment, the settings or the backend."""
+
+    def test_env_var_is_not_an_engine_knob(self, monkeypatch):
+        assert "REPRO_ENGINE_DIST_BATCH_ROWS" not in ENGINE_ENV_VARS
+        # A value the old knob rejected no longer reaches the resolver.
+        monkeypatch.setenv("REPRO_ENGINE_DIST_BATCH_ROWS", "lots")
+        settings = DistSettings.resolve()
+        assert not hasattr(settings, "batch_rows")
+        assert "batch_rows" not in settings.as_dict()
+
+    def test_argument_is_rejected(self):
+        from repro.engine import DistBackend
+
+        with pytest.raises(TypeError, match="batch_rows"):
+            DistSettings.resolve(batch_rows=1)
+        with pytest.raises(TypeError, match="batch_rows"):
+            DistBackend(batch_rows=1)
+
+
 class TestBadValuesNameTheOffender:
     """A bad value for *any* knob names the offending variable."""
 
