@@ -15,8 +15,9 @@ a :class:`Backend` for execution:
 
 A work group is one (scenario, model), so tracing where it is simulated
 traces every unique frame exactly once, with no stage or shared
-directory between the workers.  A resolved worker count of 1 falls back
-to plain serial execution — a width-1 pool is pure overhead.
+directory between the workers.  A plan that would fill only one pool
+process (one worker, or one chunk) runs serially in-process instead — a
+width-1 pool is pure overhead.
 
 Backends are selected by :class:`ExperimentRunner(backend=...)`, by the
 ``REPRO_ENGINE_BACKEND`` environment variable (``serial`` /
@@ -29,9 +30,6 @@ frames are seeded deterministically and traces are content-keyed.
 
 from __future__ import annotations
 
-import contextlib
-import shutil
-import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -113,52 +111,6 @@ def execute_group(group: WorkGroup, trace_lookup) -> list:
     for simulator in group.simulators:
         results.extend(execute_cell(group.scenario, simulator, traces))
     return results
-
-
-def plan_trace_jobs(groups: list, delta_trace: bool) -> list:
-    """The deduplicated trace-stage jobs of a plan.
-
-    Each job is ``(scenario, model, frames)``: one frame (a one-element
-    ``range``) per unique (scenario, model, frame), or — in delta mode —
-    one job per unique (scenario, model) covering its whole frame range,
-    a sequential chain in which each frame patches its predecessor.
-    The distributed backend's trace stage fans these jobs out.
-    """
-    jobs = {}
-    for group in groups:
-        scenario, model = group.scenario, group.model
-        if delta_trace:
-            chains = [range(scenario.frames)]
-        else:
-            chains = [range(frame, frame + 1)
-                      for frame in range(scenario.frames)]
-        for frames in chains:
-            key = (scenario.name, _model_name(model), frames.start)
-            jobs.setdefault(key, (scenario, model, frames))
-    return list(jobs.values())
-
-
-@contextlib.contextmanager
-def run_scoped_cache_dir(prefix: str = "repro-trace-cache-"):
-    """The shared trace-artifact directory of one run, as a context.
-
-    Yields ``(cache_dir, is_run_scoped)``: the configured
-    ``REPRO_TRACE_CACHE_DIR`` when one is set (``is_run_scoped=False``,
-    nothing is ever deleted), otherwise a freshly created run-scoped
-    temporary directory (``is_run_scoped=True``) that is removed on
-    exit **whether or not the run succeeded**, so the distributed
-    coordinator, which shares traces with its workers through this
-    directory, never leaks it.
-    """
-    cache_dir = EngineSettings.resolve_one("cache_dir")
-    if cache_dir is not None:
-        yield cache_dir, False
-        return
-    temp_dir = tempfile.mkdtemp(prefix=prefix)
-    try:
-        yield temp_dir, True
-    finally:
-        shutil.rmtree(temp_dir, ignore_errors=True)
 
 
 def chunk_payload(payload: list, workers: int,
@@ -375,19 +327,11 @@ def _init_worker(settings: EngineSettings) -> None:
 def _worker_trace(scenario, model, frame, prev_trace=None):
     """This worker's ``trace_lookup`` for :func:`execute_group`."""
     from ..models.specs import ModelSpec, build_model_spec
+    from .runner import lookup_trace
 
-    settings = _WORKER_SETTINGS
-    pillar_frame = _WORKER_FRAMES.frame_for(scenario, model, frame)
     spec = model if isinstance(model, ModelSpec) else build_model_spec(model)
-    return _WORKER_CACHE.get_trace(
-        spec,
-        pillar_frame.coords,
-        pillar_frame.point_counts.astype(float),
-        rulegen_shards=settings.rulegen_shards,
-        prev_trace=prev_trace if settings.delta_trace else None,
-        delta_threshold=settings.delta_threshold,
-        label=(scenario.name, _model_name(model)),
-    )
+    return lookup_trace(_WORKER_SETTINGS, _WORKER_CACHE, _WORKER_FRAMES,
+                        spec, scenario, model, frame, prev_trace)
 
 
 def _run_chunk(chunk: list) -> dict:
@@ -427,9 +371,12 @@ class ProcessBackend(Backend):
     :class:`FrameProvider` reuse a scenario's frames across the models
     that share a grid.
 
-    A resolved worker count of 1 skips the pool entirely and runs the
-    plan in-process (still stripping ``raw``, preserving the backend's
-    result contract).
+    The pool is ``min(workers, chunks)`` processes wide, so tracing fans
+    out no wider than the plan has work groups: a few-group sweep of
+    many frames traces each group's frames in one process.  When that
+    width is 1 (one worker, or one chunk) the pool is skipped entirely
+    and the plan runs in-process (still stripping ``raw``, preserving
+    the backend's result contract).
 
     Restrictions: the runner must be on the default frame path — a
     ``trace_provider`` closure or a custom frame-provider instance cannot
@@ -482,7 +429,13 @@ class ProcessBackend(Backend):
         if not groups:
             return []
         workers = self.max_workers or runner.max_workers
-        if workers == 1:
+        payload = [
+            (group.scenario, group.model, tuple(group.simulators))
+            for group in groups
+        ]
+        chunks = chunk_payload(payload, workers, self.chunksize)
+        width = min(workers, len(chunks))
+        if width == 1:
             # Pure pool overhead at width 1: run in-process through the
             # runner's own cache, keeping the raw-stripping contract.
             nested = SerialBackend().execute(runner, groups)
@@ -491,13 +444,8 @@ class ProcessBackend(Backend):
                     row.raw = None
             return nested
 
-        payload = [
-            (group.scenario, group.model, tuple(group.simulators))
-            for group in groups
-        ]
-        chunks = chunk_payload(payload, workers, self.chunksize)
         chunk_results = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+        with ProcessPoolExecutor(max_workers=width,
                                  initializer=_init_worker,
                                  initargs=(runner.settings,)) as pool:
             for chunk, outcome in zip(chunks, pool.map(_run_chunk, chunks)):

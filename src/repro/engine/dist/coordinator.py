@@ -40,7 +40,10 @@ run's.
 
 from __future__ import annotations
 
+import contextlib
+import shutil
 import socket
+import tempfile
 import threading
 import time
 from collections import deque
@@ -56,14 +59,12 @@ from ..backends import (
     observe_phase,
     observe_unit_done,
     observer_of,
-    plan_trace_jobs,
     report_group_done,
-    run_scoped_cache_dir,
 )
 from ..cache import TraceCache
 from ..registry import register_backend
 from ..result import _record_to_result
-from ..settings import DIST_TOKEN_ENV_VAR, DistSettings
+from ..settings import DIST_TOKEN_ENV_VAR, DistSettings, EngineSettings
 from .protocol import (
     ProtocolError,
     auth_nonce,
@@ -755,6 +756,50 @@ class Coordinator:
 # ---------------------------------------------------------------------------
 
 
+def plan_trace_jobs(groups: list, delta_trace: bool) -> list:
+    """The deduplicated jobs of :meth:`DistBackend._trace_stage`.
+
+    Each job is ``(scenario, model, frames)``: one frame (a one-element
+    ``range``) per unique (scenario, model, frame), or — in delta mode —
+    one job per unique (scenario, model) covering its whole frame range,
+    a sequential chain in which each frame patches its predecessor.
+    """
+    jobs = {}
+    for group in groups:
+        scenario, model = group.scenario, group.model
+        if delta_trace:
+            chains = [range(scenario.frames)]
+        else:
+            chains = [range(frame, frame + 1)
+                      for frame in range(scenario.frames)]
+        for frames in chains:
+            key = (scenario.name, _model_name(model), frames.start)
+            jobs.setdefault(key, (scenario, model, frames))
+    return list(jobs.values())
+
+
+@contextlib.contextmanager
+def run_scoped_cache_dir(prefix: str = "repro-trace-cache-"):
+    """The directory one dist run shares traces through, as a context.
+
+    Yields ``(cache_dir, is_run_scoped)``: the configured
+    ``REPRO_TRACE_CACHE_DIR`` when one is set (``is_run_scoped=False``,
+    nothing is ever deleted), otherwise a freshly created run-scoped
+    temporary directory (``is_run_scoped=True``) that is removed on
+    exit **whether or not the run succeeded**, so the coordinator never
+    leaks it.
+    """
+    cache_dir = EngineSettings.resolve_one("cache_dir")
+    if cache_dir is not None:
+        yield cache_dir, False
+        return
+    temp_dir = tempfile.mkdtemp(prefix=prefix)
+    try:
+        yield temp_dir, True
+    finally:
+        shutil.rmtree(temp_dir, ignore_errors=True)
+
+
 @register_backend("dist")
 class DistBackend(Backend):
     """Coordinator/worker distributed execution over TCP.
@@ -906,31 +951,24 @@ class DistBackend(Backend):
         """
         from concurrent.futures import ThreadPoolExecutor
 
+        from ..runner import lookup_trace
+
         if (runner.cache.disk_dir is not None
                 and str(runner.cache.disk_dir) == str(cache_dir)):
             cache = runner.cache
         else:
             cache = TraceCache(maxsize=4, disk_dir=cache_dir)
-        threshold = getattr(runner, "delta_threshold", None)
-        jobs = plan_trace_jobs(groups,
-                               getattr(runner, "delta_trace", False))
+        jobs = plan_trace_jobs(groups, runner.settings.delta_trace)
 
         def trace(job):
             """Trace one job's frames, each patching its predecessor."""
             scenario, model, frames = job
             prev = None
             for frame in frames:
-                built = runner.frame_provider.frame_for(scenario, model,
-                                                        frame)
-                prev = cache.get_trace(
-                    runner._spec_for(model),
-                    built.coords,
-                    built.point_counts.astype(float),
-                    rulegen_shards=runner.rulegen_shards,
-                    prev_trace=prev,
-                    delta_threshold=threshold,
-                    label=(scenario.name, _model_name(model)),
-                )
+                prev = lookup_trace(runner.settings, cache,
+                                    runner.frame_provider,
+                                    runner._spec_for(model), scenario,
+                                    model, frame, prev)
 
         width = min(runner.max_workers, len(jobs))
         if width > 1:

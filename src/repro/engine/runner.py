@@ -182,6 +182,31 @@ class FrameProvider:
 register_frame_provider("synthetic", FrameProvider)
 
 
+def lookup_trace(settings: EngineSettings, cache: TraceCache,
+                 frames: FrameProvider, spec: ModelSpec, scenario: Scenario,
+                 model, frame: int, prev_trace: ModelTrace = None
+                 ) -> ModelTrace:
+    """The (cached) trace of one frame of one grid cell.
+
+    The one trace-lookup policy: the frame comes from ``frames``, the
+    trace from ``cache``, with ``settings``' rulegen shards and delta
+    threshold; ``prev_trace`` (the previous sequential frame's trace)
+    seeds a delta patch on a miss only when ``settings.delta_trace`` is
+    on.  :meth:`ExperimentRunner.trace_for`, the process backend's
+    workers and the distributed trace stage all trace through it.
+    """
+    built = frames.frame_for(scenario, model, frame)
+    return cache.get_trace(
+        spec,
+        built.coords,
+        built.point_counts.astype(float),
+        rulegen_shards=settings.rulegen_shards,
+        prev_trace=prev_trace if settings.delta_trace else None,
+        delta_threshold=settings.delta_threshold,
+        label=(scenario.name, spec.name),
+    )
+
+
 class ExperimentRunner:
     """Run every (scenario, model, simulator) combination of a grid.
 
@@ -325,16 +350,9 @@ class ExperimentRunner:
                     "(frames > 1) need the frame-provider path"
                 )
             return self.trace_provider(scenario, self._model_name(model))
-        built = self.frame_provider.frame_for(scenario, model, frame)
-        return self.cache.get_trace(
-            self._spec_for(model),
-            built.coords,
-            built.point_counts.astype(float),
-            rulegen_shards=self.rulegen_shards,
-            prev_trace=prev_trace if self.delta_trace else None,
-            delta_threshold=self.delta_threshold,
-            label=(scenario.name, self._model_name(model)),
-        )
+        return lookup_trace(self.settings, self.cache, self.frame_provider,
+                            self._spec_for(model), scenario, model, frame,
+                            prev_trace)
 
     def trace_chain(self, scenario: Scenario, model) -> list:
         """All frame traces of one (scenario, model), in frame order.

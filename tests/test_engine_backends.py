@@ -344,12 +344,32 @@ class TestSerialFallback:
         assert table.results[0] == serial.results[0]
 
     def test_width_one_fallback_matches_pooled_numbers(self):
-        pooled = _subset_runner(models=["SPP3"], simulators=["spade-he"],
+        pooled = _subset_runner(simulators=["spade-he"],
                                 max_workers=2).run(backend="process")
-        fallback = _subset_runner(models=["SPP3"], simulators=["spade-he"],
+        fallback = _subset_runner(simulators=["spade-he"],
                                   max_workers=1).run(backend="process")
+        assert len(pooled) == len(fallback) == len(SUBSET_MODELS)
         for left, right in zip(pooled, fallback):
             assert left == right
+
+    def test_process_backend_one_chunk_skips_pool(self, monkeypatch):
+        """A plan that fills one chunk would start a one-process pool:
+        it runs in-process whatever the worker count."""
+        import repro.engine.backends as backends_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk plan must not pool")
+
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", no_pool)
+        one_group = _subset_runner(models=["SPP3"], simulators=["spade-he"],
+                                   scenarios=[Scenario("w", frames=3)],
+                                   max_workers=4)
+        table = one_group.run(backend="process")
+        assert all(row.raw is None for row in table.results)
+        assert table.to_csv() == one_group.run(backend="serial").to_csv()
+        chunked = _subset_runner(simulators=["spade-he"], max_workers=2)
+        table = chunked.run(backend=ProcessBackend(chunksize=2))
+        assert table.to_csv() == chunked.run(backend="serial").to_csv()
 
 
 class TestProcessWorkerTracing:
@@ -363,8 +383,9 @@ class TestProcessWorkerTracing:
     ], ids=["one-job", "few-jobs", "many-jobs", "delta-chains"])
     def test_one_map_traces_each_frame_once(self, monkeypatch, workers,
                                             models, frames, delta):
-        """One pool ``map`` over the chunk_payload chunks, one trace per
-        unique frame, no temporary directory, and the serial table."""
+        """At most one pool ``map``, over the chunk_payload chunks; one
+        trace per unique frame, no temporary directory, and the serial
+        table."""
         import functools
         import tempfile
 
@@ -400,7 +421,10 @@ class TestProcessWorkerTracing:
 
         process = runner()
         table = process.run(backend="process")
-        assert maps == [len(chunk_payload(process.plan(), workers))]
+        # A one-chunk plan would fill one pool process: it runs
+        # in-process instead.
+        chunks = len(chunk_payload(process.plan(), workers))
+        assert maps == ([chunks] if chunks > 1 else [])
         assert len(traced) == len(models) * frames
         assert made_dirs == []
         assert table.to_csv() == runner().run(backend="serial").to_csv()
@@ -500,21 +524,20 @@ class TestRunScopedTempdirCleanup:
         remove its run-scoped trace-share directory (the try/finally
         lives in run_scoped_cache_dir)."""
         import os
+        import tempfile
 
-        import repro.engine.backends as backends_module
         from repro.engine import DistBackend, DistRunError, ExperimentSpec
 
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         created = []
-        real_mkdtemp = backends_module.tempfile.mkdtemp
+        real_mkdtemp = tempfile.mkdtemp
 
         def tracking_mkdtemp(*args, **kwargs):
             path = real_mkdtemp(*args, **kwargs)
             created.append(path)
             return path
 
-        monkeypatch.setattr(backends_module.tempfile, "mkdtemp",
-                            tracking_mkdtemp)
+        monkeypatch.setattr(tempfile, "mkdtemp", tracking_mkdtemp)
         spec = ExperimentSpec.from_dict({
             "simulators": ["spade-he"], "models": ["SPP3"],
             "scenarios": [{"name": "a", "seed": 0}],
@@ -529,11 +552,13 @@ class TestRunScopedTempdirCleanup:
     def test_failing_process_run_makes_no_tempdir(self, monkeypatch):
         """A process run that dies mid-pool raises its error and has no
         temporary directory to leave behind."""
+        import tempfile
+
         import repro.engine.backends as backends_module
 
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         created = []
-        monkeypatch.setattr(backends_module.tempfile, "mkdtemp",
+        monkeypatch.setattr(tempfile, "mkdtemp",
                             lambda *args, **kwargs: created.append(args))
 
         def exploding_pool(*args, **kwargs):
@@ -541,14 +566,13 @@ class TestRunScopedTempdirCleanup:
 
         monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
                             exploding_pool)
-        runner = _subset_runner(models=["SPP3"], simulators=["spade-he"],
-                                max_workers=2)
+        runner = _subset_runner(simulators=["spade-he"], max_workers=2)
         with pytest.raises(RuntimeError, match="pool refused"):
             runner.run(backend="process")
         assert created == []
 
     def test_env_cache_dir_is_never_deleted(self, tmp_path, monkeypatch):
-        from repro.engine.backends import run_scoped_cache_dir
+        from repro.engine.dist.coordinator import run_scoped_cache_dir
 
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         with pytest.raises(RuntimeError):
@@ -561,7 +585,7 @@ class TestRunScopedTempdirCleanup:
     def test_tempdir_removed_even_on_failure_inside(self, monkeypatch):
         import os
 
-        from repro.engine.backends import run_scoped_cache_dir
+        from repro.engine.dist.coordinator import run_scoped_cache_dir
 
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         with pytest.raises(RuntimeError):
