@@ -137,10 +137,14 @@ def _naive_sweep(runner: ExperimentRunner) -> float:
     engine too); the per-simulator re-tracing — rulegen, the hot path —
     is what the engine eliminates.
     """
+    frames = {
+        (scenario, name): runner.frame_provider.frame_for(scenario, name)
+        for scenario in runner.scenarios for name in runner.models
+    }
     start = time.perf_counter()
     for scenario in runner.scenarios:
         for name in runner.models:
-            frame = runner.frame_provider.frame_for(scenario, name)
+            frame = frames[scenario, name]
             for simulator in runner.simulators:
                 trace = trace_model(
                     build_model_spec(name),

@@ -59,6 +59,13 @@ def voxelize(
 ) -> PillarBatch:
     """Bin a point cloud into active pillars with decorated point features.
 
+    Binning is one stable sort and ``np.unique`` over flat cell indices;
+    decoration is array-wide (a segment sum per pillar for the centroid,
+    one scatter per feature column group), so the cost does not grow
+    with a Python loop over pillars.  Each point keeps its position in
+    the sorted order, so a pillar's first ``max_points_per_pillar``
+    points fill its slots and the rest only move its centroid.
+
     Args:
         cloud: Input sweep (will be cropped to the grid range).
         grid: Target BEV grid.
@@ -73,17 +80,6 @@ def voxelize(
         A :class:`PillarBatch` with coordinates in CPR order.
     """
     cloud = cloud.crop(grid)
-    if len(cloud) == 0:
-        empty = np.zeros((0, 2), dtype=np.int32)
-        return PillarBatch(
-            coords=empty,
-            point_features=np.zeros(
-                (0, max_points_per_pillar, DECORATED_DIM), dtype=np.float32
-            ),
-            point_counts=np.zeros(0, dtype=np.int32),
-            grid=grid,
-        )
-
     cols = ((cloud.points[:, 0] - grid.x_range[0]) / grid.pillar_size).astype(np.int64)
     rows = ((cloud.points[:, 1] - grid.y_range[0]) / grid.pillar_size).astype(np.int64)
     cols = np.clip(cols, 0, grid.nx - 1)
@@ -91,9 +87,8 @@ def voxelize(
     flat = rows * grid.nx + cols
 
     order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
     unique_flat, first_index, counts = np.unique(
-        flat_sorted, return_index=True, return_counts=True
+        flat[order], return_index=True, return_counts=True
     )
     if max_pillars is not None and len(unique_flat) > max_pillars:
         unique_flat = unique_flat[:max_pillars]
@@ -104,27 +99,35 @@ def voxelize(
     coords = np.stack(
         [unique_flat // grid.nx, unique_flat % grid.nx], axis=1
     ).astype(np.int32)
+    kept_counts = np.minimum(counts, max_points_per_pillar).astype(np.int32)
 
+    # Points sorted by pillar; those past a max_pillars cap are dropped.
+    order = order[: counts.sum()]
+    points = cloud.points[order]
+    pillar = np.repeat(np.arange(num_pillars), counts)
+    slot = np.arange(len(order)) - first_index[pillar]
+
+    # Centroids over all of a pillar's points, truncated ones included.
+    # float32 sums from 0.0 in point order reproduce ``mean(axis=0)``
+    # bit for bit (``np.add.reduceat`` rounds differently); one 1-D
+    # ``np.add.at`` per axis is ~9x faster than one over (P, 3) rows.
+    sums = np.zeros((3, num_pillars), dtype=np.float32)
+    for axis in range(3):
+        np.add.at(sums[axis], pillar, points[:, axis])
+    centroid = (sums.T / counts[:, None]).astype(np.float32)
+    center_x = grid.x_range[0] + (coords[:, 1] + 0.5) * grid.pillar_size
+    center_y = grid.y_range[0] + (coords[:, 0] + 0.5) * grid.pillar_size
+
+    keep = slot < max_points_per_pillar
+    pillar, slot, points = pillar[keep], slot[keep], points[keep]
     features = np.zeros(
         (num_pillars, max_points_per_pillar, DECORATED_DIM), dtype=np.float32
     )
-    kept_counts = np.minimum(counts, max_points_per_pillar).astype(np.int32)
-
-    points_sorted = cloud.points[order]
-    intensity_sorted = cloud.intensity[order]
-    for i in range(num_pillars):
-        start = first_index[i]
-        keep = int(kept_counts[i])
-        pts = points_sorted[start : start + keep]
-        inten = intensity_sorted[start : start + keep]
-        centroid = points_sorted[start : start + counts[i]].mean(axis=0)
-        center_x = grid.x_range[0] + (coords[i, 1] + 0.5) * grid.pillar_size
-        center_y = grid.y_range[0] + (coords[i, 0] + 0.5) * grid.pillar_size
-        features[i, :keep, 0:3] = pts
-        features[i, :keep, 3] = inten
-        features[i, :keep, 4:7] = pts - centroid
-        features[i, :keep, 7] = pts[:, 0] - center_x
-        features[i, :keep, 8] = pts[:, 1] - center_y
+    features[pillar, slot, 0:3] = points
+    features[pillar, slot, 3] = cloud.intensity[order[keep]]
+    features[pillar, slot, 4:7] = points - centroid[pillar]
+    features[pillar, slot, 7] = points[:, 0] - center_x[pillar]
+    features[pillar, slot, 8] = points[:, 1] - center_y[pillar]
 
     return PillarBatch(
         coords=coords,

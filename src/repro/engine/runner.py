@@ -105,9 +105,12 @@ class FrameProvider:
 
     Models sharing a grid within a scenario share the frame — matching
     how the benchmark suite has always fed one KITTI frame to all SPP
-    variants and one nuScenes frame to all SCP variants.  Generation is
-    serialized behind a lock so parallel trace workers cannot duplicate
-    the (expensive) scene synthesis for a shared grid.
+    variants and one nuScenes frame to all SCP variants.  Frames are
+    keyed by the whole :class:`~repro.data.grids.GridSpec`, not its
+    name, so a custom grid that keeps a built-in name (say KITTI with
+    a coarser pillar) gets its own frame.  Concurrent callers for one
+    key wait on the first builder, so scene synthesis and
+    :func:`~repro.data.pillars.voxelize` run once per key.
     """
 
     def __init__(self):
@@ -152,7 +155,7 @@ class FrameProvider:
         """
         grid, scene_config = self._grid_and_config(model)
         seed = scenario.seed + frame
-        key = (scenario.name, seed, grid.name)
+        key = (scenario.name, seed, grid)
         while True:
             with self._lock:
                 if key in self._frames:

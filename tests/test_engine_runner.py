@@ -210,6 +210,33 @@ class TestRunnerParallelism:
         result = runner.run().get(model="SPP3", simulator="SPADE.HE")
         assert 0 < result.cycles
 
+    def test_custom_grid_keeping_a_builtin_name_gets_its_own_frame(self):
+        # Regression: frames were keyed by grid name, so a coarser grid
+        # still named "kitti" got whichever KITTI frame was built first.
+        from dataclasses import replace
+
+        from repro.data import KITTI_GRID
+
+        coarse = replace(KITTI_GRID, pillar_size=0.32)
+        custom = build_model_spec("SPP3")
+        custom.name = "SPP3-coarse"
+        custom.grid = coarse
+        custom_coords = []
+        for models in ([custom, "SPP3"], ["SPP3", custom]):
+            runner = ExperimentRunner(
+                simulators=["spade-he"], models=models, cache=TraceCache(),
+            )
+            scenario = runner.scenarios[0]
+            frames = [runner.frame_provider.frame_for(scenario, model)
+                      for model in models]
+            ours, builtin = frames if models[0] is custom else frames[::-1]
+            assert ours.grid == coarse and builtin.grid == KITTI_GRID
+            assert ours.coords[:, 0].max() < coarse.ny
+            assert ours.coords[:, 1].max() < coarse.nx
+            assert ours.num_active < builtin.num_active
+            custom_coords.append(ours.coords.tobytes())
+        assert custom_coords[0] == custom_coords[1]
+
     def test_custom_modelspec_uses_its_own_grid(self):
         # Regression: a renamed KITTI-grid spec must be fed a KITTI
         # frame, not the zoo's unknown-name nuScenes fallback.
