@@ -438,7 +438,7 @@ class SparsityAnalyzer:
 
     The incremental-analyzer idiom: the analyzer is attached once,
     ingests layer observations *as results complete* (rows streaming out
-    of a backend, traces coming off the trace stage), and keeps only
+    of a backend, or traces as they are built), and keeps only
     constant-size running aggregates — count / mean / min / max per
     (model, layer, field) — never the rows or traces themselves.  That
     is what lets a :class:`~repro.engine.manifest.RunObserver` surface

@@ -28,8 +28,9 @@
   analytics) written alongside every ``repro run --out`` sink;
 * :mod:`repro.engine.dist`       — the distributed coordinator/worker
   backend (``"dist"``): spec-dict work units over length-prefixed JSON
-  TCP, trace-artifact shipping through the cache disk tier, heartbeats
-  and requeue-based fault tolerance (``repro worker`` serves it);
+  TCP, workers that trace the groups they simulate through the run's
+  cache disk tier, heartbeats and requeue-based fault tolerance
+  (``repro worker`` serves it);
 * :mod:`repro.engine.service`    — the persistent experiment service
   (``repro serve``): a durable priority run queue and a worker fleet
   reused across runs, with ``repro submit/status/results/cancel/queue``

@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import telemetry
-from .cache import TraceCache
+from .cache import TraceCache, counter_delta
 from .registry import BACKENDS, register_backend
 from .result import mean_result
 from .settings import EngineSettings
@@ -206,16 +206,18 @@ def journal_of(runner):
 
 def observe_unit_done(runner, scenario_name: str, model_name: str,
                       seconds: float, results=(),
-                      worker: str = None) -> None:
+                      worker: str = None, cache: dict = None) -> None:
     """Report one finished work group to the runner's observer, if any.
 
     ``results`` are the group's streamed rows (fed to the observer's
     per-layer analyzer); ``worker`` identifies the executing distributed
-    worker.  When a run journal is active the group is also appended to
-    it here — durably, before the call returns — which is what makes
-    every backend resumable through the one seam.  A no-op without an
-    active observer or journal, so the hot path costs two attribute
-    reads.
+    worker; ``cache`` is the counter delta of the worker-side cache that
+    traced the group (None when it was the runner's own cache, whose
+    delta the observer takes itself).  When a run journal is active the
+    group is also appended to it here — durably, before the call
+    returns — which is what makes every backend resumable through the
+    one seam.  A no-op without an active observer or journal, so the
+    hot path costs two attribute reads.
     """
     journal = journal_of(runner)
     if journal is not None:
@@ -224,17 +226,10 @@ def observe_unit_done(runner, scenario_name: str, model_name: str,
     observer = observer_of(runner)
     if observer is not None:
         observer.record_unit(scenario_name, model_name, seconds,
-                             results=results, worker=worker)
+                             results=results, worker=worker, cache=cache)
     telemetry.metrics().observe("repro_unit_seconds", float(seconds),
                                 scenario=scenario_name,
                                 model=model_name)
-
-
-def observe_phase(runner, name: str, seconds: float) -> None:
-    """Report one named backend stage's wall time to the observer."""
-    observer = observer_of(runner)
-    if observer is not None:
-        observer.record_phase(name, seconds)
 
 
 class BackendUnavailable(RuntimeError):
@@ -338,22 +333,26 @@ def _run_chunk(chunk: list) -> dict:
     """Execute one pickled chunk of (scenario, model, simulators) units.
 
     Returns ``{"rows": [row list per group], "seconds": [wall seconds
-    per group]}`` — groups are timed *here*, in the worker process,
-    because the parent only observes chunk completions.
+    per group], "cache": [cache counter delta per group]}`` — groups are
+    timed and their trace lookups counted *here*, in the worker process,
+    because the parent sees neither this worker's clock nor its cache.
     """
     nested = []
     seconds = []
+    deltas = []
     for scenario, model, simulators in chunk:
         group = WorkGroup(scenario, model, tuple(simulators))
+        before = _WORKER_CACHE.stats()
         started = time.monotonic()
         rows = execute_group(group, _worker_trace)
         seconds.append(time.monotonic() - started)
+        deltas.append(counter_delta(before, _WORKER_CACHE.stats()))
         for row in rows:
             # The legacy result objects retain whole rule arrays; never
             # ship them back over IPC.
             row.raw = None
         nested.append(rows)
-    return {"rows": nested, "seconds": seconds}
+    return {"rows": nested, "seconds": seconds, "cache": deltas}
 
 
 @register_backend("process")
@@ -450,10 +449,12 @@ class ProcessBackend(Backend):
                                  initargs=(runner.settings,)) as pool:
             for chunk, outcome in zip(chunks, pool.map(_run_chunk, chunks)):
                 chunk_results.append(outcome["rows"])
-                for (scenario, model, _), rows, seconds in zip(
-                        chunk, outcome["rows"], outcome["seconds"]):
+                for (scenario, model, _), rows, seconds, delta in zip(
+                        chunk, outcome["rows"], outcome["seconds"],
+                        outcome["cache"]):
                     observe_unit_done(runner, scenario.name,
-                                      _model_name(model), seconds, rows)
+                                      _model_name(model), seconds, rows,
+                                      cache=delta)
                 report_group_done(runner, count=len(chunk))
         return [rows for chunk in chunk_results for rows in chunk]
 

@@ -56,6 +56,18 @@ TRACE_ARTIFACT_SUFFIX = ".trace.pkl"
 #: TRACE_ARTIFACT_SUFFIX globs.
 QUARANTINE_SUFFIX = ".trace.quarantined"
 
+#: The :meth:`TraceCache.stats` counters that accumulate over a run (the
+#: remaining keys — entry count, directory, labels — are state).
+CACHE_DELTA_KEYS = ("hits", "misses", "disk_hits", "disk_writes",
+                    "delta_layers", "full_layers", "quarantined")
+
+
+def counter_delta(before: dict, after: dict) -> dict:
+    """The counter increments between two :meth:`TraceCache.stats`
+    snapshots, one per :data:`CACHE_DELTA_KEYS` entry."""
+    return {key: after.get(key, 0) - before.get(key, 0)
+            for key in CACHE_DELTA_KEYS}
+
 
 def spec_fingerprint(spec: ModelSpec) -> str:
     """Deterministic digest of a model's layer graph.

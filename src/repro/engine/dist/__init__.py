@@ -9,9 +9,9 @@
   behind ``repro worker --connect HOST:PORT``.
 
 Work units are serialized :class:`~repro.engine.spec.ExperimentSpec`
-dicts; trace artifacts ship by content key through the shared
-:class:`~repro.engine.cache.TraceCache` disk tier rather than over the
-socket.  See the README's "Distributed execution" section for the
+dicts; each worker traces the groups it simulates, through the run's
+:class:`~repro.engine.cache.TraceCache` disk tier (traces never cross
+the socket).  See the README's "Distributed execution" section for the
 deployment story.
 """
 

@@ -12,13 +12,16 @@ worker processes started with ``repro worker --connect HOST:PORT``:
    nothing but the ``repro`` package to execute it.  Groups are chunked
    into *units* (``chunksize`` groups per dispatch, default 1), the
    granularity of scheduling and of requeue.
-2. **Trace shipping.**  Before dispatching, the coordinator's trace
-   stage traces every unique (scenario, model, frame) once into the
-   shared :class:`~repro.engine.cache.TraceCache` disk tier — the
-   ``REPRO_TRACE_CACHE_DIR`` directory when set (shared storage in a
-   real deployment), else a run-scoped temporary directory that still
-   serves loopback workers.  Workers then load trace artifacts by
-   content key instead of re-running rulegen per worker.
+2. **Tracing where it is simulated.**  A work group is one (scenario,
+   model), so the worker that simulates a group traces its frames,
+   through a worker-lifetime :class:`~repro.engine.cache.TraceCache`
+   over the run's own disk tier (``runner.settings.cache_dir``,
+   announced in the ``welcome`` handshake) — the tier the process
+   backend's workers use.  Every unique frame is traced once, with no
+   pass over the plan before dispatch; artifacts a previous run left in
+   the tier (shared storage in a real deployment) load by content key.
+   Each group's cache counter delta rides home in its ``result`` frame,
+   so the run manifest counts the fleet's lookups.
 3. **Pull scheduling.**  Workers *request* units when idle
    (work-stealing semantics: fast workers simply pull more), execute
    them serially, and stream row records back.
@@ -40,10 +43,7 @@ run's.
 
 from __future__ import annotations
 
-import contextlib
-import shutil
 import socket
-import tempfile
 import threading
 import time
 from collections import deque
@@ -56,15 +56,13 @@ from ..backends import (
     _model_name,
     chunk_payload,
     journal_of,
-    observe_phase,
     observe_unit_done,
     observer_of,
     report_group_done,
 )
-from ..cache import TraceCache
 from ..registry import register_backend
 from ..result import _record_to_result
-from ..settings import DIST_TOKEN_ENV_VAR, DistSettings, EngineSettings
+from ..settings import DIST_TOKEN_ENV_VAR, DistSettings
 from .protocol import (
     ProtocolError,
     auth_nonce,
@@ -221,14 +219,15 @@ class Coordinator:
 
     def __init__(self, units: list, settings: DistSettings,
                  cache_dir: str = None, on_unit_done=None,
-                 hold_units: bool = False, on_group_done=None):
+                 on_group_done=None):
         self.settings = settings
         self.cache_dir = cache_dir
         self.on_unit_done = on_unit_done
         #: Optional per-group stats callback ``(group_index, rows,
-        #: seconds, worker_id)``, fired once per group of each first
-        #: *accepted* unit result (requeued duplicates never re-fire) —
-        #: how :class:`DistBackend` feeds worker-side timings into a
+        #: seconds, worker_id, cache)``, fired once per group of each
+        #: first *accepted* unit result (requeued duplicates never
+        #: re-fire) — how :class:`DistBackend` feeds worker-side
+        #: timings and cache counter deltas into a
         #: :class:`~repro.engine.manifest.RunObserver`.
         self.on_group_done = on_group_done
         self._units = {unit["unit"]: unit for unit in units}
@@ -238,14 +237,7 @@ class Coordinator:
         #: exhausts its cap, so the failure names every try.
         self._history = {unit["unit"]: [] for unit in units}
         self._last_error = {}
-        # hold_units lets the backend bind the listener (so workers can
-        # connect and handshake) while its trace stage is still
-        # running; workers politely receive ``wait`` until
-        # release_units() opens the queue.
-        self._held = (deque(unit["unit"] for unit in units)
-                      if hold_units else deque())
-        self._pending = (deque() if hold_units
-                         else deque(unit["unit"] for unit in units))
+        self._pending = deque(unit["unit"] for unit in units)
         self._inflight = {}           # unit id -> (worker, deadline)
         self._done = set()
         self._rows = {}               # group index -> [SimResult, ...]
@@ -277,11 +269,9 @@ class Coordinator:
     def start(self) -> None:
         """Bind the listener and start serving connections (idempotent).
 
-        Separated from :meth:`serve` so the backend can open the door
-        *before* its trace stage: workers started first (the documented
-        workflow) connect and handshake immediately instead of burning
-        their connection-retry window against a port that is not bound
-        until minutes of rulegen finish.
+        Separated from :meth:`serve` so a coordinator can listen without
+        waiting on completion — the experiment service's fleet binds
+        once and outlives every run.
         """
         if self._listener is not None:
             return
@@ -309,13 +299,6 @@ class Coordinator:
         for thread in self._threads:
             thread.start()
 
-    def release_units(self) -> None:
-        """Open the queue to held units (no-op without ``hold_units``)."""
-        with self._cond:
-            self._pending.extend(self._held)
-            self._held.clear()
-            self._cond.notify_all()
-
     def shutdown(self, close_workers: bool = True) -> None:
         """Stop threads and close sockets (idempotent, safe anytime)."""
         self._stop.set()
@@ -338,7 +321,6 @@ class Coordinator:
                 workers were available for ``start_timeout`` seconds.
         """
         self.start()
-        self.release_units()
         try:
             with self._cond:
                 while self._failure is None and not self._completed():
@@ -556,6 +538,7 @@ class Coordinator:
             for index, records in (msg.get("groups") or {}).items()
         }
         timings = msg.get("timings") or {}
+        deltas = msg.get("cache") or {}
         with self._cond:
             worker.last_seen = time.monotonic()
             if worker.inflight == unit_id:
@@ -599,6 +582,7 @@ class Coordinator:
                     index, rows,
                     float(timings.get(str(index)) or 0.0),
                     worker.worker_id,
+                    deltas.get(str(index)),
                 )
         if self.on_unit_done is not None:
             self.on_unit_done(len(decoded))
@@ -756,50 +740,6 @@ class Coordinator:
 # ---------------------------------------------------------------------------
 
 
-def plan_trace_jobs(groups: list, delta_trace: bool) -> list:
-    """The deduplicated jobs of :meth:`DistBackend._trace_stage`.
-
-    Each job is ``(scenario, model, frames)``: one frame (a one-element
-    ``range``) per unique (scenario, model, frame), or — in delta mode —
-    one job per unique (scenario, model) covering its whole frame range,
-    a sequential chain in which each frame patches its predecessor.
-    """
-    jobs = {}
-    for group in groups:
-        scenario, model = group.scenario, group.model
-        if delta_trace:
-            chains = [range(scenario.frames)]
-        else:
-            chains = [range(frame, frame + 1)
-                      for frame in range(scenario.frames)]
-        for frames in chains:
-            key = (scenario.name, _model_name(model), frames.start)
-            jobs.setdefault(key, (scenario, model, frames))
-    return list(jobs.values())
-
-
-@contextlib.contextmanager
-def run_scoped_cache_dir(prefix: str = "repro-trace-cache-"):
-    """The directory one dist run shares traces through, as a context.
-
-    Yields ``(cache_dir, is_run_scoped)``: the configured
-    ``REPRO_TRACE_CACHE_DIR`` when one is set (``is_run_scoped=False``,
-    nothing is ever deleted), otherwise a freshly created run-scoped
-    temporary directory (``is_run_scoped=True``) that is removed on
-    exit **whether or not the run succeeded**, so the coordinator never
-    leaks it.
-    """
-    cache_dir = EngineSettings.resolve_one("cache_dir")
-    if cache_dir is not None:
-        yield cache_dir, False
-        return
-    temp_dir = tempfile.mkdtemp(prefix=prefix)
-    try:
-        yield temp_dir, True
-    finally:
-        shutil.rmtree(temp_dir, ignore_errors=True)
-
-
 @register_backend("dist")
 class DistBackend(Backend):
     """Coordinator/worker distributed execution over TCP.
@@ -820,7 +760,7 @@ class DistBackend(Backend):
     def __init__(self, host=None, port=None, chunksize=None,
                  unit_timeout=None, heartbeat_interval=None,
                  worker_timeout=None, max_attempts=None,
-                 start_timeout=None, trace_stage=None, token=None):
+                 start_timeout=None, token=None):
         self._overrides = {
             "host": host,
             "port": port,
@@ -830,7 +770,6 @@ class DistBackend(Backend):
             "worker_timeout": worker_timeout,
             "max_attempts": max_attempts,
             "start_timeout": start_timeout,
-            "trace_stage": trace_stage,
             "token": token,
         }
         #: The coordinator of the most recent ``execute`` call — state
@@ -896,84 +835,35 @@ class DistBackend(Backend):
         observer = observer_of(runner)
         journal = journal_of(runner)
 
-        def group_stats(index, rows, seconds, worker_id):
+        def group_stats(index, rows, seconds, worker_id, cache):
             """Book one accepted unit result as an observer record."""
-            # Worker-side timings arrive with each accepted result and
-            # land in the observer as ordinary unit records, tagged
-            # with the executing worker's id.
+            # Worker-side timings and cache deltas arrive with each
+            # accepted result and land in the observer as ordinary unit
+            # records, tagged with the executing worker's id.
             group = groups[index]
             observe_unit_done(runner, group.scenario.name,
                               _model_name(group.model), seconds, rows,
-                              worker=worker_id)
+                              worker=worker_id, cache=cache)
 
-        with run_scoped_cache_dir() as (cache_dir, _):
-            coordinator = Coordinator(
-                units,
-                settings=settings,
-                cache_dir=cache_dir,
-                on_unit_done=lambda count: report_group_done(runner,
-                                                             count),
-                hold_units=settings.trace_stage,
-                on_group_done=group_stats
-                if (observer is not None or journal is not None)
-                else None,
-            )
-            self.last_coordinator = coordinator
-            # Bind before tracing: workers started first (the
-            # documented workflow) connect and handshake while the
-            # trace stage fills the shared store; the queue opens when
-            # the artifacts are ready.
-            coordinator.start()
-            try:
-                if settings.trace_stage:
-                    trace_started = time.monotonic()
-                    self._trace_stage(runner, groups, cache_dir)
-                    observe_phase(runner, "trace",
-                                  time.monotonic() - trace_started)
-                    coordinator.release_units()
-                rows_by_group = coordinator.serve()
-            except BaseException:
-                coordinator.shutdown()
-                raise
+        # Workers trace through the run's own disk tier, as the
+        # process backend's pool workers do.
+        cache_dir = runner.settings.cache_dir
+        coordinator = Coordinator(
+            units,
+            settings=settings,
+            cache_dir=str(cache_dir) if cache_dir else None,
+            on_unit_done=lambda count: report_group_done(runner, count),
+            on_group_done=group_stats
+            if (observer is not None or journal is not None)
+            else None,
+        )
+        self.last_coordinator = coordinator
+        try:
+            rows_by_group = coordinator.serve()
+        except BaseException:
+            coordinator.shutdown()
+            raise
         if observer is not None:
             observer.record_dist(coordinator.stats, coordinator.roster,
                                  settings=settings.as_dict())
         return [rows_by_group[index] for index in range(len(groups))]
-
-    @staticmethod
-    def _trace_stage(runner, groups: list, cache_dir: str) -> None:
-        """Trace every :func:`plan_trace_jobs` job into the shared disk
-        tier, so workers load artifacts instead of re-tracing.
-
-        Uses the runner's own cache when it already persists to the
-        shared directory (warm sweeps reuse its memory tier), otherwise
-        a small dedicated cache that spills to ``cache_dir``.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        from ..runner import lookup_trace
-
-        if (runner.cache.disk_dir is not None
-                and str(runner.cache.disk_dir) == str(cache_dir)):
-            cache = runner.cache
-        else:
-            cache = TraceCache(maxsize=4, disk_dir=cache_dir)
-        jobs = plan_trace_jobs(groups, runner.settings.delta_trace)
-
-        def trace(job):
-            """Trace one job's frames, each patching its predecessor."""
-            scenario, model, frames = job
-            prev = None
-            for frame in frames:
-                prev = lookup_trace(runner.settings, cache,
-                                    runner.frame_provider,
-                                    runner._spec_for(model), scenario,
-                                    model, frame, prev)
-
-        width = min(runner.max_workers, len(jobs))
-        if width > 1:
-            with ThreadPoolExecutor(width) as pool:
-                list(pool.map(trace, jobs))
-        else:
-            for job in jobs:
-                trace(job)

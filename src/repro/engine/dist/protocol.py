@@ -6,9 +6,9 @@ work units) and language-agnostic, and the engine already defines a
 lossless-enough JSON projection for everything that crosses the wire:
 work units are :class:`~repro.engine.spec.ExperimentSpec` dicts and
 results are the same records :meth:`ExperimentTable.to_json` writes.
-Traces — the heavyweight artifacts — never travel over this socket;
-they ship by content key through the shared
-:class:`~repro.engine.cache.TraceCache` disk tier.
+Traces — the heavyweight artifacts — never travel over this socket:
+each worker traces the groups it simulates, through the run's
+:class:`~repro.engine.cache.TraceCache` disk tier when it can reach it.
 
 Message types (``type`` field):
 
@@ -20,12 +20,16 @@ worker →   request     pull one unit (sent when idle)
 worker →   heartbeat   liveness beacon (background thread, every
                        ``heartbeat_interval`` seconds)
 worker →   result      ``unit`` (id), ``groups`` ({index: [row records]}),
-                       ``timings``, one frame per unit; traced runs
-                       add ``spans`` (the worker's Chrome trace-event
-                       batch for the unit)
+                       ``timings`` ({index: wall seconds}), ``cache``
+                       ({index: the worker cache's counter delta —
+                       hits, misses, disk traffic, delta/full layers —
+                       over that group}), one frame per unit; traced
+                       runs add ``spans`` (the worker's Chrome
+                       trace-event batch for the unit)
 worker →   error       ``unit`` (id), ``error`` (message string)
 worker →   goodbye     announced clean exit (drain mode) — not a failure
-coord  →   welcome     ``cache_dir``, ``heartbeat_interval``,
+coord  →   welcome     ``cache_dir`` (the run's trace-cache tier, or
+                       null), ``heartbeat_interval``,
                        ``telemetry`` (true when the coordinator's run
                        is traced and span batches should ship back)
 coord  →   unit        ``unit`` (id), ``groups`` ([{index, spec}, ...])

@@ -8,10 +8,10 @@ exactly one coordinator.  Its loop is deliberately boring:
    coordinator binds (CI starts two workers in the background, then
    launches ``repro run --backend dist``);
 2. handshake — ``hello`` up, ``welcome`` down (the welcome names the
-   run's shared trace-artifact directory, the heartbeat interval, and
-   the result-batching threshold); when the coordinator is configured
-   with a shared token it interposes an HMAC ``challenge`` that the
-   worker answers from its own ``REPRO_ENGINE_DIST_TOKEN``;
+   run's trace-cache directory and the heartbeat interval); when the
+   coordinator is configured with a shared token it interposes an HMAC
+   ``challenge`` that the worker answers from its own
+   ``REPRO_ENGINE_DIST_TOKEN``;
 3. pull — ``request`` a unit, execute it, send ``result`` (or
    ``error`` with the exception message), repeat;
 4. exit — on the coordinator's ``shutdown`` message (exit code 0), or
@@ -23,10 +23,11 @@ are :class:`~repro.engine.spec.ExperimentSpec` dicts; execution goes
 through the exact spec → runner → serial-backend path a local
 ``repro run`` uses, against a worker-lifetime
 :class:`~repro.engine.cache.TraceCache` (memory tier per worker, disk
-tier shared with the coordinator's trace stage when the directory is
-reachable) and a worker-lifetime
-:class:`~repro.engine.runner.FrameProvider` so repeated scenarios reuse
-their frames.
+tier the run's own cache directory when it is reachable) and a
+worker-lifetime :class:`~repro.engine.runner.FrameProvider` so repeated
+scenarios reuse their frames.  The worker traces every group it
+simulates, and ships each group's cache counter delta back with its
+rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import time
 import traceback
 
 from .. import faults, telemetry
-from ..cache import TraceCache
+from ..cache import TraceCache, counter_delta
 from ..runner import FrameProvider
 from ..settings import UNSET, DistSettings
 from .protocol import (
@@ -69,8 +70,8 @@ def backoff_delays(rng, base: float = 0.1, cap: float = 2.0):
             attempt += 1
 
 
-def execute_unit(groups: list, cache: TraceCache,
-                 providers: dict, timings: dict = None) -> dict:
+def execute_unit(groups: list, cache: TraceCache, providers: dict,
+                 timings: dict = None, deltas: dict = None) -> dict:
     """Execute one unit's group specs; rows as JSON records per index.
 
     ``providers`` maps frame-provider registry names to live instances;
@@ -79,10 +80,11 @@ def execute_unit(groups: list, cache: TraceCache,
     for the worker's lifetime rather than being rebuilt (and its scene
     synthesis re-run) once per unit.
 
-    ``timings``, when given, is filled with each group's wall seconds
-    under the same string index keys as the returned rows — the
-    per-unit statistics the worker ships back in its ``result``
-    message for the coordinator's run manifest.
+    ``timings`` and ``deltas``, when given, are filled with each
+    group's wall seconds and ``cache`` counter delta under the same
+    string index keys as the returned rows — the per-unit statistics
+    the worker ships back in its ``result`` message for the
+    coordinator's run manifest.
 
     Split out from the connection loop so tests can drive execution
     without a socket.  Import inside: the spec layer imports the runner
@@ -93,6 +95,7 @@ def execute_unit(groups: list, cache: TraceCache,
 
     out = {}
     for entry in groups:
+        before = cache.stats()
         started = time.monotonic()
         spec = ExperimentSpec.from_dict(entry["spec"])
         provider = providers.get(spec.frame_provider)
@@ -106,6 +109,9 @@ def execute_unit(groups: list, cache: TraceCache,
         out[str(entry["index"])] = table.to_records()
         if timings is not None:
             timings[str(entry["index"])] = time.monotonic() - started
+        if deltas is not None:
+            deltas[str(entry["index"])] = counter_delta(before,
+                                                        cache.stats())
     return out
 
 
@@ -207,9 +213,12 @@ class Worker:
     def _run_unit(self, unit_id, entries, cache, providers) -> dict:
         """Execute one unit's groups and build its ``result`` frame."""
         timings = {}
-        groups = execute_unit(entries, cache, providers, timings=timings)
+        deltas = {}
+        groups = execute_unit(entries, cache, providers, timings=timings,
+                              deltas=deltas)
         return self._with_spans(message(
             "result", unit=unit_id, groups=groups, timings=timings,
+            cache=deltas,
         ))
 
     def _with_spans(self, reply: dict) -> dict:

@@ -28,10 +28,13 @@ seconds back with the rows; the distributed backend's
 workers time each group and return timings in the existing row-stream
 ``result`` message, so unit records stay complete even when units are
 requeued across worker failures (the first accepted result carries the
-timings).  Trace-cache statistics are the *coordinating* process's
-cache delta — for process and distributed runs the per-worker caches
-live elsewhere, so process manifests record no cache activity and
-distributed ones the coordinator's trace-stage activity only.
+timings).  Trace-cache statistics follow the same path: each worker
+records its own cache's counter delta per group and ships it next to
+the group's seconds, and the manifest's ``cache`` block adds those
+deltas to the run's own cache delta — so process and distributed
+manifests count the same lookups, misses and layers as a serial run of
+the same plan.  ``entries`` and ``disk_dir`` still describe the run's
+own cache.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from ..analysis.sparsity import SparsityAnalyzer
+from .cache import CACHE_DELTA_KEYS, counter_delta
 
 #: Schema identifier stamped into every manifest file.
 MANIFEST_SCHEMA = "repro.RunManifest"
@@ -54,12 +58,6 @@ MANIFEST_SCHEMA = "repro.RunManifest"
 #: Manifest layout version; bumped on breaking changes so old files
 #: fail loudly instead of misparsing.
 MANIFEST_VERSION = 1
-
-#: Numeric cache-statistics keys that are *deltas* over one run (the
-#: remaining keys — entry count, directory — are end-of-run state).
-_CACHE_DELTA_KEYS = ("hits", "misses", "disk_hits", "disk_writes",
-                     "delta_layers", "full_layers", "quarantined")
-
 
 def spec_hash(spec_dict: dict) -> str:
     """Content hash of one resolved experiment-spec dict.
@@ -121,11 +119,12 @@ class RunObserver:
             "model", "seconds", "rows", "worker"}`` (``worker`` is the
             executing distributed worker's id, else None).
         phases: One ``{"name", "seconds"}`` dict per recorded stage
-            (trace stage, total run, ...), in completion order.
+            (the total run, ...), in completion order.
         analyzer: The :class:`~repro.analysis.sparsity.SparsityAnalyzer`
             fed every streamed row's per-layer detail.
         cache_stats: Trace-cache statistics delta over the observed run
-            (populated by :meth:`finish`).
+            — the runner's own cache plus every worker-side delta
+            passed to :meth:`record_unit` (populated by :meth:`finish`).
         dist: Distributed-run detail (coordinator stats, worker roster,
             resolved dist settings), or None for local backends.
         telemetry: Span counts + metrics-registry snapshot from
@@ -144,6 +143,7 @@ class RunObserver:
         self._lock = threading.Lock()
         self._started = None
         self._cache_before = None
+        self._worker_cache = dict.fromkeys(CACHE_DELTA_KEYS, 0)
 
     # -- lifecycle (driven by ExperimentRunner.run) ------------------------
 
@@ -154,7 +154,8 @@ class RunObserver:
             self._cache_before = runner.cache.stats()
 
     def finish(self, runner) -> None:
-        """Record the total wall time and the cache-stats delta."""
+        """Record the total wall time and the cache-stats delta: the
+        runner's own cache delta plus the recorded worker deltas."""
         with self._lock:
             if self._started is not None:
                 self.phases.append({
@@ -162,11 +163,9 @@ class RunObserver:
                     "seconds": time.monotonic() - self._started,
                 })
             after = runner.cache.stats()
-            before = self._cache_before or {}
-            delta = {
-                key: after.get(key, 0) - before.get(key, 0)
-                for key in _CACHE_DELTA_KEYS
-            }
+            delta = counter_delta(self._cache_before or {}, after)
+            for key, count in self._worker_cache.items():
+                delta[key] += count
             delta["entries"] = after.get("entries", 0)
             delta["disk_dir"] = after.get("disk_dir")
             self.cache_stats = delta
@@ -174,13 +173,23 @@ class RunObserver:
     # -- streaming hooks (driven by backends) ------------------------------
 
     def record_unit(self, scenario: str, model: str, seconds: float,
-                    results=(), worker: str = None) -> None:
-        """One finished work group: timing plus its streamed rows."""
+                    results=(), worker: str = None,
+                    cache: dict = None) -> None:
+        """One finished work group: timing plus its streamed rows.
+
+        ``cache`` is the :func:`~repro.engine.cache.counter_delta` of
+        the cache that traced the group when that is not the runner's
+        own (a pool or distributed worker's); it is added to
+        :attr:`cache_stats` at :meth:`finish`.
+        """
         rows = 0
         for result in results:
             rows += 1
             self.analyzer.ingest_result(result)
         with self._lock:
+            if cache:
+                for key in CACHE_DELTA_KEYS:
+                    self._worker_cache[key] += int(cache.get(key, 0))
             self.units.append({
                 "scenario": str(scenario),
                 "model": str(model),
@@ -261,12 +270,13 @@ class RunManifest:
             values, not just the environment's).
         table: Result-table shape summary: row count and the scenario /
             model / simulator axes.
-        phases: Per-stage wall timings (trace stage, total run, ...).
+        phases: Per-stage wall timings (total run, ...).
         units: Per-work-group records (scenario, model, seconds, rows,
             executing worker).
-        cache: Trace-cache statistics delta over the run, including
+        cache: Trace-cache statistics delta over the run, summed over
+            the runner's cache and every worker's, including
             delta-tracing utilization (``delta_layers`` rule-patched vs
-            ``full_layers`` rebuilt, for traces computed locally).
+            ``full_layers`` rebuilt).
         dist: Distributed-run detail (coordinator stats, worker roster,
             resolved dist settings), or None.
         analysis: Streaming per-layer sparsity/overhead aggregates from

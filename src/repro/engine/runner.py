@@ -195,8 +195,9 @@ def lookup_trace(settings: EngineSettings, cache: TraceCache,
     trace from ``cache``, with ``settings``' rulegen shards and delta
     threshold; ``prev_trace`` (the previous sequential frame's trace)
     seeds a delta patch on a miss only when ``settings.delta_trace`` is
-    on.  :meth:`ExperimentRunner.trace_for`, the process backend's
-    workers and the distributed trace stage all trace through it.
+    on.  :meth:`ExperimentRunner.trace_for` traces through it, and so
+    do the process backend's pool workers and the distributed workers,
+    which run their groups through a serial runner of their own.
     """
     built = frames.frame_for(scenario, model, frame)
     return cache.get_trace(

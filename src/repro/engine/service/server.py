@@ -35,11 +35,10 @@ from .. import telemetry
 from ..backends import (
     Backend,
     _model_name,
-    observe_phase,
     observe_unit_done,
     report_group_done,
 )
-from ..dist.coordinator import Coordinator, DistBackend, build_units
+from ..dist.coordinator import Coordinator, build_units
 from ..dist.protocol import ProtocolError, message, send_message
 from ..journal import RunJournal
 from ..manifest import RunManifest, RunObserver
@@ -224,8 +223,9 @@ class _FleetRunBackend(Backend):
     """Execute one run's plan on the service's shared worker fleet.
 
     A per-run, single-use :class:`Backend`: serialize the plan into
-    globally-unique units, stage traces into the service cache dir,
-    enqueue on the fleet, and block until the run's rows are in.
+    globally-unique units, enqueue them on the fleet, and block until
+    the run's rows are in.  The fleet's workers trace what they
+    simulate, through the service cache dir the welcome announced.
     """
 
     name = "service-fleet"
@@ -235,7 +235,7 @@ class _FleetRunBackend(Backend):
         self.run = run
 
     def execute(self, runner, groups: list) -> list:
-        """Stage, enqueue and await this run's groups on the fleet."""
+        """Enqueue and await this run's groups on the fleet."""
         if not groups:
             return []
         fleet = self.service.fleet
@@ -250,9 +250,6 @@ class _FleetRunBackend(Backend):
             for entry in unit["groups"]:
                 entry["index"] += base
         run.unit_ids = {unit["unit"] for unit in units}
-        trace_started = time.monotonic()
-        DistBackend._trace_stage(runner, groups, self.service.cache_dir)
-        observe_phase(runner, "trace", time.monotonic() - trace_started)
         fleet.add_run(run, units)
         rows_by_index = fleet.wait_run(run)
         return [rows_by_index[base + offset]
@@ -266,7 +263,7 @@ class ExperimentService:
         settings: Resolved :class:`ServiceSettings`; ``None`` resolves
             from the environment.
         dist: Resolved :class:`DistSettings` for the fleet's protocol
-            knobs (timeouts, chunksize, auth token, batching); ``None``
+            knobs (timeouts, chunksize, auth token); ``None``
             resolves from the environment.  The fleet always binds the
             *service* host/port, and its start timeout is disabled —
             queued runs wait for workers instead of failing.
@@ -502,13 +499,14 @@ class ExperimentService:
             self._wake.set()
 
     def _group_done(self, index: int, rows, seconds: float,
-                    worker_id: str) -> None:
+                    worker_id: str, cache: dict = None) -> None:
         """Fleet callback: book one accepted group to its run.
 
         Rides the same :func:`observe_unit_done` seam as every other
         backend — the journal write happens here, durably, *before*
         the run can complete, which is what makes a drained or killed
-        daemon resumable with no lost units.
+        daemon resumable with no lost units; the worker's cache delta
+        lands in the run's manifest the same way.
         """
         run = self.fleet.run_for_index(index)
         if run is None or run.runner is None:
@@ -516,7 +514,7 @@ class ExperimentService:
         group = run.groups[index - run.base_index]
         observe_unit_done(run.runner, group.scenario.name,
                           _model_name(group.model), seconds, rows,
-                          worker=worker_id)
+                          worker=worker_id, cache=cache)
         report_group_done(run.runner)
         with self.fleet._cond:
             run.observed += 1

@@ -81,10 +81,6 @@ DIST_MAX_ATTEMPTS_ENV_VAR = "REPRO_ENGINE_DIST_MAX_ATTEMPTS"
 #: workers to connect before giving up.
 DIST_START_TIMEOUT_ENV_VAR = "REPRO_ENGINE_DIST_START_TIMEOUT"
 
-#: Whether the coordinator pre-traces every unique frame into the
-#: shared cache dir before dispatching ("1"/"0"; default on).
-DIST_TRACE_STAGE_ENV_VAR = "REPRO_ENGINE_DIST_TRACE_STAGE"
-
 #: Shared secret for the HMAC challenge/response handshake on the
 #: coordinator's (and the experiment service's) listening socket;
 #: unset disables authentication.
@@ -362,9 +358,6 @@ class DistSettings(Settings):
         max_attempts: Dispatch attempts per unit before the run fails.
         start_timeout: Seconds the coordinator tolerates having zero
             connected workers (at startup and after losing all of them).
-        trace_stage: When True the coordinator traces every unique
-            frame into the shared cache dir before dispatching, so
-            workers load artifacts by content key instead of re-tracing.
         token: Shared secret for the HMAC challenge/response handshake
             on the listening socket; unauthenticated peers are dropped.
             ``None`` (the default) disables authentication.
@@ -383,7 +376,6 @@ class DistSettings(Settings):
     max_attempts: int = knob(DIST_MAX_ATTEMPTS_ENV_VAR, positive_int, 3)
     start_timeout: float = knob(DIST_START_TIMEOUT_ENV_VAR, positive_float,
                                 60.0)
-    trace_stage: bool = knob(DIST_TRACE_STAGE_ENV_VAR, boolean_flag, True)
     token: str = knob(DIST_TOKEN_ENV_VAR, text_or_none, secret=True)
 
 

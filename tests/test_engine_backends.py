@@ -518,36 +518,27 @@ class TestProgressReporting:
         assert runner._progress is None
 
 
-class TestRunScopedTempdirCleanup:
-    def test_failing_run_cleans_up_tempdir(self, monkeypatch):
-        """A dist run that dies before any worker connects must still
-        remove its run-scoped trace-share directory (the try/finally
-        lives in run_scoped_cache_dir)."""
-        import os
+class TestFailingRunsMakeNoTempdir:
+    def test_failing_dist_run_makes_no_tempdir(self, monkeypatch):
+        """A dist run that dies before any worker connects raises its
+        error and has no temporary directory to leave behind: workers
+        trace through the run's own cache tier."""
         import tempfile
 
         from repro.engine import DistBackend, DistRunError, ExperimentSpec
 
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         created = []
-        real_mkdtemp = tempfile.mkdtemp
-
-        def tracking_mkdtemp(*args, **kwargs):
-            path = real_mkdtemp(*args, **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr(tempfile, "mkdtemp", tracking_mkdtemp)
+        monkeypatch.setattr(tempfile, "mkdtemp",
+                            lambda *args, **kwargs: created.append(args))
         spec = ExperimentSpec.from_dict({
             "simulators": ["spade-he"], "models": ["SPP3"],
             "scenarios": [{"name": "a", "seed": 0}],
         })
-        backend = DistBackend(port=0, start_timeout=0.5,
-                              trace_stage=False)
+        backend = DistBackend(port=0, start_timeout=0.5)
         with pytest.raises(DistRunError, match="no connected workers"):
             spec.build_runner().run(backend=backend)
-        assert len(created) == 1
-        assert not os.path.exists(created[0])
+        assert created == []
 
     def test_failing_process_run_makes_no_tempdir(self, monkeypatch):
         """A process run that dies mid-pool raises its error and has no
@@ -570,30 +561,6 @@ class TestRunScopedTempdirCleanup:
         with pytest.raises(RuntimeError, match="pool refused"):
             runner.run(backend="process")
         assert created == []
-
-    def test_env_cache_dir_is_never_deleted(self, tmp_path, monkeypatch):
-        from repro.engine.dist.coordinator import run_scoped_cache_dir
-
-        monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
-        with pytest.raises(RuntimeError):
-            with run_scoped_cache_dir() as (cache_dir, run_scoped):
-                assert cache_dir == str(tmp_path)
-                assert run_scoped is False
-                raise RuntimeError("boom")
-        assert tmp_path.exists()
-
-    def test_tempdir_removed_even_on_failure_inside(self, monkeypatch):
-        import os
-
-        from repro.engine.dist.coordinator import run_scoped_cache_dir
-
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        with pytest.raises(RuntimeError):
-            with run_scoped_cache_dir() as (cache_dir, run_scoped):
-                assert run_scoped is True
-                assert os.path.isdir(cache_dir)
-                raise RuntimeError("boom")
-        assert not os.path.exists(cache_dir)
 
 
 class TestDeltaTrace:

@@ -166,7 +166,7 @@ class TestDistChaos:
             start_worker_process(port, worker_id="steady"),
         ]
         backend = DistBackend(port=port, start_timeout=60,
-                              trace_stage=False, max_attempts=5,
+                              max_attempts=5,
                               heartbeat_interval=0.2,
                               worker_timeout=1.5)
         try:
@@ -190,7 +190,7 @@ class TestDistChaos:
                         retry_seconds=60.0, reconnect_seconds=60.0)
         threading.Thread(target=worker.run, daemon=True).start()
         backend = DistBackend(port=port, start_timeout=60,
-                              trace_stage=False, max_attempts=5)
+                              max_attempts=5)
         faults.install("coordinator_drop:unit=1")
         try:
             table = spec.build_runner().run(backend=backend)
@@ -243,8 +243,7 @@ class TestDegradation:
         """With degrade on, a dist run that never sees a worker falls
         back down the ladder and still produces the serial table."""
         spec = chaos_spec(models=["SPP3"])
-        backend = DistBackend(port=free_port(), start_timeout=0.5,
-                              trace_stage=False)
+        backend = DistBackend(port=free_port(), start_timeout=0.5)
         runner = spec.build_runner(degrade=True)
         table = runner.run(backend=backend)
         expected = serial_projection(spec)
@@ -256,8 +255,7 @@ class TestDegradation:
     def test_degradation_is_opt_in(self):
         spec = chaos_spec(models=["SPP3"],
                           scenarios=[{"name": "a", "seed": 0}])
-        backend = DistBackend(port=free_port(), start_timeout=0.3,
-                              trace_stage=False)
+        backend = DistBackend(port=free_port(), start_timeout=0.3)
         with pytest.raises(DistStartTimeout):
             spec.build_runner().run(backend=backend)
 
@@ -278,8 +276,7 @@ class TestDegradation:
                         retry_seconds=60.0)
         threading.Thread(target=worker.run, daemon=True).start()
         path = tmp_path / "dist.journal"
-        backend = DistBackend(port=port, start_timeout=60,
-                              trace_stage=False)
+        backend = DistBackend(port=port, start_timeout=60)
         table = spec.build_runner().run(backend=backend,
                                         journal=RunJournal(path))
         from repro.engine import read_journal

@@ -240,9 +240,9 @@ class TestDistParity:
 
     def test_delta_trace_matches_serial(self, tmp_path, monkeypatch):
         """With delta tracing on, the dist CSV is byte-identical to the
-        serial run's — the coordinator pre-traces each sequential chain
-        (frame 0 full, frame 1 patched) into the shared disk tier and
-        the workers consume the same content-keyed artifacts."""
+        serial run's — the worker traces each sequential chain (frame 0
+        full, frame 1 patched) into the shared disk tier under the same
+        content keys the serial run uses."""
         monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
         spec = dist_spec(
             models=["SPP3"],
@@ -258,50 +258,73 @@ class TestDistParity:
         # One artifact per chain frame, under the unchanged content keys.
         assert len(list(tmp_path.glob("*.trace.pkl"))) == 2
 
-    def test_trace_stage_ships_artifacts(self, tmp_path, monkeypatch):
-        """With a shared cache dir, the coordinator pre-traces every
-        unique frame and workers serve them as disk hits."""
-        monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
-        spec = dist_spec(models=["SPP3"],
-                         scenarios=[{"name": "a", "seed": 0}])
+    @pytest.mark.parametrize("source", ["env", "cache-dir"])
+    def test_workers_write_the_runs_cache_tier(self, tmp_path,
+                                               monkeypatch, source):
+        """The run's cache tier reaches the workers through the
+        welcome, whether REPRO_TRACE_CACHE_DIR or the runner's
+        ``cache_dir`` names it: the workers trace one artifact per
+        unique frame into it."""
+        monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
+        overrides = {}
+        if source == "env":
+            monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path))
+        else:
+            overrides["cache_dir"] = str(tmp_path)
+        spec = dist_spec(
+            models=["SPP3"],
+            scenarios=[{"name": "a", "seed": 0, "frames": 2},
+                       {"name": "b", "seed": 9}],
+        )
         port = free_port()
         worker = start_worker_thread(port)
-        table = spec.build_runner().run(
+        table = spec.build_runner(**overrides).run(
             backend=DistBackend(port=port, start_timeout=30))
-        assert len(table) == 2
-        artifacts = list(tmp_path.glob("*.trace.pkl"))
-        assert len(artifacts) == 1
-        # The worker loaded the shipped artifact instead of re-tracing.
-        assert worker.units_done == 1
+        assert worker.units_done == 2
+        assert len(list(tmp_path.glob("*.trace.pkl"))) == 3
+        assert table.to_csv() == serial_projection(spec).to_csv()
 
-    @pytest.mark.parametrize("max_workers, scenarios, width", [
-        (1, 2, 1),   # width 1 traces inline, without a pool
-        (4, 2, 2),   # fewer jobs than workers
-        (2, 3, 2),   # more jobs than workers
-    ], ids=["inline", "few-jobs", "many-jobs"])
-    def test_trace_stage_width(self, tmp_path, monkeypatch, max_workers,
-                               scenarios, width):
-        """The coordinator's trace pool runs at min(max_workers, jobs)
-        and still traces every unique frame into the shared tier."""
-        import concurrent.futures
 
-        widths = []
-        real_pool = concurrent.futures.ThreadPoolExecutor
+class TestManifestCacheCounters:
+    """Process and dist manifests count the trace lookups, misses and
+    layers their workers did, exactly as a serial run counts its own."""
 
-        def spy(max_workers=None, *args, **kwargs):
-            widths.append(max_workers)
-            return real_pool(max_workers, *args, **kwargs)
+    @staticmethod
+    def _cache(spec, backend):
+        runner = spec.build_runner(cache_dir=None, workers=2)
+        observer = RunObserver()
+        table = runner.run(backend=backend, observer=observer)
+        return RunManifest.collect(runner, table,
+                                   observer=observer).cache
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    @pytest.mark.parametrize("delta_trace", [False, True],
+                             ids=["full", "delta"])
+    @pytest.mark.parametrize("backend", ["process", "dist"])
+    def test_counters_match_serial(self, monkeypatch, backend,
+                                   delta_trace):
+        monkeypatch.delenv("REPRO_TRACE_CACHE_DIR", raising=False)
+        # Two groups of two sequential frames: a two-process pool, or
+        # one loopback worker serving both units.
         spec = dist_spec(
-            models=["SPP3"], workers=max_workers,
-            scenarios=[{"name": f"s{index}", "seed": index}
-                       for index in range(scenarios)],
+            models=["SPP3"], delta_trace=delta_trace,
+            scenarios=[{"name": "a", "seed": 0, "frames": 2},
+                       {"name": "b", "seed": 9, "frames": 2}],
         )
-        runner = spec.build_runner()
-        DistBackend._trace_stage(runner, runner.plan(), str(tmp_path))
-        assert widths == ([width] if width > 1 else [])
-        assert len(list(tmp_path.glob("*.trace.pkl"))) == scenarios
+        expected = self._cache(spec, "serial")
+        if backend == "dist":
+            port = free_port()
+            start_worker_thread(port)
+            backend = DistBackend(port=port, start_timeout=30)
+        got = self._cache(spec, backend)
+
+        def lookups(cache):
+            return cache["hits"] + cache["disk_hits"] + cache["misses"]
+
+        assert lookups(expected) == 4
+        assert lookups(got) == lookups(expected)
+        for key in ("full_layers", "delta_layers"):
+            assert got[key] == expected[key], key
+        assert (expected["delta_layers"] > 0) == delta_trace
 
 
 class _FailSim(Simulator):
@@ -353,10 +376,10 @@ class TestFaultTolerance:
                              stderr=subprocess.DEVNULL)
             for _ in range(2)
         ]
-        # Workers trace their own units (no coordinator pre-trace), so
-        # every unit is long enough to be killed mid-flight.
+        # Workers trace their own units, so every unit is long enough
+        # to be killed mid-flight.
         backend = DistBackend(port=port, start_timeout=60,
-                              trace_stage=False, max_attempts=5)
+                              max_attempts=5)
         killed = []
 
         def kill_first_busy_worker():
@@ -446,8 +469,7 @@ class TestFaultTolerance:
         port = free_port()
         start_worker_thread(port)
         backend = DistBackend(port=port, start_timeout=30,
-                              unit_timeout=0.4, max_attempts=5,
-                              trace_stage=False)
+                              unit_timeout=0.4, max_attempts=5)
         table = spec.build_runner().run(backend=backend)
         assert len(table) == 1
         stats = backend.last_coordinator.stats
@@ -463,8 +485,7 @@ class TestFaultTolerance:
         port = free_port()
         backend = DistBackend(port=port, start_timeout=2.0,
                               worker_timeout=0.5,
-                              heartbeat_interval=0.2,
-                              trace_stage=False)
+                              heartbeat_interval=0.2)
 
         def ghost_worker():
             deadline = time.monotonic() + 10
@@ -488,8 +509,7 @@ class TestFaultTolerance:
     def test_no_workers_fails_after_start_timeout(self):
         spec = dist_spec(models=["SPP3"],
                          scenarios=[{"name": "a", "seed": 0}])
-        backend = DistBackend(port=free_port(), start_timeout=0.5,
-                              trace_stage=False)
+        backend = DistBackend(port=free_port(), start_timeout=0.5)
         with pytest.raises(DistRunError, match="no connected workers"):
             spec.build_runner().run(backend=backend)
 
@@ -520,7 +540,6 @@ class TestAuth:
         units = build_units(runner, runner.plan(), 1)
         coordinator = Coordinator(
             units, settings=DistSettings.resolve(port=0, token="hush"),
-            hold_units=True,
         )
         coordinator.start()
         try:
@@ -650,25 +669,3 @@ class TestDistSelection:
                 spec.build_runner()) is None
         finally:
             FRAME_PROVIDERS.unregister("tweaked")
-
-    def test_held_units_flow_only_after_release(self):
-        """hold_units lets the listener accept (and handshake) workers
-        while the trace stage runs; units only flow once released."""
-        from repro.engine.dist import Coordinator
-        from repro.engine.settings import DistSettings
-
-        spec = dist_spec(models=["SPP3"],
-                         scenarios=[{"name": "a", "seed": 0}])
-        runner = spec.build_runner()
-        units = build_units(runner, runner.plan(), 1)
-        coordinator = Coordinator(
-            units, settings=DistSettings.resolve(port=0),
-            hold_units=True,
-        )
-        coordinator.start()
-        worker = start_worker_thread(coordinator.port)
-        time.sleep(1.0)
-        assert worker.units_done == 0       # connected, politely waiting
-        rows = coordinator.serve()          # serve() releases the queue
-        assert set(rows) == {0}
-        assert worker.units_done == 1

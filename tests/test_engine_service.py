@@ -289,10 +289,17 @@ class TestServiceEndToEnd:
 
     def test_fleet_and_disk_cache_survive_across_runs(self, tmp_path):
         """Acceptance: the second identical submission reuses the same
-        attached worker and hits the warm trace-cache disk tier."""
+        attached worker and its warm memory tier; a worker attached
+        later serves a third from the warm disk tier."""
         service = start_service(tmp_path / "runs")
+
+        def cache_stats(run_id):
+            return json.loads(
+                service.store.manifest_path(run_id).read_text()
+            )["cache"]
+
         try:
-            worker = start_worker_thread(service.port)
+            worker = start_worker_thread(service.port, max_units=2)
             client = ServiceClient(host="127.0.0.1", port=service.port)
             first = client.submit(service_spec("warmup"))["run"]
             assert client.wait(first, timeout=120)["state"] == "done"
@@ -300,9 +307,18 @@ class TestServiceEndToEnd:
             assert client.wait(second, timeout=120)["state"] == "done"
             # One worker served both runs over one connection.
             assert worker.units_done == 2
-            stats = json.loads(
-                service.store.manifest_path(second).read_text()
-            )["cache"]
+            stats = cache_stats(second)
+            assert stats["misses"] == 0
+            assert stats["hits"] >= 1
+            assert stats["disk_writes"] == 0
+            # The first worker drained after two units; a fresh one has
+            # a cold memory tier and loads the first run's artifact.
+            fresh = start_worker_thread(service.port)
+            third = client.submit(service_spec("fresh"))["run"]
+            assert client.wait(third, timeout=120)["state"] == "done"
+            assert fresh.units_done == 1
+            stats = cache_stats(third)
+            assert stats["misses"] == 0
             assert stats["disk_hits"] >= 1
             assert stats["disk_writes"] == 0
         finally:

