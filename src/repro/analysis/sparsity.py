@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..models.specs import LayerOp, LayerSpec, ModelSpec, build_model_spec
-from ..sparse.coords import flatten, unflatten
+from ..sparse.coords import (
+    _dense_table_fits,
+    _unique_flat_sorted,
+    flatten,
+    unflatten,
+)
 from ..sparse.rulegen import (
     ConvType,
     Rules,
@@ -274,16 +279,29 @@ def _execute_dense_layer(spec: LayerSpec, state: StreamState) -> tuple:
 
 
 def _union_states(states: list) -> StreamState:
-    """Merge branch outputs (channel concat): union of active sets."""
+    """Merge branch outputs (channel concat): union of active sets.
+
+    A merged pillar keeps the largest importance any branch gives it.
+    Any dense branch makes the union dense.
+    """
     shape = states[0].shape
     if any(state.is_dense for state in states):
         return StreamState(shape=shape, coords=None)
+    cells = shape[0] * shape[1]
     flats = [flatten(state.coords, shape) for state in states]
-    merged, inverse_start = np.unique(np.concatenate(flats)), 0
-    importance = np.zeros(len(merged), dtype=np.float64)
-    for state, flat in zip(states, flats):
-        index = np.searchsorted(merged, flat)
-        np.maximum.at(importance, index, state.importance)
+    merged = _unique_flat_sorted(np.concatenate(flats), cells)
+    if _dense_table_fits(cells):
+        # Flats are unique within a state, so a plain gather / scatter
+        # per branch keeps each cell's running max.
+        table = np.zeros(cells, dtype=np.float64)
+        for state, flat in zip(states, flats):
+            table[flat] = np.maximum(table[flat], state.importance)
+        importance = table[merged]
+    else:
+        importance = np.zeros(len(merged), dtype=np.float64)
+        for state, flat in zip(states, flats):
+            index = np.searchsorted(merged, flat)
+            np.maximum.at(importance, index, state.importance)
     return StreamState(
         shape=shape, coords=unflatten(merged, shape), importance=importance
     )

@@ -106,16 +106,25 @@ def kernel_offsets(kernel_size: int) -> np.ndarray:
     return np.array(offs, dtype=np.int32)
 
 
-#: Grids up to this many cells resolve unique active sets through a dense
-#: boolean mask (one linear pass) instead of a hash/sort ``np.unique`` —
-#: the paper's BEV grids are at most ~512x512, where the mask wins by an
-#: order of magnitude.  Larger virtual grids fall back to ``np.unique``.
-_DENSE_UNIQUE_CELLS = 1 << 24
+#: Grids up to this many cells resolve trace-stage set operations through
+#: dense grid tables indexed by flat cell — a boolean mask for unique
+#: sets and membership, an int32 index table for rule lookups, a float64
+#: table for the branch-union importance — each one linear pass instead
+#: of a hash ``np.unique`` or a log-time ``searchsorted``.  The paper's
+#: BEV grids are at most 1024x1024 (2**20 cells), where the tables win
+#: by an order of magnitude; the cap bounds the largest table at 32 MB
+#: (float64) and larger virtual grids keep the sorted / hashed code.
+_DENSE_TABLE_CELLS = 1 << 22
+
+
+def _dense_table_fits(cells: int) -> bool:
+    """Whether a grid of ``cells`` cells takes the dense-table route."""
+    return cells <= _DENSE_TABLE_CELLS
 
 
 def _unique_flat_sorted(flat: np.ndarray, total: int) -> np.ndarray:
     """Ascending unique flat indices (all in ``[0, total)``)."""
-    if total <= _DENSE_UNIQUE_CELLS:
+    if _dense_table_fits(total):
         mask = np.zeros(total, dtype=bool)
         mask[flat] = True
         return np.flatnonzero(mask)
@@ -180,32 +189,30 @@ def downsample_coords(coords: np.ndarray, shape: tuple, stride: int) -> tuple:
 
     Output position ``q`` covers input window ``stride*q + [-1, ks-2]`` for
     the usual kernel=3 / pad=1 convolution; an output is active when any
-    input in its window is active.  For the rule-generation path we compute
-    this precisely via :func:`build_rules`; this helper returns the output
-    grid shape and the active set computed by window membership.
+    input in its window is active.  Returns ``(out_coords, out_shape)``:
+    every (offset, input) candidate is formed in separate int64 row and
+    column (9, P) planes — materially cheaper than one (9, P, 2) block —
+    and the exact, in-bounds quotients are de-duplicated by
+    :func:`_unique_flat_sorted`.
     """
     out_shape = ((shape[0] + stride - 1) // stride, (shape[1] + stride - 1) // stride)
     if len(coords) == 0:
         return np.zeros((0, 2), dtype=np.int32), out_shape
-    offsets = kernel_offsets(3)
+    offsets = kernel_offsets(3).astype(np.int64)
     # q is active iff exists offset o with stride*q + o active  <=>
     # q = (p - o) / stride for some active p and offset o, exactly divisible.
-    candidates = coords[None, :, :] - offsets[:, None, :]
-    exact = (candidates % stride == 0).all(axis=2)
-    quotient = candidates // stride
-    quotient = quotient[exact]
-    in_bounds = (
-        (quotient[:, 0] >= 0)
-        & (quotient[:, 0] < out_shape[0])
-        & (quotient[:, 1] >= 0)
-        & (quotient[:, 1] < out_shape[1])
+    rows = coords[:, 0].astype(np.int64)[None, :] - offsets[:, None, 0]
+    cols = coords[:, 1].astype(np.int64)[None, :] - offsets[:, None, 1]
+    valid = (rows % stride == 0) & (cols % stride == 0)
+    rows //= stride
+    cols //= stride
+    valid &= (
+        (rows >= 0) & (rows < out_shape[0]) & (cols >= 0) & (cols < out_shape[1])
     )
-    quotient = quotient[in_bounds]
-    if len(quotient) == 0:
+    flat = (rows * out_shape[1] + cols)[valid]
+    if len(flat) == 0:
         return np.zeros((0, 2), dtype=np.int32), out_shape
-    unique_flat = _unique_flat_sorted(
-        flatten(quotient, out_shape), out_shape[0] * out_shape[1]
-    )
+    unique_flat = _unique_flat_sorted(flat, out_shape[0] * out_shape[1])
     return unflatten(unique_flat, out_shape), out_shape
 
 

@@ -24,17 +24,20 @@ conflict-free scatter all rely on (asserted in tests).
 Three entry points share one output-set resolution:
 
 * :func:`build_rules` — the **fused** path: all K kernel-offset candidate
-  sets are formed as one (K, P) batch and resolved with a single
-  ``searchsorted`` over the concatenated flattened candidates, instead of
-  K separate lookups (rulegen is the repo's hot path; the per-offset
-  Python loop was most of its overhead);
+  sets are formed as one (K, P) batch and resolved in one pass, instead
+  of K separate lookups (rulegen is the repo's hot path; the per-offset
+  Python loop was most of its overhead).  Like the RGU's streaming
+  match, the pass never searches: on paper-sized grids it is one gather
+  from a dense grid table mapping each active output cell to its row
+  (:func:`_output_index`); only grids above the table cap
+  (:data:`repro.sparse.coords._DENSE_TABLE_CELLS`) fall back to a
+  ``searchsorted`` over the sorted output set;
 * :func:`build_rules_sharded` — the **row-sharded** path mirroring the
   RGU's row-parallel processing of the CPR encoding: the frame is split
   into row bands along the CPR ``row_pointers``, each band resolves its
-  candidates against only the halo-extended slice of the output rows it
-  can reach, bands run concurrently (the numpy kernels release the GIL),
-  and the merged per-offset lists are bit-identical to the unsharded
-  reference;
+  candidates against the one shared output index, bands run
+  concurrently (the numpy kernels release the GIL), and the merged
+  per-offset lists are bit-identical to the unsharded reference;
 * :func:`build_rules_reference` — the original per-offset loop, kept as
   the validation oracle the fused and sharded paths are asserted against
   (and as the "legacy" arm of the trace-scaling benchmark).
@@ -50,7 +53,7 @@ from enum import Enum
 import numpy as np
 
 from .coords import (
-    _DENSE_UNIQUE_CELLS,
+    _dense_table_fits,
     _unique_flat_sorted,
     cpr_encode,
     dilate,
@@ -245,11 +248,27 @@ def _empty_rules(rules: Rules) -> Rules:
     return rules
 
 
+def _output_index(out_flat: np.ndarray, out_shape: tuple):
+    """Resolver mapping flat output cells to output rows (-1 if inactive).
+
+    On grids within the dense-table cap
+    (:data:`repro.sparse.coords._DENSE_TABLE_CELLS`) this is one int32
+    grid table (``table[out_flat] = arange``, -1 elsewhere) and every
+    lookup is a single gather; larger grids search the sorted
+    ``out_flat`` instead.
+    """
+    cells = out_shape[0] * out_shape[1]
+    if not _dense_table_fits(cells):
+        return lambda needles: _lookup_sorted(out_flat, needles)
+    table = np.full(cells, -1, dtype=np.int32)
+    table[out_flat] = np.arange(len(out_flat), dtype=np.int32)
+    return table.__getitem__
+
+
 def _fused_pairs(
     in_block: np.ndarray,
     in_base: int,
-    out_flat: np.ndarray,
-    out_base: int,
+    out_index,
     out_shape: tuple,
     conv_type: ConvType,
     kernel_size: int,
@@ -258,11 +277,10 @@ def _fused_pairs(
     """Per-offset :class:`RulePairs` for one contiguous CPR input slice.
 
     All K kernel offsets are resolved in one batch: candidates form a
-    (K, P) block, the valid ones are flattened offset-major and a single
-    ``searchsorted`` over ``out_flat`` replaces the K separate lookups of
-    the reference loop.  ``in_base`` / ``out_base`` lift block-local row
-    numbers to global indices so the sharded path can pass the
-    halo-restricted output slice its band can reach.
+    (K, P) block, the valid ones are flattened offset-major and resolved
+    by one ``out_index`` call (see :func:`_output_index`) instead of the
+    K separate lookups of the reference loop.  ``in_base`` lifts
+    block-local input rows to global indices for the sharded path.
     """
     rows = in_block[:, 0].astype(np.int64)
     cols = in_block[:, 1].astype(np.int64)
@@ -279,12 +297,11 @@ def _fused_pairs(
         )
         # Every upsampled position exists by construction, so the lookup
         # needs no found-mask.
-        pos = np.searchsorted(out_flat, flat.reshape(-1))
-        pos = (out_base + pos).reshape(len(offsets), -1)
+        idx = out_index(flat.reshape(-1)).reshape(len(offsets), -1)
         return [
             RulePairs(
                 in_base + np.arange(len(in_block), dtype=np.int64),
-                pos[index],
+                idx[index].astype(np.int64),
             )
             for index in range(len(offsets))
         ]
@@ -307,26 +324,15 @@ def _fused_pairs(
         & (cand_cols >= 0)
         & (cand_cols < out_shape[1])
     )
-    flat = cand_rows * out_shape[1] + cand_cols
-    needles = flat[valid]
-    if len(needles) and len(out_flat):
-        pos = np.searchsorted(out_flat, needles)
-        np.minimum(pos, len(out_flat) - 1, out=pos)
-        found = out_flat[pos] == needles
-    else:
-        pos = np.zeros(len(needles), dtype=np.int64)
-        found = np.zeros(len(needles), dtype=bool)
+    found = out_index((cand_rows * out_shape[1] + cand_cols)[valid])
+    idx = np.full(valid.shape, -1, dtype=found.dtype)
+    idx[valid] = found
 
     pairs = []
-    counts = valid.sum(axis=1)
-    cursor = 0
     for index in range(len(offsets)):
-        stop = cursor + counts[index]
-        offset_found = found[cursor:stop]
-        in_idx = in_base + np.flatnonzero(valid[index])[offset_found]
-        out_idx = (out_base + pos[cursor:stop][offset_found]).astype(np.int64)
-        pairs.append(RulePairs(in_idx.astype(np.int64), out_idx))
-        cursor = stop
+        hit = np.flatnonzero(idx[index] >= 0)
+        pairs.append(RulePairs(in_base + hit,
+                               idx[index, hit].astype(np.int64)))
     return pairs
 
 
@@ -339,8 +345,8 @@ def build_rules(
 ) -> Rules:
     """Generate the input-output mapping for one sparse convolution layer.
 
-    This is the fused path: one (K, P) candidate batch, one
-    ``searchsorted``.  Bit-identical to :func:`build_rules_reference`.
+    This is the fused path: one (K, P) candidate batch, one output-index
+    lookup.  Bit-identical to :func:`build_rules_reference`.
 
     Args:
         in_coords: (P, 2) CPR-sorted active input coordinates.
@@ -370,8 +376,7 @@ def build_rules(
     rules.pairs = _fused_pairs(
         in_coords,
         0,
-        flatten(out_coords, out_shape),
-        0,
+        _output_index(flatten(out_coords, out_shape), out_shape),
         out_shape,
         conv_type,
         kernel_size,
@@ -401,30 +406,6 @@ def _band_bounds(row_pointers: np.ndarray, in_coords: np.ndarray,
     ]
 
 
-def _band_out_rows(first_row: int, last_row: int, out_rows: int,
-                   conv_type: ConvType, kernel_size: int,
-                   stride: int) -> tuple:
-    """Output-row halo a band of input rows [first, last] can reach.
-
-    The halo is ``kernel_size // 2`` rows for the stride-1 convolutions
-    (an even kernel reaches asymmetrically, matching
-    :func:`repro.sparse.coords.kernel_offsets`); strided variants divide
-    it through the stride and DECONV scales it up.  The returned range is
-    clamped to the output grid and is a superset of the rows the band's
-    candidates can land in — resolving against this slice is therefore
-    exactly equivalent to resolving against the full output set.
-    """
-    if conv_type is ConvType.DECONV:
-        lo = first_row * stride
-        hi = last_row * stride + stride - 1
-    else:
-        half = (kernel_size - 1) // 2
-        hi_offset = kernel_size - 1 - half
-        lo = (first_row - hi_offset) // stride
-        hi = (last_row + half) // stride
-    return max(lo, 0), min(hi, out_rows - 1)
-
-
 def build_rules_sharded(
     in_coords: np.ndarray,
     in_shape: tuple,
@@ -439,11 +420,10 @@ def build_rules_sharded(
     The frame is split into ``shards`` contiguous row bands along the CPR
     ``row_pointers`` (the paper's RGU processes the CPR encoding
     row-parallel the same way); each band fuses its candidate lookups
-    against only the ``kernel_size // 2``-halo slice of output rows it
-    can reach, bands run on a thread pool (the numpy kernels release the
-    GIL), and the per-offset lists are merged in band order — which
-    preserves the ascending-index invariant because bands partition the
-    inputs in CPR order.
+    against one output index shared by all bands, bands run on a thread
+    pool (the numpy kernels release the GIL), and the per-offset lists
+    are merged in band order — which preserves the ascending-index
+    invariant because bands partition the inputs in CPR order.
 
     The result is bit-identical to :func:`build_rules` /
     :func:`build_rules_reference` for every :class:`ConvType`, any shard
@@ -478,30 +458,15 @@ def build_rules_sharded(
 
     row_pointers, _ = cpr_encode(in_coords, in_shape)
     bands = _band_bounds(row_pointers, in_coords, shards)
-    out_flat = flatten(out_coords, out_shape)
-    # CPR row pointers of the *output* set: each band resolves against
-    # only the slice of output rows inside its halo.
-    out_row_pointers = np.searchsorted(
-        out_coords[:, 0], np.arange(out_shape[0] + 1)
-    )
+    # Every band resolves against the one shared output index.
+    out_index = _output_index(flatten(out_coords, out_shape), out_shape)
 
     def band_pairs(bounds: tuple) -> list:
         start, stop = bounds
-        block = in_coords[start:stop]
-        lo_row, hi_row = _band_out_rows(
-            int(block[0, 0]), int(block[-1, 0]), out_shape[0],
-            conv_type, kernel_size, stride,
-        )
-        if hi_row < lo_row:
-            slice_start = slice_stop = 0
-        else:
-            slice_start = int(out_row_pointers[lo_row])
-            slice_stop = int(out_row_pointers[hi_row + 1])
         return _fused_pairs(
-            block,
+            in_coords[start:stop],
             start,
-            out_flat[slice_start:slice_stop],
-            slice_start,
+            out_index,
             out_shape,
             conv_type,
             kernel_size,
@@ -748,10 +713,10 @@ def build_rules_delta(
     # On paper-sized grids every membership / rank query resolves as an
     # O(1) gather against dense cell masks instead of a log-time
     # searchsorted — the same dense-vs-sort crossover
-    # :data:`repro.sparse.coords._DENSE_UNIQUE_CELLS` encodes.
+    # :data:`repro.sparse.coords._DENSE_TABLE_CELLS` encodes.
     in_cells = in_shape[0] * in_shape[1]
     out_cells = out_shape[0] * out_shape[1]
-    dense = max(in_cells, out_cells) <= _DENSE_UNIQUE_CELLS
+    dense = _dense_table_fits(max(in_cells, out_cells))
     new_in_mask = None
     if dense:
         new_in_mask = np.zeros(in_cells, dtype=bool)
@@ -920,8 +885,8 @@ def build_rules_delta(
     # (b) added inputs against the full new output set: one fused batch.
     if len(added_flat):
         added_pairs = _fused_pairs(
-            added_coords, 0, new_out_flat, 0, out_shape, conv_type,
-            kernel_size, stride,
+            added_coords, 0, _output_index(new_out_flat, out_shape),
+            out_shape, conv_type, kernel_size, stride,
         )
     else:
         added_pairs = [RulePairs(empty, empty)] * num_offsets

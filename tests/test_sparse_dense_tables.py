@@ -1,0 +1,382 @@
+"""Dense-table and sorted lookup routes of the trace stage.
+
+Grids within :data:`repro.sparse.coords._DENSE_TABLE_CELLS` resolve rule
+lookups, branch unions and strided output sets through dense grid
+tables; larger grids keep the sorted / hashed code.  Setting the cap to
+0 forces the sorted route on the small grids used here, so both routes
+are checked against :func:`build_rules_reference` and against each
+other, bit for bit and dtype for dtype.  Direct oracles pin
+``_union_states`` and ``downsample_coords``, and degenerate frames run
+through ``trace_model`` for every Table I model.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import sparsity
+from repro.analysis.sparsity import StreamState, _union_states, trace_model
+from repro.models import TABLE1_PAPER, LayerOp, build_model_spec
+from repro.sparse import (
+    ConvType,
+    build_rules,
+    build_rules_delta,
+    build_rules_reference,
+    build_rules_sharded,
+    downsample_coords,
+    flatten,
+    kernel_offsets,
+    unflatten,
+)
+from repro.sparse import coords as coords_module
+from repro.sparse import rulegen
+
+SHAPE = (26, 34)
+TOTAL = SHAPE[0] * SHAPE[1]
+ROUTES = ("table", "sorted")
+
+CASES = [
+    (ConvType.SPCONV, 1, 3),
+    (ConvType.SPCONV, 1, 2),
+    (ConvType.SPCONV, 1, 5),
+    (ConvType.SUBM, 1, 3),
+    (ConvType.SPCONV_P, 1, 3),
+    (ConvType.STRIDED, 2, 3),
+    (ConvType.STRIDED, 3, 3),
+    (ConvType.STRIDED_SUBM, 2, 3),
+    (ConvType.DECONV, 2, 2),
+    (ConvType.DECONV, 3, 3),
+]
+CASE_IDS = [f"{ct.value}-s{stride}-k{ks}" for ct, stride, ks in CASES]
+
+
+@contextlib.contextmanager
+def route(name: str):
+    """Run the body on the named lookup route."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "sorted":
+            patch.setattr(coords_module, "_DENSE_TABLE_CELLS", 0)
+        yield
+
+
+def random_frame(count, shape=SHAPE, seed=0):
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(shape[0] * shape[1], count, replace=False)
+    return unflatten(np.sort(flat), shape)
+
+
+FRAMES = {
+    "typical": random_frame(120),
+    "empty": np.zeros((0, 2), np.int32),
+    "single-row": unflatten(5 * SHAPE[1] + np.arange(0, 30, 3), SHAPE),
+    "half-dense": random_frame(TOTAL // 2, seed=7),
+}
+
+
+def assert_rules_identical(expect, got, label=""):
+    assert got.out_shape == expect.out_shape, label
+    np.testing.assert_array_equal(got.out_coords, expect.out_coords,
+                                  err_msg=label)
+    assert len(got.pairs) == len(expect.pairs), label
+    for index, (want, have) in enumerate(zip(expect.pairs, got.pairs)):
+        where = f"{label} offset {index}"
+        assert have.in_idx.dtype == np.int64, where
+        assert have.out_idx.dtype == np.int64, where
+        np.testing.assert_array_equal(have.in_idx, want.in_idx,
+                                      err_msg=where)
+        np.testing.assert_array_equal(have.out_idx, want.out_idx,
+                                      err_msg=where)
+
+
+class TestRouteSelection:
+    def test_sorted_route_searches_and_table_route_does_not(
+            self, monkeypatch):
+        calls = []
+        lookup = rulegen._lookup_sorted
+
+        def counting(haystack, needles):
+            calls.append(len(needles))
+            return lookup(haystack, needles)
+
+        monkeypatch.setattr(rulegen, "_lookup_sorted", counting)
+        coords = FRAMES["typical"]
+        build_rules(coords, SHAPE, ConvType.SPCONV)
+        assert calls == []
+        with route("sorted"):
+            build_rules(coords, SHAPE, ConvType.SPCONV)
+        assert calls
+
+    def test_cap_admits_paper_grids(self):
+        assert coords_module._dense_table_fits(1024 * 1024)
+
+
+class TestRulegenRoutes:
+    @pytest.mark.parametrize("conv_type,stride,kernel", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
+    def test_fused_and_sharded_match_reference(self, conv_type, stride,
+                                               kernel, frame):
+        coords = FRAMES[frame]
+        args = (coords, SHAPE, conv_type)
+        params = dict(kernel_size=kernel, stride=stride)
+        reference = build_rules_reference(*args, **params)
+        for name in ROUTES:
+            with route(name):
+                assert_rules_identical(
+                    reference, build_rules(*args, **params), name)
+                for shards in (2, 3, 4):
+                    sharded = build_rules_sharded(
+                        *args, **params, shards=shards, max_workers=2)
+                    assert_rules_identical(
+                        reference, sharded, f"{name} shards={shards}")
+
+    @pytest.mark.parametrize("conv_type,stride,kernel", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_delta_matches_reference(self, conv_type, stride, kernel,
+                                     seed):
+        rng = np.random.default_rng(seed)
+        base = rng.choice(TOTAL, 150, replace=False)
+        toggles = rng.choice(TOTAL, 12, replace=False)
+        new_flat = np.setxor1d(base, toggles)
+        prev_coords = unflatten(np.sort(base), SHAPE)
+        new_coords = unflatten(new_flat, SHAPE)
+        params = dict(kernel_size=kernel, stride=stride)
+        expect = build_rules_reference(new_coords, SHAPE, conv_type,
+                                       **params)
+        for name in ROUTES:
+            with route(name):
+                prev = build_rules(prev_coords, SHAPE, conv_type, **params)
+                delta = build_rules_delta(prev, new_coords, threshold=1.0)
+            assert_rules_identical(expect, delta, name)
+
+
+def assert_layers_match_reference(trace):
+    """Each sparse layer's rules equal the reference on its own input."""
+    for layer in trace.layers:
+        if layer.spec.op is not LayerOp.SPARSE:
+            continue
+        reference = build_rules_reference(
+            layer.in_coords, layer.in_shape, layer.spec.conv_type,
+            kernel_size=layer.spec.kernel_size, stride=layer.spec.stride,
+        )
+        assert_rules_identical(reference, layer.rules, layer.spec.name)
+
+
+def capture_importances(monkeypatch):
+    """Record the importance of every stream state trace_model makes."""
+    seen = []
+    execute = sparsity._execute_sparse_layer
+    union = sparsity._union_states
+
+    def executing(*args, **kwargs):
+        layer_trace, state = execute(*args, **kwargs)
+        seen.append(state.importance)
+        return layer_trace, state
+
+    def uniting(states):
+        state = union(states)
+        if not state.is_dense:
+            seen.append(state.importance)
+        return state
+
+    monkeypatch.setattr(sparsity, "_execute_sparse_layer", executing)
+    monkeypatch.setattr(sparsity, "_union_states", uniting)
+    return seen
+
+
+class TestTraceModelRoutes:
+    @pytest.mark.parametrize("model", ["SPP1", "SPP2", "SCP2", "SCP3"])
+    def test_routes_trace_identically(self, model, monkeypatch):
+        spec = build_model_spec(model)
+        shape = (40, 48)
+        coords = random_frame(500, shape, seed=4)
+        importance = np.random.default_rng(4).uniform(0, 9, len(coords))
+        traces, importances = {}, {}
+        for name in ROUTES:
+            with monkeypatch.context() as patch:
+                seen = capture_importances(patch)
+                with route(name):
+                    traces[name] = trace_model(spec, coords, importance,
+                                               grid_shape=shape)
+            importances[name] = seen
+        table, sorted_ = traces["table"], traces["sorted"]
+        assert_layers_match_reference(sorted_)
+        for left, right in zip(table.layers, sorted_.layers):
+            assert left.out_count_after_prune == \
+                right.out_count_after_prune, left.spec.name
+            if left.rules is not None:
+                assert_rules_identical(left.rules, right.rules,
+                                       left.spec.name)
+        assert len(importances["table"]) == len(importances["sorted"])
+        for left, right in zip(importances["table"], importances["sorted"]):
+            assert left.dtype == right.dtype == np.float64
+            np.testing.assert_array_equal(left, right)
+
+
+def union_oracle(states, shape):
+    """Set union with per-cell max importance, via a Python dict."""
+    best = {}
+    for state in states:
+        for (row, col), value in zip(state.coords.tolist(),
+                                     state.importance.tolist()):
+            cell = row * shape[1] + col
+            best[cell] = max(best.get(cell, 0.0), value)
+    cells = sorted(best)
+    return unflatten(np.array(cells, np.int64), shape), \
+        np.array([best[cell] for cell in cells], np.float64)
+
+
+@st.composite
+def branch_states(draw, shape=(11, 13)):
+    total = shape[0] * shape[1]
+    branches = draw(st.integers(1, 4))
+    states = []
+    for _ in range(branches):
+        flat = draw(st.lists(st.integers(0, total - 1), max_size=60,
+                             unique=True))
+        flat = np.sort(np.array(flat, np.int64))
+        importance = draw(st.lists(
+            st.floats(0, 100, allow_nan=False), min_size=len(flat),
+            max_size=len(flat)))
+        states.append(StreamState(shape=shape,
+                                  coords=unflatten(flat, shape),
+                                  importance=np.array(importance,
+                                                      np.float64)))
+    return states
+
+
+class TestUnionStates:
+    @pytest.mark.parametrize("name", ROUTES)
+    @given(states=branch_states())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dict_oracle(self, name, states):
+        shape = states[0].shape
+        want_coords, want_importance = union_oracle(states, shape)
+        with route(name):
+            merged = _union_states(states)
+        assert merged.shape == shape
+        assert merged.coords.dtype == np.int32
+        np.testing.assert_array_equal(merged.coords, want_coords)
+        assert merged.importance.dtype == np.float64
+        np.testing.assert_array_equal(merged.importance, want_importance)
+
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_overlapping_branches_keep_the_max(self, name):
+        shape = (4, 5)
+        first = StreamState(shape, np.array([[0, 0], [1, 2], [3, 4]],
+                                            np.int32),
+                            np.array([5.0, 6.0, 2.0]))
+        second = StreamState(shape, np.array([[1, 2], [2, 0], [3, 4]],
+                                             np.int32),
+                             np.array([3.0, 4.0, 7.0]))
+        with route(name):
+            merged = _union_states([first, second])
+        np.testing.assert_array_equal(
+            merged.coords, [[0, 0], [1, 2], [2, 0], [3, 4]])
+        np.testing.assert_array_equal(merged.importance,
+                                      [5.0, 6.0, 4.0, 7.0])
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_any_dense_branch_makes_the_union_dense(self, position):
+        shape = (6, 6)
+        sparse = StreamState(shape, np.array([[1, 1]], np.int32),
+                             np.array([2.0]))
+        states = [sparse, sparse, sparse]
+        states[position] = StreamState(shape, coords=None)
+        assert _union_states(states).is_dense
+
+
+def downsample_oracle(coords, shape, stride):
+    """Brute force: q is active when any cell of its window
+    ``stride*q + kernel_offsets(3)`` is an active input."""
+    out_shape = (-(-shape[0] // stride), -(-shape[1] // stride))
+    active = {tuple(pair) for pair in coords.tolist()}
+    hits = []
+    for row in range(out_shape[0]):
+        for col in range(out_shape[1]):
+            if any((stride * row + dr, stride * col + dc) in active
+                   for dr, dc in kernel_offsets(3).tolist()):
+                hits.append((row, col))
+    return np.array(hits, np.int32).reshape(-1, 2), out_shape
+
+
+ODD_SHAPES = [(7, 9), (11, 5), (13, 13), (1, 9)]
+
+
+@st.composite
+def strided_frames(draw):
+    shape = draw(st.sampled_from(ODD_SHAPES))
+    total = shape[0] * shape[1]
+    flat = draw(st.lists(st.integers(0, total - 1), max_size=total,
+                         unique=True))
+    return shape, unflatten(np.sort(np.array(flat, np.int64)), shape)
+
+
+def corner_and_edge_frames(shape):
+    last_row, last_col = shape[0] - 1, shape[1] - 1
+    corners = [(0, 0), (0, last_col), (last_row, 0), (last_row, last_col)]
+    edges = [(0, last_col // 2), (last_row, last_col // 2),
+             (last_row // 2, 0), (last_row // 2, last_col)]
+    frames = [[cell] for cell in corners + edges] + [corners + edges]
+    return [unflatten(np.unique(flatten(np.array(cells, np.int32), shape)),
+                      shape) for cells in frames]
+
+
+class TestDownsampleCoords:
+    @pytest.mark.parametrize("name", ROUTES)
+    @pytest.mark.parametrize("stride", [2, 3, 4])
+    @given(frame=strided_frames())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_window_oracle(self, name, stride, frame):
+        shape, coords = frame
+        want, want_shape = downsample_oracle(coords, shape, stride)
+        with route(name):
+            got, got_shape = downsample_coords(coords, shape, stride)
+        assert got_shape == want_shape
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ROUTES)
+    @pytest.mark.parametrize("stride", [2, 3, 4])
+    @pytest.mark.parametrize("shape", ODD_SHAPES)
+    def test_corner_and_edge_pillars(self, name, stride, shape):
+        for coords in corner_and_edge_frames(shape):
+            want, want_shape = downsample_oracle(coords, shape, stride)
+            with route(name):
+                got, got_shape = downsample_coords(coords, shape, stride)
+            assert got_shape == want_shape
+            np.testing.assert_array_equal(got, want)
+
+
+GRID = (32, 32)
+
+
+def degenerate_frames():
+    rows, cols = GRID
+    every = np.arange(rows * cols)
+    return {
+        "empty": np.zeros((0, 2), np.int32),
+        "corner-pillar": unflatten(np.array([0]), GRID),
+        "centre-pillar": unflatten(
+            np.array([(rows // 2) * cols + cols // 2]), GRID),
+        "full-grid": unflatten(every, GRID),
+        "row-strip": unflatten(every[:cols], GRID),
+        "column-strip": unflatten(every[::cols], GRID),
+    }
+
+
+class TestDegenerateFrames:
+    @pytest.mark.parametrize("model", sorted(TABLE1_PAPER))
+    @pytest.mark.parametrize("frame", sorted(degenerate_frames()))
+    def test_trace_matches_reference(self, model, frame, monkeypatch):
+        coords = degenerate_frames()[frame]
+        spec = build_model_spec(model)
+        seen = capture_importances(monkeypatch)
+        trace = trace_model(spec, coords, grid_shape=GRID)
+        assert len(trace.layers) == len(spec.layers)
+        assert_layers_match_reference(trace)
+        for importance in seen:
+            assert np.isfinite(importance).all()
+            assert (importance >= 0).all()

@@ -21,8 +21,7 @@ from repro.sparse import (
 SHAPE = (26, 34)
 
 #: Every variant at its canonical configuration plus off-nominal kernel
-#: sizes and strides (even kernels reach asymmetrically — the halo math
-#: must honour that).
+#: sizes and strides (even kernels reach asymmetrically).
 CASES = [
     (ConvType.SPCONV, 1, 3),
     (ConvType.SPCONV, 1, 2),
