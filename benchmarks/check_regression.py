@@ -6,10 +6,10 @@ by more than the threshold: the cached/parallel sweep speedups, the
 batched-vs-unbatched serial ratio (frame batching must never again be
 slower than the equivalent single-frame scenarios), the fused-vs-
 legacy rulegen speedup (the trace-layer hot path), and the delta-vs-
-full trace speedup (sequential frames must keep patching cheaper than
-rebuilding).  The ``telemetry_overhead`` section is additionally held
-to a hard cap: enabled span tracing must cost under 5% vs the untraced
-sweep measured in the same run.
+full trace speedup (delta-traced sequential chains must cost no more
+than full per-frame traces).  The ``telemetry_overhead`` section is
+additionally held to a hard cap: enabled span tracing must cost under
+5% vs the untraced sweep measured in the same run.
 
 The gate compares *speedup ratios* (each measured against its own
 counterpart in the same run), not absolute seconds: ratios share the

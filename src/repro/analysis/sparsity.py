@@ -80,9 +80,9 @@ class LayerTrace:
     #: micro-simulators (hash-table mapping, cache-based gather) need
     #: the raw input set, which rules alone do not retain.
     in_coords: np.ndarray = None
-    #: Whether this layer's rules were produced by patching the
-    #: previous sequential frame's rules (delta tracing) instead of a
-    #: full rebuild.  Purely observability — delta rules are
+    #: Whether this layer's rules were routed to ``build_rules_delta``
+    #: (shared or rebuilt) from the previous sequential frame's rules
+    #: (delta tracing).  Purely observability — delta rules are
     #: bit-identical — and read with ``getattr(..., False)`` everywhere
     #: so traces pickled before the field existed stay loadable.
     via_delta: bool = False
@@ -164,10 +164,10 @@ def _prune_state(
 
 
 #: Below this much full-rebuild work (active inputs x window offsets)
-#: the patch's fixed bookkeeping costs more than simply rebuilding, so
-#: small layers skip the delta path entirely.  Measured crossover on
-#: the paper-scale SPP/SCP layer zoo: a 3x3 layer needs roughly 5k
-#: active inputs before patching pays for itself.
+#: a layer skips the delta path and rebuilds directly.  The value fixes
+#: which layers are attributed to ``build_rules_delta`` rather than
+#: ``build_rules_sharded``, so per-layer rulegen counts stay comparable
+#: across versions.
 _DELTA_MIN_WORK = 45_000
 
 
@@ -184,14 +184,12 @@ def _delta_applicable(prev_rules: Rules, spec: LayerSpec,
                       state: StreamState) -> bool:
     """Whether a previous frame's rules can seed a delta rebuild here.
 
-    The delta patch requires identical layer geometry; a grid or conv
-    mismatch (e.g. a prev trace from a different spec) silently falls
-    back to the full build rather than producing wrong rules.  Layers
-    whose full rebuild is below :data:`_DELTA_MIN_WORK` also decline —
-    not for correctness but because the rebuild is cheaper than any
-    patch at that size.  (DECONV is exempt from the work floor: its
-    delta path already rebuilds internally and still shares identical-
-    frame rules for free.)
+    Sharing the previous rules requires identical layer geometry; a
+    grid or conv mismatch (e.g. a prev trace from a different spec)
+    silently falls back to the full build rather than producing wrong
+    rules.  Layers whose full rebuild is below :data:`_DELTA_MIN_WORK`
+    also decline (not for correctness).  DECONV is exempt from the work
+    floor.
     """
     if (
         prev_rules is None
@@ -214,17 +212,12 @@ def _delta_applicable(prev_rules: Rules, spec: LayerSpec,
 
 def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
                           rulegen_shards: int = 1,
-                          prev_rules: Rules = None,
-                          delta_threshold: float = None) -> tuple:
+                          prev_rules: Rules = None) -> tuple:
     """Run one sparse layer geometrically; returns (LayerTrace, new state)."""
     via_delta = _delta_applicable(prev_rules, spec, state)
     if via_delta:
-        rules = build_rules_delta(
-            prev_rules,
-            state.coords,
-            threshold=delta_threshold,
-            shards=rulegen_shards,
-        )
+        rules = build_rules_delta(prev_rules, state.coords,
+                                  shards=rulegen_shards)
     else:
         # build_rules_sharded degrades to the fused unsharded path at
         # shards <= 1, so the dispatch lives in one place.
@@ -314,7 +307,6 @@ def trace_model(
     grid_shape: tuple = None,
     rulegen_shards: int = None,
     prev_trace: "ModelTrace" = None,
-    delta_threshold: float = None,
 ) -> ModelTrace:
     """Execute a model spec geometrically on one frame's active pillars.
 
@@ -333,13 +325,12 @@ def trace_model(
             unsharded path).  Sharded rules are bit-identical, so this
             only changes speed, never the trace.
         prev_trace: Optional trace of the *previous sequential frame* of
-            the same model: each sparse layer then patches its
-            predecessor's rules via
-            :func:`~repro.sparse.rulegen.build_rules_delta` instead of
-            rebuilding.  Delta rules are bit-identical to a full build,
-            so this too only changes speed, never the trace.
-        delta_threshold: Fallback fraction for the delta path; ``None``
-            reads ``REPRO_ENGINE_DELTA_THRESHOLD`` (default 0.5).
+            the same model: each sparse layer large enough is routed to
+            :func:`~repro.sparse.rulegen.build_rules_delta`, which
+            shares its predecessor's rules when the layer input is
+            unchanged and rebuilds otherwise.  Delta rules are
+            bit-identical to a full build, so this never changes the
+            trace.
 
     Returns:
         A :class:`ModelTrace` with one :class:`LayerTrace` per layer.
@@ -374,7 +365,6 @@ def trace_model(
         return _execute_sparse_layer(
             layer, source, rulegen_shards,
             prev_rules=prev_rules_for(len(trace.layers)),
-            delta_threshold=delta_threshold,
         )
 
     stage_snapshots = {}

@@ -844,10 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--delta-trace", dest="delta_trace",
                      help="trace sequential frames as delta chains "
                           "(1/0, default REPRO_ENGINE_DELTA_TRACE)")
-    run.add_argument("--delta-threshold", dest="delta_threshold",
-                     help="changed-input fraction above which delta "
-                          "tracing falls back to full rulegen "
-                          "(default REPRO_ENGINE_DELTA_THRESHOLD)")
     run.add_argument("--faults", dest="faults",
                      help="deterministic fault-injection plan for chaos "
                           "testing, e.g. 'kill_worker:unit=2' "

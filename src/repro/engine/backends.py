@@ -96,7 +96,7 @@ def execute_group(group: WorkGroup, trace_lookup) -> list:
     ``trace_lookup(scenario, model, frame, prev_trace)`` supplies the
     (cached) trace of each frame; the batch is traced sequentially here —
     each frame's trace is offered to the next lookup as its predecessor,
-    which is what lets delta-enabled runners patch instead of rebuild —
+    which is what lets delta-enabled runners share unchanged rules —
     and every simulator of the group then reuses the in-memory traces.
     Lookups that don't do delta tracing simply ignore the fourth
     argument.

@@ -241,17 +241,17 @@ class TraceCache:
                   grid_shape: tuple = None,
                   rulegen_shards: int = None,
                   prev_trace: ModelTrace = None,
-                  delta_threshold: float = None,
                   label: tuple = None) -> ModelTrace:
         """The traced model for this exact (spec, frame), computing once.
 
         Lookup order: memory tier, disk tier, :func:`trace_model`.
         Concurrent callers with the same key block on the first caller's
         computation instead of duplicating it.  ``rulegen_shards`` and
-        ``prev_trace`` / ``delta_threshold`` only affect how a missing
-        trace is computed (row-parallel rulegen; delta-patching the
-        previous sequential frame's rules) — never the key, because both
-        paths are bit-identical to the full build, so cache hits and
+        ``prev_trace`` only affect how a missing trace is computed
+        (row-parallel rulegen; layers routed to ``build_rules_delta``
+        with the previous sequential frame's rules, shared or rebuilt) —
+        never the key, because both paths are bit-identical to the full
+        build, so cache hits and
         shipped artifacts stay interchangeable across modes.  ``label``
         is an optional (scenario, model) tag recorded for
         :meth:`stats` — purely observability, also key-neutral.
@@ -286,8 +286,7 @@ class TraceCache:
                     trace = trace_model(spec, coords, importance,
                                         grid_shape=grid_shape,
                                         rulegen_shards=rulegen_shards,
-                                        prev_trace=prev_trace,
-                                        delta_threshold=delta_threshold)
+                                        prev_trace=prev_trace)
                 with telemetry.span("cache-put", "cache"):
                     stored = self._disk_store(key, trace)
                 if stored:
@@ -300,8 +299,9 @@ class TraceCache:
         if not from_disk:
             # Delta-tracing utilization: of the sparse layers this cache
             # actually computed (disk loads carry no new work), how many
-            # took the rule-patching path vs a full rebuild.  Old pickled
-            # traces predate the flag, hence the getattr default.
+            # were routed to build_rules_delta (shared or rebuilt) vs a
+            # full rebuild.  Old pickled traces predate the flag, hence
+            # the getattr default.
             delta_count = sum(
                 1 for layer in trace.layers
                 if layer.rules is not None

@@ -275,8 +275,9 @@ class RunManifest:
             executing worker).
         cache: Trace-cache statistics delta over the run, summed over
             the runner's cache and every worker's, including
-            delta-tracing utilization (``delta_layers`` rule-patched vs
-            ``full_layers`` rebuilt).
+            delta-tracing utilization (``delta_layers`` routed to
+            ``build_rules_delta``, shared or rebuilt, vs ``full_layers``
+            built directly).
         dist: Distributed-run detail (coordinator stats, worker roster,
             resolved dist settings), or None.
         analysis: Streaming per-layer sparsity/overhead aggregates from

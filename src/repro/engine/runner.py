@@ -192,12 +192,12 @@ def lookup_trace(settings: EngineSettings, cache: TraceCache,
     """The (cached) trace of one frame of one grid cell.
 
     The one trace-lookup policy: the frame comes from ``frames``, the
-    trace from ``cache``, with ``settings``' rulegen shards and delta
-    threshold; ``prev_trace`` (the previous sequential frame's trace)
-    seeds a delta patch on a miss only when ``settings.delta_trace`` is
-    on.  :meth:`ExperimentRunner.trace_for` traces through it, and so
-    do the process backend's pool workers and the distributed workers,
-    which run their groups through a serial runner of their own.
+    trace from ``cache``, with ``settings``' rulegen shards;
+    ``prev_trace`` (the previous sequential frame's trace) seeds the
+    delta path on a miss only when ``settings.delta_trace`` is on.
+    :meth:`ExperimentRunner.trace_for` traces through it, and so do the
+    process backend's pool workers and the distributed workers, which
+    run their groups through a serial runner of their own.
     """
     built = frames.frame_for(scenario, model, frame)
     return cache.get_trace(
@@ -206,7 +206,6 @@ def lookup_trace(settings: EngineSettings, cache: TraceCache,
         built.point_counts.astype(float),
         rulegen_shards=settings.rulegen_shards,
         prev_trace=prev_trace if settings.delta_trace else None,
-        delta_threshold=settings.delta_threshold,
         label=(scenario.name, spec.name),
     )
 
@@ -249,15 +248,14 @@ class ExperimentRunner:
             table never changes — only trace speed.
         delta_trace: When True, batched scenarios trace as sequential
             delta chains: frame 0 builds rules in full and frames
-            1..N-1 patch their predecessor's rules
-            (:func:`~repro.sparse.rulegen.build_rules_delta`).  Delta
+            1..N-1 are routed to
+            :func:`~repro.sparse.rulegen.build_rules_delta`, which
+            shares a predecessor's rules when a layer input is unchanged
+            and rebuilds otherwise.  Delta
             rules are bit-identical and the cache keys never change, so
             the table, cache hits and shipped artifacts are unaffected —
             only trace speed.  Defaults to ``REPRO_ENGINE_DELTA_TRACE``,
             else off.
-        delta_threshold: Fraction of a frame the diff may touch before
-            the delta path falls back to a full rebuild; defaults to
-            ``REPRO_ENGINE_DELTA_THRESHOLD``, else 0.5.
     """
 
     def __init__(self, simulators, models, scenarios=None,
@@ -265,7 +263,7 @@ class ExperimentRunner:
                  frame_provider: FrameProvider = None,
                  cell_filter=None, backend=None, max_workers: int = None,
                  rulegen_shards: int = None,
-                 delta_trace: bool = None, delta_threshold: float = None,
+                 delta_trace: bool = None,
                  faults: str = None, degrade: bool = None):
         self.simulators = resolve_simulators(simulators)
         self.models = list(models)
@@ -305,7 +303,6 @@ class ExperimentRunner:
             rulegen_shards=rulegen_shards,
             cache_dir=getattr(self.cache, "disk_dir", None),
             delta_trace=delta_trace,
-            delta_threshold=delta_threshold,
             faults=faults,
             degrade=degrade,
         )
@@ -315,7 +312,6 @@ class ExperimentRunner:
         self.max_workers = self.settings.workers
         self.rulegen_shards = self.settings.rulegen_shards
         self.delta_trace = self.settings.delta_trace
-        self.delta_threshold = self.settings.delta_threshold
         self.faults = self.settings.faults
         self.degrade = self.settings.degrade
         self._specs = {}
@@ -343,9 +339,10 @@ class ExperimentRunner:
         """The (cached) trace feeding one frame of one grid cell.
 
         ``prev_trace`` may carry the previous sequential frame's trace:
-        with ``delta_trace`` enabled a cache miss is then computed by
-        patching that trace's rules instead of rebuilding (content keys
-        never change, so hits behave identically either way).
+        with ``delta_trace`` enabled a cache miss then routes its layers
+        to ``build_rules_delta``, which shares that trace's rules where a
+        layer input is unchanged (content keys never change, so hits
+        behave identically either way).
         """
         if self.trace_provider is not None:
             if frame != 0:

@@ -39,13 +39,9 @@ RULEGEN_SHARDS_ENV_VAR = "REPRO_ENGINE_RULEGEN_SHARDS"
 CACHE_DIR_ENV_VAR = "REPRO_TRACE_CACHE_DIR"
 
 #: Whether batched scenarios trace as sequential delta chains (frame 0
-#: full, later frames patched from their predecessor; "1"/"0",
-#: default off).
+#: full, later frames seeded by their predecessor; "1"/"0", default
+#: off).
 DELTA_TRACE_ENV_VAR = "REPRO_ENGINE_DELTA_TRACE"
-
-#: Fraction of a frame's pillars the frame-to-frame diff may touch
-#: before delta rule generation falls back to a full rebuild.
-DELTA_THRESHOLD_ENV_VAR = "REPRO_ENGINE_DELTA_THRESHOLD"
 
 #: Deterministic fault-injection plan for chaos testing (grammar in
 #: ``repro.engine.faults`` / docs/robustness.md; empty = disarmed).
@@ -157,12 +153,6 @@ def positive_float(value, source: str) -> float:
     """Validate any duration-like knob into a positive float (seconds)."""
     return _number(float, value, source, "a positive number of seconds",
                    lambda seconds: seconds > 0)
-
-
-def fraction(value, source: str) -> float:
-    """Validate a ratio-like knob into a float in ``(0, 1]``."""
-    return _number(float, value, source, "a fraction in (0, 1]",
-                   lambda ratio: 0 < ratio <= 1)
 
 
 def tcp_port(value, source: str) -> int:
@@ -316,10 +306,8 @@ class EngineSettings(Settings):
         cache_dir: Persistent trace-cache directory, or ``None`` for a
             memory-only cache.
         delta_trace: When True, batched scenarios trace as sequential
-            delta chains (frame 0 full, later frames patched from the
-            previous frame's rules).
-        delta_threshold: Fraction of a frame the diff may touch before
-            the delta path falls back to a full rebuild.
+            delta chains (frame 0 full, later frames share the previous
+            frame's rules where a layer input is unchanged).
         faults: Deterministic fault-injection plan text (chaos
             harness; see ``docs/robustness.md``), or ``None`` when
             disarmed.
@@ -336,7 +324,6 @@ class EngineSettings(Settings):
     cache_dir: str = knob(CACHE_DIR_ENV_VAR, text_or_none,
                           none_is_value=True)
     delta_trace: bool = knob(DELTA_TRACE_ENV_VAR, boolean_flag, False)
-    delta_threshold: float = knob(DELTA_THRESHOLD_ENV_VAR, fraction, 0.5)
     faults: str = knob(FAULTS_ENV_VAR, fault_plan)
     degrade: bool = knob(DEGRADE_ENV_VAR, boolean_flag, False)
 

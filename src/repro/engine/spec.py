@@ -151,12 +151,8 @@ class ExperimentSpec:
         cache_dir: Persistent trace-cache directory for this experiment,
             or ``None`` to inherit ``REPRO_TRACE_CACHE_DIR``.
         delta_trace: Trace sequential frames as delta chains (frame 0
-            full, later frames patched from the previous frame's
-            trace), or ``None`` to inherit
-            ``REPRO_ENGINE_DELTA_TRACE``.
-        delta_threshold: Fraction of changed inputs above which delta
-            tracing falls back to a full rulegen, or ``None`` to
-            inherit ``REPRO_ENGINE_DELTA_THRESHOLD``.
+            full, later frames seeded by the previous frame's trace),
+            or ``None`` to inherit ``REPRO_ENGINE_DELTA_TRACE``.
         faults: Deterministic fault-injection plan text (the chaos
             harness; grammar in ``docs/robustness.md``), or ``None``
             to inherit ``REPRO_ENGINE_FAULTS``.
@@ -182,7 +178,6 @@ class ExperimentSpec:
     rulegen_shards: int = None
     cache_dir: str = None
     delta_trace: bool = None
-    delta_threshold: float = None
     faults: str = None
     degrade: bool = None
     frame_provider: str = DEFAULT_FRAME_PROVIDER

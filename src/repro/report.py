@@ -447,8 +447,9 @@ def _manifest_summary_rows(manifest: RunManifest) -> list:
                      f"(disk {cache.get('disk_hits', 0)} hit / "
                      f"{cache.get('disk_writes', 0)} written)"))
         rows.append(("delta tracing",
-                     f"{cache.get('delta_layers', 0)} layer(s) via "
-                     f"delta, {cache.get('full_layers', 0)} full"))
+                     f"{cache.get('delta_layers', 0)} layer(s) routed to "
+                     f"build_rules_delta (shared or rebuilt), "
+                     f"{cache.get('full_layers', 0)} full"))
     analysis = manifest.analysis or {}
     if analysis:
         rows.append(("analytics",

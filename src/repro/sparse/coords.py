@@ -108,7 +108,7 @@ def kernel_offsets(kernel_size: int) -> np.ndarray:
 
 #: Grids up to this many cells resolve trace-stage set operations through
 #: dense grid tables indexed by flat cell — a boolean mask for unique
-#: sets and membership, an int32 index table for rule lookups, a float64
+#: sets, a halo-padded int32 index table for rule generation, a float64
 #: table for the branch-union importance — each one linear pass instead
 #: of a hash ``np.unique`` or a log-time ``searchsorted``.  The paper's
 #: BEV grids are at most 1024x1024 (2**20 cells), where the tables win
@@ -129,39 +129,6 @@ def _unique_flat_sorted(flat: np.ndarray, total: int) -> np.ndarray:
         mask[flat] = True
         return np.flatnonzero(mask)
     return np.unique(flat)
-
-
-def sorted_set_member(haystack_flat: np.ndarray,
-                      needles_flat: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``needles_flat`` in a sorted flat set.
-
-    Both arrays are strictly-ascending flat indices (the invariant every
-    CPR-derived set carries); membership resolves with one
-    ``searchsorted`` instead of hashing.
-    """
-    needles_flat = np.asarray(needles_flat, dtype=np.int64)
-    if len(haystack_flat) == 0 or len(needles_flat) == 0:
-        return np.zeros(len(needles_flat), dtype=bool)
-    pos = np.searchsorted(haystack_flat, needles_flat)
-    np.minimum(pos, len(haystack_flat) - 1, out=pos)
-    return haystack_flat[pos] == needles_flat
-
-
-def sorted_set_diff(old_flat: np.ndarray, new_flat: np.ndarray) -> tuple:
-    """``(added, removed)`` between two strictly-ascending flat sets.
-
-    ``added`` are the members of ``new_flat`` absent from ``old_flat``
-    and ``removed`` the members of ``old_flat`` absent from
-    ``new_flat``, each in ascending order.  This is the frame-to-frame
-    diff primitive delta rule generation
-    (:func:`repro.sparse.rulegen.build_rules_delta`) patches from: two
-    ``searchsorted`` passes, no hashing, no re-sort.
-    """
-    old_flat = np.asarray(old_flat, dtype=np.int64)
-    new_flat = np.asarray(new_flat, dtype=np.int64)
-    added = new_flat[~sorted_set_member(old_flat, new_flat)]
-    removed = old_flat[~sorted_set_member(new_flat, old_flat)]
-    return added, removed
 
 
 def dilate(coords: np.ndarray, shape: tuple, kernel_size: int = 3) -> np.ndarray:

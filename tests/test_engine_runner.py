@@ -116,14 +116,12 @@ class TestRunnerCaching:
         real_trace_model = cache_module.trace_model
 
         def counting(spec, coords, importance=None, grid_shape=None,
-                     rulegen_shards=None, prev_trace=None,
-                     delta_threshold=None):
+                     rulegen_shards=None, prev_trace=None):
             calls.append(spec.name)
             return real_trace_model(spec, coords, importance,
                                     grid_shape=grid_shape,
                                     rulegen_shards=rulegen_shards,
-                                    prev_trace=prev_trace,
-                                    delta_threshold=delta_threshold)
+                                    prev_trace=prev_trace)
 
         monkeypatch.setattr(cache_module, "trace_model", counting)
         runner = ExperimentRunner(
@@ -266,14 +264,12 @@ class TestRunnerParallelism:
         real_trace_model = cache_module.trace_model
 
         def counting(spec, coords, importance=None, grid_shape=None,
-                     rulegen_shards=None, prev_trace=None,
-                     delta_threshold=None):
+                     rulegen_shards=None, prev_trace=None):
             calls.append(spec.name)
             return real_trace_model(spec, coords, importance,
                                     grid_shape=grid_shape,
                                     rulegen_shards=rulegen_shards,
-                                    prev_trace=prev_trace,
-                                    delta_threshold=delta_threshold)
+                                    prev_trace=prev_trace)
 
         monkeypatch.setattr(cache_module, "trace_model", counting)
         runner = ExperimentRunner(

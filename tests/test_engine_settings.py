@@ -8,7 +8,6 @@ from repro.engine import ExperimentRunner, TraceCache
 from repro.engine.settings import (
     BACKEND_ENV_VAR,
     CACHE_DIR_ENV_VAR,
-    DELTA_THRESHOLD_ENV_VAR,
     DELTA_TRACE_ENV_VAR,
     ENGINE_ENV_VARS,
     RULEGEN_SHARDS_ENV_VAR,
@@ -34,7 +33,6 @@ class TestPrecedence:
         assert settings.rulegen_shards == 1
         assert settings.cache_dir is None
         assert settings.delta_trace is False
-        assert settings.delta_threshold == 0.5
 
     def test_env_overrides_defaults(self, monkeypatch, tmp_path):
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
@@ -42,12 +40,11 @@ class TestPrecedence:
         monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "4")
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "1")
-        monkeypatch.setenv(DELTA_THRESHOLD_ENV_VAR, "0.25")
         settings = EngineSettings.resolve()
         assert settings == EngineSettings(
             backend="process", workers=3,
             rulegen_shards=4, cache_dir=str(tmp_path),
-            delta_trace=True, delta_threshold=0.25,
+            delta_trace=True,
         )
 
     @pytest.mark.parametrize("cls", SETTINGS_CLASSES,
@@ -81,7 +78,7 @@ class TestRemovedTraceWorkersKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert "REPRO_ENGINE_TRACE_WORKERS" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 26
+        assert len(ENGINE_ENV_VARS) == 25
         # A value the old knob rejected no longer reaches any resolver.
         monkeypatch.setenv("REPRO_ENGINE_TRACE_WORKERS", "0")
         settings = EngineSettings.resolve(workers=3)
@@ -117,6 +114,39 @@ class TestRemovedBatchRowsKnob:
             DistBackend(batch_rows=1)
 
 
+class TestRemovedDeltaThresholdKnob:
+    """Delta tracing shares unchanged rules or rebuilds; the fraction
+    that chose between patching and rebuilding has no knob in the
+    environment, the settings, the runner, the spec or the CLI."""
+
+    ENV_VAR = "REPRO_ENGINE_DELTA_THRESHOLD"
+    ARGUMENT = "delta_threshold"
+
+    def test_env_var_is_not_an_engine_knob(self, monkeypatch):
+        assert self.ENV_VAR not in ENGINE_ENV_VARS
+        # A value the old knob rejected no longer reaches the resolver.
+        monkeypatch.setenv(self.ENV_VAR, "half")
+        settings = EngineSettings.resolve()
+        assert self.ARGUMENT not in settings.as_dict()
+
+    def test_argument_is_rejected(self):
+        from repro.cli import build_parser
+        from repro.engine.spec import ExperimentSpec
+
+        with pytest.raises(TypeError, match=self.ARGUMENT):
+            EngineSettings.resolve(**{self.ARGUMENT: 0.5})
+        with pytest.raises(ValueError, match=self.ARGUMENT):
+            ExperimentSpec.from_dict({"simulators": ["stats"],
+                                      "models": ["SPP3"],
+                                      self.ARGUMENT: 0.5})
+        with pytest.raises(TypeError, match=self.ARGUMENT):
+            ExperimentRunner(simulators=["spade-he"], models=["SPP3"],
+                             **{self.ARGUMENT: 0.5})
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "spec.json", "--delta-threshold", "0.5"])
+
+
 class TestRemovedTraceStageKnob:
     """Dist workers trace the groups they simulate; the coordinator's
     pre-dispatch trace pass has no knob in the environment, the
@@ -129,7 +159,7 @@ class TestRemovedTraceStageKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert self.ENV_VAR not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 26
+        assert len(ENGINE_ENV_VARS) == 25
         # A value the old knob rejected no longer reaches the resolver.
         monkeypatch.setenv(self.ENV_VAR, "maybe")
         settings = DistSettings.resolve()
@@ -155,9 +185,6 @@ class TestBadValuesNameTheOffender:
         (RULEGEN_SHARDS_ENV_VAR, "-1"),
         (DELTA_TRACE_ENV_VAR, "maybe"),
         (DELTA_TRACE_ENV_VAR, "2"),
-        (DELTA_THRESHOLD_ENV_VAR, "0"),
-        (DELTA_THRESHOLD_ENV_VAR, "1.5"),
-        (DELTA_THRESHOLD_ENV_VAR, "half"),
     ])
     def test_env_knobs(self, monkeypatch, var, bad):
         monkeypatch.setenv(var, bad)
@@ -183,8 +210,6 @@ class TestBadValuesNameTheOffender:
             resolve("rulegen_shards", -3)
         with pytest.raises(ValueError, match="delta_trace"):
             resolve("delta_trace", "sometimes")
-        with pytest.raises(ValueError, match="delta_threshold"):
-            resolve("delta_threshold", 0)
 
 
 class TestDelegation:
@@ -212,20 +237,12 @@ class TestDelegation:
         # engine at module scope); the mirror must never drift.
         assert (sparse_rulegen.RULEGEN_SHARDS_ENV_VAR
                 == RULEGEN_SHARDS_ENV_VAR)
-        assert (sparse_rulegen.DELTA_THRESHOLD_ENV_VAR
-                == DELTA_THRESHOLD_ENV_VAR)
-
-    def test_sparse_delta_threshold_delegates(self, monkeypatch):
-        monkeypatch.setenv(DELTA_THRESHOLD_ENV_VAR, "0.125")
-        assert sparse_rulegen.resolve_delta_threshold() == 0.125
 
     def test_runner_delegates_delta_knobs(self, monkeypatch):
         monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "yes")
-        monkeypatch.setenv(DELTA_THRESHOLD_ENV_VAR, "0.75")
         runner = ExperimentRunner(simulators=["spade-he"],
                                   models=["SPP3"])
         assert runner.delta_trace is True
-        assert runner.delta_threshold == 0.75
 
     def test_no_stray_environ_reads_in_engine(self):
         # The dedupe contract itself: apart from settings.py, no engine

@@ -140,8 +140,7 @@ class TestRoundTrip:
         # A non-default value for every EngineSettings knob.
         {"backend": "process", "workers": 3, "rulegen_shards": 2,
          "cache_dir": "trace-cache", "delta_trace": True,
-         "delta_threshold": 0.25, "faults": "kill_worker:unit=99",
-         "degrade": True},
+         "faults": "kill_worker:unit=99", "degrade": True},
     ], ids=["workers", "every-knob"])
     def test_dict_round_trip(self, knobs, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)          # the relative cache_dir

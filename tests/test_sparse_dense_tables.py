@@ -1,16 +1,21 @@
 """Dense-table and sorted lookup routes of the trace stage.
 
-Grids within :data:`repro.sparse.coords._DENSE_TABLE_CELLS` resolve rule
-lookups, branch unions and strided output sets through dense grid
-tables; larger grids keep the sorted / hashed code.  Setting the cap to
-0 forces the sorted route on the small grids used here, so both routes
-are checked against :func:`build_rules_reference` and against each
-other, bit for bit and dtype for dtype.  Direct oracles pin
+Grids within :data:`repro.sparse.coords._DENSE_TABLE_CELLS` build each
+layer's output set and pairs from one halo-padded grid table and resolve
+branch unions and strided output sets through dense tables; larger grids
+keep the sorted / hashed code.  Setting the cap to 0 forces the sorted
+route on the small grids used here, so both routes are checked against
+:func:`build_rules_reference` and against each other, bit for bit and
+dtype for dtype — including frames whose pillars sit on the halo edges
+(corners, full grids, 1xN and Nx1 grids).  Direct oracles pin
 ``_union_states`` and ``downsample_coords``, and degenerate frames run
 through ``trace_model`` for every Table I model.
 """
 
 import contextlib
+import dataclasses
+import math
+import numbers
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import sparsity
 from repro.analysis.sparsity import StreamState, _union_states, trace_model
+from repro.engine.registry import SIMULATORS
+from repro.engine.simulators import _PLATFORMS, build_simulator
 from repro.models import TABLE1_PAPER, LayerOp, build_model_spec
 from repro.sparse import (
     ConvType,
@@ -43,10 +50,14 @@ CASES = [
     (ConvType.SPCONV, 1, 2),
     (ConvType.SPCONV, 1, 5),
     (ConvType.SUBM, 1, 3),
+    (ConvType.SUBM, 1, 2),
     (ConvType.SPCONV_P, 1, 3),
     (ConvType.STRIDED, 2, 3),
     (ConvType.STRIDED, 3, 3),
+    (ConvType.STRIDED, 2, 2),
+    (ConvType.STRIDED, 2, 5),
     (ConvType.STRIDED_SUBM, 2, 3),
+    (ConvType.STRIDED_SUBM, 3, 3),
     (ConvType.DECONV, 2, 2),
     (ConvType.DECONV, 3, 3),
 ]
@@ -68,16 +79,38 @@ def random_frame(count, shape=SHAPE, seed=0):
     return unflatten(np.sort(flat), shape)
 
 
+def corner_pillars(shape):
+    """The (deduplicated) four corner cells of a grid."""
+    last = shape[0] * shape[1] - 1
+    flat = [0, shape[1] - 1, last - shape[1] + 1, last]
+    return unflatten(np.unique(flat), shape)
+
+
+def full_grid(shape):
+    return unflatten(np.arange(shape[0] * shape[1]), shape)
+
+
+#: name -> (grid shape, CPR-sorted frame).
 FRAMES = {
-    "typical": random_frame(120),
-    "empty": np.zeros((0, 2), np.int32),
-    "single-row": unflatten(5 * SHAPE[1] + np.arange(0, 30, 3), SHAPE),
-    "half-dense": random_frame(TOTAL // 2, seed=7),
+    "typical": (SHAPE, random_frame(120)),
+    "empty": (SHAPE, np.zeros((0, 2), np.int32)),
+    "single-row": (SHAPE,
+                   unflatten(5 * SHAPE[1] + np.arange(0, 30, 3), SHAPE)),
+    "half-dense": (SHAPE, random_frame(TOTAL // 2, seed=7)),
+    "corners": (SHAPE, corner_pillars(SHAPE)),
+    "full-grid": (SHAPE, full_grid(SHAPE)),
+    "1xN-strip": ((1, 37), random_frame(20, (1, 37), seed=3)),
+    "1xN-full": ((1, 37), full_grid((1, 37))),
+    "Nx1-strip": ((29, 1), random_frame(15, (29, 1), seed=5)),
+    "Nx1-corners": ((29, 1), corner_pillars((29, 1))),
+    "1x1": ((1, 1), full_grid((1, 1))),
 }
 
 
 def assert_rules_identical(expect, got, label=""):
     assert got.out_shape == expect.out_shape, label
+    assert got.kernel_size == expect.kernel_size, label
+    assert got.out_coords.dtype == expect.out_coords.dtype, label
     np.testing.assert_array_equal(got.out_coords, expect.out_coords,
                                   err_msg=label)
     assert len(got.pairs) == len(expect.pairs), label
@@ -91,6 +124,23 @@ def assert_rules_identical(expect, got, label=""):
                                       err_msg=where)
 
 
+def assert_routes_match_reference(coords, shape, conv_type, stride, kernel):
+    """build_rules and build_rules_sharded (2-4 shards) on both routes
+    equal the reference loop."""
+    args = (coords, shape, conv_type)
+    params = dict(kernel_size=kernel, stride=stride)
+    reference = build_rules_reference(*args, **params)
+    for name in ROUTES:
+        with route(name):
+            assert_rules_identical(
+                reference, build_rules(*args, **params), name)
+            for shards in (2, 3, 4):
+                sharded = build_rules_sharded(
+                    *args, **params, shards=shards, max_workers=2)
+                assert_rules_identical(
+                    reference, sharded, f"{name} shards={shards}")
+
+
 class TestRouteSelection:
     def test_sorted_route_searches_and_table_route_does_not(
             self, monkeypatch):
@@ -102,7 +152,7 @@ class TestRouteSelection:
             return lookup(haystack, needles)
 
         monkeypatch.setattr(rulegen, "_lookup_sorted", counting)
-        coords = FRAMES["typical"]
+        coords = FRAMES["typical"][1]
         build_rules(coords, SHAPE, ConvType.SPCONV)
         assert calls == []
         with route("sorted"):
@@ -110,7 +160,25 @@ class TestRouteSelection:
         assert calls
 
     def test_cap_admits_paper_grids(self):
-        assert coords_module._dense_table_fits(1024 * 1024)
+        # The padded table adds a halo of up to 2 cells per side.
+        assert coords_module._dense_table_fits(1028 * 1028)
+
+    def test_oversized_padded_table_takes_sorted_route(self, monkeypatch):
+        """A grid that fits unpadded but not with its halo must search."""
+        calls = []
+        lookup = rulegen._lookup_sorted
+
+        def counting(haystack, needles):
+            calls.append(len(needles))
+            return lookup(haystack, needles)
+
+        monkeypatch.setattr(rulegen, "_lookup_sorted", counting)
+        monkeypatch.setattr(coords_module, "_DENSE_TABLE_CELLS", TOTAL)
+        _, coords = FRAMES["typical"]
+        got = build_rules(coords, SHAPE, ConvType.SPCONV)
+        assert calls
+        assert_rules_identical(
+            build_rules_reference(coords, SHAPE, ConvType.SPCONV), got)
 
 
 class TestRulegenRoutes:
@@ -118,19 +186,22 @@ class TestRulegenRoutes:
     @pytest.mark.parametrize("frame", sorted(FRAMES))
     def test_fused_and_sharded_match_reference(self, conv_type, stride,
                                                kernel, frame):
-        coords = FRAMES[frame]
-        args = (coords, SHAPE, conv_type)
-        params = dict(kernel_size=kernel, stride=stride)
-        reference = build_rules_reference(*args, **params)
-        for name in ROUTES:
-            with route(name):
-                assert_rules_identical(
-                    reference, build_rules(*args, **params), name)
-                for shards in (2, 3, 4):
-                    sharded = build_rules_sharded(
-                        *args, **params, shards=shards, max_workers=2)
-                    assert_rules_identical(
-                        reference, sharded, f"{name} shards={shards}")
+        shape, coords = FRAMES[frame]
+        assert_routes_match_reference(coords, shape, conv_type, stride,
+                                      kernel)
+
+    @pytest.mark.parametrize("conv_type,stride,kernel", CASES, ids=CASE_IDS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_random_grids_match_reference(self, conv_type, stride, kernel,
+                                          data):
+        shape = (data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40)))
+        total = shape[0] * shape[1]
+        flat = data.draw(st.lists(st.integers(0, total - 1),
+                                  max_size=total, unique=True))
+        coords = unflatten(np.sort(np.array(flat, np.int64)), shape)
+        assert_routes_match_reference(coords, shape, conv_type, stride,
+                                      kernel)
 
     @pytest.mark.parametrize("conv_type,stride,kernel", CASES, ids=CASE_IDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -148,7 +219,7 @@ class TestRulegenRoutes:
         for name in ROUTES:
             with route(name):
                 prev = build_rules(prev_coords, SHAPE, conv_type, **params)
-                delta = build_rules_delta(prev, new_coords, threshold=1.0)
+                delta = build_rules_delta(prev, new_coords)
             assert_rules_identical(expect, delta, name)
 
 
@@ -380,3 +451,75 @@ class TestDegenerateFrames:
         for importance in seen:
             assert np.isfinite(importance).all()
             assert (importance >= 0).all()
+
+
+#: Every built-in simulator spec string, one per configuration.
+SIMULATOR_NAMES = [
+    "spade-he", "spade-le", "spade-he-noopt", "spade-le-noopt",
+    "dense-he", "dense-le", "pointacc-he", "pointacc-le", "spconv2d",
+    "stats",
+] + [f"platform:{name}" for name in sorted(_PLATFORMS)]
+
+#: The sparse models whose layer graphs cover every ConvType.
+SIMULATED_MODELS = ["SPP1", "SPP3", "SCP1", "SCP3", "SPN"]
+
+_TRACES = {}
+
+
+def degenerate_trace(model, frame):
+    """trace_model of one degenerate frame, built once per module."""
+    key = (model, frame)
+    if key not in _TRACES:
+        _TRACES[key] = trace_model(build_model_spec(model),
+                                   degenerate_frames()[frame],
+                                   grid_shape=GRID)
+    return _TRACES[key]
+
+
+def reported_numbers(value, path="result"):
+    """(path, number) for every number nested in a simulator result."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from reported_numbers(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            yield from reported_numbers(item, f"{path}[{index}]")
+    elif isinstance(value, numbers.Number) and not isinstance(value, bool):
+        yield path, value
+
+
+class TestDegenerateFramesThroughSimulators:
+    def test_names_cover_every_built_in_family(self):
+        families = {name.split("-")[0].split(":")[0]
+                    for name in SIMULATOR_NAMES}
+        assert families == {"spade", "dense", "pointacc", "spconv2d",
+                            "stats", "platform"}
+        assert families <= set(SIMULATORS.names())
+
+    @pytest.mark.parametrize("simulator", SIMULATOR_NAMES)
+    @pytest.mark.parametrize("frame", ["empty", "corner-pillar",
+                                       "full-grid", "row-strip",
+                                       "column-strip"])
+    def test_costs_are_finite_and_non_negative(self, simulator, frame):
+        sim = build_simulator(simulator)
+        for model in SIMULATED_MODELS:
+            result = sim.run(degenerate_trace(model, frame))
+            reported = {
+                "cycles": result.cycles,
+                "latency_ms": result.latency_ms,
+                "fps": result.fps,
+                "energy_mj": result.energy_mj,
+                "dram_bytes": result.dram_bytes,
+                "utilization": result.utilization,
+                "per_layer": result.per_layer,
+                "extras": result.extras,
+            }
+            values = list(reported_numbers(reported, model))
+            assert values, model
+            for path, value in values:
+                assert math.isfinite(value), (path, value)
+                assert value >= 0, (path, value)
+            if result.cycles is not None and frame != "empty":
+                assert result.cycles > 0, model

@@ -1,8 +1,8 @@
 """Delta rule generation: bit-identical parity against the per-offset
-reference loop when frame N's rules are patched from frame N-1's, for
-every ConvType — empty transitions, identical frames, 100%-changed
-frames (the fallback), random toggles (hypothesis) and multi-frame
-delta chains through the sharded fallback path."""
+reference loop when frame N's rules are derived from frame N-1's, for
+every ConvType — empty transitions, identical frames (arrays shared),
+100%-changed frames, random toggles (hypothesis) and multi-frame delta
+chains through the sharded rebuild."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sparse import (
-    DELTA_THRESHOLD_ENV_VAR,
     ConvType,
     build_rules_delta,
     build_rules_reference,
-    resolve_delta_threshold,
     unflatten,
 )
 
@@ -95,15 +93,14 @@ class TestDeltaParity:
     )
     @settings(max_examples=30, deadline=None)
     def test_random_toggles_match_reference(self, base, toggles):
-        """The core property: for every ConvType, patching frame N-1's
-        rules with a random membership toggle is bit-identical to
-        rebuilding frame N from scratch (threshold=1.0 keeps the true
-        delta path engaged, never the fallback)."""
+        """The core property: for every ConvType, deriving frame N's
+        rules from frame N-1's after a random membership toggle is
+        bit-identical to building frame N from scratch."""
         prev_coords = frame_from_flat(base)
         new_coords = toggled(base, toggles)
         for conv_type, stride, kernel in CASES:
             prev = reference_for(prev_coords, conv_type, stride, kernel)
-            delta = build_rules_delta(prev, new_coords, threshold=1.0)
+            delta = build_rules_delta(prev, new_coords)
             expect = reference_for(new_coords, conv_type, stride, kernel)
             assert_rules_identical(
                 expect, delta, f"{conv_type.value}-s{stride}-k{kernel}"
@@ -115,9 +112,9 @@ class TestDeltaParity:
                                                    stride, kernel):
         coords = random_frame(90, seed=11)
         prev = reference_for(coords, conv_type, stride, kernel)
-        delta = build_rules_delta(prev, coords.copy(), threshold=1.0)
+        delta = build_rules_delta(prev, coords.copy())
         assert_rules_identical(prev, delta)
-        # Zero delta: the patch reuses the previous structure outright.
+        # Zero delta: the previous structure is reused outright.
         for before, after in zip(prev.pairs, delta.pairs):
             assert after.in_idx is before.in_idx
             assert after.out_idx is before.out_idx
@@ -132,7 +129,7 @@ class TestDeltaParity:
             (EMPTY, EMPTY, "empty->empty"),
         ):
             prev = reference_for(prev_coords, conv_type, stride, kernel)
-            delta = build_rules_delta(prev, new_coords, threshold=1.0)
+            delta = build_rules_delta(prev, new_coords)
             expect = reference_for(new_coords, conv_type, stride, kernel)
             assert_rules_identical(expect, delta, label)
 
@@ -140,18 +137,16 @@ class TestDeltaParity:
                              ids=CASE_IDS)
     def test_fully_changed_frame_falls_back(self, conv_type, stride,
                                             kernel):
-        """A 100%-changed frame exceeds any threshold fraction, so the
-        patch routes through the full rebuild — and still matches."""
+        """A 100%-changed frame routes through the full rebuild — and
+        matches."""
         rng = np.random.default_rng(17)
         cells = rng.choice(TOTAL, 160, replace=False)
         prev_coords = frame_from_flat(cells[:80])
         new_coords = frame_from_flat(cells[80:])
         prev = reference_for(prev_coords, conv_type, stride, kernel)
-        for threshold in (None, 0.5, 1.0):
-            delta = build_rules_delta(prev, new_coords,
-                                      threshold=threshold)
-            expect = reference_for(new_coords, conv_type, stride, kernel)
-            assert_rules_identical(expect, delta, f"t={threshold}")
+        delta = build_rules_delta(prev, new_coords)
+        expect = reference_for(new_coords, conv_type, stride, kernel)
+        assert_rules_identical(expect, delta)
 
 
 class TestDeltaChains:
@@ -160,7 +155,7 @@ class TestDeltaChains:
     def test_chained_deltas_do_not_drift(self, seed):
         """Frames 1..N patch from the *previous delta result*, so any
         drift would compound — parity must hold at every link, for a
-        random walk of toggles, through the sharded fallback path."""
+        random walk of toggles, through the sharded rebuild."""
         rng = np.random.default_rng(seed)
         flat = set(rng.choice(TOTAL, 100, replace=False).tolist())
         for conv_type, stride, kernel in (
@@ -183,8 +178,7 @@ class TestDeltaChains:
                     else:
                         walk.add(cell)
                 coords = frame_from_flat(sorted(walk))
-                rules = build_rules_delta(rules, coords, threshold=1.0,
-                                          shards=3)
+                rules = build_rules_delta(rules, coords, shards=3)
                 expect = build_rules_reference(
                     coords, SHAPE, conv_type, kernel_size=kernel,
                     stride=stride,
@@ -192,22 +186,3 @@ class TestDeltaChains:
                 assert_rules_identical(
                     expect, rules, f"{conv_type.value} frame {frame}"
                 )
-
-
-class TestThresholdResolution:
-    def test_explicit_value_validated(self):
-        assert resolve_delta_threshold(0.25) == 0.25
-        assert resolve_delta_threshold("0.5") == 0.5
-        assert resolve_delta_threshold(1) == 1.0
-        for bad in (0, -0.5, 1.5, "half", ""):
-            with pytest.raises(ValueError, match="delta_threshold"):
-                resolve_delta_threshold(bad)
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(DELTA_THRESHOLD_ENV_VAR, raising=False)
-        assert resolve_delta_threshold() == 0.5
-        monkeypatch.setenv(DELTA_THRESHOLD_ENV_VAR, "0.75")
-        assert resolve_delta_threshold() == 0.75
-        monkeypatch.setenv(DELTA_THRESHOLD_ENV_VAR, "2")
-        with pytest.raises(ValueError, match=DELTA_THRESHOLD_ENV_VAR):
-            resolve_delta_threshold()
