@@ -137,7 +137,7 @@ def schedule_sparse_layer(
     schedule = LayerSchedule(
         name=name,
         conv_type=rules.conv_type.value,
-        macs=rules.macs(in_channels, out_channels),
+        macs=0,
         num_tiles=0,
         weight_grouping=(
             optimize and rules.conv_type is ConvType.STRIDED and rules.stride > 1
@@ -169,8 +169,8 @@ def schedule_sparse_layer(
     weights_fit = layer_weight_bytes <= config.buf_wgt_bytes
 
     # Per-tile cost vectors; index t is tile t of the plan.
-    tile_pairs = tiling.pairs_per_offset.sum(axis=0)
-    passes = np.count_nonzero(tiling.pairs_per_offset, axis=0) * n_c * n_m
+    tile_pairs = tiling.tile_pairs
+    passes = tiling.active_offsets * n_c * n_m
     # Passes stream back-to-back (weights preloaded into shadow
     # registers), so the systolic fill/drain is paid once per tile.
     tile_mxu = tile_pairs * n_c * n_m + fill
@@ -196,6 +196,7 @@ def schedule_sparse_layer(
             _ceil_div(tile_loads * weight_tile_bytes, bpc))
 
     schedule.rule_entries = int(tile_pairs.sum())
+    schedule.macs = schedule.rule_entries * in_channels * out_channels
     schedule.pruned_outputs = rules.num_outputs if prune else 0
     schedule.breakdown = {
         "rulegen": stalls(tile_rulegen),

@@ -27,12 +27,27 @@ the scalar search reads, and what the extents summarize.  Per-tile pair
 counts come last, from one ``searchsorted`` per offset over all tile
 edges.  :func:`_output_window` keeps the scalar per-offset search as the
 definition the planner is tested against.
+
+Planning is memoized on the :class:`~repro.sparse.rulegen.Rules` it reads,
+in the private ``Rules._plans`` dict: the extents once per ``Rules``, and
+the schedule once per ``(max_inputs, max_outputs)``.  A layer's tiles
+depend on nothing else and its rules never change after RuleGen, so every
+design point, simulator and ``optimize`` setting that schedules the same
+traced layer with the same buffer capacities shares one
+:class:`TileSchedule`.  The memo lives exactly as long as its ``Rules``
+(the trace cache's memory tier decides that) and has no eviction.  It
+never reaches a pickle: ``Rules`` drops it on ``__getstate__``, so
+disk-tier traces stay byte for byte what they were, and a loaded or
+copied ``Rules`` plans afresh.  Because callers share them, memoized
+schedules are read-only: writing to any of their arrays raises.  Two
+threads planning one ``Rules`` at once may both compute a value; both
+results are equal, so no lock is needed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +100,14 @@ class TileSchedule:
             whose inputs have no pairs.
         pairs_per_offset: (K, T) rule entries of each tile per offset.
         overlap: (T,) outputs shared with the previous non-empty window.
+        tile_pairs: (T,) rule entries of each tile over all offsets
+            (the column sums of ``pairs_per_offset``).
+        active_offsets: (T,) kernel offsets with at least one rule entry
+            in each tile (the nonzero count of each column).
+
+    The last two are derived on construction.  Every array is read-only:
+    :func:`plan_tiles` hands one schedule to every caller that plans the
+    same :class:`Rules` with the same capacities.
     """
 
     in_start: np.ndarray
@@ -93,6 +116,14 @@ class TileSchedule:
     out_end: np.ndarray
     pairs_per_offset: np.ndarray
     overlap: np.ndarray
+    tile_pairs: np.ndarray = field(init=False)
+    active_offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.tile_pairs = self.pairs_per_offset.sum(axis=0)
+        self.active_offsets = np.count_nonzero(self.pairs_per_offset, axis=0)
+        for value in vars(self).values():
+            value.setflags(write=False)
 
     @property
     def num_tiles(self) -> int:
@@ -175,7 +206,9 @@ def plan_tiles(
     """Greedy ATM tiling: largest input tile whose output window fits.
 
     Each tile starts at ``max_inputs`` inputs and halves until its output
-    window fits BUFout (or it holds one input).
+    window fits BUFout (or it holds one input).  Memoized on ``rules``
+    per ``(max_inputs, max_outputs)``: a repeat call returns the same
+    read-only schedule.
 
     Args:
         rules: Layer mapping (indices ascending per offset).
@@ -185,9 +218,24 @@ def plan_tiles(
     Returns:
         A :class:`TileSchedule` covering all inputs.
     """
+    key = (int(max_inputs), int(max_outputs))
+    schedule = rules._plans.get(key)
+    if schedule is None:
+        schedule = rules._plans[key] = _plan_tiles(rules, *key)
+    return schedule
+
+
+def _plan_tiles(
+    rules: Rules, max_inputs: int, max_outputs: int
+) -> TileSchedule:
+    """The greedy behind :func:`plan_tiles`: always plans afresh, from
+    the memoized extents."""
     num_inputs = rules.num_inputs
     starts, out_starts, out_ends, overlaps = [], [], [], []
-    first, last = _output_extents(rules)
+    extents = rules._plans.get("extents")
+    if extents is None:
+        extents = rules._plans["extents"] = _output_extents(rules)
+    first, last = extents
     in_start = 0
     prev_start = prev_end = None
     while in_start < num_inputs:

@@ -40,6 +40,7 @@ own cache.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import subprocess
@@ -77,12 +78,19 @@ def git_revision(root=None) -> str:
     Best effort by design: a missing ``git`` binary, a non-repository
     directory or any other failure yields ``None`` rather than an
     error — manifests must be writable from deployment environments
-    that never see the repository.
+    that never see the repository.  The answer (``None`` included) is
+    cached per resolved directory for the life of the process, so a
+    sweep loop does not spawn ``git`` once per manifest.
     """
+    return _git_revision_at(Path(root or ".").resolve())
+
+
+@functools.lru_cache(maxsize=None)
+def _git_revision_at(directory: Path) -> str:
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(root) if root else None,
+            cwd=str(directory),
             capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):

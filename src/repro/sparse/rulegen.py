@@ -50,6 +50,7 @@ Entry points:
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -127,6 +128,11 @@ class Rules:
         in_shape / out_shape: Dense grid shapes.
         in_coords / out_coords: CPR-sorted active coordinate arrays.
         pairs: One :class:`RulePairs` per kernel offset, weight-index order.
+
+    ``_plans`` is the GSU planner's private memo (see
+    :func:`repro.core.gsu.plan_tiles`).  It is not state: pickling and
+    copying drop it, so a pickled :class:`Rules` holds exactly the
+    fields above whether or not it was ever planned.
     """
 
     conv_type: ConvType
@@ -137,6 +143,20 @@ class Rules:
     in_coords: np.ndarray
     out_coords: np.ndarray
     pairs: list = field(default_factory=list)
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_plans", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Intern the field names as pickle's default restore does: a
+        # trace pickles each name once only when every Rules shares it.
+        self.__dict__.update((sys.intern(key), value)
+                             for key, value in state.items())
+        self._plans = {}
 
     @property
     def num_inputs(self) -> int:

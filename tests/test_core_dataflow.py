@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     INSTRUCTIONS,
     SPADE_HE,
     SPADE_LE,
+    SpadeConfig,
     schedule_dense_layer,
     schedule_sparse_layer,
 )
@@ -107,6 +110,92 @@ class TestGangedScatter:
                                      optimize=False)
         opt = schedule_sparse_layer(rules, 256, 128, SPADE_HE, optimize=True)
         assert opt.total_cycles < base.total_cycles
+
+
+#: (conv type, stride) of every sparse convolution variant.
+VARIANTS = [
+    (ConvType.SPCONV, 1),
+    (ConvType.SUBM, 1),
+    (ConvType.SPCONV_P, 1),
+    (ConvType.STRIDED, 2),
+    (ConvType.STRIDED, 3),
+    (ConvType.STRIDED_SUBM, 2),
+    (ConvType.DECONV, 2),
+    (ConvType.DECONV, 3),
+]
+
+
+@st.composite
+def layers(draw):
+    """(build, in_channels, out_channels): ``build()`` makes the layer's
+    Rules afresh from one random small frame."""
+    conv_type, stride = draw(st.sampled_from(VARIANTS))
+    shape = (draw(st.integers(1, 14)), draw(st.integers(1, 16)))
+    total = shape[0] * shape[1]
+    flat = draw(st.lists(st.integers(0, total - 1), max_size=total,
+                         unique=True))
+    coords = unflatten(np.sort(np.asarray(flat, np.int64)), shape)
+
+    def build():
+        return build_rules(coords, shape, conv_type, stride=stride)
+
+    return build, draw(st.integers(1, 160)), draw(st.integers(1, 160))
+
+
+#: Accelerator instances with small, random buffers, so layers of a few
+#: dozen pillars still split into many tiles (and weights may not fit).
+#: BUFin sizes come from a short list, so that points of one draw often
+#: share a tile length and differ only in their BUFout capacity.
+configs = st.builds(
+    SpadeConfig,
+    pe_rows=st.sampled_from([4, 8, 16]),
+    pe_cols=st.sampled_from([4, 8, 16]),
+    buf_in_bytes=st.sampled_from([16, 64, 128, 2048]),
+    buf_out_bytes=st.integers(1, 4096),
+    buf_wgt_bytes=st.integers(1, 1 << 16),
+    dram_bytes_per_cycle=st.integers(1, 64),
+)
+
+
+class TestSparseScheduleProperties:
+    @given(layers(), configs, st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_breakdown_and_counts(self, layer, config, optimize, prune):
+        build, in_channels, out_channels = layer
+        rules = build()
+        schedule = schedule_sparse_layer(rules, in_channels, out_channels,
+                                         config, prune=prune,
+                                         optimize=optimize)
+        assert set(schedule.breakdown) == set(INSTRUCTIONS)
+        for cycles in schedule.breakdown.values():
+            assert type(cycles) is int and cycles >= 0
+        n_c = -(-in_channels // config.pe_rows)
+        n_m = -(-out_channels // config.pe_cols)
+        assert schedule.breakdown["mxu"] == (
+            rules.total_pairs * n_c * n_m
+            + schedule.num_tiles * (config.pe_rows + config.pe_cols))
+        assert schedule.rule_entries == rules.total_pairs
+        assert schedule.macs == rules.macs(in_channels, out_channels)
+        assert type(schedule.macs) is type(schedule.rule_entries) is int
+
+    @given(layers(), st.lists(st.tuples(configs, st.booleans()),
+                              min_size=1, max_size=6), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_rules_schedule_like_fresh_ones(self, layer, points,
+                                                   random):
+        build, in_channels, out_channels = layer
+        # Repeat points so that some plans are served from the memo.
+        points = points + points[: len(points) // 2]
+        random.shuffle(points)
+        shared = build()
+        for config, optimize in points:
+            assert schedule_sparse_layer(
+                shared, in_channels, out_channels, config,
+                optimize=optimize,
+            ) == schedule_sparse_layer(
+                build(), in_channels, out_channels, config,
+                optimize=optimize,
+            )
 
 
 class TestDenseSchedule:

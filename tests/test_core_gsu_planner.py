@@ -7,7 +7,10 @@ return the same tiles on random frames of every :class:`ConvType`, on
 degenerate frames and on capacities that force one-input tiles.
 """
 
+import copy
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import trace_model
 from repro.core import TilePlan, plan_tiles
-from repro.core.gsu import _output_window
+from repro.core.gsu import _output_window, _plan_tiles
 from repro.engine import TraceCache
 from repro.models import build_model_spec
 from repro.sparse import ConvType, Rules, RulePairs, build_rules, unflatten
@@ -193,3 +196,116 @@ class TestPlanningLeavesTracesAlone:
         assert [[list(plan_tiles(layer.rules, *cap).tiles) for cap in caps]
                 for layer in loaded.layers
                 if layer.rules is not None] == planned
+
+
+def fresh_copy(rules):
+    """An unplanned :class:`Rules` with ``rules``' fields."""
+    return Rules(rules.conv_type, rules.kernel_size, rules.stride,
+                 rules.in_shape, rules.out_shape, rules.in_coords,
+                 rules.out_coords, rules.pairs)
+
+
+def same_schedule(a, b):
+    return a.num_tiles == b.num_tiles and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("in_start", "in_end", "out_start", "out_end",
+                     "pairs_per_offset", "overlap", "tile_pairs",
+                     "active_offsets"))
+
+
+class TestPlanMemo:
+    """Planning is memoized per (Rules, max_inputs, max_outputs)."""
+
+    @pytest.fixture
+    def rules(self):
+        coords = unflatten(np.arange(0, 200, 3, dtype=np.int64), (12, 20))
+        return build_rules(coords, (12, 20), ConvType.SPCONV)
+
+    def test_same_caps_same_object(self, rules):
+        schedule = plan_tiles(rules, 8, 24)
+        assert plan_tiles(rules, 8, 24) is schedule
+        assert plan_tiles(rules, np.int64(8), 24) is schedule
+        assert plan_tiles(rules, 16, 24) is not schedule
+        assert plan_tiles(rules, 8, 12) is not schedule
+
+    def test_shared_arrays_are_read_only(self, rules):
+        schedule = plan_tiles(rules, 8, 24)
+        for name in ("in_start", "in_end", "out_start", "out_end",
+                     "pairs_per_offset", "overlap", "tile_pairs",
+                     "active_offsets"):
+            array = getattr(schedule, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            schedule.pairs_per_offset[0, 0] += 1
+
+    def test_derived_vectors(self, rules):
+        schedule = plan_tiles(rules, 8, 24)
+        assert schedule.tile_pairs.tolist() == [
+            tile.total_pairs for tile in schedule.tiles]
+        assert schedule.active_offsets.tolist() == [
+            sum(1 for count in tile.pairs_per_offset if count)
+            for tile in schedule.tiles]
+        assert schedule.tile_pairs.sum() == rules.total_pairs
+
+    @pytest.mark.parametrize("conv_type,stride", VARIANTS)
+    def test_alternating_caps_match_fresh_plans(self, conv_type, stride):
+        coords = unflatten(np.arange(0, 160, 3, dtype=np.int64), (10, 16))
+        rules = build_rules(coords, (10, 16), conv_type, stride=stride)
+        for caps in ((8, 24), (3, 5), (8, 24), (8, 5), (3, 24), (3, 5)):
+            memoized = plan_tiles(rules, *caps)
+            assert same_schedule(memoized,
+                                 _plan_tiles(fresh_copy(rules), *caps))
+            assert list(memoized.tiles) == reference_plan(rules, *caps)
+
+    @pytest.mark.parametrize("clone", [
+        lambda rules: pickle.loads(pickle.dumps(rules)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_drop_the_memo(self, rules, clone):
+        planned = plan_tiles(rules, 8, 24)
+        assert rules._plans
+        cloned = clone(rules)
+        assert cloned._plans == {}
+        replanned = plan_tiles(cloned, 8, 24)
+        assert replanned is not planned
+        assert same_schedule(replanned, planned)
+
+    def test_unpickles_a_trace_stored_without_the_slot(self, rules):
+        state = {key: value for key, value in vars(rules).items()
+                 if key != "_plans"}
+        loaded = Rules.__new__(Rules)
+        loaded.__setstate__(state)
+        assert loaded._plans == {}
+        assert same_schedule(plan_tiles(loaded, 8, 24),
+                             plan_tiles(rules, 8, 24))
+
+    def test_threads_planning_one_rules(self, rules):
+        caps = [(8, 24), (3, 5), (16, 40), (8, 5)]
+        expected = {cap: _plan_tiles(fresh_copy(rules), *cap) for cap in caps}
+        results, barrier = [], threading.Barrier(8)
+
+        def plan(offset):
+            barrier.wait(timeout=10)
+            for index in range(40):
+                cap = caps[(offset + index) % len(caps)]
+                results.append((cap, plan_tiles(rules, *cap)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=plan, args=(offset,))
+                       for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8 * 40
+        for cap, schedule in results:
+            assert same_schedule(schedule, expected[cap])
+        for cap in caps:
+            assert plan_tiles(rules, *cap) is rules._plans[cap]

@@ -4,6 +4,7 @@ backends (the dist backend's manifest parity lives with the dist
 tests)."""
 
 import json
+import subprocess
 import threading
 
 import pytest
@@ -66,6 +67,20 @@ class TestGitRevision:
 
     def test_none_outside_a_repository(self, tmp_path):
         assert git_revision(tmp_path) is None
+
+    def test_spawns_git_once_per_directory(self, tmp_path, monkeypatch):
+        calls = []
+        run = subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("cwd"))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        # A failed lookup is cached too.
+        assert git_revision(tmp_path) is None
+        assert git_revision(tmp_path / ".." / tmp_path.name) is None
+        assert calls == [str(tmp_path.resolve())]
 
 
 class TestManifestPath:
