@@ -27,6 +27,11 @@ import numpy as np
 from .grids import GridSpec, KITTI_GRID
 from .pointcloud import BoundingBox3D, PointCloud
 
+#: Radians added to each side of a box's shadow window in
+#: :meth:`SceneGenerator._shadowed`: far above the few-ulp error of the
+#: angle wrap, far below the scanner's azimuth step.
+_WINDOW_SLACK = 1e-9
+
 #: Object class templates: (length, width, height) means and std-devs.
 OBJECT_TEMPLATES = {
     "car": ((4.2, 1.8, 1.6), (0.4, 0.15, 0.1)),
@@ -177,10 +182,25 @@ class SceneGenerator:
         return points[~self._shadowed(points, boxes)]
 
     def _shadowed(self, points: np.ndarray, boxes: list) -> np.ndarray:
-        """Mask ground points whose beam passes through an object footprint."""
+        """Mask ground points whose beam passes through an object footprint.
+
+        A point is shadowed by a box when it lies beyond the box's range
+        and its azimuth is within ``angular_half`` of the box's, the
+        difference wrapped by ``np.angle(np.exp(1j * delta))``.  Each box
+        evaluates that test only on the points whose azimuth falls in the
+        window ``[c - h - _WINDOW_SLACK, c + h + _WINDOW_SLACK]``, found
+        by two ``searchsorted`` calls on the once-sorted azimuths and split
+        in two spans where it crosses +-pi.  The wrap's float error is a
+        few ulps against the 1e-9 rad slack, so the window is a superset
+        of every point the test accepts; the test itself is evaluated
+        unchanged on that superset, so the mask equals a full scan's bit
+        for bit, boundary ties included.
+        """
         shadow = np.zeros(len(points), dtype=bool)
         ranges = np.linalg.norm(points[:, :2], axis=1)
         azimuths = np.arctan2(points[:, 1], points[:, 0])
+        order = np.argsort(azimuths, kind="stable")
+        sorted_azimuths = azimuths[order]
         for box in boxes:
             center_range = float(np.linalg.norm(box.center[:2]))
             if center_range < 1e-3:
@@ -188,10 +208,27 @@ class SceneGenerator:
             center_azimuth = float(np.arctan2(box.center[1], box.center[0]))
             half_width = max(box.size[0], box.size[1]) / 2.0
             angular_half = np.arctan2(half_width, center_range)
+            lo = center_azimuth - angular_half - _WINDOW_SLACK
+            hi = center_azimuth + angular_half + _WINDOW_SLACK
+            # angular_half < pi/2, so at most one end crosses the seam.
+            if lo < -np.pi:
+                spans = ((-np.inf, hi), (lo + 2 * np.pi, np.inf))
+            elif hi > np.pi:
+                spans = ((lo, np.inf), (-np.inf, hi - 2 * np.pi))
+            else:
+                spans = ((lo, hi),)
+            candidates = np.concatenate([
+                order[
+                    np.searchsorted(sorted_azimuths, start, side="left"):
+                    np.searchsorted(sorted_azimuths, stop, side="right")
+                ]
+                for start, stop in spans
+            ])
+            candidates = candidates[ranges[candidates] > center_range]
             delta = np.abs(
-                np.angle(np.exp(1j * (azimuths - center_azimuth)))
+                np.angle(np.exp(1j * (azimuths[candidates] - center_azimuth)))
             )
-            shadow |= (delta < angular_half) & (ranges > center_range)
+            shadow[candidates[delta < angular_half]] = True
         return shadow
 
     def _object_returns(self, box: BoundingBox3D) -> np.ndarray:

@@ -25,7 +25,7 @@ session fixtures straight in.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..analysis.sparsity import ModelTrace
 from ..data.pillars import voxelize
@@ -134,7 +134,7 @@ class FrameProvider:
         if isinstance(model, ModelSpec):
             grid = model.grid
             if grid.name == "kitti":
-                return grid, KITTI_SCENE
+                return grid, replace(KITTI_SCENE, grid=grid)
             return grid, nuscenes_scene_config(grid)
         if model not in TABLE1_PAPER:
             raise KeyError(

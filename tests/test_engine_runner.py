@@ -235,6 +235,25 @@ class TestRunnerParallelism:
             custom_coords.append(ours.coords.tobytes())
         assert custom_coords[0] == custom_coords[1]
 
+    def test_widened_kitti_grid_is_synthesized_over_its_own_range(self):
+        # Regression: a grid still named "kitti" was synthesized over
+        # KITTI_SCENE's range, so a wider grid's frame stopped at the last
+        # KITTI column (431) however many columns it had.
+        from dataclasses import replace
+
+        from repro.data import KITTI_GRID
+
+        wide = replace(KITTI_GRID, x_range=(0, 80), y_range=(-40, 40))
+        custom = build_model_spec("SPP2")
+        custom.name = "SPP2-wide"
+        custom.grid = wide
+        runner = ExperimentRunner(
+            simulators=["spade-he"], models=[custom], cache=TraceCache(),
+        )
+        frame = runner.frame_provider.frame_for(runner.scenarios[0], custom)
+        assert frame.grid == wide and wide.nx == 500
+        assert frame.coords[:, 1].max() >= KITTI_GRID.nx
+
     def test_custom_modelspec_uses_its_own_grid(self):
         # Regression: a renamed KITTI-grid spec must be fed a KITTI
         # frame, not the zoo's unknown-name nuScenes fallback.
