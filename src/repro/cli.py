@@ -30,13 +30,6 @@ them and inspects the registries:
 * ``repro worker --connect HOST:PORT``
   — serve a distributed coordinator (the ``--backend dist`` run on the
   other end) until it shuts the worker down;
-* ``repro serve`` and its clients ``repro submit spec.json
-  [--priority N] [--wait]``, ``repro status [run-id]``,
-  ``repro results <run-id> [--out X]``, ``repro cancel <run-id>``,
-  ``repro queue``
-  — the persistent experiment service: one daemon owns a durable
-  priority run queue and a worker fleet reused across runs, with every
-  submission recorded under ``runs/<run-id>/`` (see ``docs/service.md``);
 * ``repro cache stats|clear``
   — inspect or empty the trace-artifact store
   (``REPRO_TRACE_CACHE_DIR`` or ``--cache-dir``) that distributed and
@@ -304,262 +297,6 @@ def _cmd_worker(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# repro serve / submit / status / results / cancel / queue
-# ---------------------------------------------------------------------------
-
-
-def _cmd_serve(args) -> int:
-    import signal
-
-    from .engine import telemetry
-    from .engine.service import ExperimentService
-    from .engine.settings import ServiceSettings, TelemetrySettings
-
-    settings = ServiceSettings.resolve(
-        host=args.host,
-        port=args.port,
-        store_dir=args.store,
-        max_inflight=args.max_inflight,
-        submitter_cap=args.submitter_cap,
-        drain_timeout=args.drain_timeout,
-    )
-    tel = TelemetrySettings.resolve(metrics_port=args.metrics_port)
-    service = ExperimentService(settings)
-    try:
-        service.start()
-    except Exception as error:  # noqa: BLE001 — bind errors are usage errors
-        raise ValueError(f"cannot start the experiment service: {error}") \
-            from None
-    metrics_server = None
-    if tel.metrics_port is not None:
-        try:
-            metrics_server = telemetry.serve_metrics(tel.metrics_port)
-        except OSError as error:
-            service.stop(drain=False)
-            raise ValueError(
-                f"cannot bind the metrics endpoint on port "
-                f"{tel.metrics_port}: {error}"
-            ) from None
-        _status(
-            f"Prometheus metrics on http://127.0.0.1:"
-            f"{metrics_server.server_address[1]}/metrics"
-        )
-    _status(
-        f"experiment service on {settings.host}:{service.port} "
-        f"(store {settings.store_dir}, max_inflight "
-        f"{settings.max_inflight}); stop with SIGTERM"
-    )
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: service.request_stop())
-    try:
-        return service.serve_forever()
-    finally:
-        if metrics_server is not None:
-            metrics_server.shutdown()
-
-
-def _service_client(args):
-    from .engine.service import ServiceClient
-
-    return ServiceClient(host=args.host, port=args.port)
-
-
-def _service_call(call):
-    """Run one client call, mapping service/socket errors to exit 2."""
-    from .engine.service import ServiceError
-
-    try:
-        return call()
-    except ServiceError as error:
-        raise ValueError(f"service: {error}") from None
-    except OSError as error:
-        raise ValueError(
-            f"cannot reach the experiment service: {error}; is "
-            f"`repro serve` running?"
-        ) from None
-
-
-def _cmd_submit(args) -> int:
-    spec = ExperimentSpec.load(args.spec).to_dict()
-    client = _service_client(args)
-    state = _service_call(lambda: client.submit(
-        spec, priority=args.priority, submitter=args.submitter,
-    ))
-    run_id = state["run"]
-    _status(f"queued {run_id} (priority {state['priority']})")
-    _out(run_id)
-    if not args.wait:
-        return 0
-    final = _service_call(lambda: client.wait(run_id))
-    _status(f"{run_id}: {final['state']}")
-    return 0 if final["state"] == "done" else 1
-
-
-def _print_run_state(state: dict) -> None:
-    _out(f"run {state.get('run')}")
-    for key in ("state", "priority", "submitter", "submitted_at",
-                "running_at", "done_at", "failed_at", "cancelled_at",
-                "interrupted_at", "rows", "resumed_units",
-                "appended_units", "unit_seconds", "error"):
-        if state.get(key) is not None:
-            _out(f"  {key:<14}: {state[key]}")
-
-
-def _counter_total(metrics: dict, name: str) -> int:
-    """Sum one counter across its label series in a metrics snapshot."""
-    series = (metrics.get("counters") or {}).get(name) or []
-    return int(sum(entry.get("value") or 0 for entry in series))
-
-
-def _fleet_lines(reply: dict, metrics: dict = None) -> list:
-    """The service summary as display lines.
-
-    One renderer behind both ``repro status`` (printed once) and
-    ``repro top`` (reprinted per refresh): worker roster, inflight
-    runs, the dispatch-ordered queue, and — when a metrics snapshot is
-    supplied — the fleet counters.
-    """
-    service = reply.get("service") or {}
-    queue = reply.get("queue") or {}
-    workers = reply.get("workers") or []
-    lines = [
-        f"experiment service {service.get('host')}:{service.get('port')} "
-        f"(store {service.get('store_dir')})"
-        + (" [draining]" if service.get("draining") else ""),
-        "",
-        f"workers ({len(workers)}):",
-    ]
-    if workers:
-        lines.append(f"  {'worker':<24} {'pid':>8}  inflight")
-        for entry in workers:
-            lines.append(
-                f"  {str(entry.get('worker')):<24} "
-                f"{str(entry.get('pid') or '-'):>8}  "
-                f"{entry.get('inflight') or '-'}"
-            )
-    else:
-        lines.append("  (none connected)")
-    inflight = queue.get("inflight") or []
-    lines.append("")
-    lines.append(
-        f"inflight runs ({len(inflight)}/{queue.get('max_inflight')}): "
-        f"{', '.join(inflight) or '-'}"
-    )
-    queued = queue.get("queued") or []
-    lines.append(f"queued ({len(queued)}):")
-    for entry in queued:
-        note = "" if entry.get("ready") else " [submitter at cap]"
-        lines.append(
-            f"  {entry['run']}  priority {entry['priority']:<3} "
-            f"{entry['submitter']}{note}"
-        )
-    if metrics is not None:
-        lines.append("")
-        lines.append(
-            f"rows streamed {_counter_total(metrics, 'repro_rows_streamed_total')}"
-            f" | heartbeats {_counter_total(metrics, 'repro_heartbeats_total')}"
-            f" | requeues {_counter_total(metrics, 'repro_requeues_total')}"
-            f" | cache gets {_counter_total(metrics, 'repro_cache_gets_total')}"
-        )
-    return lines
-
-
-def _follow_summary(client, interval: float) -> int:
-    """Refresh the service summary until interrupted (``--follow``)."""
-    import time as _time
-
-    while True:
-        reply = _service_call(client.status)
-        try:
-            metrics = _service_call(client.metrics)
-        except ValueError:
-            metrics = None
-        sys.stdout.write("\x1b[2J\x1b[H")
-        _out("\n".join(_fleet_lines(reply, metrics)))
-        sys.stdout.flush()
-        try:
-            _time.sleep(interval)
-        except KeyboardInterrupt:
-            return 0
-
-
-def _cmd_status(args) -> int:
-    client = _service_client(args)
-    if args.run is None:
-        if args.follow:
-            try:
-                return _follow_summary(client, interval=2.0)
-            except KeyboardInterrupt:
-                return 0
-        reply = _service_call(client.status)
-        _out("\n".join(_fleet_lines(reply)))
-        return 0
-    if args.wait:
-        state = _service_call(lambda: client.wait(args.run))
-    else:
-        state = _service_call(lambda: client.status(args.run))
-    _print_run_state(state)
-    return 0
-
-
-def _cmd_top(args) -> int:
-    client = _service_client(args)
-    if args.once:
-        reply = _service_call(client.status)
-        try:
-            metrics = _service_call(client.metrics)
-        except ValueError:
-            metrics = None
-        _out("\n".join(_fleet_lines(reply, metrics)))
-        return 0
-    try:
-        return _follow_summary(client, interval=args.interval)
-    except KeyboardInterrupt:
-        return 0
-
-
-def _cmd_results(args) -> int:
-    client = _service_client(args)
-    reply = _service_call(lambda: client.results(args.run))
-    if args.out is None or args.out == "-":
-        sys.stdout.write(reply["csv"])
-        return 0
-    fmt = _infer_format(args.out, args.format)
-    _check_writable_sink(args.out)
-    # The stored text is written verbatim, so a fetched table is
-    # byte-identical to the file the service wrote.
-    Path(args.out).write_text(reply["csv" if fmt == "csv" else "json"])
-    _status(f"wrote {args.run} results to {args.out} ({fmt})")
-    if reply.get("manifest"):
-        manifest_path = manifest_path_for(args.out)
-        Path(manifest_path).write_text(reply["manifest"])
-        _status(f"wrote run manifest to {manifest_path}")
-    return 0
-
-
-def _cmd_cancel(args) -> int:
-    client = _service_client(args)
-    state = _service_call(lambda: client.cancel(args.run))
-    _status(f"{args.run}: {state.get('state')}")
-    return 0
-
-
-def _cmd_queue(args) -> int:
-    client = _service_client(args)
-    reply = _service_call(client.queue)
-    inflight = reply.get("inflight") or []
-    _out(f"inflight ({len(inflight)}/{reply.get('max_inflight')}): "
-         f"{', '.join(inflight) or '-'}")
-    queued = reply.get("queued") or []
-    _out(f"queued ({len(queued)}):")
-    for entry in queued:
-        note = "" if entry.get("ready") else " [submitter at cap]"
-        _out(f"  {entry['run']}  priority {entry['priority']:<3} "
-             f"{entry['submitter']}{note}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # repro journal
 # ---------------------------------------------------------------------------
 
@@ -581,8 +318,8 @@ def _cmd_journal(args) -> int:
     units = info["units"]
     _out(f"  completed   : {len(units)} unit(s)")
     if args.timings:
-        # The seconds column totals to the run's unit_seconds — the
-        # same number `repro status <run>` reports from the service.
+        # The seconds column totals to RunObserver.unit_seconds(): the
+        # sum over the units the run manifest lists.
         _out(f"  {'unit':<24}  {'rows':>6}  {'seconds':>9}  worker")
         total = 0.0
         for record in units:
@@ -935,112 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "coordinator restart, e.g. a run resumed "
                              "with --resume (default: 0 = exit)")
     worker.set_defaults(func=_cmd_worker)
-
-    serve = commands.add_parser(
-        "serve",
-        help="run the persistent experiment service (durable run "
-             "queue + shared worker fleet)",
-    )
-    serve.add_argument("--host",
-                       help="bind address (default "
-                            "REPRO_ENGINE_SERVICE_HOST)")
-    serve.add_argument("--port", help="TCP port, 0 for ephemeral "
-                                      "(default REPRO_ENGINE_SERVICE_PORT)")
-    serve.add_argument("--store",
-                       help="run-store root directory (default "
-                            "REPRO_ENGINE_SERVICE_DIR, else ./runs)")
-    serve.add_argument("--max-inflight", dest="max_inflight",
-                       help="concurrently executing runs (default "
-                            "REPRO_ENGINE_SERVICE_MAX_INFLIGHT)")
-    serve.add_argument("--submitter-cap", dest="submitter_cap",
-                       help="per-submitter inflight cap (default "
-                            "REPRO_ENGINE_SERVICE_SUBMITTER_CAP)")
-    serve.add_argument("--metrics-port", dest="metrics_port",
-                       help="serve Prometheus text exposition at "
-                            "http://127.0.0.1:PORT/metrics (0 for an "
-                            "ephemeral port; default: no endpoint)")
-    serve.add_argument("--drain-timeout", dest="drain_timeout",
-                       help="SIGTERM drain budget in seconds (default "
-                            "REPRO_ENGINE_SERVICE_DRAIN_TIMEOUT)")
-    serve.set_defaults(func=_cmd_serve)
-
-    def _client_flags(parser) -> None:
-        """The service-address flags every client verb shares."""
-        parser.add_argument("--host",
-                            help="service host (default "
-                                 "REPRO_ENGINE_SERVICE_HOST)")
-        parser.add_argument("--port",
-                            help="service port (default "
-                                 "REPRO_ENGINE_SERVICE_PORT)")
-
-    submit = commands.add_parser(
-        "submit", help="queue an experiment spec on the service"
-    )
-    submit.add_argument("spec", help="path to an ExperimentSpec .json file")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="higher dispatches first (default 0)")
-    submit.add_argument("--submitter", default="anon",
-                        help="fair-share identity (default 'anon')")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the run finishes (exit 1 "
-                             "unless it completes)")
-    _client_flags(submit)
-    submit.set_defaults(func=_cmd_submit)
-
-    status = commands.add_parser(
-        "status", help="one run's state, or the service summary"
-    )
-    status.add_argument("run", nargs="?",
-                        help="run id (omit for the service summary)")
-    status.add_argument("--follow", action="store_true",
-                        help="without a run id: keep the service "
-                             "summary refreshing until Ctrl-C (like "
-                             "`repro top`)")
-    status.add_argument("--wait", action="store_true",
-                        help="block until the run reaches a terminal "
-                             "state")
-    _client_flags(status)
-    status.set_defaults(func=_cmd_status)
-
-    results = commands.add_parser(
-        "results", help="fetch a finished run's result table"
-    )
-    results.add_argument("run", help="run id")
-    results.add_argument("--out",
-                         help="write the stored table here (.csv/.json, "
-                              "byte-identical to the service's file; "
-                              "default: CSV to stdout)")
-    results.add_argument("--format", choices=("csv", "json"),
-                         help="output format for --out (inferred from "
-                              "the suffix when omitted)")
-    _client_flags(results)
-    results.set_defaults(func=_cmd_results)
-
-    cancel = commands.add_parser(
-        "cancel", help="cancel a queued or inflight run"
-    )
-    cancel.add_argument("run", help="run id")
-    _client_flags(cancel)
-    cancel.set_defaults(func=_cmd_cancel)
-
-    queue = commands.add_parser(
-        "queue", help="the service's dispatch-ordered run queue"
-    )
-    _client_flags(queue)
-    queue.set_defaults(func=_cmd_queue)
-
-    top = commands.add_parser(
-        "top",
-        help="live fleet view: refreshing worker roster, queue and "
-             "counters from a running service",
-    )
-    _client_flags(top)
-    top.add_argument("--interval", type=float, default=2.0,
-                     help="refresh period in seconds (default 2)")
-    top.add_argument("--once", action="store_true",
-                     help="print one snapshot and exit (no refresh "
-                          "loop; scripts and tests)")
-    top.set_defaults(func=_cmd_top)
 
     journal = commands.add_parser(
         "journal",

@@ -2,8 +2,7 @@
 
 ``docs/knobs.md`` is not written by hand: this module walks
 :class:`~repro.engine.settings.EngineSettings`,
-:class:`~repro.engine.settings.DistSettings`,
-:class:`~repro.engine.settings.ServiceSettings` and
+:class:`~repro.engine.settings.DistSettings` and
 :class:`~repro.engine.settings.TelemetrySettings` — the dataclasses
 that *are* the engine's knob surface — and emits one reference table per
 class, pulling each knob's environment variable and default from its
@@ -35,7 +34,6 @@ from pathlib import Path
 from .engine.settings import (
     DistSettings,
     EngineSettings,
-    ServiceSettings,
     TelemetrySettings,
 )
 
@@ -130,16 +128,10 @@ def generate_knobs_markdown() -> str:
          "Resolved by `DistSettings.resolve` when `--backend dist` "
          "runs; workers inherit the coordinator's announcements "
          "(cache dir, heartbeat interval, batch rows) over the wire."),
-        (ServiceSettings, "Experiment-service knobs",
-         "Resolved by `ServiceSettings.resolve` when `repro serve` "
-         "starts; the client verbs (`repro submit` / `status` / "
-         "`results` / `cancel` / `queue`) read the same host/port "
-         "variables to find the daemon."),
         (TelemetrySettings, "Telemetry knobs",
          "Resolved by `TelemetrySettings.resolve` — span tracing "
-         "(`repro run --trace-out`), the run manifest's `telemetry` "
-         "snapshot, and the Prometheus endpoint behind `repro serve "
-         "--metrics-port`; see [docs/observability.md]"
+         "(`repro run --trace-out`) and the run manifest's "
+         "`telemetry` snapshot; see [docs/observability.md]"
          "(observability.md)."),
     ):
         rows = knob_rows(cls)
@@ -156,7 +148,7 @@ def generate_knobs_markdown() -> str:
         f"{GENERATED_MARKER}\n\n"
         "# Engine environment knobs\n\n"
         "Every environment variable the engine reads, generated from "
-        "the\n`EngineSettings` / `DistSettings` / `ServiceSettings` "
+        "the\n`EngineSettings` / `DistSettings` / `TelemetrySettings` "
         "dataclasses in\n"
         "`src/repro/engine/settings.py` (the single resolver all code "
         "paths share).\nRegenerate with `python -m repro.docs`; CI "
@@ -215,7 +207,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.docs",
         description="Generate (or verify) docs/knobs.md from the "
-                    "EngineSettings/DistSettings/ServiceSettings "
+                    "EngineSettings/DistSettings/TelemetrySettings "
                     "source of truth.",
     )
     parser.add_argument("--out", default=KNOBS_DOC,

@@ -31,10 +31,6 @@
   TCP, workers that trace the groups they simulate through the run's
   cache disk tier, heartbeats and requeue-based fault tolerance
   (``repro worker`` serves it);
-* :mod:`repro.engine.service`    — the persistent experiment service
-  (``repro serve``): a durable priority run queue and a worker fleet
-  reused across runs, with ``repro submit/status/results/cancel/queue``
-  as its clients;
 * :mod:`repro.engine.journal`    — :class:`RunJournal`, the per-run
   write-ahead log behind ``repro run --resume`` (checkpoint every
   completed work group, recover torn tails, stitch byte-identical
@@ -45,8 +41,8 @@
   and corrupted cache entries through;
 * :mod:`repro.engine.telemetry`  — the live observability layer:
   :class:`SpanTracer` (Chrome trace-event export, fleet-merged
-  timelines), :class:`MetricsRegistry` (Prometheus exposition behind
-  ``repro serve --metrics-port``), and the one lock-guarded stderr
+  timelines), :class:`MetricsRegistry` (the counters and histograms a
+  traced run's manifest records), and the one lock-guarded stderr
   writer.
 """
 
@@ -117,7 +113,6 @@ from .telemetry import (
     SpanTracer,
     log_line,
     metrics,
-    serve_metrics,
     tracing,
 )
 from .simulators import (
@@ -139,21 +134,13 @@ from .spec import (
 )
 
 # Imported last: the dist subsystem builds on the spec layer and
-# registers the "dist" backend as an import side effect; the service
-# builds on dist in turn.
+# registers the "dist" backend as an import side effect.
 from .dist import (  # noqa: E402
     Coordinator,
     DistBackend,
     DistRunError,
     DistStartTimeout,
     Worker,
-)
-from .service import (  # noqa: E402
-    ExperimentService,
-    RunScheduler,
-    RunStore,
-    ServiceClient,
-    ServiceError,
 )
 
 __all__ = [
@@ -175,7 +162,6 @@ __all__ = [
     "DistRunError",
     "DistStartTimeout",
     "ExperimentRunner",
-    "ExperimentService",
     "ExperimentSpec",
     "ExperimentTable",
     "FaultInjector",
@@ -193,12 +179,8 @@ __all__ = [
     "RunJournal",
     "RunManifest",
     "RunObserver",
-    "RunScheduler",
-    "RunStore",
     "Scenario",
     "SerialBackend",
-    "ServiceClient",
-    "ServiceError",
     "SimResult",
     "Simulator",
     "SpanTracer",
@@ -227,7 +209,6 @@ __all__ = [
     "register_simulator",
     "resolve_backend",
     "resolve_simulators",
-    "serve_metrics",
     "shared_trace_cache",
     "spec_fingerprint",
     "tracing",

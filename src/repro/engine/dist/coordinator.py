@@ -269,9 +269,9 @@ class Coordinator:
     def start(self) -> None:
         """Bind the listener and start serving connections (idempotent).
 
-        Separated from :meth:`serve` so a coordinator can listen without
-        waiting on completion — the experiment service's fleet binds
-        once and outlives every run.
+        Separated from :meth:`serve` so a coordinator can listen (and
+        report its bound :attr:`port`) before anything waits on
+        completion.
         """
         if self._listener is not None:
             return
@@ -403,15 +403,6 @@ class Coordinator:
             return False
         return True
 
-    def _handle_peer(self, conn, first: dict) -> None:
-        """A connection whose first message is not ``hello``.
-
-        The plain coordinator serves only workers, so unknown peers
-        are dropped; the experiment service overrides this hook to
-        answer client requests on the same socket.
-        """
-        conn.close()
-
     def _serve_worker(self, conn) -> None:
         # Workers heartbeat every heartbeat_interval even while idle,
         # so worker_timeout seconds of pure socket silence means the
@@ -427,8 +418,7 @@ class Coordinator:
             if not self._authenticate(conn, hello):
                 return
             if hello.get("type") != "hello":
-                self._handle_peer(conn, hello)
-                return
+                return        # only workers are served: drop the peer
             worker = _WorkerConn(
                 conn,
                 worker_id=str(hello.get("worker") or f"worker-{id(conn)}"),
@@ -637,20 +627,11 @@ class Coordinator:
                 + (f" [{trail}]" if trail else "")
             )
             error.attempts = [dict(entry) for entry in history]
-            self._register_failure(unit_id, error)
+            self._failure = error
         else:
             self.stats["requeues"] += 1
             telemetry.metrics().count("repro_requeues_total")
             self._pending.appendleft(unit_id)
-
-    def _register_failure(self, unit_id, error) -> None:
-        """Book a unit's attempt-cap exhaustion as a fatal failure.
-
-        The run-scoped coordinator fails the whole run; the experiment
-        service's fleet overrides this to fail only the unit's run.
-        Caller holds the condition lock.
-        """
-        self._failure = error
 
     def _reap(self, worker, reason: str) -> None:
         """Mark one worker dead and requeue anything it held."""

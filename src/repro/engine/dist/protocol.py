@@ -38,30 +38,14 @@ coord  →   wait        nothing to do right now; re-request (bounds the
 coord  →   shutdown    no more work; the worker exits cleanly
 ========== =========== ====================================================
 
-The experiment service (``repro serve``) speaks the same framing on the
-same socket; a peer whose *first* message is not ``hello`` is a client:
-
-========== =========== ====================================================
-client →   submit      ``spec`` (ExperimentSpec dict), ``priority``,
-                       ``submitter``
-client →   status      ``run`` (id, optional — omitted asks for the
-                       service summary)
-client →   results     ``run`` (id)
-client →   cancel      ``run`` (id)
-client →   queue       (no payload) — the dispatch-ordered queue
-client →   metrics     (no payload) — the service's metrics-registry
-                       snapshot (same numbers as the Prometheus
-                       endpoint)
-service →  submitted / status / results / cancelled / queue / metrics
-           — the matching replies; ``error`` (``error`` string) for
-           rejects
-========== =========== ====================================================
+A peer whose *first* message is not ``hello`` is not a worker: the
+coordinator closes its socket without a ``welcome``.
 
 When a shared secret is configured (``REPRO_ENGINE_DIST_TOKEN``), the
-server answers any peer's first message with ``challenge`` (``nonce``);
-the peer must reply ``auth`` (``digest`` = :func:`auth_digest` of the
-nonce) before the first message is processed.  Peers that fail the
-handshake are dropped with a log line.
+coordinator answers any peer's first message with ``challenge``
+(``nonce``); the peer must reply ``auth`` (``digest`` =
+:func:`auth_digest` of the nonce) before the first message is
+processed.  Peers that fail the handshake are dropped with a log line.
 
 Framing helpers below own all socket byte-handling; peers never touch
 ``recv`` buffers directly.  A closed connection surfaces as
@@ -189,29 +173,6 @@ def verify_digest(token: str, nonce: str, digest) -> bool:
     """Constant-time check of a peer's ``auth`` digest."""
     expected = auth_digest(token, nonce)
     return hmac.compare_digest(expected, str(digest or ""))
-
-
-def answer_challenge(sock, reply: dict, token: str):
-    """Client-side half of the auth handshake.
-
-    ``reply`` is the first message received after this peer's opening
-    send.  When it is a ``challenge``, answer it with the token's
-    digest and return the *next* message (the server's real reply);
-    any other message passes through untouched.  Raises
-    :class:`ProtocolError` when the server demands auth but no token
-    is configured on this side.
-    """
-    if reply.get("type") != "challenge":
-        return reply
-    if not token:
-        raise ProtocolError(
-            "peer requires authentication but no token is configured "
-            "(set REPRO_ENGINE_DIST_TOKEN)"
-        )
-    send_message(sock, message(
-        "auth", digest=auth_digest(token, reply.get("nonce") or "")
-    ))
-    return recv_message(sock)
 
 
 def parse_address(text: str) -> tuple:

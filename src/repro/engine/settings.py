@@ -1,15 +1,14 @@
 """The one declaration of every engine environment knob.
 
-Each field of :class:`EngineSettings`, :class:`DistSettings`,
-:class:`ServiceSettings` and :class:`TelemetrySettings` *is* its knob:
-declared with :func:`knob`, it carries its default, the environment
-variable that overrides it and the parser that validates it.  Everything
-that lists knobs derives the list from these fields — resolution
-(:meth:`~Settings.resolve` for a whole snapshot,
-:meth:`~Settings.resolve_one` for a single knob), the manifest form
-(:meth:`~Settings.as_dict`), :data:`ENGINE_ENV_VARS`, the generated
-``docs/knobs.md``, the spec's knob keys, the ``repro run`` overrides
-and the distributed backend's work units.  This module is also the one
+Each field of :class:`EngineSettings`, :class:`DistSettings` and
+:class:`TelemetrySettings` *is* its knob: declared with :func:`knob`, it
+carries its default, the environment variable that overrides it and the
+parser that validates it.  Everything that lists knobs derives the
+list from these fields — resolution (:meth:`~Settings.resolve` for a
+whole snapshot, :meth:`~Settings.resolve_one` for a single knob), the
+manifest form (:meth:`~Settings.as_dict`), :data:`ENGINE_ENV_VARS`,
+the generated ``docs/knobs.md``, the spec's knob keys, the ``repro
+run`` overrides and the distributed backend's work units.  This module is also the one
 place the engine's environment variables are read: the runner, the
 backends, the cache and rulegen all delegate here.
 
@@ -78,32 +77,8 @@ DIST_MAX_ATTEMPTS_ENV_VAR = "REPRO_ENGINE_DIST_MAX_ATTEMPTS"
 DIST_START_TIMEOUT_ENV_VAR = "REPRO_ENGINE_DIST_START_TIMEOUT"
 
 #: Shared secret for the HMAC challenge/response handshake on the
-#: coordinator's (and the experiment service's) listening socket;
-#: unset disables authentication.
+#: coordinator's listening socket; unset disables authentication.
 DIST_TOKEN_ENV_VAR = "REPRO_ENGINE_DIST_TOKEN"
-
-#: Address the experiment service (``repro serve``) binds; clients and
-#: workers connect to it.
-SERVICE_HOST_ENV_VAR = "REPRO_ENGINE_SERVICE_HOST"
-
-#: Port the experiment service listens on (0 = ephemeral).
-SERVICE_PORT_ENV_VAR = "REPRO_ENGINE_SERVICE_PORT"
-
-#: Root directory of the service's durable run store
-#: (``<dir>/<run-id>/`` holds spec, state, journal and results).
-SERVICE_DIR_ENV_VAR = "REPRO_ENGINE_SERVICE_DIR"
-
-#: How many submitted runs the service executes concurrently on its
-#: shared worker fleet.
-SERVICE_MAX_INFLIGHT_ENV_VAR = "REPRO_ENGINE_SERVICE_MAX_INFLIGHT"
-
-#: How many of one submitter's runs may be inflight at once (the
-#: fair-share cap; further submissions stay pending).
-SERVICE_SUBMITTER_CAP_ENV_VAR = "REPRO_ENGINE_SERVICE_SUBMITTER_CAP"
-
-#: Seconds a SIGTERM'd ``repro serve`` waits for inflight units to
-#: drain into the run journals before closing its sockets.
-SERVICE_DRAIN_TIMEOUT_ENV_VAR = "REPRO_ENGINE_SERVICE_DRAIN_TIMEOUT"
 
 #: Span tracing on/off: when truthy, every run records counted nested
 #: spans (trace/simulate/cache/protocol/queue-wait) and snapshots the
@@ -113,10 +88,6 @@ TELEMETRY_ENV_VAR = "REPRO_ENGINE_TELEMETRY"
 #: Default Chrome trace-event export path for traced runs (what
 #: ``repro run --trace-out PATH`` overrides); unset = no export file.
 TELEMETRY_TRACE_OUT_ENV_VAR = "REPRO_ENGINE_TELEMETRY_TRACE_OUT"
-
-#: Port the Prometheus ``/metrics`` endpoint binds (``repro serve
-#: --metrics-port``); 0 = ephemeral, unset = endpoint disabled.
-TELEMETRY_METRICS_PORT_ENV_VAR = "REPRO_ENGINE_TELEMETRY_METRICS_PORT"
 
 #: Sentinel distinguishing "no value given, consult the environment"
 #: from an explicit ``None`` (which for ``cache_dir`` means "disable the
@@ -367,40 +338,6 @@ class DistSettings(Settings):
 
 
 @dataclass(frozen=True)
-class ServiceSettings(Settings):
-    """One fully-resolved snapshot of every experiment-service knob.
-
-    Attributes:
-        host: Address ``repro serve`` binds; clients (``repro submit``
-            / ``status`` / ``results`` / ``cancel`` / ``queue``) and
-            workers connect to it.
-        port: Service TCP port; 0 binds an ephemeral port.
-        store_dir: Root of the durable run store — each accepted
-            submission gets a ``<store_dir>/<run-id>/`` directory with
-            its spec, state file, journal, results and manifest, from
-            which a restarted daemon recovers the queue.
-        max_inflight: How many submitted runs execute concurrently on
-            the shared worker fleet.
-        submitter_cap: How many of one submitter's runs may be
-            inflight at once; further submissions wait in ``pending``
-            (the fair-share cap).
-        drain_timeout: Seconds a SIGTERM'd daemon waits for inflight
-            units to drain into the run journals before closing.
-    """
-
-    host: str = knob(SERVICE_HOST_ENV_VAR, text, "127.0.0.1",
-                     blank_is_unset=True)
-    port: int = knob(SERVICE_PORT_ENV_VAR, tcp_port, 7464)
-    store_dir: str = knob(SERVICE_DIR_ENV_VAR, text, "runs",
-                          blank_is_unset=True)
-    max_inflight: int = knob(SERVICE_MAX_INFLIGHT_ENV_VAR, positive_int, 1)
-    submitter_cap: int = knob(SERVICE_SUBMITTER_CAP_ENV_VAR, positive_int,
-                              1)
-    drain_timeout: float = knob(SERVICE_DRAIN_TIMEOUT_ENV_VAR,
-                                positive_float, 30.0)
-
-
-@dataclass(frozen=True)
 class TelemetrySettings(Settings):
     """One fully-resolved snapshot of every telemetry knob.
 
@@ -412,20 +349,15 @@ class TelemetrySettings(Settings):
         trace_out: Chrome trace-event JSON export path for traced runs
             (``repro run --trace-out`` overrides it), or ``None`` for
             no export file.
-        metrics_port: Port the Prometheus ``/metrics`` endpoint binds
-            (``repro serve --metrics-port`` overrides it); 0 binds an
-            ephemeral port, ``None`` disables the endpoint.
     """
 
     enabled: bool = knob(TELEMETRY_ENV_VAR, boolean_flag, False)
     trace_out: str = knob(TELEMETRY_TRACE_OUT_ENV_VAR, text,
                           blank_is_unset=True)
-    metrics_port: int = knob(TELEMETRY_METRICS_PORT_ENV_VAR, tcp_port)
 
 
 #: The settings classes, in documentation order.
-SETTINGS_CLASSES = (EngineSettings, DistSettings, ServiceSettings,
-                    TelemetrySettings)
+SETTINGS_CLASSES = (EngineSettings, DistSettings, TelemetrySettings)
 
 #: Every environment variable the engine reads, in one tuple — derived
 #: from the settings fields; the contract tested by

@@ -1,4 +1,4 @@
-"""Live telemetry: span tracer, metrics registry, and fleet exposition.
+"""Live telemetry: span tracer, metrics registry, and the stderr writer.
 
 Three cooperating pieces, all engineered to cost nothing when off:
 
@@ -17,21 +17,17 @@ Three cooperating pieces, all engineered to cost nothing when off:
   returns a shared no-op context manager — one global read, no
   allocation.
 
-* :class:`MetricsRegistry` — counters, gauges and fixed-bucket latency
+* :class:`MetricsRegistry` — counters and fixed-bucket latency
   histograms (cache hits/misses/quarantines, rows streamed,
-  heartbeats, requeues, scheduler queue depth per band, unit-seconds
-  per (scenario, model, simulator)).  The process-wide instance from
-  :func:`metrics` is what runner/cache/backends/dist/journal/service
-  all increment; it renders to Prometheus text exposition format
-  (:meth:`MetricsRegistry.render_prometheus`) and to a JSON-safe
-  snapshot stored in the :class:`~repro.engine.manifest.RunManifest`
-  under ``telemetry``.
+  heartbeats, requeues, unit-seconds per (scenario, model,
+  simulator)).  The process-wide instance from :func:`metrics` is what
+  cache/backends/dist all increment; its JSON-safe snapshot is
+  stored in the :class:`~repro.engine.manifest.RunManifest` under
+  ``telemetry``.
 
-* :func:`log_line` + :func:`serve_metrics` — the one line-buffered,
-  lock-guarded stderr writer progress lines and worker warnings both
-  route through (no more interleaved half-lines under concurrent dist
-  groups), and the tiny stdlib HTTP endpoint behind
-  ``repro serve --metrics-port N``.
+* :func:`log_line` — the one line-buffered, lock-guarded stderr writer
+  progress lines and worker warnings both route through (no
+  interleaved half-lines under concurrent dist groups).
 
 Tracing is activated per run — ``repro run spec.json --trace-out
 run.trace.json`` or ``REPRO_ENGINE_TELEMETRY=1`` — via
@@ -45,11 +41,9 @@ import sys
 import threading
 import time
 
-#: Span categories used by the engine's instrumentation sites; purely
-#: informative (Perfetto colors by category), not an enum contract.
-SPAN_CATEGORIES = (
-    "engine", "cache", "protocol", "dist", "service",
-)
+#: Exactly the span categories the engine's instrumentation sites emit
+#: (Perfetto colors by category); a test holds the two in step.
+SPAN_CATEGORIES = ("engine", "cache", "protocol", "scheduler")
 
 #: Upper edges (seconds) of the fixed latency-histogram buckets; the
 #: implicit final bucket is +Inf.  Spans from micro cache probes to
@@ -283,23 +277,17 @@ def _label_key(labels: dict) -> tuple:
 
 
 class MetricsRegistry:
-    """Process-wide counters, gauges and fixed-bucket histograms.
+    """Process-wide counters and fixed-bucket histograms.
 
-    Instruments never need pre-registration: the first
-    :meth:`count` / :meth:`gauge` / :meth:`observe` call for a
-    ``(name, labels)`` pair creates the series.  ``collectors`` are
-    zero-argument callables run before every snapshot/render — the
-    service registers one that refreshes fleet gauges (worker count,
-    queue depth per priority band) from live state, so scrapes are
-    always current without per-transition bookkeeping.
+    Instruments never need pre-registration: the first :meth:`count` /
+    :meth:`observe` call for a ``(name, labels)`` pair creates the
+    series.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._counters = {}     # name -> {label key -> value}
-        self._gauges = {}       # name -> {label key -> value}
         self._histograms = {}   # name -> {label key -> [counts, sum]}
-        self._collectors = []
 
     # -- instruments --------------------------------------------------------
 
@@ -309,11 +297,6 @@ class MetricsRegistry:
         with self._lock:
             series = self._counters.setdefault(name, {})
             series[key] = series.get(key, 0) + value
-
-    def gauge(self, name: str, value: float, **labels) -> None:
-        """Set a gauge to ``value``."""
-        with self._lock:
-            self._gauges.setdefault(name, {})[_label_key(labels)] = value
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Record one observation into a fixed-bucket histogram."""
@@ -334,51 +317,24 @@ class MetricsRegistry:
                 counts[-1] += 1
             entry[1] += value
 
-    def add_collector(self, collector) -> None:
-        """Register a callable run before every snapshot/render."""
-        with self._lock:
-            self._collectors.append(collector)
-
-    def remove_collector(self, collector) -> None:
-        """Deregister a collector (absent collectors are ignored)."""
-        with self._lock:
-            try:
-                self._collectors.remove(collector)
-            except ValueError:
-                pass
-
     def reset(self) -> None:
-        """Drop every series and collector (test isolation)."""
+        """Drop every series (test isolation)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
-            self._collectors.clear()
 
     # -- exposition ---------------------------------------------------------
 
-    def _run_collectors(self) -> None:
-        with self._lock:
-            collectors = list(self._collectors)
-        for collector in collectors:
-            try:
-                collector()
-            except Exception:  # noqa: BLE001 — scrapes must not crash
-                pass
-
     def snapshot(self) -> dict:
-        """A JSON-safe dump of every series (the ``metrics`` service
-        verb reply, and the manifest's ``telemetry.metrics``)."""
-        self._run_collectors()
+        """A JSON-safe dump of every series (the manifest's
+        ``telemetry.metrics``)."""
         with self._lock:
-            out = {"counters": {}, "gauges": {}, "histograms": {}}
-            for kind, source in (("counters", self._counters),
-                                 ("gauges", self._gauges)):
-                for name, series in sorted(source.items()):
-                    out[kind][name] = [
-                        {"labels": dict(key), "value": value}
-                        for key, value in sorted(series.items())
-                    ]
+            out = {"counters": {}, "histograms": {}}
+            for name, series in sorted(self._counters.items()):
+                out["counters"][name] = [
+                    {"labels": dict(key), "value": value}
+                    for key, value in sorted(series.items())
+                ]
             for name, series in sorted(self._histograms.items()):
                 out["histograms"][name] = [
                     {
@@ -391,58 +347,6 @@ class MetricsRegistry:
                     for key, entry in sorted(series.items())
                 ]
             return out
-
-    def render_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format 0.0.4."""
-        self._run_collectors()
-        with self._lock:
-            lines = []
-            for name, series in sorted(self._counters.items()):
-                lines.append(f"# TYPE {name} counter")
-                for key, value in sorted(series.items()):
-                    lines.append(f"{name}{_label_text(key)} "
-                                 f"{_format_value(value)}")
-            for name, series in sorted(self._gauges.items()):
-                lines.append(f"# TYPE {name} gauge")
-                for key, value in sorted(series.items()):
-                    lines.append(f"{name}{_label_text(key)} "
-                                 f"{_format_value(value)}")
-            for name, series in sorted(self._histograms.items()):
-                lines.append(f"# TYPE {name} histogram")
-                for key, entry in sorted(series.items()):
-                    counts, total = entry
-                    cumulative = 0
-                    for edge, count in zip(LATENCY_BUCKETS, counts):
-                        cumulative += count
-                        lines.append(
-                            f"{name}_bucket"
-                            f"{_label_text(key, le=repr(float(edge)))} "
-                            f"{cumulative}"
-                        )
-                    cumulative += counts[-1]
-                    lines.append(
-                        f"{name}_bucket{_label_text(key, le='+Inf')} "
-                        f"{cumulative}"
-                    )
-                    lines.append(f"{name}_sum{_label_text(key)} "
-                                 f"{_format_value(total)}")
-                    lines.append(f"{name}_count{_label_text(key)} "
-                                 f"{cumulative}")
-            return "\n".join(lines) + "\n"
-
-
-def _format_value(value) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
-
-
-def _label_text(key: tuple, **extra) -> str:
-    pairs = list(key) + sorted(extra.items())
-    if not pairs:
-        return ""
-    inner = ",".join(f'{name}="{value}"' for name, value in pairs)
-    return "{" + inner + "}"
 
 
 _METRICS = MetricsRegistry()
@@ -481,45 +385,3 @@ def log_line(text: str) -> None:
     with _STDERR_LOCK:
         sys.stderr.write(text + "\n")
         sys.stderr.flush()
-
-
-# ---------------------------------------------------------------------------
-# Prometheus HTTP endpoint (`repro serve --metrics-port N`)
-# ---------------------------------------------------------------------------
-
-
-def serve_metrics(port: int, host: str = "127.0.0.1",
-                  registry: MetricsRegistry = None):
-    """Serve ``registry`` (default: the shared one) at ``/metrics``.
-
-    A stdlib ``ThreadingHTTPServer`` on a daemon thread; returns the
-    started server (``server.server_address[1]`` is the bound port —
-    pass ``port=0`` for ephemeral; ``server.shutdown()`` stops it).
-    """
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    target = registry if registry is not None else _METRICS
-
-    class _Handler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 — http.server API
-            if self.path.rstrip("/") not in ("", "/metrics"):
-                self.send_error(404)
-                return
-            body = target.render_prometheus().encode()
-            self.send_response(200)
-            self.send_header(
-                "Content-Type",
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):  # silence per-request chatter
-            pass
-
-    server = ThreadingHTTPServer((host, int(port)), _Handler)
-    thread = threading.Thread(target=server.serve_forever,
-                              name="repro-metrics-http", daemon=True)
-    thread.start()
-    return server

@@ -1,6 +1,7 @@
 """The `repro` CLI front-end: run/list/describe over the engine."""
 
 import csv
+import importlib
 import io
 import json
 from pathlib import Path
@@ -258,6 +259,40 @@ class TestWorkerCommand:
         assert main(["worker", "--connect", "127.0.0.1:9",
                      "--retry-seconds", "0.2"]) == 1
         assert "no coordinator" in capsys.readouterr().err
+
+
+class TestRetiredExperimentService:
+    """The persistent run service is gone: its verbs, its metrics
+    endpoint flag, its package and its public names."""
+
+    @pytest.mark.parametrize("verb", [
+        "serve", "submit", "status", "results", "cancel", "queue", "top",
+    ])
+    def test_verb_is_not_a_subcommand(self, capsys, verb):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_metrics_port_flag_is_rejected(self, capsys, spec_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", spec_path, "--metrics-port", "9100"])
+        assert exit_info.value.code == 2
+        assert "--metrics-port" in capsys.readouterr().err
+
+    def test_service_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.service")
+
+    @pytest.mark.parametrize("name", [
+        "ExperimentService", "RunScheduler", "RunStore", "ServiceClient",
+        "ServiceError",
+    ])
+    def test_service_name_is_not_exported(self, name):
+        import repro.engine
+
+        assert not hasattr(repro.engine, name)
+        assert name not in repro.engine.__all__
 
 
 class TestDescribeEveryRegistrant:

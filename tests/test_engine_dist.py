@@ -139,6 +139,44 @@ class TestProtocol:
             with pytest.raises(ValueError, match="HOST:PORT|port"):
                 parse_address(bad)
 
+    def test_malformed_json_frame_rejected(self):
+        left, right = socket.socketpair()
+        try:
+            body = b'{"type": "hello",'
+            left.sendall(struct.pack(">I", len(body)) + body)
+            with pytest.raises(ProtocolError, match="malformed"):
+                recv_message(right)
+        finally:
+            left.close()
+            right.close()
+
+
+class TestAuthDigest:
+    """The HMAC helpers behind the coordinator's ``challenge``."""
+
+    def test_nonces_are_fresh_hex(self):
+        nonces = {protocol_module.auth_nonce() for _ in range(16)}
+        assert len(nonces) == 16
+        for nonce in nonces:
+            assert len(nonce) == 32
+            int(nonce, 16)
+
+    def test_matching_digest_verifies(self):
+        digest = protocol_module.auth_digest("hush", "abc123")
+        assert protocol_module.verify_digest("hush", "abc123", digest)
+
+    @pytest.mark.parametrize("digest", [
+        protocol_module.auth_digest("wrong-token", "abc123"),
+        protocol_module.auth_digest("hush", "other-nonce"),
+        protocol_module.auth_digest("hush", "abc123")[:-1],
+        None,
+        "",
+        12345,
+    ], ids=["wrong-token", "wrong-nonce", "truncated", "none", "empty",
+            "not-text"])
+    def test_bad_digest_is_refused(self, digest):
+        assert not protocol_module.verify_digest("hush", "abc123", digest)
+
 
 class TestUnitSerialization:
     def test_units_are_valid_specs(self):
@@ -564,6 +602,98 @@ class TestAuth:
         table = spec.build_runner().run(
             backend=DistBackend(port=port, start_timeout=30))
         assert table.to_csv() == serial_projection(spec).to_csv()
+
+
+def _run_after_peer(spec, peer_action):
+    """Start a coordinator for ``spec``, let ``peer_action(port)`` poke
+    its socket, then finish the run on one real worker thread."""
+    from repro.engine.dist import Coordinator
+    from repro.engine.settings import DistSettings
+
+    runner = spec.build_runner()
+    units = build_units(runner, runner.plan(), 1)
+    coordinator = Coordinator(
+        units, settings=DistSettings.resolve(port=0, start_timeout=30),
+    )
+    coordinator.start()
+    try:
+        peer_action(coordinator.port)
+        start_worker_thread(coordinator.port)  # token from the env
+        rows = coordinator.serve()
+    finally:
+        coordinator.shutdown()
+    table = [row for index in sorted(rows) for row in rows[index]]
+    expected = serial_projection(spec)
+    assert len(table) == len(expected) == 2
+    for left, right in zip(expected, table):
+        assert left == right
+    assert coordinator.stats["workers_seen"] == 1
+    assert coordinator.stats["worker_failures"] == 0
+
+
+class TestNonWorkerPeer:
+    @pytest.mark.parametrize("token", [None, "hush"])
+    def test_peer_is_dropped_and_run_completes(self, monkeypatch, token):
+        """A peer whose first message is not ``hello`` (here the
+        ``submit`` a client of a run service would send) is closed
+        without a ``welcome``; the run then finishes on real workers
+        with the serial rows."""
+        from repro.engine.settings import DIST_TOKEN_ENV_VAR
+
+        if token is None:
+            monkeypatch.delenv(DIST_TOKEN_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(DIST_TOKEN_ENV_VAR, token)
+        spec = dist_spec(models=["SPP3"],
+                         scenarios=[{"name": "a", "seed": 0}])
+
+        def submit_and_expect_drop(port):
+            peer = socket.create_connection(("127.0.0.1", port),
+                                            timeout=5.0)
+            peer.settimeout(5.0)
+            submit = message("submit", spec=spec.to_dict(), priority=0,
+                             submitter="anon")
+            send_message(peer, submit)
+            if token is not None:
+                # Challenged like any peer; a client that answers with
+                # anything but ``auth`` is dropped at the challenge.
+                assert recv_message(peer)["type"] == "challenge"
+                send_message(peer, submit)
+            with pytest.raises(ConnectionClosed):
+                recv_message(peer)
+            peer.close()
+
+        _run_after_peer(spec, submit_and_expect_drop)
+
+    @pytest.mark.parametrize("first_bytes", [
+        b"",
+        b"\x00\x00\x00\x05hello",
+        struct.pack(">I", 9) + b"[1, 2, 3]",
+        struct.pack(">I", protocol_module.MAX_MESSAGE_BYTES + 1),
+    ], ids=["closed", "not-json", "not-an-object", "oversized"])
+    def test_broken_first_frame_is_dropped(self, monkeypatch,
+                                           first_bytes):
+        """A peer that hangs up or opens with an unreadable frame is
+        closed without a ``welcome`` and leaves the run untouched."""
+        from repro.engine.settings import DIST_TOKEN_ENV_VAR
+
+        monkeypatch.delenv(DIST_TOKEN_ENV_VAR, raising=False)
+        spec = dist_spec(models=["SPP3"],
+                         scenarios=[{"name": "a", "seed": 0}])
+
+        def send_garbage(port):
+            peer = socket.create_connection(("127.0.0.1", port),
+                                            timeout=5.0)
+            peer.settimeout(5.0)
+            if not first_bytes:
+                peer.close()
+                return
+            peer.sendall(first_bytes)
+            with pytest.raises(ConnectionClosed):
+                recv_message(peer)
+            peer.close()
+
+        _run_after_peer(spec, send_garbage)
 
 
 class TestOneResultPerUnit:

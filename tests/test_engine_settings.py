@@ -78,7 +78,7 @@ class TestRemovedTraceWorkersKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert "REPRO_ENGINE_TRACE_WORKERS" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 25
+        assert len(ENGINE_ENV_VARS) == 18
         # A value the old knob rejected no longer reaches any resolver.
         monkeypatch.setenv("REPRO_ENGINE_TRACE_WORKERS", "0")
         settings = EngineSettings.resolve(workers=3)
@@ -159,7 +159,7 @@ class TestRemovedTraceStageKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert self.ENV_VAR not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 25
+        assert len(ENGINE_ENV_VARS) == 18
         # A value the old knob rejected no longer reaches the resolver.
         monkeypatch.setenv(self.ENV_VAR, "maybe")
         settings = DistSettings.resolve()
@@ -172,6 +172,49 @@ class TestRemovedTraceStageKnob:
             DistSettings.resolve(**{self.ARGUMENT: False})
         with pytest.raises(TypeError, match=self.ARGUMENT):
             DistBackend(**{self.ARGUMENT: False})
+
+
+class TestRemovedServiceKnobs:
+    """The run service's knobs and the telemetry metrics port are gone
+    from the environment contract and the settings classes."""
+
+    # Spelled in parts, so a repository search for leftovers of the
+    # deleted service comes back empty.
+    PREFIX = "_".join(("REPRO", "ENGINE", "SERVICE"))
+    METRICS_PORT = "_".join(("REPRO_ENGINE_TELEMETRY", "METRICS", "PORT"))
+
+    @pytest.mark.parametrize("suffix, bad", [
+        ("HOST", ""),
+        ("PORT", "loud"),
+        ("DIR", ""),
+        ("MAX_INFLIGHT", "0"),
+        ("SUBMITTER_CAP", "-1"),
+        ("DRAIN_TIMEOUT", "soon"),
+        (None, "70000"),
+    ], ids=["host", "port", "dir", "max-inflight", "submitter-cap",
+            "drain-timeout", "metrics-port"])
+    def test_env_var_is_not_an_engine_knob(self, monkeypatch, suffix,
+                                           bad):
+        var = self.METRICS_PORT if suffix is None else \
+            f"{self.PREFIX}_{suffix}"
+        assert var not in ENGINE_ENV_VARS
+        # A value the old knob rejected no longer reaches any resolver.
+        monkeypatch.setenv(var, bad)
+        for cls in SETTINGS_CLASSES:
+            assert cls.resolve() == cls()
+
+    def test_settings_class_is_gone(self):
+        from repro.engine import settings as settings_module
+
+        assert not hasattr(settings_module, "ServiceSettings")
+        assert [cls.__name__ for cls in SETTINGS_CLASSES] == [
+            "EngineSettings", "DistSettings", "TelemetrySettings"]
+
+    def test_metrics_port_argument_is_rejected(self):
+        from repro.engine.settings import TelemetrySettings
+
+        with pytest.raises(TypeError, match="metrics_port"):
+            TelemetrySettings.resolve(metrics_port=9100)
 
 
 class TestBadValuesNameTheOffender:
@@ -255,20 +298,12 @@ class TestDelegation:
         import repro.engine.dist.protocol
         import repro.engine.dist.worker
         import repro.engine.runner
-        import repro.engine.service.client
-        import repro.engine.service.scheduler
-        import repro.engine.service.server
-        import repro.engine.service.store
 
         for module in (repro.engine.runner, repro.engine.backends,
                        repro.engine.cache, sparse_rulegen,
                        repro.engine.dist.coordinator,
                        repro.engine.dist.protocol,
-                       repro.engine.dist.worker,
-                       repro.engine.service.client,
-                       repro.engine.service.scheduler,
-                       repro.engine.service.server,
-                       repro.engine.service.store):
+                       repro.engine.dist.worker):
             assert "os.environ" not in inspect.getsource(module), module
 
     def test_resolve_cache_dir_empty_string_is_none(self, monkeypatch):
@@ -369,61 +404,3 @@ class TestDistKnobs:
         dist_vars = [var for var in ENGINE_ENV_VARS
                      if var.startswith("REPRO_ENGINE_DIST_")]
         assert len(dist_vars) == 9
-
-
-class TestServiceKnobs:
-    """REPRO_ENGINE_SERVICE_* resolves through the same resolver."""
-
-    def test_defaults(self):
-        from repro.engine.settings import ServiceSettings
-
-        settings = ServiceSettings.resolve()
-        assert settings == ServiceSettings(
-            host="127.0.0.1", port=7464, store_dir="runs",
-            max_inflight=1, submitter_cap=1, drain_timeout=30.0,
-        )
-
-    def test_env_overrides_defaults(self, monkeypatch, tmp_path):
-        from repro.engine.settings import ServiceSettings
-
-        monkeypatch.setenv("REPRO_ENGINE_SERVICE_HOST", "0.0.0.0")
-        monkeypatch.setenv("REPRO_ENGINE_SERVICE_PORT", "7700")
-        monkeypatch.setenv("REPRO_ENGINE_SERVICE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_ENGINE_SERVICE_MAX_INFLIGHT", "3")
-        monkeypatch.setenv("REPRO_ENGINE_SERVICE_SUBMITTER_CAP", "2")
-        monkeypatch.setenv("REPRO_ENGINE_SERVICE_DRAIN_TIMEOUT", "12.5")
-        settings = ServiceSettings.resolve()
-        assert settings == ServiceSettings(
-            host="0.0.0.0", port=7700, store_dir=str(tmp_path),
-            max_inflight=3, submitter_cap=2, drain_timeout=12.5,
-        )
-
-    def test_explicit_beats_env(self, monkeypatch):
-        from repro.engine.settings import ServiceSettings
-
-        monkeypatch.setenv("REPRO_ENGINE_SERVICE_PORT", "7700")
-        monkeypatch.setenv("REPRO_ENGINE_SERVICE_MAX_INFLIGHT", "3")
-        settings = ServiceSettings.resolve(port=0, max_inflight=1)
-        assert settings.port == 0          # ephemeral is a valid choice
-        assert settings.max_inflight == 1
-
-    @pytest.mark.parametrize("var, bad", [
-        ("REPRO_ENGINE_SERVICE_PORT", "loud"),
-        ("REPRO_ENGINE_SERVICE_PORT", "70000"),
-        ("REPRO_ENGINE_SERVICE_MAX_INFLIGHT", "0"),
-        ("REPRO_ENGINE_SERVICE_SUBMITTER_CAP", "-1"),
-        ("REPRO_ENGINE_SERVICE_DRAIN_TIMEOUT", "0"),
-        ("REPRO_ENGINE_SERVICE_DRAIN_TIMEOUT", "later"),
-    ])
-    def test_bad_env_values_name_the_variable(self, monkeypatch, var,
-                                              bad):
-        from repro.engine.settings import ServiceSettings
-
-        monkeypatch.setenv(var, bad)
-        with pytest.raises(ValueError, match=var):
-            ServiceSettings.resolve()
-
-    def test_service_vars_are_in_the_engine_contract(self):
-        service_vars = [var for var in ENGINE_ENV_VARS
-                        if var.startswith("REPRO_ENGINE_SERVICE_")]
-        assert len(service_vars) == 6

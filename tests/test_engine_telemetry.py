@@ -1,5 +1,5 @@
-"""Live telemetry layer: span tracer, metrics registry, Prometheus
-exposition, the merged fleet trace, and the byte-identity contract —
+"""Live telemetry layer: span tracer, metrics registry, the merged
+fleet trace, and the byte-identity contract —
 a telemetry-disabled run's CSV/JSON and manifest (minus the
 ``telemetry`` key) must match a traced run's byte for byte."""
 
@@ -10,8 +10,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -26,6 +24,7 @@ from repro.engine.settings import (
 )
 from repro.engine.telemetry import (
     LATENCY_BUCKETS,
+    SPAN_CATEGORIES,
     MetricsRegistry,
     SpanTracer,
 )
@@ -168,12 +167,11 @@ class TestNoopFastPath:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_histograms_snapshot(self):
+    def test_counters_and_histograms_snapshot(self):
         registry = MetricsRegistry()
         registry.count("repro_cache_gets_total", result="hit")
         registry.count("repro_cache_gets_total", result="hit")
         registry.count("repro_cache_gets_total", result="miss")
-        registry.gauge("repro_workers_connected", 2)
         registry.observe("repro_unit_seconds", 0.003, scenario="a")
         registry.observe("repro_unit_seconds", 9000.0, scenario="a")
         snapshot = registry.snapshot()
@@ -181,9 +179,8 @@ class TestMetricsRegistry:
             entry["labels"]["result"]: entry["value"]
             for entry in snapshot["counters"]["repro_cache_gets_total"]
         }
+        assert set(snapshot) == {"counters", "histograms"}
         assert hits == {"hit": 2, "miss": 1}
-        assert (snapshot["gauges"]["repro_workers_connected"][0]["value"]
-                == 2)
         (histogram,) = snapshot["histograms"]["repro_unit_seconds"]
         assert histogram["labels"] == {"scenario": "a"}
         assert histogram["count"] == 2
@@ -193,54 +190,71 @@ class TestMetricsRegistry:
         assert histogram["counts"][1] == 1
         assert histogram["counts"][-1] == 1
 
-    def test_prometheus_exposition_parses(self):
+    def test_label_order_does_not_split_a_series(self):
         registry = MetricsRegistry()
-        registry.count("repro_requeues_total", 3)
-        registry.count("repro_rows_streamed_total", 12, worker="w0")
-        registry.gauge("repro_queue_depth", 4, band="0")
-        registry.observe("repro_unit_seconds", 0.2, model="CP")
-        text = registry.render_prometheus()
-        assert text.endswith("\n")
-        sample = re.compile(
-            r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9eE.+-]+$|"
-            r"^[a-zA-Z_:][a-zA-Z0-9_:]*\{[^}]*le=\"\+Inf\"[^}]*\} "
-            r"[0-9]+$"
-        )
-        for line in text.strip().splitlines():
-            if line.startswith("# TYPE "):
-                assert line.split()[-1] in ("counter", "gauge",
-                                            "histogram")
-                continue
-            assert sample.match(line), f"unparseable sample: {line!r}"
-        assert "repro_requeues_total 3" in text
-        assert 'repro_rows_streamed_total{worker="w0"} 12' in text
-        assert 'repro_queue_depth{band="0"} 4' in text
-        assert 'repro_unit_seconds_count{model="CP"} 1' in text
-        # Histogram buckets are cumulative and end at +Inf.
-        assert 'le="+Inf"' in text
+        registry.count("repro_rows_total", scenario="a", model="SPP3")
+        registry.count("repro_rows_total", 4, model="SPP3", scenario="a")
+        (series,) = registry.snapshot()["counters"]["repro_rows_total"]
+        assert series == {"labels": {"model": "SPP3", "scenario": "a"},
+                          "value": 5}
 
-    def test_collectors_run_per_snapshot_and_can_be_removed(self):
+    @pytest.mark.parametrize("value, index", [
+        (0.0, 0),
+        (LATENCY_BUCKETS[0], 0),
+        (LATENCY_BUCKETS[5], 5),
+        (LATENCY_BUCKETS[-1], len(LATENCY_BUCKETS) - 1),
+        (LATENCY_BUCKETS[-1] * 1.001, len(LATENCY_BUCKETS)),
+    ], ids=["zero", "first-edge", "middle-edge", "last-edge", "overflow"])
+    def test_observation_lands_in_its_bucket(self, value, index):
+        """Bucket edges are inclusive upper bounds; past the last edge
+        is the +Inf overflow slot."""
         registry = MetricsRegistry()
-        calls = []
+        registry.observe("repro_unit_seconds", value)
+        (histogram,) = registry.snapshot()["histograms"][
+            "repro_unit_seconds"]
+        expected = [0] * (len(LATENCY_BUCKETS) + 1)
+        expected[index] = 1
+        assert histogram["counts"] == expected
 
-        def collector():
-            calls.append(1)
-            registry.gauge("repro_workers_connected", len(calls))
-
-        registry.add_collector(collector)
-        registry.snapshot()
-        registry.render_prometheus()
-        assert len(calls) == 2
-        registry.remove_collector(collector)
-        registry.remove_collector(collector)  # absent: ignored
-        registry.snapshot()
-        assert len(calls) == 2
-
-    def test_failing_collector_does_not_break_scrapes(self):
+    def test_snapshot_is_detached_and_json_safe(self):
         registry = MetricsRegistry()
-        registry.add_collector(lambda: 1 / 0)
-        registry.count("ok_total")
-        assert "ok_total 1" in registry.render_prometheus()
+        registry.count("repro_requeues_total", reason="timeout")
+        registry.observe("repro_unit_seconds", 0.2, scenario="a")
+        snapshot = registry.snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        snapshot["counters"]["repro_requeues_total"][0]["value"] = 99
+        snapshot["histograms"]["repro_unit_seconds"][0]["counts"][0] = 99
+        registry.count("repro_requeues_total", reason="timeout")
+        fresh = registry.snapshot()
+        assert fresh["counters"]["repro_requeues_total"][0]["value"] == 2
+        assert fresh["histograms"]["repro_unit_seconds"][0]["counts"][0] \
+            == 0
+
+    def test_concurrent_counts_are_not_lost(self):
+        registry = MetricsRegistry()
+
+        def bump():
+            for _ in range(500):
+                registry.count("repro_heartbeats_total", worker="w")
+                registry.observe("repro_unit_seconds", 0.01)
+
+        threads = [threading.Thread(target=bump) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        snapshot = registry.snapshot()
+        (counter,) = snapshot["counters"]["repro_heartbeats_total"]
+        (histogram,) = snapshot["histograms"]["repro_unit_seconds"]
+        assert counter["value"] == 2000
+        assert histogram["count"] == 2000
+
+    def test_reset_drops_every_series(self):
+        registry = MetricsRegistry()
+        registry.count("repro_rows_total")
+        registry.observe("repro_unit_seconds", 1.0)
+        registry.reset()
+        assert registry.snapshot() == {"counters": {}, "histograms": {}}
 
 
 class TestLogLine:
@@ -251,58 +265,34 @@ class TestLogLine:
         assert captured.out == ""
 
 
-class TestMetricsEndpoint:
-    def test_serves_registry_and_404s_elsewhere(self):
-        registry = MetricsRegistry()
-        registry.count("repro_heartbeats_total", 5, worker="w0")
-        server = telemetry.serve_metrics(0, registry=registry)
-        try:
-            port = server.server_address[1]
-            with urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/metrics") as reply:
-                assert reply.status == 200
-                assert reply.headers["Content-Type"].startswith(
-                    "text/plain")
-                body = reply.read().decode()
-            assert 'repro_heartbeats_total{worker="w0"} 5' in body
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/other")
-        finally:
-            server.shutdown()
-
-
 class TestTelemetrySettings:
     def test_defaults(self):
         settings = TelemetrySettings.resolve()
         assert settings == TelemetrySettings(
-            enabled=False, trace_out=None, metrics_port=None,
+            enabled=False, trace_out=None,
         )
 
     def test_env_overrides_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "1")
         monkeypatch.setenv("REPRO_ENGINE_TELEMETRY_TRACE_OUT",
                            "fleet.trace.json")
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY_METRICS_PORT",
-                           "9109")
         settings = TelemetrySettings.resolve()
         assert settings == TelemetrySettings(
             enabled=True, trace_out="fleet.trace.json",
-            metrics_port=9109,
         )
 
     def test_arguments_beat_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY_METRICS_PORT", "1")
+        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "0")
+        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY_TRACE_OUT",
+                           "env.trace.json")
         settings = TelemetrySettings.resolve(enabled=True,
-                                             metrics_port=0)
+                                             trace_out="arg.trace.json")
         assert settings.enabled is True
-        assert settings.metrics_port == 0
+        assert settings.trace_out == "arg.trace.json"
 
-    def test_bad_port_names_the_source(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY_METRICS_PORT",
-                           "republic")
-        with pytest.raises(ValueError,
-                           match="REPRO_ENGINE_TELEMETRY_METRICS_PORT"):
+    def test_bad_flag_names_the_source(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "republic")
+        with pytest.raises(ValueError, match="REPRO_ENGINE_TELEMETRY"):
             TelemetrySettings.resolve()
 
 
@@ -338,54 +328,71 @@ class TestFirstAcceptedWinsSpans:
         assert len(events) == 1
 
 
+def _traced_fleet_run(directory: Path) -> tuple:
+    """A traced 2-worker loopback dist run: the exported Chrome trace
+    document, the dist table and the serial table of the same spec."""
+    from repro.engine import DistBackend
+
+    spec = small_spec(
+        models=["SPP2", "SPP3"],
+        scenarios=[{"name": "a", "seed": 0},
+                   {"name": "b", "seed": 9}],
+    )
+    import socket
+
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    workers = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker",
+             "--connect", f"127.0.0.1:{port}",
+             "--id", f"trace-w{index}",
+             "--retry-seconds", "60"],
+            env=env, stderr=subprocess.DEVNULL,
+        )
+        for index in range(2)
+    ]
+    tracer = SpanTracer(process="coordinator")
+    try:
+        with telemetry.tracing(tracer):
+            table = spec.build_runner().run(
+                backend=DistBackend(port=port, start_timeout=60,
+                                    unit_timeout=60),
+            )
+    finally:
+        for worker in workers:
+            worker.kill()
+            worker.wait()
+    serial = spec.build_runner().run(backend="serial")
+    path = directory / "fleet.trace.json"
+    tracer.export(path)
+    return json.loads(path.read_text()), table, serial
+
+
+@pytest.fixture(scope="class")
+def fleet_trace(tmp_path_factory):
+    """One traced fleet run shared by the class's tests."""
+    # Class scope runs before the per-test clean_env: strip the engine
+    # knobs here too, for this process and the spawned workers.
+    with pytest.MonkeyPatch.context() as patch:
+        for var in ENGINE_ENV_VARS:
+            patch.delenv(var, raising=False)
+        return _traced_fleet_run(tmp_path_factory.mktemp("fleet"))
+
+
 class TestMergedFleetTrace:
-    def test_two_subprocess_workers_one_timeline(self, tmp_path):
+    def test_two_subprocess_workers_one_timeline(self, fleet_trace):
         """Acceptance: a traced 2-worker run exports one merged,
         schema-valid Chrome trace covering coordinator and both
         workers."""
-        from repro.engine import DistBackend
-
-        spec = small_spec(
-            models=["SPP2", "SPP3"],
-            scenarios=[{"name": "a", "seed": 0},
-                       {"name": "b", "seed": 9}],
-        )
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get(
-            "PYTHONPATH", "")
-        workers = [
-            subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker",
-                 "--connect", f"127.0.0.1:{port}",
-                 "--id", f"trace-w{index}",
-                 "--retry-seconds", "60"],
-                env=env, stderr=subprocess.DEVNULL,
-            )
-            for index in range(2)
-        ]
-        tracer = SpanTracer(process="coordinator")
-        try:
-            with telemetry.tracing(tracer):
-                table = spec.build_runner().run(
-                    backend=DistBackend(port=port, start_timeout=60,
-                                        unit_timeout=60),
-                )
-        finally:
-            for worker in workers:
-                worker.kill()
-                worker.wait()
+        doc, table, serial = fleet_trace
         assert len(table) == 8
-        serial = spec.build_runner().run(backend="serial")
         assert table.to_csv() == serial.to_csv()
-        path = tmp_path / "fleet.trace.json"
-        tracer.export(path)
-        doc = json.loads(path.read_text())
         assert_chrome_trace_schema(doc)
         processes = {event["args"]["name"]
                      for event in doc["traceEvents"]
@@ -407,6 +414,26 @@ class TestMergedFleetTrace:
         # appear (the merged timeline covers the whole request path).
         assert "simulate" in names_seen
         assert "protocol-send" in names_seen
+
+    def test_every_span_category_is_declared(self, fleet_trace):
+        """SPAN_CATEGORIES names exactly what the instrumentation
+        emits: the fleet run's spans use every category and no other."""
+        doc, _, _ = fleet_trace
+        categories = {event["cat"] for event in doc["traceEvents"]
+                      if event["ph"] == "X"}
+        assert categories == set(SPAN_CATEGORIES)
+
+
+class TestSpanCategories:
+    def test_every_instrumentation_site_uses_a_declared_category(self):
+        """Each ``telemetry.span(name, category)`` call under ``src/``
+        names a declared category, and every declared category has a
+        site — including sites a loopback fleet run never reaches."""
+        pattern = re.compile(r"telemetry\.span\(\s*[^,()]+,\s*\"(\w+)\"")
+        used = set()
+        for path in Path(SRC_DIR, "repro").rglob("*.py"):
+            used.update(pattern.findall(path.read_text(encoding="utf-8")))
+        assert used == set(SPAN_CATEGORIES)
 
 
 class TestByteIdentity:
@@ -489,47 +516,6 @@ class TestTraceOutCli:
         manifest = json.loads(
             (tmp_path / "results.manifest.json").read_text())
         assert "telemetry" not in manifest
-
-
-class TestServiceMetricsVerb:
-    def test_metrics_round_trip_over_the_framed_socket(self, tmp_path):
-        from repro.engine import Worker
-        from repro.engine.service import ExperimentService, ServiceClient
-        from repro.engine.settings import ServiceSettings
-
-        service = ExperimentService(
-            ServiceSettings(host="127.0.0.1", port=0,
-                            store_dir=str(tmp_path / "store"),
-                            max_inflight=1, submitter_cap=1,
-                            drain_timeout=5.0),
-            DistSettings.resolve(port=0, unit_timeout=60.0),
-        )
-        service.start()
-        worker = Worker(("127.0.0.1", service.port),
-                        retry_seconds=30.0)
-        threading.Thread(target=worker.run, daemon=True).start()
-        try:
-            client = ServiceClient(host="127.0.0.1", port=service.port)
-            run_id = client.submit({
-                "name": "metrics-verb",
-                "simulators": ["spade-he"],
-                "models": ["CP"],
-                "scenarios": [{"name": "s0", "seed": 7}],
-            })["run"]
-            assert client.wait(run_id, timeout=120)["state"] == "done"
-            reply = client.metrics()
-            assert set(reply) >= {"counters", "gauges", "histograms"}
-            heartbeat = reply["counters"].get(
-                "repro_heartbeats_total", [])
-            assert sum(entry["value"] for entry in heartbeat) >= 0
-            gauges = reply["gauges"]
-            assert "repro_workers_connected" in gauges
-            assert "repro_inflight_runs" in gauges
-            streamed = reply["counters"].get(
-                "repro_rows_streamed_total", [])
-            assert sum(entry["value"] for entry in streamed) >= 1
-        finally:
-            service.stop(drain=False)
 
 
 class TestTableConsistency:
