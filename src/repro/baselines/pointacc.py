@@ -16,8 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.sparsity import LayerTrace, ModelTrace
+from ..core.accelerator import sparse_layers
 from ..core.config import SpadeConfig
-from ..core.dataflow import schedule_dense_layer, schedule_sparse_layer
+from ..core.dataflow import (
+    LayerSchedule,
+    schedule_dense_layer,
+    schedule_sparse_layer,
+    schedule_sparse_layers,
+)
 from ..core.rgu import RGUModel
 from ..hw.bitonic import BitonicMergeRuleGen
 from ..hw.cache import DirectMappedCache
@@ -150,11 +156,6 @@ class PointAccSimulator:
                 + schedule.breakdown["load_wgt"],
                 dram_bytes=schedule.dram_bytes,
             )
-        mapping = self._sorter.run(trace.rules.num_inputs,
-                                   trace.rules.kernel_size).cycles
-        # dram_bytes counts activation traffic (the Fig. 14 comparison);
-        # weight traffic is identical for both accelerators and omitted.
-        gather_scatter, dram_bytes = self._gather_scatter(trace)
         schedule = schedule_sparse_layer(
             trace.rules,
             spec.in_channels,
@@ -163,9 +164,18 @@ class PointAccSimulator:
             name=spec.name,
             optimize=False,
         )
+        return self._sparse_result(trace, schedule)
+
+    def _sparse_result(self, trace: LayerTrace, schedule: LayerSchedule
+                       ) -> PointAccLayerResult:
+        mapping = self._sorter.run(trace.rules.num_inputs,
+                                   trace.rules.kernel_size).cycles
+        # dram_bytes counts activation traffic (the Fig. 14 comparison);
+        # weight traffic is identical for both accelerators and omitted.
+        gather_scatter, dram_bytes = self._gather_scatter(trace)
         mxu = schedule.breakdown["mxu"] + schedule.breakdown["load_wgt"]
         return PointAccLayerResult(
-            name=spec.name,
+            name=trace.spec.name,
             mapping_cycles=mapping,
             gather_scatter_cycles=gather_scatter,
             mxu_cycles=mxu,
@@ -173,9 +183,16 @@ class PointAccSimulator:
         )
 
     def run_trace(self, model_trace: ModelTrace) -> PointAccModelResult:
+        """Every layer of a traced frame; the sparse layers' MXU time
+        comes from one unoptimised
+        :func:`~repro.core.dataflow.schedule_sparse_layers` pass."""
         result = PointAccModelResult(model_name=model_trace.spec.name)
-        for layer_trace in model_trace.layers:
-            result.layers.append(self.run_layer(layer_trace))
+        sparse = iter(schedule_sparse_layers(
+            sparse_layers(model_trace), self.config, optimize=False))
+        for trace in model_trace.layers:
+            result.layers.append(
+                self.run_layer(trace) if trace.rules is None
+                else self._sparse_result(trace, next(sparse)))
         return result
 
 
@@ -209,6 +226,8 @@ def spade_no_overlap(model_trace: ModelTrace,
     bandwidth (the GSU's sequential access), MXU identical to PointAcc's.
     """
     rgu = RGUModel(config)
+    sparse = iter(schedule_sparse_layers(
+        sparse_layers(model_trace), config, optimize=False))
     mapping = 0
     gather_scatter = 0
     mxu = 0
@@ -240,10 +259,7 @@ def spade_no_overlap(model_trace: ModelTrace,
         out_bytes = trace.rules.num_outputs * spec.out_channels * config.act_bytes
         gather_scatter += -(-in_bytes // config.dram_bytes_per_cycle)
         gather_scatter += -(-out_bytes // config.dram_bytes_per_cycle)
-        schedule = schedule_sparse_layer(
-            trace.rules, spec.in_channels, spec.out_channels, config,
-            name=spec.name, optimize=False,
-        )
+        schedule = next(sparse)
         mxu += schedule.breakdown["mxu"] + schedule.breakdown["load_wgt"]
         # Activation traffic only, matching the PointAcc accounting.
         dram += in_bytes + out_bytes

@@ -13,6 +13,7 @@ from .dataflow import (
     LayerSchedule,
     schedule_dense_layer,
     schedule_sparse_layer,
+    schedule_sparse_layers,
 )
 from .dense import DenseAccelerator
 from .energy import EnergyBreakdown, EnergyModel
@@ -44,6 +45,7 @@ __all__ = [
     "pointacc_like_area",
     "schedule_dense_layer",
     "schedule_sparse_layer",
+    "schedule_sparse_layers",
     "sram_kilobytes",
     "streaming_rulegen",
     "SystolicArray",

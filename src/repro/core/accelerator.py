@@ -14,7 +14,12 @@ from dataclasses import dataclass, field, replace
 from ..analysis.sparsity import LayerTrace, ModelTrace
 from ..models.specs import LayerOp
 from .config import SpadeConfig
-from .dataflow import LayerSchedule, schedule_dense_layer, schedule_sparse_layer
+from .dataflow import (
+    LayerSchedule,
+    schedule_dense_layer,
+    schedule_sparse_layer,
+    schedule_sparse_layers,
+)
 from .energy import EnergyBreakdown, EnergyModel
 
 
@@ -141,34 +146,62 @@ class SpadeAccelerator:
                 optimize=self.optimize,
             )
         else:
-            num_pixels = (
-                trace.in_shape[0] * trace.in_shape[1]
-                if spec.upsample
-                else trace.out_shape[0] * trace.out_shape[1]
-            )
-            schedule = schedule_dense_layer(
-                num_pixels,
-                spec.in_channels,
-                spec.out_channels,
-                self.config,
-                kernel_size=spec.kernel_size,
-                upsample_stride=spec.stride if spec.upsample else 1,
-                out_width=trace.out_shape[1],
-                name=spec.name,
-            )
-        energy = self.energy_model.layer_energy(
-            schedule, spec.in_channels, spec.out_channels
-        )
-        return LayerResult(trace=trace, schedule=schedule, energy=energy)
+            schedule = self._dense_schedule(trace)
+        return self._result(trace, schedule)
 
     def run_trace(self, model_trace: ModelTrace) -> ModelResult:
-        """Execute a full traced model frame."""
+        """Execute a full traced model frame.
+
+        Every sparse layer is scheduled in one
+        :func:`~repro.core.dataflow.schedule_sparse_layers` pass.
+        """
         result = ModelResult(
             model_name=model_trace.spec.name,
             accelerator=f"SPADE.{self.config.name}"
             + ("" if self.optimize else " (no dataflow opt)"),
             clock_ghz=self.config.clock_ghz,
         )
-        for layer_trace in model_trace.layers:
-            result.layers.append(self.run_layer(layer_trace))
+        sparse = iter(schedule_sparse_layers(
+            sparse_layers(model_trace), self.config, self.optimize))
+        for trace in model_trace.layers:
+            schedule = (next(sparse) if trace.rules is not None
+                        else self._dense_schedule(trace))
+            result.layers.append(self._result(trace, schedule))
         return result
+
+    def _dense_schedule(self, trace: LayerTrace) -> LayerSchedule:
+        spec = trace.spec
+        num_pixels = (
+            trace.in_shape[0] * trace.in_shape[1]
+            if spec.upsample
+            else trace.out_shape[0] * trace.out_shape[1]
+        )
+        return schedule_dense_layer(
+            num_pixels,
+            spec.in_channels,
+            spec.out_channels,
+            self.config,
+            kernel_size=spec.kernel_size,
+            upsample_stride=spec.stride if spec.upsample else 1,
+            out_width=trace.out_shape[1],
+            name=spec.name,
+        )
+
+    def _result(self, trace: LayerTrace, schedule: LayerSchedule
+                ) -> LayerResult:
+        energy = self.energy_model.layer_energy(
+            schedule, trace.spec.in_channels, trace.spec.out_channels
+        )
+        return LayerResult(trace=trace, schedule=schedule, energy=energy)
+
+
+def sparse_layers(model_trace: ModelTrace) -> list:
+    """The traced model's sparse layers, in order, as the
+    ``(rules, in_channels, out_channels, name, prune)`` tuples
+    :func:`~repro.core.dataflow.schedule_sparse_layers` reads."""
+    return [
+        (trace.rules, trace.spec.in_channels, trace.spec.out_channels,
+         trace.spec.name, trace.spec.prune_keep is not None)
+        for trace in model_trace.layers
+        if trace.rules is not None
+    ]

@@ -107,6 +107,11 @@ def _group_factor(conv_type: ConvType, stride: int, weight_grouping: bool,
     return min(stride * stride, kernel_size * kernel_size)
 
 
+#: The :class:`~repro.core.gsu.TileSchedule` vectors the scheduler reads.
+_TILE_VECTORS = ("tile_pairs", "active_offsets", "in_start", "in_end",
+                 "out_start", "out_end", "overlap")
+
+
 def schedule_sparse_layer(
     rules: Rules,
     in_channels: int,
@@ -129,91 +134,141 @@ def schedule_sparse_layer(
     Returns:
         A :class:`LayerSchedule` with the instruction breakdown.
     """
+    return schedule_sparse_layers(
+        [(rules, in_channels, out_channels, name, prune)], config, optimize
+    )[0]
+
+
+def schedule_sparse_layers(
+    layers,
+    config: SpadeConfig,
+    optimize: bool = True,
+) -> list:
+    """Schedule a model's sparse convolutions on SPADE in one array pass.
+
+    Tiles are planned per layer (:func:`plan_tiles`, memoized on the
+    rules).  Every layer's per-tile cost vectors are then concatenated,
+    with the per-layer scalars broadcast over its tiles, so the
+    arithmetic costs the same few numpy operations for a whole model as
+    for one layer; per-layer sums come from one int64
+    ``np.add.reduceat``, which is exact.  Layers without inputs stay out
+    of the arrays (``reduceat`` has no empty segment) and get an
+    all-zero breakdown.
+
+    Args:
+        layers: One ``(rules, in_channels, out_channels, name, prune)``
+            tuple per layer, each field as in
+            :func:`schedule_sparse_layer`.
+        config: Accelerator instance.
+        optimize: Enable weight grouping / ganged scatter / adaptive T_a.
+
+    Returns:
+        One :class:`LayerSchedule` per layer, in order.
+    """
     pe_r, pe_c = config.pe_rows, config.pe_cols
-    n_c = _ceil_div(max(in_channels, 1), pe_r)
-    n_m = _ceil_div(max(out_channels, 1), pe_c)
     fill = pe_r + pe_c
-
-    schedule = LayerSchedule(
-        name=name,
-        conv_type=rules.conv_type.value,
-        macs=0,
-        num_tiles=0,
-        weight_grouping=(
-            optimize and rules.conv_type is ConvType.STRIDED and rules.stride > 1
-        ),
-        ganged_scatter=(optimize and rules.conv_type is ConvType.DECONV),
-    )
-    if rules.num_inputs == 0:
-        schedule.breakdown = {key: 0 for key in INSTRUCTIONS}
-        return schedule
-
-    ta_cap = config.buf_in_capacity_pillars(in_channels)
-    to_cap = config.buf_out_capacity_pillars(out_channels)
-    if schedule.ganged_scatter:
-        # Outputs leave the buffer per offset; the window constraint
-        # reduces to the per-offset output count (= tile input count).
-        to_cap = max(to_cap, ta_cap * rules.stride * rules.stride)
-    tiling = plan_tiles(rules, ta_cap, to_cap)
-    schedule.num_tiles = tiling.num_tiles
-    schedule.effective_ta = rules.num_inputs / max(tiling.num_tiles, 1)
-
-    group = _group_factor(rules.conv_type, rules.stride,
-                          schedule.weight_grouping, rules.kernel_size)
     bpc = config.dram_bytes_per_cycle
-
     weight_tile_bytes = pe_r * pe_c * config.wgt_bytes
-    layer_weight_bytes = (
-        len(rules.pairs) * in_channels * out_channels * config.wgt_bytes
-    )
-    weights_fit = layer_weight_bytes <= config.buf_wgt_bytes
 
-    # Per-tile cost vectors; index t is tile t of the plan.
-    tile_pairs = tiling.tile_pairs
-    passes = tiling.active_offsets * n_c * n_m
+    schedules = []
+    # Per non-empty layer: its schedule, its rules, its tile plan and
+    # its scalars (n_c * n_m, weight group, C, M, n_m, weight bytes).
+    planned, tilings, scalars = [], [], []
+    for rules, in_channels, out_channels, name, prune in layers:
+        schedule = LayerSchedule(
+            name=name,
+            conv_type=rules.conv_type.value,
+            macs=0,
+            num_tiles=0,
+            weight_grouping=(optimize and rules.conv_type is ConvType.STRIDED
+                             and rules.stride > 1),
+            ganged_scatter=(optimize and rules.conv_type is ConvType.DECONV),
+        )
+        schedules.append(schedule)
+        if rules.num_inputs == 0:
+            schedule.breakdown = dict.fromkeys(INSTRUCTIONS, 0)
+            continue
+        ta_cap = config.buf_in_capacity_pillars(in_channels)
+        to_cap = config.buf_out_capacity_pillars(out_channels)
+        if schedule.ganged_scatter:
+            # Outputs leave the buffer per offset; the window constraint
+            # reduces to the per-offset output count (= tile input count).
+            to_cap = max(to_cap, ta_cap * rules.stride * rules.stride)
+        tiling = plan_tiles(rules, ta_cap, to_cap)
+        schedule.num_tiles = tiling.num_tiles
+        schedule.effective_ta = rules.num_inputs / max(tiling.num_tiles, 1)
+        schedule.pruned_outputs = rules.num_outputs if prune else 0
+        n_c = _ceil_div(max(in_channels, 1), pe_r)
+        n_m = _ceil_div(max(out_channels, 1), pe_c)
+        group = _group_factor(rules.conv_type, rules.stride,
+                              schedule.weight_grouping, rules.kernel_size)
+        layer_weight_bytes = (
+            len(rules.pairs) * in_channels * out_channels * config.wgt_bytes
+        )
+        planned.append((schedule, rules))
+        tilings.append(tiling)
+        scalars.append((n_c * n_m, group, in_channels, out_channels, n_m,
+                        layer_weight_bytes))
+    if not planned:
+        return schedules
+
+    # Per-tile cost vectors over the tiles of every planned layer, layer
+    # after layer; ``starts`` indexes each layer's first tile.
+    num_tiles = [tiling.num_tiles for tiling in tilings]
+    starts = np.cumsum([0] + num_tiles[:-1])
+    layer_scalars = np.array(scalars, dtype=np.int64).T
+    tile_n_cm, tile_group, tile_in, tile_out = np.repeat(
+        layer_scalars[:4], num_tiles, axis=1)
+    n_m, weight_bytes = layer_scalars[4:]
+    (tile_pairs, active_offsets, in_start, in_end, out_start, out_end,
+     overlap) = np.concatenate([
+        getattr(tiling, vector) for vector in _TILE_VECTORS
+        for tiling in tilings]).reshape(len(_TILE_VECTORS), -1)
+    in_width = in_end - in_start
+    out_width = out_end - out_start
+
     # Passes stream back-to-back (weights preloaded into shadow
     # registers), so the systolic fill/drain is paid once per tile.
-    tile_mxu = tile_pairs * n_c * n_m + fill
-    tile_loads = _ceil_div(passes, group)
-    tile_gather = _ceil_div((tiling.in_end - tiling.in_start) * in_channels
-                            * config.act_bytes, bpc)
-    tile_scatter = _ceil_div((tiling.out_end - tiling.out_start)
-                             * out_channels * config.act_bytes, bpc)
+    tile_mxu = tile_pairs * tile_n_cm + fill
+    tile_loads = -(-(active_offsets * tile_n_cm) // tile_group)
+    tile_gather = -(-(in_width * tile_in * config.act_bytes) // bpc)
+    tile_scatter = -(-(out_width * tile_out * config.act_bytes) // bpc)
     tile_rulegen = tile_pairs + RGUModel.PIPELINE_FILL
+    tile_wgt = -(-(tile_loads * weight_tile_bytes) // bpc)
     # Gathers and RuleGen of tile t hide behind the MXU time of tile t-1;
-    # nothing precedes the first tile.
-    hiding = np.concatenate(([0], tile_mxu[:-1]))
+    # nothing precedes a layer's first tile.
+    hiding = np.empty_like(tile_mxu)
+    hiding[1:] = tile_mxu[:-1]
+    hiding[starts] = 0
+    stalls = np.maximum(np.stack([tile_rulegen, tile_gather, tile_wgt])
+                        - hiding, 0)
+    (rulegen, gather_inp, wgt_stalls, loads, mxu, copies, scatter_out,
+     entries) = np.add.reduceat(
+        np.vstack([stalls, tile_loads, tile_mxu, overlap,
+                   np.maximum(tile_scatter - tile_mxu, 0), tile_pairs]),
+        starts, axis=1)
 
-    def stalls(cycles):
-        return int(np.maximum(cycles - hiding, 0).sum())
-
-    if weights_fit:
-        # One up-front streamed fetch of the layer weights, paid at layer
-        # start (nothing of this layer runs yet, so it cannot hide).
-        gather_wgt_stall = _ceil_div(layer_weight_bytes, bpc)
-    else:
-        gather_wgt_stall = stalls(
-            _ceil_div(tile_loads * weight_tile_bytes, bpc))
-
-    schedule.rule_entries = int(tile_pairs.sum())
-    schedule.macs = schedule.rule_entries * in_channels * out_channels
-    schedule.pruned_outputs = rules.num_outputs if prune else 0
-    schedule.breakdown = {
-        "rulegen": stalls(tile_rulegen),
-        "gather_inp": stalls(tile_gather),
-        "gather_wgt": gather_wgt_stall,
-        "load_wgt": int(tile_loads.sum()) * pe_r,
-        "mxu": int(tile_mxu.sum()),
-        "copy_psum": int(tiling.overlap.sum()) * n_m,
-        "scatter_out": int(np.maximum(tile_scatter - tile_mxu, 0).sum()),
-    }
-    weight_refetches = 1 if weights_fit else tiling.num_tiles
-    schedule.dram_bytes = (
-        rules.num_inputs * in_channels * config.act_bytes
-        + rules.num_outputs * out_channels * config.act_bytes
-        + layer_weight_bytes * weight_refetches
-    )
-    return schedule
+    weights_fit = weight_bytes <= config.buf_wgt_bytes
+    # Weights that fit take one up-front streamed fetch, paid at layer
+    # start (nothing of the layer runs yet, so it cannot hide); weights
+    # that do not are refetched per tile and hide like the gathers.
+    gather_wgt = np.where(weights_fit, -(-weight_bytes // bpc), wgt_stalls)
+    rows = np.stack([rulegen, gather_inp, gather_wgt, loads * pe_r, mxu,
+                     copies * n_m, scatter_out, entries], axis=1)
+    for (schedule, rules), layer, fits, row in zip(
+            planned, scalars, weights_fit.tolist(), rows.tolist()):
+        _, _, in_ch, out_ch, _, layer_weight_bytes = layer
+        *breakdown, rule_entries = row
+        schedule.breakdown = dict(zip(INSTRUCTIONS, breakdown))
+        schedule.rule_entries = rule_entries
+        schedule.macs = rule_entries * in_ch * out_ch
+        weight_refetches = 1 if fits else schedule.num_tiles
+        schedule.dram_bytes = (
+            rules.num_inputs * in_ch * config.act_bytes
+            + rules.num_outputs * out_ch * config.act_bytes
+            + layer_weight_bytes * weight_refetches
+        )
+    return schedules
 
 
 def schedule_dense_layer(

@@ -11,6 +11,7 @@ behaviour; area scales linearly with a fixed per-bit cost plus periphery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +45,14 @@ class SRAMModel:
     def _scale(self) -> float:
         return float(np.sqrt(max(self.size_bytes, 1) / _REFERENCE_BYTES))
 
-    @property
+    # The per-access energies are read on every ``energy_for_bytes``
+    # call: computed once per (frozen) array.
+    @cached_property
     def read_energy_pj(self) -> float:
         """Energy of one read access (width_bytes wide)."""
         return _BASE_READ_PJ_PER_BYTE * self.width_bytes * self._scale
 
-    @property
+    @cached_property
     def write_energy_pj(self) -> float:
         """Energy of one write access."""
         return self.read_energy_pj * _WRITE_FACTOR
