@@ -16,8 +16,7 @@ Times the same scenarios x models x simulators grid several ways —
 * **batching**: one batched scenario carrying N seeded frames vs N
   single-frame scenarios — identical numbers, one rulegen pass.
   Variants alternate over two cold rounds and each run releases its
-  heavyweight state (trace cache, legacy ``raw`` results) before the
-  next is timed, so neither variant is measured under memory pressure
+  heavyweight state (the trace cache) before the next is timed, so neither variant is measured under memory pressure
   the other escaped — the asymmetry behind the old 2.72 s vs 2.24 s
   "batching regression";
 * **rulegen scaling**: legacy per-offset vs fused vs row-sharded rule
@@ -28,9 +27,6 @@ Times the same scenarios x models x simulators grid several ways —
   share the previous frame's rules, the rest rebuild) — bit-identical
   rules (asserted pairwise), cold rounds alternating like the batching
   sweep, ``speedup_delta_vs_full`` gated by ``check_regression.py``;
-* **columnar export**: ``to_csv`` straight off the table's struct
-  arrays vs the legacy per-row object walk on a sweep-sized synthetic
-  table (identical bytes asserted);
 * **telemetry overhead**: the cold sweep with span tracing on vs off
   (alternating cold rounds, min per variant) — the full price of
   ``--trace-out``, capped at 5% by ``check_regression.py``;
@@ -53,9 +49,7 @@ or via pytest: PYTHONPATH=src python -m pytest benchmarks/bench_engine_runner.py
 
 from __future__ import annotations
 
-import csv
 import gc
-import io
 import json
 import os
 import socket
@@ -68,7 +62,6 @@ from pathlib import Path
 # pre-engine re-trace-per-cell loop as the measured baseline.
 from repro.analysis import trace_model
 from repro.engine import (
-    RESULT_COLUMNS,
     DistBackend,
     ExperimentRunner,
     ExperimentSpec,
@@ -101,8 +94,6 @@ BATCH_ROUNDS = 2
 SCALING_MODEL = "SCP1"          # nuScenes 512x512 grid
 SCALING_SHARDS = 4
 SCALING_REPEATS = 3
-EXPORT_ROWS = 4000
-EXPORT_ROUNDS = 3
 DELTA_ROUNDS = 3
 DELTA_FRAMES = 8
 TELEMETRY_ROUNDS = 3
@@ -162,17 +153,14 @@ def _timed_run(runner: ExperimentRunner, **kwargs) -> tuple:
     return table, time.perf_counter() - start
 
 
-def _release_run_state(runner: ExperimentRunner, table) -> None:
+def _release_run_state(runner: ExperimentRunner) -> None:
     """Drop a finished run's heavyweight state before the next timing.
 
-    The trace cache retains every per-layer rule array and each row's
-    ``raw`` legacy object retains whole simulator results; keeping them
+    The trace cache retains every per-layer rule array; keeping it
     alive puts the *next* timed run under allocator pressure the
     previous one escaped.
     """
     runner.cache.clear()
-    for row in table:
-        row.raw = None
     gc.collect()
 
 
@@ -194,7 +182,7 @@ def _trace_split(grid: dict) -> dict:
         "simulate_s": simulate_s,
         "trace_fraction": trace_s / (trace_s + simulate_s),
     }
-    _release_run_state(runner, table)
+    _release_run_state(runner)
     return split
 
 
@@ -213,9 +201,7 @@ def _backend_sweeps(grid: dict) -> tuple:
             assert len(table) == len(reference)
             for left, right in zip(reference, table):
                 assert left == right, f"{backend} backend changed the numbers"
-        # SimResult equality excludes ``raw``, so the parity reference
-        # can be kept light too.
-        _release_run_state(runner, table)
+        _release_run_state(runner)
     return timings, reference
 
 
@@ -253,7 +239,7 @@ def _batching_sweep(grid: dict) -> dict:
             runner = build()
             table, elapsed = _timed_run(runner, parallel=False)
             times[label].append(elapsed)
-            _release_run_state(runner, table)
+            _release_run_state(runner)
             tables[label] = table
 
     single_table, batched_table = tables["single"], tables["batched"]
@@ -351,66 +337,6 @@ def _delta_trace_sweep(grid: dict) -> dict:
     }
 
 
-def _columnar_export_sweep() -> dict:
-    """``to_csv`` off the struct arrays vs the legacy per-row walk.
-
-    The legacy variant is the pre-columnar export: materialize one
-    ``SimResult`` per row and pull each column through ``getattr`` —
-    exactly what ``to_csv`` used to do.  Identical bytes are asserted.
-    """
-    records = [
-        {
-            "scenario": f"scenario-{index % 8}",
-            "model": f"SPP{index % 3 + 1}",
-            "simulator": "spade-he",
-            "frame": index % BATCH_FRAMES,
-            "cycles": 1000 + index,
-            "latency_ms": 0.25 * index,
-            "fps": 30.0,
-            "energy_mj": 1.5,
-            "dram_bytes": 1 << 20,
-            "utilization": 0.5,
-        }
-        for index in range(EXPORT_ROWS)
-    ]
-
-    def fresh_table() -> ExperimentTable:
-        table = ExperimentTable()
-        for record in records:
-            table.append_record(record)
-        return table
-
-    def legacy_csv(table: ExperimentTable) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in table.results:
-            writer.writerow(
-                "" if value is None else value
-                for value in (getattr(row, column)
-                              for column in RESULT_COLUMNS)
-            )
-        return buffer.getvalue()
-
-    columnar_s = legacy_s = float("inf")
-    for _ in range(EXPORT_ROUNDS):
-        table = fresh_table()
-        start = time.perf_counter()
-        columnar = table.to_csv()
-        columnar_s = min(columnar_s, time.perf_counter() - start)
-        start = time.perf_counter()
-        legacy = legacy_csv(table)
-        legacy_s = min(legacy_s, time.perf_counter() - start)
-        assert columnar == legacy, "columnar to_csv changed the bytes"
-    return {
-        "rows": EXPORT_ROWS,
-        "rounds": EXPORT_ROUNDS,
-        "columnar_to_csv_s": columnar_s,
-        "list_to_csv_s": legacy_s,
-        "speedup_columnar_vs_list": legacy_s / columnar_s,
-    }
-
-
 def _rulegen_scaling() -> dict:
     """Legacy vs fused vs sharded rulegen on a nuScenes-scale frame."""
     provider = FrameProvider()
@@ -460,12 +386,12 @@ def _disk_cache_sweep(grid: dict) -> dict:
     cold = _build_runner(grid, cache=TraceCache())
     cold_table, cold_s = _timed_run(cold, parallel=False)
     cold_stats = cold.cache.stats()
-    _release_run_state(cold, cold_table)
+    _release_run_state(cold)
 
     warm = _build_runner(grid, cache=TraceCache())
     warm_table, warm_s = _timed_run(warm, parallel=False)
     warm_stats = warm.cache.stats()
-    _release_run_state(warm, warm_table)
+    _release_run_state(warm)
     return {
         "dir": os.environ[CACHE_DIR_ENV_VAR],
         "cold_s": cold_s,
@@ -503,7 +429,7 @@ def _telemetry_overhead_sweep(grid: dict) -> dict:
             times[label].append(elapsed)
             if tracer is not None:
                 spans = sum(tracer.counts().values())
-            _release_run_state(runner, table)
+            _release_run_state(runner)
     off_s = min(times["off"])
     on_s = min(times["on"])
     return {
@@ -547,8 +473,8 @@ def _dist_sweep(grid: dict) -> dict:
     for left, right in zip(expected, dist_table):
         assert left == right, "dist backend changed the numbers"
     units = backend.last_coordinator.stats["units"]
-    _release_run_state(serial_runner, serial_table)
-    _release_run_state(dist_runner, dist_table)
+    _release_run_state(serial_runner)
+    _release_run_state(dist_runner)
     return {
         "workers": DIST_WORKERS,
         "units": units,
@@ -581,16 +507,12 @@ def run_sweeps(smoke: bool = False) -> dict:
         in sorted(trace_cache_stats["by_label"].items())
     }
     max_workers = runner.max_workers
-    _release_run_state(runner, cached)
-    for table in (cold, parallel):
-        for row in table:
-            row.raw = None
+    _release_run_state(runner)
 
     trace_split = _trace_split(grid)
     backend_timings, _ = _backend_sweeps(grid)
     batch_timings = _batching_sweep(grid)
     delta_timings = _delta_trace_sweep(grid)
-    columnar_export = _columnar_export_sweep()
     scaling = _rulegen_scaling()
     telemetry_overhead = _telemetry_overhead_sweep(grid)
     disk_cache = _disk_cache_sweep(grid)
@@ -621,7 +543,6 @@ def run_sweeps(smoke: bool = False) -> dict:
         "backends": backend_timings,
         "batching": batch_timings,
         "delta_trace": delta_timings,
-        "columnar_export": columnar_export,
         "rulegen_scaling": scaling,
         "telemetry_overhead": telemetry_overhead,
         "dist": dist,
@@ -672,10 +593,6 @@ def check_sweeps(timings: dict) -> None:
     # carries a noise floor; the committed baseline's ratio is gated by
     # check_regression.py.
     assert timings["speedup_delta_vs_full"] > 0.9
-    # The columnar export must produce the legacy bytes (asserted in
-    # the sweep) without being slower than the per-row object walk.
-    export = timings["columnar_export"]
-    assert export["columnar_to_csv_s"] < export["list_to_csv_s"]
     # The process pool must beat the serial backend on the cold sweep
     # whenever there is real parallel hardware to use.
     if (timings["cpus"] or 1) > 1:

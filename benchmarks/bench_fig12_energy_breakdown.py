@@ -4,32 +4,29 @@ Paper shape: compute and SRAM savings track ops savings; DRAM savings lag
 slightly (outputs still move for SpConv-S models); overall savings remain
 strongly correlated with ops savings.
 
-One engine grid produces every (model, accelerator, config) cell; the
-per-component energies come from the unified result's
-``extras["energy_breakdown"]``.
+The per-component energies are the :class:`~repro.core.EnergyBreakdown`
+of SPADE on each sparse model and of DenseAcc on its dense counterpart
+(``run_trace(trace).energy``), one pair per configuration.
 """
 
 from __future__ import annotations
 
 from repro.analysis import dense_counterpart, format_table
-from repro.core import SPADE_HE, SPADE_LE
-from repro.engine import DenseAccSimulator, ExperimentRunner, SpadeSimulator
+from repro.core import SPADE_HE, SPADE_LE, DenseAccelerator, SpadeAccelerator
 from repro.models import SPARSE_MODELS
 
 
-def _rows(traces, table, config):
+def _rows(traces, config):
+    spade = SpadeAccelerator(config)
+    dense = DenseAccelerator(config)
     rows = []
     for name in SPARSE_MODELS:
         ops_ratio = 1.0 / (
             1.0 - traces(name).savings_vs(traces(dense_counterpart(name)))
         )
-        spade_energy = table.get(
-            model=name, simulator=f"SPADE.{config.name}"
-        ).extras["energy_breakdown"]
-        dense_energy = table.get(
-            model=dense_counterpart(name),
-            simulator=f"DenseAcc.{config.name}",
-        ).extras["energy_breakdown"]
+        spade_energy = spade.run_trace(traces(name)).energy
+        dense_energy = dense.run_trace(
+            traces(dense_counterpart(name))).energy
         rows.append((
             config.name,
             name,
@@ -44,23 +41,7 @@ def _rows(traces, table, config):
 
 def test_fig12_energy_breakdown(benchmark, traces):
     def run():
-        models = list(SPARSE_MODELS)
-        models += sorted({dense_counterpart(name) for name in SPARSE_MODELS})
-        runner = ExperimentRunner(
-            simulators=[SpadeSimulator(SPADE_HE), SpadeSimulator(SPADE_LE),
-                        DenseAccSimulator(SPADE_HE),
-                        DenseAccSimulator(SPADE_LE)],
-            models=models,
-            trace_provider=lambda scenario, name: traces(name),
-            # Only the cells the figure reads: SPADE on sparse models,
-            # DenseAcc on their dense counterparts.
-            cell_filter=lambda scenario, model, simulator: (
-                (model in SPARSE_MODELS)
-                == simulator.name.startswith("SPADE")
-            ),
-        )
-        table = runner.run()
-        return _rows(traces, table, SPADE_HE) + _rows(traces, table, SPADE_LE)
+        return _rows(traces, SPADE_HE) + _rows(traces, SPADE_LE)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -10,8 +10,7 @@ a :class:`Backend` for execution:
   many-scenario sweeps: work groups are pickled to workers in contiguous
   chunks (amortizing IPC), each worker traces the groups it simulates
   through its own :class:`TraceCache` and :class:`FrameProvider`, and
-  results come back with the heavyweight ``raw`` legacy objects
-  stripped so a row costs kilobytes, not megabytes, to ship.
+  results come back as plain rows that cost kilobytes to ship.
 
 A work group is one (scenario, model), so tracing where it is simulated
 traces every unique frame exactly once, with no stage or shared
@@ -347,10 +346,6 @@ def _run_chunk(chunk: list) -> dict:
         rows = execute_group(group, _worker_trace)
         seconds.append(time.monotonic() - started)
         deltas.append(counter_delta(before, _WORKER_CACHE.stats()))
-        for row in rows:
-            # The legacy result objects retain whole rule arrays; never
-            # ship them back over IPC.
-            row.raw = None
         nested.append(rows)
     return {"rows": nested, "seconds": seconds, "cache": deltas}
 
@@ -374,14 +369,12 @@ class ProcessBackend(Backend):
     out no wider than the plan has work groups: a few-group sweep of
     many frames traces each group's frames in one process.  When that
     width is 1 (one worker, or one chunk) the pool is skipped entirely
-    and the plan runs in-process (still stripping ``raw``, preserving
-    the backend's result contract).
+    and the plan runs in-process.
 
     Restrictions: the runner must be on the default frame path — a
     ``trace_provider`` closure or a custom frame-provider instance cannot
-    be shipped to worker processes.  ``SimResult.raw`` is ``None`` on
-    every returned row (the legacy objects are worker-local); all other
-    fields are bit-identical to the serial backend's.
+    be shipped to worker processes.  Every returned row is identical
+    to the serial backend's.
 
     Args:
         max_workers: Pool width; defaults to the runner's
@@ -436,12 +429,8 @@ class ProcessBackend(Backend):
         width = min(workers, len(chunks))
         if width == 1:
             # Pure pool overhead at width 1: run in-process through the
-            # runner's own cache, keeping the raw-stripping contract.
-            nested = SerialBackend().execute(runner, groups)
-            for rows in nested:
-                for row in rows:
-                    row.raw = None
-            return nested
+            # runner's own cache.
+            return SerialBackend().execute(runner, groups)
 
         chunk_results = []
         with ProcessPoolExecutor(max_workers=width,

@@ -35,10 +35,9 @@ worker processes started with ``repro worker --connect HOST:PORT``:
    what (duplicate results from a presumed-dead worker are ignored).
 
 Because results travel as JSON records, returned rows match the serial
-backend's rows *as serialized*: ``raw`` is ``None`` (the process
-backend's contract too) and ``extras``/``per_layer`` carry their
-JSON-safe projection — CSV/JSON outputs are byte-identical to a serial
-run's.
+backend's rows *as serialized*: ``extras``/``per_layer`` carry their
+JSON-safe projection, and CSV/JSON outputs are byte-identical to a
+serial run's.
 """
 
 from __future__ import annotations

@@ -104,8 +104,6 @@ def execute_unit(groups: list, cache: TraceCache, providers: dict,
             providers[spec.frame_provider] = provider
         runner = spec.build_runner(cache=cache, frame_provider=provider)
         table = runner.run(backend="serial")
-        # Columnar streaming: records come straight off the table's
-        # struct arrays, not through per-row SimResult views.
         out[str(entry["index"])] = table.to_records()
         if timings is not None:
             timings[str(entry["index"])] = time.monotonic() - started

@@ -99,7 +99,6 @@ class MappingSim(Simulator):
             utilization=None,
             per_layer=per_layer,
             extras={"substrate": self.substrate},
-            raw=None,
         )
 
 
@@ -187,5 +186,4 @@ class GatherDramSim(Simulator):
             utilization=None,
             per_layer=per_layer,
             extras={"dataflow": self.dataflow},
-            raw=None,
         )

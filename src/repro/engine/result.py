@@ -5,8 +5,9 @@ SpConv2D-Acc, the analytic platform models — historically returned its
 own result type.  :class:`SimResult` is the common denominator all of
 them adapt to: one flat record per (scenario, model, simulator) run with
 the metrics every consumer (benchmarks, reports, sweeps) asks for, plus
-a per-layer breakdown and the untouched legacy result for clients that
-need simulator-specific detail.
+a per-layer breakdown and simulator-specific aggregates.  A row holds
+plain data only, so it is the same whichever backend produced it and
+survives the JSON sink unchanged.
 
 Metrics a simulator cannot produce are ``None`` (e.g. the analytic
 platform models have no cycle count; SpConv2D-Acc has no energy model),
@@ -63,9 +64,7 @@ class SimResult:
         per_layer: One dict per executed layer (keys vary by simulator
             family but always include ``"name"``).
         extras: Simulator-specific aggregates (instruction breakdown,
-            phase split, energy components, ...).
-        raw: The legacy result object the adapter wrapped, for consumers
-            that need the full simulator-specific API.
+            phase split, ...).
     """
 
     simulator: str
@@ -80,7 +79,6 @@ class SimResult:
     utilization: float = None
     per_layer: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    raw: object = field(default=None, repr=False, compare=False)
 
     def as_row(self, columns=RESULT_COLUMNS) -> tuple:
         """The record as a tuple in ``columns`` order (for tables)."""
@@ -99,10 +97,11 @@ def _jsonable(value):
     """Best-effort JSON projection of one value.
 
     Numpy scalars collapse to native ints/floats, tuples become lists,
-    dict keys are stringified; leaves JSON cannot carry (legacy result
-    objects in ``extras``) return the ``_DROP`` sentinel and are elided
-    from their container — never stringified, which would silently
-    corrupt a later :meth:`ExperimentTable.from_json` round trip.
+    dict keys are stringified; leaves JSON cannot carry (arbitrary
+    objects a caller put in ``extras``) return the ``_DROP`` sentinel
+    and are elided from their container — never stringified, which
+    would silently corrupt a later :meth:`ExperimentTable.from_json`
+    round trip.
     """
     if value is None or isinstance(value, (str, bool, int)):
         return value
@@ -128,9 +127,7 @@ def _jsonable(value):
 def _result_to_record(result: SimResult) -> dict:
     """One :class:`SimResult` as a JSON-ready record.
 
-    Scalar columns plus the ``per_layer`` / ``extras`` detail; ``raw``
-    legacy objects never serialize (matching the process backend's IPC
-    contract).
+    Scalar columns plus the JSON-safe ``per_layer`` / ``extras`` detail.
     """
     record = {
         column: _jsonable(getattr(result, column))
@@ -160,7 +157,8 @@ def _record_to_result(record: dict) -> SimResult:
     )
 
 
-#: Scalar metric columns stored as (float64 value, int8 kind) pairs.
+#: Metric columns: numeric arrays from :meth:`ExperimentTable.column`,
+#: averaged across a batch's frames by :func:`mean_result`.
 _METRIC_COLUMNS = (
     "cycles",
     "latency_ms",
@@ -170,42 +168,36 @@ _METRIC_COLUMNS = (
     "utilization",
 )
 
-#: Label columns stored as int32 vocabulary codes.
-_LABEL_COLUMNS = ("scenario", "model", "simulator")
-
-# Cell kind tags: what Python value the float64 cell stands for, so
-# materialized views (and CSV/JSON text) reproduce the ingested value
-# exactly — 150 and 150.0 are different bytes in both sinks.
-_KIND_NONE = 0      # None (the cell is meaningless)
-_KIND_INT = 1       # int(cell)
-_KIND_FLOAT = 2     # float(cell)
-_KIND_EXACT = 3     # the value in the row's exact-store (bool, huge
-#                     int, any foreign object a caller smuggled in)
-
-# Frame kinds reuse the scheme: the int64 frame cell is a frame index
-# (_KIND_INT), a label-vocabulary code (_KIND_FLOAT slot repurposed as
-# "label"), or nothing.
-_FRAME_LABEL = 2
-
-#: Ints beyond ±2^53 do not round-trip through float64; such values
-#: (and non-numeric oddities) go to the per-row exact store instead.
+#: Ints beyond ±2^53 do not round-trip through float64, so a column
+#: holding one stays an object array of exact values.
 _EXACT_INT_BOUND = 1 << 53
 
-_ROW_DTYPE = np.dtype(
-    [(column, np.int32) for column in _LABEL_COLUMNS]
-    + [("frame", np.int64), ("frame_kind", np.int8)]
-    + [entry for metric in _METRIC_COLUMNS
-       for entry in ((metric, np.float64), (metric + "_kind", np.int8))]
-)
+
+def _cell(value):
+    """One frame or metric cell as the Python value the tabular views
+    and the CSV sink show: numpy ints within ±2^53 and numpy floats
+    become native ``int``/``float``; bools, larger ints, ``None`` and
+    anything else stay exactly as given (150 and 150.0 print
+    differently, so the int/float distinction is kept)."""
+    if value is None or isinstance(value, (bool, np.bool_)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return (int(value)
+                if -_EXACT_INT_BOUND <= value <= _EXACT_INT_BOUND
+                else value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return value
 
 
-def _as_object(values: list) -> np.ndarray:
-    """A 1-D object ndarray holding exactly these Python objects
-    (``np.array(values)`` would coerce scalars and nest sequences)."""
-    out = np.empty(len(values), dtype=object)
-    for position, value in enumerate(values):
-        out[position] = value
-    return out
+def _matches(result: SimResult, scenario, model, simulator,
+             frame) -> bool:
+    for column, value in (("scenario", scenario), ("model", model),
+                          ("simulator", simulator)):
+        if value is not None and getattr(result, column) != value:
+            return False
+    return (isinstance(frame, str) and frame == "any") \
+        or result.frame == frame
 
 
 class ExperimentTable:
@@ -213,167 +205,29 @@ class ExperimentTable:
 
     Row order is deterministic — scenarios x models x simulators in the
     order the runner was configured — regardless of which parallel worker
-    finished first.
-
-    Storage is columnar: scalar columns live in one numpy struct array
-    (labels as vocabulary codes, metrics as float64 cells with a kind
-    tag preserving None/int/float exactly), so :meth:`filter`,
-    :meth:`column` and the CSV/JSON sinks run vectorized instead of
-    touching a Python object per row.  :class:`SimResult` views are
-    materialized at the edges — :attr:`results`, :meth:`get`,
-    iteration — and rows ingested as objects keep their identity, so
-    mutating ``row.raw`` (the process backend's strip) behaves as it
-    always did.
+    finished first.  The table is a plain list of rows: appended
+    :class:`SimResult` objects keep their identity, and every query is a
+    walk over that list.
     """
 
     def __init__(self, results=None):
-        self._length = 0
-        self._data = np.empty(0, dtype=_ROW_DTYPE)
-        self._vocab = {}      # label value -> code (shared with slices)
-        self._labels = []     # code -> label value
-        self._exact = []      # per row: None or {column: exact value}
-        self._rows = []       # per row: SimResult view or lazy payload
-        self._index = None    # lazy {dimension: {value: row-id array}}
-        for result in results or []:
-            self.append(result)
-
-    # -- ingestion ---------------------------------------------------------
+        self._rows = list(results or [])
 
     def append(self, result: SimResult) -> None:
-        """Add one row; the instance is kept as the row's view."""
-        row = self._new_row()
-        record = self._data[row]
-        for column in _LABEL_COLUMNS:
-            record[column] = self._code(getattr(result, column))
-        self._set_frame(row, result.frame)
-        for metric in _METRIC_COLUMNS:
-            self._set_metric(row, metric, getattr(result, metric))
+        """Add one row."""
         self._rows.append(result)
 
     def append_record(self, record: dict) -> None:
-        """Add one row from a JSON record (:meth:`to_records` shape);
-        the :class:`SimResult` view is only built if asked for."""
-        _check_record_keys(record)
-        row = self._new_row()
-        cells = self._data[row]
-        for column in _LABEL_COLUMNS:
-            cells[column] = self._code(record.get(column))
-        self._set_frame(row, record.get("frame"))
-        for metric in _METRIC_COLUMNS:
-            self._set_metric(row, metric, record.get(metric))
-        self._rows.append((record.get("per_layer") or [],
-                           record.get("extras") or {}))
-
-    def _new_row(self) -> int:
-        if self._length == len(self._data):
-            grown = np.zeros(max(16, 2 * len(self._data)),
-                             dtype=_ROW_DTYPE)
-            grown[:self._length] = self._data[:self._length]
-            self._data = grown
-        self._exact.append(None)
-        self._index = None
-        row = self._length
-        self._length += 1
-        return row
-
-    def _code(self, value) -> int:
-        code = self._vocab.get(value)
-        if code is None:
-            code = len(self._labels)
-            self._vocab[value] = code
-            self._labels.append(value)
-        return code
-
-    def _store_exact(self, row: int, column: str, value) -> None:
-        if self._exact[row] is None:
-            self._exact[row] = {}
-        self._exact[row][column] = value
-
-    def _set_frame(self, row: int, value) -> None:
-        cells = self._data[row]
-        if value is None:
-            kind = cell = _KIND_NONE
-        elif isinstance(value, (bool, np.bool_)):
-            kind, cell = _KIND_EXACT, 0
-            self._store_exact(row, "frame", value)
-        elif isinstance(value, (int, np.integer)):
-            kind, cell = _KIND_INT, int(value)
-        elif isinstance(value, str):
-            kind, cell = _FRAME_LABEL, self._code(value)
-        else:
-            kind, cell = _KIND_EXACT, 0
-            self._store_exact(row, "frame", value)
-        cells["frame"], cells["frame_kind"] = cell, kind
-
-    def _set_metric(self, row: int, metric: str, value) -> None:
-        cells = self._data[row]
-        if value is None:
-            kind, cell = _KIND_NONE, 0.0
-        elif isinstance(value, (bool, np.bool_)):
-            kind, cell = _KIND_EXACT, 0.0
-            self._store_exact(row, metric, value)
-        elif isinstance(value, (int, np.integer)):
-            cell = int(value)
-            if -_EXACT_INT_BOUND <= cell <= _EXACT_INT_BOUND:
-                kind, cell = _KIND_INT, float(cell)
-            else:
-                kind, cell = _KIND_EXACT, 0.0
-                self._store_exact(row, metric, value)
-        elif isinstance(value, (float, np.floating)):
-            kind, cell = _KIND_FLOAT, float(value)
-        else:
-            kind, cell = _KIND_EXACT, 0.0
-            self._store_exact(row, metric, value)
-        cells[metric], cells[metric + "_kind"] = cell, kind
-
-    # -- views -------------------------------------------------------------
+        """Add one row from a JSON record (:meth:`to_records` shape)."""
+        self._rows.append(_record_to_result(record))
 
     @property
     def results(self) -> list:
-        """The rows as :class:`SimResult` objects (materialized once
-        and cached, so mutations like ``row.raw = None`` stick)."""
-        for row in range(self._length):
-            if not isinstance(self._rows[row], SimResult):
-                self._rows[row] = self._materialize(row)
+        """The rows as a new list of :class:`SimResult` objects."""
         return list(self._rows)
 
-    def _materialize(self, row: int) -> SimResult:
-        per_layer, extras = self._rows[row]
-        return SimResult(
-            per_layer=per_layer,
-            extras=extras,
-            frame=self._frame_of(row),
-            **{column: self._label_of(row, column)
-               for column in _LABEL_COLUMNS},
-            **{metric: self._metric_of(row, metric)
-               for metric in _METRIC_COLUMNS},
-        )
-
-    def _label_of(self, row: int, column: str):
-        return self._labels[int(self._data[column][row])]
-
-    def _frame_of(self, row: int):
-        kind = int(self._data["frame_kind"][row])
-        if kind == _KIND_NONE:
-            return None
-        if kind == _KIND_INT:
-            return int(self._data["frame"][row])
-        if kind == _FRAME_LABEL:
-            return self._labels[int(self._data["frame"][row])]
-        return self._exact[row]["frame"]
-
-    def _metric_of(self, row: int, metric: str):
-        kind = int(self._data[metric + "_kind"][row])
-        if kind == _KIND_NONE:
-            return None
-        if kind == _KIND_INT:
-            return int(self._data[metric][row])
-        if kind == _KIND_FLOAT:
-            return float(self._data[metric][row])
-        return self._exact[row][metric]
-
     def __len__(self) -> int:
-        return self._length
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.results)
@@ -381,97 +235,12 @@ class ExperimentTable:
     def __eq__(self, other):
         if not isinstance(other, ExperimentTable):
             return NotImplemented
-        return self.results == other.results
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
-        return f"ExperimentTable(results={self.results!r})"
+        return f"ExperimentTable(results={self._rows!r})"
 
-    def release_raw(self) -> None:
-        """Drop every row's legacy ``raw`` object (frees simulator
-        state after a sweep; record-ingested rows have none)."""
-        for row in self._rows:
-            if isinstance(row, SimResult):
-                row.raw = None
-
-    # -- selection (lazy per-dimension index) ------------------------------
-
-    def _ensure_index(self) -> dict:
-        if self._index is not None:
-            return self._index
-        length = self._length
-        index = {}
-        for column in _LABEL_COLUMNS:
-            codes = self._data[column][:length]
-            index[column] = {
-                self._labels[int(code)]: np.nonzero(codes == code)[0]
-                for code in np.unique(codes)
-            }
-        kinds = self._data["frame_kind"][:length]
-        cells = self._data["frame"][:length]
-        frames = {}
-        none_ids = np.nonzero(kinds == _KIND_NONE)[0]
-        if len(none_ids):
-            frames[None] = none_ids
-        int_ids = np.nonzero(kinds == _KIND_INT)[0]
-        for value in np.unique(cells[int_ids]):
-            frames[int(value)] = int_ids[cells[int_ids] == value]
-        label_ids = np.nonzero(kinds == _FRAME_LABEL)[0]
-        for code in np.unique(cells[label_ids]):
-            key = self._labels[int(code)]
-            frames[key] = label_ids[cells[label_ids] == code]
-        for row in np.nonzero(kinds == _KIND_EXACT)[0].tolist():
-            value = self._exact[row]["frame"]
-            previous = frames.get(value)
-            frames[value] = (np.array([row])
-                             if previous is None
-                             else np.append(previous, row))
-        index["frame"] = frames
-        self._index = index
-        return index
-
-    def _match_ids(self, scenario, model, simulator,
-                   frame) -> np.ndarray:
-        index = self._ensure_index()
-        empty = np.empty(0, dtype=np.int64)
-        selected = None
-        for dimension, value in (("scenario", scenario),
-                                 ("model", model),
-                                 ("simulator", simulator)):
-            if value is None:
-                continue
-            ids = index[dimension].get(value)
-            if ids is None:
-                return empty
-            selected = (ids if selected is None
-                        else np.intersect1d(selected, ids,
-                                            assume_unique=True))
-        if not (isinstance(frame, str) and frame == "any"):
-            try:
-                ids = index["frame"].get(frame)
-            except TypeError:     # unhashable frame key: scan instead
-                ids = np.array([
-                    row for row in range(self._length)
-                    if self._frame_of(row) == frame
-                ], dtype=np.int64)
-            if ids is None:
-                return empty
-            selected = (ids if selected is None
-                        else np.intersect1d(selected, ids,
-                                            assume_unique=True))
-        if selected is None:
-            return np.arange(self._length)
-        return np.sort(selected)
-
-    def _take(self, ids: np.ndarray) -> "ExperimentTable":
-        table = ExperimentTable()
-        table._vocab = self._vocab        # shared: codes only grow
-        table._labels = self._labels
-        table._length = len(ids)
-        table._data = self._data[ids]
-        positions = ids.tolist()
-        table._exact = [self._exact[row] for row in positions]
-        table._rows = [self._rows[row] for row in positions]
-        return table
+    # -- selection ---------------------------------------------------------
 
     def filter(self, scenario: str = None, model: str = None,
                simulator: str = None, frame: object = "any",
@@ -481,11 +250,11 @@ class ExperimentTable:
         ``frame`` matches a per-frame row index, ``"mean"`` for the
         aggregate row of a batched scenario, or ``None`` for unbatched
         rows; the default (``"any"``) does not filter on frames.
-        Matching goes through a lazy per-dimension index (built on
-        first use, invalidated on append), not a row scan.
         """
-        return self._take(self._match_ids(scenario, model, simulator,
-                                          frame))
+        return ExperimentTable([
+            row for row in self._rows
+            if _matches(row, scenario, model, simulator, frame)
+        ])
 
     def get(self, scenario: str = None, model: str = None,
             simulator: str = None, frame: object = "any") -> SimResult:
@@ -494,80 +263,52 @@ class ExperimentTable:
         Raises:
             KeyError: when zero or more than one row matches.
         """
-        ids = self._match_ids(scenario, model, simulator, frame)
-        if len(ids) != 1:
+        found = self.filter(scenario, model, simulator, frame)._rows
+        if len(found) != 1:
             raise KeyError(
                 f"expected exactly one result for scenario={scenario!r} "
                 f"model={model!r} simulator={simulator!r} frame={frame!r}, "
-                f"found {len(ids)}"
+                f"found {len(found)}"
             )
-        row = int(ids[0])
-        if not isinstance(self._rows[row], SimResult):
-            self._rows[row] = self._materialize(row)
-        return self._rows[row]
+        return found[0]
 
-    # -- columnar access ---------------------------------------------------
+    # -- tabular views -----------------------------------------------------
 
-    def _column_values(self, name: str) -> list:
-        """One column as a list of exact Python values, vectorized."""
-        length = self._length
-        if name in _LABEL_COLUMNS:
-            codes = self._data[name][:length]
-            return _as_object(self._labels)[codes].tolist()
-        if name == "frame":
-            kinds = self._data["frame_kind"][:length]
-            cells = self._data["frame"][:length]
-            out = np.empty(length, dtype=object)   # None-filled
-            mask = kinds == _KIND_INT
-            if mask.any():
-                out[mask] = _as_object(cells[mask].tolist())
-            mask = kinds == _FRAME_LABEL
-            if mask.any():
-                out[mask] = _as_object(self._labels)[cells[mask]]
-            for row in np.nonzero(kinds == _KIND_EXACT)[0].tolist():
-                out[row] = self._exact[row]["frame"]
-            return out.tolist()
-        if name in _METRIC_COLUMNS:
-            kinds = self._data[name + "_kind"][:length]
-            cells = self._data[name][:length]
-            out = np.empty(length, dtype=object)   # None-filled
-            mask = kinds == _KIND_INT
-            if mask.any():
-                out[mask] = _as_object(
-                    cells[mask].astype(np.int64).tolist())
-            mask = kinds == _KIND_FLOAT
-            if mask.any():
-                out[mask] = _as_object(cells[mask].tolist())
-            for row in np.nonzero(kinds == _KIND_EXACT)[0].tolist():
-                out[row] = self._exact[row][name]
-            return out.tolist()
-        return [getattr(result, name) for result in self.results]
+    def _values(self, name: str) -> list:
+        """One column in row order; frame and metric cells as
+        :func:`_cell` shows them."""
+        values = [getattr(row, name) for row in self._rows]
+        if name == "frame" or name in _METRIC_COLUMNS:
+            return [_cell(value) for value in values]
+        return values
 
     def column(self, name: str) -> np.ndarray:
-        """All values of one metric, in row order, as a numpy array.
+        """All values of one column, in row order, as a numpy array.
 
-        A metric column with a uniform kind comes back as an int64 or
-        float64 array straight from columnar storage; anything mixed
-        (or a label column) is an object array of the exact values.
+        A metric column of ints within ±2^53 comes back as int64, one
+        of floats as float64; anything else (mixed kinds, bools, larger
+        ints, an empty table or a label column) is an object array of
+        the exact values.
         """
-        if name in _METRIC_COLUMNS and self._length:
-            kinds = self._data[name + "_kind"][:self._length]
-            if (kinds == _KIND_INT).all():
-                return (self._data[name][:self._length]
-                        .astype(np.int64))
-            if (kinds == _KIND_FLOAT).all():
-                return self._data[name][:self._length].copy()
-        return _as_object(self._column_values(name))
+        values = self._values(name)
+        if name in _METRIC_COLUMNS and values:
+            if all(type(value) is int
+                   and -_EXACT_INT_BOUND <= value <= _EXACT_INT_BOUND
+                   for value in values):
+                return np.array(values, dtype=np.int64)
+            if all(type(value) is float for value in values):
+                return np.array(values, dtype=np.float64)
+        # fromiter keeps each value as is; np.array would coerce
+        # scalars and nest sequences.
+        return np.fromiter(values, dtype=object, count=len(values))
 
     def rows(self, columns=RESULT_COLUMNS) -> list:
         """Row tuples for :func:`repro.analysis.report.format_table`."""
-        return list(zip(*[self._column_values(name)
-                          for name in columns])) if self._length else []
+        return list(zip(*[self._values(name) for name in columns]))
 
     def as_dicts(self, columns=RESULT_COLUMNS) -> list:
         """Every row as a plain dict in ``columns`` order."""
-        pulled = [self._column_values(name) for name in columns]
-        return [dict(zip(columns, values)) for values in zip(*pulled)]
+        return [dict(zip(columns, values)) for values in self.rows(columns)]
 
     # -- serialization (backs the `repro run --out` CLI sinks) -------------
 
@@ -581,8 +322,7 @@ class ExperimentTable:
             buffer = io.StringIO()
             writer = csv.writer(buffer, lineterminator="\n")
             writer.writerow(columns)
-            pulled = [self._column_values(name) for name in columns]
-            for values in zip(*pulled):
+            for values in self.rows(columns):
                 writer.writerow([
                     "" if value is None else value for value in values
                 ])
@@ -596,30 +336,14 @@ class ExperimentTable:
         JSON-safe ``per_layer`` / ``extras`` detail) — the dist
         backend's wire format, read back by :meth:`append_record`."""
         with telemetry.span("serialize", "engine", sink="records"):
-            pulled = {name: self._column_values(name)
-                      for name in RESULT_COLUMNS}
-            records = []
-            for row in range(self._length):
-                payload = self._rows[row]
-                if isinstance(payload, SimResult):
-                    per_layer, extras = (payload.per_layer,
-                                         payload.extras)
-                else:
-                    per_layer, extras = payload
-                record = {name: _jsonable(pulled[name][row])
-                          for name in RESULT_COLUMNS}
-                record["per_layer"] = _jsonable(per_layer)
-                record["extras"] = _jsonable(extras)
-                records.append(record)
-            return records
+            return [_result_to_record(row) for row in self._rows]
 
     def to_json(self, path=None, indent: int = 2) -> str:
         """The table as a JSON document that :meth:`from_json` reads back.
 
         Every row serializes its scalar columns plus the JSON-safe parts
-        of ``per_layer`` and ``extras``; ``raw`` legacy objects are
-        dropped (they never survive IPC either).  When ``path`` is given
-        the text is also written there; the text is returned either way.
+        of ``per_layer`` and ``extras``.  When ``path`` is given the text
+        is also written there; the text is returned either way.
         """
         payload = {
             "schema": "repro.ExperimentTable",
@@ -674,10 +398,8 @@ class ExperimentTable:
         return table
 
     def _first_seen(self, column: str) -> list:
-        codes = self._data[column][:self._length]
-        unique, first = np.unique(codes, return_index=True)
-        order = np.argsort(first)
-        return [self._labels[int(code)] for code in unique[order]]
+        return list(dict.fromkeys(getattr(row, column)
+                                  for row in self._rows))
 
     @property
     def scenarios(self) -> list:
@@ -695,17 +417,6 @@ class ExperimentTable:
         return self._first_seen("simulator")
 
 
-#: Metrics averaged by :func:`mean_result` across the frames of a batch.
-_MEAN_METRICS = (
-    "cycles",
-    "latency_ms",
-    "fps",
-    "energy_mj",
-    "dram_bytes",
-    "utilization",
-)
-
-
 def mean_result(per_frame: list) -> SimResult:
     """Aggregate the per-frame rows of one batched cell into a mean row.
 
@@ -719,7 +430,7 @@ def mean_result(per_frame: list) -> SimResult:
         raise ValueError("mean_result needs at least one per-frame result")
     first = per_frame[0]
     values = {}
-    for metric in _MEAN_METRICS:
+    for metric in _METRIC_COLUMNS:
         samples = [getattr(result, metric) for result in per_frame]
         if any(sample is None for sample in samples):
             values[metric] = None

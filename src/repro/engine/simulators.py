@@ -5,7 +5,8 @@ A :class:`Simulator` consumes a :class:`~repro.analysis.sparsity.ModelTrace`
 :class:`~repro.engine.result.SimResult`.  The adapters wrap the legacy
 simulators without changing their numbers: each one calls the same code
 the pre-engine benchmarks called directly and copies the outcome into the
-unified schema, keeping the original result object in ``SimResult.raw``.
+unified schema as plain data (numbers, lists and dicts), so a row is
+the same whichever backend produced it.
 
 ``build_simulator`` turns short spec strings ("spade-he", "dense-le",
 "pointacc-he", "spconv2d", "platform:A6000") into configured instances so
@@ -86,10 +87,8 @@ def _from_model_result(simulator_name: str, result: ModelResult,
         per_layer=per_layer,
         extras={
             "breakdown": dict(result.breakdown()),
-            "energy_breakdown": result.energy,
             "total_macs": result.total_macs,
         },
-        raw=result,
     )
 
 
@@ -160,7 +159,6 @@ class PointAccSim(Simulator):
             utilization=None,
             per_layer=per_layer,
             extras={"phases": result.phase_totals()},
-            raw=result,
         )
 
 
@@ -195,7 +193,6 @@ class SpadeNoOverlapSim(Simulator):
             utilization=None,
             per_layer=[],
             extras={"phases": result.phase_totals()},
-            raw=result,
         )
 
 
@@ -256,7 +253,6 @@ class SpConv2DSim(Simulator):
             per_layer=per_layer,
             extras={"skipped_dense_layers": skipped_dense,
                     "total_macs": total_macs},
-            raw=None,
         )
 
 
@@ -282,7 +278,6 @@ class PlatformSim(Simulator):
             utilization=None,
             per_layer=[],
             extras={"phases": result.phases(), "power_w": result.power_w},
-            raw=result,
         )
 
 
@@ -324,7 +319,6 @@ class TraceStatsSim(Simulator):
                 "input_active": int(trace.input_active),
                 "layers": len(trace.layers),
             },
-            raw=None,
         )
 
 

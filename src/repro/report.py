@@ -98,18 +98,26 @@ def _numeric(value):
             and not isinstance(value, bool))
 
 
-def _cell_metric(table: ExperimentTable, metric: str, scenario: str,
-                 model: str, simulator: str):
-    """One representative value per (scenario, model, simulator) cell.
+def _group_cells(table: ExperimentTable) -> dict:
+    """The table's rows grouped by (scenario, model, simulator) cell,
+    each group in row order."""
+    groups = {}
+    for row in table.results:
+        key = (row.scenario, row.model, row.simulator)
+        groups.setdefault(key, []).append(row)
+    return groups
+
+
+def _cell_metric(rows: list, metric: str):
+    """One representative value of one (scenario, model, simulator)
+    cell's rows.
 
     Batched scenarios contribute their ``"mean"`` aggregate row;
     otherwise the mean of the cell's per-frame (or single) rows.
     Returns None when the simulator does not model the metric.
     """
-    sub = table.filter(scenario=scenario, model=model,
-                       simulator=simulator)
-    mean_rows = sub.filter(frame="mean")
-    pick = mean_rows if len(mean_rows) else sub
+    mean_rows = [row for row in rows if row.frame == "mean"]
+    pick = ExperimentTable(mean_rows or rows)
     values = [value for value in pick.column(metric).tolist()
               if _numeric(value)]
     if not values:
@@ -117,12 +125,13 @@ def _cell_metric(table: ExperimentTable, metric: str, scenario: str,
     return sum(values) / len(values)
 
 
-def _cells(table: ExperimentTable):
-    """Every (scenario, model) pair, in table order."""
+def _cells(table: ExperimentTable, groups: dict):
+    """Every (scenario, model) pair that has rows, in table order."""
+    present = {(scenario, model) for scenario, model, _ in groups}
     return [(scenario, model)
             for scenario in table.scenarios
             for model in table.models
-            if len(table.filter(scenario=scenario, model=model))]
+            if (scenario, model) in present]
 
 
 def layer_aggregates(table: ExperimentTable) -> list:
@@ -203,13 +212,15 @@ def fig_speedup(table: ExperimentTable, baseline: str = None) -> dict:
     others = [name for name in table.simulators if name != baseline]
     if baseline is None or not others:
         return None
+    groups = _group_cells(table)
     rows = []
-    for scenario, model in _cells(table):
-        base = _cell_metric(table, "latency_ms", scenario, model,
-                            baseline)
+    for scenario, model in _cells(table, groups):
+        base = _cell_metric(groups.get((scenario, model, baseline), []),
+                            "latency_ms")
         for simulator in others:
-            latency = _cell_metric(table, "latency_ms", scenario,
-                                   model, simulator)
+            latency = _cell_metric(
+                groups.get((scenario, model, simulator), []),
+                "latency_ms")
             speedup = (base / latency
                        if _numeric(base) and _numeric(latency)
                        and latency else None)
@@ -230,11 +241,13 @@ def fig_speedup(table: ExperimentTable, baseline: str = None) -> dict:
 
 def fig_energy(table: ExperimentTable) -> dict:
     """fig10: per-frame energy by simulator."""
+    groups = _group_cells(table)
     rows = []
-    for scenario, model in _cells(table):
+    for scenario, model in _cells(table, groups):
         for simulator in table.simulators:
-            energy = _cell_metric(table, "energy_mj", scenario, model,
-                                  simulator)
+            energy = _cell_metric(
+                groups.get((scenario, model, simulator), []),
+                "energy_mj")
             if energy is not None:
                 rows.append((scenario, model, simulator, energy))
     if not rows:
@@ -249,13 +262,13 @@ def fig_energy(table: ExperimentTable) -> dict:
 
 def fig_utilization(table: ExperimentTable) -> dict:
     """fig11: PE utilization and DRAM traffic by simulator."""
+    groups = _group_cells(table)
     rows = []
-    for scenario, model in _cells(table):
+    for scenario, model in _cells(table, groups):
         for simulator in table.simulators:
-            utilization = _cell_metric(table, "utilization", scenario,
-                                       model, simulator)
-            dram = _cell_metric(table, "dram_bytes", scenario, model,
-                                simulator)
+            cell = groups.get((scenario, model, simulator), [])
+            utilization = _cell_metric(cell, "utilization")
+            dram = _cell_metric(cell, "dram_bytes")
             if utilization is None and dram is None:
                 continue
             rows.append((scenario, model, simulator,

@@ -47,15 +47,7 @@ class TestBackendParity:
         process = runner.run(backend="process")
         assert len(serial) == len(process) == 8
         for left, right in zip(serial, process):
-            assert left == right     # SimResult equality excludes `raw`
-
-    def test_process_backend_strips_raw(self):
-        runner = _subset_runner(models=["SPP3"], simulators=["spade-he"])
-        row = runner.run(backend="process").results[0]
-        assert row.raw is None
-        serial_row = runner.run(backend="serial").results[0]
-        assert serial_row.raw is not None
-        assert row.cycles == serial_row.cycles
+            assert left == right
 
     def test_process_backend_rejects_trace_provider(self):
         runner = _subset_runner(
@@ -145,7 +137,6 @@ class TestBackendSelection:
         table = runner.run()                    # falls back, succeeds
         assert len(table) == 1
         assert executed == [SerialBackend]
-        assert table.results[0].raw is not None  # ran in-process
         with pytest.raises(ValueError, match="trace_provider"):
             runner.run(backend="process")
 
@@ -336,8 +327,6 @@ class TestSerialFallback:
                                 max_workers=1)
         table = runner.run(backend="process")
         assert len(table) == 1
-        # The backend's contract survives the fallback: raw never ships.
-        assert table.results[0].raw is None
         serial = runner.run(backend="serial")
         assert table.results[0] == serial.results[0]
 
@@ -363,7 +352,6 @@ class TestSerialFallback:
                                    scenarios=[Scenario("w", frames=3)],
                                    max_workers=4)
         table = one_group.run(backend="process")
-        assert all(row.raw is None for row in table.results)
         assert table.to_csv() == one_group.run(backend="serial").to_csv()
         chunked = _subset_runner(simulators=["spade-he"], max_workers=2)
         table = chunked.run(backend=ProcessBackend(chunksize=2))

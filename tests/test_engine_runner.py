@@ -152,7 +152,7 @@ class TestRunnerParallelism:
         parallel = runner.run(parallel=True)
         assert len(serial) == len(parallel) == 2 * 2 * 6
         for left, right in zip(serial, parallel):
-            assert left == right    # SimResult equality excludes `raw`
+            assert left == right
 
     def test_distinct_seeds_get_distinct_traces(self):
         # Regression: the trace map must key by the full scenario (the

@@ -31,6 +31,12 @@ def run_spec(**overrides):
     return runner, table, observer
 
 
+def cell_metric(table, metric, scenario, model, simulator):
+    """The figures' value for one (scenario, model, simulator) cell."""
+    cell = report._group_cells(table).get((scenario, model, simulator), [])
+    return report._cell_metric(cell, metric)
+
+
 @pytest.fixture(scope="module")
 def run():
     return run_spec()
@@ -69,12 +75,12 @@ class TestFigures:
     def test_speedup_matches_the_table(self, table):
         figure = report.fig_speedup(table)
         assert figure["baseline"] == "DenseAcc.HE"
-        base = report._cell_metric(table, "latency_ms", "m", "SPP3",
-                                   "DenseAcc.HE")
+        base = cell_metric(table, "latency_ms", "m", "SPP3",
+                           "DenseAcc.HE")
         by_sim = {row[2]: row for row in figure["rows"]}
         spade = by_sim["SPADE.HE"]
-        latency = report._cell_metric(table, "latency_ms", "m", "SPP3",
-                                      "SPADE.HE")
+        latency = cell_metric(table, "latency_ms", "m", "SPP3",
+                              "SPADE.HE")
         assert spade[3] == pytest.approx(latency)
         assert spade[4] == pytest.approx(base / latency)
         assert spade[4] > 1     # the paper's headline direction
@@ -82,7 +88,7 @@ class TestFigures:
     def test_energy_matches_the_table(self, table):
         figure = report.fig_energy(table)
         for scenario, model, simulator, energy in figure["rows"]:
-            assert energy == pytest.approx(report._cell_metric(
+            assert energy == pytest.approx(cell_metric(
                 table, "energy_mj", scenario, model, simulator))
 
     def test_workload_and_overhead_come_from_layer_aggregates(
@@ -125,8 +131,8 @@ class TestHtml:
 
     def test_figure_cells_match_the_result_table(self, sink, table):
         html = report.build_report(sink, as_html=True)
-        latency = report._cell_metric(table, "latency_ms", "m", "SPP3",
-                                      "SPADE.HE")
+        latency = cell_metric(table, "latency_ms", "m", "SPP3",
+                              "SPADE.HE")
         assert report._format_value(latency) in html
 
     def test_escapes_markup(self):
