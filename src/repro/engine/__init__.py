@@ -41,9 +41,8 @@
   and corrupted cache entries through;
 * :mod:`repro.engine.telemetry`  — the live observability layer:
   :class:`SpanTracer` (Chrome trace-event export, fleet-merged
-  timelines), :class:`MetricsRegistry` (the counters and histograms a
-  traced run's manifest records), and the one lock-guarded stderr
-  writer.
+  timelines, the per-phase profile a traced run's manifest records)
+  and the one lock-guarded stderr writer.
 """
 
 from .backends import (
@@ -109,10 +108,8 @@ from .runner import (
     validate_scenario,
 )
 from .telemetry import (
-    MetricsRegistry,
     SpanTracer,
     log_line,
-    metrics,
     tracing,
 )
 from .simulators import (
@@ -171,7 +168,6 @@ __all__ = [
     "GatherDramSim",
     "InjectedFault",
     "MappingSim",
-    "MetricsRegistry",
     "PlatformSim",
     "PointAccSim",
     "ProcessBackend",
@@ -201,7 +197,6 @@ __all__ = [
     "manifest_path_for",
     "scan_disk_tier",
     "mean_result",
-    "metrics",
     "read_journal",
     "spec_hash",
     "register_backend",

@@ -70,7 +70,6 @@ def execute_cell(scenario, simulator, traces) -> list:
     """
     batched = scenario.frames > 1
     per_frame = []
-    started = time.perf_counter()
     with telemetry.span("simulate", "engine", scenario=scenario.name,
                         simulator=simulator.name):
         for index, trace in enumerate(traces):
@@ -79,10 +78,6 @@ def execute_cell(scenario, simulator, traces) -> list:
             if batched:
                 result.frame = index
             per_frame.append(result)
-    telemetry.metrics().observe(
-        "repro_simulate_seconds", time.perf_counter() - started,
-        scenario=scenario.name, simulator=simulator.name,
-    )
     rows = list(per_frame)
     if batched:
         rows.append(mean_result(per_frame))
@@ -226,9 +221,6 @@ def observe_unit_done(runner, scenario_name: str, model_name: str,
     if observer is not None:
         observer.record_unit(scenario_name, model_name, seconds,
                              results=results, worker=worker, cache=cache)
-    telemetry.metrics().observe("repro_unit_seconds", float(seconds),
-                                scenario=scenario_name,
-                                model=model_name)
 
 
 class BackendUnavailable(RuntimeError):

@@ -203,7 +203,6 @@ class TraceCache:
                 path.unlink()
             except OSError:
                 pass
-        telemetry.metrics().count("repro_cache_quarantined_total")
         with self._lock:
             self.quarantined += 1
 
@@ -264,8 +263,6 @@ class TraceCache:
             with self._lock:
                 if key in self._entries:
                     self.hits += 1
-                    telemetry.metrics().count(
-                        "repro_cache_gets_total", result="hit")
                     return self._entries[key]
                 event = self._inflight.get(key)
                 if event is None:
@@ -310,9 +307,6 @@ class TraceCache:
             full_count = sum(
                 1 for layer in trace.layers if layer.rules is not None
             ) - delta_count
-        telemetry.metrics().count(
-            "repro_cache_gets_total",
-            result="disk_hit" if from_disk else "miss")
         with self._lock:
             if from_disk:
                 self.disk_hits += 1

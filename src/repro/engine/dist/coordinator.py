@@ -439,8 +439,6 @@ class Coordinator:
                 msg = recv_message(conn)
                 kind = msg.get("type")
                 if kind == "heartbeat":
-                    telemetry.metrics().count(
-                        "repro_heartbeats_total", worker=worker.worker_id)
                     with self._cond:
                         worker.last_seen = time.monotonic()
                 elif kind == "request":
@@ -557,11 +555,6 @@ class Coordinator:
         spans = msg.get("spans")
         if spans and tracer is not None:
             tracer.ingest(spans, worker.worker_id)
-        telemetry.metrics().count(
-            "repro_rows_streamed_total",
-            sum(len(rows) for rows in decoded.values()),
-            worker=worker.worker_id,
-        )
         # Callbacks run outside the lock; stats ride the same accepted
         # result as the rows, so requeued units still report exactly
         # once, from whichever worker's result won.
@@ -629,7 +622,6 @@ class Coordinator:
             self._failure = error
         else:
             self.stats["requeues"] += 1
-            telemetry.metrics().count("repro_requeues_total")
             self._pending.appendleft(unit_id)
 
     def _reap(self, worker, reason: str) -> None:

@@ -16,9 +16,9 @@ the :class:`~repro.engine.runner.ExperimentRunner` carries for the
 duration of one ``run()`` call.  Backends report through module helpers
 in :mod:`~repro.engine.backends` (the same pattern as progress
 reporting): each finished work group contributes one *unit* record
-(scenario, model, wall seconds, row count, executing worker), each
-backend stage contributes a *phase* timing, and every streamed row's
-per-layer detail feeds a
+(scenario, model, wall seconds, row count, executing worker), the
+whole run contributes one ``"run"`` *phase* timing, and every streamed
+row's per-layer detail feeds a
 :class:`~repro.analysis.sparsity.SparsityAnalyzer` incrementally, so
 observation never retains tables or traces.
 
@@ -39,7 +39,6 @@ own cache.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
@@ -117,17 +116,17 @@ class RunObserver:
 
     Attach one to :meth:`ExperimentRunner.run(observer=...)
     <repro.engine.runner.ExperimentRunner.run>`; every backend then
-    reports per-unit timings, phase timings and streamed rows through
-    it (see :func:`~repro.engine.backends.observe_unit_done`).  All
-    methods are thread-safe — the distributed backend calls them from
-    its connection handler threads.
+    reports per-unit timings and streamed rows through it (see
+    :func:`~repro.engine.backends.observe_unit_done`).  All methods are
+    thread-safe — the distributed backend calls them from its
+    connection handler threads.
 
     Attributes:
         units: One dict per finished work group: ``{"scenario",
             "model", "seconds", "rows", "worker"}`` (``worker`` is the
             executing distributed worker's id, else None).
-        phases: One ``{"name", "seconds"}`` dict per recorded stage
-            (the total run, ...), in completion order.
+        phases: ``[{"name": "run", "seconds": ...}]`` — the total run's
+            wall time, appended by :meth:`finish`.
         analyzer: The :class:`~repro.analysis.sparsity.SparsityAnalyzer`
             fed every streamed row's per-layer detail.
         cache_stats: Trace-cache statistics delta over the observed run
@@ -135,9 +134,10 @@ class RunObserver:
             passed to :meth:`record_unit` (populated by :meth:`finish`).
         dist: Distributed-run detail (coordinator stats, worker roster,
             resolved dist settings), or None for local backends.
-        telemetry: Span counts + metrics-registry snapshot from
-            :mod:`repro.engine.telemetry` for traced runs, or None
-            (untraced manifests don't carry the key).
+        telemetry: ``{"spans": ...}``, a traced run's per-phase span
+            profile (:meth:`SpanTracer.phase_profile
+            <repro.engine.telemetry.SpanTracer.phase_profile>`), or
+            None (untraced manifests don't carry the key).
     """
 
     def __init__(self, analyzer: SparsityAnalyzer = None):
@@ -206,23 +206,6 @@ class RunObserver:
                 "worker": worker,
             })
 
-    def record_phase(self, name: str, seconds: float) -> None:
-        """One named backend stage's wall time."""
-        with self._lock:
-            self.phases.append({
-                "name": str(name),
-                "seconds": float(seconds),
-            })
-
-    @contextlib.contextmanager
-    def phase(self, name: str):
-        """Context manager timing one stage into :attr:`phases`."""
-        started = time.monotonic()
-        try:
-            yield self
-        finally:
-            self.record_phase(name, time.monotonic() - started)
-
     def record_dist(self, stats: dict, workers: list,
                     settings: dict = None) -> None:
         """Distributed-run detail from the coordinator, post-serve."""
@@ -234,8 +217,8 @@ class RunObserver:
             }
 
     def record_telemetry(self, snapshot: dict) -> None:
-        """The traced run's telemetry snapshot (span counts +
-        metrics); set once by the runner as a traced run finishes."""
+        """The traced run's telemetry snapshot (its span profile); set
+        once by the runner as a traced run finishes."""
         with self._lock:
             self.telemetry = snapshot
 
@@ -278,7 +261,7 @@ class RunManifest:
             values, not just the environment's).
         table: Result-table shape summary: row count and the scenario /
             model / simulator axes.
-        phases: Per-stage wall timings (total run, ...).
+        phases: The total run's wall timing (``"run"``).
         units: Per-work-group records (scenario, model, seconds, rows,
             executing worker).
         cache: Trace-cache statistics delta over the run, summed over
@@ -293,7 +276,7 @@ class RunManifest:
         journal: Run-journal summary (path, spec hash, resumed vs
             appended unit counts, torn/dropped line recovery), or None
             when the run was not journaled.
-        telemetry: Span counts + metrics-registry snapshot from
+        telemetry: ``{"spans": ...}``, the per-phase span profile from
             :mod:`repro.engine.telemetry`; only present (in the dict
             form) for traced runs, so untraced manifests are unchanged.
     """

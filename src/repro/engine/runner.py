@@ -500,12 +500,13 @@ class ExperimentRunner:
             if journal is not None:
                 journal.close()
             if observer is not None:
-                # A traced run snapshots its span counts and the
-                # metrics registry into the manifest's `telemetry`
-                # key; untraced manifests don't carry the key at all.
-                if telemetry.active_tracer() is not None:
+                # A traced run snapshots its per-phase span profile
+                # into the manifest's `telemetry` key; untraced
+                # manifests don't carry the key at all.
+                tracer = telemetry.active_tracer()
+                if tracer is not None:
                     observer.record_telemetry(
-                        telemetry.telemetry_snapshot())
+                        {"spans": tracer.phase_profile()})
                 observer.finish(self)
                 self._observer = None
         if done:

@@ -81,8 +81,8 @@ DIST_START_TIMEOUT_ENV_VAR = "REPRO_ENGINE_DIST_START_TIMEOUT"
 DIST_TOKEN_ENV_VAR = "REPRO_ENGINE_DIST_TOKEN"
 
 #: Span tracing on/off: when truthy, every run records counted nested
-#: spans (trace/simulate/cache/protocol/queue-wait) and snapshots the
-#: metrics registry into its manifest's ``telemetry`` key.
+#: spans (trace/simulate/cache/protocol/queue-wait) and snapshots their
+#: per-phase profile into its manifest's ``telemetry`` key.
 TELEMETRY_ENV_VAR = "REPRO_ENGINE_TELEMETRY"
 
 #: Default Chrome trace-event export path for traced runs (what
@@ -343,8 +343,8 @@ class TelemetrySettings(Settings):
 
     Attributes:
         enabled: When True, runs record counted nested spans (the
-            :mod:`repro.engine.telemetry` tracer) and snapshot the
-            metrics registry into the run manifest's ``telemetry``
+            :mod:`repro.engine.telemetry` tracer) and snapshot their
+            per-phase profile into the run manifest's ``telemetry``
             key; off by default so the hot paths stay no-op.
         trace_out: Chrome trace-event JSON export path for traced runs
             (``repro run --trace-out`` overrides it), or ``None`` for

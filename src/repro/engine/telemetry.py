@@ -1,6 +1,6 @@
-"""Live telemetry: span tracer, metrics registry, and the stderr writer.
+"""Live telemetry: the span tracer and the stderr writer.
 
-Three cooperating pieces, all engineered to cost nothing when off:
+Two pieces, both engineered to cost nothing when off:
 
 * :class:`SpanTracer` — a low-overhead tracer of counted, nested spans
   (``trace`` / ``delta-patch`` / ``simulate`` / ``serialize`` /
@@ -15,15 +15,10 @@ Three cooperating pieces, all engineered to cost nothing when off:
   covers the whole fleet.  The module-level :func:`span` helper is the
   instrumentation seam every layer calls: when no tracer is active it
   returns a shared no-op context manager — one global read, no
-  allocation.
-
-* :class:`MetricsRegistry` — counters and fixed-bucket latency
-  histograms (cache hits/misses/quarantines, rows streamed,
-  heartbeats, requeues, unit-seconds per (scenario, model,
-  simulator)).  The process-wide instance from :func:`metrics` is what
-  cache/backends/dist all increment; its JSON-safe snapshot is
-  stored in the :class:`~repro.engine.manifest.RunManifest` under
-  ``telemetry``.
+  allocation.  A traced run's per-phase totals
+  (:meth:`SpanTracer.phase_profile`) are stored in the
+  :class:`~repro.engine.manifest.RunManifest` under
+  ``telemetry.spans``.
 
 * :func:`log_line` — the one line-buffered, lock-guarded stderr writer
   progress lines and worker warnings both route through (no
@@ -44,14 +39,6 @@ import time
 #: Exactly the span categories the engine's instrumentation sites emit
 #: (Perfetto colors by category); a test holds the two in step.
 SPAN_CATEGORIES = ("engine", "cache", "protocol", "scheduler")
-
-#: Upper edges (seconds) of the fixed latency-histogram buckets; the
-#: implicit final bucket is +Inf.  Spans from micro cache probes to
-#: multi-minute simulate units all land usefully.
-LATENCY_BUCKETS = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0,
-    60.0, 300.0,
-)
 
 
 class _NoopSpan:
@@ -265,106 +252,6 @@ class _TracerScope:
 def tracing(tracer) -> _TracerScope:
     """Scope ``tracer`` as the active tracer for a ``with`` block."""
     return _TracerScope(tracer)
-
-
-# ---------------------------------------------------------------------------
-# metrics registry
-# ---------------------------------------------------------------------------
-
-
-def _label_key(labels: dict) -> tuple:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-class MetricsRegistry:
-    """Process-wide counters and fixed-bucket histograms.
-
-    Instruments never need pre-registration: the first :meth:`count` /
-    :meth:`observe` call for a ``(name, labels)`` pair creates the
-    series.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counters = {}     # name -> {label key -> value}
-        self._histograms = {}   # name -> {label key -> [counts, sum]}
-
-    # -- instruments --------------------------------------------------------
-
-    def count(self, name: str, value: float = 1, **labels) -> None:
-        """Add ``value`` (default 1) to a monotonic counter."""
-        key = _label_key(labels)
-        with self._lock:
-            series = self._counters.setdefault(name, {})
-            series[key] = series.get(key, 0) + value
-
-    def observe(self, name: str, value: float, **labels) -> None:
-        """Record one observation into a fixed-bucket histogram."""
-        key = _label_key(labels)
-        with self._lock:
-            series = self._histograms.setdefault(name, {})
-            entry = series.get(key)
-            if entry is None:
-                entry = series[key] = [
-                    [0] * (len(LATENCY_BUCKETS) + 1), 0.0,
-                ]
-            counts, _ = entry
-            for index, edge in enumerate(LATENCY_BUCKETS):
-                if value <= edge:
-                    counts[index] += 1
-                    break
-            else:
-                counts[-1] += 1
-            entry[1] += value
-
-    def reset(self) -> None:
-        """Drop every series (test isolation)."""
-        with self._lock:
-            self._counters.clear()
-            self._histograms.clear()
-
-    # -- exposition ---------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A JSON-safe dump of every series (the manifest's
-        ``telemetry.metrics``)."""
-        with self._lock:
-            out = {"counters": {}, "histograms": {}}
-            for name, series in sorted(self._counters.items()):
-                out["counters"][name] = [
-                    {"labels": dict(key), "value": value}
-                    for key, value in sorted(series.items())
-                ]
-            for name, series in sorted(self._histograms.items()):
-                out["histograms"][name] = [
-                    {
-                        "labels": dict(key),
-                        "buckets": list(LATENCY_BUCKETS),
-                        "counts": list(entry[0]),
-                        "sum": entry[1],
-                        "count": sum(entry[0]),
-                    }
-                    for key, entry in sorted(series.items())
-                ]
-            return out
-
-
-_METRICS = MetricsRegistry()
-
-
-def metrics() -> MetricsRegistry:
-    """The process-wide :class:`MetricsRegistry` every layer shares."""
-    return _METRICS
-
-
-def telemetry_snapshot() -> dict:
-    """The manifest's ``telemetry`` value: the per-phase span profile
-    (when a tracer is active) plus the metrics snapshot."""
-    out = {"metrics": _METRICS.snapshot()}
-    tracer = _ACTIVE_TRACER
-    if tracer is not None:
-        out["spans"] = tracer.phase_profile()
-    return out
 
 
 # ---------------------------------------------------------------------------

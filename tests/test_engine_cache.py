@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.grids import GridSpec
-from repro.engine import TraceCache
+from repro.engine import ExperimentRunner, Scenario, TraceCache
 from repro.engine.settings import CACHE_DIR_ENV_VAR
 from repro.models.specs import LayerOp, LayerSpec, ModelSpec
 from repro.sparse import ConvType
@@ -73,6 +73,26 @@ class TestDiskTier:
         assert stats["misses"] == 0
         assert stats["disk_writes"] == 0
         assert_traces_equal(computed, loaded)
+
+    def test_second_run_serves_every_trace_from_disk(self, tmp_path):
+        """A fresh-cache run over a populated disk tier re-traces
+        nothing: every (scenario, model) trace is a disk hit, and the
+        rows match the run that computed them."""
+        def run():
+            runner = ExperimentRunner(
+                simulators=["spade-he"],
+                models=["SPP2", "SPP3"],
+                scenarios=[Scenario("a", seed=0), Scenario("b", seed=1)],
+                cache=TraceCache(disk_dir=tmp_path),
+            )
+            return runner.run(parallel=False), runner.cache.stats()
+
+        cold, cold_stats = run()
+        warm, warm_stats = run()
+        assert cold_stats["misses"] == 4
+        assert warm_stats["misses"] == 0
+        assert warm_stats["disk_hits"] == 4
+        assert warm.to_csv() == cold.to_csv()
 
     def test_memory_tier_still_first(self, tmp_path):
         spec, coords = tiny_spec(), tiny_frame()

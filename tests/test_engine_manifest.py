@@ -107,6 +107,19 @@ class TestRunObserver:
         assert "run" in names
         assert observer.unit_seconds() > 0
 
+    def test_run_is_the_only_phase(self):
+        """``finish()`` records one ``"run"`` phase per run, and the
+        manifest carries it as is; there is no other phase API."""
+        runner, table, observer = observed_run()
+        (phase,) = observer.phases
+        assert set(phase) == {"name", "seconds"}
+        assert phase["name"] == "run"
+        assert phase["seconds"] > 0
+        manifest = RunManifest.collect(runner, table, observer=observer)
+        assert manifest.to_dict()["phases"] == observer.phases
+        assert not hasattr(observer, "record_phase")
+        assert not hasattr(observer, "phase")
+
     def test_cache_delta_is_a_delta(self):
         # Two identical runs against the same runner cache: the second
         # observer must see a pure-hit delta, not cumulative counters.
@@ -130,13 +143,6 @@ class TestRunObserver:
         assert summary["layers"] > 0
         fields = summary["per_layer"][0]["fields"]
         assert "overhead_fraction" in fields or "macs" in fields
-
-    def test_phase_context_manager(self):
-        observer = RunObserver()
-        with observer.phase("stage"):
-            pass
-        assert observer.phases[0]["name"] == "stage"
-        assert observer.phases[0]["seconds"] >= 0
 
     def test_thread_safe_unit_recording(self):
         observer = RunObserver()

@@ -132,6 +132,7 @@ class TestRunnerCaching:
         first = runner.run(parallel=True)
         second = runner.run(parallel=False)
         assert len(first) == len(second) == 6
+        assert list(first) == list(second)
         assert sorted(calls) == ["SPP2", "SPP3"]
         assert runner.cache.stats()["misses"] == 2
         # 2 trace lookups per run x 2 runs, minus the 2 misses.

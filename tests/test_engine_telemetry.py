@@ -1,5 +1,6 @@
-"""Live telemetry layer: span tracer, metrics registry, the merged
-fleet trace, and the byte-identity contract —
+"""Live telemetry layer: span tracer, the merged fleet trace, the
+manifest's per-run ``telemetry`` snapshot, and the byte-identity
+contract —
 a telemetry-disabled run's CSV/JSON and manifest (minus the
 ``telemetry`` key) must match a traced run's byte for byte."""
 
@@ -14,7 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import ExperimentSpec, ExperimentTable, telemetry
+from repro.engine import (
+    ExperimentSpec,
+    ExperimentTable,
+    TraceCache,
+    telemetry,
+)
 from repro.engine.dist.coordinator import Coordinator, _WorkerConn
 from repro.engine.manifest import RunManifest, RunObserver
 from repro.engine.settings import (
@@ -22,12 +28,7 @@ from repro.engine.settings import (
     DistSettings,
     TelemetrySettings,
 )
-from repro.engine.telemetry import (
-    LATENCY_BUCKETS,
-    SPAN_CATEGORIES,
-    MetricsRegistry,
-    SpanTracer,
-)
+from repro.engine.telemetry import SPAN_CATEGORIES, SpanTracer
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -145,6 +146,80 @@ class TestSpanTracer:
         # spans a dist worker already shipped away.
         assert tracer.counts() == {"trace": 1}
 
+    def test_phase_profile_is_detached_and_json_safe(self):
+        tracer = SpanTracer()
+        with tracer.span("simulate", scenario="a"):
+            pass
+        profile = tracer.phase_profile()
+        assert json.loads(json.dumps(profile)) == profile
+        profile["simulate"]["count"] = 99
+        profile["trace"] = {"count": 1, "micros": 1}
+        assert tracer.phase_profile()["simulate"]["count"] == 1
+        assert set(tracer.phase_profile()) == {"simulate"}
+
+    def test_concurrent_spans_are_not_lost(self):
+        tracer = SpanTracer()
+        per_thread = 200
+        # All four threads are alive together, so their idents differ.
+        barrier = threading.Barrier(4)
+
+        def emit():
+            barrier.wait()
+            for _ in range(per_thread):
+                with tracer.span("simulate"):
+                    pass
+            barrier.wait()
+
+        threads = [threading.Thread(target=emit) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        events = tracer.drain()
+        assert len(events) == 4 * per_thread
+        assert tracer.counts() == {"simulate": 4 * per_thread}
+        # Each thread's spans carry its own tid.
+        assert len({event["tid"] for event in events}) == 4
+
+    def test_ingest_adds_worker_spans_to_the_profile(self):
+        tracer = SpanTracer()
+        tracer.ingest(
+            [{"name": "simulate", "ph": "X", "ts": 0, "dur": 5,
+              "pid": 0, "tid": 1},
+             {"name": "simulate", "ph": "X", "ts": 9, "dur": 7,
+              "pid": 0, "tid": 1},
+             {"name": "trace", "ph": "X", "ts": 2, "pid": 0, "tid": 1},
+             "not-an-event"],
+            worker="w0",
+        )
+        assert tracer.phase_profile() == {
+            "simulate": {"count": 2, "micros": 12},
+            "trace": {"count": 1, "micros": 0},
+        }
+        assert len(tracer.drain()) == 3
+
+    def test_empty_batch_names_no_worker(self):
+        tracer = SpanTracer(process="coordinator")
+        tracer.ingest([], worker="idle")
+        tracer.ingest([{"name": "simulate", "ph": "X", "ts": 0,
+                        "dur": 1, "pid": 0, "tid": 1}], worker="busy")
+        (event,) = tracer.drain()
+        assert event["pid"] == 1
+        names = {meta["args"]["name"]
+                 for meta in tracer.trace_events()["traceEvents"]
+                 if meta["ph"] == "M"}
+        assert names == {"coordinator", "busy"}
+
+    def test_span_that_raises_is_recorded_and_propagates(self):
+        tracer = SpanTracer()
+        with pytest.raises(ValueError, match="boom"):
+            with tracer.span("simulate", scenario="a"):
+                raise ValueError("boom")
+        (event,) = tracer.drain()
+        assert event["name"] == "simulate"
+        assert event["args"] == {"scenario": "a"}
+        assert tracer.counts() == {"simulate": 1}
+
 
 class TestNoopFastPath:
     def test_span_without_tracer_is_the_shared_noop(self):
@@ -164,97 +239,6 @@ class TestNoopFastPath:
                 assert telemetry.active_tracer() is inner
             assert telemetry.active_tracer() is outer
         assert telemetry.active_tracer() is None
-
-
-class TestMetricsRegistry:
-    def test_counters_and_histograms_snapshot(self):
-        registry = MetricsRegistry()
-        registry.count("repro_cache_gets_total", result="hit")
-        registry.count("repro_cache_gets_total", result="hit")
-        registry.count("repro_cache_gets_total", result="miss")
-        registry.observe("repro_unit_seconds", 0.003, scenario="a")
-        registry.observe("repro_unit_seconds", 9000.0, scenario="a")
-        snapshot = registry.snapshot()
-        hits = {
-            entry["labels"]["result"]: entry["value"]
-            for entry in snapshot["counters"]["repro_cache_gets_total"]
-        }
-        assert set(snapshot) == {"counters", "histograms"}
-        assert hits == {"hit": 2, "miss": 1}
-        (histogram,) = snapshot["histograms"]["repro_unit_seconds"]
-        assert histogram["labels"] == {"scenario": "a"}
-        assert histogram["count"] == 2
-        assert histogram["sum"] == pytest.approx(9000.003)
-        assert histogram["buckets"] == list(LATENCY_BUCKETS)
-        # 0.003 lands in the 0.005 bucket; 9000 s in the +Inf overflow.
-        assert histogram["counts"][1] == 1
-        assert histogram["counts"][-1] == 1
-
-    def test_label_order_does_not_split_a_series(self):
-        registry = MetricsRegistry()
-        registry.count("repro_rows_total", scenario="a", model="SPP3")
-        registry.count("repro_rows_total", 4, model="SPP3", scenario="a")
-        (series,) = registry.snapshot()["counters"]["repro_rows_total"]
-        assert series == {"labels": {"model": "SPP3", "scenario": "a"},
-                          "value": 5}
-
-    @pytest.mark.parametrize("value, index", [
-        (0.0, 0),
-        (LATENCY_BUCKETS[0], 0),
-        (LATENCY_BUCKETS[5], 5),
-        (LATENCY_BUCKETS[-1], len(LATENCY_BUCKETS) - 1),
-        (LATENCY_BUCKETS[-1] * 1.001, len(LATENCY_BUCKETS)),
-    ], ids=["zero", "first-edge", "middle-edge", "last-edge", "overflow"])
-    def test_observation_lands_in_its_bucket(self, value, index):
-        """Bucket edges are inclusive upper bounds; past the last edge
-        is the +Inf overflow slot."""
-        registry = MetricsRegistry()
-        registry.observe("repro_unit_seconds", value)
-        (histogram,) = registry.snapshot()["histograms"][
-            "repro_unit_seconds"]
-        expected = [0] * (len(LATENCY_BUCKETS) + 1)
-        expected[index] = 1
-        assert histogram["counts"] == expected
-
-    def test_snapshot_is_detached_and_json_safe(self):
-        registry = MetricsRegistry()
-        registry.count("repro_requeues_total", reason="timeout")
-        registry.observe("repro_unit_seconds", 0.2, scenario="a")
-        snapshot = registry.snapshot()
-        assert json.loads(json.dumps(snapshot)) == snapshot
-        snapshot["counters"]["repro_requeues_total"][0]["value"] = 99
-        snapshot["histograms"]["repro_unit_seconds"][0]["counts"][0] = 99
-        registry.count("repro_requeues_total", reason="timeout")
-        fresh = registry.snapshot()
-        assert fresh["counters"]["repro_requeues_total"][0]["value"] == 2
-        assert fresh["histograms"]["repro_unit_seconds"][0]["counts"][0] \
-            == 0
-
-    def test_concurrent_counts_are_not_lost(self):
-        registry = MetricsRegistry()
-
-        def bump():
-            for _ in range(500):
-                registry.count("repro_heartbeats_total", worker="w")
-                registry.observe("repro_unit_seconds", 0.01)
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        snapshot = registry.snapshot()
-        (counter,) = snapshot["counters"]["repro_heartbeats_total"]
-        (histogram,) = snapshot["histograms"]["repro_unit_seconds"]
-        assert counter["value"] == 2000
-        assert histogram["count"] == 2000
-
-    def test_reset_drops_every_series(self):
-        registry = MetricsRegistry()
-        registry.count("repro_rows_total")
-        registry.observe("repro_unit_seconds", 1.0)
-        registry.reset()
-        assert registry.snapshot() == {"counters": {}, "histograms": {}}
 
 
 class TestLogLine:
@@ -472,7 +456,95 @@ class TestByteIdentity:
         assert loaded.telemetry["spans"] == (
             on_manifest["telemetry"]["spans"]
         )
-        assert "metrics" in loaded.telemetry
+        assert set(loaded.telemetry) == {"spans"}
+
+
+class TestPerRunTelemetry:
+    def traced_telemetry(self, backend: str) -> dict:
+        spec = small_spec(simulators=["spade-he"],
+                          scenarios=[{"name": "a", "seed": 0}])
+        runner = spec.build_runner(backend=backend, workers=2)
+        observer = RunObserver()
+        with telemetry.tracing(SpanTracer()):
+            runner.run(observer=observer)
+        return observer.telemetry
+
+    def test_repeated_runs_report_the_same_telemetry(self):
+        """Each traced run's manifest describes that run alone: the
+        same one-cell spec run twice in one process — serial, then
+        through the process backend — records the same span profile
+        and nothing that accumulates across runs."""
+        serial = self.traced_telemetry("serial")
+        process = self.traced_telemetry("process")
+        assert set(serial) == set(process) == {"spans"}
+
+        def counts(snapshot):
+            # Durations vary run to run; what was recorded must not.
+            return {name: entry["count"]
+                    for name, entry in snapshot["spans"].items()}
+
+        assert counts(serial) == counts(process)
+        assert counts(serial)["simulate"] == 1
+
+    def grid_run(self, backend: str, traced: bool, cache=None):
+        """A 2 scenarios x 2 models x 2 simulators run on a fresh
+        memory-only cache unless one is given; (table, observer)."""
+        spec = small_spec(models=["SPP2", "SPP3"],
+                          scenarios=[{"name": "a", "seed": 0},
+                                     {"name": "b", "seed": 1}])
+        runner = spec.build_runner(
+            backend=backend, workers=2,
+            cache=cache if cache is not None else TraceCache(disk_dir=None))
+        observer = RunObserver()
+        with telemetry.tracing(SpanTracer() if traced else None):
+            table = runner.run(observer=observer)
+        return table, observer
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_manifest_counts_this_runs_cache_lookups(self, backend):
+        """Two traced cold runs in one process each count their own
+        four misses — including the pool workers' lookups — and never
+        the sum of both runs."""
+        for _ in range(2):
+            table, observer = self.grid_run(backend, traced=True)
+            assert len(table) == 8
+            assert observer.cache_stats["misses"] == 4
+            assert observer.cache_stats["hits"] == 0
+
+    def test_serial_span_counts_follow_the_plan(self):
+        """One disk lookup, trace and store per (scenario, model)
+        miss and one simulate per cell; a warm re-run on the same cache
+        is served from memory and records only its own simulations."""
+        cache = TraceCache(disk_dir=None)
+        table, cold = self.grid_run("serial", traced=True, cache=cache)
+
+        def counts(observer):
+            return {name: entry["count"] for name, entry
+                    in observer.telemetry["spans"].items()}
+
+        assert counts(cold) == {"trace": 4, "cache-get": 4,
+                                "cache-put": 4, "simulate": len(table)}
+        _, warm = self.grid_run("serial", traced=True, cache=cache)
+        assert counts(warm) == {"simulate": len(table)}
+        assert warm.cache_stats["hits"] == 4
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_untraced_run_records_no_telemetry(self, backend):
+        table, observer = self.grid_run(backend, traced=False)
+        assert len(table) == 8
+        assert observer.telemetry is None
+        assert observer.as_dict()["telemetry"] is None
+
+
+class TestRetiredInstruments:
+    def test_metrics_registry_is_gone(self):
+        """The process-wide metrics registry was deleted; the span
+        profile in the manifest is the one telemetry record."""
+        import repro.engine as engine
+
+        for name in ("MetricsRegistry", "metrics", "LATENCY_BUCKETS"):
+            assert not hasattr(telemetry, name), name
+            assert not hasattr(engine, name), name
 
 
 class TestTraceOutCli:
