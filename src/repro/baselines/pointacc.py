@@ -111,10 +111,13 @@ class PointAccSimulator:
         # offsets; inputs in the overlap with the next tile's range have
         # been evicted in between and are fetched twice — the boundary
         # refetches the paper's trace analysis reports.
+        # int32 like the pairs: mixed-dtype needles would make
+        # searchsorted copy each out_idx list to int64 first, and
+        # mixed-dtype min/max cast on every offset.
         edges = np.append(np.arange(0, num_outputs, tile_outputs),
-                          num_outputs)
-        lo = np.full(len(edges) - 1, np.iinfo(np.int64).max)
-        hi = np.zeros(len(edges) - 1, dtype=np.int64)
+                          num_outputs).astype(np.int32)
+        lo = np.full(len(edges) - 1, np.iinfo(np.int32).max, np.int32)
+        hi = np.zeros(len(edges) - 1, dtype=np.int32)
         for pair in rules.pairs:
             bounds = np.searchsorted(pair.out_idx, edges)
             left, right = bounds[:-1], bounds[1:]

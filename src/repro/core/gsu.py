@@ -42,6 +42,18 @@ copied ``Rules`` plans afresh.  Because callers share them, memoized
 schedules are read-only: writing to any of their arrays raises.  Two
 threads planning one ``Rules`` at once may both compute a value; both
 results are equal, so no lock is needed.
+
+Rule pairs arrive as int32 (see :class:`~repro.sparse.rulegen.RulePairs`),
+and the planner keeps them so.  The extents are int32 too, and tile
+edges are searched as int32 needles: ``searchsorted`` with needles of
+another dtype first copies the whole list to the common one.  Traces
+loaded from the disk tier need one more step, taken in
+``Rules.__setstate__``: an unpickled array's dtype equals
+``np.dtype(np.int32)`` but is not that object, and with such arrays
+``np.minimum.at`` / ``np.maximum.at`` leave their fast path (about 20x
+slower per offset).  ``Rules`` therefore swaps the canonical dtype
+object into each loaded pair and coordinate array, in place: no copy,
+and arrays the trace shares between layers stay shared.
 """
 
 from __future__ import annotations
@@ -194,9 +206,8 @@ def _output_extents(rules: Rules) -> tuple:
     # One offset at a time: concatenating the offsets first is a little
     # faster but raises peak memory by a copy of every pair.
     for pair in rules.pairs:
-        out_idx = pair.out_idx.astype(np.int32)
-        np.minimum.at(first, pair.in_idx, out_idx)
-        np.maximum.at(last, pair.in_idx, out_idx)
+        np.minimum.at(first, pair.in_idx, pair.out_idx)
+        np.maximum.at(last, pair.in_idx, pair.out_idx)
     return first, last
 
 
@@ -262,7 +273,10 @@ def _plan_tiles(
         overlaps.append(overlap)
         in_start += size
     edges = np.array(starts + [num_inputs], dtype=np.int64)
-    bounds = np.array([pair.in_idx.searchsorted(edges)
+    # Needles in the pairs' dtype: int64 needles would make searchsorted
+    # copy every int32 list up to int64 first.
+    needles = edges.astype(np.int32)
+    bounds = np.array([pair.in_idx.searchsorted(needles)
                        for pair in rules.pairs], dtype=np.int64)
     bounds = bounds.reshape(len(rules.pairs), len(edges))
     return TileSchedule(

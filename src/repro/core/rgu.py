@@ -65,7 +65,7 @@ def streaming_rulegen(in_coords: np.ndarray, in_shape: tuple) -> Rules:
                     row_inputs.append(
                         (weight_row,
                          in_coords[start:end, 1],
-                         np.arange(start, end, dtype=np.int64))
+                         np.arange(start, end, dtype=np.int32))
                     )
         if not row_inputs:
             continue
@@ -85,7 +85,8 @@ def streaming_rulegen(in_coords: np.ndarray, in_shape: tuple) -> Rules:
                 position = np.searchsorted(dilated, target[valid])
                 offset_index = weight_row * 3 + weight_col
                 pair_in[offset_index].append(input_indices[valid])
-                pair_out[offset_index].append(out_base + position)
+                pair_out[offset_index].append(
+                    (out_base + position).astype(np.int32))
         out_rows.append(np.full(len(dilated), out_row, dtype=np.int32))
         out_cols.append(dilated.astype(np.int32))
         out_base += len(dilated)
@@ -115,7 +116,7 @@ def streaming_rulegen(in_coords: np.ndarray, in_shape: tuple) -> Rules:
                 )
             )
         else:
-            empty = np.zeros(0, dtype=np.int64)
+            empty = np.zeros(0, dtype=np.int32)
             rules.pairs.append(RulePairs(empty, empty))
     return rules
 

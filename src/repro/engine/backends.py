@@ -29,6 +29,7 @@ frames are seeded deterministically and traces are content-keyed.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -295,12 +296,16 @@ _WORKER_CACHE = None
 _WORKER_FRAMES = None
 
 
-def _init_worker(settings: EngineSettings) -> None:
+def _init_worker(settings: EngineSettings, traced: bool) -> None:
     """Pool initializer: build this worker's trace plumbing once.
 
     The settings arrive as an explicit initializer argument — never via
     environment mutation in the parent, which would race when two
-    process-backend runs overlap in one process.
+    process-backend runs overlap in one process.  ``traced`` says
+    whether the parent runs under a tracer: the worker then traces into
+    a fresh :class:`~repro.engine.telemetry.SpanTracer` of its own
+    (never a forked copy of the parent's, which holds the parent's
+    events), and :func:`_run_chunk` ships its spans home.
     """
     global _WORKER_SETTINGS, _WORKER_CACHE, _WORKER_FRAMES
     from .runner import FrameProvider
@@ -308,6 +313,9 @@ def _init_worker(settings: EngineSettings) -> None:
     _WORKER_SETTINGS = settings
     _WORKER_CACHE = TraceCache(maxsize=16, disk_dir=settings.cache_dir)
     _WORKER_FRAMES = FrameProvider()
+    telemetry.activate(
+        telemetry.SpanTracer(process=f"process-{os.getpid()}")
+        if traced else None)
 
 
 def _worker_trace(scenario, model, frame, prev_trace=None):
@@ -327,6 +335,8 @@ def _run_chunk(chunk: list) -> dict:
     per group], "cache": [cache counter delta per group]}`` — groups are
     timed and their trace lookups counted *here*, in the worker process,
     because the parent sees neither this worker's clock nor its cache.
+    A traced worker adds ``"spans": (worker, events)``, the chunk's
+    drained span batch.
     """
     nested = []
     seconds = []
@@ -339,7 +349,11 @@ def _run_chunk(chunk: list) -> dict:
         seconds.append(time.monotonic() - started)
         deltas.append(counter_delta(before, _WORKER_CACHE.stats()))
         nested.append(rows)
-    return {"rows": nested, "seconds": seconds, "cache": deltas}
+    outcome = {"rows": nested, "seconds": seconds, "cache": deltas}
+    tracer = telemetry.active_tracer()
+    if tracer is not None:
+        outcome["spans"] = (tracer.process, tracer.drain())
+    return outcome
 
 
 @register_backend("process")
@@ -362,6 +376,10 @@ class ProcessBackend(Backend):
     many frames traces each group's frames in one process.  When that
     width is 1 (one worker, or one chunk) the pool is skipped entirely
     and the plan runs in-process.
+
+    Under a tracer, each worker traces into its own and returns the
+    chunk's span batch with the chunk's rows; the parent ingests it, so
+    a traced run records the same span counts on every backend.
 
     Restrictions: the runner must be on the default frame path — a
     ``trace_provider`` closure or a custom frame-provider instance cannot
@@ -425,10 +443,14 @@ class ProcessBackend(Backend):
             return SerialBackend().execute(runner, groups)
 
         chunk_results = []
-        with ProcessPoolExecutor(max_workers=width,
-                                 initializer=_init_worker,
-                                 initargs=(runner.settings,)) as pool:
+        tracer = telemetry.active_tracer()
+        with ProcessPoolExecutor(
+                max_workers=width, initializer=_init_worker,
+                initargs=(runner.settings, tracer is not None)) as pool:
             for chunk, outcome in zip(chunks, pool.map(_run_chunk, chunks)):
+                if "spans" in outcome:
+                    worker, spans = outcome["spans"]
+                    tracer.ingest(spans, worker=worker)
                 chunk_results.append(outcome["rows"])
                 for (scenario, model, _), rows, seconds, delta in zip(
                         chunk, outcome["rows"], outcome["seconds"],

@@ -50,6 +50,11 @@ _FROM_ENV = UNSET
 #: ``repro cache`` scans).
 TRACE_ARTIFACT_SUFFIX = ".trace.pkl"
 
+#: Layout of a pickled trace, salted into every cache key so artifacts
+#: of another layout miss and are rewritten instead of loaded.  "2":
+#: rule pairs are int32 (the unsalted keys before it held int64).
+TRACE_FORMAT = "2"
+
 #: Filename suffix corrupt artifacts are renamed to when quarantined:
 #: they stop being loadable (or clearable as live entries) but stay on
 #: disk for forensics.  Deliberately not an extension of
@@ -153,11 +158,13 @@ class TraceCache:
     def key_for(self, spec: ModelSpec, coords: np.ndarray,
                 importance: np.ndarray = None,
                 grid_shape: tuple = None) -> str:
-        """The content key of one (model, frame) pair."""
+        """The content key of one (model, frame) pair, in the
+        :data:`TRACE_FORMAT` layout."""
         return (
             spec_fingerprint(spec)
             + ":"
             + frame_fingerprint(coords, importance, grid_shape)
+            + ":v" + TRACE_FORMAT
         )
 
     # -- disk tier ---------------------------------------------------------

@@ -18,6 +18,8 @@ entire SPP2 frame.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..analysis.sparsity import ModelTrace
 from ..core.config import SPADE_HE, SpadeConfig
 from ..core.rgu import RGUModel
@@ -146,7 +148,8 @@ class GatherDramSim(Simulator):
                 continue
             # Output-stationary visit order: inputs re-requested per
             # kernel offset.
-            addresses = pair.in_idx * channels
+            # int64 before the multiply: int32 row * channels can wrap.
+            addresses = pair.in_idx.astype(np.int64) * channels
             dram.process_trace(cache.miss_addresses(addresses))
         return dram.stats.cycles
 

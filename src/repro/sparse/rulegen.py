@@ -21,6 +21,13 @@ coordinates by a constant, the per-offset input and output index lists are
 automatically ascending — the monotonicity property the RGU, ATM and
 conflict-free scatter all rely on (asserted in tests).
 
+Every entry point returns int32 index lists (:class:`RulePairs`): the
+padded table already holds int32 output rows, input rows come from an
+int32 ``arange`` or ``flatnonzero`` cast once, and sharding and delta
+concatenate or share those arrays unchanged.  The disk tier's key
+carries the format (:data:`repro.engine.cache.TRACE_FORMAT`), so traces
+pickled with int64 pairs are never loaded as int32 ones.
+
 Entry points:
 
 * :func:`build_rules` — like the RGU's single streaming pass, a layer's
@@ -108,7 +115,14 @@ class ConvType(Enum):
 
 @dataclass
 class RulePairs:
-    """Input/output row indices for one kernel offset."""
+    """Input/output row indices for one kernel offset.
+
+    Both lists are int32: a row index counts pillars, which stay far
+    below 2**31, and int32 halves a trace's bytes against int64.  Every
+    producer in this module and :mod:`repro.core.rgu` keeps that dtype;
+    a reader that scales an index (an address, a flat offset) widens it
+    to int64 before it multiplies.
+    """
 
     in_idx: np.ndarray
     out_idx: np.ndarray
@@ -127,12 +141,16 @@ class Rules:
         stride: Convolution stride (1 for SPCONV/SUBM).
         in_shape / out_shape: Dense grid shapes.
         in_coords / out_coords: CPR-sorted active coordinate arrays.
-        pairs: One :class:`RulePairs` per kernel offset, weight-index order.
+        pairs: One :class:`RulePairs` per kernel offset, weight-index
+            order; int32 ``in_idx`` / ``out_idx``, so the pair arrays
+            take ``8 * total_pairs`` bytes.
 
     ``_plans`` is the GSU planner's private memo (see
     :func:`repro.core.gsu.plan_tiles`).  It is not state: pickling and
     copying drop it, so a pickled :class:`Rules` holds exactly the
-    fields above whether or not it was ever planned.
+    fields above whether or not it was ever planned.  Loading gives
+    every pair and coordinate array its canonical dtype object (see
+    :mod:`repro.core.gsu` for why).
     """
 
     conv_type: ConvType
@@ -157,6 +175,18 @@ class Rules:
         self.__dict__.update((sys.intern(key), value)
                              for key, value in state.items())
         self._plans = {}
+        # An unpickled array's dtype equals np.dtype(np.int32) but is a
+        # different object, which sends ufunc.at off its fast path.  The
+        # dtype is swapped in place, not by a view: a trace shares its
+        # coordinate arrays between layers, and a view would break that
+        # sharing and grow the trace when it is pickled again.
+        arrays = [self.in_coords, self.out_coords]
+        for pair in self.pairs:
+            arrays += (pair.in_idx, pair.out_idx)
+        for array in arrays:
+            canonical = np.dtype(array.dtype.type)
+            if array.dtype == canonical:
+                array.dtype = canonical
 
     @property
     def num_inputs(self) -> int:
@@ -186,11 +216,11 @@ class Rules:
 def _lookup_sorted(haystack_flat: np.ndarray, needles_flat: np.ndarray) -> np.ndarray:
     """Indices of needles in a sorted haystack, -1 when absent."""
     if len(haystack_flat) == 0 or len(needles_flat) == 0:
-        return np.full(len(needles_flat), -1, dtype=np.int64)
+        return np.full(len(needles_flat), -1, dtype=np.int32)
     pos = np.searchsorted(haystack_flat, needles_flat)
     pos = np.clip(pos, 0, len(haystack_flat) - 1)
     found = haystack_flat[pos] == needles_flat
-    return np.where(found, pos, -1).astype(np.int64)
+    return np.where(found, pos, -1).astype(np.int32)
 
 
 def _layer_geometry(in_shape: tuple, conv_type: ConvType, kernel_size: int,
@@ -253,7 +283,7 @@ def _resolve_output(
 
 
 def _empty_rules(rules: Rules) -> Rules:
-    empty = np.zeros(0, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int32)
     num_offsets = rules.kernel_size * rules.kernel_size
     rules.pairs = [RulePairs(empty, empty) for _ in range(num_offsets)]
     return rules
@@ -289,13 +319,14 @@ class _GridTable:
         for shift in self.shifts.tolist():
             idx = self.table[pflat + shift]
             if self.every_hit:
-                in_idx = np.arange(start, start + len(pflat), dtype=np.int64)
-                pairs.append(RulePairs(in_idx, idx.astype(np.int64)))
+                in_idx = np.arange(start, start + len(pflat), dtype=np.int32)
+                pairs.append(RulePairs(in_idx, idx))
                 continue
             live = idx >= 0
-            hit = np.flatnonzero(live)
-            pairs.append(RulePairs(hit + start if start else hit,
-                                   idx[live].astype(np.int64)))
+            hit = np.flatnonzero(live).astype(np.int32)
+            if start:
+                hit += start
+            pairs.append(RulePairs(hit, idx[live]))
         return pairs
 
 
@@ -407,7 +438,7 @@ def _fused_pairs(
             len(offsets), -1)
         return [
             RulePairs(
-                in_base + np.arange(len(in_block), dtype=np.int64),
+                np.arange(in_base, in_base + len(in_block), dtype=np.int32),
                 idx[index],
             )
             for index in range(len(offsets))
@@ -433,13 +464,13 @@ def _fused_pairs(
     )
     found = _lookup_sorted(out_flat,
                            (cand_rows * out_shape[1] + cand_cols)[valid])
-    idx = np.full(valid.shape, -1, dtype=np.int64)
+    idx = np.full(valid.shape, -1, dtype=np.int32)
     idx[valid] = found
 
     pairs = []
     for index in range(len(offsets)):
-        hit = np.flatnonzero(idx[index] >= 0)
-        pairs.append(RulePairs(in_base + hit, idx[index, hit]))
+        hit = np.flatnonzero(idx[index] >= 0).astype(np.int32)
+        pairs.append(RulePairs(hit + in_base, idx[index, hit]))
     return pairs
 
 
@@ -635,12 +666,12 @@ def build_rules_reference(
             candidates = in_coords * stride + offset
             out_idx = _lookup_sorted(out_flat, flatten(candidates, out_shape))
             # Every upsampled position exists by construction.
-            in_idx = np.arange(len(in_coords), dtype=np.int64)
+            in_idx = np.arange(len(in_coords), dtype=np.int32)
             rules.pairs.append(RulePairs(in_idx, out_idx))
         return rules
 
     offsets = kernel_offsets(kernel_size)
-    all_in_idx = np.arange(len(in_coords), dtype=np.int64)
+    all_in_idx = np.arange(len(in_coords), dtype=np.int32)
     for offset in offsets:
         # Input p at kernel offset o feeds output q with stride*q + o = p.
         numerator = in_coords - offset

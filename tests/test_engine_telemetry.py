@@ -528,6 +528,19 @@ class TestPerRunTelemetry:
         assert counts(warm) == {"simulate": len(table)}
         assert warm.cache_stats["hits"] == 4
 
+    def test_process_span_counts_match_serial(self):
+        """A traced plan that fills two pool chunks records the spans
+        its workers emitted: the same counts as the serial run."""
+        def counts(observer):
+            return {name: entry["count"] for name, entry
+                    in observer.telemetry["spans"].items()}
+
+        _, serial = self.grid_run("serial", traced=True)
+        _, process = self.grid_run("process", traced=True)
+        assert counts(serial) == {"trace": 4, "cache-get": 4,
+                                  "cache-put": 4, "simulate": 8}
+        assert counts(process) == counts(serial)
+
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_untraced_run_records_no_telemetry(self, backend):
         table, observer = self.grid_run(backend, traced=False)

@@ -116,8 +116,8 @@ def assert_rules_identical(expect, got, label=""):
     assert len(got.pairs) == len(expect.pairs), label
     for index, (want, have) in enumerate(zip(expect.pairs, got.pairs)):
         where = f"{label} offset {index}"
-        assert have.in_idx.dtype == np.int64, where
-        assert have.out_idx.dtype == np.int64, where
+        assert have.in_idx.dtype == want.in_idx.dtype == np.int32, where
+        assert have.out_idx.dtype == want.out_idx.dtype == np.int32, where
         np.testing.assert_array_equal(have.in_idx, want.in_idx,
                                       err_msg=where)
         np.testing.assert_array_equal(have.out_idx, want.out_idx,

@@ -88,11 +88,11 @@ class TestFusedParity:
         )
         assert_rules_identical(reference, fused, f"{frame}")
 
-    def test_index_dtypes_are_int64(self):
+    def test_index_dtypes_are_int32(self):
         rules = build_rules(FRAMES["typical"], SHAPE, ConvType.SPCONV)
         for pair in rules.pairs:
-            assert pair.in_idx.dtype == np.int64
-            assert pair.out_idx.dtype == np.int64
+            assert pair.in_idx.dtype == np.int32
+            assert pair.out_idx.dtype == np.int32
 
 
 class TestShardedParity:
