@@ -8,9 +8,11 @@ a :class:`Backend` for execution:
   order;
 * :class:`ProcessBackend`  — the one parallel path, a process pool for
   many-scenario sweeps: work groups are pickled to workers in contiguous
-  chunks (amortizing IPC), each worker traces the groups it simulates
-  through its own :class:`TraceCache` and :class:`FrameProvider`, and
-  results come back as plain rows that cost kilobytes to ship.
+  chunks (amortizing IPC; one scenario's groups stay in one chunk when
+  the plan has enough scenarios), each worker traces the groups it
+  simulates through its own :class:`TraceCache` and
+  :class:`FrameProvider`, and results come back as plain rows that cost
+  kilobytes to ship.
 
 A work group is one (scenario, model), so tracing where it is simulated
 traces every unique frame exactly once, with no stage or shared
@@ -112,21 +114,37 @@ def chunk_payload(payload: list, workers: int,
                   chunksize: int = None) -> list:
     """Split work units into contiguous chunks for dispatch.
 
-    The default chunk size splits the payload roughly twice per worker —
-    large enough to amortize per-dispatch overhead (IPC for the process
-    pool, a protocol round trip for the distributed backend), small
-    enough that a straggler can be balanced by the other workers.  This
-    is the one chunking policy both backends share.
+    An explicit ``chunksize`` cuts fixed chunks of that many units; the
+    dist backend always passes one, so its units may be any payload.
+    Without one, ``payload`` is a plan of :class:`WorkGroup` and the
+    target chunk size splits it roughly twice per worker — large enough
+    to amortize per-dispatch IPC, small enough that a straggler can be
+    balanced by the other workers.  Chunks are then cut only where the
+    scenario changes, and grow past the target only when one scenario
+    alone is larger: a scenario's groups share its frames, so each frame
+    is built in one worker.  When that leaves fewer chunks than workers
+    (say, fewer scenarios than workers), the chunks stay fixed-size,
+    since splitting a scenario is then the only way to use every worker.
     """
     if not payload:
         return []
-    chunksize = chunksize or max(
+    size = chunksize or max(
         1, (len(payload) + 2 * workers - 1) // (2 * workers)
     )
-    return [
-        payload[start:start + chunksize]
-        for start in range(0, len(payload), chunksize)
-    ]
+    cuts = list(range(0, len(payload), size))
+    if chunksize is None:
+        starts = [
+            index for index, group in enumerate(payload)
+            if index == 0 or group.scenario != payload[index - 1].scenario
+        ]
+        aligned = [0]
+        for start, end in zip(starts[1:], starts[2:] + [len(payload)]):
+            if end - aligned[-1] > size:
+                aligned.append(start)
+        if len(aligned) >= workers:
+            cuts = aligned
+    bounds = cuts + [len(payload)]
+    return [payload[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 class ProgressReporter:
@@ -206,13 +224,13 @@ def observe_unit_done(runner, scenario_name: str, model_name: str,
 
     ``results`` are the group's streamed rows (fed to the observer's
     per-layer analyzer); ``worker`` identifies the executing distributed
-    worker; ``cache`` is the counter delta of the worker-side cache that
-    traced the group (None when it was the runner's own cache, whose
-    delta the observer takes itself).  When a run journal is active the
-    group is also appended to it here — durably, before the call
-    returns — which is what makes every backend resumable through the
-    one seam.  A no-op without an active observer or journal, so the
-    hot path costs two attribute reads.
+    or process-pool worker (None in-process); ``cache`` is the counter
+    delta of the worker-side cache that traced the group (None when it
+    was the runner's own cache, whose delta the observer takes itself).
+    When a run journal is active the group is also appended to it here —
+    durably, before the call returns — which is what makes every backend
+    resumable through the one seam.  A no-op without an active observer
+    or journal, so the hot path costs two attribute reads.
     """
     journal = journal_of(runner)
     if journal is not None:
@@ -314,8 +332,12 @@ def _init_worker(settings: EngineSettings, traced: bool) -> None:
     _WORKER_CACHE = TraceCache(maxsize=16, disk_dir=settings.cache_dir)
     _WORKER_FRAMES = FrameProvider()
     telemetry.activate(
-        telemetry.SpanTracer(process=f"process-{os.getpid()}")
-        if traced else None)
+        telemetry.SpanTracer(process=_worker_name()) if traced else None)
+
+
+def _worker_name() -> str:
+    """This pool worker's label in manifests, journals and traces."""
+    return f"process-{os.getpid()}"
 
 
 def _worker_trace(scenario, model, frame, prev_trace=None):
@@ -329,30 +351,30 @@ def _worker_trace(scenario, model, frame, prev_trace=None):
 
 
 def _run_chunk(chunk: list) -> dict:
-    """Execute one pickled chunk of (scenario, model, simulators) units.
+    """Execute one pickled chunk of :class:`WorkGroup`.
 
-    Returns ``{"rows": [row list per group], "seconds": [wall seconds
-    per group], "cache": [cache counter delta per group]}`` — groups are
-    timed and their trace lookups counted *here*, in the worker process,
-    because the parent sees neither this worker's clock nor its cache.
-    A traced worker adds ``"spans": (worker, events)``, the chunk's
-    drained span batch.
+    Returns ``{"worker": "process-<pid>", "rows": [row list per group],
+    "seconds": [wall seconds per group], "cache": [cache counter delta
+    per group]}`` — groups are timed and their trace lookups counted
+    *here*, in the worker process, because the parent sees neither this
+    worker's clock nor its cache.  A traced worker adds ``"spans"``, the
+    chunk's drained span batch.
     """
     nested = []
     seconds = []
     deltas = []
-    for scenario, model, simulators in chunk:
-        group = WorkGroup(scenario, model, tuple(simulators))
+    for group in chunk:
         before = _WORKER_CACHE.stats()
         started = time.monotonic()
         rows = execute_group(group, _worker_trace)
         seconds.append(time.monotonic() - started)
         deltas.append(counter_delta(before, _WORKER_CACHE.stats()))
         nested.append(rows)
-    outcome = {"rows": nested, "seconds": seconds, "cache": deltas}
+    outcome = {"worker": _worker_name(), "rows": nested,
+               "seconds": seconds, "cache": deltas}
     tracer = telemetry.active_tracer()
     if tracer is not None:
-        outcome["spans"] = (tracer.process, tracer.drain())
+        outcome["spans"] = tracer.drain()
     return outcome
 
 
@@ -360,16 +382,18 @@ def _run_chunk(chunk: list) -> dict:
 class ProcessBackend(Backend):
     """Process-pool fan-out for many-scenario sweeps.
 
-    The plan's (scenario, model, simulators) work units ship to the pool
-    in contiguous chunks, one ``map`` over them.  Each worker traces the
-    groups it simulates, through its own :class:`TraceCache` and
-    :class:`FrameProvider` — a group is one (scenario, model), so every
-    unique frame is traced exactly once, by the worker that simulates
-    it.  The workers' caches sit over the runner's disk tier
-    (``runner.settings.cache_dir``) when it has one and are memory-only
-    otherwise.  Contiguous chunks keep IPC count low and let a worker's
-    :class:`FrameProvider` reuse a scenario's frames across the models
-    that share a grid.
+    The plan's work groups ship to the pool in contiguous chunks, one
+    ``map`` over them.  Each worker traces the groups it simulates,
+    through its own :class:`TraceCache` and :class:`FrameProvider` — a
+    group is one (scenario, model), so every unique frame is traced
+    exactly once, by the worker that simulates it.  The workers' caches
+    sit over the runner's disk tier (``runner.settings.cache_dir``) when
+    it has one and are memory-only otherwise.  Contiguous chunks keep
+    IPC count low, and when the plan has enough scenarios to fill every
+    worker, :func:`chunk_payload` keeps each scenario's groups in one
+    chunk: a worker's :class:`FrameProvider` then builds each of the
+    scenario's frames once for every model that shares its grid, and no
+    other worker builds them again.
 
     The pool is ``min(workers, chunks)`` processes wide, so tracing fans
     out no wider than the plan has work groups: a few-group sweep of
@@ -377,9 +401,12 @@ class ProcessBackend(Backend):
     width is 1 (one worker, or one chunk) the pool is skipped entirely
     and the plan runs in-process.
 
-    Under a tracer, each worker traces into its own and returns the
-    chunk's span batch with the chunk's rows; the parent ingests it, so
-    a traced run records the same span counts on every backend.
+    Each chunk comes back labelled with its worker's ``process-<pid>``
+    name, which the parent records as the ``worker`` of every group in
+    it (manifest ``units``, run journal).  Under a tracer, each worker
+    traces into its own and returns the chunk's span batch with the
+    chunk's rows; the parent ingests it, so a traced run records the
+    same span counts on every backend.
 
     Restrictions: the runner must be on the default frame path — a
     ``trace_provider`` closure or a custom frame-provider instance cannot
@@ -389,8 +416,10 @@ class ProcessBackend(Backend):
     Args:
         max_workers: Pool width; defaults to the runner's
             ``max_workers``.
-        chunksize: Work-group count per IPC submission; defaults to
-            splitting the plan roughly twice per worker for load balance.
+        chunksize: Work-group count per IPC submission, cut at fixed
+            intervals; defaults to splitting the plan roughly twice per
+            worker for load balance, at scenario boundaries when the
+            plan has enough scenarios (see :func:`chunk_payload`).
     """
 
     name = "process"
@@ -431,11 +460,7 @@ class ProcessBackend(Backend):
         if not groups:
             return []
         workers = self.max_workers or runner.max_workers
-        payload = [
-            (group.scenario, group.model, tuple(group.simulators))
-            for group in groups
-        ]
-        chunks = chunk_payload(payload, workers, self.chunksize)
+        chunks = chunk_payload(groups, workers, self.chunksize)
         width = min(workers, len(chunks))
         if width == 1:
             # Pure pool overhead at width 1: run in-process through the
@@ -448,16 +473,16 @@ class ProcessBackend(Backend):
                 max_workers=width, initializer=_init_worker,
                 initargs=(runner.settings, tracer is not None)) as pool:
             for chunk, outcome in zip(chunks, pool.map(_run_chunk, chunks)):
+                worker = outcome["worker"]
                 if "spans" in outcome:
-                    worker, spans = outcome["spans"]
-                    tracer.ingest(spans, worker=worker)
+                    tracer.ingest(outcome["spans"], worker=worker)
                 chunk_results.append(outcome["rows"])
-                for (scenario, model, _), rows, seconds, delta in zip(
+                for group, rows, seconds, delta in zip(
                         chunk, outcome["rows"], outcome["seconds"],
                         outcome["cache"]):
-                    observe_unit_done(runner, scenario.name,
-                                      _model_name(model), seconds, rows,
-                                      cache=delta)
+                    observe_unit_done(runner, group.scenario.name,
+                                      _model_name(group.model), seconds,
+                                      rows, worker=worker, cache=delta)
                 report_group_done(runner, count=len(chunk))
         return [rows for chunk in chunk_results for rows in chunk]
 

@@ -24,7 +24,8 @@ observation never retains tables or traces.
 
 Coverage by backend: the serial backend times units in-process; the
 process backend times them inside its worker processes and ships the
-seconds back with the rows; the distributed backend's
+seconds back with the rows and the worker's ``process-<pid>`` name;
+the distributed backend's
 workers time each group and return timings in the existing row-stream
 ``result`` message, so unit records stay complete even when units are
 requeued across worker failures (the first accepted result carries the
@@ -124,7 +125,8 @@ class RunObserver:
     Attributes:
         units: One dict per finished work group: ``{"scenario",
             "model", "seconds", "rows", "worker"}`` (``worker`` is the
-            executing distributed worker's id, else None).
+            executing distributed worker's id or process-pool worker's
+            ``process-<pid>``, else None).
         phases: ``[{"name": "run", "seconds": ...}]`` — the total run's
             wall time, appended by :meth:`finish`.
         analyzer: The :class:`~repro.analysis.sparsity.SparsityAnalyzer`

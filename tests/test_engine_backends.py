@@ -16,6 +16,7 @@ from repro.engine import (
     mean_result,
     resolve_backend,
 )
+from repro.engine.backends import WorkGroup, chunk_payload
 from repro.engine.settings import (
     BACKEND_ENV_VAR,
     CACHE_DIR_ENV_VAR,
@@ -65,7 +66,7 @@ class TestBackendParity:
             runner.run(backend="process")
 
     def test_process_backend_chunking_covers_all_groups(self):
-        # More groups than workers*2 forces multi-group chunks.
+        # Two scenarios on two workers: one 3-group chunk per scenario.
         runner = _subset_runner(
             models=["SPP1", "SPP2", "SPP3"],
             simulators=["spade-he"],
@@ -286,6 +287,141 @@ class _InlinePool:
         return [fn(chunk) for chunk in chunks]
 
 
+def _plan(scenarios: int, models: int) -> list:
+    """A scenario-major plan of ``scenarios`` x SPP1..SPP<models>."""
+    return [
+        WorkGroup(Scenario(f"d{index}", seed=index), f"SPP{model}", ())
+        for index in range(scenarios)
+        for model in range(1, models + 1)
+    ]
+
+
+class TestChunkPolicy:
+    """``chunk_payload``: scenario-aligned chunks for the process pool
+    when the plan has enough scenarios, fixed chunks otherwise."""
+
+    @pytest.mark.parametrize("scenarios, models, workers", [
+        (2, 3, 2), (1, 3, 2), (10, 1, 2), (5, 3, 2), (3, 2, 4), (6, 3, 3),
+    ])
+    @pytest.mark.parametrize("chunksize", [None, 2])
+    def test_every_unit_once_in_plan_order(self, scenarios, models,
+                                           workers, chunksize):
+        plan = _plan(scenarios, models)
+        chunks = chunk_payload(plan, workers, chunksize)
+        assert all(chunks)
+        assert [group for chunk in chunks for group in chunk] == plan
+
+    @pytest.mark.parametrize("scenarios, models, workers", [
+        (2, 3, 2), (5, 3, 2), (6, 3, 3), (4, 1, 2),
+    ])
+    def test_enough_scenarios_cut_only_between_scenarios(
+            self, scenarios, models, workers):
+        chunks = chunk_payload(_plan(scenarios, models), workers)
+        assert len(chunks) >= workers
+        owners = [{group.scenario for group in chunk} for chunk in chunks]
+        for left, right in zip(owners, owners[1:]):
+            assert not left & right
+
+    @pytest.mark.parametrize("scenarios, models, workers, chunksize, sizes", [
+        (2, 3, 2, None, [3, 3]),         # one chunk per scenario
+        (6, 3, 2, None, [3] * 6),        # target 5: a scenario alone
+        (10, 1, 2, None, [3, 3, 3, 1]),  # one-group scenarios fill 3
+        (1, 3, 2, None, [1, 1, 1]),      # fewer scenarios than workers
+        (3, 2, 4, None, [1] * 6),
+        (2, 3, 2, 2, [2, 2, 2]),         # explicit chunksize: fixed
+        (2, 3, 2, 4, [4, 2]),
+    ])
+    def test_chunk_sizes(self, scenarios, models, workers, chunksize,
+                         sizes):
+        """Chunks aim at ceil(groups / 2 workers) groups; by scenario
+        they grow past that only when one scenario alone is larger."""
+        chunks = chunk_payload(_plan(scenarios, models), workers, chunksize)
+        assert [len(chunk) for chunk in chunks] == sizes
+
+    def test_too_few_scenario_chunks_keep_fixed_chunks(self):
+        """Scenarios of 10, 1 and 1 groups would make two chunks for
+        three workers: the plan is cut at fixed size instead."""
+        plan = _plan(1, 10) + _plan(3, 1)[1:]
+        assert [len(chunk) for chunk in chunk_payload(plan, 3)] == [2] * 6
+
+    @pytest.mark.parametrize("chunksize, sizes", [
+        (1, [1] * 6), (2, [2, 2, 2]), (4, [4, 2]),
+    ])
+    def test_dist_units_keep_fixed_chunks(self, chunksize, sizes):
+        """Dist units are dicts cut at the dist knob's fixed size, even
+        on a plan the process pool would cut by scenario."""
+        from repro.engine import ExperimentSpec
+        from repro.engine.dist import build_units
+
+        runner = ExperimentSpec(
+            name="chunks", simulators=["spade-he"],
+            models=["SPP1", "SPP2", "SPP3"],
+            scenarios=[{"name": "a", "seed": 0}, {"name": "b", "seed": 1}],
+        ).build_runner()
+        units = build_units(runner, runner.plan(), chunksize)
+        assert [len(unit["groups"]) for unit in units] == sizes
+        assert [entry["index"] for unit in units
+                for entry in unit["groups"]] == list(range(6))
+
+
+class _FreshWorkerPool(_InlinePool):
+    """An in-process pool stand-in that starts fresh worker state for
+    every chunk — as if each chunk landed on its own process — so a
+    frame needed by two chunks is built twice, as it is in a real
+    pool."""
+
+    def __init__(self, maps, max_workers, initializer, initargs):
+        self.maps = maps
+        self._start = lambda: initializer(*initargs)
+
+    def map(self, fn, chunks):
+        chunks = list(chunks)
+        self.maps.append(len(chunks))
+        outcomes = []
+        for chunk in chunks:
+            self._start()
+            outcomes.append(fn(chunk))
+        return outcomes
+
+
+class TestScenarioChunksBuildEachFrameOnce:
+    def test_two_scenarios_build_two_frames(self, monkeypatch):
+        """2 scenarios x 3 models on 2 workers: each worker builds only
+        its own scenario's frame, so the scene generator runs once per
+        scenario, and the table is the serial one."""
+        import functools
+
+        import repro.engine.backends as backends_module
+        from repro.data.synthetic import SceneGenerator
+
+        for name in ("_WORKER_SETTINGS", "_WORKER_CACHE", "_WORKER_FRAMES"):
+            monkeypatch.setattr(backends_module, name, None)
+        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
+        maps = []
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor",
+                            functools.partial(_FreshWorkerPool, maps))
+        generated = []
+        real_generate = SceneGenerator.generate
+
+        def counting_generate(self):
+            generated.append(self)
+            return real_generate(self)
+
+        monkeypatch.setattr(SceneGenerator, "generate", counting_generate)
+
+        def runner():
+            return _subset_runner(
+                models=["SPP1", "SPP2", "SPP3"], simulators=["spade-he"],
+                scenarios=[Scenario("d0", seed=0), Scenario("d1", seed=1)],
+                max_workers=2,
+            )
+
+        table = runner().run(backend="process")
+        assert maps == [2]
+        assert len(generated) == 2
+        assert table.to_csv() == runner().run(backend="serial").to_csv()
+
+
 class TestTraceStageKnobs:
     @pytest.mark.parametrize("value", ["0", "-1", "half", ""])
     def test_invalid_rulegen_shards_env_rejected(self, monkeypatch, value):
@@ -377,7 +513,6 @@ class TestProcessWorkerTracing:
 
         import repro.engine.backends as backends_module
         from repro.engine import cache as cache_module
-        from repro.engine.backends import chunk_payload
 
         for name in ("_WORKER_SETTINGS", "_WORKER_CACHE", "_WORKER_FRAMES"):
             monkeypatch.setattr(backends_module, name, None)

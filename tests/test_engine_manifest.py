@@ -236,6 +236,26 @@ class TestBackendCoverage:
         assert sum(unit["rows"] for unit in observer.units) \
             == len(table) == 8
 
+    def test_process_units_name_their_pool_worker(self):
+        """Each scenario's groups run in one chunk, so all its units
+        carry the one ``process-<pid>`` label of the worker that ran
+        them."""
+        spec = small_spec(
+            models=["SPP2", "SPP3"],
+            scenarios=[{"name": "a", "seed": 0},
+                       {"name": "b", "seed": 1}],
+            backend="process",
+            workers=2,
+        )
+        observer = observed_run(spec)[2]
+        labels = {}
+        for unit in observer.units:
+            labels.setdefault(unit["scenario"], set()).add(unit["worker"])
+        assert sorted(labels) == ["a", "b"]
+        for workers in labels.values():
+            assert len(workers) == 1
+            assert next(iter(workers)).startswith("process-")
+
     def test_process_backend_matches_serial_analytics(self):
         serial = observed_run(small_spec())[2]
         pooled = observed_run(
