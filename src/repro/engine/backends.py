@@ -9,7 +9,7 @@ a :class:`Backend` for execution:
 * :class:`ProcessBackend`  — the one parallel path, a process pool for
   many-scenario sweeps: work groups are pickled to workers in contiguous
   chunks (amortizing IPC; one scenario's groups stay in one chunk when
-  the plan has enough scenarios), each worker traces the groups it
+  that loads no worker more), each worker traces the groups it
   simulates through its own :class:`TraceCache` and
   :class:`FrameProvider`, and results come back as plain rows that cost
   kilobytes to ship.
@@ -110,41 +110,52 @@ def execute_group(group: WorkGroup, trace_lookup) -> list:
     return results
 
 
-def chunk_payload(payload: list, workers: int,
+def chunk_payload(groups: list, workers: int,
                   chunksize: int = None) -> list:
-    """Split work units into contiguous chunks for dispatch.
+    """Split a plan's work groups into contiguous chunks for the pool.
 
-    An explicit ``chunksize`` cuts fixed chunks of that many units; the
-    dist backend always passes one, so its units may be any payload.
-    Without one, ``payload`` is a plan of :class:`WorkGroup` and the
-    target chunk size splits it roughly twice per worker — large enough
-    to amortize per-dispatch IPC, small enough that a straggler can be
-    balanced by the other workers.  Chunks are then cut only where the
-    scenario changes, and grow past the target only when one scenario
-    alone is larger: a scenario's groups share its frames, so each frame
-    is built in one worker.  When that leaves fewer chunks than workers
-    (say, fewer scenarios than workers), the chunks stay fixed-size,
-    since splitting a scenario is then the only way to use every worker.
+    An explicit ``chunksize`` cuts fixed chunks of that many groups.
+    Without one, the target size splits the plan roughly twice per
+    worker — large enough to amortize per-dispatch IPC, small enough
+    that a straggler can be balanced by the other workers — and the plan
+    is also cut only where the scenario changes, a chunk growing past
+    the target only when one scenario alone is larger.  A scenario's
+    groups share its frames, so those cuts build each frame in one
+    worker.  They are used only when they load the busiest worker with
+    no more groups than the fixed-size cuts do (see :func:`_makespan`).
+    Otherwise the chunks stay fixed-size and may split a scenario across
+    workers: with fewer scenarios than workers, say, or with scenarios
+    that do not spread evenly over the workers.
     """
-    if not payload:
+    if not groups:
         return []
     size = chunksize or max(
-        1, (len(payload) + 2 * workers - 1) // (2 * workers)
+        1, (len(groups) + 2 * workers - 1) // (2 * workers)
     )
-    cuts = list(range(0, len(payload), size))
+    bounds = list(range(0, len(groups), size)) + [len(groups)]
     if chunksize is None:
         starts = [
-            index for index, group in enumerate(payload)
-            if index == 0 or group.scenario != payload[index - 1].scenario
+            index for index, group in enumerate(groups)
+            if index == 0 or group.scenario != groups[index - 1].scenario
         ]
         aligned = [0]
-        for start, end in zip(starts[1:], starts[2:] + [len(payload)]):
+        for start, end in zip(starts[1:], starts[2:] + [len(groups)]):
             if end - aligned[-1] > size:
                 aligned.append(start)
-        if len(aligned) >= workers:
-            cuts = aligned
-    bounds = cuts + [len(payload)]
-    return [payload[start:end] for start, end in zip(bounds, bounds[1:])]
+        aligned.append(len(groups))
+        if _makespan(aligned, workers) <= _makespan(bounds, workers):
+            bounds = aligned
+    return [groups[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def _makespan(bounds: list, workers: int) -> int:
+    """The busiest worker's group count when ``workers`` processes take
+    the chunks between ``bounds`` in order, each going to the worker
+    that frees up first (the least-loaded one, counting groups)."""
+    loads = [0] * workers
+    for start, end in zip(bounds, bounds[1:]):
+        loads[loads.index(min(loads))] += end - start
+    return max(loads)
 
 
 class ProgressReporter:
@@ -389,9 +400,9 @@ class ProcessBackend(Backend):
     exactly once, by the worker that simulates it.  The workers' caches
     sit over the runner's disk tier (``runner.settings.cache_dir``) when
     it has one and are memory-only otherwise.  Contiguous chunks keep
-    IPC count low, and when the plan has enough scenarios to fill every
-    worker, :func:`chunk_payload` keeps each scenario's groups in one
-    chunk: a worker's :class:`FrameProvider` then builds each of the
+    IPC count low, and when it loads no worker more than fixed-size
+    chunks would, :func:`chunk_payload` keeps each scenario's groups in
+    one chunk: a worker's :class:`FrameProvider` then builds each of the
     scenario's frames once for every model that shares its grid, and no
     other worker builds them again.
 
@@ -418,8 +429,8 @@ class ProcessBackend(Backend):
             ``max_workers``.
         chunksize: Work-group count per IPC submission, cut at fixed
             intervals; defaults to splitting the plan roughly twice per
-            worker for load balance, at scenario boundaries when the
-            plan has enough scenarios (see :func:`chunk_payload`).
+            worker for load balance, at scenario boundaries when that
+            is as balanced (see :func:`chunk_payload`).
     """
 
     name = "process"

@@ -53,7 +53,6 @@ from ..backends import (
     Backend,
     BackendUnavailable,
     _model_name,
-    chunk_payload,
     journal_of,
     observe_unit_done,
     observer_of,
@@ -168,7 +167,8 @@ def build_units(runner, groups: list, chunksize: int) -> list:
         for group in groups
     ]
     units = []
-    for unit_id, chunk in enumerate(chunk_payload(payload, 1, chunksize)):
+    for unit_id, start in enumerate(range(0, len(payload), chunksize)):
+        chunk = payload[start:start + chunksize]
         units.append({
             "unit": unit_id,
             "groups": chunk,

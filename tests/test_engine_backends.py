@@ -298,7 +298,7 @@ def _plan(scenarios: int, models: int) -> list:
 
 class TestChunkPolicy:
     """``chunk_payload``: scenario-aligned chunks for the process pool
-    when the plan has enough scenarios, fixed chunks otherwise."""
+    when they load no worker more than fixed chunks, fixed otherwise."""
 
     @pytest.mark.parametrize("scenarios, models, workers", [
         (2, 3, 2), (1, 3, 2), (10, 1, 2), (5, 3, 2), (3, 2, 4), (6, 3, 3),
@@ -312,37 +312,44 @@ class TestChunkPolicy:
         assert [group for chunk in chunks for group in chunk] == plan
 
     @pytest.mark.parametrize("scenarios, models, workers", [
-        (2, 3, 2), (5, 3, 2), (6, 3, 3), (4, 1, 2),
+        (2, 3, 2), (4, 3, 2), (6, 3, 3), (4, 1, 2), (3, 2, 4),
     ])
-    def test_enough_scenarios_cut_only_between_scenarios(
+    def test_balanced_plans_cut_only_between_scenarios(
             self, scenarios, models, workers):
         chunks = chunk_payload(_plan(scenarios, models), workers)
-        assert len(chunks) >= workers
         owners = [{group.scenario for group in chunk} for chunk in chunks]
         for left, right in zip(owners, owners[1:]):
             assert not left & right
 
     @pytest.mark.parametrize("scenarios, models, workers, chunksize, sizes", [
-        (2, 3, 2, None, [3, 3]),         # one chunk per scenario
+        (2, 3, 2, None, [3, 3]),         # fixed [2, 2, 2] loads one 4
         (6, 3, 2, None, [3] * 6),        # target 5: a scenario alone
         (10, 1, 2, None, [3, 3, 3, 1]),  # one-group scenarios fill 3
-        (1, 3, 2, None, [1, 1, 1]),      # fewer scenarios than workers
-        (3, 2, 4, None, [1] * 6),
+        (1, 3, 2, None, [1, 1, 1]),      # one scenario: [3] loads 3 > 2
+        (3, 2, 4, None, [2, 2, 2]),      # both load 2; 3 of 4 workers
+        (3, 4, 2, None, [3] * 4),        # [4, 4, 4] would load 8 > 6
+        (5, 3, 2, None, [4, 4, 4, 3]),   # [3] * 5 would load 9 > 8
         (2, 3, 2, 2, [2, 2, 2]),         # explicit chunksize: fixed
         (2, 3, 2, 4, [4, 2]),
     ])
     def test_chunk_sizes(self, scenarios, models, workers, chunksize,
                          sizes):
         """Chunks aim at ceil(groups / 2 workers) groups; by scenario
-        they grow past that only when one scenario alone is larger."""
+        they grow past that only when one scenario alone is larger, and
+        are used only when no worker gets more groups than with fixed
+        chunks."""
         chunks = chunk_payload(_plan(scenarios, models), workers, chunksize)
         assert [len(chunk) for chunk in chunks] == sizes
 
-    def test_too_few_scenario_chunks_keep_fixed_chunks(self):
-        """Scenarios of 10, 1 and 1 groups would make two chunks for
-        three workers: the plan is cut at fixed size instead."""
+    @pytest.mark.parametrize("workers, sizes", [
+        (2, [3] * 4), (3, [2] * 6),
+    ])
+    def test_uneven_scenarios_keep_fixed_chunks(self, workers, sizes):
+        """Scenarios of 10, 1 and 1 groups would be cut [10, 2], one
+        worker running 10 groups: the plan is cut at fixed size."""
         plan = _plan(1, 10) + _plan(3, 1)[1:]
-        assert [len(chunk) for chunk in chunk_payload(plan, 3)] == [2] * 6
+        chunks = chunk_payload(plan, workers)
+        assert [len(chunk) for chunk in chunks] == sizes
 
     @pytest.mark.parametrize("chunksize, sizes", [
         (1, [1] * 6), (2, [2, 2, 2]), (4, [4, 2]),
