@@ -196,12 +196,9 @@ def _cmd_run(args) -> int:
 
     # --trace-out implies tracing on; REPRO_ENGINE_TELEMETRY=1 alone
     # traces (manifest span counts) without writing an export file.
-    tel = TelemetrySettings.resolve(
-        enabled=(True if args.trace_out is not None else None),
-        trace_out=args.trace_out,
-    )
     tracer = (telemetry.SpanTracer(process="runner")
-              if tel.enabled or tel.trace_out is not None else None)
+              if args.trace_out is not None
+              or TelemetrySettings.resolve_one("enabled") else None)
     with telemetry.tracing(tracer):
         table = runner.run(progress=args.progress, observer=observer,
                            journal=journal)
@@ -224,12 +221,12 @@ def _cmd_run(args) -> int:
                 f"cannot write results to {out!r}: {error}; pick a "
                 f"writable --out path"
             ) from None
-    if tracer is not None and tel.trace_out is not None:
+    if args.trace_out is not None:
         try:
-            _status(f"wrote Chrome trace to {tracer.export(tel.trace_out)}")
+            _status(f"wrote Chrome trace to {tracer.export(args.trace_out)}")
         except OSError as error:
             raise ValueError(
-                f"cannot write trace to {tel.trace_out!r}: {error}; "
+                f"cannot write trace to {args.trace_out!r}: {error}; "
                 f"pick a writable --trace-out path"
             ) from None
     return 0

@@ -126,8 +126,10 @@ def generate_knobs_markdown() -> str:
          "the same name overrides the variable below."),
         (DistSettings, "Distributed-backend knobs",
          "Resolved by `DistSettings.resolve` when `--backend dist` "
-         "runs; workers inherit the coordinator's announcements "
-         "(cache dir, heartbeat interval, batch rows) over the wire."),
+         "runs: the coordinator's bind address and handshake secret. "
+         "Its unit size, timeouts and attempt cap are `DistBackend` "
+         "arguments; workers inherit the coordinator's announcements "
+         "(cache dir, heartbeat interval) over the wire."),
         (TelemetrySettings, "Telemetry knobs",
          "Resolved by `TelemetrySettings.resolve` — span tracing "
          "(`repro run --trace-out`) and the run manifest's "

@@ -49,34 +49,18 @@ from .backends import (
     Backend,
     BackendUnavailable,
     ProcessBackend,
-    SerialBackend,
-    WorkGroup,
-    resolve_backend,
-)
-from .faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
 )
 from .journal import (
-    JOURNAL_SCHEMA,
-    JOURNAL_VERSION,
     RunJournal,
     read_journal,
-    unit_key,
 )
 from .cache import (
     TraceCache,
     clear_disk_tier,
-    frame_fingerprint,
     scan_disk_tier,
     shared_trace_cache,
-    spec_fingerprint,
 )
 from .manifest import (
-    MANIFEST_SCHEMA,
-    MANIFEST_VERSION,
     RunManifest,
     RunObserver,
     git_revision,
@@ -88,8 +72,6 @@ from .registry import (
     BACKENDS,
     FRAME_PROVIDERS,
     SIMULATORS,
-    Registry,
-    UnknownNameError,
     register_backend,
     register_frame_provider,
     register_simulator,
@@ -98,14 +80,11 @@ from .result import (
     RESULT_COLUMNS,
     ExperimentTable,
     SimResult,
-    mean_result,
 )
 from .runner import (
-    DEFAULT_SCENARIO,
     ExperimentRunner,
     FrameProvider,
     Scenario,
-    validate_scenario,
 )
 from .telemetry import (
     SpanTracer,
@@ -120,21 +99,14 @@ from .simulators import (
     SpadeNoOverlapSim,
     SpadeSimulator,
     SpConv2DSim,
-    TraceStatsSim,
     build_simulator,
-    resolve_simulators,
 )
-from .spec import (
-    SPEC_VERSION,
-    ExperimentSpec,
-    cell_filter_from_rules,
-)
+from .spec import ExperimentSpec
 
 # Imported last: the dist subsystem builds on the spec layer and
 # registers the "dist" backend as an import side effect.
 from .dist import (  # noqa: E402
     Coordinator,
-    DistBackend,
     DistRunError,
     DistStartTimeout,
     Worker,
@@ -142,41 +114,28 @@ from .dist import (  # noqa: E402
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_SCENARIO",
     "FRAME_PROVIDERS",
-    "JOURNAL_SCHEMA",
-    "JOURNAL_VERSION",
-    "MANIFEST_SCHEMA",
-    "MANIFEST_VERSION",
     "RESULT_COLUMNS",
     "SIMULATORS",
-    "SPEC_VERSION",
     "Backend",
     "BackendUnavailable",
     "Coordinator",
     "DenseAccSimulator",
-    "DistBackend",
     "DistRunError",
     "DistStartTimeout",
     "ExperimentRunner",
     "ExperimentSpec",
     "ExperimentTable",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
     "FrameProvider",
     "GatherDramSim",
-    "InjectedFault",
     "MappingSim",
     "PlatformSim",
     "PointAccSim",
     "ProcessBackend",
-    "Registry",
     "RunJournal",
     "RunManifest",
     "RunObserver",
     "Scenario",
-    "SerialBackend",
     "SimResult",
     "Simulator",
     "SpanTracer",
@@ -184,29 +143,18 @@ __all__ = [
     "SpadeNoOverlapSim",
     "SpadeSimulator",
     "TraceCache",
-    "TraceStatsSim",
-    "UnknownNameError",
-    "WorkGroup",
     "Worker",
     "build_simulator",
-    "cell_filter_from_rules",
     "clear_disk_tier",
-    "frame_fingerprint",
     "git_revision",
     "log_line",
     "manifest_path_for",
     "scan_disk_tier",
-    "mean_result",
     "read_journal",
     "spec_hash",
     "register_backend",
     "register_frame_provider",
     "register_simulator",
-    "resolve_backend",
-    "resolve_simulators",
     "shared_trace_cache",
-    "spec_fingerprint",
     "tracing",
-    "unit_key",
-    "validate_scenario",
 ]

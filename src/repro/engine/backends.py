@@ -110,41 +110,36 @@ def execute_group(group: WorkGroup, trace_lookup) -> list:
     return results
 
 
-def chunk_payload(groups: list, workers: int,
-                  chunksize: int = None) -> list:
+def chunk_payload(groups: list, workers: int) -> list:
     """Split a plan's work groups into contiguous chunks for the pool.
 
-    An explicit ``chunksize`` cuts fixed chunks of that many groups.
-    Without one, the target size splits the plan roughly twice per
-    worker — large enough to amortize per-dispatch IPC, small enough
-    that a straggler can be balanced by the other workers — and the plan
-    is also cut only where the scenario changes, a chunk growing past
-    the target only when one scenario alone is larger.  A scenario's
-    groups share its frames, so those cuts build each frame in one
-    worker.  They are used only when they load the busiest worker with
-    no more groups than the fixed-size cuts do (see :func:`_makespan`).
-    Otherwise the chunks stay fixed-size and may split a scenario across
-    workers: with fewer scenarios than workers, say, or with scenarios
-    that do not spread evenly over the workers.
+    The target size splits the plan roughly twice per worker — large
+    enough to amortize per-dispatch IPC, small enough that a straggler
+    can be balanced by the other workers.  The plan is cut only where
+    the scenario changes, a chunk growing past the target only when one
+    scenario alone is larger.  A scenario's groups share its frames, so
+    those cuts build each frame in one worker.  They are used only when
+    they load the busiest worker with no more groups than fixed cuts of
+    the target size do (see :func:`_makespan`).  Otherwise the chunks
+    are those fixed cuts and may split a scenario across workers: with
+    fewer scenarios than workers, say, or with scenarios that do not
+    spread evenly over the workers.
     """
     if not groups:
         return []
-    size = chunksize or max(
-        1, (len(groups) + 2 * workers - 1) // (2 * workers)
-    )
-    bounds = list(range(0, len(groups), size)) + [len(groups)]
-    if chunksize is None:
-        starts = [
-            index for index, group in enumerate(groups)
-            if index == 0 or group.scenario != groups[index - 1].scenario
-        ]
-        aligned = [0]
-        for start, end in zip(starts[1:], starts[2:] + [len(groups)]):
-            if end - aligned[-1] > size:
-                aligned.append(start)
-        aligned.append(len(groups))
-        if _makespan(aligned, workers) <= _makespan(bounds, workers):
-            bounds = aligned
+    size = max(1, (len(groups) + 2 * workers - 1) // (2 * workers))
+    fixed = list(range(0, len(groups), size)) + [len(groups)]
+    starts = [
+        index for index, group in enumerate(groups)
+        if index == 0 or group.scenario != groups[index - 1].scenario
+    ]
+    aligned = [0]
+    for start, end in zip(starts[1:], starts[2:] + [len(groups)]):
+        if end - aligned[-1] > size:
+            aligned.append(start)
+    aligned.append(len(groups))
+    bounds = (aligned if _makespan(aligned, workers)
+              <= _makespan(fixed, workers) else fixed)
     return [groups[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
@@ -427,17 +422,12 @@ class ProcessBackend(Backend):
     Args:
         max_workers: Pool width; defaults to the runner's
             ``max_workers``.
-        chunksize: Work-group count per IPC submission, cut at fixed
-            intervals; defaults to splitting the plan roughly twice per
-            worker for load balance, at scenario boundaries when that
-            is as balanced (see :func:`chunk_payload`).
     """
 
     name = "process"
 
-    def __init__(self, max_workers: int = None, chunksize: int = None):
+    def __init__(self, max_workers: int = None):
         self.max_workers = max_workers
-        self.chunksize = chunksize
 
     @staticmethod
     def incompatibility(runner) -> str:
@@ -471,7 +461,7 @@ class ProcessBackend(Backend):
         if not groups:
             return []
         workers = self.max_workers or runner.max_workers
-        chunks = chunk_payload(groups, workers, self.chunksize)
+        chunks = chunk_payload(groups, workers)
         width = min(workers, len(chunks))
         if width == 1:
             # Pure pool overhead at width 1: run in-process through the

@@ -10,8 +10,9 @@ worker processes started with ``repro worker --connect HOST:PORT``:
    :class:`~repro.engine.spec.ExperimentSpec` dict — exactly the JSON a
    spec file carries, restricted to that group — so a worker needs
    nothing but the ``repro`` package to execute it.  Groups are chunked
-   into *units* (``chunksize`` groups per dispatch, default 1), the
-   granularity of scheduling and of requeue.
+   into *units* (``DistBackend(chunksize=...)`` groups per dispatch,
+   default :data:`CHUNKSIZE`), the granularity of scheduling and of
+   requeue.
 2. **Tracing where it is simulated.**  A work group is one (scenario,
    model), so the worker that simulates a group traces its frames,
    through a worker-lifetime :class:`~repro.engine.cache.TraceCache`
@@ -60,7 +61,12 @@ from ..backends import (
 )
 from ..registry import register_backend
 from ..result import _record_to_result
-from ..settings import DIST_TOKEN_ENV_VAR, DistSettings
+from ..settings import (
+    DIST_TOKEN_ENV_VAR,
+    DistSettings,
+    positive_float,
+    positive_int,
+)
 from .protocol import (
     ProtocolError,
     auth_nonce,
@@ -69,6 +75,29 @@ from .protocol import (
     send_message,
     verify_digest,
 )
+
+
+#: Work groups per dispatched unit (the requeue granularity — 1 gives
+#: the finest-grained work stealing).
+CHUNKSIZE = 1
+
+#: Seconds a unit may execute before its worker is presumed wedged and
+#: the unit is requeued.
+UNIT_TIMEOUT = 300.0
+
+#: Seconds between worker heartbeats (the coordinator tells workers).
+HEARTBEAT_INTERVAL = 1.0
+
+#: Seconds of heartbeat silence before a worker holding work is
+#: declared dead.
+WORKER_TIMEOUT = 10.0
+
+#: Dispatch attempts per unit before the run fails.
+MAX_ATTEMPTS = 3
+
+#: Seconds the coordinator tolerates having zero connected workers (at
+#: startup and after losing all of them).
+START_TIMEOUT = 60.0
 
 
 class DistRunError(RuntimeError):
@@ -214,12 +243,25 @@ class Coordinator:
     group index (or raises :class:`DistRunError`).  All shared state is
     guarded by one condition variable; per-connection handler threads,
     the accept loop and the timeout monitor coordinate through it.
+
+    ``settings`` gives the bind address and the handshake token; the
+    keyword-only timeouts and attempt cap default to this module's
+    constants and are taken as given (:class:`DistBackend` validates
+    them).
     """
 
     def __init__(self, units: list, settings: DistSettings,
                  cache_dir: str = None, on_unit_done=None,
-                 on_group_done=None):
+                 on_group_done=None, *, unit_timeout=UNIT_TIMEOUT,
+                 heartbeat_interval=HEARTBEAT_INTERVAL,
+                 worker_timeout=WORKER_TIMEOUT, max_attempts=MAX_ATTEMPTS,
+                 start_timeout=START_TIMEOUT):
         self.settings = settings
+        self.unit_timeout = unit_timeout
+        self.heartbeat_interval = heartbeat_interval
+        self.worker_timeout = worker_timeout
+        self.max_attempts = max_attempts
+        self.start_timeout = start_timeout
         self.cache_dir = cache_dir
         self.on_unit_done = on_unit_done
         #: Optional per-group stats callback ``(group_index, rows,
@@ -379,7 +421,7 @@ class Coordinator:
         ``auth`` before that first message is processed.  Returns False
         (peer logged and dropped) on any handshake failure.
         """
-        token = getattr(self.settings, "token", None)
+        token = self.settings.token
         if not token:
             return True
         nonce = auth_nonce()
@@ -409,8 +451,7 @@ class Coordinator:
         # catches a silently-dead *idle* worker (the monitor only
         # watches workers holding units) — without it a dead idle
         # worker keeps the run registered as "has workers" forever.
-        conn.settimeout(max(self.settings.worker_timeout,
-                            2 * self.settings.heartbeat_interval))
+        conn.settimeout(max(self.worker_timeout, 2 * self.heartbeat_interval))
         worker = None
         try:
             hello = recv_message(conn)
@@ -432,7 +473,7 @@ class Coordinator:
             send_message(conn, message(
                 "welcome",
                 cache_dir=self.cache_dir,
-                heartbeat_interval=self.settings.heartbeat_interval,
+                heartbeat_interval=self.heartbeat_interval,
                 telemetry=telemetry.active_tracer() is not None,
             ))
             while True:
@@ -496,8 +537,7 @@ class Coordinator:
                         "worker": worker.worker_id,
                         "assigned_at": _utc_now(),
                     })
-                    deadline = (time.monotonic()
-                                + self.settings.unit_timeout)
+                    deadline = time.monotonic() + self.unit_timeout
                     self._inflight[unit_id] = (worker, deadline)
                     worker.inflight = unit_id
                     unit = self._units[unit_id]
@@ -604,7 +644,7 @@ class Coordinator:
                 break
         if unit_id in self._done:
             return
-        if self._attempts[unit_id] >= self.settings.max_attempts:
+        if self._attempts[unit_id] >= self.max_attempts:
             label = self._units[unit_id]["label"]
             trail = "; ".join(
                 f"attempt {entry['attempt']} on {entry['worker']!r} "
@@ -614,7 +654,7 @@ class Coordinator:
             )
             error = DistRunError(
                 f"work unit {unit_id} ({label}) exhausted "
-                f"{self.settings.max_attempts} attempt(s); "
+                f"{self.max_attempts} attempt(s); "
                 f"last failure: {reason}"
                 + (f" [{trail}]" if trail else "")
             )
@@ -683,22 +723,21 @@ class Coordinator:
                         self._abandon_unit(
                             unit_id, worker,
                             f"unit timed out after "
-                            f"{self.settings.unit_timeout:g}s",
+                            f"{self.unit_timeout:g}s",
                         )
-                    elif (now - worker.last_seen
-                          > self.settings.worker_timeout):
+                    elif now - worker.last_seen > self.worker_timeout:
                         stale.append((
                             worker,
                             f"heartbeat lost for "
-                            f"{self.settings.worker_timeout:g}s",
+                            f"{self.worker_timeout:g}s",
                         ))
                 if (self._failure is None and not self._completed()
                         and self._no_worker_since is not None
                         and now - self._no_worker_since
-                        > self.settings.start_timeout):
+                        > self.start_timeout):
                     self._failure = DistStartTimeout(
                         f"no connected workers for "
-                        f"{self.settings.start_timeout:g}s — start some "
+                        f"{self.start_timeout:g}s — start some "
                         f"with `repro worker --connect "
                         f"{self.settings.host}:{self.port}`"
                     )
@@ -719,30 +758,42 @@ class DistBackend(Backend):
     The runner must be built from an :class:`ExperimentSpec`
     (``spec.build_runner()`` or ``repro run``) so work units can be
     serialized; workers are separate ``repro worker --connect
-    HOST:PORT`` processes, on this machine or others.  Every knob
-    defaults through :class:`~repro.engine.settings.DistSettings`
-    (``REPRO_ENGINE_DIST_*`` environment variables).
+    HOST:PORT`` processes, on this machine or others.
 
-    Args mirror :class:`DistSettings`; ``None`` inherits the
-    environment.
+    Args:
+        host, port, token: The coordinator's bind address and handshake
+            secret, as in :class:`~repro.engine.settings.DistSettings`;
+            ``None`` inherits the ``REPRO_ENGINE_DIST_*`` environment.
+        chunksize: Work groups per dispatched unit (default
+            :data:`CHUNKSIZE`).
+        unit_timeout, heartbeat_interval, worker_timeout, max_attempts,
+            start_timeout: The :class:`Coordinator`'s timeouts (seconds)
+            and attempt cap; each defaults to this module's constant of
+            the same name in capitals.
+
+    A non-positive or malformed ``chunksize``, timeout or attempt cap
+    raises :class:`ValueError` naming the argument.
     """
 
     name = "dist"
 
-    def __init__(self, host=None, port=None, chunksize=None,
-                 unit_timeout=None, heartbeat_interval=None,
-                 worker_timeout=None, max_attempts=None,
-                 start_timeout=None, token=None):
-        self._overrides = {
-            "host": host,
-            "port": port,
-            "chunksize": chunksize,
-            "unit_timeout": unit_timeout,
-            "heartbeat_interval": heartbeat_interval,
-            "worker_timeout": worker_timeout,
-            "max_attempts": max_attempts,
-            "start_timeout": start_timeout,
-            "token": token,
+    def __init__(self, host=None, port=None, chunksize=CHUNKSIZE,
+                 unit_timeout=UNIT_TIMEOUT,
+                 heartbeat_interval=HEARTBEAT_INTERVAL,
+                 worker_timeout=WORKER_TIMEOUT, max_attempts=MAX_ATTEMPTS,
+                 start_timeout=START_TIMEOUT, token=None):
+        self._overrides = {"host": host, "port": port, "token": token}
+        self.chunksize = positive_int(chunksize, "chunksize")
+        #: The :class:`Coordinator`'s keyword arguments, validated.
+        self.tuning = {
+            "unit_timeout": positive_float(unit_timeout, "unit_timeout"),
+            "heartbeat_interval": positive_float(heartbeat_interval,
+                                                 "heartbeat_interval"),
+            "worker_timeout": positive_float(worker_timeout,
+                                             "worker_timeout"),
+            "max_attempts": positive_int(max_attempts, "max_attempts"),
+            "start_timeout": positive_float(start_timeout,
+                                            "start_timeout"),
         }
         #: The coordinator of the most recent ``execute`` call — state
         #: introspection for tests and operator tooling.
@@ -803,7 +854,7 @@ class DistBackend(Backend):
         if not groups:
             return []
         settings = DistSettings.resolve(**self._overrides)
-        units = build_units(runner, groups, settings.chunksize)
+        units = build_units(runner, groups, self.chunksize)
         observer = observer_of(runner)
         journal = journal_of(runner)
 
@@ -828,6 +879,7 @@ class DistBackend(Backend):
             on_group_done=group_stats
             if (observer is not None or journal is not None)
             else None,
+            **self.tuning,
         )
         self.last_coordinator = coordinator
         try:
@@ -836,6 +888,8 @@ class DistBackend(Backend):
             coordinator.shutdown()
             raise
         if observer is not None:
-            observer.record_dist(coordinator.stats, coordinator.roster,
-                                 settings=settings.as_dict())
+            observer.record_dist(
+                coordinator.stats, coordinator.roster,
+                settings={**settings.as_dict(), "chunksize": self.chunksize,
+                          **self.tuning})
         return [rows_by_group[index] for index in range(len(groups))]

@@ -57,25 +57,6 @@ DIST_HOST_ENV_VAR = "REPRO_ENGINE_DIST_HOST"
 #: Port the distributed coordinator listens on (0 = ephemeral).
 DIST_PORT_ENV_VAR = "REPRO_ENGINE_DIST_PORT"
 
-#: Work groups per distributed work unit (requeue granularity).
-DIST_CHUNKSIZE_ENV_VAR = "REPRO_ENGINE_DIST_CHUNKSIZE"
-
-#: Seconds a dispatched unit may run before it is requeued elsewhere.
-DIST_UNIT_TIMEOUT_ENV_VAR = "REPRO_ENGINE_DIST_UNIT_TIMEOUT"
-
-#: Seconds between worker heartbeats (the coordinator tells workers).
-DIST_HEARTBEAT_ENV_VAR = "REPRO_ENGINE_DIST_HEARTBEAT"
-
-#: Seconds of heartbeat silence before a busy worker is declared dead.
-DIST_WORKER_TIMEOUT_ENV_VAR = "REPRO_ENGINE_DIST_WORKER_TIMEOUT"
-
-#: Maximum dispatch attempts per unit before the run fails loudly.
-DIST_MAX_ATTEMPTS_ENV_VAR = "REPRO_ENGINE_DIST_MAX_ATTEMPTS"
-
-#: Seconds the coordinator waits for (the first, or replacement)
-#: workers to connect before giving up.
-DIST_START_TIMEOUT_ENV_VAR = "REPRO_ENGINE_DIST_START_TIMEOUT"
-
 #: Shared secret for the HMAC challenge/response handshake on the
 #: coordinator's listening socket; unset disables authentication.
 DIST_TOKEN_ENV_VAR = "REPRO_ENGINE_DIST_TOKEN"
@@ -84,10 +65,6 @@ DIST_TOKEN_ENV_VAR = "REPRO_ENGINE_DIST_TOKEN"
 #: spans (trace/simulate/cache/protocol/queue-wait) and snapshots their
 #: per-phase profile into its manifest's ``telemetry`` key.
 TELEMETRY_ENV_VAR = "REPRO_ENGINE_TELEMETRY"
-
-#: Default Chrome trace-event export path for traced runs (what
-#: ``repro run --trace-out PATH`` overrides); unset = no export file.
-TELEMETRY_TRACE_OUT_ENV_VAR = "REPRO_ENGINE_TELEMETRY_TRACE_OUT"
 
 #: Sentinel distinguishing "no value given, consult the environment"
 #: from an explicit ``None`` (which for ``cache_dir`` means "disable the
@@ -306,16 +283,6 @@ class DistSettings(Settings):
     Attributes:
         host: Address the coordinator binds (workers connect to it).
         port: Coordinator TCP port; 0 binds an ephemeral port.
-        chunksize: Work groups per dispatched unit (the requeue
-            granularity — 1 gives the finest-grained work stealing).
-        unit_timeout: Seconds a unit may execute before its worker is
-            presumed wedged and the unit is requeued.
-        heartbeat_interval: Seconds between worker heartbeats.
-        worker_timeout: Seconds of heartbeat silence before a worker
-            holding work is declared dead.
-        max_attempts: Dispatch attempts per unit before the run fails.
-        start_timeout: Seconds the coordinator tolerates having zero
-            connected workers (at startup and after losing all of them).
         token: Shared secret for the HMAC challenge/response handshake
             on the listening socket; unauthenticated peers are dropped.
             ``None`` (the default) disables authentication.
@@ -324,16 +291,6 @@ class DistSettings(Settings):
     host: str = knob(DIST_HOST_ENV_VAR, text, "127.0.0.1",
                      blank_is_unset=True)
     port: int = knob(DIST_PORT_ENV_VAR, tcp_port, 7463)
-    chunksize: int = knob(DIST_CHUNKSIZE_ENV_VAR, positive_int, 1)
-    unit_timeout: float = knob(DIST_UNIT_TIMEOUT_ENV_VAR, positive_float,
-                               300.0)
-    heartbeat_interval: float = knob(DIST_HEARTBEAT_ENV_VAR,
-                                     positive_float, 1.0)
-    worker_timeout: float = knob(DIST_WORKER_TIMEOUT_ENV_VAR,
-                                 positive_float, 10.0)
-    max_attempts: int = knob(DIST_MAX_ATTEMPTS_ENV_VAR, positive_int, 3)
-    start_timeout: float = knob(DIST_START_TIMEOUT_ENV_VAR, positive_float,
-                                60.0)
     token: str = knob(DIST_TOKEN_ENV_VAR, text_or_none, secret=True)
 
 
@@ -346,14 +303,9 @@ class TelemetrySettings(Settings):
             :mod:`repro.engine.telemetry` tracer) and snapshot their
             per-phase profile into the run manifest's ``telemetry``
             key; off by default so the hot paths stay no-op.
-        trace_out: Chrome trace-event JSON export path for traced runs
-            (``repro run --trace-out`` overrides it), or ``None`` for
-            no export file.
     """
 
     enabled: bool = knob(TELEMETRY_ENV_VAR, boolean_flag, False)
-    trace_out: str = knob(TELEMETRY_TRACE_OUT_ENV_VAR, text,
-                          blank_is_unset=True)
 
 
 #: The settings classes, in documentation order.

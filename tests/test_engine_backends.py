@@ -10,13 +10,16 @@ from repro.engine import (
     FrameProvider,
     ProcessBackend,
     Scenario,
-    SerialBackend,
     SimResult,
     TraceCache,
-    mean_result,
+)
+from repro.engine.backends import (
+    SerialBackend,
+    WorkGroup,
+    chunk_payload,
     resolve_backend,
 )
-from repro.engine.backends import WorkGroup, chunk_payload
+from repro.engine.result import mean_result
 from repro.engine.settings import (
     BACKEND_ENV_VAR,
     CACHE_DIR_ENV_VAR,
@@ -303,11 +306,10 @@ class TestChunkPolicy:
     @pytest.mark.parametrize("scenarios, models, workers", [
         (2, 3, 2), (1, 3, 2), (10, 1, 2), (5, 3, 2), (3, 2, 4), (6, 3, 3),
     ])
-    @pytest.mark.parametrize("chunksize", [None, 2])
     def test_every_unit_once_in_plan_order(self, scenarios, models,
-                                           workers, chunksize):
+                                           workers):
         plan = _plan(scenarios, models)
-        chunks = chunk_payload(plan, workers, chunksize)
+        chunks = chunk_payload(plan, workers)
         assert all(chunks)
         assert [group for chunk in chunks for group in chunk] == plan
 
@@ -321,24 +323,21 @@ class TestChunkPolicy:
         for left, right in zip(owners, owners[1:]):
             assert not left & right
 
-    @pytest.mark.parametrize("scenarios, models, workers, chunksize, sizes", [
-        (2, 3, 2, None, [3, 3]),         # fixed [2, 2, 2] loads one 4
-        (6, 3, 2, None, [3] * 6),        # target 5: a scenario alone
-        (10, 1, 2, None, [3, 3, 3, 1]),  # one-group scenarios fill 3
-        (1, 3, 2, None, [1, 1, 1]),      # one scenario: [3] loads 3 > 2
-        (3, 2, 4, None, [2, 2, 2]),      # both load 2; 3 of 4 workers
-        (3, 4, 2, None, [3] * 4),        # [4, 4, 4] would load 8 > 6
-        (5, 3, 2, None, [4, 4, 4, 3]),   # [3] * 5 would load 9 > 8
-        (2, 3, 2, 2, [2, 2, 2]),         # explicit chunksize: fixed
-        (2, 3, 2, 4, [4, 2]),
+    @pytest.mark.parametrize("scenarios, models, workers, sizes", [
+        (2, 3, 2, [3, 3]),         # fixed [2, 2, 2] loads one 4
+        (6, 3, 2, [3] * 6),        # target 5: a scenario alone
+        (10, 1, 2, [3, 3, 3, 1]),  # one-group scenarios fill 3
+        (1, 3, 2, [1, 1, 1]),      # one scenario: [3] loads 3 > 2
+        (3, 2, 4, [2, 2, 2]),      # both load 2; 3 of 4 workers
+        (3, 4, 2, [3] * 4),        # [4, 4, 4] would load 8 > 6
+        (5, 3, 2, [4, 4, 4, 3]),   # [3] * 5 would load 9 > 8
     ])
-    def test_chunk_sizes(self, scenarios, models, workers, chunksize,
-                         sizes):
+    def test_chunk_sizes(self, scenarios, models, workers, sizes):
         """Chunks aim at ceil(groups / 2 workers) groups; by scenario
         they grow past that only when one scenario alone is larger, and
         are used only when no worker gets more groups than with fixed
         chunks."""
-        chunks = chunk_payload(_plan(scenarios, models), workers, chunksize)
+        chunks = chunk_payload(_plan(scenarios, models), workers)
         assert [len(chunk) for chunk in chunks] == sizes
 
     @pytest.mark.parametrize("workers, sizes", [
@@ -355,8 +354,9 @@ class TestChunkPolicy:
         (1, [1] * 6), (2, [2, 2, 2]), (4, [4, 2]),
     ])
     def test_dist_units_keep_fixed_chunks(self, chunksize, sizes):
-        """Dist units are dicts cut at the dist knob's fixed size, even
-        on a plan the process pool would cut by scenario."""
+        """Dist units are dicts cut at ``DistBackend``'s fixed
+        ``chunksize``, even on a plan the process pool would cut by
+        scenario."""
         from repro.engine import ExperimentSpec
         from repro.engine.dist import build_units
 
@@ -496,9 +496,6 @@ class TestSerialFallback:
                                    max_workers=4)
         table = one_group.run(backend="process")
         assert table.to_csv() == one_group.run(backend="serial").to_csv()
-        chunked = _subset_runner(simulators=["spade-he"], max_workers=2)
-        table = chunked.run(backend=ProcessBackend(chunksize=2))
-        assert table.to_csv() == chunked.run(backend="serial").to_csv()
 
 
 class TestProcessWorkerTracing:
@@ -653,7 +650,8 @@ class TestFailingRunsMakeNoTempdir:
         trace through the run's own cache tier."""
         import tempfile
 
-        from repro.engine import DistBackend, DistRunError, ExperimentSpec
+        from repro.engine import DistRunError, ExperimentSpec
+        from repro.engine.dist.coordinator import DistBackend
 
         monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
         created = []

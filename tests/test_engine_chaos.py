@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.engine import (
-    DistBackend,
     DistRunError,
     DistStartTimeout,
     ExperimentSpec,
@@ -26,6 +25,7 @@ from repro.engine import (
 )
 from repro.engine import faults
 from repro.engine.backends import BackendUnavailable
+from repro.engine.dist.coordinator import DistBackend
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.engine import (
-    DistBackend,
     DistRunError,
     ExperimentRunner,
     ExperimentSpec,
@@ -40,6 +39,7 @@ from repro.engine.dist import (
     send_message,
 )
 from repro.engine.dist import protocol as protocol_module
+from repro.engine.dist.coordinator import DistBackend
 from repro.engine.registry import SIMULATORS
 from repro.engine.runner import FrameProvider
 from repro.engine.settings import BACKEND_ENV_VAR
@@ -613,7 +613,7 @@ def _run_after_peer(spec, peer_action):
     runner = spec.build_runner()
     units = build_units(runner, runner.plan(), 1)
     coordinator = Coordinator(
-        units, settings=DistSettings.resolve(port=0, start_timeout=30),
+        units, settings=DistSettings.resolve(port=0), start_timeout=30,
     )
     coordinator.start()
     try:

@@ -14,9 +14,8 @@ from repro.engine import (
     RunManifest,
     manifest_path_for,
     read_journal,
-    unit_key,
 )
-from repro.engine.journal import JOURNAL_SCHEMA, _encode, _scan
+from repro.engine.journal import JOURNAL_SCHEMA, _encode, _scan, unit_key
 from repro.engine.result import (
     SimResult,
     _record_to_result,

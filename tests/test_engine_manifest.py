@@ -11,8 +11,6 @@ import pytest
 
 from repro.analysis.sparsity import SparsityAnalyzer
 from repro.engine import (
-    MANIFEST_SCHEMA,
-    MANIFEST_VERSION,
     ExperimentSpec,
     RunManifest,
     RunObserver,
@@ -20,6 +18,7 @@ from repro.engine import (
     manifest_path_for,
     spec_hash,
 )
+from repro.engine.manifest import MANIFEST_SCHEMA, MANIFEST_VERSION
 
 
 def small_spec(**overrides) -> ExperimentSpec:

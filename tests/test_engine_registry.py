@@ -8,16 +8,15 @@ from repro.engine import (
     SIMULATORS,
     ExperimentRunner,
     ExperimentSpec,
-    Registry,
     Simulator,
     SimResult,
     TraceCache,
-    UnknownNameError,
     build_simulator,
     register_backend,
     register_simulator,
-    resolve_backend,
 )
+from repro.engine.backends import resolve_backend
+from repro.engine.registry import Registry, UnknownNameError
 
 
 class TestRegistry:

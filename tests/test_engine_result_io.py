@@ -12,8 +12,8 @@ from repro.engine import (
     RESULT_COLUMNS,
     SimResult,
     TraceCache,
-    mean_result,
 )
+from repro.engine.result import mean_result
 
 
 def _row(simulator="S", model="M", scenario="default", frame=None,

@@ -24,9 +24,8 @@ from repro.engine import (
     SpConv2DSim,
     TraceCache,
     build_simulator,
-    frame_fingerprint,
-    spec_fingerprint,
 )
+from repro.engine.cache import frame_fingerprint, spec_fingerprint
 from repro.models import TABLE1_MODELS, build_model_spec
 
 

@@ -78,7 +78,7 @@ class TestRemovedTraceWorkersKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert "REPRO_ENGINE_TRACE_WORKERS" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 18
+        assert len(ENGINE_ENV_VARS) == 11
         # A value the old knob rejected no longer reaches any resolver.
         monkeypatch.setenv("REPRO_ENGINE_TRACE_WORKERS", "0")
         settings = EngineSettings.resolve(workers=3)
@@ -106,7 +106,7 @@ class TestRemovedBatchRowsKnob:
         assert "batch_rows" not in settings.as_dict()
 
     def test_argument_is_rejected(self):
-        from repro.engine import DistBackend
+        from repro.engine.dist.coordinator import DistBackend
 
         with pytest.raises(TypeError, match="batch_rows"):
             DistSettings.resolve(batch_rows=1)
@@ -159,14 +159,14 @@ class TestRemovedTraceStageKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert self.ENV_VAR not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 18
+        assert len(ENGINE_ENV_VARS) == 11
         # A value the old knob rejected no longer reaches the resolver.
         monkeypatch.setenv(self.ENV_VAR, "maybe")
         settings = DistSettings.resolve()
         assert self.ARGUMENT not in settings.as_dict()
 
     def test_argument_is_rejected(self):
-        from repro.engine import DistBackend
+        from repro.engine.dist.coordinator import DistBackend
 
         with pytest.raises(TypeError, match=self.ARGUMENT):
             DistSettings.resolve(**{self.ARGUMENT: False})
@@ -315,86 +315,48 @@ class TestDistKnobs:
     """REPRO_ENGINE_DIST_* resolves through the same single resolver."""
 
     def test_defaults(self):
-        from repro.engine.settings import DistSettings
-
         settings = DistSettings.resolve()
         assert settings.host == "127.0.0.1"
         assert settings.port == 7463
-        assert settings.chunksize == 1
-        assert settings.unit_timeout == 300.0
-        assert settings.heartbeat_interval == 1.0
-        assert settings.worker_timeout == 10.0
-        assert settings.max_attempts == 3
-        assert settings.start_timeout == 60.0
         assert settings.token is None
 
     def test_env_overrides_defaults(self, monkeypatch):
-        from repro.engine.settings import DistSettings
-
         monkeypatch.setenv("REPRO_ENGINE_DIST_HOST", "0.0.0.0")
         monkeypatch.setenv("REPRO_ENGINE_DIST_PORT", "9001")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_CHUNKSIZE", "4")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_UNIT_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_HEARTBEAT", "0.5")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_WORKER_TIMEOUT", "3")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_MAX_ATTEMPTS", "7")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_START_TIMEOUT", "5")
         monkeypatch.setenv("REPRO_ENGINE_DIST_TOKEN", "s3cret")
         settings = DistSettings.resolve()
         assert settings == DistSettings(
-            host="0.0.0.0", port=9001, chunksize=4, unit_timeout=12.5,
-            heartbeat_interval=0.5, worker_timeout=3.0, max_attempts=7,
-            start_timeout=5.0, token="s3cret",
+            host="0.0.0.0", port=9001, token="s3cret",
         )
 
     def test_explicit_beats_env(self, monkeypatch):
-        from repro.engine.settings import DistSettings
-
+        monkeypatch.setenv("REPRO_ENGINE_DIST_HOST", "0.0.0.0")
         monkeypatch.setenv("REPRO_ENGINE_DIST_PORT", "9001")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_MAX_ATTEMPTS", "7")
-        settings = DistSettings.resolve(port=0, max_attempts=1)
+        settings = DistSettings.resolve(host="localhost", port=0)
+        assert settings.host == "localhost"
         assert settings.port == 0            # ephemeral is a valid choice
-        assert settings.max_attempts == 1
 
     @pytest.mark.parametrize("var, bad", [
         ("REPRO_ENGINE_DIST_PORT", "loud"),
         ("REPRO_ENGINE_DIST_PORT", "70000"),
         ("REPRO_ENGINE_DIST_PORT", "-1"),
-        ("REPRO_ENGINE_DIST_CHUNKSIZE", "0"),
-        ("REPRO_ENGINE_DIST_UNIT_TIMEOUT", "-3"),
-        ("REPRO_ENGINE_DIST_UNIT_TIMEOUT", "soon"),
-        ("REPRO_ENGINE_DIST_HEARTBEAT", "0"),
-        ("REPRO_ENGINE_DIST_WORKER_TIMEOUT", "never"),
-        ("REPRO_ENGINE_DIST_MAX_ATTEMPTS", "1.5"),
-        ("REPRO_ENGINE_DIST_START_TIMEOUT", "0"),
     ])
     def test_bad_env_values_name_the_variable(self, monkeypatch, var,
                                               bad):
-        from repro.engine.settings import DistSettings
-
         monkeypatch.setenv(var, bad)
         with pytest.raises(ValueError, match=var):
             DistSettings.resolve()
 
     def test_bad_arguments_name_the_knob(self):
-        resolve = DistSettings.resolve_one
         with pytest.raises(ValueError, match="port"):
-            resolve("port", "80000")
-        with pytest.raises(ValueError, match="unit_timeout"):
-            resolve("unit_timeout", 0)
-        with pytest.raises(ValueError, match="max_attempts"):
-            resolve("max_attempts", "few")
+            DistSettings.resolve_one("port", "80000")
 
     def test_empty_token_means_no_auth(self, monkeypatch):
-        from repro.engine.settings import DistSettings
-
         monkeypatch.setenv("REPRO_ENGINE_DIST_TOKEN", "")
         assert DistSettings.resolve().token is None
         assert DistSettings.resolve(token="").token is None
 
     def test_as_dict_never_leaks_the_token(self):
-        from repro.engine.settings import DistSettings
-
         masked = DistSettings.resolve(token="s3cret").as_dict()
         assert masked["token"] is True
         assert "s3cret" not in repr(masked)
@@ -403,4 +365,98 @@ class TestDistKnobs:
     def test_dist_vars_are_in_the_engine_contract(self):
         dist_vars = [var for var in ENGINE_ENV_VARS
                      if var.startswith("REPRO_ENGINE_DIST_")]
-        assert len(dist_vars) == 9
+        assert dist_vars == ["REPRO_ENGINE_DIST_HOST",
+                             "REPRO_ENGINE_DIST_PORT",
+                             "REPRO_ENGINE_DIST_TOKEN"]
+
+
+class TestRemovedDistTuningKnobs:
+    """The coordinator's chunking, timeouts and attempt cap are
+    ``DistBackend`` arguments, and the Chrome trace export path is
+    ``repro run --trace-out``; none of them has an environment
+    variable or a settings field."""
+
+    # Spelled in parts, so a repository search for leftovers of the
+    # deleted variables comes back empty.
+    DIST = "_".join(("REPRO", "ENGINE", "DIST"))
+    TRACE_OUT = "_".join(("REPRO_ENGINE_TELEMETRY", "TRACE", "OUT"))
+
+    @pytest.mark.parametrize("suffix, bad", [
+        ("CHUNKSIZE", "0"),
+        ("UNIT_TIMEOUT", "soon"),
+        ("HEARTBEAT", "0"),
+        ("WORKER_TIMEOUT", "never"),
+        ("MAX_ATTEMPTS", "1.5"),
+        ("START_TIMEOUT", "-3"),
+        (None, ""),
+    ], ids=["chunksize", "unit-timeout", "heartbeat", "worker-timeout",
+            "max-attempts", "start-timeout", "trace-out"])
+    def test_env_var_is_not_an_engine_knob(self, monkeypatch, suffix,
+                                           bad):
+        var = self.TRACE_OUT if suffix is None else \
+            f"{self.DIST}_{suffix}"
+        assert var not in ENGINE_ENV_VARS
+        # A value the old knob rejected no longer reaches any resolver.
+        monkeypatch.setenv(var, bad)
+        for cls in SETTINGS_CLASSES:
+            assert cls.resolve() == cls()
+
+    def test_settings_fields_are_gone(self):
+        from repro.engine.settings import TelemetrySettings
+
+        assert list(DistSettings.resolve().as_dict()) == [
+            "host", "port", "token"]
+        assert list(TelemetrySettings.resolve().as_dict()) == ["enabled"]
+        with pytest.raises(TypeError, match="unit_timeout"):
+            DistSettings.resolve(unit_timeout=1.0)
+        with pytest.raises(TypeError, match="trace_out"):
+            TelemetrySettings.resolve(trace_out="run.trace.json")
+
+    def test_defaults_are_the_old_knob_defaults(self):
+        from repro.engine.dist import coordinator as dist
+
+        assert (dist.CHUNKSIZE, dist.UNIT_TIMEOUT, dist.HEARTBEAT_INTERVAL,
+                dist.WORKER_TIMEOUT, dist.MAX_ATTEMPTS,
+                dist.START_TIMEOUT) == (1, 300.0, 1.0, 10.0, 3, 60.0)
+        backend = dist.DistBackend()
+        assert backend.chunksize == dist.CHUNKSIZE
+        assert backend.tuning == {
+            "unit_timeout": dist.UNIT_TIMEOUT,
+            "heartbeat_interval": dist.HEARTBEAT_INTERVAL,
+            "worker_timeout": dist.WORKER_TIMEOUT,
+            "max_attempts": dist.MAX_ATTEMPTS,
+            "start_timeout": dist.START_TIMEOUT,
+        }
+
+    def test_backend_arguments_reach_the_coordinator(self):
+        from repro.engine.dist import coordinator as dist
+        from repro.engine.spec import ExperimentSpec
+
+        # No worker ever connects: the coordinator gives up after its
+        # start timeout, which is enough to inspect what it was given.
+        backend = dist.DistBackend(port=0, unit_timeout=12.5,
+                                   max_attempts=7, start_timeout=0.3)
+        runner = ExperimentSpec(simulators=["stats"],
+                                models=["SPP3"]).build_runner()
+        with pytest.raises(dist.DistStartTimeout):
+            runner.run(backend=backend)
+        coordinator = backend.last_coordinator
+        assert coordinator.unit_timeout == 12.5
+        assert coordinator.max_attempts == 7
+        assert coordinator.start_timeout == 0.3
+        assert coordinator.heartbeat_interval == dist.HEARTBEAT_INTERVAL
+        assert coordinator.worker_timeout == dist.WORKER_TIMEOUT
+
+    @pytest.mark.parametrize("argument, bad", [
+        ("chunksize", 0),
+        ("unit_timeout", -3),
+        ("heartbeat_interval", "soon"),
+        ("worker_timeout", 0),
+        ("max_attempts", 1.5),
+        ("start_timeout", None),
+    ])
+    def test_bad_arguments_name_the_argument(self, argument, bad):
+        from repro.engine.dist.coordinator import DistBackend
+
+        with pytest.raises(ValueError, match=argument):
+            DistBackend(**{argument: bad})

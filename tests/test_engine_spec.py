@@ -12,8 +12,8 @@ from repro.engine import (
     RunManifest,
     Scenario,
     TraceCache,
-    cell_filter_from_rules,
 )
+from repro.engine.spec import cell_filter_from_rules
 from repro.models import build_model_spec
 
 #: The spec files shipped for users to run (`repro run`/`describe`).

@@ -252,27 +252,17 @@ class TestLogLine:
 class TestTelemetrySettings:
     def test_defaults(self):
         settings = TelemetrySettings.resolve()
-        assert settings == TelemetrySettings(
-            enabled=False, trace_out=None,
-        )
+        assert settings == TelemetrySettings(enabled=False)
 
     def test_env_overrides_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "1")
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY_TRACE_OUT",
-                           "fleet.trace.json")
         settings = TelemetrySettings.resolve()
-        assert settings == TelemetrySettings(
-            enabled=True, trace_out="fleet.trace.json",
-        )
+        assert settings == TelemetrySettings(enabled=True)
 
     def test_arguments_beat_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "0")
-        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY_TRACE_OUT",
-                           "env.trace.json")
-        settings = TelemetrySettings.resolve(enabled=True,
-                                             trace_out="arg.trace.json")
+        settings = TelemetrySettings.resolve(enabled=True)
         assert settings.enabled is True
-        assert settings.trace_out == "arg.trace.json"
 
     def test_bad_flag_names_the_source(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "republic")
@@ -315,7 +305,7 @@ class TestFirstAcceptedWinsSpans:
 def _traced_fleet_run(directory: Path) -> tuple:
     """A traced 2-worker loopback dist run: the exported Chrome trace
     document, the dist table and the serial table of the same spec."""
-    from repro.engine import DistBackend
+    from repro.engine.dist.coordinator import DistBackend
 
     spec = small_spec(
         models=["SPP2", "SPP3"],
@@ -560,17 +550,23 @@ class TestRetiredInstruments:
             assert not hasattr(engine, name), name
 
 
+def _cli_spec(directory: Path, name: str) -> Path:
+    """A one-cell spec file for ``repro run``."""
+    spec_path = directory / "spec.json"
+    spec_path.write_text(json.dumps({
+        "name": name,
+        "simulators": ["spade-he"],
+        "models": ["SPP2"],
+        "scenarios": [{"name": "a", "seed": 0}],
+    }))
+    return spec_path
+
+
 class TestTraceOutCli:
     def test_run_trace_out_writes_perfetto_file(self, tmp_path):
         from repro.cli import main
 
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({
-            "name": "cli-trace",
-            "simulators": ["spade-he"],
-            "models": ["SPP2"],
-            "scenarios": [{"name": "a", "seed": 0}],
-        }))
+        spec_path = _cli_spec(tmp_path, "cli-trace")
         out = tmp_path / "results.csv"
         trace = tmp_path / "run.trace.json"
         code = main(["run", str(spec_path), "--out", str(out),
@@ -586,16 +582,38 @@ class TestTraceOutCli:
             (tmp_path / "results.manifest.json").read_text())
         assert manifest["telemetry"]["spans"]["simulate"]["count"] > 0
 
+    def test_trace_out_beats_a_disabled_environment(self, tmp_path,
+                                                    monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "0")
+        spec_path = _cli_spec(tmp_path, "cli-trace")
+        trace = tmp_path / "run.trace.json"
+        assert main(["run", str(spec_path),
+                     "--out", str(tmp_path / "results.csv"),
+                     "--trace-out", str(trace)]) == 0
+        assert_chrome_trace_schema(json.loads(trace.read_text()))
+
+    def test_environment_traces_without_an_export_file(self, tmp_path,
+                                                       monkeypatch):
+        """``REPRO_ENGINE_TELEMETRY=1`` alone records the span profile
+        in the manifest; only ``--trace-out`` writes a trace file."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_ENGINE_TELEMETRY", "1")
+        spec_path = _cli_spec(tmp_path, "cli-env")
+        assert main(["run", str(spec_path),
+                     "--out", str(tmp_path / "results.csv")]) == 0
+        manifest = json.loads(
+            (tmp_path / "results.manifest.json").read_text())
+        assert manifest["telemetry"]["spans"]["simulate"]["count"] > 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "results.csv", "results.manifest.json", "spec.json"]
+
     def test_untraced_cli_run_has_no_telemetry_key(self, tmp_path):
         from repro.cli import main
 
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({
-            "name": "cli-plain",
-            "simulators": ["spade-he"],
-            "models": ["SPP2"],
-            "scenarios": [{"name": "a", "seed": 0}],
-        }))
+        spec_path = _cli_spec(tmp_path, "cli-plain")
         out = tmp_path / "results.csv"
         assert main(["run", str(spec_path), "--out", str(out)]) == 0
         manifest = json.loads(
