@@ -35,20 +35,22 @@ def _spade_sparse_dense_dense(scenario, model, simulator):
     return model not in SPARSE_MODELS
 
 
-def _sweep(traces, models):
+def _sweep(frame_provider, trace_cache, models):
     """One engine grid covering every (model, SPADE/DenseAcc x HE/LE)."""
     runner = ExperimentRunner(
         simulators=[SpadeSimulator(config) for config in CONFIGS]
         + [DenseAccSimulator(config) for config in CONFIGS],
         models=models,
-        trace_provider=lambda scenario, name: traces(name),
+        frame_provider=frame_provider,
+        cache=trace_cache,
         cell_filter=_spade_sparse_dense_dense,
     )
     return runner.run()
 
 
-def _fig10a_rows(traces):
-    table = _sweep(traces, ["SPP2", dense_counterpart("SPP2")])
+def _fig10a_rows(frame_provider, trace_cache):
+    table = _sweep(frame_provider, trace_cache,
+                   ["SPP2", dense_counterpart("SPP2")])
     rows = []
     for config in CONFIGS:
         spade_area = accelerator_area(config, sparse_support=True)
@@ -83,9 +85,11 @@ def _fig10a_rows(traces):
     return rows
 
 
-def test_fig10a_accelerator_comparison(benchmark, traces):
-    rows = benchmark.pedantic(_fig10a_rows, args=(traces,), rounds=1,
-                              iterations=1)
+def test_fig10a_accelerator_comparison(benchmark, frame_provider,
+                                       trace_cache):
+    rows = benchmark.pedantic(_fig10a_rows,
+                              args=(frame_provider, trace_cache),
+                              rounds=1, iterations=1)
     print()
     print(format_table(
         ["accelerator", "area mm2", "SRAM KB", "peak GOPS/mm2",
@@ -133,11 +137,12 @@ def test_fig10b_area_breakdown(benchmark):
     assert le_fraction > he_fraction
 
 
-def test_fig10c_energy_savings_vs_dense(benchmark, traces):
+def test_fig10c_energy_savings_vs_dense(benchmark, traces, frame_provider,
+                                       trace_cache):
     def run():
         models = list(SPARSE_MODELS)
         models += sorted({dense_counterpart(name) for name in SPARSE_MODELS})
-        table = _sweep(traces, models)
+        table = _sweep(frame_provider, trace_cache, models)
         rows = []
         for config in CONFIGS:
             for name in SPARSE_MODELS:

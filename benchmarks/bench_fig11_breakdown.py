@@ -29,14 +29,15 @@ from repro.models import SPARSE_MODELS
 MODELS = ("PP", "SPP1", "SPP2", "SPP3")
 
 
-def test_fig11ab_latency_breakdown(benchmark, traces):
+def test_fig11ab_latency_breakdown(benchmark, frame_provider, trace_cache):
     def run():
         runner = ExperimentRunner(
             simulators=[PlatformSim(platform)
                         for platform in HIGH_END_PLATFORMS]
             + [SpadeSimulator(SPADE_HE)],
             models=list(MODELS),
-            trace_provider=lambda scenario, name: traces(name),
+            frame_provider=frame_provider,
+            cache=trace_cache,
         )
         table = runner.run()
         rows = []
@@ -74,7 +75,8 @@ def test_fig11ab_latency_breakdown(benchmark, traces):
         assert row[3] < 0.25 * row[5]  # mapping is a small fraction
 
 
-def test_fig11c_ops_savings_vs_speedup(benchmark, traces):
+def test_fig11c_ops_savings_vs_speedup(benchmark, traces, frame_provider,
+                                      trace_cache):
     def run():
         models = list(SPARSE_MODELS)
         models += sorted({dense_counterpart(name) for name in SPARSE_MODELS})
@@ -83,7 +85,8 @@ def test_fig11c_ops_savings_vs_speedup(benchmark, traces):
                         DenseAccSimulator(SPADE_HE),
                         DenseAccSimulator(SPADE_LE)],
             models=models,
-            trace_provider=lambda scenario, name: traces(name),
+            frame_provider=frame_provider,
+            cache=trace_cache,
             # Only the cells the figure reads: SPADE on sparse models,
             # DenseAcc on their dense counterparts.
             cell_filter=lambda scenario, model, simulator: (

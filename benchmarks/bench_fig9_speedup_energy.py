@@ -9,7 +9,7 @@ The sweep is *declared*, not assembled: one
 :class:`~repro.engine.ExperimentSpec` of registry spec strings
 (``"spade-he"``, ``"platform:A6000"`` ...) — the exact grid shape a
 ``repro run`` spec file carries (see ``examples/specs/fig9_kitti.json``)
-— materialized onto the session trace cache.
+— materialized onto the session frames and trace cache.
 """
 
 from __future__ import annotations
@@ -23,16 +23,15 @@ from repro.engine import ExperimentSpec
 from repro.models import SPARSE_MODELS
 
 
-def _compare(traces, config, platforms):
+def _compare(frame_provider, trace_cache, config, platforms):
     spec = ExperimentSpec(
         name=f"fig9-{config.name.lower()}",
         simulators=[f"spade-{config.name.lower()}"]
         + [f"platform:{platform.name}" for platform in platforms],
         models=list(SPARSE_MODELS),
     )
-    runner = spec.build_runner(
-        trace_provider=lambda scenario, name: traces(name),
-    )
+    runner = spec.build_runner(frame_provider=frame_provider,
+                               cache=trace_cache)
     table = runner.run()
     spade_name = f"SPADE.{config.name}"
     rows = []
@@ -55,9 +54,9 @@ def _headers(platforms):
     return headers
 
 
-def test_fig9_high_end(benchmark, traces):
-    rows = benchmark.pedantic(_compare, args=(traces, SPADE_HE,
-                                              HIGH_END_PLATFORMS),
+def test_fig9_high_end(benchmark, frame_provider, trace_cache):
+    rows = benchmark.pedantic(_compare, args=(frame_provider, trace_cache,
+                                              SPADE_HE, HIGH_END_PLATFORMS),
                               rounds=1, iterations=1)
     print()
     print(format_table(
@@ -71,9 +70,9 @@ def test_fig9_high_end(benchmark, traces):
     assert 80.0 < np.mean(energies_a6000) < 1200.0
 
 
-def test_fig9_low_end(benchmark, traces):
-    rows = benchmark.pedantic(_compare, args=(traces, SPADE_LE,
-                                              LOW_END_PLATFORMS),
+def test_fig9_low_end(benchmark, frame_provider, trace_cache):
+    rows = benchmark.pedantic(_compare, args=(frame_provider, trace_cache,
+                                              SPADE_LE, LOW_END_PLATFORMS),
                               rounds=1, iterations=1)
     print()
     print(format_table(

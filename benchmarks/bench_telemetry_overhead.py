@@ -48,7 +48,7 @@ def _sweep(smoke: bool, traced: bool) -> tuple:
     gc.collect()
     start = time.perf_counter()
     with telemetry.tracing(tracer):
-        runner.run(parallel=False).to_csv()
+        runner.run(backend="serial").to_csv()
     elapsed = time.perf_counter() - start
     spans = sum(tracer.counts().values()) if traced else 0
     return elapsed, spans

@@ -3,10 +3,14 @@
 Every experiment runs on the same deterministic synthetic frames so
 numbers are comparable across benches and across runs.  All frames and
 traces are served by the unified engine — a
-:class:`~repro.engine.FrameProvider` seeds and caches the scenes, a
-session :class:`~repro.engine.TraceCache` dedupes rulegen by content,
-and :func:`make_runner` wires benchmark grids straight onto the session
-traces so no benchmark calls a simulator directly.
+:class:`~repro.engine.FrameProvider` seeds and caches the scenes, and a
+session :class:`~repro.engine.TraceCache` dedupes rulegen by content.
+Engine grids (:func:`make_runner` and the figure runners) read frames
+through that provider and traces through that cache, the same path
+``repro run`` takes, so a grid cell and the ``traces`` fixture see one
+trace object.  Only Fig. 12's energy split calls simulators directly:
+``SpadeAccelerator.run_trace`` and ``DenseAccelerator.run_trace`` on
+fixture traces.
 
 ``--smoke`` (the CI bench job) thins the synthetic sweeps — coarser
 azimuth sampling, fewer objects — so every benchmark still executes its
@@ -30,7 +34,7 @@ from repro.engine import (
     Scenario,
     TraceCache,
 )
-from repro.models import build_model_spec, grid_for
+from repro.models import build_model_spec
 from repro.models.specs import LayerOp, LayerSpec, ModelSpec
 from repro.sparse import ConvType
 from repro.sparse.coords import unflatten
@@ -50,11 +54,23 @@ def smoke(request) -> bool:
 
 
 class BenchFrames(FrameProvider):
-    """Session frame source; ``--smoke`` thins the synthetic sweeps."""
+    """Session frame source: one bench frame per grid.
+
+    Whatever scenario a runner asks for, a model gets its grid's bench
+    frame: KITTI seed 0 for the SPP family, nuScenes seed 1 for the
+    SCP/PN family (the pre-engine fixtures' seeds).  ``--smoke`` thins
+    the synthetic sweeps.
+    """
 
     def __init__(self, smoke: bool):
         super().__init__()
         self._smoke = smoke
+
+    def frame_for(self, scenario, model, frame: int = 0):
+        grid, _ = self._grid_and_config(model)
+        bench = _KITTI_SCENARIO if grid.name == "kitti" \
+            else _NUSCENES_SCENARIO
+        return super().frame_for(bench, model, frame)
 
     def _grid_and_config(self, model):
         grid, config = FrameProvider._grid_and_config(model)
@@ -67,9 +83,6 @@ class BenchFrames(FrameProvider):
         return grid, config
 
 
-#: Benchmark frame seeds, matching the pre-engine fixtures: one KITTI
-#: frame (seed 0) for the SPP family, one nuScenes frame (seed 1) for
-#: the SCP/PN family.
 _KITTI_SCENARIO = Scenario("bench", seed=0)
 _NUSCENES_SCENARIO = Scenario("bench", seed=1)
 
@@ -81,15 +94,8 @@ def frame_provider(smoke) -> FrameProvider:
 
 @pytest.fixture(scope="session")
 def frame_for(frame_provider):
-    def lookup(model_name):
-        scenario = (
-            _KITTI_SCENARIO
-            if grid_for(model_name).name == "kitti"
-            else _NUSCENES_SCENARIO
-        )
-        return frame_provider.frame_for(scenario, model_name)
-
-    return lookup
+    """A model's bench frame (the provider picks the scenario)."""
+    return lambda model_name: frame_provider.frame_for(None, model_name)
 
 
 @pytest.fixture(scope="session")
@@ -118,13 +124,13 @@ def traces(frame_for, trace_cache):
 
 
 @pytest.fixture(scope="session")
-def make_runner(traces):
-    """Factory for engine grids fed by the session's cached traces.
+def make_runner(frame_provider, trace_cache):
+    """Factory for engine grids on the session's frames and traces.
 
     Grids are declared through :class:`ExperimentSpec` — the same
-    declarative layer ``repro run`` executes — with the session trace
-    provider injected as the runtime override a spec file cannot carry;
-    remaining keyword arguments pass through to
+    declarative layer ``repro run`` executes — with the session frame
+    provider and trace cache injected as the runtime objects a spec file
+    cannot carry; remaining keyword arguments pass through to
     :meth:`ExperimentSpec.build_runner` (knob overrides, cell filters).
     """
 
@@ -133,11 +139,9 @@ def make_runner(traces):
             name="bench",
             simulators=list(simulators),
             models=list(models),
-            scenarios=kwargs.pop("scenarios", None),
         )
         return spec.build_runner(
-            trace_provider=lambda scenario, name: traces(name),
-            **kwargs,
+            frame_provider=frame_provider, cache=trace_cache, **kwargs
         )
 
     return build

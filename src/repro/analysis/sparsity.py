@@ -450,48 +450,25 @@ class SparsityAnalyzer:
 
     The incremental-analyzer idiom: the analyzer is attached once,
     ingests layer observations *as results complete* (rows streaming out
-    of a backend, or traces as they are built), and keeps only
-    constant-size running aggregates — count / mean / min / max per
-    (model, layer, field) — never the rows or traces themselves.  That
-    is what lets a :class:`~repro.engine.manifest.RunObserver` surface
-    per-layer analytics in the run manifest of an arbitrarily long sweep
-    without retaining its tables or rule arrays.
+    of a backend), and keeps only constant-size running aggregates —
+    count / mean / min / max per (model, layer, field) — never the rows
+    themselves.  That is what lets a
+    :class:`~repro.engine.manifest.RunObserver` surface per-layer
+    analytics in the run manifest of an arbitrarily long sweep without
+    retaining its tables.
 
-    Two ingestion surfaces:
-
-    * :meth:`ingest_result` — one engine row
-      (:class:`~repro.engine.result.SimResult` or its JSON record);
-      every numeric field of its ``per_layer`` dicts is tracked, so
-      simulator-specific detail (``overhead_fraction``,
-      ``effective_ta``, ``energy_pj``, ...) aggregates without the
-      analyzer knowing any simulator's schema;
-    * :meth:`ingest_trace` — one geometric :class:`ModelTrace`; derives
-      the Fig. 2-style series (inputs, outputs, IOPR, output density,
-      MACs) plus the delta-tracing utilization flag per layer.
-
-    ``enable()`` / ``disable()`` gate ingestion so a long-lived analyzer
-    can bracket exactly the phase it should observe.
+    :meth:`ingest_result` takes one engine row
+    (:class:`~repro.engine.result.SimResult` or its JSON record); every
+    numeric field of its ``per_layer`` dicts is tracked, so
+    simulator-specific detail (``overhead_fraction``, ``effective_ta``,
+    ``energy_pj``, ...) aggregates without the analyzer knowing any
+    simulator's schema.
     """
 
-    def __init__(self, enabled: bool = True):
-        self._enabled = bool(enabled)
+    def __init__(self):
         self._layers = {}          # (model, layer) -> {field: stats}
         self._order = []           # first-seen (model, layer) keys
         self.rows_ingested = 0
-        self.traces_ingested = 0
-
-    @property
-    def enabled(self) -> bool:
-        """Whether ingestion is currently accumulating."""
-        return self._enabled
-
-    def enable(self) -> None:
-        """Resume accumulating observations."""
-        self._enabled = True
-
-    def disable(self) -> None:
-        """Stop accumulating (ingest calls become no-ops)."""
-        self._enabled = False
 
     def _track(self, model: str, layer: str, fields: dict) -> None:
         key = (str(model), str(layer))
@@ -526,8 +503,6 @@ class SparsityAnalyzer:
         models, ``"mean"`` aggregate rows) are counted but contribute
         nothing.
         """
-        if not self._enabled:
-            return
         if isinstance(result, dict):
             model = result.get("model")
             per_layer = result.get("per_layer") or []
@@ -543,30 +518,12 @@ class SparsityAnalyzer:
                 continue
             self._track(model, name, entry)
 
-    def ingest_trace(self, trace: ModelTrace) -> None:
-        """Accumulate one geometric trace's per-layer series."""
-        if not self._enabled:
-            return
-        self.traces_ingested += 1
-        for layer in trace.layers:
-            fields = {
-                "inputs": layer.in_count,
-                "outputs": layer.out_count,
-                "macs": layer.sparse_macs,
-            }
-            if layer.rules is not None:
-                fields["iopr"] = layer.iopr
-                fields["out_density"] = layer.out_density
-                fields["via_delta"] = getattr(layer, "via_delta", False)
-            self._track(trace.spec.name, layer.spec.name, fields)
-
     def layer_stats(self) -> list:
         """The running aggregates, one dict per (model, layer).
 
         Layers appear in first-seen order; each carries
         ``{"model", "layer", "fields": {name: {count, mean, min,
-        max}}}``.  ``via_delta``'s mean is the fraction of ingested
-        traces whose layer took the delta path.
+        max}}}``.
         """
         out = []
         for key in self._order:
@@ -587,7 +544,6 @@ class SparsityAnalyzer:
         """JSON-safe snapshot for manifests: counts + per-layer stats."""
         return {
             "rows_ingested": self.rows_ingested,
-            "traces_ingested": self.traces_ingested,
             "layers": len(self._layers),
             "per_layer": self.layer_stats(),
         }

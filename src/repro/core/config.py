@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..hw.dram import DRAMConfig
-
 
 @dataclass(frozen=True)
 class SpadeConfig:
@@ -101,7 +99,3 @@ SPADE_LE = SpadeConfig(
     dram_bytes_per_cycle=16,
 )
 
-
-def dram_config_for(config: SpadeConfig) -> DRAMConfig:
-    """DRAM device paired with a SPADE instance."""
-    return DRAMConfig()

@@ -297,10 +297,6 @@ class GSUTraffic:
     scatter_bytes: int
     weight_bytes: int
 
-    @property
-    def total_bytes(self) -> int:
-        return self.gather_bytes + self.scatter_bytes + self.weight_bytes
-
 
 def layer_traffic(
     rules: Rules,

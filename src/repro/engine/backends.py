@@ -415,13 +415,12 @@ class ProcessBackend(Backend):
     same span counts on every backend.
 
     Restrictions: the runner must be on the default frame path — a
-    ``trace_provider`` closure or a custom frame-provider instance cannot
-    be shipped to worker processes.  Every returned row is identical
-    to the serial backend's.
+    custom frame-provider instance cannot be shipped to worker
+    processes.  Every returned row is identical to the serial backend's.
 
     Args:
         max_workers: Pool width; defaults to the runner's
-            ``max_workers``.
+            ``settings.workers``.
     """
 
     name = "process"
@@ -438,12 +437,6 @@ class ProcessBackend(Backend):
         """
         from .runner import FrameProvider
 
-        if runner.trace_provider is not None:
-            return (
-                "ProcessBackend cannot ship a trace_provider closure to "
-                "worker processes; use the serial backend, or "
-                "let workers trace through the default frame path"
-            )
         if type(runner.frame_provider) is not FrameProvider:
             return (
                 "ProcessBackend re-creates the default FrameProvider "
@@ -460,7 +453,7 @@ class ProcessBackend(Backend):
             raise ValueError(reason)
         if not groups:
             return []
-        workers = self.max_workers or runner.max_workers
+        workers = self.max_workers or runner.settings.workers
         chunks = chunk_payload(groups, workers)
         width = min(workers, len(chunks))
         if width == 1:

@@ -758,7 +758,9 @@ class DistBackend(Backend):
     The runner must be built from an :class:`ExperimentSpec`
     (``spec.build_runner()`` or ``repro run``) so work units can be
     serialized; workers are separate ``repro worker --connect
-    HOST:PORT`` processes, on this machine or others.
+    HOST:PORT`` processes, on this machine or others.  Workers
+    re-create the spec's frame provider by registry name, so a runner
+    given a frame-provider *instance* cannot go through this backend.
 
     Args:
         host, port, token: The coordinator's bind address and handshake
@@ -804,12 +806,6 @@ class DistBackend(Backend):
         """Why this runner cannot serialize into dist units, or None."""
         from ..runner import FrameProvider
 
-        if runner.trace_provider is not None:
-            return (
-                "DistBackend cannot ship a trace_provider closure to "
-                "remote workers; workers trace through the default "
-                "frame path — use the serial backend"
-            )
         spec = getattr(runner, "source_spec", None)
         if spec is None:
             return (

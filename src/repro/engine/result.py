@@ -306,10 +306,6 @@ class ExperimentTable:
         """Row tuples for :func:`repro.analysis.report.format_table`."""
         return list(zip(*[self._values(name) for name in columns]))
 
-    def as_dicts(self, columns=RESULT_COLUMNS) -> list:
-        """Every row as a plain dict in ``columns`` order."""
-        return [dict(zip(columns, values)) for values in self.rows(columns)]
-
     # -- serialization (backs the `repro run --out` CLI sinks) -------------
 
     def to_csv(self, path=None, columns=RESULT_COLUMNS) -> str:

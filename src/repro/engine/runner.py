@@ -7,9 +7,9 @@ generation — happens exactly once per (scenario, model, frame) through a
 shared :class:`~repro.engine.cache.TraceCache`, no matter how many
 simulators consume the trace or how many times the grid re-runs.
 Execution then goes through a pluggable
-:class:`~repro.engine.backends.Backend` — serial (default) or process
-pool — selected per runner, per call, or via the
-``REPRO_ENGINE_BACKEND`` environment variable.
+:class:`~repro.engine.backends.Backend` — serial (default), process
+pool or distributed — selected per runner, per call (``run(backend=)``),
+or via the ``REPRO_ENGINE_BACKEND`` environment variable.
 
 A :class:`Scenario` can carry one frame (the default) or a batch of
 ``frames`` seeded frames: the batch is traced in a single rulegen pass
@@ -18,8 +18,10 @@ aggregate row per cell.
 
 Frames come from a :class:`FrameProvider` — by default the repo's
 deterministic synthetic scenes, seeded per (scenario, frame) — or from
-any provider subclass the caller supplies, so benchmarks can feed their
-session fixtures straight in.
+any provider subclass the caller supplies; either way every trace is
+looked up through :func:`lookup_trace` and the runner's
+:class:`~repro.engine.cache.TraceCache`, so a cache another caller
+already filled for the same frames turns every lookup into a hit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from . import faults as _faults
 from . import telemetry
 from .backends import (
     BackendUnavailable,
-    ProcessBackend,
     ProgressReporter,
     SerialBackend,
     WorkGroup,
@@ -220,13 +221,10 @@ class ExperimentRunner:
         models: Table I model names or :class:`ModelSpec` instances.
         scenarios: Experiment conditions; defaults to one seed-0 scenario.
         cache: Trace cache to share; defaults to the process-wide cache.
-        trace_provider: Optional ``(scenario, model_name) -> ModelTrace``
-            override that bypasses frame generation entirely (used by the
-            benchmark suite to feed its session-scoped traces).  It is
-            single-frame: combine it with batched scenarios or the
-            process backend and the runner raises.
-        frame_provider: Optional frame source; ignored when
-            ``trace_provider`` is given.
+        frame_provider: Optional :class:`FrameProvider` (subclass)
+            instance; defaults to the synthetic scenes.  The process and
+            distributed backends build their workers' providers
+            themselves, so they reject a custom instance.
         cell_filter: Optional ``(scenario, model_name, simulator) -> bool``
             predicate; cells returning ``False`` are skipped entirely
             (not traced, not simulated, absent from the table).  Use it
@@ -256,10 +254,13 @@ class ExperimentRunner:
             the table, cache hits and shipped artifacts are unaffected —
             only trace speed.  Defaults to ``REPRO_ENGINE_DELTA_TRACE``,
             else off.
+
+    Every knob resolves once, into :attr:`settings`; the manifest
+    records that snapshot.
     """
 
     def __init__(self, simulators, models, scenarios=None,
-                 cache: TraceCache = None, trace_provider=None,
+                 cache: TraceCache = None,
                  frame_provider: FrameProvider = None,
                  cell_filter=None, backend=None, max_workers: int = None,
                  rulegen_shards: int = None,
@@ -288,7 +289,6 @@ class ExperimentRunner:
             )
         self.cell_filter = cell_filter
         self.cache = cache if cache is not None else shared_trace_cache()
-        self.trace_provider = trace_provider
         self.frame_provider = frame_provider or FrameProvider()
         # Remember whether the backend was chosen by the caller or only
         # inherited from the environment: an explicit incompatible
@@ -309,11 +309,6 @@ class ExperimentRunner:
         self.backend = backend if backend is not None else (
             self.settings.backend
         )
-        self.max_workers = self.settings.workers
-        self.rulegen_shards = self.settings.rulegen_shards
-        self.delta_trace = self.settings.delta_trace
-        self.faults = self.settings.faults
-        self.degrade = self.settings.degrade
         self._specs = {}
         self._progress = None
         self._observer = None
@@ -344,13 +339,6 @@ class ExperimentRunner:
         layer input is unchanged (content keys never change, so hits
         behave identically either way).
         """
-        if self.trace_provider is not None:
-            if frame != 0:
-                raise ValueError(
-                    "trace_provider is single-frame; batched scenarios "
-                    "(frames > 1) need the frame-provider path"
-                )
-            return self.trace_provider(scenario, self._model_name(model))
         return lookup_trace(self.settings, self.cache, self.frame_provider,
                             self._spec_for(model), scenario, model, frame,
                             prev_trace)
@@ -367,7 +355,7 @@ class ExperimentRunner:
         for frame in range(scenario.frames):
             trace = self.trace_for(scenario, model, frame, prev_trace=prev)
             traces.append(trace)
-            prev = trace if self.delta_trace else None
+            prev = trace if self.settings.delta_trace else None
         return traces
 
     def plan(self) -> list:
@@ -392,18 +380,16 @@ class ExperimentRunner:
                     groups.append(WorkGroup(scenario, model, simulators))
         return groups
 
-    def run(self, parallel: bool = True, backend=None,
-            progress=False, observer=None, journal=None) -> ExperimentTable:
+    def run(self, backend=None, progress=False, observer=None,
+            journal=None) -> ExperimentTable:
         """Execute the full grid.
 
         Args:
-            parallel: ``False`` forces the serial backend (identical
-                results — useful for debugging and for measuring the
-                parallel speedup); ``True`` (default) uses the runner's
-                configured backend.
             backend: Per-call backend override (instance or name),
-                taking precedence over both ``parallel`` and the
-                runner's configured backend.
+                taking precedence over the runner's configured backend;
+                ``backend="serial"`` runs in-process with identical
+                results (useful for debugging and for measuring the
+                parallel speedup).
             progress: ``True`` prints per-group completion
                 (``done/total``, elapsed) to stderr as the sweep runs;
                 a callable receives ``(done, total, elapsed_seconds)``
@@ -428,26 +414,17 @@ class ExperimentRunner:
         """
         if backend is not None:
             chosen = resolve_backend(backend)
-        elif not parallel:
-            chosen = SerialBackend()
         else:
             chosen = resolve_backend(self.backend)
             if (not self._backend_explicit
                     and chosen.incompatibility(self) is not None):
                 # The backend default came from REPRO_ENGINE_BACKEND but
-                # this runner fails its preconditions (in-process
-                # trace/frame plumbing for the process pool, a
-                # spec-built runner for the distributed backend) — fall
-                # back to serial rather than failing a runner the
-                # caller never asked to put on that backend.
+                # this runner fails its preconditions (the default frame
+                # provider for the process pool, a spec-built runner for
+                # the distributed backend) — fall back to serial rather
+                # than failing a runner the caller never asked to put on
+                # that backend.
                 chosen = SerialBackend()
-        if self.trace_provider is not None and any(
-            scenario.frames > 1 for scenario in self.scenarios
-        ):
-            raise ValueError(
-                "trace_provider is single-frame; batched scenarios "
-                "(frames > 1) need the frame-provider path"
-            )
         groups = self.plan()
         done = set()
         pending = groups
@@ -479,14 +456,14 @@ class ExperimentRunner:
                     )
         self._journal = journal
         try:
-            with _faults.scoped(self.faults):
+            with _faults.scoped(self.settings.faults):
                 if not pending:
                     nested = []
                 else:
                     try:
                         nested = chosen.execute(self, pending)
                     except BackendUnavailable as error:
-                        if not self.degrade:
+                        if not self.settings.degrade:
                             raise
                         fallback = self._degraded_backend(error)
                         telemetry.log_line(

@@ -459,18 +459,17 @@ class ExperimentSpec:
                   if value is not None}
         return EngineSettings.resolve(**{**values, **overrides})
 
-    def build_runner(self, *, cache=None, trace_provider=None,
-                     frame_provider=None, cell_filter=None,
-                     **overrides) -> ExperimentRunner:
+    def build_runner(self, *, cache=None, frame_provider=None,
+                     cell_filter=None, **overrides) -> ExperimentRunner:
         """Materialize the spec into an :class:`ExperimentRunner`.
 
         Keyword-only arguments carry the *runtime* objects a declarative
-        file cannot: a shared :class:`TraceCache`, a ``trace_provider``
-        closure (the benchmark suite's session traces), a ready
-        frame-provider instance, or a Python ``cell_filter`` overriding
-        the spec's declarative ``cells`` rules.  ``overrides`` may also
-        rebind any engine knob (``backend=``, ``workers=``, ...) —
-        that is how CLI flags beat spec values.
+        file cannot: a shared :class:`TraceCache`, a ready frame-provider
+        instance (which wins over the spec's ``frame_provider`` name), or
+        a Python ``cell_filter`` overriding the spec's declarative
+        ``cells`` rules.  ``overrides`` may also rebind any engine knob
+        (``backend=``, ``workers=``, ...) — that is how CLI flags beat
+        spec values.
         """
         unknown = sorted(set(overrides) - set(KNOBS))
         if unknown:
@@ -489,7 +488,7 @@ class ExperimentSpec:
                 # when REPRO_TRACE_CACHE_DIR is set — matching
                 # spec.settings() and TraceCache(disk_dir=None).
                 cache = TraceCache(disk_dir=None)
-        if frame_provider is None and trace_provider is None \
+        if frame_provider is None \
                 and self.frame_provider != DEFAULT_FRAME_PROVIDER:
             frame_provider = FRAME_PROVIDERS.create(self.frame_provider)
         if cell_filter is None:
@@ -505,7 +504,6 @@ class ExperimentSpec:
             models=list(self.models),
             scenarios=list(self.scenarios),
             cache=cache,
-            trace_provider=trace_provider,
             frame_provider=frame_provider,
             cell_filter=cell_filter,
             max_workers=knobs.pop("workers"),

@@ -25,11 +25,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.hit_rate if self.accesses else 0.0
-
-
 class DirectMappedCache:
     """A direct-mapped, write-allocate cache of byte addresses."""
 

@@ -25,8 +25,6 @@ _REFERENCE_BYTES = 32 * 1024
 _AREA_MM2_PER_KB = 0.0016
 #: Fixed periphery area per array instance.
 _AREA_PERIPHERY_MM2 = 0.002
-#: Leakage power per KB, milliwatts (32 nm, worst case corner).
-_LEAKAGE_MW_PER_KB = 0.012
 
 
 @dataclass(frozen=True)
@@ -61,11 +59,6 @@ class SRAMModel:
     def area_mm2(self) -> float:
         """Silicon area of the array."""
         return _AREA_MM2_PER_KB * self.size_bytes / 1024 + _AREA_PERIPHERY_MM2
-
-    @property
-    def leakage_mw(self) -> float:
-        """Static leakage power."""
-        return _LEAKAGE_MW_PER_KB * self.size_bytes / 1024
 
     def energy_for_bytes(self, num_bytes: int, is_write: bool = False) -> float:
         """Energy to move ``num_bytes`` through the port, picojoules."""

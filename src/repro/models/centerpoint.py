@@ -51,10 +51,6 @@ class MiniCenterPoint(Module):
         self.head = Conv2D(channels, 1 + BOX_DIM, kernel_size=3, rng=rng)
         self._coords = None
 
-    @property
-    def head_stride(self) -> int:
-        return 4
-
     def forward(self, batch: PillarBatch):
         pillar_features = self.pillar_net(
             (batch.point_features, batch.point_counts)

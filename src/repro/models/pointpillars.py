@@ -62,10 +62,6 @@ class MiniPointPillars(Module):
         self.head = Conv2D(2 * channels, 1 + BOX_DIM, kernel_size=1, rng=rng)
         self._coords = None
 
-    @property
-    def head_stride(self) -> int:
-        return 4
-
     def forward(self, batch: PillarBatch):
         pillar_features = self.pillar_net(
             (batch.point_features, batch.point_counts)

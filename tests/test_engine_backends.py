@@ -53,13 +53,6 @@ class TestBackendParity:
         for left, right in zip(serial, process):
             assert left == right
 
-    def test_process_backend_rejects_trace_provider(self):
-        runner = _subset_runner(
-            trace_provider=lambda scenario, name: None,
-        )
-        with pytest.raises(ValueError, match="trace_provider"):
-            runner.run(backend="process")
-
     def test_process_backend_rejects_custom_frame_provider(self):
         class CustomFrames(FrameProvider):
             pass
@@ -108,23 +101,15 @@ class TestBackendSelection:
         runner = _subset_runner(backend="serial")
         assert runner.backend == "serial"
 
-    def test_env_process_default_falls_back_for_trace_provider(
+    def test_env_process_default_falls_back_for_custom_frames(
         self, monkeypatch
     ):
         # REPRO_ENGINE_BACKEND=process must not break fixture-fed
         # runners: the env default falls back to serial, while the
         # same runner still fails on an *explicit* process request.
-        from repro.analysis import trace_model
-        from repro.models import build_model_spec
+        class FixtureFrames(FrameProvider):
+            pass
 
-        provider = FrameProvider()
-        scenario = Scenario("t", seed=0)
-        frame = provider.frame_for(scenario, "SPP3")
-        trace = trace_model(
-            build_model_spec("SPP3"),
-            frame.coords,
-            frame.point_counts.astype(float),
-        )
         executed = []
         real_execute = SerialBackend.execute
 
@@ -136,27 +121,31 @@ class TestBackendSelection:
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         runner = _subset_runner(
             simulators=["spade-he"], models=["SPP3"],
-            trace_provider=lambda scenario, name: trace,
+            frame_provider=FixtureFrames(),
         )
         table = runner.run()                    # falls back, succeeds
         assert len(table) == 1
         assert executed == [SerialBackend]
-        with pytest.raises(ValueError, match="trace_provider"):
+        with pytest.raises(ValueError, match="FixtureFrames"):
             runner.run(backend="process")
 
-    def test_parallel_false_forces_serial_even_with_backend(self):
-        # parallel=False stays the debugging escape hatch regardless of
-        # the configured backend.
+    def test_serial_call_overrides_configured_backend(self, monkeypatch):
+        # run(backend="serial") stays the debugging escape hatch
+        # regardless of the configured backend.
+        def refuse(self, runner, groups):
+            pytest.fail("the configured process backend ran")
+
+        monkeypatch.setattr(ProcessBackend, "execute", refuse)
         runner = _subset_runner(models=["SPP3"], simulators=["spade-he"],
                                 backend="process")
-        table = runner.run(parallel=False)
+        table = runner.run(backend="serial")
         assert len(table) == 1
 
 
 class TestWorkerCountValidation:
     def test_env_override_applies(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert _subset_runner().max_workers == 3
+        assert _subset_runner().settings.workers == 3
 
     @pytest.mark.parametrize("value", ["0", "-2", "two", "2.5", ""])
     def test_invalid_env_values_rejected(self, monkeypatch, value):
@@ -171,7 +160,7 @@ class TestWorkerCountValidation:
 
     def test_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-        assert _subset_runner(max_workers=2).max_workers == 2
+        assert _subset_runner(max_workers=2).settings.workers == 2
 
 
 class TestFrameBatching:
@@ -247,15 +236,6 @@ class TestFrameBatching:
             Scenario("bad", seed=0, frames=0)
         with pytest.raises(ValueError, match="frames"):
             Scenario("bad", seed=0, frames=1.5)
-
-    def test_trace_provider_rejects_batched_scenarios(self):
-        runner = _subset_runner(
-            simulators=["spade-he"], models=["SPP3"],
-            scenarios=[Scenario("drive", seed=0, frames=2)],
-            trace_provider=lambda scenario, name: None,
-        )
-        with pytest.raises(ValueError, match="single-frame"):
-            runner.run()
 
     def test_mean_result_handles_none_metrics(self):
         rows = [
@@ -443,9 +423,9 @@ class TestTraceStageKnobs:
 
     def test_rulegen_shards_env_default(self, monkeypatch):
         monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "2")
-        assert _subset_runner().rulegen_shards == 2
+        assert _subset_runner().settings.rulegen_shards == 2
         monkeypatch.delenv(RULEGEN_SHARDS_ENV_VAR)
-        assert _subset_runner().rulegen_shards == 1
+        assert _subset_runner().settings.rulegen_shards == 1
 
     def test_sharded_runner_table_identical(self):
         """Acceptance: rulegen sharding changes speed only — the table is
@@ -736,4 +716,4 @@ class TestDeltaTrace:
 
         monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "1")
         runner = _subset_runner(scenarios=list(self.SCENARIOS))
-        assert runner.delta_trace is True
+        assert runner.settings.delta_trace is True

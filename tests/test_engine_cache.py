@@ -85,7 +85,7 @@ class TestDiskTier:
                 scenarios=[Scenario("a", seed=0), Scenario("b", seed=1)],
                 cache=TraceCache(disk_dir=tmp_path),
             )
-            return runner.run(parallel=False), runner.cache.stats()
+            return runner.run(backend="serial"), runner.cache.stats()
 
         cold, cold_stats = run()
         warm, warm_stats = run()

@@ -179,8 +179,8 @@ class TestSettings:
         assert spec.to_dict()["faults"] == "kill_worker:unit=1"
         rebuilt = ExperimentSpec.from_dict(spec.to_dict())
         runner = rebuilt.build_runner()
-        assert runner.faults == "kill_worker:unit=1"
-        assert runner.degrade is True
+        assert runner.settings.faults == "kill_worker:unit=1"
+        assert runner.settings.degrade is True
 
     def test_spec_rejects_a_bad_plan(self):
         with pytest.raises(ValueError, match="faults"):

@@ -175,7 +175,7 @@ class TestRunManifest:
         manifest = RunManifest.collect(runner, table, observer=observer)
         assert manifest.name == "manifest-test"
         assert manifest.backend == "serial"
-        assert manifest.settings["workers"] == runner.max_workers
+        assert manifest.settings["workers"] == runner.settings.workers
         assert manifest.settings["delta_trace"] is False
         assert "trace_workers" not in manifest.settings
         assert manifest.table["rows"] == 2
@@ -264,16 +264,6 @@ class TestBackendCoverage:
 
 
 class TestSparsityAnalyzerUnit:
-    def test_gating(self):
-        analyzer = SparsityAnalyzer(enabled=False)
-        analyzer.ingest_result({"model": "M",
-                                "per_layer": [{"name": "L", "x": 1}]})
-        assert analyzer.summary()["rows_ingested"] == 0
-        analyzer.enable()
-        analyzer.ingest_result({"model": "M",
-                                "per_layer": [{"name": "L", "x": 1}]})
-        assert analyzer.summary()["rows_ingested"] == 1
-
     def test_aggregates_count_mean_min_max(self):
         analyzer = SparsityAnalyzer()
         for value in (1.0, 3.0):

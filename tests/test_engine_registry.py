@@ -147,7 +147,7 @@ class TestThirdPartyPlugins:
         # ... and in a live runner grid.
         runner = ExperimentRunner(simulators=["echo"], models=["SPP3"],
                                   cache=TraceCache())
-        table = runner.run(parallel=False)
+        table = runner.run(backend="serial")
         assert table.get(simulator="Echo").cycles == 7
 
     def test_registered_backend_resolves(self):

@@ -16,6 +16,7 @@ from repro.core import SPADE_HE, SPADE_LE, DenseAccelerator, SpadeAccelerator
 from repro.engine import (
     DenseAccSimulator,
     ExperimentRunner,
+    FrameProvider,
     PlatformSim,
     PointAccSim,
     Scenario,
@@ -128,14 +129,59 @@ class TestRunnerCaching:
             models=["SPP2", "SPP3"],
             cache=TraceCache(),
         )
-        first = runner.run(parallel=True)
-        second = runner.run(parallel=False)
+        first = runner.run()
+        second = runner.run(backend="serial")
         assert len(first) == len(second) == 6
         assert list(first) == list(second)
         assert sorted(calls) == ["SPP2", "SPP3"]
         assert runner.cache.stats()["misses"] == 2
         # 2 trace lookups per run x 2 runs, minus the 2 misses.
         assert runner.cache.stats()["hits"] == 2
+
+
+    def test_remapped_frames_hit_a_filled_cache(self):
+        """The benchmark suite's seam: a provider that maps every
+        scenario onto one bench frame, over a cache ``get_trace``
+        already filled, runs without a miss and gives the rows of the
+        same simulators run on those traces directly."""
+        bench = Scenario("bench", seed=3)
+
+        class BenchFrames(FrameProvider):
+            def frame_for(self, scenario, model, frame=0):
+                return super().frame_for(bench, model, frame)
+
+        frames = BenchFrames()
+        cache = TraceCache()
+        models = ["SPP2", "SPP3"]
+        traces = {}
+        for name in models:
+            built = frames.frame_for(bench, name)
+            traces[name] = cache.get_trace(
+                build_model_spec(name),
+                built.coords,
+                built.point_counts.astype(float),
+            )
+        before = cache.stats()
+        simulators = [build_simulator("spade-he"),
+                      build_simulator("dense-he")]
+        runner = ExperimentRunner(
+            simulators=simulators,
+            models=models,
+            scenarios=[Scenario("drive", seed=11)],
+            frame_provider=frames,
+            cache=cache,
+        )
+        table = runner.run()
+        after = cache.stats()
+        assert before["misses"] == after["misses"] == 2
+        assert after["hits"] == before["hits"] + 2
+        expected = []
+        for name in models:
+            for simulator in simulators:
+                row = simulator.run(traces[name])
+                row.scenario = "drive"
+                expected.append(row)
+        assert list(table) == expected
 
 
 class TestRunnerParallelism:
@@ -148,8 +194,8 @@ class TestRunnerParallelism:
             cache=TraceCache(),
             max_workers=4,
         )
-        serial = runner.run(parallel=False)
-        parallel = runner.run(parallel=True)
+        serial = runner.run(backend="serial")
+        parallel = runner.run()
         assert len(serial) == len(parallel) == 2 * 2 * 6
         for left, right in zip(serial, parallel):
             assert left == right
@@ -163,7 +209,7 @@ class TestRunnerParallelism:
             scenarios=[Scenario("s0", seed=0), Scenario("s1", seed=7)],
             cache=TraceCache(),
         )
-        table = runner.run(parallel=True)
+        table = runner.run()
         cycles = table.column("cycles")
         assert len(cycles) == 2
         assert cycles[0] != cycles[1]
@@ -413,7 +459,7 @@ class TestTable1SweepEquivalence:
             models=list(TABLE1_MODELS),
             cache=TraceCache(),
         )
-        table = runner.run(parallel=True)
+        table = runner.run()
         assert len(table) == len(TABLE1_MODELS) * 4
 
         scenario = runner.scenarios[0]

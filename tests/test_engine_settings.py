@@ -263,8 +263,8 @@ class TestDelegation:
         monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "3")
         runner = ExperimentRunner(simulators=["spade-he"],
                                   models=["SPP3"])
-        assert runner.max_workers == 4
-        assert runner.rulegen_shards == 3
+        assert runner.settings.workers == 4
+        assert runner.settings.rulegen_shards == 3
 
     def test_cache_delegates(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
@@ -285,7 +285,7 @@ class TestDelegation:
         monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "yes")
         runner = ExperimentRunner(simulators=["spade-he"],
                                   models=["SPP3"])
-        assert runner.delta_trace is True
+        assert runner.settings.delta_trace is True
 
     def test_no_stray_environ_reads_in_engine(self):
         # The dedupe contract itself: apart from settings.py, no engine

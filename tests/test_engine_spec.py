@@ -214,14 +214,14 @@ class TestBuildRunner:
                                                        "DenseAcc.HE"]
         assert runner.models == ["SPP3"]
         assert runner.backend == "serial"
-        assert runner.max_workers == 2
-        assert runner.rulegen_shards == 2
+        assert runner.settings.workers == 2
+        assert runner.settings.rulegen_shards == 2
 
     def test_overrides_beat_spec(self):
         runner = _spec(workers=2).build_runner(backend="process",
                                                workers=4)
         assert runner.backend == "process"
-        assert runner.max_workers == 4
+        assert runner.settings.workers == 4
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="override"):
