@@ -61,6 +61,15 @@ class TestBackendParity:
         with pytest.raises(ValueError, match="FrameProvider"):
             runner.run(backend="process")
 
+    def test_removed_run_options_rejected(self):
+        # Frames come only through a FrameProvider and the per-call
+        # backend only through run(backend=).
+        with pytest.raises(TypeError, match="trace_provider"):
+            _subset_runner(trace_provider=lambda scenario, name: None)
+        runner = _subset_runner(models=["SPP3"], simulators=["spade-he"])
+        with pytest.raises(TypeError, match="parallel"):
+            runner.run(parallel=False)
+
     def test_process_backend_chunking_covers_all_groups(self):
         # Two scenarios on two workers: one 3-group chunk per scenario.
         runner = _subset_runner(
@@ -236,6 +245,28 @@ class TestFrameBatching:
             Scenario("bad", seed=0, frames=0)
         with pytest.raises(ValueError, match="frames"):
             Scenario("bad", seed=0, frames=1.5)
+
+    def test_custom_frame_provider_serves_every_frame(self):
+        # A FrameProvider subclass sees each frame of a batched scenario
+        # by index, and its rows match the default provider's.
+        requested = []
+
+        class RecordingFrames(FrameProvider):
+            def frame_for(self, scenario, model, frame=0):
+                requested.append((scenario.name, model, frame))
+                return super().frame_for(scenario, model, frame)
+
+        scenarios = [Scenario("drive", seed=0, frames=2)]
+        custom = _subset_runner(
+            simulators=["spade-he"], models=["SPP3"], scenarios=scenarios,
+            frame_provider=RecordingFrames(),
+        ).run()
+        default = _subset_runner(
+            simulators=["spade-he"], models=["SPP3"], scenarios=scenarios,
+        ).run()
+        assert requested == [("drive", "SPP3", 0), ("drive", "SPP3", 1)]
+        assert len(custom) == 3                 # 2 frames + the mean row
+        assert list(custom) == list(default)
 
     def test_mean_result_handles_none_metrics(self):
         rows = [

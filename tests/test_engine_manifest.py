@@ -264,6 +264,18 @@ class TestBackendCoverage:
 
 
 class TestSparsityAnalyzerUnit:
+    def test_counts_every_row_from_the_start(self):
+        # No gate: a fresh analyzer ingests at once, and rows without
+        # per-layer detail count but add no layers.
+        analyzer = SparsityAnalyzer()
+        analyzer.ingest_result({"model": "M",
+                                "per_layer": [{"name": "L", "x": 1}]})
+        analyzer.ingest_result({"model": "M", "per_layer": None})
+        assert analyzer.summary()["rows_ingested"] == 2
+        assert analyzer.summary()["layers"] == 1
+        assert set(analyzer.summary()) == {"rows_ingested", "layers",
+                                           "per_layer"}
+
     def test_aggregates_count_mean_min_max(self):
         analyzer = SparsityAnalyzer()
         for value in (1.0, 3.0):
