@@ -15,6 +15,9 @@ value per pillar, defaulting to the pillar's point count propagated by
 max through the network — a stand-in for the trained magnitude ranking
 that keeps dense clusters (foreground objects) and drops isolated
 background pillars, matching the behaviour shown in paper Fig. 13(b).
+Importance is tracked only up to the last layer with ``prune_keep``:
+layers run in topological order, so no later output feeds a pruning
+decision, and no :class:`LayerTrace` records importance.
 """
 
 from __future__ import annotations
@@ -41,7 +44,11 @@ from ..sparse.rulegen import (
 
 @dataclass
 class StreamState:
-    """Active-set state flowing between layers."""
+    """Active-set state flowing between layers.
+
+    ``importance`` is None when it is not tracked: on dense streams and
+    past the model's last pruned layer.
+    """
 
     shape: tuple
     coords: np.ndarray = None          # None means the stream is dense
@@ -146,8 +153,9 @@ def _propagate_importance(rules: Rules, importance: np.ndarray) -> np.ndarray:
     for pair in rules.pairs:
         if len(pair):
             # The int32 pairs cast to intp first: fancy indexing and
-            # ufunc.at take a slower path on other index dtypes (about
-            # 1.6x for a whole trace, casts included).
+            # ufunc.at take a slower path on other index dtypes.  Only
+            # layers up to the last pruned one get here (B1C1-B3C1 of
+            # SPP2 and SCP2), so the casts cost little in a trace.
             np.maximum.at(out_importance, pair.out_idx.astype(np.intp),
                           importance[pair.in_idx.astype(np.intp)])
     return out_importance
@@ -216,8 +224,13 @@ def _delta_applicable(prev_rules: Rules, spec: LayerSpec,
 
 def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
                           rulegen_shards: int = 1,
-                          prev_rules: Rules = None) -> tuple:
-    """Run one sparse layer geometrically; returns (LayerTrace, new state)."""
+                          prev_rules: Rules = None,
+                          track_importance: bool = True) -> tuple:
+    """Run one sparse layer geometrically; returns (LayerTrace, new state).
+
+    With ``track_importance`` off the new state's importance is None; a
+    layer with ``prune_keep`` needs it on.
+    """
     via_delta = _delta_applicable(prev_rules, spec, state)
     if via_delta:
         rules = build_rules_delta(prev_rules, state.coords,
@@ -233,7 +246,10 @@ def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
             stride=spec.stride,
             shards=rulegen_shards,
         )
-    out_importance = _propagate_importance(rules, state.importance)
+    out_importance = (
+        _propagate_importance(rules, state.importance)
+        if track_importance else None
+    )
     out_coords = rules.out_coords
     out_after = len(out_coords)
     if spec.prune_keep is not None:
@@ -278,7 +294,8 @@ def _execute_dense_layer(spec: LayerSpec, state: StreamState) -> tuple:
 def _union_states(states: list) -> StreamState:
     """Merge branch outputs (channel concat): union of active sets.
 
-    A merged pillar keeps the largest importance any branch gives it.
+    A merged pillar keeps the largest importance any branch gives it;
+    when any branch does not track importance, neither does the union.
     Any dense branch makes the union dense.
     """
     shape = states[0].shape
@@ -287,7 +304,9 @@ def _union_states(states: list) -> StreamState:
     cells = shape[0] * shape[1]
     flats = [flatten(state.coords, shape) for state in states]
     merged = _unique_flat_sorted(np.concatenate(flats), cells)
-    if _dense_table_fits(cells):
+    if any(state.importance is None for state in states):
+        importance = None
+    elif _dense_table_fits(cells):
         # Flats are unique within a state, so a plain gather / scatter
         # per branch keeps each cell's running max.
         table = np.zeros(cells, dtype=np.float64)
@@ -320,7 +339,9 @@ def trace_model(
             (or on ``grid_shape`` when given).
         importance: Optional per-pillar importance for dynamic pruning
             (defaults to all-ones; pass pillar point counts for
-            foreground-preserving pruning).
+            foreground-preserving pruning).  It is max-propagated only
+            through the layers up to the last one with ``prune_keep``;
+            a model without pruning never reads it.
         grid_shape: Override the input grid shape, e.g. to run a
             full-scale layer graph on a reduced grid in tests.
         rulegen_shards: Row-band count for
@@ -365,10 +386,20 @@ def trace_model(
             return None
         return prev_trace.layers[index].rules
 
+    # Layers run in topological order, so no output of a layer past the
+    # last pruned one feeds a pruning decision.
+    last_prune = max(
+        (index for index, layer in enumerate(spec.layers)
+         if layer.prune_keep is not None),
+        default=-1,
+    )
+
     def run_sparse(layer: LayerSpec, source: StreamState) -> tuple:
+        index = len(trace.layers)
         return _execute_sparse_layer(
             layer, source, rulegen_shards,
-            prev_rules=prev_rules_for(len(trace.layers)),
+            prev_rules=prev_rules_for(index),
+            track_importance=index <= last_prune,
         )
 
     stage_snapshots = {}

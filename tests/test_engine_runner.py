@@ -129,6 +129,9 @@ class TestRunnerCaching:
             models=["SPP2", "SPP3"],
             cache=TraceCache(),
         )
+        # Both runs are serial and in-process (serial is the configured
+        # default), so the patched trace_model sees every trace and the
+        # second run is served from the first run's cache.
         first = runner.run()
         second = runner.run(backend="serial")
         assert len(first) == len(second) == 6
@@ -192,13 +195,20 @@ class TestRunnerParallelism:
             models=["SPP2", "SPP3"],
             scenarios=[Scenario("a", seed=0), Scenario("b", seed=7)],
             cache=TraceCache(),
-            max_workers=4,
+            max_workers=2,
         )
         serial = runner.run(backend="serial")
-        parallel = runner.run()
+        before = runner.cache.stats()
+        parallel = runner.run(backend="process")
         assert len(serial) == len(parallel) == 2 * 2 * 6
         for left, right in zip(serial, parallel):
             assert left == right
+        # Two scenario chunks on two workers, each tracing afresh in its
+        # own process: the parent's memory cache saw no lookup (an
+        # in-process run would have hit it four times).
+        after = runner.cache.stats()
+        assert (after["hits"], after["misses"]) == \
+            (before["hits"], before["misses"]) == (0, 4)
 
     def test_distinct_seeds_get_distinct_traces(self):
         # Regression: the trace map must key by the full scenario (the

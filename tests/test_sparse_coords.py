@@ -44,6 +44,54 @@ class TestFlattenRoundtrip:
         assert is_cpr_sorted(coords, SHAPE)
 
 
+def unflatten_reference(flat, shape):
+    """Int64 divide and modulo, then the int32 cast."""
+    flat = np.asarray(flat, dtype=np.int64)
+    return np.stack([flat // shape[1], flat % shape[1]], 1).astype(np.int32)
+
+
+@st.composite
+def shapes_and_flats(draw):
+    """A grid of up to 2**32 cells (both unflatten branches) and a few
+    in-range flat indices, the last cell included."""
+    shape = (draw(st.integers(1, 1 << 16)), draw(st.integers(1, 1 << 16)))
+    total = shape[0] * shape[1]
+    flat = draw(st.lists(st.integers(0, total - 1), max_size=40))
+    flat.append(total - 1)
+    return shape, np.array(flat, dtype=np.int64)
+
+
+class TestUnflatten:
+    @given(shapes_and_flats())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_int64_reference(self, case):
+        shape, flat = case
+        got = unflatten(flat, shape)
+        assert got.dtype == np.int32 and got.shape == (len(flat), 2)
+        np.testing.assert_array_equal(got, unflatten_reference(flat, shape))
+
+    @pytest.mark.parametrize("shape", [SHAPE, (1 << 16, 1 << 16)])
+    def test_empty(self, shape):
+        for flat in (np.zeros(0, np.int64), np.zeros(0, np.int32), []):
+            got = unflatten(flat, shape)
+            assert got.dtype == np.int32 and got.shape == (0, 2)
+
+    @pytest.mark.parametrize("shape", [
+        (1, (1 << 31) - 1),         # the largest int32 grid, one row
+        ((1 << 31) - 1, 1),         # ... and one column
+        (1 << 16, 1 << 15),         # 2**31 cells: the int64 branch
+        (3, 1 << 31),               # int64 branch, one row is 2**31
+        ((1 << 20) + 7, 4099),
+    ])
+    def test_grids_at_and_past_int32(self, shape):
+        total = shape[0] * shape[1]
+        flat = np.array([0, shape[1] - 1, shape[1], total // 2,
+                         total - shape[1], total - 1], dtype=np.int64)
+        flat = flat[flat < total]
+        np.testing.assert_array_equal(unflatten(flat, shape),
+                                      unflatten_reference(flat, shape))
+
+
 class TestCprSort:
     def test_sorts_shuffled(self):
         rng = np.random.default_rng(0)

@@ -9,7 +9,9 @@ route on the small grids used here, so both routes are checked against
 dtype for dtype — including frames whose pillars sit on the halo edges
 (corners, full grids, 1xN and Nx1 grids).  Direct oracles pin
 ``_union_states`` and ``downsample_coords``, and degenerate frames run
-through ``trace_model`` for every Table I model.
+through ``trace_model`` for every Table I model.  An oracle that
+propagates pillar importance through every layer checks that tracking
+it only up to the last pruned layer changes no trace.
 """
 
 import contextlib
@@ -235,26 +237,80 @@ def assert_layers_match_reference(trace):
         assert_rules_identical(reference, layer.rules, layer.spec.name)
 
 
+def assert_traces_identical(expect, got):
+    """Layer by layer: counts, MACs, input sets and rules."""
+    assert len(got.layers) == len(expect.layers)
+    for want, have in zip(expect.layers, got.layers):
+        name = want.spec.name
+        assert have.out_count == want.out_count, name
+        assert have.out_count_after_prune == want.out_count_after_prune, \
+            name
+        assert have.sparse_macs == want.sparse_macs, name
+        if want.rules is None:
+            assert have.rules is None, name
+            continue
+        # A layer's input set is the (pruned) output set it was fed.
+        np.testing.assert_array_equal(have.in_coords, want.in_coords,
+                                      err_msg=name)
+        assert_rules_identical(want.rules, have.rules, name)
+
+
 def capture_importances(monkeypatch):
-    """Record the importance of every stream state trace_model makes."""
+    """Record ``(layer name, importance)`` for every stream state
+    trace_model makes; the branch union is recorded as ``"union"``."""
     seen = []
     execute = sparsity._execute_sparse_layer
     union = sparsity._union_states
 
-    def executing(*args, **kwargs):
-        layer_trace, state = execute(*args, **kwargs)
-        seen.append(state.importance)
+    def executing(spec, *args, **kwargs):
+        layer_trace, state = execute(spec, *args, **kwargs)
+        seen.append((spec.name, state.importance))
         return layer_trace, state
 
     def uniting(states):
         state = union(states)
         if not state.is_dense:
-            seen.append(state.importance)
+            seen.append(("union", state.importance))
         return state
 
     monkeypatch.setattr(sparsity, "_execute_sparse_layer", executing)
     monkeypatch.setattr(sparsity, "_union_states", uniting)
     return seen
+
+
+def last_pruned(spec):
+    """Index of the last layer with ``prune_keep``, or -1."""
+    pruned = [index for index, layer in enumerate(spec.layers)
+              if layer.prune_keep is not None]
+    return pruned[-1] if pruned else -1
+
+
+def assert_tracked_up_to_last_prune(spec, seen):
+    """Importance is None exactly past the last pruned layer, and finite
+    and non-negative float64 up to it.  The union of the deconv
+    branches tracks it only when every deconv is within the boundary.
+    Returns the names whose importance was tracked."""
+    position = {layer.name: index for index, layer in enumerate(spec.layers)}
+    last_deconv = max(index for index, layer in enumerate(spec.layers)
+                      if layer.name.startswith("D"))
+    boundary = last_pruned(spec)
+    tracked = []
+    for name, importance in seen:
+        index = last_deconv if name == "union" else position[name]
+        if index > boundary:
+            assert importance is None, name
+            continue
+        assert importance is not None, name
+        assert importance.dtype == np.float64, name
+        assert np.isfinite(importance).all(), name
+        assert (importance >= 0).all(), name
+        tracked.append(name)
+    return tracked
+
+
+#: The sparse layers that carry importance in the pruned Table I models.
+PRE_PRUNE_LAYERS = ["B1C1", "B1C2", "B1C3", "B1C4", "B2C1", "B2C2", "B2C3",
+                    "B2C4", "B2C5", "B2C6", "B3C1"]
 
 
 class TestTraceModelRoutes:
@@ -272,18 +328,20 @@ class TestTraceModelRoutes:
                     traces[name] = trace_model(spec, coords, importance,
                                                grid_shape=shape)
             importances[name] = seen
-        table, sorted_ = traces["table"], traces["sorted"]
-        assert_layers_match_reference(sorted_)
-        for left, right in zip(table.layers, sorted_.layers):
-            assert left.out_count_after_prune == \
-                right.out_count_after_prune, left.spec.name
-            if left.rules is not None:
-                assert_rules_identical(left.rules, right.rules,
-                                       left.spec.name)
+        assert_layers_match_reference(traces["sorted"])
+        assert_traces_identical(traces["table"], traces["sorted"])
+        tracked = assert_tracked_up_to_last_prune(spec, importances["table"])
+        assert tracked == (PRE_PRUNE_LAYERS if last_pruned(spec) >= 0
+                           else [])
         assert len(importances["table"]) == len(importances["sorted"])
-        for left, right in zip(importances["table"], importances["sorted"]):
-            assert left.dtype == right.dtype == np.float64
-            np.testing.assert_array_equal(left, right)
+        for (name, left), (other, right) in zip(importances["table"],
+                                                importances["sorted"]):
+            assert name == other
+            if left is None:
+                assert right is None, name
+            else:
+                assert right.dtype == np.float64, name
+                np.testing.assert_array_equal(left, right, err_msg=name)
 
 
 def union_oracle(states, shape):
@@ -357,6 +415,20 @@ class TestUnionStates:
         states = [sparse, sparse, sparse]
         states[position] = StreamState(shape, coords=None)
         assert _union_states(states).is_dense
+
+    @pytest.mark.parametrize("name", ROUTES)
+    @given(states=branch_states(), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_untracked_branch_leaves_importance_untracked(self, name,
+                                                          states, data):
+        shape = states[0].shape
+        want_coords, _ = union_oracle(states, shape)
+        position = data.draw(st.integers(0, len(states) - 1))
+        states[position] = StreamState(shape, states[position].coords)
+        with route(name):
+            merged = _union_states(states)
+        assert merged.importance is None
+        np.testing.assert_array_equal(merged.coords, want_coords)
 
 
 def downsample_oracle(coords, shape, stride):
@@ -448,9 +520,72 @@ class TestDegenerateFrames:
         trace = trace_model(spec, coords, grid_shape=GRID)
         assert len(trace.layers) == len(spec.layers)
         assert_layers_match_reference(trace)
-        for importance in seen:
-            assert np.isfinite(importance).all()
-            assert (importance >= 0).all()
+        assert_tracked_up_to_last_prune(spec, seen)
+
+
+@contextlib.contextmanager
+def importance_everywhere():
+    """The oracle: trace_model with importance max-propagated through
+    every sparse layer and the branch union, whatever the model prunes."""
+    execute = sparsity._execute_sparse_layer
+
+    def executing(*args, track_importance=True, **kwargs):
+        return execute(*args, track_importance=True, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparsity, "_execute_sparse_layer", executing)
+        yield
+
+
+#: name -> (grid shape, frame) for the full-propagation oracle.  The
+#: random grids' sides are multiples of 16, so every model's deconv
+#: branches meet on one grid.
+ORACLE_FRAMES = {
+    **{name: (GRID, frame) for name, frame in degenerate_frames().items()},
+    "random-sparse": ((48, 64), random_frame(300, (48, 64), seed=11)),
+    "random-dense": ((48, 64), random_frame(1900, (48, 64), seed=12)),
+}
+
+
+def head_pruned_spec():
+    """SCP3 with its only ``prune_keep`` on the sparse shared head, after
+    the deconvs and the branch union."""
+    spec = build_model_spec("SCP3")
+    layers = [dataclasses.replace(layer, prune_keep=0.5)
+              if layer.name == "Hshared" else layer
+              for layer in spec.layers]
+    return dataclasses.replace(spec, name="SCP3-head-pruned", layers=layers)
+
+
+class TestImportanceBoundary:
+    @pytest.mark.parametrize("model", sorted(TABLE1_PAPER))
+    @pytest.mark.parametrize("frame", sorted(ORACLE_FRAMES))
+    def test_matches_full_propagation(self, model, frame):
+        shape, coords = ORACLE_FRAMES[frame]
+        importance = np.random.default_rng(len(coords)).uniform(
+            0, 9, len(coords))
+        spec = build_model_spec(model)
+        with importance_everywhere():
+            expect = trace_model(spec, coords, importance, grid_shape=shape)
+        got = trace_model(spec, coords, importance, grid_shape=shape)
+        assert_traces_identical(expect, got)
+
+    def test_boundary_is_the_last_pruned_layer(self, monkeypatch):
+        spec = head_pruned_spec()
+        shape, coords = ORACLE_FRAMES["random-dense"]
+        importance = np.random.default_rng(5).uniform(0, 9, len(coords))
+        with importance_everywhere():
+            expect = trace_model(spec, coords, importance, grid_shape=shape)
+        seen = capture_importances(monkeypatch)
+        got = trace_model(spec, coords, importance, grid_shape=shape)
+        assert_traces_identical(expect, got)
+        head = got.layer("Hshared")
+        assert 0 < head.out_count_after_prune < head.out_count
+        tracked = assert_tracked_up_to_last_prune(spec, seen)
+        sparse = [layer.name for layer in spec.layers
+                  if layer.op is LayerOp.SPARSE and layer.name != "Hfused"]
+        assert sorted(tracked) == sorted(sparse + ["union"])
+        assert seen[-1][0] == "Hfused"
 
 
 #: Every built-in simulator spec string, one per configuration.
