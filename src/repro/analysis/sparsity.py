@@ -18,10 +18,19 @@ background pillars, matching the behaviour shown in paper Fig. 13(b).
 Importance is tracked only up to the last layer with ``prune_keep``:
 layers run in topological order, so no later output feeds a pruning
 decision, and no :class:`LayerTrace` records importance.
+
+Layers of one trace that see the same input set with the same geometry
+share one :class:`~repro.sparse.rulegen.Rules` object: a submanifold
+layer outputs exactly its input set, so a SUBM chain would otherwise
+build the same rules once per layer (and the GSU planner, which
+memoizes on the object, would plan each copy again).  Nothing writes to
+a ``Rules`` after RuleGen, so sharing it is safe; a pickled trace stores
+a shared object once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +90,9 @@ class LayerTrace:
     out_count: int
     out_count_after_prune: int
     sparse_macs: int
+    #: The layer's rules; None for dense layers.  Layers of one trace
+    #: that see the same input with the same geometry hold the same
+    #: object, which is never written after RuleGen.
     rules: Rules = None
     #: Active input coordinates of a sparse layer (a reference to the
     #: stream state, not a copy); None for dense layers.  Substrate
@@ -222,20 +234,40 @@ def _delta_applicable(prev_rules: Rules, spec: LayerSpec,
     )
 
 
+def _shared_rules(built: list, geometry: tuple,
+                  coords: np.ndarray) -> Rules:
+    """An earlier layer's rules for ``geometry`` and input ``coords``.
+
+    ``built`` holds ``(geometry, input coords, Rules)`` for each layer of
+    the trace that built its rules.  Geometry is ``(conv_type,
+    kernel_size, stride, in_shape)``, every argument rule generation
+    reads, so an entry equal in geometry and coords has exactly the
+    rules this layer would build.  Returns None when there is none.
+    """
+    for key, seen, rules in built:
+        if key == geometry and (seen is coords
+                                or np.array_equal(seen, coords)):
+            return rules
+    return None
+
+
 def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
                           rulegen_shards: int = 1,
                           prev_rules: Rules = None,
-                          track_importance: bool = True) -> tuple:
+                          track_importance: bool = True,
+                          rules: Rules = None) -> tuple:
     """Run one sparse layer geometrically; returns (LayerTrace, new state).
 
     With ``track_importance`` off the new state's importance is None; a
-    layer with ``prune_keep`` needs it on.
+    layer with ``prune_keep`` needs it on.  ``rules``, when given, are an
+    earlier layer's rules for this layer's geometry and input (see
+    :func:`_shared_rules`), reused as they are.
     """
-    via_delta = _delta_applicable(prev_rules, spec, state)
+    via_delta = rules is None and _delta_applicable(prev_rules, spec, state)
     if via_delta:
         rules = build_rules_delta(prev_rules, state.coords,
                                   shards=rulegen_shards)
-    else:
+    elif rules is None:
         # build_rules_sharded degrades to the fused unsharded path at
         # shards <= 1, so the dispatch lives in one place.
         rules = build_rules_sharded(
@@ -296,7 +328,8 @@ def _union_states(states: list) -> StreamState:
 
     A merged pillar keeps the largest importance any branch gives it;
     when any branch does not track importance, neither does the union.
-    Any dense branch makes the union dense.
+    Any dense branch makes the union dense.  Every branch must be on one
+    grid (see :func:`_check_branch_shapes`).
     """
     shape = states[0].shape
     if any(state.is_dense for state in states):
@@ -321,6 +354,26 @@ def _union_states(states: list) -> StreamState:
     return StreamState(
         shape=shape, coords=unflatten(merged, shape), importance=importance
     )
+
+
+def _check_branch_shapes(spec: ModelSpec, grid: tuple,
+                         states: list) -> None:
+    """Raise ValueError unless every deconv branch ends on one grid.
+
+    The head concatenates the branches channel-wise, which a dense
+    backbone could not do either when their grids differ.  Grids whose
+    sides are multiples of the model's total stride always meet.
+    """
+    shapes = sorted({tuple(state.shape) for state in states})
+    if len(shapes) > 1:
+        stride = math.prod(layer.stride for layer in spec.layers
+                           if not layer.name.startswith(("D", "H")))
+        raise ValueError(
+            f"{spec.name} cannot trace a {grid[0]}x{grid[1]} grid: its "
+            f"deconv branches end on grids {shapes}, which cannot be "
+            f"concatenated; grid sides that are multiples of the model's "
+            f"total stride {stride} always meet"
+        )
 
 
 def trace_model(
@@ -357,8 +410,18 @@ def trace_model(
             bit-identical to a full build, so this never changes the
             trace.
 
+    Layers that see the same input set with the same geometry share
+    one :class:`~repro.sparse.rulegen.Rules` object (see
+    :func:`_shared_rules`); it is looked up before the delta route, so a
+    sharing layer is never ``via_delta``.
+
     Returns:
         A :class:`ModelTrace` with one :class:`LayerTrace` per layer.
+
+    Raises:
+        ValueError: When the deconv branches end on different grids, as
+            on grids whose sides the model's total stride does not
+            divide.
     """
     rulegen_shards = resolve_rulegen_shards(rulegen_shards)
     coords = np.asarray(coords, dtype=np.int32)
@@ -394,13 +457,22 @@ def trace_model(
         default=-1,
     )
 
+    built = []  # (geometry, input coords, Rules) per layer that built
+
     def run_sparse(layer: LayerSpec, source: StreamState) -> tuple:
         index = len(trace.layers)
-        return _execute_sparse_layer(
+        geometry = (layer.conv_type, layer.kernel_size, layer.stride,
+                    tuple(source.shape))
+        shared = _shared_rules(built, geometry, source.coords)
+        layer_trace, out_state = _execute_sparse_layer(
             layer, source, rulegen_shards,
             prev_rules=prev_rules_for(index),
             track_importance=index <= last_prune,
+            rules=shared,
         )
+        if shared is None:
+            built.append((geometry, source.coords, layer_trace.rules))
+        return layer_trace, out_state
 
     stage_snapshots = {}
     deconv_outputs = []
@@ -441,9 +513,12 @@ def trace_model(
         # (or, for PillarNet-style specs without deconv fan-in recorded,
         # the current stream).
         if head_input is None:
-            head_input = (
-                _union_states(deconv_outputs) if deconv_outputs else state
-            )
+            if deconv_outputs:
+                _check_branch_shapes(spec, grid_shape or spec.grid.shape,
+                                     deconv_outputs)
+                head_input = _union_states(deconv_outputs)
+            else:
+                head_input = state
         source = head_shared_output if head_shared_output is not None else head_input
         if layer.op is LayerOp.SPARSE:
             layer_trace, out_state = run_sparse(layer, source)

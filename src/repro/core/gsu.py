@@ -34,11 +34,14 @@ the schedule once per ``(max_inputs, max_outputs)``.  A layer's tiles
 depend on nothing else and its rules never change after RuleGen, so every
 design point, simulator and ``optimize`` setting that schedules the same
 traced layer with the same buffer capacities shares one
-:class:`TileSchedule`.  The memo lives exactly as long as its ``Rules``
+:class:`TileSchedule`.  Layers of one trace that see the same input with
+the same geometry share one ``Rules`` object (see
+:func:`~repro.analysis.sparsity.trace_model`), so such layers are planned
+once between them, too.  The memo lives exactly as long as its ``Rules``
 (the trace cache's memory tier decides that) and has no eviction.  It
-never reaches a pickle: ``Rules`` drops it on ``__getstate__``, so
-disk-tier traces stay byte for byte what they were, and a loaded or
-copied ``Rules`` plans afresh.  Because callers share them, memoized
+never reaches a pickle: ``Rules`` drops it on ``__getstate__``, so a
+planned and an unplanned ``Rules`` pickle to the same bytes, and a
+loaded or copied ``Rules`` plans afresh.  Because callers share them, memoized
 schedules are read-only: writing to any of their arrays raises.  Two
 threads planning one ``Rules`` at once may both compute a value; both
 results are equal, so no lock is needed.

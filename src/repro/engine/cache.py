@@ -64,7 +64,32 @@ QUARANTINE_SUFFIX = ".trace.quarantined"
 #: The :meth:`TraceCache.stats` counters that accumulate over a run (the
 #: remaining keys — entry count, directory, labels — are state).
 CACHE_DELTA_KEYS = ("hits", "misses", "disk_hits", "disk_writes",
-                    "delta_layers", "full_layers", "quarantined")
+                    "delta_layers", "shared_layers", "full_layers",
+                    "quarantined")
+
+
+def _rule_sources(trace: ModelTrace) -> tuple:
+    """``(delta, shared, full)`` counts of a trace's sparse layers.
+
+    A layer is shared when its ``Rules`` is the same object as an
+    earlier layer's in the trace (it built nothing); otherwise it was
+    routed to ``build_rules_delta`` (shared with or rebuilt from the
+    previous frame) or built in full.  Old pickled traces predate the
+    ``via_delta`` flag, hence the getattr default.
+    """
+    seen = set()
+    delta = shared = full = 0
+    for layer in trace.layers:
+        if layer.rules is None:
+            continue
+        if id(layer.rules) in seen:
+            shared += 1
+        elif getattr(layer, "via_delta", False):
+            delta += 1
+        else:
+            full += 1
+        seen.add(id(layer.rules))
+    return delta, shared, full
 
 
 def counter_delta(before: dict, after: dict) -> dict:
@@ -144,6 +169,7 @@ class TraceCache:
         self.disk_hits = 0
         self.disk_writes = 0
         self.delta_layers = 0
+        self.shared_layers = 0
         self.full_layers = 0
         self.quarantined = 0
         self._entries = {}
@@ -301,25 +327,14 @@ class TraceCache:
                 self._inflight.pop(key).set()
             raise
         if not from_disk:
-            # Delta-tracing utilization: of the sparse layers this cache
-            # actually computed (disk loads carry no new work), how many
-            # were routed to build_rules_delta (shared or rebuilt) vs a
-            # full rebuild.  Old pickled traces predate the flag, hence
-            # the getattr default.
-            delta_count = sum(
-                1 for layer in trace.layers
-                if layer.rules is not None
-                and getattr(layer, "via_delta", False)
-            )
-            full_count = sum(
-                1 for layer in trace.layers if layer.rules is not None
-            ) - delta_count
+            delta_count, shared_count, full_count = _rule_sources(trace)
         with self._lock:
             if from_disk:
                 self.disk_hits += 1
             else:
                 self.misses += 1
                 self.delta_layers += delta_count
+                self.shared_layers += shared_count
                 self.full_layers += full_count
             self._entries[key] = trace
             if self.maxsize is not None:
@@ -339,6 +354,7 @@ class TraceCache:
             self.disk_hits = 0
             self.disk_writes = 0
             self.delta_layers = 0
+            self.shared_layers = 0
             self.full_layers = 0
             self.quarantined = 0
         if disk and self.disk_dir is not None:
@@ -351,8 +367,9 @@ class TraceCache:
                         pass
 
     def stats(self) -> dict:
-        """Hit/miss/disk counters, delta-tracing layer counts, entry
-        count per (scenario, model) label, and the disk-tier path."""
+        """Hit/miss/disk counters, where computed layers got their rules
+        (delta, shared or full), entry count per (scenario, model)
+        label, and the disk-tier path."""
         with self._lock:
             by_label = {}
             for key in self._entries:
@@ -366,6 +383,7 @@ class TraceCache:
                 "disk_hits": self.disk_hits,
                 "disk_writes": self.disk_writes,
                 "delta_layers": self.delta_layers,
+                "shared_layers": self.shared_layers,
                 "full_layers": self.full_layers,
                 "quarantined": self.quarantined,
                 "disk_dir": str(self.disk_dir) if self.disk_dir else None,

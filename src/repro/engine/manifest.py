@@ -267,10 +267,11 @@ class RunManifest:
         units: Per-work-group records (scenario, model, seconds, rows,
             executing worker).
         cache: Trace-cache statistics delta over the run, summed over
-            the runner's cache and every worker's, including
-            delta-tracing utilization (``delta_layers`` routed to
-            ``build_rules_delta``, shared or rebuilt, vs ``full_layers``
-            built directly).
+            the runner's cache and every worker's, including where the
+            computed sparse layers got their rules: ``delta_layers``
+            routed to ``build_rules_delta`` (shared or rebuilt),
+            ``shared_layers`` reusing an earlier layer's rules in the
+            same trace, and ``full_layers`` built directly.
         dist: Distributed-run detail (coordinator stats, worker roster,
             resolved dist settings), or None.
         analysis: Streaming per-layer sparsity/overhead aggregates from

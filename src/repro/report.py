@@ -459,10 +459,12 @@ def _manifest_summary_rows(manifest: RunManifest) -> list:
                      f"{cache.get('misses', 0)} "
                      f"(disk {cache.get('disk_hits', 0)} hit / "
                      f"{cache.get('disk_writes', 0)} written)"))
-        rows.append(("delta tracing",
-                     f"{cache.get('delta_layers', 0)} layer(s) routed to "
-                     f"build_rules_delta (shared or rebuilt), "
-                     f"{cache.get('full_layers', 0)} full"))
+        rows.append(("layer rules",
+                     f"{cache.get('full_layers', 0)} built in full, "
+                     f"{cache.get('shared_layers', 0)} shared with an "
+                     f"earlier layer of their trace, "
+                     f"{cache.get('delta_layers', 0)} routed to "
+                     f"build_rules_delta (shared or rebuilt)"))
     analysis = manifest.analysis or {}
     if analysis:
         rows.append(("analytics",

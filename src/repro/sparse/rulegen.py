@@ -145,6 +145,10 @@ class Rules:
             order; int32 ``in_idx`` / ``out_idx``, so the pair arrays
             take ``8 * total_pairs`` bytes.
 
+    Nothing writes to a ``Rules`` after RuleGen: several layers of one
+    trace may hold the same object (see
+    :func:`repro.analysis.sparsity.trace_model`).
+
     ``_plans`` is the GSU planner's private memo (see
     :func:`repro.core.gsu.plan_tiles`).  It is not state: pickling and
     copying drop it, so a pickled :class:`Rules` holds exactly the

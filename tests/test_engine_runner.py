@@ -60,12 +60,31 @@ class TestTraceCache:
             "disk_hits": 0,
             "disk_writes": 0,
             "delta_layers": 0,
+            "shared_layers": 0,
             "full_layers": sum(
                 1 for layer in first.layers if layer.rules is not None
             ),
             "quarantined": 0,
             "disk_dir": None,
         }
+
+    def test_counts_layers_that_share_rules(self, kitti_batch):
+        # SPP3's SpConv-S chains repeat their input: B1C3-B1C4,
+        # B2C3-B2C6 and B3C3-B3C6 reuse the rules of the layer before,
+        # and only the other 9 of its 19 sparse layers build rules.
+        cache = TraceCache()
+        trace = cache.get_trace(build_model_spec("SPP3"), kitti_batch.coords)
+        stats = cache.stats()
+        assert (stats["delta_layers"], stats["shared_layers"],
+                stats["full_layers"]) == (0, 10, 9)
+        shared = [layer.spec.name for before, layer
+                  in zip(trace.layers, trace.layers[1:])
+                  if layer.rules is not None and layer.rules is before.rules]
+        assert shared == ["B1C3", "B1C4", "B2C3", "B2C4", "B2C5", "B2C6",
+                          "B3C3", "B3C4", "B3C5", "B3C6"]
+        # A hit computes nothing, so it counts no layer.
+        cache.get_trace(build_model_spec("SPP3"), kitti_batch.coords)
+        assert cache.stats()["shared_layers"] == 10
 
     def test_different_frame_misses(self, kitti_batch, mini_batch):
         cache = TraceCache()

@@ -13,6 +13,7 @@ from repro.engine import (
     RunObserver,
     manifest_path_for,
 )
+from repro.engine.cache import TraceCache
 
 
 def run_spec(**overrides):
@@ -153,6 +154,23 @@ class TestText:
         assert "run manifest" in text
         assert "spec hash" in text
         assert "Speedup over DenseAcc.HE" in text
+
+    def test_layer_rules_row_counts_shared_layers(self):
+        # SPP3 on the seed-0 KITTI frame, traced by a fresh cache: 10 of
+        # its 19 sparse layers repeat an earlier layer's input and
+        # reuse its rules.
+        spec = ExperimentSpec(name="shared-rules", simulators=["stats"],
+                              models=["SPP3"],
+                              scenarios=[{"name": "m", "seed": 0}],
+                              backend="serial")
+        runner = spec.build_runner(cache=TraceCache())
+        observer = RunObserver()
+        table = runner.run(observer=observer)
+        manifest = RunManifest.collect(runner, table, observer=observer)
+        rows = dict(report._manifest_summary_rows(manifest))
+        assert rows["layer rules"] == (
+            "9 built in full, 10 shared with an earlier layer of their "
+            "trace, 0 routed to build_rules_delta (shared or rebuilt)")
 
     def test_without_a_manifest_says_so(self, tmp_path, table):
         results = tmp_path / "bare.json"

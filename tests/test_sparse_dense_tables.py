@@ -11,13 +11,20 @@ dtype for dtype — including frames whose pillars sit on the halo edges
 ``_union_states`` and ``downsample_coords``, and degenerate frames run
 through ``trace_model`` for every Table I model.  An oracle that
 propagates pillar importance through every layer checks that tracking
-it only up to the last pruned layer changes no trace.
+it only up to the last pruned layer changes no trace, and one that
+builds every layer's rules checks that layers sharing one ``Rules``
+change no trace either; simulators and pickling leave shared rules as
+they were.  Grids whose deconv branches would end on different grids
+are refused; every other small grid traces as the sorted route does.
 """
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import numbers
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +34,9 @@ from hypothesis import strategies as st
 from repro.analysis import sparsity
 from repro.analysis.sparsity import StreamState, _union_states, trace_model
 from repro.engine.registry import SIMULATORS
+from repro.engine.runner import DEFAULT_SCENARIO, FrameProvider
 from repro.engine.simulators import _PLATFORMS, build_simulator
-from repro.models import TABLE1_PAPER, LayerOp, build_model_spec
+from repro.models import TABLE1_PAPER, LayerOp, LayerSpec, build_model_spec
 from repro.sparse import (
     ConvType,
     build_rules,
@@ -658,3 +666,244 @@ class TestDegenerateFramesThroughSimulators:
                 assert value >= 0, (path, value)
             if result.cycles is not None and frame != "empty":
                 assert result.cycles > 0, model
+
+
+@contextlib.contextmanager
+def unshared():
+    """The oracle: trace_model with the rule-sharing lookup taken out, so
+    every sparse layer builds its own rules."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparsity, "_shared_rules",
+                      lambda built, geometry, coords: None)
+        yield
+
+
+def layer_geometry(layer):
+    """Every argument rule generation reads for one traced layer."""
+    return (layer.spec.conv_type, layer.spec.kernel_size, layer.spec.stride,
+            tuple(layer.in_shape))
+
+
+def shared_layer_names(trace):
+    """Sparse layers whose rules are an earlier layer's object."""
+    seen, shared = set(), []
+    for layer in trace.layers:
+        if layer.rules is None:
+            continue
+        if id(layer.rules) in seen:
+            shared.append(layer.spec.name)
+        seen.add(id(layer.rules))
+    return shared
+
+
+def sharing_probe_spec():
+    """Layers that see one input set and differ in one geometry field
+    each, so a lookup key missing any field shares wrong rules:
+    kernel (B1C2, D1b vs B1C1), conv type (B1C3), stride (D1c vs D1b)
+    and input grid (B2C2 on the strided grid, whose input equals B1C1's
+    on the empty and corner frames).  D1a repeats B1C1 exactly.  There
+    is no head, so the deconv branches are never merged."""
+    def sparse(name, conv_type, kernel=3, stride=1, stage=1):
+        return LayerSpec(name, LayerOp.SPARSE, 8, 8, kernel_size=kernel,
+                         stride=stride, conv_type=conv_type, stage=stage)
+
+    layers = [
+        sparse("B1C1", ConvType.SUBM),
+        sparse("B1C2", ConvType.SUBM, kernel=5),
+        sparse("B1C3", ConvType.SPCONV, stage=2),
+        sparse("B2C1", ConvType.STRIDED_SUBM, stride=2, stage=3),
+        sparse("B2C2", ConvType.SUBM, stage=3),
+        sparse("D1a", ConvType.SUBM),
+        sparse("D1b", ConvType.DECONV, kernel=2, stride=2),
+        sparse("D1c", ConvType.DECONV, kernel=2, stride=3),
+    ]
+    return dataclasses.replace(build_model_spec("SPP1"),
+                               name="sharing-probe", layers=layers)
+
+
+def spec_named(name):
+    return sharing_probe_spec() if name == "sharing-probe" \
+        else build_model_spec(name)
+
+
+SHARING_MODELS = sorted(TABLE1_PAPER) + ["sharing-probe"]
+
+
+class TestSharedRules:
+    """Layers of one trace that see the same input with the same
+    geometry share one Rules object, and the trace equals one whose
+    every layer built its own rules."""
+
+    @pytest.mark.parametrize("model", SHARING_MODELS)
+    @pytest.mark.parametrize("frame", sorted(ORACLE_FRAMES))
+    def test_matches_unshared_oracle(self, model, frame):
+        shape, coords = ORACLE_FRAMES[frame]
+        importance = np.random.default_rng(len(coords)).uniform(
+            0, 9, len(coords))
+        spec = spec_named(model)
+        with unshared():
+            expect = trace_model(spec, coords, importance, grid_shape=shape)
+        got = trace_model(spec, coords, importance, grid_shape=shape)
+        assert shared_layer_names(expect) == []
+        assert_traces_identical(expect, got)
+        assert not any(layer.via_delta for layer in got.layers)
+
+    @pytest.mark.parametrize("model", SHARING_MODELS)
+    @pytest.mark.parametrize("frame", sorted(ORACLE_FRAMES))
+    def test_shared_exactly_where_geometry_and_input_match(self, model,
+                                                           frame):
+        shape, coords = ORACLE_FRAMES[frame]
+        trace = trace_model(spec_named(model), coords, grid_shape=shape)
+        earlier = []
+        for layer in trace.layers:
+            if layer.rules is None:
+                continue
+            matches = [other for other in earlier
+                       if layer_geometry(other) == layer_geometry(layer)
+                       and np.array_equal(other.in_coords, layer.in_coords)]
+            name = layer.spec.name
+            if matches:
+                assert layer.rules is matches[0].rules, name
+            else:
+                assert all(layer.rules is not other.rules
+                           for other in earlier), name
+                earlier.append(layer)
+
+    @pytest.mark.parametrize("model, count", [
+        ("SPP1", 0), ("SPP2", 0), ("SPP3", 10), ("SCP1", 0), ("SCP2", 0),
+        ("SCP3", 10), ("PN", 4), ("SPN", 10), ("PP", 0), ("CP", 0),
+        ("PN-Dense", 0),
+    ])
+    def test_shared_layer_counts_on_seed_0_frames(self, model, count,
+                                                  seed0_frames):
+        frame = seed0_frames.frame_for(DEFAULT_SCENARIO, model)
+        trace = trace_model(build_model_spec(model), frame.coords,
+                            frame.point_counts.astype(np.float64))
+        assert len(shared_layer_names(trace)) == count
+
+
+@pytest.fixture(scope="module")
+def seed0_frames():
+    return FrameProvider()
+
+
+def rule_array_bytes(trace):
+    """Bytes of every coordinate and pair array of each distinct Rules
+    and of every layer's input set."""
+    snapshot = {}
+    for index, layer in enumerate(trace.layers):
+        if layer.rules is None:
+            continue
+        snapshot[("in_coords", index)] = layer.in_coords.tobytes()
+        rules = layer.rules
+        arrays = {"in": rules.in_coords, "out": rules.out_coords}
+        for offset, pair in enumerate(rules.pairs):
+            arrays[f"in_idx{offset}"] = pair.in_idx
+            arrays[f"out_idx{offset}"] = pair.out_idx
+        for name, array in arrays.items():
+            snapshot[(id(rules), name)] = (array.dtype.str, array.shape,
+                                           array.tobytes())
+    return snapshot
+
+
+#: Models whose seed-0 traces share rules, traced on a small frame.
+SHARING_TRACE_MODELS = ["SPP3", "SCP3", "PN", "SPN"]
+
+
+class TestSharedRulesStayUnwritten:
+    @pytest.mark.parametrize("model", SHARING_TRACE_MODELS)
+    def test_simulators_write_no_rule_array(self, model):
+        shape, coords = ORACLE_FRAMES["random-dense"]
+        trace = trace_model(build_model_spec(model), coords,
+                            grid_shape=shape)
+        assert shared_layer_names(trace)
+        before = rule_array_bytes(trace)
+        for name in SIMULATOR_NAMES:
+            build_simulator(name).run(trace)
+        assert rule_array_bytes(trace) == before
+
+    @pytest.mark.parametrize("model", SHARING_TRACE_MODELS)
+    def test_pickle_keeps_sharing(self, model):
+        shape, coords = ORACLE_FRAMES["random-dense"]
+        spec = build_model_spec(model)
+        trace = trace_model(spec, coords, grid_shape=shape)
+        with unshared():
+            oracle = trace_model(spec, coords, grid_shape=shape)
+        data, oracle_data = pickle.dumps(trace), pickle.dumps(oracle)
+        assert len(data) < len(oracle_data)
+        # Loading fixes every array's dtype object in place; a numpy
+        # that deprecates that assignment makes this fail loudly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = pickle.loads(data)
+            # A trace pickled before layers shared rules still loads,
+            # unshared and with equal content.
+            unshared_loaded = pickle.loads(oracle_data)
+        assert shared_layer_names(loaded) == shared_layer_names(trace)
+        for (first, first_copy), (second, second_copy) in \
+                itertools.combinations(zip(trace.layers, loaded.layers), 2):
+            assert ((first_copy.rules is second_copy.rules)
+                    == (first.rules is second.rules)), second.spec.name
+        assert_traces_identical(trace, loaded)
+        assert shared_layer_names(unshared_loaded) == []
+        assert_traces_identical(trace, unshared_loaded)
+        for layer in loaded.layers:
+            if layer.rules is not None:
+                for pair in layer.rules.pairs:
+                    assert pair.in_idx.dtype is np.dtype(np.int32)
+
+
+#: Each Table I family's total backbone stride.
+TOTAL_STRIDE = {"pointpillars": 8, "centerpoint": 8, "pillarnet": 16}
+
+
+@st.composite
+def small_grid_frames(draw):
+    """A small grid and a random frame of any density.  Sides that are
+    multiples of 16 are drawn often, so traced grids are common."""
+    side = st.one_of(st.integers(1, 40), st.sampled_from([16, 32, 48]))
+    shape = (draw(side), draw(side))
+    cells = shape[0] * shape[1]
+    count = round(draw(st.floats(0, 1)) * cells)
+    return shape, random_frame(count, shape, seed=draw(st.integers(0, 99)))
+
+
+class TestGridShapes:
+    """Grids the backbone stride does not divide: trace_model refuses
+    them when the deconv branches would end on different grids, and
+    traces every other grid correctly."""
+
+    @pytest.mark.parametrize("model", sorted(TABLE1_PAPER))
+    @settings(max_examples=12, deadline=None)
+    @given(case=small_grid_frames())
+    def test_refused_or_traced_correctly(self, model, case):
+        shape, coords = case
+        spec = build_model_spec(model)
+        stride = TOTAL_STRIDE[spec.base]
+        try:
+            trace = trace_model(spec, coords, grid_shape=shape)
+        except ValueError as error:
+            assert f"{shape[0]}x{shape[1]} grid" in str(error)
+            assert f"total stride {stride}" in str(error)
+            assert shape[0] % stride or shape[1] % stride
+            return
+        with route("sorted"):
+            reference = trace_model(spec, coords, grid_shape=shape)
+        assert_traces_identical(reference, trace)
+        assert_layers_match_reference(trace)
+        for name in SIMULATOR_NAMES:
+            build_simulator(name).run(trace)
+
+    @pytest.mark.parametrize("model, shape", [
+        ("SPN", (40, 48)), ("SPP1", (36, 36)), ("SCP1", (33, 40)),
+        ("PP", (36, 36)), ("PN-Dense", (40, 48)),
+    ])
+    def test_branches_are_checked_before_any_merge(self, model, shape,
+                                                   monkeypatch):
+        merged = []
+        monkeypatch.setattr(sparsity, "_union_states", merged.append)
+        with pytest.raises(ValueError, match="deconv branches end on"):
+            trace_model(build_model_spec(model),
+                        random_frame(shape[0] * shape[1] // 5, shape),
+                        grid_shape=shape)
+        assert merged == []
