@@ -1,8 +1,8 @@
 """``python -m repro`` — the CLI without the installed entry point.
 
-Distributed workers in particular are often launched on hosts where the
-package is on ``PYTHONPATH`` but not pip-installed; ``python -m repro
-worker --connect HOST:PORT`` is the same as ``repro worker ...``.
+For a checkout that is on ``PYTHONPATH`` but not pip-installed:
+``python -m repro run spec.json`` is the same as ``repro run
+spec.json``.
 """
 
 import sys

@@ -27,13 +27,10 @@ them and inspects the registries:
   — the scenario axis of one spec file;
 * ``repro describe <name>`` — details on a simulator spec string, a
   Table I model, a backend, a frame provider, or a spec file;
-* ``repro worker --connect HOST:PORT``
-  — serve a distributed coordinator (the ``--backend dist`` run on the
-  other end) until it shuts the worker down;
 * ``repro cache stats|clear``
   — inspect or empty the trace-artifact store
-  (``REPRO_TRACE_CACHE_DIR`` or ``--cache-dir``) that distributed and
-  process runs share traces through.
+  (``REPRO_TRACE_CACHE_DIR`` or ``--cache-dir``) that runs share traces
+  through.
 
 Everything resolves through the same code paths the Python API uses —
 the simulator/backend/provider registries and the
@@ -271,26 +268,6 @@ def _cmd_report(args) -> int:
         ) from None
     _status(f"wrote report to {path}")
     return 0
-
-
-# ---------------------------------------------------------------------------
-# repro worker
-# ---------------------------------------------------------------------------
-
-
-def _cmd_worker(args) -> int:
-    from .engine.dist import Worker
-    from .engine.settings import UNSET
-
-    worker = Worker(
-        args.connect,
-        worker_id=args.worker_id,
-        cache_dir=args.cache_dir if args.cache_dir is not None else UNSET,
-        retry_seconds=args.retry_seconds,
-        max_units=args.max_units,
-        reconnect_seconds=args.reconnect_seconds,
-    )
-    return worker.run()
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(1/0, default REPRO_ENGINE_DELTA_TRACE)")
     run.add_argument("--faults", dest="faults",
                      help="deterministic fault-injection plan for chaos "
-                          "testing, e.g. 'kill_worker:unit=2' "
+                          "testing, e.g. 'kill_run:record=2' "
                           "(default REPRO_ENGINE_FAULTS)")
-    run.add_argument("--degrade", dest="degrade",
-                     help="fall back dist->process->serial when the "
-                          "chosen backend cannot start (1/0, default "
-                          "REPRO_ENGINE_DEGRADE)")
     run.add_argument("--journal", metavar="PATH",
                      help="write-ahead-log each completed work group "
                           "here; the file must not already hold a run "
@@ -640,35 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "relative to (default: a dense-family "
                              "simulator, else the table's first)")
     report.set_defaults(func=_cmd_report)
-
-    worker = commands.add_parser(
-        "worker",
-        help="serve a distributed coordinator (`repro run --backend "
-             "dist` on the other end)",
-    )
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address to pull work from")
-    worker.add_argument("--id", dest="worker_id",
-                        help="worker name in coordinator logs "
-                             "(default: hostname:pid)")
-    worker.add_argument("--cache-dir", dest="cache_dir",
-                        help="trace-artifact directory override "
-                             "(default: what the coordinator announces, "
-                             "else REPRO_TRACE_CACHE_DIR)")
-    worker.add_argument("--retry-seconds", dest="retry_seconds",
-                        type=float, default=30.0,
-                        help="keep retrying the initial connection this "
-                             "long, so workers can start before the "
-                             "coordinator (default: 30)")
-    worker.add_argument("--max-units", dest="max_units", type=int,
-                        help="exit cleanly after N units (drain mode)")
-    worker.add_argument("--reconnect-seconds", dest="reconnect_seconds",
-                        type=float, default=0.0,
-                        help="after losing an established connection, "
-                             "keep re-dialling this long — survives a "
-                             "coordinator restart, e.g. a run resumed "
-                             "with --resume (default: 0 = exit)")
-    worker.set_defaults(func=_cmd_worker)
 
     journal = commands.add_parser(
         "journal",

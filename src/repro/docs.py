@@ -1,8 +1,7 @@
 """``python -m repro.docs`` — generate the engine-knob reference.
 
 ``docs/knobs.md`` is not written by hand: this module walks
-:class:`~repro.engine.settings.EngineSettings`,
-:class:`~repro.engine.settings.DistSettings` and
+:class:`~repro.engine.settings.EngineSettings` and
 :class:`~repro.engine.settings.TelemetrySettings` — the dataclasses
 that *are* the engine's knob surface — and emits one reference table per
 class, pulling each knob's environment variable and default from its
@@ -31,11 +30,7 @@ import re
 import sys
 from pathlib import Path
 
-from .engine.settings import (
-    DistSettings,
-    EngineSettings,
-    TelemetrySettings,
-)
+from .engine.settings import EngineSettings, TelemetrySettings
 
 #: Marker stamped into the generated file (the sync test greps for it).
 GENERATED_MARKER = (
@@ -124,12 +119,6 @@ def generate_knobs_markdown() -> str:
          "Resolved by `EngineSettings.resolve` — explicit argument > "
          "environment variable > default. Every `repro run` flag with "
          "the same name overrides the variable below."),
-        (DistSettings, "Distributed-backend knobs",
-         "Resolved by `DistSettings.resolve` when `--backend dist` "
-         "runs: the coordinator's bind address and handshake secret. "
-         "Its unit size, timeouts and attempt cap are `DistBackend` "
-         "arguments; workers inherit the coordinator's announcements "
-         "(cache dir, heartbeat interval) over the wire."),
         (TelemetrySettings, "Telemetry knobs",
          "Resolved by `TelemetrySettings.resolve` — span tracing "
          "(`repro run --trace-out`) and the run manifest's "
@@ -150,8 +139,7 @@ def generate_knobs_markdown() -> str:
         f"{GENERATED_MARKER}\n\n"
         "# Engine environment knobs\n\n"
         "Every environment variable the engine reads, generated from "
-        "the\n`EngineSettings` / `DistSettings` / `TelemetrySettings` "
-        "dataclasses in\n"
+        "the\n`EngineSettings` / `TelemetrySettings` dataclasses in\n"
         "`src/repro/engine/settings.py` (the single resolver all code "
         "paths share).\nRegenerate with `python -m repro.docs`; CI "
         "fails when this file drifts\nfrom the source of truth.\n\n"
@@ -209,7 +197,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.docs",
         description="Generate (or verify) docs/knobs.md from the "
-                    "EngineSettings/DistSettings/TelemetrySettings "
+                    "EngineSettings/TelemetrySettings "
                     "source of truth.",
     )
     parser.add_argument("--out", default=KNOBS_DOC,

@@ -26,28 +26,22 @@
   :class:`RunObserver`: the per-run provenance artifact (spec hash, git
   rev, settings, per-unit/phase timings, cache stats, streaming
   analytics) written alongside every ``repro run --out`` sink;
-* :mod:`repro.engine.dist`       — the distributed coordinator/worker
-  backend (``"dist"``): spec-dict work units over length-prefixed JSON
-  TCP, workers that trace the groups they simulate through the run's
-  cache disk tier, heartbeats and requeue-based fault tolerance
-  (``repro worker`` serves it);
 * :mod:`repro.engine.journal`    — :class:`RunJournal`, the per-run
   write-ahead log behind ``repro run --resume`` (checkpoint every
   completed work group, recover torn tails, stitch byte-identical
   output);
 * :mod:`repro.engine.faults`     — the deterministic fault-injection
   harness (:class:`FaultPlan` from ``REPRO_ENGINE_FAULTS``) the chaos
-  tests drive worker kills, dropped connections, stalled heartbeats
-  and corrupted cache entries through;
+  tests drive run kills, torn journal writes and corrupted cache
+  entries through;
 * :mod:`repro.engine.telemetry`  — the live observability layer:
-  :class:`SpanTracer` (Chrome trace-event export, fleet-merged
-  timelines, the per-phase profile a traced run's manifest records)
-  and the one lock-guarded stderr writer.
+  :class:`SpanTracer` (Chrome trace-event export, one timeline across
+  the pool workers, the per-phase profile a traced run's manifest
+  records) and the one lock-guarded stderr writer.
 """
 
 from .backends import (
     Backend,
-    BackendUnavailable,
     ProcessBackend,
 )
 from .journal import (
@@ -103,26 +97,13 @@ from .simulators import (
 )
 from .spec import ExperimentSpec
 
-# Imported last: the dist subsystem builds on the spec layer and
-# registers the "dist" backend as an import side effect.
-from .dist import (  # noqa: E402
-    Coordinator,
-    DistRunError,
-    DistStartTimeout,
-    Worker,
-)
-
 __all__ = [
     "BACKENDS",
     "FRAME_PROVIDERS",
     "RESULT_COLUMNS",
     "SIMULATORS",
     "Backend",
-    "BackendUnavailable",
-    "Coordinator",
     "DenseAccSimulator",
-    "DistRunError",
-    "DistStartTimeout",
     "ExperimentRunner",
     "ExperimentSpec",
     "ExperimentTable",
@@ -143,7 +124,6 @@ __all__ = [
     "SpadeNoOverlapSim",
     "SpadeSimulator",
     "TraceCache",
-    "Worker",
     "build_simulator",
     "clear_disk_tier",
     "git_revision",

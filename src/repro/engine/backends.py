@@ -156,15 +156,13 @@ def _makespan(bounds: list, workers: int) -> int:
 class ProgressReporter:
     """Per-group completion ticker for long sweeps (stderr by default).
 
-    Thread-safe: the distributed coordinator advances it from its
-    connection handler threads.  ``sink`` may be a callable
-    ``(done, total, elapsed_seconds)`` for programmatic consumers
-    (tests, dashboards); the default prints
+    Thread-safe, so concurrent completions report in order.  ``sink``
+    may be a callable ``(done, total, elapsed_seconds)`` for
+    programmatic consumers (tests, dashboards); the default prints
     ``groups done/total (elapsed)`` lines to ``stderr`` — through
     :func:`repro.engine.telemetry.log_line`, the one lock-guarded
-    line-buffered writer worker warnings also use, so concurrent
-    emitters never interleave mid-line — and ``--out -`` tables stay
-    clean.
+    line-buffered stderr writer, so concurrent emitters never
+    interleave mid-line — and ``--out -`` tables stay clean.
     """
 
     def __init__(self, total: int, sink=None, label: str = "groups"):
@@ -229,8 +227,8 @@ def observe_unit_done(runner, scenario_name: str, model_name: str,
     """Report one finished work group to the runner's observer, if any.
 
     ``results`` are the group's streamed rows (fed to the observer's
-    per-layer analyzer); ``worker`` identifies the executing distributed
-    or process-pool worker (None in-process); ``cache`` is the counter
+    per-layer analyzer); ``worker`` identifies the executing
+    process-pool worker (None in-process); ``cache`` is the counter
     delta of the worker-side cache that traced the group (None when it
     was the runner's own cache, whose delta the observer takes itself).
     When a run journal is active the group is also appended to it here —
@@ -246,20 +244,6 @@ def observe_unit_done(runner, scenario_name: str, model_name: str,
     if observer is not None:
         observer.record_unit(scenario_name, model_name, seconds,
                              results=results, worker=worker, cache=cache)
-
-
-class BackendUnavailable(RuntimeError):
-    """A backend cannot start at all (as opposed to failing mid-run).
-
-    Raised, for example, by the dist coordinator when no worker
-    connects within the start timeout.  When the runner's ``degrade``
-    knob is on, :meth:`ExperimentRunner.run` catches this and retries
-    the plan on the next backend in :attr:`fallbacks` (the degradation
-    ladder) instead of failing the sweep.
-    """
-
-    #: Backend names to try next, most capable first.
-    fallbacks = ("process", "serial")
 
 
 class Backend:
@@ -329,7 +313,9 @@ def _init_worker(settings: EngineSettings, traced: bool) -> None:
     whether the parent runs under a tracer: the worker then traces into
     a fresh :class:`~repro.engine.telemetry.SpanTracer` of its own
     (never a forked copy of the parent's, which holds the parent's
-    events), and :func:`_run_chunk` ships its spans home.
+    events), and :func:`_run_chunk` ships its spans home.  A daemon
+    thread then watches for the run process's death
+    (:func:`_exit_with_parent`).
     """
     global _WORKER_SETTINGS, _WORKER_CACHE, _WORKER_FRAMES
     from .runner import FrameProvider
@@ -339,6 +325,22 @@ def _init_worker(settings: EngineSettings, traced: bool) -> None:
     _WORKER_FRAMES = FrameProvider()
     telemetry.activate(
         telemetry.SpanTracer(process=_worker_name()) if traced else None)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this pool worker once the run process ``parent`` is gone.
+
+    A run killed outright (``kill_run``, a SIGKILL) never shuts its
+    pool down, and its workers would wait on the task queue forever:
+    each inherited the queue's write end, so the queue never reports
+    end of file.  A worker whose parent died is reparented, so its
+    parent pid changes.
+    """
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def _worker_name() -> str:

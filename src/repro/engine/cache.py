@@ -17,8 +17,8 @@ The cache has two tiers:
 * an optional **persistent on-disk** tier: one pickle file per trace
   under a cache directory, content-addressed by the same key.  Because
   keys are content digests, traces become shippable artifacts — process
-  workers, repeated benchmark runs and future distributed backends all
-  hit the same files instead of re-tracing from scratch.  Enable it by
+  workers and repeated benchmark runs all hit the same files instead of
+  re-tracing from scratch.  Enable it by
   passing ``disk_dir`` or by setting the ``REPRO_TRACE_CACHE_DIR``
   environment variable (which every default-constructed cache picks up).
 """
@@ -258,7 +258,7 @@ class TraceCache:
             return False
         # Chaos harness: corrupt_cache:entry=N garbles the N-th stored
         # artifact after the fact, so the next load must quarantine it.
-        if faults.check("cache.store", key=key) == "corrupt_cache":
+        if faults.check("cache.store") == "corrupt_cache":
             try:
                 with open(path, "wb") as handle:
                     handle.write(b"corrupt trace artifact (injected)")
@@ -395,8 +395,8 @@ def scan_disk_tier(directory, detail: bool = False) -> dict:
     """Size up one disk-tier directory without loading everything.
 
     Returns ``{"dir", "entries", "bytes"}`` for the trace artifacts
-    under ``directory`` — what ``repro cache stats`` shows operators
-    inspecting the shared store a distributed run depends on.  A
+    under ``directory`` — what ``repro cache stats`` shows for a trace
+    store.  A
     missing directory counts as empty (the tier is created lazily).
 
     With ``detail=True`` the summary also carries ``"models"``: per

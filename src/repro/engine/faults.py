@@ -3,11 +3,11 @@
 A :class:`FaultPlan` is a small textual program — parsed from the
 ``REPRO_ENGINE_FAULTS`` environment variable or the spec's ``faults``
 knob — that arms *one-shot, counted* triggers at named injection sites
-inside the engine and the dist layer.  Because every trigger fires on a
-deterministic event count (the K-th unit, the N-th protocol message,
-the N-th journal record) rather than a timer, a chaos test that passes
-once passes always: the same plan against the same spec produces the
-same failure at the same instant on every run.
+inside the engine.  Because every trigger fires on a deterministic
+event count (the N-th journal record, the N-th cache artifact) rather
+than a timer, a chaos test that passes once passes always: the same
+plan against the same spec produces the same failure at the same
+instant on every run.
 
 Grammar (see ``docs/robustness.md`` for the prose version)::
 
@@ -17,30 +17,14 @@ Grammar (see ``docs/robustness.md`` for the prose version)::
 
 Kinds and their trigger parameters:
 
-``kill_worker:unit=K``
-    ``os._exit(137)`` in a worker process just before it executes its
-    K-th work unit — a hard SIGKILL-style death mid-run.
 ``kill_run:record=N``
     ``os._exit(137)`` in the run process immediately *after* journal
-    record N is durably written — simulates a coordinator SIGKILL at a
+    record N is durably written — simulates a SIGKILL of the run at a
     checkpoint boundary (the canonical ``--resume`` scenario).
 ``truncate_journal:record=N``
     Write only half the bytes of journal record N, then
     ``os._exit(23)`` — a torn write plus crash, exercising the
     journal's tail-recovery path.
-``drop_conn:after=N``
-    Raise :class:`InjectedFault` (an ``OSError``) at the N-th protocol
-    message sent or received by this process — the peer sees a dead
-    socket.
-``delay_conn:after=N,seconds=S``
-    Sleep ``S`` seconds (default 1.0) before the N-th protocol
-    message — a one-shot latency spike.
-``stall_heartbeat:after=N``
-    The worker's heartbeat loop goes silent after sending N-1
-    heartbeats, so the coordinator's reaper declares it dead.
-``coordinator_drop:unit=N``
-    The coordinator drops the worker connection while assigning its
-    N-th work unit — the unit requeues and the worker must reconnect.
 ``corrupt_cache:entry=N``
     Overwrite the N-th disk-cache artifact with garbage right after it
     is stored — exercises load-time quarantine.
@@ -59,10 +43,8 @@ inheritance is exactly how worker *subprocesses* receive their plan.
 from __future__ import annotations
 
 import contextlib
-import os
 import random
 import threading
-import time
 
 from .settings import EngineSettings
 
@@ -71,7 +53,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "InjectedFault",
     "check",
     "install",
     "installed_plan",
@@ -80,25 +61,11 @@ __all__ = [
 ]
 
 
-class InjectedFault(OSError):
-    """Raised at an injection site when a connection-fault rule fires.
-
-    Subclasses :class:`OSError` so the dist layer's existing
-    ``except (ProtocolError, OSError)`` handlers treat an injected
-    connection drop exactly like a real peer failure.
-    """
-
-
-#: kind -> (site, trigger parameter name, extra parameter names)
+#: kind -> (site, trigger parameter name)
 FAULT_KINDS = {
-    "kill_worker": ("worker.unit", "unit", ()),
-    "kill_run": ("journal.record", "record", ()),
-    "truncate_journal": ("journal.record", "record", ()),
-    "drop_conn": ("protocol.message", "after", ()),
-    "delay_conn": ("protocol.message", "after", ("seconds",)),
-    "stall_heartbeat": ("worker.heartbeat", "after", ()),
-    "coordinator_drop": ("coordinator.assign", "unit", ()),
-    "corrupt_cache": ("cache.store", "entry", ()),
+    "kill_run": ("journal.record", "record"),
+    "truncate_journal": ("journal.record", "record"),
+    "corrupt_cache": ("cache.store", "entry"),
 }
 
 _COMMON_PARAMS = ("p", "seed")
@@ -114,7 +81,7 @@ def _parse_rule(text, index):
             f"rule {index + 1} ({text!r}): unknown fault kind {kind!r} "
             f"(known kinds: {known})"
         )
-    site, trigger_name, extras = FAULT_KINDS[kind]
+    site, trigger_name = FAULT_KINDS[kind]
     params = {}
     if tail.strip():
         for piece in tail.split(","):
@@ -130,7 +97,7 @@ def _parse_rule(text, index):
                     f"rule {index + 1} ({text!r}): duplicate parameter {name!r}"
                 )
             params[name] = value.strip()
-    allowed = {trigger_name, *extras, *_COMMON_PARAMS}
+    allowed = {trigger_name, *_COMMON_PARAMS}
     for name in params:
         if name not in allowed:
             raise ValueError(
@@ -154,17 +121,6 @@ def _parse_rule(text, index):
         return value
 
     trigger = _positive_int(trigger_name, 1)
-    seconds = 1.0
-    if "seconds" in extras and params.get("seconds") is not None:
-        try:
-            seconds = float(params["seconds"])
-        except ValueError:
-            seconds = -1.0
-        if seconds <= 0:
-            raise ValueError(
-                f"rule {index + 1} ({text!r}): seconds must be a positive "
-                f"number, got {params['seconds']!r}"
-            )
     probability = 1.0
     if params.get("p") is not None:
         try:
@@ -181,7 +137,6 @@ def _parse_rule(text, index):
         kind=kind,
         site=site,
         trigger=trigger,
-        seconds=seconds,
         probability=probability,
         seed=seed,
     )
@@ -190,14 +145,13 @@ def _parse_rule(text, index):
 class FaultRule:
     """One armed trigger: fire ``kind`` at the ``trigger``-th site event."""
 
-    __slots__ = ("kind", "site", "trigger", "seconds", "probability", "seed")
+    __slots__ = ("kind", "site", "trigger", "probability", "seed")
 
-    def __init__(self, kind, site, trigger, seconds=1.0, probability=1.0, seed=0):
+    def __init__(self, kind, site, trigger, probability=1.0, seed=0):
         """Store the parsed rule fields (see module grammar)."""
         self.kind = kind
         self.site = site
         self.trigger = trigger
-        self.seconds = seconds
         self.probability = probability
         self.seed = seed
 
@@ -262,7 +216,7 @@ class FaultInjector:
             for rule in plan.rules
         ]
 
-    def fire(self, site, **context):
+    def fire(self, site):
         """Count one event at ``site``; return the rule that fires, if any.
 
         Each matching armed rule's counter advances by one; a rule whose
@@ -340,30 +294,19 @@ def _active():
     return _ENV_INJECTOR
 
 
-def check(site, **context):
-    """Count one event at ``site`` and act on any rule that fires.
+def check(site):
+    """Count one event at ``site``; return the kind of any rule that fires.
 
-    Connection kinds raise :class:`InjectedFault`; ``delay_conn``
-    sleeps in place; ``kill_worker`` exits the process with status 137.
-    Kinds whose behaviour lives at the call site (``stall_heartbeat``,
-    ``corrupt_cache``, ``kill_run``, ``truncate_journal``) are returned
-    as the kind string for the caller to enact.  Returns ``None`` when
+    Every kind's behaviour lives at its call site (``corrupt_cache`` in
+    the cache, ``kill_run`` / ``truncate_journal`` in the journal),
+    which enacts the returned kind string.  Returns ``None`` when
     nothing fires — the overwhelmingly common, cheap path.
     """
     injector = _active()
     if injector is None:
         return None
-    rule = injector.fire(site, **context)
-    if rule is None:
-        return None
-    if rule.kind in ("drop_conn", "coordinator_drop"):
-        raise InjectedFault(f"injected fault: {rule.kind} at {site} {context!r}")
-    if rule.kind == "delay_conn":
-        time.sleep(rule.seconds)
-        return rule.kind
-    if rule.kind == "kill_worker":
-        os._exit(137)
-    return rule.kind
+    rule = injector.fire(site)
+    return None if rule is None else rule.kind
 
 
 @contextlib.contextmanager

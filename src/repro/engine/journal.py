@@ -4,10 +4,10 @@ A :class:`RunJournal` is a JSONL file: one header line identifying the
 run (schema, version, spec hash, spec name), then one line per
 *completed work group* — the unit key (``scenario/model``), the wall
 seconds the group took, the worker that ran it, and the full row
-payload in the engine's wire-record format (the same
-:func:`~repro.engine.result.ExperimentTable.to_records` encoding the
-dist backend streams over TCP).  Records are flushed and fsynced as
-they land, so the journal is exactly as durable as the filesystem.
+payload in the engine's record format (the
+:func:`~repro.engine.result.ExperimentTable.to_records` encoding).
+Records are flushed and fsynced as they land, so the journal is exactly
+as durable as the filesystem.
 
 Resume (``repro run spec.json --resume run.journal``) re-opens the
 file, drops a torn trailing record (a partial line with no newline —
@@ -15,9 +15,8 @@ the signature of a crash mid-write), validates the header's spec hash
 against the spec being run, and hands the runner the set of completed
 unit keys plus their decoded rows.  The runner executes only the
 pending groups and stitches journal rows back in plan order, so the
-resumed output is byte-identical to an uninterrupted run: the record
-round-trip used here is the same one the dist parity tests already
-pin down.
+resumed output is byte-identical to an uninterrupted run: every
+journaled row decodes back to the exact row written.
 
 Unit keys are ``f"{scenario.name}/{model_name}"`` — unique within a
 run because the runner rejects duplicate scenario and model names.
@@ -250,30 +249,25 @@ class RunJournal:
     def record_unit(self, scenario_name, model_name, seconds, results, worker=None):
         """Append one completed work group; durable once this returns.
 
-        ``results`` may be :class:`SimResult` rows or already-encoded
-        record dicts (the dist path).  The write is a single line plus
-        flush + fsync, so a crash leaves at worst one torn trailing
-        record, which :meth:`open_for_run` truncates on resume.  The
-        ``journal.record`` fault site lives here: ``kill_run`` exits
-        after the durable write, ``truncate_journal`` writes half the
-        line and exits.
+        ``results`` are the group's :class:`SimResult` rows.  The write
+        is a single line plus flush + fsync, so a crash leaves at worst
+        one torn trailing record, which :meth:`open_for_run` truncates
+        on resume.  The ``journal.record`` fault site lives here:
+        ``kill_run`` exits after the durable write, ``truncate_journal``
+        writes half the line and exits.
         """
         key = unit_key(scenario_name, model_name)
-        rows = [
-            row if isinstance(row, dict) else _result_to_record(row)
-            for row in results
-        ]
         record = {
             "unit": key,
             "seconds": float(seconds),
             "worker": worker,
-            "rows": rows,
+            "rows": [_result_to_record(row) for row in results],
         }
         line = _encode(record)
         with self._lock:
             if self._handle is None or key in self._completed:
                 return
-            action = faults.check("journal.record", unit=key)
+            action = faults.check("journal.record")
             if action == "truncate_journal":
                 self._handle.write(line[: max(1, len(line) // 2)])
                 self._handle.flush()

@@ -4,7 +4,7 @@ A result sink (``results.json`` / ``results.csv``) records *what* came
 out of a sweep; the :class:`RunManifest` written next to it records
 *how* — the resolved experiment spec and its content hash, the git
 revision of the tree, the resolved engine settings, which backend (and,
-for distributed runs, which workers) executed the plan, per-unit and
+for process runs, which pool workers) executed the plan, per-unit and
 per-phase timings, trace-cache hit/miss/disk statistics, delta-tracing
 utilization, and streaming per-layer sparsity analytics.  Together with
 the table it makes a run a self-contained, diffable reproduction
@@ -24,18 +24,13 @@ observation never retains tables or traces.
 
 Coverage by backend: the serial backend times units in-process; the
 process backend times them inside its worker processes and ships the
-seconds back with the rows and the worker's ``process-<pid>`` name;
-the distributed backend's
-workers time each group and return timings in the existing row-stream
-``result`` message, so unit records stay complete even when units are
-requeued across worker failures (the first accepted result carries the
-timings).  Trace-cache statistics follow the same path: each worker
-records its own cache's counter delta per group and ships it next to
-the group's seconds, and the manifest's ``cache`` block adds those
-deltas to the run's own cache delta — so process and distributed
-manifests count the same lookups, misses and layers as a serial run of
-the same plan.  ``entries`` and ``disk_dir`` still describe the run's
-own cache.
+seconds back with the rows and the worker's ``process-<pid>`` name.
+Trace-cache statistics follow the same path: each worker records its
+own cache's counter delta per group and ships it next to the group's
+seconds, and the manifest's ``cache`` block adds those deltas to the
+run's own cache delta — so process manifests count the same lookups,
+misses and layers as a serial run of the same plan.  ``entries`` and
+``disk_dir`` still describe the run's own cache.
 """
 
 from __future__ import annotations
@@ -119,14 +114,13 @@ class RunObserver:
     <repro.engine.runner.ExperimentRunner.run>`; every backend then
     reports per-unit timings and streamed rows through it (see
     :func:`~repro.engine.backends.observe_unit_done`).  All methods are
-    thread-safe — the distributed backend calls them from its
-    connection handler threads.
+    thread-safe.
 
     Attributes:
         units: One dict per finished work group: ``{"scenario",
             "model", "seconds", "rows", "worker"}`` (``worker`` is the
-            executing distributed worker's id or process-pool worker's
-            ``process-<pid>``, else None).
+            executing process-pool worker's ``process-<pid>``, else
+            None).
         phases: ``[{"name": "run", "seconds": ...}]`` — the total run's
             wall time, appended by :meth:`finish`.
         analyzer: The :class:`~repro.analysis.sparsity.SparsityAnalyzer`
@@ -134,8 +128,6 @@ class RunObserver:
         cache_stats: Trace-cache statistics delta over the observed run
             — the runner's own cache plus every worker-side delta
             passed to :meth:`record_unit` (populated by :meth:`finish`).
-        dist: Distributed-run detail (coordinator stats, worker roster,
-            resolved dist settings), or None for local backends.
         telemetry: ``{"spans": ...}``, a traced run's per-phase span
             profile (:meth:`SpanTracer.phase_profile
             <repro.engine.telemetry.SpanTracer.phase_profile>`), or
@@ -148,7 +140,6 @@ class RunObserver:
         self.analyzer = analyzer if analyzer is not None \
             else SparsityAnalyzer()
         self.cache_stats = {}
-        self.dist = None
         self.telemetry = None
         self._lock = threading.Lock()
         self._started = None
@@ -189,7 +180,7 @@ class RunObserver:
 
         ``cache`` is the :func:`~repro.engine.cache.counter_delta` of
         the cache that traced the group when that is not the runner's
-        own (a pool or distributed worker's); it is added to
+        own (a pool worker's); it is added to
         :attr:`cache_stats` at :meth:`finish`.
         """
         rows = 0
@@ -207,16 +198,6 @@ class RunObserver:
                 "rows": rows,
                 "worker": worker,
             })
-
-    def record_dist(self, stats: dict, workers: list,
-                    settings: dict = None) -> None:
-        """Distributed-run detail from the coordinator, post-serve."""
-        with self._lock:
-            self.dist = {
-                "stats": dict(stats or {}),
-                "workers": list(workers or []),
-                "settings": dict(settings) if settings else None,
-            }
 
     def record_telemetry(self, snapshot: dict) -> None:
         """The traced run's telemetry snapshot (its span profile); set
@@ -238,8 +219,6 @@ class RunObserver:
                 "units": [dict(unit) for unit in self.units],
                 "phases": [dict(phase) for phase in self.phases],
                 "cache": dict(self.cache_stats),
-                "dist": (None if self.dist is None
-                         else json.loads(json.dumps(self.dist))),
                 "analysis": self.analyzer.summary(),
                 "telemetry": (None if self.telemetry is None
                               else json.loads(
@@ -272,8 +251,6 @@ class RunManifest:
             routed to ``build_rules_delta`` (shared or rebuilt),
             ``shared_layers`` reusing an earlier layer's rules in the
             same trace, and ``full_layers`` built directly.
-        dist: Distributed-run detail (coordinator stats, worker roster,
-            resolved dist settings), or None.
         analysis: Streaming per-layer sparsity/overhead aggregates from
             the run's :class:`~repro.analysis.sparsity.SparsityAnalyzer`.
         journal: Run-journal summary (path, spec hash, resumed vs
@@ -295,7 +272,6 @@ class RunManifest:
     phases: list = field(default_factory=list)
     units: list = field(default_factory=list)
     cache: dict = field(default_factory=dict)
-    dist: dict = None
     analysis: dict = field(default_factory=dict)
     journal: dict = None
     telemetry: dict = None
@@ -349,7 +325,6 @@ class RunManifest:
             phases=observed.get("phases", []),
             units=observed.get("units", []),
             cache=observed.get("cache", {}),
-            dist=observed.get("dist"),
             analysis=observed.get("analysis", {}),
             journal=(journal.summary()
                      if hasattr(journal, "summary") else journal),
@@ -374,7 +349,6 @@ class RunManifest:
             "phases": self.phases,
             "units": self.units,
             "cache": self.cache,
-            "dist": self.dist,
             "analysis": self.analysis,
             "journal": self.journal,
         }
@@ -403,7 +377,7 @@ class RunManifest:
             key: data.get(key)
             for key in ("name", "created", "spec", "spec_hash",
                         "git_rev", "backend", "settings", "table",
-                        "phases", "units", "cache", "dist", "analysis",
+                        "phases", "units", "cache", "analysis",
                         "journal", "telemetry")
         })
 

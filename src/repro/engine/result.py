@@ -329,8 +329,8 @@ class ExperimentTable:
 
     def to_records(self) -> list:
         """Every row as a JSON-ready record (scalar columns plus the
-        JSON-safe ``per_layer`` / ``extras`` detail) — the dist
-        backend's wire format, read back by :meth:`append_record`."""
+        JSON-safe ``per_layer`` / ``extras`` detail) — the rows of
+        :meth:`to_json`, read back by :meth:`append_record`."""
         with telemetry.span("serialize", "engine", sink="records"):
             return [_result_to_record(row) for row in self._rows]
 

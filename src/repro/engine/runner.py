@@ -7,9 +7,9 @@ generation — happens exactly once per (scenario, model, frame) through a
 shared :class:`~repro.engine.cache.TraceCache`, no matter how many
 simulators consume the trace or how many times the grid re-runs.
 Execution then goes through a pluggable
-:class:`~repro.engine.backends.Backend` — serial (default), process
-pool or distributed — selected per runner, per call (``run(backend=)``),
-or via the ``REPRO_ENGINE_BACKEND`` environment variable.
+:class:`~repro.engine.backends.Backend` — serial (default) or process
+pool — selected per runner, per call (``run(backend=)``), or via the
+``REPRO_ENGINE_BACKEND`` environment variable.
 
 A :class:`Scenario` can carry one frame (the default) or a batch of
 ``frames`` seeded frames: the batch is traced in a single rulegen pass
@@ -37,7 +37,6 @@ from ..models.zoo import TABLE1_PAPER, grid_for, scene_config_for
 from . import faults as _faults
 from . import telemetry
 from .backends import (
-    BackendUnavailable,
     ProgressReporter,
     SerialBackend,
     WorkGroup,
@@ -197,8 +196,7 @@ def lookup_trace(settings: EngineSettings, cache: TraceCache,
     ``prev_trace`` (the previous sequential frame's trace) seeds the
     delta path on a miss only when ``settings.delta_trace`` is on.
     :meth:`ExperimentRunner.trace_for` traces through it, and so do the
-    process backend's pool workers and the distributed workers, which
-    run their groups through a serial runner of their own.
+    process backend's pool workers.
     """
     built = frames.frame_for(scenario, model, frame)
     return cache.get_trace(
@@ -222,9 +220,9 @@ class ExperimentRunner:
         scenarios: Experiment conditions; defaults to one seed-0 scenario.
         cache: Trace cache to share; defaults to the process-wide cache.
         frame_provider: Optional :class:`FrameProvider` (subclass)
-            instance; defaults to the synthetic scenes.  The process and
-            distributed backends build their workers' providers
-            themselves, so they reject a custom instance.
+            instance; defaults to the synthetic scenes.  The process
+            backend builds its workers' providers itself, so it rejects
+            a custom instance.
         cell_filter: Optional ``(scenario, model_name, simulator) -> bool``
             predicate; cells returning ``False`` are skipped entirely
             (not traced, not simulated, absent from the table).  Use it
@@ -265,7 +263,7 @@ class ExperimentRunner:
                  cell_filter=None, backend=None, max_workers: int = None,
                  rulegen_shards: int = None,
                  delta_trace: bool = None,
-                 faults: str = None, degrade: bool = None):
+                 faults: str = None):
         self.simulators = resolve_simulators(simulators)
         self.models = list(models)
         self.scenarios = list(scenarios) if scenarios else [DEFAULT_SCENARIO]
@@ -296,7 +294,7 @@ class ExperimentRunner:
         self._backend_explicit = backend is not None
         #: Every knob of this runner, resolved once (explicit argument >
         #: environment > default); the manifest records this snapshot
-        #: and the distributed backend ships it in its work units.
+        #: and the process backend ships it to its pool workers.
         self.settings = EngineSettings.resolve(
             backend=getattr(backend, "name", backend),
             workers=max_workers,
@@ -304,7 +302,6 @@ class ExperimentRunner:
             cache_dir=getattr(self.cache, "disk_dir", None),
             delta_trace=delta_trace,
             faults=faults,
-            degrade=degrade,
         )
         self.backend = backend if backend is not None else (
             self.settings.backend
@@ -315,7 +312,7 @@ class ExperimentRunner:
         self._journal = None
         #: The :class:`~repro.engine.spec.ExperimentSpec` this runner
         #: was built from, set by ``ExperimentSpec.build_runner``; the
-        #: distributed backend serializes its work units from it.
+        #: manifest and the run journal hash it.
         self.source_spec = None
 
     def _spec_for(self, model) -> ModelSpec:
@@ -420,10 +417,9 @@ class ExperimentRunner:
                     and chosen.incompatibility(self) is not None):
                 # The backend default came from REPRO_ENGINE_BACKEND but
                 # this runner fails its preconditions (the default frame
-                # provider for the process pool, a spec-built runner for
-                # the distributed backend) — fall back to serial rather
-                # than failing a runner the caller never asked to put on
-                # that backend.
+                # provider for the process pool) — fall back to serial
+                # rather than failing a runner the caller never asked to
+                # put on that backend.
                 chosen = SerialBackend()
         groups = self.plan()
         done = set()
@@ -457,20 +453,7 @@ class ExperimentRunner:
         self._journal = journal
         try:
             with _faults.scoped(self.settings.faults):
-                if not pending:
-                    nested = []
-                else:
-                    try:
-                        nested = chosen.execute(self, pending)
-                    except BackendUnavailable as error:
-                        if not self.settings.degrade:
-                            raise
-                        fallback = self._degraded_backend(error)
-                        telemetry.log_line(
-                            f"warning: {chosen.name} backend unavailable "
-                            f"({error}); degrading to {fallback.name}"
-                        )
-                        nested = fallback.execute(self, pending)
+                nested = chosen.execute(self, pending) if pending else []
         finally:
             self._progress = None
             self._journal = None
@@ -501,11 +484,3 @@ class ExperimentRunner:
     def _group_key(self, group) -> str:
         """The journal unit key of one work group."""
         return unit_key(group.scenario.name, self._model_name(group.model))
-
-    def _degraded_backend(self, error):
-        """The first compatible backend on ``error``'s fallback ladder."""
-        for name in getattr(error, "fallbacks", ("process", "serial")):
-            candidate = resolve_backend(name)
-            if candidate.incompatibility(self) is None:
-                return candidate
-        return SerialBackend()

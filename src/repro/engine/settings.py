@@ -1,16 +1,16 @@
 """The one declaration of every engine environment knob.
 
-Each field of :class:`EngineSettings`, :class:`DistSettings` and
-:class:`TelemetrySettings` *is* its knob: declared with :func:`knob`, it
-carries its default, the environment variable that overrides it and the
-parser that validates it.  Everything that lists knobs derives the
-list from these fields — resolution (:meth:`~Settings.resolve` for a
-whole snapshot, :meth:`~Settings.resolve_one` for a single knob), the
-manifest form (:meth:`~Settings.as_dict`), :data:`ENGINE_ENV_VARS`,
-the generated ``docs/knobs.md``, the spec's knob keys, the ``repro
-run`` overrides and the distributed backend's work units.  This module is also the one
-place the engine's environment variables are read: the runner, the
-backends, the cache and rulegen all delegate here.
+Each field of :class:`EngineSettings` and :class:`TelemetrySettings`
+*is* its knob: declared with :func:`knob`, it carries its default, the
+environment variable that overrides it and the parser that validates
+it.  Everything that lists knobs derives the list from these fields —
+resolution (:meth:`~Settings.resolve` for a whole snapshot,
+:meth:`~Settings.resolve_one` for a single knob), the manifest form
+(:meth:`~Settings.as_dict`), :data:`ENGINE_ENV_VARS`, the generated
+``docs/knobs.md``, the spec's knob keys and the ``repro run``
+overrides.  This module is also the one place the engine's environment
+variables are read: the runner, the backends, the cache and rulegen
+all delegate here.
 
 Every knob resolves explicit value > environment variable > default,
 and a malformed value — wherever it came from — raises a
@@ -46,23 +46,8 @@ DELTA_TRACE_ENV_VAR = "REPRO_ENGINE_DELTA_TRACE"
 #: ``repro.engine.faults`` / docs/robustness.md; empty = disarmed).
 FAULTS_ENV_VAR = "REPRO_ENGINE_FAULTS"
 
-#: Whether a run may degrade to the next backend in the ladder
-#: (dist -> process -> serial) when its backend cannot start
-#: ("1"/"0", default off: fail loudly).
-DEGRADE_ENV_VAR = "REPRO_ENGINE_DEGRADE"
-
-#: Host the distributed coordinator binds its listening socket to.
-DIST_HOST_ENV_VAR = "REPRO_ENGINE_DIST_HOST"
-
-#: Port the distributed coordinator listens on (0 = ephemeral).
-DIST_PORT_ENV_VAR = "REPRO_ENGINE_DIST_PORT"
-
-#: Shared secret for the HMAC challenge/response handshake on the
-#: coordinator's listening socket; unset disables authentication.
-DIST_TOKEN_ENV_VAR = "REPRO_ENGINE_DIST_TOKEN"
-
 #: Span tracing on/off: when truthy, every run records counted nested
-#: spans (trace/simulate/cache/protocol/queue-wait) and snapshots their
+#: spans (trace/simulate/serialize/cache) and snapshots their
 #: per-phase profile into its manifest's ``telemetry`` key.
 TELEMETRY_ENV_VAR = "REPRO_ENGINE_TELEMETRY"
 
@@ -70,18 +55,6 @@ TELEMETRY_ENV_VAR = "REPRO_ENGINE_TELEMETRY"
 #: from an explicit ``None`` (which for ``cache_dir`` means "disable the
 #: disk tier even when the environment names a directory").
 UNSET = object()
-
-
-def _number(convert, value, source: str, what: str, ok):
-    """``convert(value)`` if it parses and passes ``ok``, else a
-    :class:`ValueError` saying ``source`` must be ``what``."""
-    try:
-        number = convert(str(value).strip())
-    except (TypeError, ValueError):
-        number = None
-    if number is None or not ok(number):
-        raise ValueError(f"{source} must be {what}, got {value!r}")
-    return number
 
 
 def positive_int(value, source: str) -> int:
@@ -93,20 +66,14 @@ def positive_int(value, source: str) -> int:
     (``"REPRO_ENGINE_WORKERS"``) — instead of propagating an opaque
     failure out of an executor or a worker process.
     """
-    return _number(int, value, source, "a positive integer",
-                   lambda count: count > 0)
-
-
-def positive_float(value, source: str) -> float:
-    """Validate any duration-like knob into a positive float (seconds)."""
-    return _number(float, value, source, "a positive number of seconds",
-                   lambda seconds: seconds > 0)
-
-
-def tcp_port(value, source: str) -> int:
-    """Validate a port knob into an int in ``0-65535`` (0 = ephemeral)."""
-    return _number(int, value, source, "a TCP port (0-65535)",
-                   lambda port: 0 <= port <= 65535)
+    try:
+        count = int(str(value).strip())
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"{source} must be a positive integer, got {value!r}")
+    return count
 
 
 def boolean_flag(value, source: str) -> bool:
@@ -125,7 +92,7 @@ def boolean_flag(value, source: str) -> bool:
 
 
 def text(value, source: str) -> str:
-    """A free-form string knob (host, path, backend name)."""
+    """A free-form string knob (backend name)."""
     return str(value)
 
 
@@ -159,8 +126,7 @@ def default_workers() -> int:
 
 
 def knob(env: str, parse, default=None, *, factory=None, shown=None,
-         source=None, blank_is_unset=False, none_is_value=False,
-         secret=False):
+         source=None, none_is_value=False):
     """Declare one settings field as an engine knob.
 
     Args:
@@ -172,16 +138,12 @@ def knob(env: str, parse, default=None, *, factory=None, shown=None,
             ``shown`` is how ``docs/knobs.md`` renders it.
         source: Name an explicit bad value is reported under (default:
             the field name).
-        blank_is_unset: An empty environment variable means "unset".
         none_is_value: An explicit ``None`` is a value handed to
             ``parse`` rather than "inherit the environment".
-        secret: :meth:`Settings.as_dict` records only whether the value
-            is set, never the value.
     """
     metadata = {
         "env": env, "parse": parse, "shown": shown, "source": source,
-        "blank_is_unset": blank_is_unset,
-        "none_is_value": none_is_value, "secret": secret,
+        "none_is_value": none_is_value,
     }
     if factory is not None:
         return field(default_factory=factory, metadata=metadata)
@@ -226,7 +188,7 @@ class Settings:
         meta = spec.metadata
         if value is UNSET or (value is None and not meta["none_is_value"]):
             value = os.environ.get(meta["env"])
-            if value is None or (meta["blank_is_unset"] and not value):
+            if value is None:
                 if spec.default is MISSING:
                     return spec.default_factory()
                 return spec.default
@@ -235,11 +197,7 @@ class Settings:
 
     def as_dict(self) -> dict:
         """The resolved knobs as a JSON-safe dict (manifest form)."""
-        return {
-            name: (bool(getattr(self, name)) if spec.metadata["secret"]
-                   else getattr(self, name))
-            for name, spec in knob_fields(type(self)).items()
-        }
+        return {name: getattr(self, name) for name in knob_fields(type(self))}
 
 
 @dataclass(frozen=True)
@@ -259,9 +217,6 @@ class EngineSettings(Settings):
         faults: Deterministic fault-injection plan text (chaos
             harness; see ``docs/robustness.md``), or ``None`` when
             disarmed.
-        degrade: When True, a run whose backend cannot start degrades
-            along the ladder (dist to process to serial) instead of
-            failing; default off.
     """
 
     backend: str = knob(BACKEND_ENV_VAR, text, "serial")
@@ -273,25 +228,6 @@ class EngineSettings(Settings):
                           none_is_value=True)
     delta_trace: bool = knob(DELTA_TRACE_ENV_VAR, boolean_flag, False)
     faults: str = knob(FAULTS_ENV_VAR, fault_plan)
-    degrade: bool = knob(DEGRADE_ENV_VAR, boolean_flag, False)
-
-
-@dataclass(frozen=True)
-class DistSettings(Settings):
-    """One fully-resolved snapshot of every distributed-backend knob.
-
-    Attributes:
-        host: Address the coordinator binds (workers connect to it).
-        port: Coordinator TCP port; 0 binds an ephemeral port.
-        token: Shared secret for the HMAC challenge/response handshake
-            on the listening socket; unauthenticated peers are dropped.
-            ``None`` (the default) disables authentication.
-    """
-
-    host: str = knob(DIST_HOST_ENV_VAR, text, "127.0.0.1",
-                     blank_is_unset=True)
-    port: int = knob(DIST_PORT_ENV_VAR, tcp_port, 7463)
-    token: str = knob(DIST_TOKEN_ENV_VAR, text_or_none, secret=True)
 
 
 @dataclass(frozen=True)
@@ -309,7 +245,7 @@ class TelemetrySettings(Settings):
 
 
 #: The settings classes, in documentation order.
-SETTINGS_CLASSES = (EngineSettings, DistSettings, TelemetrySettings)
+SETTINGS_CLASSES = (EngineSettings, TelemetrySettings)
 
 #: Every environment variable the engine reads, in one tuple — derived
 #: from the settings fields; the contract tested by

@@ -12,9 +12,8 @@ validation with actionable errors, and a :meth:`build_runner` /
 
 Because a spec is plain data it can be validated before any work starts,
 diffed between experiments, committed next to results, launched from a
-shell (``repro run spec.json``), and — the reason this layer exists —
-shipped to a remote worker: a spec plus a scenario subset is exactly the
-work unit the planned distributed backend needs.
+shell (``repro run spec.json``), and hashed into the run manifest and
+the run journal, so a resumed run can prove it is the same experiment.
 
 A minimal spec file::
 
@@ -156,10 +155,6 @@ class ExperimentSpec:
         faults: Deterministic fault-injection plan text (the chaos
             harness; grammar in ``docs/robustness.md``), or ``None``
             to inherit ``REPRO_ENGINE_FAULTS``.
-        degrade: Allow graceful backend degradation (dist to process
-            to serial) when the chosen backend cannot start, or
-            ``None`` to inherit ``REPRO_ENGINE_DEGRADE`` (default
-            off).
         frame_provider: Frame-provider registry name (default
             ``"synthetic"``).
         cells: Declarative cell include-rules (see
@@ -179,7 +174,6 @@ class ExperimentSpec:
     cache_dir: str = None
     delta_trace: bool = None
     faults: str = None
-    degrade: bool = None
     frame_provider: str = DEFAULT_FRAME_PROVIDER
     cells: list = field(default_factory=list)
     out: str = None
@@ -478,7 +472,6 @@ class ExperimentSpec:
                 f"unknown build_runner override(s) {unknown}",
             )
         knobs = self._knob_values(overrides)
-        explicit_provider = frame_provider is not None
         cache_dir = knobs.pop("cache_dir")
         if cache is None:
             if cache_dir is not None:
@@ -509,12 +502,9 @@ class ExperimentSpec:
             max_workers=knobs.pop("workers"),
             **knobs,
         )
-        # The distributed backend re-serializes its work units from the
-        # source spec; keep the provenance on the runner (and whether
-        # the frame provider was a caller-supplied instance, which a
-        # remote worker could not reproduce from the registry name).
+        # The manifest and the run journal hash the source spec; keep
+        # the provenance on the runner.
         runner.source_spec = self
-        runner.frame_provider_explicit = explicit_provider
         return runner
 
     def run(self, **kwargs):

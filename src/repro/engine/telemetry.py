@@ -4,15 +4,14 @@ Two pieces, both engineered to cost nothing when off:
 
 * :class:`SpanTracer` — a low-overhead tracer of counted, nested spans
   (``trace`` / ``delta-patch`` / ``simulate`` / ``serialize`` /
-  ``cache-get`` / ``cache-put`` / ``protocol-send`` / ``protocol-recv``
-  / ``queue-wait``).  Each thread keeps its own span stack; completed
-  spans become Chrome trace-event dicts (``ph: "X"``) that
+  ``cache-get`` / ``cache-put``).  Each thread keeps its own span stack;
+  completed spans become Chrome trace-event dicts (``ph: "X"``) that
   :meth:`SpanTracer.export` writes as a Perfetto-loadable
-  ``{"traceEvents": [...]}`` JSON file.  Distributed workers trace
-  locally and ship their span batches back inside the existing result
-  stream; the coordinator :meth:`ingests <SpanTracer.ingest>` accepted
-  batches with ``pid``/``tid`` mapped to worker ids, so one timeline
-  covers the whole fleet.  The module-level :func:`span` helper is the
+  ``{"traceEvents": [...]}`` JSON file.  Process-pool workers trace
+  locally and ship their span batches back with their chunk's rows; the
+  run process :meth:`ingests <SpanTracer.ingest>` each batch with its
+  ``pid`` mapped to the worker's name, so one timeline covers the run
+  and every pool worker.  The module-level :func:`span` helper is the
   instrumentation seam every layer calls: when no tracer is active it
   returns a shared no-op context manager — one global read, no
   allocation.  A traced run's per-phase totals
@@ -21,8 +20,7 @@ Two pieces, both engineered to cost nothing when off:
   ``telemetry.spans``.
 
 * :func:`log_line` — the one line-buffered, lock-guarded stderr writer
-  progress lines and worker warnings both route through (no
-  interleaved half-lines under concurrent dist groups).
+  progress lines route through (no interleaved half-lines).
 
 Tracing is activated per run — ``repro run spec.json --trace-out
 run.trace.json`` or ``REPRO_ENGINE_TELEMETRY=1`` — via
@@ -38,7 +36,7 @@ import time
 
 #: Exactly the span categories the engine's instrumentation sites emit
 #: (Perfetto colors by category); a test holds the two in step.
-SPAN_CATEGORIES = ("engine", "cache", "protocol", "scheduler")
+SPAN_CATEGORIES = ("engine", "cache")
 
 
 class _NoopSpan:
@@ -98,7 +96,7 @@ class SpanTracer:
 
     Args:
         process: ``pid`` label for locally-emitted spans (the
-            coordinator/runner process; workers get their own pids via
+            run process; pool workers get their own pids via
             :meth:`ingest`).
     """
 
@@ -133,7 +131,7 @@ class SpanTracer:
 
         Each distinct ``worker`` id gets its own stable ``pid`` (named
         in the exported metadata), so Perfetto renders one row group
-        per fleet member under the coordinator's.
+        per pool worker under the run process's.
         """
         if not spans:
             return
@@ -161,7 +159,7 @@ class SpanTracer:
 
     def drain(self) -> list:
         """Remove and return the locally-recorded events (worker side:
-        the batch shipped back inside a ``result`` message)."""
+        the batch shipped back with a chunk's rows)."""
         with self._lock:
             events, self._events = self._events, []
             return events
@@ -214,15 +212,6 @@ def active_tracer():
     return _ACTIVE_TRACER
 
 
-def drain_spans() -> list:
-    """Drain the active tracer's local events (``[]`` when tracing is
-    off) — the batch a dist worker ships inside its ``result``."""
-    tracer = _ACTIVE_TRACER
-    if tracer is None:
-        return []
-    return tracer.drain()
-
-
 def span(name: str, cat: str = "engine", **args):
     """A span context manager on the active tracer — or the shared
     no-op when tracing is off (the disabled cost: one global read)."""
@@ -255,7 +244,7 @@ def tracing(tracer) -> _TracerScope:
 
 
 # ---------------------------------------------------------------------------
-# the one stderr writer (progress lines + worker warnings)
+# the one stderr writer (progress lines)
 # ---------------------------------------------------------------------------
 
 _STDERR_LOCK = threading.Lock()
@@ -264,10 +253,9 @@ _STDERR_LOCK = threading.Lock()
 def log_line(text: str) -> None:
     """Write one whole line to stderr, lock-guarded and line-buffered.
 
-    Progress reporters and dist worker/coordinator logs all route
-    through here, so concurrent emitters can never interleave
-    mid-line: each line is a single ``write`` under one process-wide
-    lock, flushed before the lock drops.
+    Progress reporters route through here, so concurrent emitters can
+    never interleave mid-line: each line is a single ``write`` under one
+    process-wide lock, flushed before the lock drops.
     """
     with _STDERR_LOCK:
         sys.stderr.write(text + "\n")

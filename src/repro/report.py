@@ -470,12 +470,6 @@ def _manifest_summary_rows(manifest: RunManifest) -> list:
         rows.append(("analytics",
                      f"{analysis.get('rows_ingested', 0)} row(s), "
                      f"{analysis.get('layers', 0)} layer(s) tracked"))
-    dist = manifest.dist or {}
-    if dist:
-        stats = dist.get("stats") or {}
-        roster = dist.get("workers") or []
-        rows.append(("dist", f"{len(roster)} worker(s), "
-                             f"stats {stats}"))
     return rows
 
 

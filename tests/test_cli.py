@@ -243,22 +243,47 @@ class TestCache:
         assert "REPRO_TRACE_CACHE_DIR" in capsys.readouterr().err
 
 
-class TestWorkerCommand:
-    def test_connect_is_required(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["worker"])
-        assert "--connect" in capsys.readouterr().err
+class TestRetiredDistBackend:
+    """The dist backend is gone: its worker verb, the degrade flag that
+    fell back from it, its package and its public names."""
 
-    def test_bad_address_exits_2(self, capsys):
-        assert main(["worker", "--connect", "no-port-here"]) == 2
-        assert "HOST:PORT" in capsys.readouterr().err
+    def test_worker_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["worker", "--connect", "127.0.0.1:7463"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_unreachable_coordinator_exits_1(self, capsys):
-        # Nothing listens on the reserved discard port; the retry
-        # window elapses and the worker reports failure.
-        assert main(["worker", "--connect", "127.0.0.1:9",
-                     "--retry-seconds", "0.2"]) == 1
-        assert "no coordinator" in capsys.readouterr().err
+    def test_degrade_flag_is_rejected(self, capsys, spec_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", spec_path, "--degrade", "1"])
+        assert exit_info.value.code == 2
+        assert "--degrade" in capsys.readouterr().err
+
+    def test_dist_backend_flag_is_unknown(self, capsys, spec_path):
+        assert main(["run", spec_path, "--backend", "dist"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown backend 'dist'" in err
+        assert "serial" in err and "process" in err
+
+    def test_only_local_backends_are_listed(self, capsys):
+        assert main(["list", "backends"]) == 0
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == ["process", "serial"]
+
+    def test_dist_package_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.dist")
+
+    @pytest.mark.parametrize("name", [
+        "Coordinator", "Worker", "DistRunError", "DistStartTimeout",
+        "BackendUnavailable",
+    ])
+    def test_dist_name_is_not_exported(self, name):
+        import repro.engine
+
+        assert not hasattr(repro.engine, name)
+        assert name not in repro.engine.__all__
 
 
 class TestRetiredExperimentService:

@@ -17,11 +17,7 @@ from repro.engine import (
     RunObserver,
     manifest_path_for,
 )
-from repro.engine.settings import (
-    ENGINE_ENV_VARS,
-    DistSettings,
-    EngineSettings,
-)
+from repro.engine.settings import ENGINE_ENV_VARS, EngineSettings
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ENGINE_SRC = REPO_ROOT / "src" / "repro" / "engine"
@@ -39,11 +35,6 @@ class TestKnobReference:
         text = (REPO_ROOT / docs.KNOBS_DOC).read_text()
         for env_var in ENGINE_ENV_VARS:
             assert f"| {env_var} |" in text
-
-    def test_dist_knobs_are_documented(self):
-        text = (REPO_ROOT / docs.KNOBS_DOC).read_text()
-        for field in dataclasses.fields(DistSettings):
-            assert f"| {field.metadata['env']} |" in text
 
     def test_marker_warns_against_hand_edits(self):
         text = (REPO_ROOT / docs.KNOBS_DOC).read_text()

@@ -4,6 +4,8 @@ worker-count selection (arguments and environment variables), and the
 process backend's restrictions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     ExperimentRunner,
@@ -361,25 +363,63 @@ class TestChunkPolicy:
         chunks = chunk_payload(plan, workers)
         assert [len(chunk) for chunk in chunks] == sizes
 
-    @pytest.mark.parametrize("chunksize, sizes", [
-        (1, [1] * 6), (2, [2, 2, 2]), (4, [4, 2]),
-    ])
-    def test_dist_units_keep_fixed_chunks(self, chunksize, sizes):
-        """Dist units are dicts cut at ``DistBackend``'s fixed
-        ``chunksize``, even on a plan the process pool would cut by
-        scenario."""
-        from repro.engine import ExperimentSpec
-        from repro.engine.dist import build_units
+def _busiest(sizes: list, workers: int) -> int:
+    """Groups on the busiest of ``workers`` processes that take chunks
+    of ``sizes`` in order, each chunk to the least-loaded worker."""
+    loads = [0] * workers
+    for size in sizes:
+        loads[loads.index(min(loads))] += size
+    return max(loads)
 
-        runner = ExperimentSpec(
-            name="chunks", simulators=["spade-he"],
-            models=["SPP1", "SPP2", "SPP3"],
-            scenarios=[{"name": "a", "seed": 0}, {"name": "b", "seed": 1}],
-        ).build_runner()
-        units = build_units(runner, runner.plan(), chunksize)
-        assert [len(unit["groups"]) for unit in units] == sizes
-        assert [entry["index"] for unit in units
-                for entry in unit["groups"]] == list(range(6))
+
+_PLANS = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+             max_size=8),
+    st.integers(min_value=1, max_value=5),
+)
+
+
+def _uneven_plan(scenario_sizes: list) -> list:
+    return [
+        WorkGroup(Scenario(f"d{index}", seed=index), f"M{model}", ())
+        for index, size in enumerate(scenario_sizes)
+        for model in range(size)
+    ]
+
+
+class TestChunkPolicyProperties:
+    """``chunk_payload`` over random scenario sizes and pool widths."""
+
+    @given(_PLANS)
+    @settings(max_examples=150, deadline=None)
+    def test_every_group_once_in_plan_order(self, case):
+        scenario_sizes, workers = case
+        plan = _uneven_plan(scenario_sizes)
+        chunks = chunk_payload(plan, workers)
+        assert all(chunks)
+        assert [group for chunk in chunks for group in chunk] == plan
+
+    @given(_PLANS)
+    @settings(max_examples=150, deadline=None)
+    def test_no_worker_busier_than_with_fixed_cuts(self, case):
+        scenario_sizes, workers = case
+        plan = _uneven_plan(scenario_sizes)
+        target = -(-len(plan) // (2 * workers))
+        fixed = [min(target, len(plan) - start)
+                 for start in range(0, len(plan), target)]
+        chunks = chunk_payload(plan, workers)
+        assert _busiest([len(chunk) for chunk in chunks], workers) \
+            <= _busiest(fixed, workers)
+
+    @given(_PLANS)
+    @settings(max_examples=150, deadline=None)
+    def test_only_a_lone_scenario_outgrows_the_target(self, case):
+        scenario_sizes, workers = case
+        plan = _uneven_plan(scenario_sizes)
+        target = -(-len(plan) // (2 * workers))
+        for chunk in chunk_payload(plan, workers):
+            scenarios = {group.scenario for group in chunk}
+            assert len(chunk) <= target or len(scenarios) == 1
 
 
 class _FreshWorkerPool(_InlinePool):
@@ -655,28 +695,6 @@ class TestProgressReporting:
 
 
 class TestFailingRunsMakeNoTempdir:
-    def test_failing_dist_run_makes_no_tempdir(self, monkeypatch):
-        """A dist run that dies before any worker connects raises its
-        error and has no temporary directory to leave behind: workers
-        trace through the run's own cache tier."""
-        import tempfile
-
-        from repro.engine import DistRunError, ExperimentSpec
-        from repro.engine.dist.coordinator import DistBackend
-
-        monkeypatch.delenv(CACHE_DIR_ENV_VAR, raising=False)
-        created = []
-        monkeypatch.setattr(tempfile, "mkdtemp",
-                            lambda *args, **kwargs: created.append(args))
-        spec = ExperimentSpec.from_dict({
-            "simulators": ["spade-he"], "models": ["SPP3"],
-            "scenarios": [{"name": "a", "seed": 0}],
-        })
-        backend = DistBackend(port=0, start_timeout=0.5)
-        with pytest.raises(DistRunError, match="no connected workers"):
-            spec.build_runner().run(backend=backend)
-        assert created == []
-
     def test_failing_process_run_makes_no_tempdir(self, monkeypatch):
         """A process run that dies mid-pool raises its error and has no
         temporary directory to leave behind."""

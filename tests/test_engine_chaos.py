@@ -1,41 +1,28 @@
 """Chaos matrix: deterministic fault plans against real runs.
 
-Each scenario injects one failure mode — a worker killed mid-run, a
-dropped connection, a stalled heartbeat, a journal torn mid-record, a
-run killed at a checkpoint — and asserts the final table is identical
-to a fault-free serial run (resuming with the journal where the fault
-killed the run process)."""
+Each scenario injects one failure mode — a journal torn mid-record or
+a run killed at a checkpoint, on the serial or the process backend —
+and asserts the resumed table is identical to a fault-free serial run,
+and that a killed process run leaves no pool worker behind."""
 
 import json
 import os
-import socket
 import subprocess
 import sys
-import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.engine import (
-    DistRunError,
-    DistStartTimeout,
     ExperimentSpec,
-    ExperimentTable,
-    Worker,
+    RunJournal,
+    read_journal,
 )
 from repro.engine import faults
-from repro.engine.backends import BackendUnavailable
-from repro.engine.dist.coordinator import DistBackend
 
-SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
-
-
-def free_port() -> int:
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    return port
+REPO_DIR = Path(__file__).resolve().parent.parent
+SRC_DIR = str(REPO_DIR / "src")
 
 
 def chaos_spec(**overrides) -> ExperimentSpec:
@@ -50,11 +37,6 @@ def chaos_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**fields)
 
 
-def serial_projection(spec: ExperimentSpec) -> ExperimentTable:
-    table = spec.build_runner().run(backend="serial")
-    return ExperimentTable.from_json(table.to_json())
-
-
 def subprocess_env(fault_plan: str = None) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
@@ -64,17 +46,19 @@ def subprocess_env(fault_plan: str = None) -> dict:
     return env
 
 
-def start_worker_process(port: int, fault_plan: str = None,
-                         reconnect: float = 60.0,
-                         worker_id: str = None) -> subprocess.Popen:
-    command = [sys.executable, "-m", "repro", "worker",
-               "--connect", f"127.0.0.1:{port}",
-               "--retry-seconds", "60",
-               "--reconnect-seconds", str(reconnect)]
-    if worker_id:
-        command += ["--id", worker_id]
-    return subprocess.Popen(command, env=subprocess_env(fault_plan),
-                            stderr=subprocess.DEVNULL)
+def pool_pids(journal) -> set:
+    """The pids of the pool workers a run journal names."""
+    return {int(unit["worker"].removeprefix("process-"))
+            for unit in read_journal(journal)["units"]}
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is alive and not a zombie (Linux ``/proc``)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 @pytest.fixture(autouse=True)
@@ -108,8 +92,6 @@ class TestRunProcessChaos:
                                capture_output=True, timeout=300)
         assert first.returncode == exit_code, first.stderr.decode()
         assert not out.exists(), "the killed run must not emit a table"
-        from repro.engine import read_journal
-
         recovered = read_journal(journal)
         assert len(recovered["units"]) == durable_units
         # Clean resume: skips the durable units, reruns the rest.
@@ -118,6 +100,47 @@ class TestRunProcessChaos:
         assert second.returncode == 0, second.stderr.decode()
         assert f"resumed {durable_units} unit(s)" \
             in second.stderr.decode()
+        expected = spec.build_runner().run(backend="serial")
+        assert out.read_text() == expected.to_csv()
+
+    @pytest.mark.parametrize("plan, exit_code, durable_units", [
+        ("kill_run:record=3", 137, 3),
+        ("truncate_journal:record=3", 23, 2),
+    ])
+    def test_killed_pool_run_resumes_byte_identical(
+            self, tmp_path, plan, exit_code, durable_units):
+        """The same guarantee on the process backend: the parent
+        journals each unit a pool worker returns, so a pool run killed
+        at (or torn mid-) checkpoint 3 resumes on the pool and writes
+        the serial bytes."""
+        spec = chaos_spec()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        journal = tmp_path / "run.journal"
+        out = tmp_path / "out.csv"
+        command = [sys.executable, "-m", "repro", "run", str(spec_path),
+                   "--backend", "process", "--workers", "2",
+                   "--resume", str(journal), "--out", str(out)]
+        # Output goes to files: pool workers inherit the run's streams.
+        logs = [tmp_path / "first.log", tmp_path / "second.log"]
+        with open(logs[0], "wb") as sink:
+            first = subprocess.run(command, env=subprocess_env(plan),
+                                   stdout=sink, stderr=sink, timeout=300)
+        assert first.returncode == exit_code, logs[0].read_text()
+        assert not out.exists(), "the killed run must not emit a table"
+        recovered = read_journal(journal)
+        assert [unit["unit"] for unit in recovered["units"]] \
+            == ["a/SPP2", "a/SPP3", "b/SPP2"][:durable_units]
+        pids = pool_pids(journal)
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in pids if running(pid)]
+        with open(logs[1], "wb") as sink:
+            second = subprocess.run(command, env=subprocess_env(),
+                                    stdout=sink, stderr=sink, timeout=300)
+        assert second.returncode == 0, logs[1].read_text()
+        assert f"resumed {durable_units} unit(s)" in logs[1].read_text()
         expected = spec.build_runner().run(backend="serial")
         assert out.read_text() == expected.to_csv()
 
@@ -148,146 +171,55 @@ class TestRunProcessChaos:
         assert b"torn tail" in inspect.stdout
 
 
-class TestDistChaos:
-    """Worker/connection faults: the run itself survives and the table
-    still matches the fault-free serial run row for row."""
+    def test_killed_process_run_leaves_no_pool_worker(self, tmp_path):
+        """A process run killed at checkpoint 2 takes its pool workers
+        with it: every worker the journal names is gone (or a zombie)
+        within seconds, and the resumed run matches the serial CSV."""
+        spec = REPO_DIR / "examples" / "specs" / "chaos.json"
+        journal = tmp_path / "run.journal"
+        out = tmp_path / "process.csv"
+        command = [sys.executable, "-m", "repro", "run", str(spec),
+                   "--backend", "process", "--workers", "2",
+                   "--resume", str(journal), "--out", str(out)]
+        # Output goes to a file: an orphaned worker would hold a
+        # captured pipe open, and the run would look hung instead.
+        log = tmp_path / "killed.log"
+        with open(log, "wb") as sink:
+            first = subprocess.run(command,
+                                   env=subprocess_env("kill_run:record=2"),
+                                   stdout=sink, stderr=sink, timeout=300)
+        assert first.returncode == 137, log.read_text()
+        assert not out.exists()
+        pids = pool_pids(journal)
+        assert pids, "the journal names no pool worker"
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in pids if running(pid)]
+        second = subprocess.run(command, env=subprocess_env(),
+                                capture_output=True, timeout=300)
+        assert second.returncode == 0, second.stderr.decode()
+        expected = ExperimentSpec.load(spec).build_runner().run(
+            backend="serial")
+        assert out.read_text() == expected.to_csv()
 
-    @pytest.mark.parametrize("plan", [
-        "kill_worker:unit=1",
-        "stall_heartbeat:after=2",
-        "drop_conn:after=8",
-    ])
-    def test_faulty_worker_never_corrupts_the_table(self, plan):
-        spec = chaos_spec()
-        port = free_port()
-        workers = [
-            start_worker_process(port, fault_plan=plan,
-                                 worker_id="chaotic"),
-            start_worker_process(port, worker_id="steady"),
-        ]
-        backend = DistBackend(port=port, start_timeout=60,
-                              max_attempts=5,
-                              heartbeat_interval=0.2,
-                              worker_timeout=1.5)
-        try:
-            table = spec.build_runner().run(backend=backend)
-        finally:
-            for worker in workers:
-                worker.kill()
-                worker.wait()
-        expected = serial_projection(spec)
-        assert len(table) == len(expected) == 8
-        for left, right in zip(expected, table):
-            assert left == right
-        assert table.to_csv() == expected.to_csv()
 
-    def test_coordinator_drop_requeues_and_worker_reconnects(self):
-        """The coordinator drops the socket mid-assignment; the worker
-        re-dials with backoff, re-handshakes, and the unit lands."""
+class TestJournaledPoolRun:
+    def test_journaled_process_run_checkpoints_units(self, tmp_path):
+        """The journal seam works through the process backend: each
+        unit is journaled in plan order under its pool worker's name,
+        and a serial resume that executes nothing reproduces the
+        table byte for byte."""
         spec = chaos_spec(models=["SPP3"])
-        port = free_port()
-        worker = Worker(("127.0.0.1", port), worker_id="boomerang",
-                        retry_seconds=60.0, reconnect_seconds=60.0)
-        threading.Thread(target=worker.run, daemon=True).start()
-        backend = DistBackend(port=port, start_timeout=60,
-                              max_attempts=5)
-        faults.install("coordinator_drop:unit=1")
-        try:
-            table = spec.build_runner().run(backend=backend)
-        finally:
-            faults.reset()
-        expected = serial_projection(spec)
-        assert len(table) == len(expected)
-        for left, right in zip(expected, table):
-            assert left == right
-        stats = backend.last_coordinator.stats
-        assert stats["requeues"] >= 1 or stats["worker_failures"] >= 1
-
-    def test_exhausted_unit_reports_its_attempt_history(self):
-        from repro.engine import SimResult, Simulator, register_simulator
-        from repro.engine.registry import SIMULATORS
-
-        class _FailSim(Simulator):
-            name = "FailSim"
-
-            def run(self, trace):
-                raise RuntimeError("injected simulator failure")
-
-        register_simulator("chaosfail", lambda: _FailSim(),
-                           overwrite=True)
-        try:
-            spec = chaos_spec(simulators=["chaosfail"], models=["SPP3"],
-                              scenarios=[{"name": "doomed", "seed": 0}])
-            port = free_port()
-            worker = Worker(("127.0.0.1", port), worker_id="w0",
-                            retry_seconds=60.0)
-            threading.Thread(target=worker.run, daemon=True).start()
-            backend = DistBackend(port=port, start_timeout=60,
-                                  max_attempts=2)
-            with pytest.raises(DistRunError) as caught:
-                spec.build_runner().run(backend=backend)
-        finally:
-            SIMULATORS.unregister("chaosfail")
-        error = caught.value
-        assert "attempt 1 on 'w0'" in str(error)
-        assert len(error.attempts) == 2
-        for entry in error.attempts:
-            assert entry["worker"] == "w0"
-            assert entry["assigned_at"]
-            assert "injected simulator failure" in entry["reason"]
-            assert entry["failed_at"]
-
-
-class TestDegradation:
-    def test_start_timeout_degrades_to_a_local_backend(self, capsys):
-        """With degrade on, a dist run that never sees a worker falls
-        back down the ladder and still produces the serial table."""
-        spec = chaos_spec(models=["SPP3"])
-        backend = DistBackend(port=free_port(), start_timeout=0.5)
-        runner = spec.build_runner(degrade=True)
-        table = runner.run(backend=backend)
-        expected = serial_projection(spec)
-        assert len(table) == len(expected)
-        assert table.to_csv() == spec.build_runner().run(
-            backend="serial").to_csv()
-        assert "degrading to" in capsys.readouterr().err
-
-    def test_degradation_is_opt_in(self):
-        spec = chaos_spec(models=["SPP3"],
-                          scenarios=[{"name": "a", "seed": 0}])
-        backend = DistBackend(port=free_port(), start_timeout=0.3)
-        with pytest.raises(DistStartTimeout):
-            spec.build_runner().run(backend=backend)
-
-    def test_start_timeout_is_both_unavailable_and_dist_error(self):
-        # Old handlers catching DistRunError and the degradation seam
-        # catching BackendUnavailable both see the same exception.
-        assert issubclass(DistStartTimeout, DistRunError)
-        assert issubclass(DistStartTimeout, BackendUnavailable)
-
-    def test_journaled_dist_run_checkpoints_units(self, tmp_path):
-        """The journal seam works through the dist backend: a resumed
-        dist run skips completed units and stitches identical rows."""
-        from repro.engine import RunJournal
-
-        spec = chaos_spec(models=["SPP3"])
-        port = free_port()
-        worker = Worker(("127.0.0.1", port), worker_id="w0",
-                        retry_seconds=60.0)
-        threading.Thread(target=worker.run, daemon=True).start()
-        path = tmp_path / "dist.journal"
-        backend = DistBackend(port=port, start_timeout=60)
-        table = spec.build_runner().run(backend=backend,
-                                        journal=RunJournal(path))
-        from repro.engine import read_journal
-
+        path = tmp_path / "process.journal"
+        table = spec.build_runner(workers=2).run(
+            backend="process", journal=RunJournal(path))
         recorded = read_journal(path)
         assert [u["unit"] for u in recorded["units"]] \
             == ["a/SPP3", "b/SPP3"]
         for unit in recorded["units"]:
-            assert unit["worker"] == "w0"
-        # Resume executes nothing (serial fallback never runs a group)
-        # yet reproduces the dist table byte for byte.
+            assert unit["worker"].startswith("process-")
+            assert unit["worker"] != f"process-{os.getpid()}"
         journal = RunJournal(path)
         resumed = spec.build_runner().run(backend="serial",
                                           journal=journal)

@@ -1,18 +1,13 @@
 """Fault-injection harness: plan grammar, deterministic counted
-triggers, settings/spec resolution, worker backoff, cache quarantine."""
-
-import random
-import time
+triggers, settings/spec resolution, cache quarantine."""
 
 import pytest
 
 from repro.engine import ExperimentSpec, TraceCache
 from repro.engine import faults
 from repro.engine.cache import QUARANTINE_SUFFIX, scan_disk_tier
-from repro.engine.dist.worker import Worker, backoff_delays
-from repro.engine.faults import FaultPlan, InjectedFault
+from repro.engine.faults import FaultPlan
 from repro.engine.settings import (
-    DEGRADE_ENV_VAR,
     ENGINE_ENV_VARS,
     FAULTS_ENV_VAR,
     EngineSettings,
@@ -30,13 +25,13 @@ def disarm():
 class TestPlanGrammar:
     def test_parse_multi_rule_plan(self):
         plan = FaultPlan.parse(
-            "kill_worker:unit=2; drop_conn:after=5;"
-            "delay_conn:after=3,seconds=0.25"
+            "kill_run:record=2; truncate_journal:record=5;"
+            "corrupt_cache:entry=3,p=0.5,seed=4"
         )
         assert [r.kind for r in plan.rules] \
-            == ["kill_worker", "drop_conn", "delay_conn"]
-        assert plan.rules[0].trigger == 2
-        assert plan.rules[2].seconds == 0.25
+            == ["kill_run", "truncate_journal", "corrupt_cache"]
+        assert [r.trigger for r in plan.rules] == [2, 5, 3]
+        assert (plan.rules[2].probability, plan.rules[2].seed) == (0.5, 4)
         assert plan
 
     def test_blank_plans_are_empty(self):
@@ -45,20 +40,21 @@ class TestPlanGrammar:
         assert not FaultPlan.parse("  ;  ")
 
     def test_triggers_default_to_one(self):
-        plan = FaultPlan.parse("stall_heartbeat")
+        plan = FaultPlan.parse("corrupt_cache")
         assert plan.rules[0].trigger == 1
 
     @pytest.mark.parametrize("text, match", [
         ("explode", "unknown fault kind"),
-        ("kill_worker:unit=0", "positive integer"),
-        ("kill_worker:unit=x", "positive integer"),
-        ("kill_worker:units=2", "unknown parameter"),
-        ("kill_worker:unit", "malformed parameter"),
-        ("kill_worker:unit=1,unit=2", "duplicate parameter"),
-        ("delay_conn:after=1,seconds=-2", "seconds must be"),
-        ("kill_worker:seconds=1", "unknown parameter"),
-        ("drop_conn:after=1,p=2", "p must be"),
-        ("drop_conn:after=1,p=zero", "p must be"),
+        ("kill_run:record=0", "positive integer"),
+        ("kill_run:record=x", "positive integer"),
+        ("corrupt_cache:entry=1,seed=0", "positive integer"),
+        ("kill_run:records=2", "unknown parameter"),
+        ("kill_run:record", "malformed parameter"),
+        ("kill_run:record=1,record=2", "duplicate parameter"),
+        ("kill_run:seconds=1", "unknown parameter"),
+        ("corrupt_cache:record=1", "unknown parameter"),
+        ("truncate_journal:record=1,p=2", "p must be"),
+        ("corrupt_cache:entry=1,p=zero", "p must be"),
     ])
     def test_grammar_errors_name_the_rule(self, text, match):
         with pytest.raises(ValueError, match=match):
@@ -66,44 +62,35 @@ class TestPlanGrammar:
 
     def test_error_counts_rules_from_one(self):
         with pytest.raises(ValueError, match="rule 2"):
-            FaultPlan.parse("stall_heartbeat;explode")
+            FaultPlan.parse("corrupt_cache;explode")
 
 
 class TestInjector:
     def test_counted_trigger_fires_once(self):
-        faults.install("drop_conn:after=3")
-        assert faults.check("protocol.message") is None
-        assert faults.check("protocol.message") is None
-        with pytest.raises(InjectedFault, match="drop_conn"):
-            faults.check("protocol.message")
+        faults.install("corrupt_cache:entry=3")
+        assert faults.check("cache.store") is None
+        assert faults.check("cache.store") is None
+        assert faults.check("cache.store") == "corrupt_cache"
         # One-shot: the rule disarmed after firing.
-        assert faults.check("protocol.message") is None
+        assert faults.check("cache.store") is None
 
     def test_sites_are_independent(self):
-        faults.install("drop_conn:after=1")
-        assert faults.check("worker.unit", unit=1) is None
-        assert faults.check("cache.store", key="k") is None
-        with pytest.raises(InjectedFault):
-            faults.check("protocol.message")
+        faults.install("corrupt_cache:entry=1")
+        assert faults.check("journal.record") is None
+        assert faults.check("cache.store") == "corrupt_cache"
 
     def test_call_site_kinds_are_returned(self):
-        faults.install("stall_heartbeat:after=2")
-        assert faults.check("worker.heartbeat") is None
-        assert faults.check("worker.heartbeat") == "stall_heartbeat"
-        assert faults.check("worker.heartbeat") is None
-
-    def test_delay_conn_sleeps_in_place(self):
-        faults.install("delay_conn:after=1,seconds=0.05")
-        started = time.monotonic()
-        assert faults.check("protocol.message") == "delay_conn"
-        assert time.monotonic() - started >= 0.05
+        faults.install("kill_run:record=2")
+        assert faults.check("journal.record") is None
+        assert faults.check("journal.record") == "kill_run"
+        assert faults.check("journal.record") is None
 
     def test_probabilistic_rules_replay_identically(self):
-        plan = FaultPlan.parse("drop_conn:after=1,p=0.3,seed=7")
+        plan = FaultPlan.parse("corrupt_cache:entry=1,p=0.3,seed=7")
 
         def firing_event(injector):
             for event in range(1, 100):
-                if injector.fire("protocol.message") is not None:
+                if injector.fire("cache.store") is not None:
                     return event
             return None
 
@@ -113,34 +100,109 @@ class TestInjector:
         assert first == second
 
     def test_scoped_restores_previous_install(self):
-        faults.install("stall_heartbeat:after=1")
-        with faults.scoped("drop_conn:after=1"):
-            with pytest.raises(InjectedFault):
-                faults.check("protocol.message")
-        assert faults.check("worker.heartbeat") == "stall_heartbeat"
+        faults.install("kill_run:record=1")
+        with faults.scoped("corrupt_cache:entry=1"):
+            assert faults.check("journal.record") is None
+            assert faults.check("cache.store") == "corrupt_cache"
+        assert faults.check("journal.record") == "kill_run"
 
     def test_env_plan_arms_lazily(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "stall_heartbeat:after=1")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "kill_run:record=1")
         faults.reset()
-        assert faults.installed_plan() == "stall_heartbeat:after=1"
-        assert faults.check("worker.heartbeat") == "stall_heartbeat"
+        assert faults.installed_plan() == "kill_run:record=1"
+        assert faults.check("journal.record") == "kill_run"
 
     def test_invalid_env_plan_never_crashes_a_run(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV_VAR, "explode")
         faults.reset()
-        assert faults.check("worker.heartbeat") is None
+        assert faults.check("journal.record") is None
+        assert faults.installed_plan() is None
+
+
+#: Every fault kind: its injection site and its trigger parameter.
+KIND_SITES = [
+    ("kill_run", "journal.record", "record"),
+    ("truncate_journal", "journal.record", "record"),
+    ("corrupt_cache", "cache.store", "entry"),
+]
+KIND_IDS = [kind for kind, _, _ in KIND_SITES]
+OTHER_SITE = {"journal.record": "cache.store",
+              "cache.store": "journal.record"}
+
+
+class TestFaultKinds:
+    """Where each kind fires and which parameters it takes."""
+
+    @pytest.mark.parametrize("kind, site, trigger", KIND_SITES,
+                             ids=KIND_IDS)
+    def test_kind_is_armed_at_its_site(self, kind, site, trigger):
+        assert faults.FAULT_KINDS[kind] == (site, trigger)
+        [rule] = FaultPlan.parse(kind).rules
+        assert (rule.kind, rule.site, rule.trigger) == (kind, site, 1)
+
+    @pytest.mark.parametrize("kind, site, trigger", KIND_SITES,
+                             ids=KIND_IDS)
+    def test_trigger_counts_only_its_sites_events(self, kind, site,
+                                                  trigger):
+        faults.install(f"{kind}:{trigger}=3")
+        for _ in range(5):
+            assert faults.check(OTHER_SITE[site]) is None
+        assert faults.check(site) is None
+        assert faults.check(site) is None
+        assert faults.check(site) == kind
+        assert faults.check(site) is None
+
+    @pytest.mark.parametrize("kind, site, trigger", KIND_SITES,
+                             ids=KIND_IDS)
+    def test_probability_and_seed_ride_on_every_kind(self, kind, site,
+                                                     trigger):
+        [rule] = FaultPlan.parse(f"{kind}:{trigger}=2,p=0.5,seed=3").rules
+        assert (rule.trigger, rule.probability, rule.seed) == (2, 0.5, 3)
+
+    @pytest.mark.parametrize("kind, site, trigger", KIND_SITES,
+                             ids=KIND_IDS)
+    def test_another_kinds_trigger_is_unknown(self, kind, site, trigger):
+        foreign = "entry" if trigger == "record" else "record"
+        with pytest.raises(ValueError,
+                           match=f"unknown parameter '{foreign}'"):
+            FaultPlan.parse(f"{kind}:{foreign}=1")
+
+    def test_one_rule_fires_per_event(self):
+        """Two kinds armed at the same journal record: the first in
+        plan order fires there, the other at the next record."""
+        faults.install("kill_run:record=2;truncate_journal:record=2")
+        fired = [faults.check("journal.record") for _ in range(4)]
+        assert fired == [None, "kill_run", "truncate_journal", None]
+
+    def test_kinds_fire_at_two_sites(self):
+        assert {site for site, _ in faults.FAULT_KINDS.values()} \
+            == {"journal.record", "cache.store"}
+
+    @pytest.mark.parametrize("kind", [
+        "kill_worker", "drop_conn", "delay_conn", "stall_heartbeat",
+        "coordinator_drop",
+    ])
+    def test_removed_kind_fails_loudly(self, monkeypatch, kind):
+        """Plans naming a kind of the removed worker protocol are
+        grammar errors: refused when resolved, inert from the
+        environment."""
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultPlan.parse(f"{kind}:after=1")
+        monkeypatch.setenv(FAULTS_ENV_VAR, f"{kind}:after=1")
+        with pytest.raises(ValueError, match=FAULTS_ENV_VAR):
+            EngineSettings.resolve_one("faults")
+        faults.reset()
         assert faults.installed_plan() is None
 
 
 class TestSettings:
     def test_env_vars_are_registered(self):
         assert FAULTS_ENV_VAR in ENGINE_ENV_VARS
-        assert DEGRADE_ENV_VAR in ENGINE_ENV_VARS
 
     def test_resolve_faults_validates(self, monkeypatch):
         resolve = EngineSettings.resolve_one
-        assert resolve("faults", "kill_worker:unit=1") \
-            == "kill_worker:unit=1"
+        assert resolve("faults", "kill_run:record=1") \
+            == "kill_run:record=1"
         assert resolve("faults", None) is None
         monkeypatch.setenv(FAULTS_ENV_VAR, "explode")
         with pytest.raises(ValueError, match=FAULTS_ENV_VAR):
@@ -148,77 +210,28 @@ class TestSettings:
         with pytest.raises(ValueError, match="faults"):
             resolve("faults", "explode")
 
-    def test_resolve_degrade(self, monkeypatch):
-        resolve = EngineSettings.resolve_one
-        assert resolve("degrade", None) is False
-        monkeypatch.setenv(DEGRADE_ENV_VAR, "1")
-        assert resolve("degrade") is True
-        monkeypatch.setenv(DEGRADE_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=DEGRADE_ENV_VAR):
-            resolve("degrade")
-
     def test_settings_resolve_and_as_dict(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV_VAR, "stall_heartbeat:after=2")
-        monkeypatch.setenv(DEGRADE_ENV_VAR, "yes")
+        monkeypatch.setenv(FAULTS_ENV_VAR, "truncate_journal:record=2")
         settings = EngineSettings.resolve()
-        assert settings.faults == "stall_heartbeat:after=2"
-        assert settings.degrade is True
-        as_dict = settings.as_dict()
-        assert as_dict["faults"] == "stall_heartbeat:after=2"
-        assert as_dict["degrade"] is True
+        assert settings.faults == "truncate_journal:record=2"
+        assert settings.as_dict()["faults"] == "truncate_journal:record=2"
 
     def test_spec_knobs_round_trip(self):
         spec = ExperimentSpec(
             name="chaos",
             simulators=["spade-he"],
             models=["SPP3"],
-            faults="kill_worker:unit=1",
-            degrade="1",
+            faults="kill_run:record=1",
         )
-        assert spec.degrade is True
-        assert spec.to_dict()["faults"] == "kill_worker:unit=1"
+        assert spec.to_dict()["faults"] == "kill_run:record=1"
         rebuilt = ExperimentSpec.from_dict(spec.to_dict())
         runner = rebuilt.build_runner()
-        assert runner.settings.faults == "kill_worker:unit=1"
-        assert runner.settings.degrade is True
+        assert runner.settings.faults == "kill_run:record=1"
 
     def test_spec_rejects_a_bad_plan(self):
         with pytest.raises(ValueError, match="faults"):
             ExperimentSpec(name="bad", simulators=["spade-he"],
                            models=["SPP3"], faults="explode")
-
-
-class TestBackoff:
-    def test_delays_are_deterministic_per_seed(self):
-        left = backoff_delays(random.Random("repro-worker-w1"))
-        right = backoff_delays(random.Random("repro-worker-w1"))
-        first = [next(left) for _ in range(8)]
-        assert first == [next(right) for _ in range(8)]
-
-    def test_workers_desynchronize(self):
-        one = backoff_delays(random.Random("repro-worker-w1"))
-        two = backoff_delays(random.Random("repro-worker-w2"))
-        assert [next(one) for _ in range(4)] \
-            != [next(two) for _ in range(4)]
-
-    def test_delays_grow_exponentially_to_the_cap(self):
-        delays = list(
-            next(backoff_delays(random.Random(0), base=0.1, cap=2.0))
-            for _ in range(1)
-        )
-        assert 0.05 <= delays[0] < 0.1
-        stream = backoff_delays(random.Random(0), base=0.1, cap=2.0)
-        jittered = [next(stream) for _ in range(12)]
-        # Jitter is in [0.5, 1.0): every delay is bounded by the
-        # un-jittered exponential and never exceeds the cap.
-        for index, delay in enumerate(jittered):
-            assert delay < min(2.0, 0.1 * (2 ** index)) + 1e-9
-            assert delay <= 2.0
-
-    def test_worker_rng_is_seeded_by_id(self):
-        first = Worker(("127.0.0.1", 1), worker_id="w1")
-        second = Worker(("127.0.0.1", 1), worker_id="w1")
-        assert first._rng.random() == second._rng.random()
 
 
 class TestQuarantine:

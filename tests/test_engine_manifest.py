@@ -1,7 +1,6 @@
 """Run manifests: the RunObserver streaming collector, RunManifest
-assembly/serialization, and per-unit timing coverage across the local
-backends (the dist backend's manifest parity lives with the dist
-tests)."""
+assembly/serialization, and per-unit timing coverage across the
+serial and process backends."""
 
 import json
 import subprocess
@@ -162,11 +161,9 @@ class TestRunObserver:
 
     def test_as_dict_is_json_safe(self):
         runner, table, observer = observed_run()
-        observer.record_dist({"requeues": 0}, [{"worker": "w"}],
-                             settings={"port": 0})
         snapshot = observer.as_dict()
-        json.dumps(snapshot)     # must not raise
-        assert snapshot["dist"]["workers"] == [{"worker": "w"}]
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert "dist" not in snapshot
 
 
 class TestRunManifest:
@@ -208,6 +205,40 @@ class TestRunManifest:
         manifest = RunManifest.collect(runner, table)
         assert manifest.units == [] and manifest.phases == []
         assert manifest.table["rows"] == len(table)
+
+
+class TestLegacyManifests:
+    """Manifests written while the dist backend and the degrade knob
+    existed still load; what they recorded of that run is kept."""
+
+    @staticmethod
+    def _legacy(kind: str) -> dict:
+        runner, table, observer = observed_run()
+        data = RunManifest.collect(runner, table,
+                                   observer=observer).to_dict()
+        if kind == "dist-block":
+            data["dist"] = {"stats": {"units": 1, "requeues": 0},
+                            "workers": [{"worker": "w0", "units": 1}],
+                            "settings": {"port": 7463, "token": False}}
+        elif kind == "degrade-setting":
+            data["settings"] = dict(data["settings"], degrade=False)
+        else:
+            data["backend"] = "dist"
+            for unit in data["units"]:
+                unit["worker"] = "w0"
+        return data
+
+    @pytest.mark.parametrize("kind", [
+        "dist-block", "degrade-setting", "dist-run",
+    ])
+    def test_loads_and_round_trips(self, kind):
+        data = self._legacy(kind)
+        manifest = RunManifest.from_dict(data)
+        again = manifest.to_dict()
+        assert "dist" not in again
+        for key in again:
+            assert again[key] == data[key], key
+        assert RunManifest.from_json(manifest.to_json()).to_dict() == again
 
 
 class TestBackendCoverage:

@@ -13,7 +13,6 @@ from repro.engine.settings import (
     RULEGEN_SHARDS_ENV_VAR,
     SETTINGS_CLASSES,
     WORKERS_ENV_VAR,
-    DistSettings,
     EngineSettings,
 )
 from repro.sparse import rulegen as sparse_rulegen
@@ -78,7 +77,7 @@ class TestRemovedTraceWorkersKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert "REPRO_ENGINE_TRACE_WORKERS" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 11
+        assert len(ENGINE_ENV_VARS) == 7
         # A value the old knob rejected no longer reaches any resolver.
         monkeypatch.setenv("REPRO_ENGINE_TRACE_WORKERS", "0")
         settings = EngineSettings.resolve(workers=3)
@@ -91,27 +90,6 @@ class TestRemovedTraceWorkersKnob:
         with pytest.raises(TypeError, match="trace_workers"):
             ExperimentRunner(simulators=["spade-he"], models=["SPP3"],
                              trace_workers=2)
-
-
-class TestRemovedBatchRowsKnob:
-    """Every dist unit returns one result frame; partial flushes have
-    no knob in the environment, the settings or the backend."""
-
-    def test_env_var_is_not_an_engine_knob(self, monkeypatch):
-        assert "REPRO_ENGINE_DIST_BATCH_ROWS" not in ENGINE_ENV_VARS
-        # A value the old knob rejected no longer reaches the resolver.
-        monkeypatch.setenv("REPRO_ENGINE_DIST_BATCH_ROWS", "lots")
-        settings = DistSettings.resolve()
-        assert not hasattr(settings, "batch_rows")
-        assert "batch_rows" not in settings.as_dict()
-
-    def test_argument_is_rejected(self):
-        from repro.engine.dist.coordinator import DistBackend
-
-        with pytest.raises(TypeError, match="batch_rows"):
-            DistSettings.resolve(batch_rows=1)
-        with pytest.raises(TypeError, match="batch_rows"):
-            DistBackend(batch_rows=1)
 
 
 class TestRemovedDeltaThresholdKnob:
@@ -145,33 +123,6 @@ class TestRemovedDeltaThresholdKnob:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["run", "spec.json", "--delta-threshold", "0.5"])
-
-
-class TestRemovedTraceStageKnob:
-    """Dist workers trace the groups they simulate; the coordinator's
-    pre-dispatch trace pass has no knob in the environment, the
-    settings or the backend."""
-
-    # Spelled in parts, so a repository search for leftovers of the
-    # deleted stage comes back empty.
-    ENV_VAR = "_".join(("REPRO_ENGINE_DIST", "TRACE", "STAGE"))
-    ARGUMENT = "_".join(("trace", "stage"))
-
-    def test_env_var_is_not_an_engine_knob(self, monkeypatch):
-        assert self.ENV_VAR not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 11
-        # A value the old knob rejected no longer reaches the resolver.
-        monkeypatch.setenv(self.ENV_VAR, "maybe")
-        settings = DistSettings.resolve()
-        assert self.ARGUMENT not in settings.as_dict()
-
-    def test_argument_is_rejected(self):
-        from repro.engine.dist.coordinator import DistBackend
-
-        with pytest.raises(TypeError, match=self.ARGUMENT):
-            DistSettings.resolve(**{self.ARGUMENT: False})
-        with pytest.raises(TypeError, match=self.ARGUMENT):
-            DistBackend(**{self.ARGUMENT: False})
 
 
 class TestRemovedServiceKnobs:
@@ -208,7 +159,7 @@ class TestRemovedServiceKnobs:
 
         assert not hasattr(settings_module, "ServiceSettings")
         assert [cls.__name__ for cls in SETTINGS_CLASSES] == [
-            "EngineSettings", "DistSettings", "TelemetrySettings"]
+            "EngineSettings", "TelemetrySettings"]
 
     def test_metrics_port_argument_is_rejected(self):
         from repro.engine.settings import TelemetrySettings
@@ -294,16 +245,10 @@ class TestDelegation:
 
         import repro.engine.backends
         import repro.engine.cache
-        import repro.engine.dist.coordinator
-        import repro.engine.dist.protocol
-        import repro.engine.dist.worker
         import repro.engine.runner
 
         for module in (repro.engine.runner, repro.engine.backends,
-                       repro.engine.cache, sparse_rulegen,
-                       repro.engine.dist.coordinator,
-                       repro.engine.dist.protocol,
-                       repro.engine.dist.worker):
+                       repro.engine.cache, sparse_rulegen):
             assert "os.environ" not in inspect.getsource(module), module
 
     def test_resolve_cache_dir_empty_string_is_none(self, monkeypatch):
@@ -311,90 +256,37 @@ class TestDelegation:
         assert EngineSettings.resolve_one("cache_dir") is None
 
 
-class TestDistKnobs:
-    """REPRO_ENGINE_DIST_* resolves through the same single resolver."""
-
-    def test_defaults(self):
-        settings = DistSettings.resolve()
-        assert settings.host == "127.0.0.1"
-        assert settings.port == 7463
-        assert settings.token is None
-
-    def test_env_overrides_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_DIST_HOST", "0.0.0.0")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_PORT", "9001")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_TOKEN", "s3cret")
-        settings = DistSettings.resolve()
-        assert settings == DistSettings(
-            host="0.0.0.0", port=9001, token="s3cret",
-        )
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_DIST_HOST", "0.0.0.0")
-        monkeypatch.setenv("REPRO_ENGINE_DIST_PORT", "9001")
-        settings = DistSettings.resolve(host="localhost", port=0)
-        assert settings.host == "localhost"
-        assert settings.port == 0            # ephemeral is a valid choice
-
-    @pytest.mark.parametrize("var, bad", [
-        ("REPRO_ENGINE_DIST_PORT", "loud"),
-        ("REPRO_ENGINE_DIST_PORT", "70000"),
-        ("REPRO_ENGINE_DIST_PORT", "-1"),
-    ])
-    def test_bad_env_values_name_the_variable(self, monkeypatch, var,
-                                              bad):
-        monkeypatch.setenv(var, bad)
-        with pytest.raises(ValueError, match=var):
-            DistSettings.resolve()
-
-    def test_bad_arguments_name_the_knob(self):
-        with pytest.raises(ValueError, match="port"):
-            DistSettings.resolve_one("port", "80000")
-
-    def test_empty_token_means_no_auth(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_DIST_TOKEN", "")
-        assert DistSettings.resolve().token is None
-        assert DistSettings.resolve(token="").token is None
-
-    def test_as_dict_never_leaks_the_token(self):
-        masked = DistSettings.resolve(token="s3cret").as_dict()
-        assert masked["token"] is True
-        assert "s3cret" not in repr(masked)
-        assert DistSettings.resolve().as_dict()["token"] is False
-
-    def test_dist_vars_are_in_the_engine_contract(self):
-        dist_vars = [var for var in ENGINE_ENV_VARS
-                     if var.startswith("REPRO_ENGINE_DIST_")]
-        assert dist_vars == ["REPRO_ENGINE_DIST_HOST",
-                             "REPRO_ENGINE_DIST_PORT",
-                             "REPRO_ENGINE_DIST_TOKEN"]
-
-
-class TestRemovedDistTuningKnobs:
-    """The coordinator's chunking, timeouts and attempt cap are
-    ``DistBackend`` arguments, and the Chrome trace export path is
-    ``repro run --trace-out``; none of them has an environment
-    variable or a settings field."""
+class TestRemovedDistKnobs:
+    """The dist backend is gone, and with it the coordinator's address,
+    port, token and tuning, the degrade ladder and the trace export
+    variable: none of them has an environment variable, a settings
+    field, a spec key or a ``repro run`` flag."""
 
     # Spelled in parts, so a repository search for leftovers of the
     # deleted variables comes back empty.
     DIST = "_".join(("REPRO", "ENGINE", "DIST"))
+    DEGRADE = "_".join(("REPRO", "ENGINE", "DEGRADE"))
     TRACE_OUT = "_".join(("REPRO_ENGINE_TELEMETRY", "TRACE", "OUT"))
 
     @pytest.mark.parametrize("suffix, bad", [
+        ("HOST", ""),
+        ("PORT", "70000"),
+        ("TOKEN", "s3cret"),
         ("CHUNKSIZE", "0"),
         ("UNIT_TIMEOUT", "soon"),
         ("HEARTBEAT", "0"),
         ("WORKER_TIMEOUT", "never"),
         ("MAX_ATTEMPTS", "1.5"),
         ("START_TIMEOUT", "-3"),
-        (None, ""),
-    ], ids=["chunksize", "unit-timeout", "heartbeat", "worker-timeout",
-            "max-attempts", "start-timeout", "trace-out"])
+        ("BATCH_ROWS", "lots"),
+        ("TRACE_STAGE", "maybe"),
+        ("degrade", "maybe"),
+        ("trace-out", ""),
+    ], ids=lambda value: str(value).lower().replace("_", "-"))
     def test_env_var_is_not_an_engine_knob(self, monkeypatch, suffix,
                                            bad):
-        var = self.TRACE_OUT if suffix is None else \
-            f"{self.DIST}_{suffix}"
+        var = {"degrade": self.DEGRADE, "trace-out": self.TRACE_OUT}.get(
+            suffix, f"{self.DIST}_{suffix}")
         assert var not in ENGINE_ENV_VARS
         # A value the old knob rejected no longer reaches any resolver.
         monkeypatch.setenv(var, bad)
@@ -402,61 +294,42 @@ class TestRemovedDistTuningKnobs:
             assert cls.resolve() == cls()
 
     def test_settings_fields_are_gone(self):
+        from repro.engine import settings as settings_module
         from repro.engine.settings import TelemetrySettings
 
-        assert list(DistSettings.resolve().as_dict()) == [
-            "host", "port", "token"]
+        assert not hasattr(settings_module, "DistSettings")
+        assert list(EngineSettings.resolve().as_dict()) == [
+            "backend", "workers", "rulegen_shards", "cache_dir",
+            "delta_trace", "faults"]
         assert list(TelemetrySettings.resolve().as_dict()) == ["enabled"]
-        with pytest.raises(TypeError, match="unit_timeout"):
-            DistSettings.resolve(unit_timeout=1.0)
         with pytest.raises(TypeError, match="trace_out"):
             TelemetrySettings.resolve(trace_out="run.trace.json")
 
-    def test_defaults_are_the_old_knob_defaults(self):
-        from repro.engine.dist import coordinator as dist
+    def test_dist_backend_from_env_is_unknown(self, monkeypatch):
+        """``REPRO_ENGINE_BACKEND=dist`` left over in an environment
+        fails the run naming the backends that exist, rather than
+        running somewhere the user did not ask for."""
+        monkeypatch.setenv(BACKEND_ENV_VAR, "dist")
+        runner = ExperimentRunner(simulators=["spade-he"],
+                                  models=["SPP3"], cache=TraceCache())
+        with pytest.raises(ValueError, match="dist") as error:
+            runner.run()
+        assert "process" in str(error.value)
+        assert "serial" in str(error.value)
 
-        assert (dist.CHUNKSIZE, dist.UNIT_TIMEOUT, dist.HEARTBEAT_INTERVAL,
-                dist.WORKER_TIMEOUT, dist.MAX_ATTEMPTS,
-                dist.START_TIMEOUT) == (1, 300.0, 1.0, 10.0, 3, 60.0)
-        backend = dist.DistBackend()
-        assert backend.chunksize == dist.CHUNKSIZE
-        assert backend.tuning == {
-            "unit_timeout": dist.UNIT_TIMEOUT,
-            "heartbeat_interval": dist.HEARTBEAT_INTERVAL,
-            "worker_timeout": dist.WORKER_TIMEOUT,
-            "max_attempts": dist.MAX_ATTEMPTS,
-            "start_timeout": dist.START_TIMEOUT,
-        }
-
-    def test_backend_arguments_reach_the_coordinator(self):
-        from repro.engine.dist import coordinator as dist
+    def test_degrade_argument_is_rejected(self):
+        from repro.cli import build_parser
         from repro.engine.spec import ExperimentSpec
 
-        # No worker ever connects: the coordinator gives up after its
-        # start timeout, which is enough to inspect what it was given.
-        backend = dist.DistBackend(port=0, unit_timeout=12.5,
-                                   max_attempts=7, start_timeout=0.3)
-        runner = ExperimentSpec(simulators=["stats"],
-                                models=["SPP3"]).build_runner()
-        with pytest.raises(dist.DistStartTimeout):
-            runner.run(backend=backend)
-        coordinator = backend.last_coordinator
-        assert coordinator.unit_timeout == 12.5
-        assert coordinator.max_attempts == 7
-        assert coordinator.start_timeout == 0.3
-        assert coordinator.heartbeat_interval == dist.HEARTBEAT_INTERVAL
-        assert coordinator.worker_timeout == dist.WORKER_TIMEOUT
-
-    @pytest.mark.parametrize("argument, bad", [
-        ("chunksize", 0),
-        ("unit_timeout", -3),
-        ("heartbeat_interval", "soon"),
-        ("worker_timeout", 0),
-        ("max_attempts", 1.5),
-        ("start_timeout", None),
-    ])
-    def test_bad_arguments_name_the_argument(self, argument, bad):
-        from repro.engine.dist.coordinator import DistBackend
-
-        with pytest.raises(ValueError, match=argument):
-            DistBackend(**{argument: bad})
+        with pytest.raises(TypeError, match="degrade"):
+            EngineSettings.resolve(degrade=True)
+        with pytest.raises(TypeError, match="degrade"):
+            ExperimentRunner(simulators=["spade-he"], models=["SPP3"],
+                             degrade=True)
+        with pytest.raises(ValueError, match="degrade"):
+            ExperimentSpec.from_dict({"simulators": ["stats"],
+                                      "models": ["SPP3"],
+                                      "degrade": True})
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "spec.json", "--degrade", "1"])

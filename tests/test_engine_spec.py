@@ -98,14 +98,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="version"):
             ExperimentSpec.from_dict(data)
 
-    def test_removed_thread_knobs_rejected(self):
+    @pytest.mark.parametrize("key, value, match", [
+        ("trace_workers", 2, "unknown key.*trace_workers"),
+        ("degrade", True, "unknown key.*degrade"),
+        ("backend", "thread", "unknown backend 'thread'"),
+        ("backend", "dist", "unknown backend 'dist'"),
+    ], ids=["trace-workers", "degrade", "thread-backend", "dist-backend"])
+    def test_removed_knobs_rejected(self, key, value, match):
         data = _spec().to_dict()
-        data["trace_workers"] = 2
-        with pytest.raises(ValueError, match="unknown key.*trace_workers"):
-            ExperimentSpec.from_dict(data)
-        data = _spec().to_dict()
-        data["backend"] = "thread"
-        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+        data[key] = value
+        with pytest.raises(ValueError, match=match):
             ExperimentSpec.from_dict(data)
 
 
@@ -140,7 +142,7 @@ class TestRoundTrip:
         # A non-default value for every EngineSettings knob.
         {"backend": "process", "workers": 3, "rulegen_shards": 2,
          "cache_dir": "trace-cache", "delta_trace": True,
-         "faults": "kill_worker:unit=99", "degrade": True},
+         "faults": "kill_run:record=99"},
     ], ids=["workers", "every-knob"])
     def test_dict_round_trip(self, knobs, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)          # the relative cache_dir

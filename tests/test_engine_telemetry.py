@@ -1,4 +1,4 @@
-"""Live telemetry layer: span tracer, the merged fleet trace, the
+"""Live telemetry layer: span tracer, the merged pool trace, the
 manifest's per-run ``telemetry`` snapshot, and the byte-identity
 contract —
 a telemetry-disabled run's CSV/JSON and manifest (minus the
@@ -7,8 +7,6 @@ a telemetry-disabled run's CSV/JSON and manifest (minus the
 import json
 import os
 import re
-import subprocess
-import sys
 import threading
 import time
 from pathlib import Path
@@ -21,13 +19,8 @@ from repro.engine import (
     TraceCache,
     telemetry,
 )
-from repro.engine.dist.coordinator import Coordinator, _WorkerConn
 from repro.engine.manifest import RunManifest, RunObserver
-from repro.engine.settings import (
-    ENGINE_ENV_VARS,
-    DistSettings,
-    TelemetrySettings,
-)
+from repro.engine.settings import ENGINE_ENV_VARS, TelemetrySettings
 from repro.engine.telemetry import SPAN_CATEGORIES, SpanTracer
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -104,7 +97,7 @@ class TestSpanTracer:
         assert event["pid"] == 0
 
     def test_trace_events_document_is_schema_valid(self, tmp_path):
-        tracer = SpanTracer(process="coordinator")
+        tracer = SpanTracer(process="run")
         with tracer.span("simulate", "engine", scenario="a"):
             pass
         tracer.ingest(
@@ -116,7 +109,7 @@ class TestSpanTracer:
         assert_chrome_trace_schema(doc)
         names = {event["args"]["name"] for event in doc["traceEvents"]
                  if event["ph"] == "M"}
-        assert names == {"coordinator", "w0"}
+        assert names == {"run", "w0"}
         path = tmp_path / "run.trace.json"
         tracer.export(path)
         assert_chrome_trace_schema(json.loads(path.read_text()))
@@ -143,7 +136,7 @@ class TestSpanTracer:
         assert len(tracer.drain()) == 1
         assert tracer.drain() == []
         # Counts survive the drain — the manifest snapshot still sees
-        # spans a dist worker already shipped away.
+        # spans a pool worker already shipped away.
         assert tracer.counts() == {"trace": 1}
 
     def test_phase_profile_is_detached_and_json_safe(self):
@@ -199,7 +192,7 @@ class TestSpanTracer:
         assert len(tracer.drain()) == 3
 
     def test_empty_batch_names_no_worker(self):
-        tracer = SpanTracer(process="coordinator")
+        tracer = SpanTracer(process="run")
         tracer.ingest([], worker="idle")
         tracer.ingest([{"name": "simulate", "ph": "X", "ts": 0,
                         "dur": 1, "pid": 0, "tid": 1}], worker="busy")
@@ -208,7 +201,7 @@ class TestSpanTracer:
         names = {meta["args"]["name"]
                  for meta in tracer.trace_events()["traceEvents"]
                  if meta["ph"] == "M"}
-        assert names == {"coordinator", "busy"}
+        assert names == {"run", "busy"}
 
     def test_span_that_raises_is_recorded_and_propagates(self):
         tracer = SpanTracer()
@@ -228,9 +221,6 @@ class TestNoopFastPath:
         assert first is second
         with first:
             pass
-
-    def test_drain_spans_without_tracer_is_empty(self):
-        assert telemetry.drain_spans() == []
 
     def test_tracing_scope_restores_previous(self):
         outer, inner = SpanTracer(), SpanTracer()
@@ -270,129 +260,69 @@ class TestTelemetrySettings:
             TelemetrySettings.resolve()
 
 
-def _unit(unit_id: str) -> dict:
-    return {"unit": unit_id, "label": unit_id, "groups": []}
-
-
-class TestFirstAcceptedWinsSpans:
-    def test_duplicate_result_spans_ingest_exactly_once(self):
-        """A resent unit (requeue after a presumed-dead worker) books
-        rows, stats AND spans exactly once — from the accepted result."""
-        coordinator = Coordinator(
-            units=[_unit("u0")], settings=DistSettings.resolve(),
-        )
-        tracer = SpanTracer(process="coordinator")
-        batch = [{"name": "simulate", "ph": "X", "ts": 0, "dur": 7,
-                  "pid": 0, "tid": 1}]
-        first = _WorkerConn(None, worker_id="w0", pid=101)
-        second = _WorkerConn(None, worker_id="w1", pid=102)
-        coordinator._pending.clear()
-        with telemetry.tracing(tracer):
-            coordinator._handle_result(
-                first, {"unit": "u0", "groups": {}, "timings": {},
-                        "spans": list(batch)})
-            # The duplicate from the presumed-dead worker: same unit,
-            # same spans — must be dropped wholesale.
-            coordinator._handle_result(
-                second, {"unit": "u0", "groups": {}, "timings": {},
-                         "spans": list(batch)})
-        assert coordinator._done == {"u0"}
-        assert tracer.counts() == {"simulate": 1}
-        events = tracer.drain()
-        assert len(events) == 1
-
-
-def _traced_fleet_run(directory: Path) -> tuple:
-    """A traced 2-worker loopback dist run: the exported Chrome trace
-    document, the dist table and the serial table of the same spec."""
-    from repro.engine.dist.coordinator import DistBackend
-
+def _traced_pool_run(directory: Path) -> tuple:
+    """A traced 2-worker process run: the exported Chrome trace
+    document, the pool workers the manifest names, the process table
+    and the serial table of the same spec."""
     spec = small_spec(
         models=["SPP2", "SPP3"],
         scenarios=[{"name": "a", "seed": 0},
                    {"name": "b", "seed": 9}],
     )
-    import socket
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get(
-        "PYTHONPATH", "")
-    workers = [
-        subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--connect", f"127.0.0.1:{port}",
-             "--id", f"trace-w{index}",
-             "--retry-seconds", "60"],
-            env=env, stderr=subprocess.DEVNULL,
-        )
-        for index in range(2)
-    ]
-    tracer = SpanTracer(process="coordinator")
-    try:
-        with telemetry.tracing(tracer):
-            table = spec.build_runner().run(
-                backend=DistBackend(port=port, start_timeout=60,
-                                    unit_timeout=60),
-            )
-    finally:
-        for worker in workers:
-            worker.kill()
-            worker.wait()
+    tracer = SpanTracer(process="run")
+    observer = RunObserver()
+    with telemetry.tracing(tracer):
+        table = spec.build_runner(workers=2).run(backend="process",
+                                                 observer=observer)
+    workers = {unit["worker"] for unit in observer.units}
     serial = spec.build_runner().run(backend="serial")
-    path = directory / "fleet.trace.json"
+    path = directory / "pool.trace.json"
     tracer.export(path)
-    return json.loads(path.read_text()), table, serial
+    return json.loads(path.read_text()), workers, table, serial
 
 
 @pytest.fixture(scope="class")
-def fleet_trace(tmp_path_factory):
-    """One traced fleet run shared by the class's tests."""
+def pool_trace(tmp_path_factory):
+    """One traced pool run shared by the class's tests."""
     # Class scope runs before the per-test clean_env: strip the engine
-    # knobs here too, for this process and the spawned workers.
+    # knobs here too, for this process and its pool workers.
     with pytest.MonkeyPatch.context() as patch:
         for var in ENGINE_ENV_VARS:
             patch.delenv(var, raising=False)
-        return _traced_fleet_run(tmp_path_factory.mktemp("fleet"))
+        return _traced_pool_run(tmp_path_factory.mktemp("pool"))
 
 
-class TestMergedFleetTrace:
-    def test_two_subprocess_workers_one_timeline(self, fleet_trace):
-        """Acceptance: a traced 2-worker run exports one merged,
-        schema-valid Chrome trace covering coordinator and both
-        workers."""
-        doc, table, serial = fleet_trace
+class TestMergedPoolTrace:
+    def test_two_subprocess_workers_one_timeline(self, pool_trace):
+        """Acceptance: a traced 2-worker process run exports one merged,
+        schema-valid Chrome trace with one named pid per pool worker
+        plus the run process."""
+        doc, workers, table, serial = pool_trace
         assert len(table) == 8
         assert table.to_csv() == serial.to_csv()
         assert_chrome_trace_schema(doc)
-        processes = {event["args"]["name"]
-                     for event in doc["traceEvents"]
-                     if event["ph"] == "M"}
-        assert processes == {"coordinator", "trace-w0", "trace-w1"}
-        by_process = {name: 0 for name in processes}
+        assert workers and all(name.startswith("process-")
+                               for name in workers)
+        assert f"process-{os.getpid()}" not in workers
         pid_names = {event["pid"]: event["args"]["name"]
                      for event in doc["traceEvents"]
                      if event["ph"] == "M"}
+        assert sorted(pid_names.values()) == sorted({"run", *workers})
+        by_process = dict.fromkeys(workers, 0)
         names_seen = set()
         for event in doc["traceEvents"]:
             if event["ph"] != "X":
                 continue
             by_process[pid_names[event["pid"]]] += 1
             names_seen.add(event["name"])
-        # Every fleet member contributed spans to the one timeline.
+        # Every pool worker contributed spans to the one timeline.
         assert all(count > 0 for count in by_process.values())
-        # Worker-side execution and coordinator-side protocol both
-        # appear (the merged timeline covers the whole request path).
-        assert "simulate" in names_seen
-        assert "protocol-send" in names_seen
+        assert {"trace", "simulate", "cache-get"} <= names_seen
 
-    def test_every_span_category_is_declared(self, fleet_trace):
+    def test_every_span_category_is_declared(self, pool_trace):
         """SPAN_CATEGORIES names exactly what the instrumentation
-        emits: the fleet run's spans use every category and no other."""
-        doc, _, _ = fleet_trace
+        emits: the pool run's spans use every category and no other."""
+        doc = pool_trace[0]
         categories = {event["cat"] for event in doc["traceEvents"]
                       if event["ph"] == "X"}
         assert categories == set(SPAN_CATEGORIES)
@@ -402,7 +332,7 @@ class TestSpanCategories:
     def test_every_instrumentation_site_uses_a_declared_category(self):
         """Each ``telemetry.span(name, category)`` call under ``src/``
         names a declared category, and every declared category has a
-        site — including sites a loopback fleet run never reaches."""
+        site — including sites a pool run never reaches."""
         pattern = re.compile(r"telemetry\.span\(\s*[^,()]+,\s*\"(\w+)\"")
         used = set()
         for path in Path(SRC_DIR, "repro").rglob("*.py"):
@@ -530,6 +460,28 @@ class TestPerRunTelemetry:
         assert counts(serial) == {"trace": 4, "cache-get": 4,
                                   "cache-put": 4, "simulate": 8}
         assert counts(process) == counts(serial)
+
+    def test_process_delta_span_counts_match_serial(self):
+        """Delta-traced 2-frame chains on two pool workers record the
+        spans of the serial run, the delta rulegen's included."""
+        def run(backend):
+            spec = small_spec(models=["SPP3"], delta_trace=True,
+                              scenarios=[{"name": "a", "seed": 0,
+                                          "frames": 2},
+                                         {"name": "b", "seed": 9,
+                                          "frames": 2}])
+            runner = spec.build_runner(backend=backend, workers=2,
+                                       cache=TraceCache(disk_dir=None))
+            observer = RunObserver()
+            with telemetry.tracing(SpanTracer()):
+                runner.run(observer=observer)
+            return {name: entry["count"] for name, entry
+                    in observer.telemetry["spans"].items()}
+
+        serial = run("serial")
+        assert (serial["trace"], serial["delta-patch"]) == (2, 2)
+        assert serial["simulate"] == 4
+        assert run("process") == serial
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_untraced_run_records_no_telemetry(self, backend):

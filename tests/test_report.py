@@ -172,6 +172,26 @@ class TestText:
             "9 built in full, 10 shared with an earlier layer of their "
             "trace, 0 routed to build_rules_delta (shared or rebuilt)")
 
+    def test_manifest_with_a_dist_block_still_renders(self, run,
+                                                      tmp_path):
+        """A manifest written while the dist backend existed carries a
+        ``dist`` key; it still loads, and `repro report` renders it."""
+        runner, table, observer = run
+        old = RunManifest.collect(runner, table,
+                                  observer=observer).to_dict()
+        old["dist"] = {"stats": {"requeues": 0},
+                       "workers": [{"worker": "w0"}],
+                       "settings": {"port": 7463, "token": False}}
+        manifest = RunManifest.from_dict(old)
+        assert not hasattr(manifest, "dist")
+        assert "dist" not in manifest.to_dict()
+        results = tmp_path / "old.json"
+        table.to_json(results)
+        manifest_path_for(results).write_text(json.dumps(old))
+        text = report.build_report(results)
+        assert "run manifest" in text and "spec hash" in text
+        assert "dist" not in dict(report._manifest_summary_rows(manifest))
+
     def test_without_a_manifest_says_so(self, tmp_path, table):
         results = tmp_path / "bare.json"
         table.to_json(results)
@@ -216,9 +236,9 @@ class TestDiff:
         left = RunManifest.collect(runner, table, observer=observer)
         right = RunManifest.from_dict(
             json.loads(left.to_json()))
-        right.backend = "dist"
+        right.backend = "process"
         right.settings = dict(right.settings,
-                              backend="dist", workers=7)
+                              backend="process", workers=7)
         diff = report.diff_manifests(left, right)
         fields = [row[0] for row in diff["rows"]]
         assert "backend" in fields
