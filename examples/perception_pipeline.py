@@ -8,19 +8,20 @@ must perceive at well over real-time rates.  This example
    pruning-aware fine-tuning at 60% pillar sparsity);
 2. drives through 10 unseen frames, detecting objects on each;
 3. simulates SPADE.HE over the whole drive through the unified engine:
-   the drive's voxelized batches are registered as a *frame-provider
-   plugin* (``@register_frame_provider("drive")``), so the experiment
-   itself is a declarative :class:`~repro.engine.ExperimentSpec` naming
-   the provider — one batched scenario carries all 10 frames, the
-   engine traces them in a single rulegen pass, and the result table
-   reports per-frame rows plus the mean aggregate row.
+   the experiment is a declarative :class:`~repro.engine.ExperimentSpec`,
+   and the drive's voxelized batches reach it as a
+   :class:`~repro.engine.FrameProvider` instance passed to
+   ``spec.build_runner(frame_provider=...)`` — one batched scenario
+   carries all 10 frames, the engine traces them in a single rulegen
+   pass, and the result table reports per-frame rows plus the mean
+   aggregate row.
 
 Run:  python examples/perception_pipeline.py    (~1 minute, CPU numpy)
 """
 
 from repro.analysis import format_table
 from repro.data import MINI_GRID, SceneConfig, SceneGenerator, voxelize
-from repro.engine import ExperimentSpec, FrameProvider, register_frame_provider
+from repro.engine import ExperimentSpec, FrameProvider
 from repro.models import (
     MiniPointPillars,
     build_targets,
@@ -81,20 +82,16 @@ def main():
           "scenario, traced in a single rulegen pass...")
     # Hardware cost of this frame at full KITTI scale is dominated by
     # the active-pillar geometry; we report the mini-frame traces.
-    # The drive's batches become a registered frame-provider plugin, so
-    # the experiment is pure data — a spec any tool could serialize,
-    # diff or re-run (`spec.to_json()`).
-    register_frame_provider("drive",
-                            lambda: DriveFrames(drive_batches),
-                            overwrite=True)
+    # The spec stays pure data (`spec.to_json()`); the drive's batches
+    # are a runtime object, so they ride along as a provider instance.
     spec = ExperimentSpec(
         name="drive",
         simulators=["spade-he"],
         models=["SPP2"],
         scenarios=[{"name": "drive", "frames": len(drive_batches)}],
-        frame_provider="drive",
     )
-    table = spec.run()
+    table = spec.build_runner(
+        frame_provider=DriveFrames(drive_batches)).run()
 
     rows = []
     for index, batch in enumerate(drive_batches):

@@ -2,7 +2,7 @@
 
 Experiments are declarative :class:`~repro.engine.spec.ExperimentSpec`
 JSON files; this module is the thin shell over the engine that runs
-them and inspects the registries:
+them and inspects what the engine offers:
 
 * ``repro run spec.json [--backend process] [--out results.csv]``
   — load, validate and execute a spec, writing the resulting
@@ -21,24 +21,25 @@ them and inspects the registries:
   — render a run's table + manifest as text or a single-file HTML
   report (``--diff other.json`` compares two runs); see
   :mod:`repro.report`;
-* ``repro list simulators|models|backends|frame-providers``
-  — enumerate what the registries and the Table I zoo offer;
+* ``repro list simulators|models|backends``
+  — enumerate the simulator registry, the Table I zoo and the
+  execution backends;
 * ``repro list scenarios spec.json``
   — the scenario axis of one spec file;
 * ``repro describe <name>`` — details on a simulator spec string, a
-  Table I model, a backend, a frame provider, or a spec file;
+  Table I model, a backend, or a spec file;
 * ``repro cache stats|clear``
   — inspect or empty the trace-artifact store
   (``REPRO_TRACE_CACHE_DIR`` or ``--cache-dir``) that runs share traces
   through.
 
 Everything resolves through the same code paths the Python API uses —
-the simulator/backend/provider registries and the
+the simulator registry, the backend names and the
 :class:`~repro.engine.settings.EngineSettings` environment resolver —
 so a spec run from the shell is bit-identical to the equivalent
 hand-built :class:`~repro.engine.ExperimentRunner` (a tested parity
-contract).  Third-party plugins registered at import time appear in
-``repro list`` automatically.
+contract).  Simulator families registered at import time appear in
+``repro list simulators`` automatically.
 
 Exit codes: 0 success, 2 usage/validation error (bad spec, unknown
 name), 1 unexpected failure.
@@ -57,20 +58,14 @@ from .engine.manifest import (
     RunObserver,
     manifest_path_for,
 )
-from .engine.registry import BACKENDS, FRAME_PROVIDERS, SIMULATORS
+from .engine.backends import BACKENDS
+from .engine.registry import SIMULATORS
 from .engine.simulators import build_simulator
 from .engine.spec import KNOBS, ExperimentSpec
 from .models.specs import build_model_spec
 from .models.zoo import TABLE1_PAPER
 
-#: ``repro list`` categories backed by a registry.
-_REGISTRY_CATEGORIES = {
-    "simulators": SIMULATORS,
-    "backends": BACKENDS,
-    "frame-providers": FRAME_PROVIDERS,
-}
-
-_LIST_CATEGORIES = tuple(_REGISTRY_CATEGORIES) + ("models", "scenarios")
+_LIST_CATEGORIES = ("simulators", "backends", "models", "scenarios")
 
 
 def _out(text: str = "") -> None:
@@ -398,9 +393,8 @@ def _cmd_cache(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _list_registry(registry) -> None:
-    for name in registry.names():
-        summary = registry.describe(name)
+def _list_names(summaries: dict) -> None:
+    for name, summary in sorted(summaries.items()):
         _out(f"{name:16} {summary}" if summary else name)
 
 
@@ -434,8 +428,12 @@ def _cmd_list(args) -> int:
         _list_models()
     elif args.category == "scenarios":
         _list_scenarios(args.spec)
+    elif args.category == "simulators":
+        _list_names({name: SIMULATORS.describe(name)
+                     for name in SIMULATORS.names()})
     else:
-        _list_registry(_REGISTRY_CATEGORIES[args.category])
+        _list_names({name: _first_doc_line(backend)
+                     for name, backend in BACKENDS.items()})
     return 0
 
 
@@ -481,16 +479,15 @@ def _describe_model(name: str) -> bool:
     return True
 
 
-def _describe_registry_entry(name: str) -> bool:
-    for label, registry in (("backend", BACKENDS),
-                            ("frame provider", FRAME_PROVIDERS)):
-        if name in registry:
-            _out(f"{label} {name!r}")
-            summary = registry.describe(name)
-            if summary:
-                _out(f"  about       : {summary}")
-            return True
-    return False
+def _describe_backend(name: str) -> bool:
+    backend = BACKENDS.get(name.strip().lower())
+    if backend is None:
+        return False
+    _out(f"backend {name!r}")
+    summary = _first_doc_line(backend)
+    if summary:
+        _out(f"  about       : {summary}")
+    return True
 
 
 def _describe_spec_file(name: str) -> bool:
@@ -517,14 +514,14 @@ def _describe_spec_file(name: str) -> bool:
 def _cmd_describe(args) -> int:
     name = args.name
     for describe in (_describe_spec_file, _describe_model,
-                     _describe_simulator, _describe_registry_entry):
+                     _describe_simulator, _describe_backend):
         if describe(name):
             return 0
     raise ValueError(
         f"nothing named {name!r}: not a simulator spec string "
         f"(families: {SIMULATORS.names()}), a Table I model "
-        f"({sorted(TABLE1_PAPER)}), a backend ({BACKENDS.names()}), a "
-        f"frame provider ({FRAME_PROVIDERS.names()}), or a spec file"
+        f"({sorted(TABLE1_PAPER)}), a backend ({sorted(BACKENDS)}), or a "
+        f"spec file"
     )
 
 
@@ -646,8 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     describe = commands.add_parser(
         "describe",
-        help="details on a simulator / model / backend / provider / "
-             "spec file",
+        help="details on a simulator / model / backend / spec file",
     )
     describe.add_argument("name")
     describe.set_defaults(func=_cmd_describe)

@@ -9,13 +9,14 @@
   hardware, gather dataflows) behind the same interface;
 * :mod:`repro.engine.cache`      — the content-keyed :class:`TraceCache`
   (rulegen once per (model, frame), shared across simulators and runs);
-* :mod:`repro.engine.backends`   — pluggable execution backends
-  (serial / process) with chunked IPC and per-worker caches;
+* :mod:`repro.engine.backends`   — the execution backends (serial /
+  process) with chunked IPC and per-worker caches;
 * :mod:`repro.engine.runner`     — the multi-scenario, multi-backend
   :class:`ExperimentRunner` with frame batching;
-* :mod:`repro.engine.registry`   — named-factory registries
-  (``@register_simulator`` / ``@register_frame_provider`` /
-  ``@register_backend``): the plugin seam third-party code extends;
+* :mod:`repro.engine.registry`   — the simulator registry
+  (``@register_simulator``): the plugin seam third-party code extends;
+  custom frames and backends are passed as :class:`FrameProvider` /
+  :class:`Backend` instances;
 * :mod:`repro.engine.settings`   — the settings dataclasses whose
   fields declare every ``REPRO_ENGINE_*`` / ``REPRO_TRACE_CACHE_DIR``
   environment knob (import them from there);
@@ -63,11 +64,7 @@ from .manifest import (
 )
 from .micro import GatherDramSim, MappingSim
 from .registry import (
-    BACKENDS,
-    FRAME_PROVIDERS,
     SIMULATORS,
-    register_backend,
-    register_frame_provider,
     register_simulator,
 )
 from .result import (
@@ -98,8 +95,6 @@ from .simulators import (
 from .spec import ExperimentSpec
 
 __all__ = [
-    "BACKENDS",
-    "FRAME_PROVIDERS",
     "RESULT_COLUMNS",
     "SIMULATORS",
     "Backend",
@@ -132,8 +127,6 @@ __all__ = [
     "scan_disk_tier",
     "read_journal",
     "spec_hash",
-    "register_backend",
-    "register_frame_provider",
     "register_simulator",
     "shared_trace_cache",
     "tracing",

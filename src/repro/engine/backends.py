@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from . import telemetry
 from .cache import TraceCache, counter_delta
-from .registry import BACKENDS, register_backend
+from .registry import UnknownNameError
 from .result import mean_result
 from .settings import EngineSettings
 
@@ -270,7 +270,6 @@ class Backend:
         raise NotImplementedError
 
 
-@register_backend("serial")
 class SerialBackend(Backend):
     """Everything on the calling thread, in plan order."""
 
@@ -386,7 +385,6 @@ def _run_chunk(chunk: list) -> dict:
     return outcome
 
 
-@register_backend("process")
 class ProcessBackend(Backend):
     """Process-pool fan-out for many-scenario sweeps.
 
@@ -483,21 +481,27 @@ class ProcessBackend(Backend):
         return [rows for chunk in chunk_results for rows in chunk]
 
 
+#: The execution backends resolvable by name.
+BACKENDS = {"serial": SerialBackend, "process": ProcessBackend}
+
+
 def resolve_backend(spec) -> Backend:
     """Normalize a backend name or instance to a :class:`Backend`.
 
-    Names resolve through the backend registry — ``"serial"`` /
-    ``"process"`` built in, case insensitive, plus
-    anything third-party code added via
-    :func:`~repro.engine.registry.register_backend`.  Instances pass
-    through untouched; unknown names raise a
+    Names are ``"serial"`` / ``"process"``, case insensitive.  Instances
+    pass through untouched; unknown names raise a
     :class:`~repro.engine.registry.UnknownNameError` listing the
-    registered choices.
+    choices.
     """
     if isinstance(spec, Backend):
         return spec
     if isinstance(spec, str):
-        return BACKENDS.create(spec)
+        backend = BACKENDS.get(spec.strip().lower())
+        if backend is None:
+            raise UnknownNameError(
+                f"unknown backend {spec!r}; choices: {sorted(BACKENDS)}"
+            )
+        return backend()
     raise TypeError(
         f"expected a Backend instance or name string, got {type(spec)!r}"
     )

@@ -289,13 +289,12 @@ class TraceCache:
         :meth:`stats` — purely observability, also key-neutral.
         """
         key = self.key_for(spec, coords, importance, grid_shape)
-        if label is not None:
-            with self._lock:
-                self._labels[key] = tuple(label)
         while True:
             with self._lock:
                 if key in self._entries:
                     self.hits += 1
+                    if label is not None:
+                        self._labels[key] = tuple(label)
                     return self._entries[key]
                 event = self._inflight.get(key)
                 if event is None:
@@ -337,10 +336,13 @@ class TraceCache:
                 self.shared_layers += shared_count
                 self.full_layers += full_count
             self._entries[key] = trace
+            if label is not None:
+                self._labels[key] = tuple(label)
             if self.maxsize is not None:
                 while len(self._entries) > self.maxsize:
                     oldest = next(iter(self._entries))
                     del self._entries[oldest]
+                    self._labels.pop(oldest, None)
             self._inflight.pop(key).set()
         return trace
 

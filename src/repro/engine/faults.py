@@ -29,10 +29,7 @@ Kinds and their trigger parameters:
     Overwrite the N-th disk-cache artifact with garbage right after it
     is stored — exercises load-time quarantine.
 
-Every rule may also carry ``p=<0..1]`` and ``seed=<int>``: when ``p``
-is below 1 the trigger fires with probability ``p`` from a dedicated
-``random.Random(seed)`` stream, so even probabilistic chaos replays
-identically.  Rules are one-shot: after firing once they disarm.
+Rules are one-shot: after firing once they disarm.
 
 The harness is process-global (installed via :func:`install` or lazily
 from the environment on first :func:`check`), because the sites live in
@@ -43,7 +40,6 @@ inheritance is exactly how worker *subprocesses* receive their plan.
 from __future__ import annotations
 
 import contextlib
-import random
 import threading
 
 from .settings import EngineSettings
@@ -67,8 +63,6 @@ FAULT_KINDS = {
     "truncate_journal": ("journal.record", "record"),
     "corrupt_cache": ("cache.store", "entry"),
 }
-
-_COMMON_PARAMS = ("p", "seed")
 
 
 def _parse_rule(text, index):
@@ -97,63 +91,35 @@ def _parse_rule(text, index):
                     f"rule {index + 1} ({text!r}): duplicate parameter {name!r}"
                 )
             params[name] = value.strip()
-    allowed = {trigger_name, *_COMMON_PARAMS}
     for name in params:
-        if name not in allowed:
+        if name != trigger_name:
             raise ValueError(
                 f"rule {index + 1} ({text!r}): unknown parameter {name!r} "
-                f"for {kind} (allowed: {', '.join(sorted(allowed))})"
+                f"for {kind} (allowed: {trigger_name})"
             )
-
-    def _positive_int(name, default):
-        raw = params.get(name)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise ValueError(
-                f"rule {index + 1} ({text!r}): {name} must be a positive "
-                f"integer, got {raw!r}"
-            )
-        return value
-
-    trigger = _positive_int(trigger_name, 1)
-    probability = 1.0
-    if params.get("p") is not None:
-        try:
-            probability = float(params["p"])
-        except ValueError:
-            probability = -1.0
-        if not 0.0 < probability <= 1.0:
-            raise ValueError(
-                f"rule {index + 1} ({text!r}): p must be in (0, 1], "
-                f"got {params['p']!r}"
-            )
-    seed = _positive_int("seed", 1) if params.get("seed") is not None else 0
-    return FaultRule(
-        kind=kind,
-        site=site,
-        trigger=trigger,
-        probability=probability,
-        seed=seed,
-    )
+    raw = params.get(trigger_name, "1")
+    try:
+        trigger = int(raw)
+    except ValueError:
+        trigger = 0
+    if trigger < 1:
+        raise ValueError(
+            f"rule {index + 1} ({text!r}): {trigger_name} must be a "
+            f"positive integer, got {raw!r}"
+        )
+    return FaultRule(kind=kind, site=site, trigger=trigger)
 
 
 class FaultRule:
     """One armed trigger: fire ``kind`` at the ``trigger``-th site event."""
 
-    __slots__ = ("kind", "site", "trigger", "probability", "seed")
+    __slots__ = ("kind", "site", "trigger")
 
-    def __init__(self, kind, site, trigger, probability=1.0, seed=0):
+    def __init__(self, kind, site, trigger):
         """Store the parsed rule fields (see module grammar)."""
         self.kind = kind
         self.site = site
         self.trigger = trigger
-        self.probability = probability
-        self.seed = seed
 
     def __repr__(self):
         return (
@@ -211,18 +177,13 @@ class FaultInjector:
         self._lock = threading.Lock()
         self._counts = [0] * len(plan.rules)
         self._fired = [False] * len(plan.rules)
-        self._rngs = [
-            random.Random(rule.seed) if rule.probability < 1.0 else None
-            for rule in plan.rules
-        ]
 
     def fire(self, site):
         """Count one event at ``site``; return the rule that fires, if any.
 
         Each matching armed rule's counter advances by one; a rule whose
-        counter reaches its trigger fires (subject to its ``p``
-        probability drawn from its seeded stream) and disarms.  At most
-        one rule fires per call.
+        counter reaches its trigger fires and disarms.  At most one rule
+        fires per call.
         """
         with self._lock:
             for index, rule in enumerate(self.plan.rules):
@@ -230,10 +191,6 @@ class FaultInjector:
                     continue
                 self._counts[index] += 1
                 if self._counts[index] < rule.trigger:
-                    continue
-                rng = self._rngs[index]
-                if rng is not None and rng.random() > rule.probability:
-                    self._counts[index] -= 1  # re-roll at the next event
                     continue
                 self._fired[index] = True
                 return rule

@@ -134,11 +134,10 @@ class RunObserver:
             None (untraced manifests don't carry the key).
     """
 
-    def __init__(self, analyzer: SparsityAnalyzer = None):
+    def __init__(self):
         self.units = []
         self.phases = []
-        self.analyzer = analyzer if analyzer is not None \
-            else SparsityAnalyzer()
+        self.analyzer = SparsityAnalyzer()
         self.cache_stats = {}
         self.telemetry = None
         self._lock = threading.Lock()

@@ -1,20 +1,9 @@
-"""Named-factory registries: the engine's plugin seam.
+"""The simulator registry: the engine's one plugin seam.
 
-Simulators, frame providers and execution backends used to be wired
-through if/elif ladders (``build_simulator``, ``resolve_backend``) and
-hard-coded defaults — adding a simulator family meant editing engine
-code.  This module replaces the ladders with three :class:`Registry`
-instances and matching decorators:
-
-* ``@register_simulator("family")``      — a factory turning the
-  arguments of a ``"family-arg1-arg2"`` / ``"family:arg"`` spec string
-  into a configured :class:`~repro.engine.simulators.Simulator`;
-* ``@register_frame_provider("name")``   — a factory producing a
-  :class:`~repro.engine.runner.FrameProvider`;
-* ``@register_backend("name")``          — a factory producing a
-  :class:`~repro.engine.backends.Backend`.
-
-Third-party code registers its own entries without touching the engine:
+Simulator families are named factories in :data:`SIMULATORS`; every
+simulator spec string (``"family-arg1-arg2"`` / ``"family:arg"``) is
+parsed through it.  Third-party code registers its own families without
+touching the engine:
 
     from repro.engine import Simulator, register_simulator
 
@@ -25,7 +14,10 @@ Third-party code registers its own entries without touching the engine:
 and ``"mysim"`` immediately works everywhere a built-in spec string
 does — ``ExperimentRunner(simulators=[...])``, declarative
 :class:`~repro.engine.spec.ExperimentSpec` files, and the ``repro`` CLI
-(``repro run`` / ``repro list simulators``).
+(``repro run`` / ``repro list simulators``).  Frame providers and
+execution backends are not named here: pass a
+:class:`~repro.engine.runner.FrameProvider` or
+:class:`~repro.engine.backends.Backend` instance directly.
 
 Unknown names raise :class:`UnknownNameError` — a :class:`ValueError`
 (and, for backward compatibility with the pre-registry ladders, also a
@@ -54,8 +46,7 @@ class Registry:
     """One named-factory table with decorator-style registration.
 
     Args:
-        kind: Human label used in error messages ("simulator",
-            "backend", ...).
+        kind: Human label used in error messages ("simulator", ...).
     """
 
     def __init__(self, kind: str):
@@ -64,12 +55,6 @@ class Registry:
 
     def __contains__(self, name) -> bool:
         return self._normalize(name) in self._factories
-
-    def __iter__(self):
-        return iter(sorted(self._factories))
-
-    def __len__(self) -> int:
-        return len(self._factories)
 
     @staticmethod
     def _normalize(name) -> str:
@@ -127,10 +112,6 @@ class Registry:
             )
         return self._factories[key]
 
-    def create(self, name: str, *args, **kwargs):
-        """Instantiate: ``get(name)(*args, **kwargs)``."""
-        return self.get(name)(*args, **kwargs)
-
     def describe(self, name: str) -> str:
         """First docstring line of the factory registered under ``name``."""
         doc = getattr(self.get(name), "__doc__", None) or ""
@@ -139,12 +120,6 @@ class Registry:
 
 #: Simulator families resolvable from spec strings.
 SIMULATORS = Registry("simulator")
-
-#: Frame-provider factories resolvable from spec files.
-FRAME_PROVIDERS = Registry("frame provider")
-
-#: Execution-backend factories resolvable by name.
-BACKENDS = Registry("backend")
 
 
 def register_simulator(name: str, factory=None, *, overwrite: bool = False):
@@ -157,14 +132,3 @@ def register_simulator(name: str, factory=None, *, overwrite: bool = False):
     :class:`~repro.engine.simulators.Simulator`.
     """
     return SIMULATORS.register(name, factory, overwrite=overwrite)
-
-
-def register_frame_provider(name: str, factory=None, *,
-                            overwrite: bool = False):
-    """Register a frame-provider factory (decorator or direct call)."""
-    return FRAME_PROVIDERS.register(name, factory, overwrite=overwrite)
-
-
-def register_backend(name: str, factory=None, *, overwrite: bool = False):
-    """Register an execution-backend factory (decorator or direct call)."""
-    return BACKENDS.register(name, factory, overwrite=overwrite)

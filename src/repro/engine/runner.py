@@ -44,7 +44,6 @@ from .backends import (
 )
 from .cache import TraceCache, shared_trace_cache
 from .journal import RunJournal, unit_key
-from .registry import register_frame_provider
 from .result import ExperimentTable
 from .settings import EngineSettings
 from .simulators import resolve_simulators
@@ -176,13 +175,6 @@ class FrameProvider:
             self._frames[key] = built
             self._inflight.pop(key).set()
         return built
-
-
-#: The default provider under its registry name: declarative spec files
-#: select it with ``"frame_provider": "synthetic"`` (the default), and
-#: third-party providers registered via ``@register_frame_provider``
-#: slot in the same way.
-register_frame_provider("synthetic", FrameProvider)
 
 
 def lookup_trace(settings: EngineSettings, cache: TraceCache,

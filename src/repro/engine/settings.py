@@ -205,8 +205,8 @@ class EngineSettings(Settings):
     """One fully-resolved snapshot of every engine knob.
 
     Attributes:
-        backend: Execution backend name (``"serial"`` / ``"process"``
-            or any registered third-party backend).
+        backend: Execution backend name, ``"serial"`` or
+            ``"process"``.
         workers: Pool width of the parallel backends.
         rulegen_shards: Row bands per rule-generation pass.
         cache_dir: Persistent trace-cache directory, or ``None`` for a

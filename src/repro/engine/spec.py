@@ -6,7 +6,7 @@ simulators, which models, which scenarios, which backend and knobs —
 with a JSON round trip (:meth:`to_dict` / :meth:`from_dict`,
 :meth:`to_json` / :meth:`from_json`, :meth:`load` / :meth:`save`), full
 validation with actionable errors, and a :meth:`build_runner` /
-:meth:`run` pair that resolves every name through the
+:meth:`run` pair that resolves every simulator name through the
 :mod:`~repro.engine.registry` and every knob through
 :class:`~repro.engine.settings.EngineSettings`.
 
@@ -41,8 +41,8 @@ from pathlib import Path
 
 from ..models.specs import ModelSpec
 from ..models.zoo import TABLE1_PAPER
+from .backends import BACKENDS
 from .cache import TraceCache
-from .registry import BACKENDS, FRAME_PROVIDERS
 from .runner import ExperimentRunner, Scenario
 from .settings import EngineSettings, knob_fields
 from .simulators import Simulator, build_simulator
@@ -50,9 +50,6 @@ from .simulators import Simulator, build_simulator
 #: Schema version stamped into serialized specs; bumped on breaking
 #: layout changes so old files fail loudly instead of misparsing.
 SPEC_VERSION = 1
-
-#: Default frame-provider registry name (the synthetic-scene provider).
-DEFAULT_FRAME_PROVIDER = "synthetic"
 
 #: The engine knobs a spec carries: one spec key (and one
 #: :class:`ExperimentSpec` field) per :class:`EngineSettings` field.
@@ -135,14 +132,15 @@ class ExperimentSpec:
             (``"spade-he"``, ``"platform:A6000"``, any registered
             family); :class:`Simulator` instances are accepted for
             programmatic use but cannot be serialized.
-        models: Table I model names (validated against the zoo when the
-            default synthetic frame provider is used); :class:`ModelSpec`
-            instances are accepted for programmatic use.
+        models: Table I model names (validated against the zoo);
+            :class:`ModelSpec` instances are accepted for programmatic
+            use.
         scenarios: :class:`Scenario` objects, or dicts with ``name`` /
             ``seed`` / ``frames`` in spec files.
         name: Label for error messages, output files and the CLI.
-        backend: Execution-backend registry name, or ``None`` to inherit
-            ``REPRO_ENGINE_BACKEND`` (default serial).
+        backend: Execution backend, ``"serial"`` or ``"process"``, or
+            ``None`` to inherit ``REPRO_ENGINE_BACKEND`` (default
+            serial).
         workers: Pool width of the parallel backends, or ``None`` to
             inherit ``REPRO_ENGINE_WORKERS``.
         rulegen_shards: Rulegen row bands, or ``None`` to inherit
@@ -155,8 +153,6 @@ class ExperimentSpec:
         faults: Deterministic fault-injection plan text (the chaos
             harness; grammar in ``docs/robustness.md``), or ``None``
             to inherit ``REPRO_ENGINE_FAULTS``.
-        frame_provider: Frame-provider registry name (default
-            ``"synthetic"``).
         cells: Declarative cell include-rules (see
             :func:`cell_filter_from_rules`); empty keeps every cell.
         out: Default output sink for ``repro run`` — a ``.csv`` /
@@ -174,7 +170,6 @@ class ExperimentSpec:
     cache_dir: str = None
     delta_trace: bool = None
     faults: str = None
-    frame_provider: str = DEFAULT_FRAME_PROVIDER
     cells: list = field(default_factory=list)
     out: str = None
 
@@ -186,10 +181,10 @@ class ExperimentSpec:
     def validate(self) -> "ExperimentSpec":
         """Check every field, raising actionable :class:`ValueError`\\ s.
 
-        Name lookups go through the live registries, so validation
-        reflects whatever third-party simulators / backends / providers
-        are registered at the time — a spec naming a plugin validates
-        once the plugin has imported.
+        Simulator names go through the live registry, so validation
+        reflects whatever third-party simulators are registered at the
+        time — a spec naming a plugin validates once the plugin has
+        imported.
         """
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(
@@ -234,7 +229,6 @@ class ExperimentSpec:
                 f"models must be a non-empty list of Table I names "
                 f"{sorted(TABLE1_PAPER)} or ModelSpec instances",
             )
-        synthetic = self.frame_provider == DEFAULT_FRAME_PROVIDER
         for model in self.models:
             if isinstance(model, ModelSpec):
                 continue
@@ -244,9 +238,7 @@ class ExperimentSpec:
                     f"model entries must be Table I names or ModelSpec "
                     f"instances, got {type(model).__name__}",
                 )
-            # Custom frame providers may feed models the zoo does not
-            # know; only the default synthetic provider pins the names.
-            if synthetic and model not in TABLE1_PAPER:
+            if model not in TABLE1_PAPER:
                 raise _spec_error(
                     self.name,
                     f"unknown model {model!r}; Table I names: "
@@ -269,17 +261,12 @@ class ExperimentSpec:
         ]
 
     def _validate_knobs(self):
-        if self.backend is not None and self.backend not in BACKENDS:
+        if self.backend is not None \
+                and str(self.backend).strip().lower() not in BACKENDS:
             raise _spec_error(
                 self.name,
                 f"unknown backend {self.backend!r}; "
-                f"registered: {BACKENDS.names()}",
-            )
-        if self.frame_provider not in FRAME_PROVIDERS:
-            raise _spec_error(
-                self.name,
-                f"unknown frame provider {self.frame_provider!r}; "
-                f"registered: {FRAME_PROVIDERS.names()}",
+                f"choices: {sorted(BACKENDS)}",
             )
         if self.cache_dir is not None \
                 and not isinstance(self.cache_dir, (str, Path)):
@@ -372,7 +359,6 @@ class ExperimentSpec:
                 for s in self.scenarios
             ],
             **self._knob_values(),
-            "frame_provider": self.frame_provider,
             "cells": [dict(rule) for rule in self.cells],
             "out": self.out,
         }
@@ -458,10 +444,11 @@ class ExperimentSpec:
         """Materialize the spec into an :class:`ExperimentRunner`.
 
         Keyword-only arguments carry the *runtime* objects a declarative
-        file cannot: a shared :class:`TraceCache`, a ready frame-provider
-        instance (which wins over the spec's ``frame_provider`` name), or
-        a Python ``cell_filter`` overriding the spec's declarative
-        ``cells`` rules.  ``overrides`` may also rebind any engine knob
+        file cannot: a shared :class:`TraceCache`, a
+        :class:`~repro.engine.runner.FrameProvider` instance feeding
+        custom frames (default: the synthetic scenes), or a Python
+        ``cell_filter`` overriding the spec's declarative ``cells``
+        rules.  ``overrides`` may also rebind any engine knob
         (``backend=``, ``workers=``, ...) — that is how CLI flags beat
         spec values.
         """
@@ -481,9 +468,6 @@ class ExperimentSpec:
                 # when REPRO_TRACE_CACHE_DIR is set — matching
                 # spec.settings() and TraceCache(disk_dir=None).
                 cache = TraceCache(disk_dir=None)
-        if frame_provider is None \
-                and self.frame_provider != DEFAULT_FRAME_PROVIDER:
-            frame_provider = FRAME_PROVIDERS.create(self.frame_provider)
         if cell_filter is None:
             cell_filter = cell_filter_from_rules(self.cells)
         # Reuse the instances validation already built (unless the list

@@ -10,8 +10,6 @@ import pytest
 
 from repro.cli import main
 from repro.engine import (
-    BACKENDS,
-    FRAME_PROVIDERS,
     SIMULATORS,
     ExperimentRunner,
     ExperimentTable,
@@ -21,6 +19,7 @@ from repro.engine import (
     shared_trace_cache,
     spec_hash,
 )
+from repro.engine.backends import BACKENDS
 
 SPEC = {
     "version": 1,
@@ -54,14 +53,12 @@ class TestList:
         assert "spade" in out
         assert "platform" in out
 
-    def test_models_backends_providers(self, capsys):
+    def test_models_and_backends(self, capsys):
         assert main(["list", "models"]) == 0
         assert "SPP2" in capsys.readouterr().out
         assert main(["list", "backends"]) == 0
         out = capsys.readouterr().out
         assert "serial" in out and "process" in out
-        assert main(["list", "frame-providers"]) == 0
-        assert "synthetic" in capsys.readouterr().out
 
     def test_scenarios_need_a_spec(self, capsys, spec_path):
         assert main(["list", "scenarios"]) == 2
@@ -75,7 +72,6 @@ class TestDescribe:
         ("spade-he", "SpadeSimulator"),
         ("SPP2", "Table I"),
         ("serial", "backend"),
-        ("synthetic", "frame provider"),
     ])
     def test_describe_kinds(self, capsys, name, expect):
         assert main(["describe", name]) == 0
@@ -286,6 +282,35 @@ class TestRetiredDistBackend:
         assert name not in repro.engine.__all__
 
 
+class TestRetiredPluginRegistries:
+    """Frame providers and backends are passed as objects: their
+    registries, decorators and CLI category are gone."""
+
+    def test_frame_providers_category_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["list", "frame-providers"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_synthetic_is_not_describable(self, capsys):
+        assert main(["describe", "synthetic"]) == 2
+        err = capsys.readouterr().err
+        assert "nothing named 'synthetic'" in err
+        assert "frame provider" not in err
+
+    @pytest.mark.parametrize("name", [
+        "FRAME_PROVIDERS", "register_frame_provider", "BACKENDS",
+        "register_backend",
+    ])
+    def test_registry_name_is_gone(self, name):
+        import repro.engine
+        import repro.engine.registry
+
+        assert not hasattr(repro.engine, name)
+        assert name not in repro.engine.__all__
+        assert not hasattr(repro.engine.registry, name)
+
+
 class TestRetiredExperimentService:
     """The persistent run service is gone: its verbs, its metrics
     endpoint flag, its package and its public names."""
@@ -341,16 +366,10 @@ class TestDescribeEveryRegistrant:
             assert name in out and out.strip(), name
 
     def test_every_backend(self, capsys):
-        for name in BACKENDS.names():
+        for name in sorted(BACKENDS):
             assert main(["describe", name]) == 0, name
             out = capsys.readouterr().out
             assert "backend" in out and name in out, name
-
-    def test_every_frame_provider(self, capsys):
-        for name in FRAME_PROVIDERS.names():
-            assert main(["describe", name]) == 0, name
-            out = capsys.readouterr().out
-            assert "frame provider" in out and name in out, name
 
 
 class TestRunManifestSink:

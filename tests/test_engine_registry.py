@@ -3,8 +3,6 @@
 import pytest
 
 from repro.engine import (
-    BACKENDS,
-    FRAME_PROVIDERS,
     SIMULATORS,
     ExperimentRunner,
     ExperimentSpec,
@@ -12,10 +10,9 @@ from repro.engine import (
     SimResult,
     TraceCache,
     build_simulator,
-    register_backend,
     register_simulator,
 )
-from repro.engine.backends import resolve_backend
+from repro.engine.backends import BACKENDS, resolve_backend
 from repro.engine.registry import Registry, UnknownNameError
 
 
@@ -26,7 +23,7 @@ class TestRegistry:
         assert "alpha" in registry
         assert "ALPHA" in registry            # case-insensitive
         assert registry.names() == ["alpha"]
-        assert registry.create("Alpha") == "made-alpha"
+        assert registry.get("Alpha")() == "made-alpha"
 
     def test_decorator_form(self):
         registry = Registry("widget")
@@ -36,7 +33,7 @@ class TestRegistry:
             """Builds a beta widget."""
             return "beta!"
 
-        assert registry.create("beta") == "beta!"
+        assert registry.get("beta")() == "beta!"
         assert registry.describe("beta") == "Builds a beta widget."
 
     def test_duplicate_rejected_unless_overwrite(self):
@@ -45,7 +42,7 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             registry.register("dup", lambda: 2)
         registry.register("dup", lambda: 2, overwrite=True)
-        assert registry.create("dup") == 2
+        assert registry.get("dup")() == 2
 
     def test_unknown_name_lists_registered(self):
         registry = Registry("widget")
@@ -66,9 +63,7 @@ class TestRegistry:
     def test_builtin_registries_populated(self):
         assert {"spade", "dense", "pointacc", "spconv2d", "platform",
                 "stats"} <= set(SIMULATORS.names())
-        assert {"serial", "process"} <= set(BACKENDS.names())
-        assert "thread" not in BACKENDS
-        assert "synthetic" in FRAME_PROVIDERS
+        assert sorted(BACKENDS) == ["process", "serial"]
 
 
 class TestBuildSimulatorErrors:
@@ -135,7 +130,6 @@ class TestThirdPartyPlugins:
     def _cleanup(self):
         yield
         SIMULATORS.unregister("echo")
-        BACKENDS.unregister("inline")
 
     def test_registered_simulator_works_everywhere(self):
         register_simulator("echo", lambda: _EchoSim())
@@ -150,18 +144,21 @@ class TestThirdPartyPlugins:
         table = runner.run(backend="serial")
         assert table.get(simulator="Echo").cycles == 7
 
-    def test_registered_backend_resolves(self):
+    def test_backend_instance_passes_through(self):
         from repro.engine.backends import SerialBackend
 
-        @register_backend("inline")
         class InlineBackend(SerialBackend):
             name = "inline"
 
-        backend = resolve_backend("inline")
-        assert backend.name == "inline"
+        backend = InlineBackend()
+        assert resolve_backend(backend) is backend
+        runner = ExperimentRunner(simulators=["stats"], models=["SPP3"],
+                                  cache=TraceCache())
+        assert len(runner.run(backend=backend)) == 1
 
     def test_unknown_backend_error_shape(self):
-        with pytest.raises(KeyError, match="unknown backend"):
+        with pytest.raises(UnknownNameError,
+                           match=r"unknown backend 'quantum'; "
+                                 r"choices: \['process', 'serial'\]"):
             resolve_backend("quantum")
-        with pytest.raises(ValueError, match="serial"):
-            resolve_backend("quantum")
+        assert resolve_backend(" Process ").name == "process"

@@ -123,6 +123,17 @@ class TestTraceCache:
         cache.get_trace(spec, kitti_batch.coords)   # evicted -> recompute
         assert cache.stats()["misses"] == 3
 
+    def test_eviction_drops_the_entrys_label(self, kitti_batch,
+                                             mini_batch):
+        cache = TraceCache(maxsize=1)
+        spec = build_model_spec("SPP3")
+        for frame, label in ((kitti_batch, "a"), (mini_batch, "b"),
+                             (kitti_batch, "c")):
+            cache.get_trace(spec, frame.coords, label=(label, "SPP3"))
+        assert len(cache) == 1
+        assert len(cache._labels) == 1
+        assert cache.stats()["by_label"] == {("c", "SPP3"): 1}
+
 
 class TestRunnerCaching:
     def test_rulegen_once_per_model_frame(self, monkeypatch):

@@ -9,6 +9,7 @@ from repro.engine import (
     ExperimentRunner,
     ExperimentSpec,
     ExperimentTable,
+    FrameProvider,
     RunManifest,
     Scenario,
     TraceCache,
@@ -56,10 +57,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="serial"):
             _spec(backend="quantum")
 
-    def test_unknown_frame_provider(self):
-        with pytest.raises(ValueError, match="synthetic"):
-            _spec(frame_provider="martian")
-
     def test_empty_simulators_and_models_rejected(self):
         with pytest.raises(ValueError, match="simulators"):
             _spec(simulators=[])
@@ -103,7 +100,9 @@ class TestValidation:
         ("degrade", True, "unknown key.*degrade"),
         ("backend", "thread", "unknown backend 'thread'"),
         ("backend", "dist", "unknown backend 'dist'"),
-    ], ids=["trace-workers", "degrade", "thread-backend", "dist-backend"])
+        ("frame_provider", "synthetic", "unknown key.*frame_provider"),
+    ], ids=["trace-workers", "degrade", "thread-backend", "dist-backend",
+            "frame-provider"])
     def test_removed_knobs_rejected(self, key, value, match):
         data = _spec().to_dict()
         data[key] = value
@@ -299,6 +298,30 @@ class TestBuildRunner:
         assert len(declarative) == len(hand_built) == 2
         for left, right in zip(declarative, hand_built):
             assert left == right
+
+    def test_frame_provider_instance_feeds_a_batched_scenario(self):
+        """Custom frames reach a spec's runner as an instance: each
+        frame of a 3-frame scenario is asked of it, and its frames (the
+        default ones in reverse) are the ones simulated."""
+        requested = []
+
+        class ReversedFrames(FrameProvider):
+            def frame_for(self, scenario, model, frame=0):
+                requested.append((scenario.name, model, frame))
+                return super().frame_for(scenario, model, 2 - frame)
+
+        spec = _spec(simulators=["spade-he"],
+                     scenarios=[{"name": "drive", "seed": 0, "frames": 3}])
+        custom = spec.build_runner(cache=TraceCache(),
+                                   frame_provider=ReversedFrames()).run()
+        default = spec.build_runner(cache=TraceCache()).run()
+        assert requested == [("drive", "SPP3", 0), ("drive", "SPP3", 1),
+                             ("drive", "SPP3", 2)]
+        assert len(custom) == 4                 # 3 frames + the mean row
+        for frame in range(3):
+            mirrored = default.get(frame=2 - frame)
+            assert custom.get(frame=frame).cycles == mirrored.cycles
+        assert custom.get(frame=0).cycles != custom.get(frame=2).cycles
 
     def test_settings_snapshot(self, monkeypatch):
         from repro.engine.settings import WORKERS_ENV_VAR
