@@ -164,12 +164,16 @@ def _propagate_importance(rules: Rules, importance: np.ndarray) -> np.ndarray:
     out_importance = np.zeros(rules.num_outputs, dtype=np.float64)
     for pair in rules.pairs:
         if len(pair):
-            # The int32 pairs cast to intp first: fancy indexing and
-            # ufunc.at take a slower path on other index dtypes.  Only
-            # layers up to the last pruned one get here (B1C1-B3C1 of
-            # SPP2 and SCP2), so the casts cost little in a trace.
+            # An offset that covers every input has in_idx = arange, so
+            # it reads importance as it is.  Otherwise the int32 pairs
+            # cast to intp first: fancy indexing and ufunc.at take a
+            # slower path on other index dtypes.  Only layers up to the
+            # last pruned one get here (B1C1-B3C1 of SPP2 and SCP2), so
+            # the casts cost little in a trace.
+            values = (importance if len(pair) == rules.num_inputs
+                      else importance[pair.in_idx.astype(np.intp)])
             np.maximum.at(out_importance, pair.out_idx.astype(np.intp),
-                          importance[pair.in_idx.astype(np.intp)])
+                          values)
     return out_importance
 
 

@@ -209,8 +209,14 @@ def _output_extents(rules: Rules) -> tuple:
     # One offset at a time: concatenating the offsets first is a little
     # faster but raises peak memory by a copy of every pair.
     for pair in rules.pairs:
-        np.minimum.at(first, pair.in_idx, pair.out_idx)
-        np.maximum.at(last, pair.in_idx, pair.out_idx)
+        if len(pair) == rules.num_inputs:
+            # Ascending, unique and covering every input: in_idx is
+            # arange, so the extents update element-wise.
+            np.minimum(first, pair.out_idx, out=first)
+            np.maximum(last, pair.out_idx, out=last)
+        else:
+            np.minimum.at(first, pair.in_idx, pair.out_idx)
+            np.maximum.at(last, pair.in_idx, pair.out_idx)
     return first, last
 
 

@@ -23,8 +23,9 @@ conflict-free scatter all rely on (asserted in tests).
 
 Every entry point returns int32 index lists (:class:`RulePairs`): the
 padded table already holds int32 output rows, input rows come from an
-int32 ``arange`` or ``flatnonzero`` cast once, and sharding and delta
-concatenate or share those arrays unchanged.  The disk tier's key
+int32 ``arange`` (or a parity class's rows, or ``flatnonzero`` cast
+once on the sorted route), and sharding and delta concatenate or share
+those arrays unchanged.  The disk tier's key
 carries the format (:data:`repro.engine.cache.TRACE_FORMAT`), so traces
 pickled with int64 pairs are never loaded as int32 ones.
 
@@ -32,10 +33,13 @@ Entry points:
 
 * :func:`build_rules` — like the RGU's single streaming pass, a layer's
   output set and all of its per-offset pairs come from one halo-padded
-  dense grid table (:func:`_padded_table`).  The grid is padded by the
-  largest kernel offset on each side, so every offset's lookup is one
-  P-element gather ``table[pflat - d_k]`` with no bounds or
-  divisibility masks: pad cells and off-stride cells simply hold -1.
+  dense grid table (:func:`_padded_table`).  The pad ring holds -1, so
+  every offset's lookup is one gather with no bounds mask: over every
+  input for stride-1 layers (``table[pflat - d_k]``), and over the one
+  parity class that can land on the stride for strided layers, whose
+  table is at output resolution.  A dilating layer's output set is one
+  scatter of the inputs and a shifted OR per kernel step.  All the
+  offsets that every input feeds share one ``arange`` as ``in_idx``.
   Grids whose padded table exceeds
   :data:`repro.sparse.coords._DENSE_TABLE_CELLS` keep the sorted route —
   the output set from :mod:`repro.sparse.coords` and a (K, P) candidate
@@ -122,6 +126,10 @@ class RulePairs:
     producer in this module and :mod:`repro.core.rgu` keeps that dtype;
     a reader that scales an index (an address, a flat offset) widens it
     to int64 before it multiplies.
+
+    ``in_idx`` may be one array shared by several offsets of a layer
+    (every offset that all of the layer's inputs feed holds the same
+    ``arange``), so it is read-only: no reader writes to it.
     """
 
     in_idx: np.ndarray
@@ -305,33 +313,88 @@ def _deconv_offsets(stride: int) -> np.ndarray:
 class _GridTable:
     """One layer's flat cell -> output-row table and its input lookups.
 
-    ``table[pflat + shift]`` is the output row input ``p`` feeds at one
-    kernel offset (-1 when it feeds none): ``pflat`` holds each input's
-    flat cell in the table's grid and ``shifts`` one constant per offset.
-    ``every_hit`` marks layers where every input feeds every offset.
+    The inputs fall into ``classes``, each ``(rows, cells)``: the
+    class's ascending int32 input rows (``None`` when the class is every
+    input) and their flat cells in the table's grid.  Kernel offset
+    ``k`` reads only its class ``offsets[k][0]``:
+    ``table[cells + offsets[k][1]]`` is the output row each member feeds
+    at that offset, -1 when it feeds none.
     """
 
     table: np.ndarray
-    pflat: np.ndarray
-    shifts: np.ndarray
-    every_hit: bool = False
+    classes: list
+    offsets: list
 
-    def pairs(self, start: int = 0, stop: int = None) -> list:
-        """Per-offset :class:`RulePairs` of the inputs ``[start, stop)``."""
-        pflat = self.pflat[start:stop]
-        pairs = []
-        for shift in self.shifts.tolist():
-            idx = self.table[pflat + shift]
-            if self.every_hit:
-                in_idx = np.arange(start, start + len(pflat), dtype=np.int32)
-                pairs.append(RulePairs(in_idx, idx))
+    def __post_init__(self):
+        # table[cells + shift] is table[shift - low:][cells + low]: with
+        # the cells shifted once here, each offset gathers from a view of
+        # the table instead of building a shifted copy of the cells.
+        low = min(shift for _, shift in self.offsets)
+        self.classes = [(rows, cells + low) for rows, cells in self.classes]
+        self.offsets = [(index, shift - low) for index, shift in self.offsets]
+
+    def pairs(self, start: int, stop: int) -> list:
+        """Per-offset :class:`RulePairs` of the inputs ``[start, stop)``.
+
+        Each class's rows in the band are one array: an offset that every
+        one of them feeds takes it as ``in_idx`` uncopied, so on a
+        one-class table every full offset shares one ``arange``.
+        """
+        band = []
+        for rows, cells in self.classes:
+            if rows is None:
+                band.append((np.arange(start, stop, dtype=np.int32),
+                             cells[start:stop]))
                 continue
-            live = idx >= 0
-            hit = np.flatnonzero(live).astype(np.int32)
-            if start:
-                hit += start
-            pairs.append(RulePairs(hit, idx[live]))
+            lo, hi = rows.searchsorted(np.array([start, stop], np.int32))
+            band.append((rows[lo:hi], cells[lo:hi]))
+        pairs = []
+        for index, shift in self.offsets:
+            rows, cells = band[index]
+            idx = self.table[shift:][cells]
+            if len(idx) and idx.min() < 0:
+                live = idx >= 0
+                pairs.append(RulePairs(rows[live], idx[live]))
+            else:
+                pairs.append(RulePairs(rows, idx))
         return pairs
+
+
+def _dilate_mask(mask: np.ndarray, steps: range, width: int) -> np.ndarray:
+    """A flat padded-grid mask ORed with its shifts by every kernel step.
+
+    A square kernel's dilation separates into one shifted-OR pass over
+    the rows, then one over the columns.  A column shift that leaves its
+    row lands in the pad ring, which the caller clears.
+    """
+    for unit in (width, 1):
+        out = mask.copy()
+        for step in steps:
+            shift = step * unit
+            if shift > 0:
+                out[shift:] |= mask[:-shift]
+            elif shift < 0:
+                out[:shift] |= mask[-shift:]
+        mask = out
+    return mask
+
+
+def _number_outputs(mask: np.ndarray, table: np.ndarray, shape: tuple,
+                    pad: int) -> np.ndarray:
+    """Number the outputs ``mask`` marks in ``table``; their coordinates.
+
+    Both are flat over the padded ``shape``.  The mask's pad ring is
+    cleared first (outputs off the grid), so ``flatnonzero`` yields the
+    sorted output set, and its cells are unpadded into coordinates.
+    """
+    grid = mask.reshape(shape)
+    grid[:pad] = grid[-pad:] = False
+    grid[:, :pad] = grid[:, -pad:] = False
+    out_flat = np.flatnonzero(mask)
+    table[out_flat] = np.arange(len(out_flat), dtype=np.int32)
+    out_coords = unflatten(out_flat, shape)
+    out_coords -= pad
+    return out_coords
 
 
 def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
@@ -339,15 +402,26 @@ def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
                   stride: int) -> tuple:
     """``(out_coords, _GridTable)`` of one non-empty layer, or ``None``.
 
-    The table is an int32 grid at input resolution padded by ``pad``
-    (the largest kernel offset) on each side; output row numbers sit on
-    the interior's stride lattice, every other cell holds -1.  A
-    boolean mask on the same grid first marks the active outputs — its
-    interior lattice is the output grid, so ``flatnonzero`` yields the
-    sorted output set and the same view numbers the table.  DECONV uses
-    an unpadded table at output resolution instead: its block offsets
-    are non-negative and never leave the grid.  Returns ``None`` when
-    the table exceeds :data:`repro.sparse.coords._DENSE_TABLE_CELLS`.
+    The table is an int32 grid holding each active output's row number
+    and -1 elsewhere, padded by ``pad`` cells on each side so no kernel
+    offset's lookup needs a bounds mask.
+
+    * Stride-1 layers (SUBM, SPCONV, SPCONV_P) number their outputs on
+      the input grid, padded by the largest kernel offset; offset ``o``
+      is one gather ``table[pflat - d_o]`` over every input.  A dilating
+      layer's output mask is one scatter of the inputs plus shifted ORs
+      along rows and columns (:func:`_dilate_mask`).
+    * Strided layers (STRIDED, STRIDED_SUBM) build the table at output
+      resolution.  Input ``p`` feeds output ``q`` at offset ``o`` when
+      ``stride * q + o = p``, i.e. when ``p`` and ``o`` agree modulo the
+      stride, and then ``q = p // stride - o // stride``.  So the inputs
+      are split once into ``stride**2`` parity classes, and each offset
+      gathers only its own class at ``base - shift``.
+    * DECONV's table is unpadded at output resolution: its block offsets
+      are non-negative and never leave the grid.
+
+    Returns ``None`` when the table exceeds
+    :data:`repro.sparse.coords._DENSE_TABLE_CELLS`.
     """
     rows = in_coords[:, 0].astype(np.int64)
     cols = in_coords[:, 1].astype(np.int64)
@@ -357,56 +431,81 @@ def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
         if not _dense_table_fits(cells):
             return None
         offsets = _deconv_offsets(stride)
-        shifts = offsets[:, 0] * out_shape[1] + offsets[:, 1]
+        shifts = (offsets[:, 0] * out_shape[1] + offsets[:, 1]).tolist()
         base = (rows * out_shape[1] + cols) * stride
         mask = np.zeros(cells, dtype=bool)
-        for shift in shifts.tolist():
+        for shift in shifts:
             mask[base + shift] = True
         out_flat = np.flatnonzero(mask)
         table = np.full(cells, -1, dtype=np.int32)
         table[out_flat] = np.arange(len(out_flat), dtype=np.int32)
         return (unflatten(out_flat, out_shape),
-                _GridTable(table, base, shifts, every_hit=True))
+                _GridTable(table, [(None, base)],
+                           [(0, shift) for shift in shifts]))
 
     offsets = kernel_offsets(kernel_size).astype(np.int64)
-    # STRIDED's output set uses the kernel-3 support window regardless
-    # of the layer kernel (see downsample_coords), so its halo is >= 1.
-    pad = max(int(np.abs(offsets).max()), 1)
-    height, width = in_shape[0] + 2 * pad, in_shape[1] + 2 * pad
-    if not _dense_table_fits(height * width):
-        return None
-    pflat = (rows + pad) * width + cols + pad
-    deltas = offsets[:, 0] * width + offsets[:, 1]
-    table = np.full((height, width), -1, dtype=np.int32)
-    # The output lattice: cell (pad + stride*q_r, pad + stride*q_c) of
-    # the padded input grid is output q, for exactly out_shape cells.
-    lattice = (slice(pad, pad + in_shape[0], stride),
-               slice(pad, pad + in_shape[1], stride))
+    if conv_type in (ConvType.STRIDED, ConvType.STRIDED_SUBM):
+        return _strided_table(rows, cols, out_shape, conv_type, offsets,
+                              stride)
 
+    pad = max(int(np.abs(offsets).max()), 1)
+    shape = (in_shape[0] + 2 * pad, in_shape[1] + 2 * pad)
+    if not _dense_table_fits(shape[0] * shape[1]):
+        return None
+    pflat = (rows + pad) * shape[1] + cols + pad
+    table = np.full(shape[0] * shape[1], -1, dtype=np.int32)
     if conv_type is ConvType.SUBM:
-        table.reshape(-1)[pflat] = np.arange(len(pflat), dtype=np.int32)
+        table[pflat] = np.arange(len(pflat), dtype=np.int32)
         out_coords = in_coords.copy()
     else:
-        mask = np.zeros(height * width, dtype=bool)
-        if conv_type is ConvType.STRIDED_SUBM:
-            mask[(rows - rows % stride + pad) * width
-                 + cols - cols % stride + pad] = True
-        elif conv_type is ConvType.STRIDED:
-            # q is active when stride*q = p - o for an active p and an
-            # offset o of the kernel-3 window.
-            window = kernel_offsets(3).astype(np.int64)
-            for delta in (window[:, 0] * width + window[:, 1]).tolist():
-                mask[pflat - delta] = True
-        else:
-            # Dilation: every p + o is an active output.
-            for delta in deltas.tolist():
-                mask[pflat + delta] = True
-        active = mask.reshape(height, width)[lattice]
-        out_flat = np.flatnonzero(active)
-        table[lattice][active] = np.arange(len(out_flat), dtype=np.int32)
-        out_coords = unflatten(out_flat, out_shape)
-    # Input p at kernel offset o feeds output q with stride*q + o = p.
-    return out_coords, _GridTable(table.reshape(-1), pflat, -deltas)
+        mask = np.zeros(shape[0] * shape[1], dtype=bool)
+        mask[pflat] = True
+        steps = range(int(offsets[:, 0].min()), int(offsets[:, 0].max()) + 1)
+        out_coords = _number_outputs(_dilate_mask(mask, steps, shape[1]),
+                                     table, shape, pad)
+    # Input p at kernel offset o feeds output q = p - o.
+    shifts = (-(offsets[:, 0] * shape[1] + offsets[:, 1])).tolist()
+    return out_coords, _GridTable(table, [(None, pflat)],
+                                  [(0, shift) for shift in shifts])
+
+
+def _strided_table(rows: np.ndarray, cols: np.ndarray, out_shape: tuple,
+                   conv_type: ConvType, offsets: np.ndarray,
+                   stride: int) -> tuple:
+    """:func:`_padded_table` of a STRIDED or STRIDED_SUBM layer."""
+    # STRIDED's output set uses the kernel-3 support window regardless
+    # of the layer kernel (see downsample_coords).
+    window = (kernel_offsets(3).astype(np.int64)
+              if conv_type is ConvType.STRIDED else offsets)
+    pad = max(int(np.abs(np.concatenate([offsets, window]) // stride).max()),
+              1)
+    shape = (out_shape[0] + 2 * pad, out_shape[1] + 2 * pad)
+    if not _dense_table_fits(shape[0] * shape[1]):
+        return None
+    base = (rows // stride + pad) * shape[1] + cols // stride + pad
+    parity = (rows % stride) * stride + cols % stride
+    classes = []
+    for parity_class in range(stride * stride):
+        members = np.flatnonzero(parity == parity_class)
+        classes.append((members.astype(np.int32), base[members]))
+
+    def lookup(offset) -> tuple:
+        row, col = offset.tolist()
+        return ((row % stride) * stride + col % stride,
+                -((row // stride) * shape[1] + col // stride))
+
+    mask = np.zeros(shape[0] * shape[1], dtype=bool)
+    if conv_type is ConvType.STRIDED_SUBM:
+        # Submanifold-style downsampling: an output is active only where
+        # an input maps directly under the stride.
+        mask[base] = True
+    else:
+        for parity_class, shift in map(lookup, window):
+            mask[classes[parity_class][1] + shift] = True
+    table = np.full(shape[0] * shape[1], -1, dtype=np.int32)
+    out_coords = _number_outputs(mask, table, shape, pad)
+    return out_coords, _GridTable(table, classes,
+                                  [lookup(offset) for offset in offsets])
 
 
 def _fused_pairs(
@@ -619,13 +718,16 @@ def build_rules_sharded(
     else:
         per_band = [band_pairs(*band) for band in bands]
 
-    rules.pairs = [
-        RulePairs(
-            np.concatenate([band[index].in_idx for band in per_band]),
-            np.concatenate([band[index].out_idx for band in per_band]),
-        )
-        for index in range(len(per_band[0]))
-    ]
+    # An offset whose bands together hold every input shares one arange
+    # as in_idx, as on the unsharded route.
+    every_row = np.arange(len(in_coords), dtype=np.int32)
+    rules.pairs = []
+    for index in range(len(per_band[0])):
+        in_parts = [band[index].in_idx for band in per_band]
+        in_idx = (every_row if sum(map(len, in_parts)) == len(every_row)
+                  else np.concatenate(in_parts))
+        rules.pairs.append(RulePairs(
+            in_idx, np.concatenate([band[index].out_idx for band in per_band])))
     return rules
 
 

@@ -4,7 +4,9 @@
 of a tile priced by :func:`repro.core.gsu._output_window` (two scalar
 ``searchsorted`` calls per kernel offset).  :func:`plan_tiles` must
 return the same tiles on random frames of every :class:`ConvType`, on
-degenerate frames and on capacities that force one-input tiles.
+degenerate frames and on capacities that force one-input tiles.  The
+per-input output extents it plans from equal their ``ufunc.at``
+definition on every Table I model's layers.
 """
 
 import copy
@@ -19,9 +21,14 @@ from hypothesis import strategies as st
 
 from repro.analysis import trace_model
 from repro.core import TilePlan, plan_tiles
-from repro.core.gsu import _output_window, _plan_tiles
+from repro.core.gsu import (
+    _NO_OUTPUT,
+    _output_extents,
+    _output_window,
+    _plan_tiles,
+)
 from repro.engine import TraceCache
-from repro.models import build_model_spec
+from repro.models import TABLE1_PAPER, build_model_spec
 from repro.sparse import ConvType, Rules, RulePairs, build_rules, unflatten
 
 #: (conv type, stride) of every sparse convolution variant.
@@ -309,3 +316,70 @@ class TestPlanMemo:
             assert same_schedule(schedule, expected[cap])
         for cap in caps:
             assert plan_tiles(rules, *cap) is rules._plans[cap]
+
+
+EXTENT_GRID = (32, 32)
+
+
+def extent_frames():
+    """Degenerate frames and frames that touch the grid's border."""
+    rows, cols = EXTENT_GRID
+    every = np.arange(rows * cols).reshape(EXTENT_GRID)
+    ring = np.unique(np.concatenate(
+        [every[0], every[-1], every[:, 0], every[:, -1]]))
+    rng = np.random.default_rng(3)
+    scattered = rng.choice(rows * cols, 200, replace=False)
+    flats = {
+        "empty": np.zeros(0, np.int64),
+        "corner-pillar": np.array([0]),
+        "far-corner-pillar": np.array([rows * cols - 1]),
+        "centre-pillar": np.array([(rows // 2) * cols + cols // 2]),
+        "full-grid": every.reshape(-1),
+        "row-strip": every[0],
+        "last-row-strip": every[-1],
+        "column-strip": every[:, 0],
+        "last-column-strip": every[:, -1],
+        "border-ring": ring,
+        "random-and-ring": np.union1d(scattered, ring),
+    }
+    return {name: unflatten(np.sort(flat), EXTENT_GRID)
+            for name, flat in flats.items()}
+
+
+def extents_by_ufunc_at(rules):
+    """The definition: per input, the min and max output it feeds."""
+    first = np.full(rules.num_inputs, _NO_OUTPUT, dtype=np.int32)
+    last = np.full(rules.num_inputs, -1, dtype=np.int32)
+    for pair in rules.pairs:
+        np.minimum.at(first, pair.in_idx, pair.out_idx)
+        np.maximum.at(last, pair.in_idx, pair.out_idx)
+    return first, last
+
+
+class TestOutputExtents:
+    @pytest.mark.parametrize("model", sorted(TABLE1_PAPER))
+    @pytest.mark.parametrize("frame", sorted(extent_frames()))
+    def test_equal_ufunc_at_definition(self, model, frame):
+        coords = extent_frames()[frame]
+        trace = trace_model(build_model_spec(model), coords,
+                            grid_shape=EXTENT_GRID)
+        for layer in trace.layers:
+            if layer.rules is None:
+                continue
+            got = _output_extents(layer.rules)
+            want = extents_by_ufunc_at(layer.rules)
+            for have, expect in zip(got, want):
+                assert have.dtype == expect.dtype == np.int32
+                np.testing.assert_array_equal(have, expect,
+                                              err_msg=layer.spec.name)
+
+    def test_full_and_partial_offsets_mixed(self):
+        coords = extent_frames()["random-and-ring"]
+        full = build_rules(coords, EXTENT_GRID, ConvType.DECONV, stride=2)
+        rules = without_pairs(full, np.arange(0, full.num_inputs, 3))
+        rules.pairs[0] = full.pairs[0]
+        assert [len(pair) == rules.num_inputs
+                for pair in rules.pairs] == [True, False, False, False]
+        for have, expect in zip(_output_extents(rules),
+                                extents_by_ufunc_at(rules)):
+            np.testing.assert_array_equal(have, expect)

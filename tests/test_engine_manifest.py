@@ -5,6 +5,7 @@ serial and process backends."""
 import json
 import subprocess
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -57,9 +58,16 @@ class TestSpecHash:
         assert manifest.spec_hash == spec_hash(spec.to_dict())
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
 class TestGitRevision:
     def test_resolves_in_this_repository(self):
-        rev = git_revision()
+        if not (REPO_ROOT / ".git").exists():
+            # An exported source tree has no revision to resolve;
+            # test_none_outside_a_repository covers that answer.
+            pytest.skip("the repository root has no .git")
+        rev = git_revision(REPO_ROOT)
         assert rev is not None and len(rev) == 40
         assert all(ch in "0123456789abcdef" for ch in rev)
 

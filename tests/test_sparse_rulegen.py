@@ -1,5 +1,10 @@
 """Rule generation: every conv variant validated against dense references,
-plus the monotonicity invariants the whole accelerator depends on."""
+plus the monotonicity invariants the whole accelerator depends on, and
+every route against the reference loop on frames that touch the border,
+with the offsets that cover every input sharing one row index."""
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -8,8 +13,11 @@ from hypothesis import strategies as st
 
 from repro.sparse import (
     ConvType,
+    RulePairs,
     SparseTensor,
     build_rules,
+    build_rules_reference,
+    build_rules_sharded,
     dense_conv2d_reference,
     dense_deconv2d_reference,
     init_conv_weight,
@@ -150,3 +158,104 @@ class TestAgainstDenseReference:
         rules_s = build_rules(tensor.coords, SHAPE, ConvType.SPCONV)
         np.testing.assert_array_equal(rules_p.out_coords, rules_s.out_coords)
         assert rules_p.total_pairs == rules_s.total_pairs
+
+
+#: (conv type, stride) of every variant: the stride-1 types, and the
+#: strided and deconv types at strides 2 and 3.
+ROUTE_VARIANTS = [(ConvType.SPCONV, 1), (ConvType.SUBM, 1),
+                  (ConvType.SPCONV_P, 1)] + [
+    (conv_type, stride)
+    for conv_type in (ConvType.STRIDED, ConvType.STRIDED_SUBM,
+                      ConvType.DECONV)
+    for stride in (2, 3)
+]
+
+
+@st.composite
+def border_frames(draw):
+    """A grid with odd or even sides, and a frame with a pillar on each
+    of its border rows and columns (or the whole border ring)."""
+    rows = 2 * draw(st.integers(0, 6)) + draw(st.integers(1, 2))
+    cols = 2 * draw(st.integers(0, 6)) + draw(st.integers(1, 2))
+    every = np.arange(rows * cols).reshape(rows, cols)
+    border = [every[0], every[-1], every[:, 0], every[:, -1]]
+    flat = set(draw(st.lists(st.integers(0, rows * cols - 1),
+                             max_size=rows * cols)))
+    if draw(st.booleans()):
+        for line in border:
+            flat.update(line.tolist())
+    else:
+        flat.update(int(draw(st.sampled_from(line.tolist())))
+                    for line in border)
+    shape = (rows, cols)
+    return shape, unflatten(np.array(sorted(flat)), shape)
+
+
+def assert_same_rules(expect, got, label):
+    assert (got.out_shape, got.kernel_size) == (expect.out_shape,
+                                                expect.kernel_size), label
+    assert got.out_coords.dtype == expect.out_coords.dtype, label
+    np.testing.assert_array_equal(got.out_coords, expect.out_coords,
+                                  err_msg=label)
+    assert len(got.pairs) == len(expect.pairs), label
+    for index, (want, have) in enumerate(zip(expect.pairs, got.pairs)):
+        where = f"{label} offset {index}"
+        for name in ("in_idx", "out_idx"):
+            have_idx, want_idx = getattr(have, name), getattr(want, name)
+            assert have_idx.dtype == want_idx.dtype == np.int32, where
+            np.testing.assert_array_equal(have_idx, want_idx,
+                                          err_msg=f"{where} {name}")
+
+
+def full_rows(rules):
+    """The in_idx arrays of the offsets that cover every input."""
+    return [pair.in_idx for pair in rules.pairs
+            if len(pair) == rules.num_inputs]
+
+
+def assert_full_offsets_share_rows(rules, label):
+    full = full_rows(rules)
+    assert all(in_idx is full[0] for in_idx in full), label
+    if full:
+        np.testing.assert_array_equal(
+            full[0], np.arange(rules.num_inputs), err_msg=label)
+
+
+def unshared_copy(rules):
+    return dataclasses.replace(rules, pairs=[
+        RulePairs(pair.in_idx.copy(), pair.out_idx.copy())
+        for pair in rules.pairs])
+
+
+class TestRoutesOnBorderFrames:
+    @given(border_frames(), st.sampled_from(ROUTE_VARIANTS),
+           st.sampled_from([1, 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_routes_equal_reference(self, frame, variant, kernel):
+        shape, coords = frame
+        conv_type, stride = variant
+        args = (coords, shape, conv_type, kernel, stride)
+        reference = build_rules_reference(*args)
+        built = {"build_rules": build_rules(*args)}
+        for shards in (1, 2, 3, 4):
+            built[f"shards={shards}"] = build_rules_sharded(
+                *args, shards=shards, max_workers=2)
+        for label, rules in built.items():
+            assert_same_rules(reference, rules, label)
+            assert_full_offsets_share_rows(rules, label)
+
+        rules = built["build_rules"]
+        data = pickle.dumps(rules)
+        assert len(data) <= len(pickle.dumps(unshared_copy(rules)))
+        loaded = pickle.loads(data)
+        assert_same_rules(rules, loaded, "loaded")
+        assert_full_offsets_share_rows(loaded, "loaded")
+
+    def test_full_offsets_share_one_array(self):
+        """DECONV feeds every input at every offset: all four share it."""
+        coords = unflatten(np.arange(0, 300, 11), SHAPE)
+        rules = build_rules(coords, SHAPE, ConvType.DECONV, stride=2)
+        assert len(full_rows(rules)) == 4
+        assert_full_offsets_share_rows(rules, "deconv")
+        unshared = len(pickle.dumps(unshared_copy(rules)))
+        assert len(pickle.dumps(rules)) < unshared
