@@ -9,7 +9,13 @@ from .grids import (
     GridSpec,
     get_grid,
 )
-from .pillars import PillarBatch, gather_from_dense, scatter_to_dense, voxelize
+from .pillars import (
+    PillarBatch,
+    PillarFrame,
+    gather_from_dense,
+    scatter_to_dense,
+    voxelize,
+)
 from .pointcloud import BoundingBox3D, PointCloud
 from .synthetic import (
     KITTI_SCENE,
@@ -30,6 +36,7 @@ __all__ = [
     "BoundingBox3D",
     "GridSpec",
     "PillarBatch",
+    "PillarFrame",
     "PointCloud",
     "SceneConfig",
     "SceneGenerator",

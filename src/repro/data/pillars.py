@@ -23,20 +23,23 @@ DECORATED_DIM = 9
 
 
 @dataclass
-class PillarBatch:
-    """Active pillars extracted from one sweep.
+class PillarFrame:
+    """The active pillars of one sweep, as the accelerator reads them.
+
+    RuleGen, the GSU planner and the simulators see a sweep only through
+    where its valid pillars are and how many points each holds.
+    :class:`~repro.engine.runner.FrameProvider` caches frames of this
+    type, so a cached frame costs its pillars and not the decorated
+    point features that only the learned encoders read.
 
     Attributes:
         coords: (P, 2) int32 array of (row, col) pillar coordinates sorted
             in CPR (row-major) order.
-        point_features: (P, max_points, 9) float32 decorated point features,
-            zero padded.
         point_counts: (P,) int32 number of real points per pillar.
         grid: The grid the coordinates refer to.
     """
 
     coords: np.ndarray
-    point_features: np.ndarray
     point_counts: np.ndarray
     grid: GridSpec
 
@@ -51,6 +54,21 @@ class PillarBatch:
         return self.num_active / self.grid.num_pillars
 
 
+@dataclass
+class PillarBatch(PillarFrame):
+    """A :class:`PillarFrame` with the decorated point features.
+
+    :func:`voxelize` returns this type; the PointNet encoders of
+    :mod:`repro.models` read ``point_features``.
+
+    Attributes:
+        point_features: (P, max_points, 9) float32 decorated point features,
+            zero padded.
+    """
+
+    point_features: np.ndarray
+
+
 def voxelize(
     cloud: PointCloud,
     grid: GridSpec,
@@ -59,12 +77,15 @@ def voxelize(
 ) -> PillarBatch:
     """Bin a point cloud into active pillars with decorated point features.
 
-    Binning is one stable sort and ``np.unique`` over flat cell indices;
-    decoration is array-wide (a segment sum per pillar for the centroid,
-    one scatter per feature column group), so the cost does not grow
-    with a Python loop over pillars.  Each point keeps its position in
-    the sorted order, so a pillar's first ``max_points_per_pillar``
-    points fill its slots and the rest only move its centroid.
+    Binning is one stable sort of the flat cell indices, and a pillar
+    starts wherever the sorted cells change (``sorted[1:] !=
+    sorted[:-1]``), so the cells are not sorted a second time.
+    Decoration is array-wide: a segment sum per pillar for the centroid,
+    then one (K, 9) row block for the K kept points, written with a
+    single row scatter into the ``(P * max_points, 9)`` view of the
+    features.  Each point keeps its position in the sorted order, so a
+    pillar's first ``max_points_per_pillar`` points fill its slots and
+    the rest only move its centroid.
 
     Args:
         cloud: Input sweep (will be cropped to the grid range).
@@ -82,22 +103,25 @@ def voxelize(
     cloud = cloud.crop(grid)
     cols = ((cloud.points[:, 0] - grid.x_range[0]) / grid.pillar_size).astype(np.int64)
     rows = ((cloud.points[:, 1] - grid.y_range[0]) / grid.pillar_size).astype(np.int64)
-    cols = np.clip(cols, 0, grid.nx - 1)
-    rows = np.clip(rows, 0, grid.ny - 1)
+    np.clip(cols, 0, grid.nx - 1, out=cols)
+    np.clip(rows, 0, grid.ny - 1, out=rows)
     flat = rows * grid.nx + cols
 
     order = np.argsort(flat, kind="stable")
-    unique_flat, first_index, counts = np.unique(
-        flat[order], return_index=True, return_counts=True
-    )
-    if max_pillars is not None and len(unique_flat) > max_pillars:
-        unique_flat = unique_flat[:max_pillars]
+    flat = flat[order]
+    starts = np.empty(len(flat), dtype=bool)
+    starts[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    first_index = np.flatnonzero(starts)
+    counts = np.diff(first_index, append=len(flat))
+    if max_pillars is not None and len(first_index) > max_pillars:
         first_index = first_index[:max_pillars]
         counts = counts[:max_pillars]
 
-    num_pillars = len(unique_flat)
+    num_pillars = len(first_index)
+    cells = flat[first_index]
     coords = np.stack(
-        [unique_flat // grid.nx, unique_flat % grid.nx], axis=1
+        [cells // grid.nx, cells % grid.nx], axis=1
     ).astype(np.int32)
     kept_counts = np.minimum(counts, max_points_per_pillar).astype(np.int32)
 
@@ -120,20 +144,23 @@ def voxelize(
 
     keep = slot < max_points_per_pillar
     pillar, slot, points = pillar[keep], slot[keep], points[keep]
+    block = np.empty((len(points), DECORATED_DIM), dtype=np.float32)
+    block[:, 0:3] = points
+    block[:, 3] = cloud.intensity[order[keep]]
+    block[:, 4:7] = points - centroid[pillar]
+    block[:, 7] = points[:, 0] - center_x[pillar]
+    block[:, 8] = points[:, 1] - center_y[pillar]
     features = np.zeros(
         (num_pillars, max_points_per_pillar, DECORATED_DIM), dtype=np.float32
     )
-    features[pillar, slot, 0:3] = points
-    features[pillar, slot, 3] = cloud.intensity[order[keep]]
-    features[pillar, slot, 4:7] = points - centroid[pillar]
-    features[pillar, slot, 7] = points[:, 0] - center_x[pillar]
-    features[pillar, slot, 8] = points[:, 1] - center_y[pillar]
+    rows = pillar * max_points_per_pillar + slot
+    features.reshape(-1, DECORATED_DIM)[rows] = block
 
     return PillarBatch(
         coords=coords,
-        point_features=features,
         point_counts=kept_counts,
         grid=grid,
+        point_features=features,
     )
 
 

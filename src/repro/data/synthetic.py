@@ -20,7 +20,9 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,87 +151,37 @@ class SceneGenerator:
     def _beam_grid(self) -> tuple:
         """Elevation and azimuth sample angles of the scanner, radians."""
         cfg = self.config
-        elevations = np.deg2rad(np.linspace(-24.8, 2.0, cfg.num_beams))
-        if cfg.azimuth_fov >= 360.0:
-            azimuths = np.deg2rad(
-                np.arange(-180.0, 180.0, cfg.azimuth_resolution)
-            )
-        else:
-            half = cfg.azimuth_fov / 2.0
-            azimuths = np.deg2rad(np.arange(-half, half, cfg.azimuth_resolution))
-        return elevations, azimuths
+        return _beam_grid(
+            cfg.num_beams, cfg.azimuth_fov, cfg.azimuth_resolution
+        )
 
     def _ground_returns(self, boxes: list) -> np.ndarray:
-        """Ray-cast every beam to the ground plane, honoring occlusions."""
+        """Ray-cast every beam to the ground plane, honoring occlusions.
+
+        The lattice's in-range x, y and polar coordinates come from
+        :func:`_ground_lattice`, computed once per scan geometry; only
+        the height jitter is drawn per frame, at the whole lattice's
+        shape so the RNG stream is the same as a full recompute's.
+        """
         cfg = self.config
-        elevations, azimuths = self._beam_grid()
-        down = elevations[elevations < np.deg2rad(-0.5)]
-        elev_grid, azim_grid = np.meshgrid(down, azimuths, indexing="ij")
-        ranges = cfg.sensor_height / np.tan(-elev_grid)
-        x = ranges * np.cos(azim_grid)
-        y = ranges * np.sin(azim_grid)
-        z = np.full_like(x, -cfg.sensor_height)
-        # Small height jitter models road roughness / grass.
-        z = z + self._rng.normal(0.0, 0.03, size=z.shape)
-        points = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-        in_range = (
-            (points[:, 0] >= cfg.grid.x_range[0])
-            & (points[:, 0] < cfg.grid.x_range[1])
-            & (points[:, 1] >= cfg.grid.y_range[0])
-            & (points[:, 1] < cfg.grid.y_range[1])
+        lattice = _ground_lattice(
+            cfg.num_beams, cfg.azimuth_fov, cfg.azimuth_resolution,
+            cfg.sensor_height,
+            tuple(cfg.grid.x_range), tuple(cfg.grid.y_range),
         )
-        points = points[in_range]
-        return points[~self._shadowed(points, boxes)]
+        # Small height jitter models road roughness / grass.
+        jitter = self._rng.normal(0.0, 0.03, size=lattice.shape)
+        z = -cfg.sensor_height + jitter.ravel()[lattice.in_range]
+        points = np.column_stack([lattice.xy, z])
+        return points[~_shadow_mask(lattice.polar, boxes)]
 
     def _shadowed(self, points: np.ndarray, boxes: list) -> np.ndarray:
         """Mask ground points whose beam passes through an object footprint.
 
-        A point is shadowed by a box when it lies beyond the box's range
-        and its azimuth is within ``angular_half`` of the box's, the
-        difference wrapped by ``np.angle(np.exp(1j * delta))``.  Each box
-        evaluates that test only on the points whose azimuth falls in the
-        window ``[c - h - _WINDOW_SLACK, c + h + _WINDOW_SLACK]``, found
-        by two ``searchsorted`` calls on the once-sorted azimuths and split
-        in two spans where it crosses +-pi.  The wrap's float error is a
-        few ulps against the 1e-9 rad slack, so the window is a superset
-        of every point the test accepts; the test itself is evaluated
-        unchanged on that superset, so the mask equals a full scan's bit
-        for bit, boundary ties included.
+        See :func:`_shadow_mask`, which this calls on the points' polar
+        coordinates.
         """
-        shadow = np.zeros(len(points), dtype=bool)
-        ranges = np.linalg.norm(points[:, :2], axis=1)
-        azimuths = np.arctan2(points[:, 1], points[:, 0])
-        order = np.argsort(azimuths, kind="stable")
-        sorted_azimuths = azimuths[order]
-        for box in boxes:
-            center_range = float(np.linalg.norm(box.center[:2]))
-            if center_range < 1e-3:
-                continue
-            center_azimuth = float(np.arctan2(box.center[1], box.center[0]))
-            half_width = max(box.size[0], box.size[1]) / 2.0
-            angular_half = np.arctan2(half_width, center_range)
-            lo = center_azimuth - angular_half - _WINDOW_SLACK
-            hi = center_azimuth + angular_half + _WINDOW_SLACK
-            # angular_half < pi/2, so at most one end crosses the seam.
-            if lo < -np.pi:
-                spans = ((-np.inf, hi), (lo + 2 * np.pi, np.inf))
-            elif hi > np.pi:
-                spans = ((lo, np.inf), (-np.inf, hi - 2 * np.pi))
-            else:
-                spans = ((lo, hi),)
-            candidates = np.concatenate([
-                order[
-                    np.searchsorted(sorted_azimuths, start, side="left"):
-                    np.searchsorted(sorted_azimuths, stop, side="right")
-                ]
-                for start, stop in spans
-            ])
-            candidates = candidates[ranges[candidates] > center_range]
-            delta = np.abs(
-                np.angle(np.exp(1j * (azimuths[candidates] - center_azimuth)))
-            )
-            shadow[candidates[delta < angular_half]] = True
-        return shadow
+        return _shadow_mask(_polar(points[:, :2]), boxes)
 
     def _object_returns(self, box: BoundingBox3D) -> np.ndarray:
         """Sample returns on the sensor-facing surfaces of an object.
@@ -258,3 +210,126 @@ class SceneGenerator:
         world_y = local[:, 0] * sin_yaw + local[:, 1] * cos_yaw + box.center[1]
         world_z = local[:, 2] + box.center[2]
         return np.stack([world_x, world_y, world_z], axis=1)
+
+
+def _beam_grid(num_beams: int, azimuth_fov: float,
+               azimuth_resolution: float) -> tuple:
+    """Elevation and azimuth sample angles of a scanner, radians."""
+    elevations = np.deg2rad(np.linspace(-24.8, 2.0, num_beams))
+    if azimuth_fov >= 360.0:
+        azimuths = np.deg2rad(np.arange(-180.0, 180.0, azimuth_resolution))
+    else:
+        half = azimuth_fov / 2.0
+        azimuths = np.deg2rad(np.arange(-half, half, azimuth_resolution))
+    return elevations, azimuths
+
+
+class _Polar(NamedTuple):
+    """Ground points' ranges and azimuths, and the azimuths' stable sort."""
+
+    ranges: np.ndarray
+    azimuths: np.ndarray
+    order: np.ndarray
+    sorted_azimuths: np.ndarray
+
+
+def _polar(xy: np.ndarray) -> _Polar:
+    ranges = np.linalg.norm(xy, axis=1)
+    azimuths = np.arctan2(xy[:, 1], xy[:, 0])
+    order = np.argsort(azimuths, kind="stable")
+    return _Polar(ranges, azimuths, order, azimuths[order])
+
+
+class _GroundLattice(NamedTuple):
+    """The ground returns a scanner's beam lattice lands inside a grid.
+
+    Attributes:
+        shape: (downward beams, azimuths) of the whole lattice.
+        in_range: Flat mask of the lattice returns inside the grid's
+            x and y range.
+        xy: (N, 2) x and y of those returns.
+        polar: Their :class:`_Polar` coordinates.
+    """
+
+    shape: tuple
+    in_range: np.ndarray
+    xy: np.ndarray
+    polar: _Polar
+
+
+@functools.lru_cache(maxsize=16)
+def _ground_lattice(num_beams: int, azimuth_fov: float,
+                    azimuth_resolution: float, sensor_height: float,
+                    x_range: tuple, y_range: tuple) -> _GroundLattice:
+    """The in-range ground lattice of one scan geometry, computed once.
+
+    Keyed on the values it depends on, not on a :class:`SceneConfig`
+    (configs are mutable, and :func:`nuscenes_scene_config` builds a new
+    one per call).  The arrays are shared by every generator with the
+    same geometry, so they are made read-only.
+    """
+    elevations, azimuths = _beam_grid(
+        num_beams, azimuth_fov, azimuth_resolution
+    )
+    down = elevations[elevations < np.deg2rad(-0.5)]
+    elev_grid, azim_grid = np.meshgrid(down, azimuths, indexing="ij")
+    ranges = sensor_height / np.tan(-elev_grid)
+    x = (ranges * np.cos(azim_grid)).ravel()
+    y = (ranges * np.sin(azim_grid)).ravel()
+    in_range = (
+        (x >= x_range[0]) & (x < x_range[1])
+        & (y >= y_range[0]) & (y < y_range[1])
+    )
+    xy = np.column_stack([x[in_range], y[in_range]])
+    lattice = _GroundLattice(elev_grid.shape, in_range, xy, _polar(xy))
+    for array in (in_range, xy, *lattice.polar):
+        array.flags.writeable = False
+    return lattice
+
+
+def _shadow_mask(polar: _Polar, boxes: list) -> np.ndarray:
+    """Mask ground points whose beam passes through an object footprint.
+
+    A point is shadowed by a box when it lies beyond the box's range
+    and its azimuth is within ``angular_half`` of the box's, the
+    difference wrapped by ``np.angle(np.exp(1j * delta))``.  Each box
+    evaluates that test only on the points whose azimuth falls in the
+    window ``[c - h - _WINDOW_SLACK, c + h + _WINDOW_SLACK]``, found
+    by two ``searchsorted`` calls on the once-sorted azimuths and split
+    in two spans where it crosses +-pi.  The wrap's float error is a
+    few ulps against the 1e-9 rad slack, so the window is a superset
+    of every point the test accepts; the test itself is evaluated
+    unchanged on that superset, so the mask equals a full scan's bit
+    for bit, boundary ties included.
+    """
+    ranges, azimuths, order, sorted_azimuths = polar
+    shadow = np.zeros(len(ranges), dtype=bool)
+    for box in boxes:
+        center_range = float(np.linalg.norm(box.center[:2]))
+        if center_range < 1e-3:
+            continue
+        center_azimuth = float(np.arctan2(box.center[1], box.center[0]))
+        half_width = max(box.size[0], box.size[1]) / 2.0
+        angular_half = np.arctan2(half_width, center_range)
+        lo = center_azimuth - angular_half - _WINDOW_SLACK
+        hi = center_azimuth + angular_half + _WINDOW_SLACK
+        # angular_half < pi/2, so at most one end crosses the seam.
+        if lo < -np.pi:
+            spans = ((-np.inf, hi), (lo + 2 * np.pi, np.inf))
+        elif hi > np.pi:
+            spans = ((lo, np.inf), (-np.inf, hi - 2 * np.pi))
+        else:
+            spans = ((lo, hi),)
+        candidates = np.concatenate([
+            order[
+                np.searchsorted(sorted_azimuths, start, side="left"):
+                np.searchsorted(sorted_azimuths, stop, side="right")
+            ]
+            for start, stop in spans
+        ])
+        candidates = candidates[ranges[candidates] > center_range]
+        delta = np.abs(
+            np.angle(np.exp(1j * (azimuths[candidates] - center_azimuth)))
+        )
+        shadow[candidates[delta < angular_half]] = True
+    return shadow

@@ -30,7 +30,7 @@ import threading
 from dataclasses import dataclass, replace
 
 from ..analysis.sparsity import ModelTrace
-from ..data.pillars import voxelize
+from ..data.pillars import PillarFrame, voxelize
 from ..data.synthetic import KITTI_SCENE, SceneGenerator, nuscenes_scene_config
 from ..models.specs import ModelSpec, build_model_spec
 from ..models.zoo import TABLE1_PAPER, grid_for, scene_config_for
@@ -110,6 +110,11 @@ class FrameProvider:
     a coarser pillar) gets its own frame.  Concurrent callers for one
     key wait on the first builder, so scene synthesis and
     :func:`~repro.data.pillars.voxelize` run once per key.
+
+    A cached frame is a :class:`~repro.data.pillars.PillarFrame`: the
+    coords, point counts and grid that tracing reads.  The decorated
+    point features ``voxelize`` also builds are dropped as soon as it
+    returns, so a sweep holds each frame at the cost of its pillars.
     """
 
     def __init__(self):
@@ -142,7 +147,8 @@ class FrameProvider:
             )
         return grid_for(model), scene_config_for(model)
 
-    def frame_for(self, scenario: Scenario, model, frame: int = 0):
+    def frame_for(self, scenario: Scenario, model,
+                  frame: int = 0) -> PillarFrame:
         """The (cached) pillar frame for one model under one scenario.
 
         ``model`` is a Table I name or a :class:`ModelSpec`; ``frame``
@@ -166,7 +172,8 @@ class FrameProvider:
             event.wait()
         try:
             generator = SceneGenerator(scene_config, seed=seed)
-            built = voxelize(generator.generate(), grid)
+            batch = voxelize(generator.generate(), grid)
+            built = PillarFrame(batch.coords, batch.point_counts, batch.grid)
         except BaseException:
             with self._lock:
                 self._inflight.pop(key).set()

@@ -11,12 +11,14 @@ from repro.data import (
     KITTI_GRID,
     MINI_GRID,
     PointCloud,
+    SceneGenerator,
     gather_from_dense,
     scatter_to_dense,
     voxelize,
 )
 from repro.data.pillars import DECORATED_DIM, PillarBatch
 from repro.engine import FrameProvider, Scenario
+from repro.models.zoo import grid_for, scene_config_for
 from repro.sparse import is_cpr_sorted
 
 
@@ -236,8 +238,10 @@ class TestVoxelizeMatchesReferenceLoop:
         assert_same_bytes(kitti_sweep, KITTI_GRID, **options)
 
 
-#: SHA-256 of the seed-0 frame per grid, as ``FrameProvider`` builds it,
-#: recorded from the per-pillar loop before decoration was vectorised.
+#: SHA-256 of the seed-0 frame per grid, recorded from the per-pillar
+#: loop before decoration was vectorised: coords and counts as
+#: ``FrameProvider`` caches them, point features as ``voxelize`` builds
+#: them from the same sweep.
 PINNED_FRAMES = {
     "SPP1": ("kitti", 6767, {
         "coords": "933c3729e979634fe98f1ca7169cf0dc12083a25d896f99d5b356a5ef70fcd18",
@@ -263,8 +267,13 @@ def test_pinned_frame_digests(model):
     frame = FrameProvider().frame_for(Scenario(seed=0), model)
     assert frame.grid.name == grid_name
     assert frame.num_active == pillars
+    # A cached frame holds what tracing reads, not the decorated features.
+    assert not hasattr(frame, "point_features")
+    cloud = SceneGenerator(scene_config_for(model), seed=0).generate()
+    batch = voxelize(cloud, grid_for(model))
     for name, digest in digests.items():
-        data = getattr(frame, name).tobytes()
+        source = batch if name == "point_features" else frame
+        data = getattr(source, name).tobytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
 
 

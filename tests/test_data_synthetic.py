@@ -3,6 +3,7 @@ architecture experiment relies on."""
 
 import functools
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from repro.data import (
     BoundingBox3D,
     KITTI_GRID,
     KITTI_SCENE,
+    NUSCENES_FINE_GRID,
     NUSCENES_GRID,
     SceneGenerator,
     nuscenes_scene_config,
     voxelize,
 )
+from repro.data.synthetic import _ground_lattice
 
 
 class TestDeterminism:
@@ -213,12 +216,32 @@ class TestShadowWindow:
         assert not assert_matches_full_scan("kitti", [box]).any()
 
 
+#: The grid of a KITTI-named model widened past KITTI's range.
+WIDE_KITTI_GRID = replace(KITTI_GRID, x_range=(0, 80), y_range=(-40, 40))
+
+#: Every scene the memoized ground lattice is checked on: the two default
+#: scenes, nuScenes-fine (same scan geometry and ranges as nuScenes) and a
+#: widened KITTI (same scanner as KITTI over a wider range).
+PINNED_SCENES = {
+    **SCENES,
+    "nuscenes-fine": nuscenes_scene_config(NUSCENES_FINE_GRID),
+    "kitti-wide": replace(KITTI_SCENE, grid=WIDE_KITTI_GRID),
+}
+
 #: SHA-256 over ``points`` then ``intensity`` of ``generate()`` for seeds
-#: 0-39, recorded with the full-scan shadow test.
+#: 0-39, recorded with the full-scan shadow test and the ground lattice
+#: recomputed on every frame.
 FORTY_SEED_DIGESTS = {
     "kitti": "8eaa32e026e2d78f46b4a9e16df1bb217c116e77f9f354c0670465be631ae6e1",
+    "kitti-wide": "4c319d91024445043ac843798769edc34a4e3e9b287596ee7b105b47b61999fe",
     "nuscenes": "4ef093e1d05bb81a041c55dcad82c652f10ef6bf2256fde3fb9252ae6535ddd4",
+    "nuscenes-fine": "4ef093e1d05bb81a041c55dcad82c652f10ef6bf2256fde3fb9252ae6535ddd4",
 }
+
+
+def update_digest(digest, cloud):
+    digest.update(cloud.points.tobytes())
+    digest.update(cloud.intensity.tobytes())
 
 
 @pytest.mark.parametrize("scene", sorted(FORTY_SEED_DIGESTS))
@@ -226,12 +249,88 @@ def test_forty_seed_frames_are_pinned(scene):
     digest = hashlib.sha256()
     seam_boxes = 0
     for seed in range(40):
-        cloud = SceneGenerator(SCENES[scene], seed=seed).generate()
-        digest.update(cloud.points.tobytes())
-        digest.update(cloud.intensity.tobytes())
+        cloud = SceneGenerator(PINNED_SCENES[scene], seed=seed).generate()
+        update_digest(digest, cloud)
         for box in cloud.boxes:
             center, half = window(box)
             seam_boxes += bool(abs(center) + half > np.pi)
     assert digest.hexdigest() == FORTY_SEED_DIGESTS[scene]
     if scene == "nuscenes":
         assert seam_boxes >= 1
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_interleaved_scenes_keep_their_pins(reverse):
+    # Scenes sharing a scanner or a range alternate frame by frame, in
+    # both orders, so a ground-lattice memo keyed too loosely hands one
+    # of them the other's lattice whichever was built first.
+    names = sorted(FORTY_SEED_DIGESTS, reverse=reverse)
+    digests = {name: hashlib.sha256() for name in names}
+    for seed in range(40):
+        for name in names:
+            cloud = SceneGenerator(PINNED_SCENES[name], seed=seed).generate()
+            update_digest(digests[name], cloud)
+    got = {name: digest.hexdigest() for name, digest in digests.items()}
+    assert got == FORTY_SEED_DIGESTS
+
+
+def reference_ground_returns(generator, boxes):
+    """The per-frame ground ray-cast the memoized lattice replaced."""
+    cfg = generator.config
+    elevations, azimuths = generator._beam_grid()
+    down = elevations[elevations < np.deg2rad(-0.5)]
+    elev_grid, azim_grid = np.meshgrid(down, azimuths, indexing="ij")
+    ranges = cfg.sensor_height / np.tan(-elev_grid)
+    x = ranges * np.cos(azim_grid)
+    y = ranges * np.sin(azim_grid)
+    z = np.full_like(x, -cfg.sensor_height)
+    z = z + generator._rng.normal(0.0, 0.03, size=z.shape)
+    points = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+    in_range = (
+        (points[:, 0] >= cfg.grid.x_range[0])
+        & (points[:, 0] < cfg.grid.x_range[1])
+        & (points[:, 1] >= cfg.grid.y_range[0])
+        & (points[:, 1] < cfg.grid.y_range[1])
+    )
+    points = points[in_range]
+    return points[~full_scan_shadowed(points, boxes)]
+
+
+#: One variant per value the ground lattice depends on, each differing
+#: from KITTI_SCENE in that value alone.
+LATTICE_VARIANTS = {
+    "kitti": KITTI_SCENE,
+    "num_beams": replace(KITTI_SCENE, num_beams=32),
+    "azimuth_fov": replace(KITTI_SCENE, azimuth_fov=120.0),
+    "azimuth_resolution": replace(KITTI_SCENE, azimuth_resolution=0.2),
+    "sensor_height": replace(KITTI_SCENE, sensor_height=2.0),
+    "x_range": replace(
+        KITTI_SCENE, grid=replace(KITTI_GRID, x_range=(0.0, 40.0))),
+    "y_range": replace(
+        KITTI_SCENE, grid=replace(KITTI_GRID, y_range=(-20.0, 39.68))),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_ground_lattice_is_keyed_on_every_value_it_reads(reverse):
+    names = sorted(LATTICE_VARIANTS, reverse=reverse)
+    for seed in range(3):
+        for name in names:
+            config = LATTICE_VARIANTS[name]
+            boxes = SceneGenerator(config, seed=seed)._sample_boxes()
+            got = SceneGenerator(config, seed=seed)._ground_returns(boxes)
+            want = reference_ground_returns(
+                SceneGenerator(config, seed=seed), boxes)
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_ground_lattice_is_read_only():
+    cfg = KITTI_SCENE
+    lattice = _ground_lattice(
+        cfg.num_beams, cfg.azimuth_fov, cfg.azimuth_resolution,
+        cfg.sensor_height, cfg.grid.x_range, cfg.grid.y_range,
+    )
+    with pytest.raises(ValueError):
+        lattice.xy[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        lattice.polar.order[0] = 0
