@@ -15,48 +15,66 @@ The planner never searches the rule lists per candidate tile.  It first
 reduces each layer to two per-input *output extents*: ``first[i]`` and
 ``last[i]``, the smallest and largest output index over every pair of
 input ``i``.  The window of inputs ``[s, e)`` is then
-``(min(first[s:e]), max(last[s:e]) + 1)``, so one running minimum and
-one running maximum over ``[s, s + max_inputs)`` price every candidate
-length of a tile at once, and the halving search of the greedy reads its
-candidates (``L, L // 2, ...``) straight out of them.  This is exact
-because every per-offset ``in_idx`` list is unique and ascending and its
-``out_idx`` non-decreasing (:mod:`repro.sparse.rulegen` guarantees it):
-the pairs of a contiguous input range are then a contiguous slice of
-each offset's list whose first and last outputs are its extremes — what
-the scalar search reads, and what the extents summarize.  Per-tile pair
-counts come last, from one ``searchsorted`` per offset over all tile
-edges.  :func:`_output_window` keeps the scalar per-offset search as the
-definition the planner is tested against.
+``(min(first[s:e]), max(last[s:e]) + 1)``.  This is exact because every
+per-offset ``in_idx`` list is unique and ascending and its ``out_idx``
+non-decreasing (:mod:`repro.sparse.rulegen` guarantees it): the pairs of
+a contiguous input range are then a contiguous slice of each offset's
+list whose first and last outputs are its extremes — what the scalar
+search reads, and what the extents summarize.
 
-Planning is memoized on the :class:`~repro.sparse.rulegen.Rules` it reads,
-in the private ``Rules._plans`` dict: the extents once per ``Rules``, and
-the schedule once per ``(max_inputs, max_outputs)``.  A layer's tiles
-depend on nothing else and its rules never change after RuleGen, so every
-design point, simulator and ``optimize`` setting that schedules the same
-traced layer with the same buffer capacities shares one
-:class:`TileSchedule`.  Layers of one trace that see the same input with
-the same geometry share one ``Rules`` object (see
-:func:`~repro.analysis.sparsity.trace_model`), so such layers are planned
-once between them, too.  The memo lives exactly as long as its ``Rules``
-(the trace cache's memory tier decides that) and has no eviction.  It
-never reaches a pickle: ``Rules`` drops it on ``__getstate__``, so a
-planned and an unplanned ``Rules`` pickle to the same bytes, and a
-loaded or copied ``Rules`` plans afresh.  Because callers share them, memoized
-schedules are read-only: writing to any of their arrays raises.  Two
-threads planning one ``Rules`` at once may both compute a value; both
-results are equal, so no lock is needed.
+The extents are folded once more, into a running maximum of ``last``
+(``PM[i] = max(last[:i + 1])``) and a suffix minimum of ``first``
+(``SM[i] = min(first[i:])``; ``prefix_max`` and ``suffix_min`` in the
+code).  ``PM[e - 1] - SM[s]`` bounds the span of ``[s, e)`` from above,
+so each halving candidate of the greedy (``L, L // 2, ...``) is priced
+by two scalar reads and no array pass; a candidate that fits on the
+bound fits.  The bound is exact when two certificates hold:
+``s == 0 or PM[s - 1] < PM[e - 1]`` (no input before the tile reaches
+its largest output) and ``e == n or SM[e] > SM[s]`` (no input after it
+reaches its smallest).  A rejection is trusted only when both hold at
+the smallest rejected candidate; as ``PM`` and ``SM`` are monotone, they
+then hold at every larger candidate too.  An accepted tile's window is
+``(SM[s], PM[e - 1] + 1)`` when both hold at the tile, else an exact
+min/max over its extents.  A tile whose rejection is not certified falls
+back to a running min/max over the extents of ``[s, s + max_inputs)``,
+which prices every candidate exactly.  Either slow path recomputes the
+extents, once per plan; on real frames they are rare (a few exact
+windows in thousands of tiles, no fallbacks).  Unlike a ``searchsorted``
+over per-tile spans, nothing here builds an array per tile.  Per-tile
+pair counts come last, from one ``searchsorted`` per offset over all
+tile edges.  :func:`_output_window` keeps the scalar per-offset search
+as the definition the planner is tested against.
 
-Rule pairs arrive as int32 (see :class:`~repro.sparse.rulegen.RulePairs`),
-and the planner keeps them so.  The extents are int32 too, and tile
-edges are searched as int32 needles: ``searchsorted`` with needles of
-another dtype first copies the whole list to the common one.  Traces
-loaded from the disk tier need one more step, taken in
-``Rules.__setstate__``: an unpickled array's dtype equals
-``np.dtype(np.int32)`` but is not that object, and with such arrays
-``np.minimum.at`` / ``np.maximum.at`` leave their fast path (about 20x
-slower per offset).  ``Rules`` therefore swaps the canonical dtype
-object into each loaded pair and coordinate array, in place: no copy,
-and arrays the trace shares between layers stay shared.
+Planning is memoized on the :class:`~repro.sparse.rulegen.Rules` it
+reads, in the private ``Rules._plans`` dict: ``PM`` and ``SM`` (not the
+extents they are folded from) once per ``Rules``, and the schedule once
+per ``(max_inputs, max_outputs)``.  A layer's tiles depend on nothing
+else and its rules never change after RuleGen, so every design point,
+simulator and ``optimize`` setting that schedules the same traced layer
+with the same buffer capacities shares one :class:`TileSchedule`.
+Layers of one trace that see the same input with the same geometry share
+one ``Rules`` object (see :func:`~repro.analysis.sparsity.trace_model`),
+so such layers are planned once between them, too.  The memo lives
+exactly as long as its ``Rules`` (the trace cache's memory tier decides
+that) and has no eviction.  It never reaches a pickle: ``Rules`` drops
+it on ``__getstate__``, so a planned and an unplanned ``Rules`` pickle
+to the same bytes, and a loaded or copied ``Rules`` plans afresh.
+Because callers share them, memoized schedules are read-only: writing to
+any of their arrays raises.  Two threads planning one ``Rules`` at once
+may both compute a value; both results are equal, so no lock is needed.
+
+Rule pairs arrive as int32 (see
+:class:`~repro.sparse.rulegen.RulePairs`), and the planner keeps them
+so.  The extents, ``PM`` and ``SM`` are int32 too, and tile edges are
+searched as int32 needles: ``searchsorted`` with needles of another
+dtype first copies the whole list to the common one.  Traces loaded from
+the disk tier need one more step, taken in ``Rules.__setstate__``: an
+unpickled array's dtype equals ``np.dtype(np.int32)`` but is not that
+object, and with such arrays ``np.minimum.at`` / ``np.maximum.at`` leave
+their fast path (about 20x slower per offset).  ``Rules`` therefore
+swaps the canonical dtype object into each loaded pair and coordinate
+array, in place: no copy, and arrays the trace shares between layers
+stay shared.
 """
 
 from __future__ import annotations
@@ -71,6 +89,10 @@ from .config import SpadeConfig
 
 #: ``first`` extent of an input without pairs: larger than any output.
 _NO_OUTPUT = np.iinfo(np.int32).max
+#: Stand-ins for the prefix max before input 0 and the suffix min past
+#: the last input: below and above every bound, empty inputs' included.
+_BEFORE_START = -2
+_PAST_END = _NO_OUTPUT + 1
 
 
 @dataclass
@@ -226,7 +248,12 @@ def plan_tiles(
     """Greedy ATM tiling: largest input tile whose output window fits.
 
     Each tile starts at ``max_inputs`` inputs and halves until its output
-    window fits BUFout (or it holds one input).  Memoized on ``rules``
+    window fits BUFout (or it holds one input).  Candidates are priced
+    by the prefix-max / suffix-min bound of the module docstring; a
+    rejection on the bound is trusted only under both exactness
+    certificates at the smallest rejected candidate, and a tile without
+    them is replanned by a running min/max over its extents, so the
+    tiles are exactly those of the scalar greedy.  Memoized on ``rules``
     per ``(max_inputs, max_outputs)``: a repeat call returns the same
     read-only schedule.
 
@@ -245,31 +272,88 @@ def plan_tiles(
     return schedule
 
 
+def _window_bounds(rules: Rules) -> tuple:
+    """(prefix_max, suffix_min): ``max(last[:i + 1])`` and
+    ``min(first[i:])`` for every input ``i``.
+
+    Both are accumulated in place over the extents' own arrays, so the
+    memo holds no more than the extents would.
+    """
+    first, last = _output_extents(rules)
+    np.maximum.accumulate(last, out=last)
+    reversed_first = first[::-1]
+    np.minimum.accumulate(reversed_first, out=reversed_first)
+    return last, first
+
+
+def _running_window(first, last, start: int, stop: int,
+                    max_outputs: int) -> tuple:
+    """One tile by a running min/max over ``[start, stop)``: the
+    planner's fallback.  Returns ``(size, lowest, highest)``."""
+    lows = np.minimum.accumulate(first[start:stop])
+    highs = np.maximum.accumulate(last[start:stop])
+    # Window width minus one of every prefix; negative when empty
+    # (-1 - _NO_OUTPUT is still an int32).
+    spans = highs - lows
+    size = stop - start
+    while spans[size - 1] >= max_outputs and size > 1:
+        size //= 2
+    return size, int(lows[size - 1]), int(highs[size - 1])
+
+
+def _exact_window(first, last, start: int, end: int) -> tuple:
+    """``(lowest, highest)`` output of inputs ``[start, end)``."""
+    return int(first[start:end].min()), int(last[start:end].max())
+
+
 def _plan_tiles(
     rules: Rules, max_inputs: int, max_outputs: int
 ) -> TileSchedule:
     """The greedy behind :func:`plan_tiles`: always plans afresh, from
-    the memoized extents."""
+    the memoized bounds."""
     num_inputs = rules.num_inputs
     starts, out_starts, out_ends, overlaps = [], [], [], []
-    extents = rules._plans.get("extents")
-    if extents is None:
-        extents = rules._plans["extents"] = _output_extents(rules)
-    first, last = extents
+    bounds = rules._plans.get("bounds")
+    if bounds is None:
+        bounds = rules._plans["bounds"] = _window_bounds(rules)
+    prefix_max, suffix_min = bounds[0].item, bounds[1].item
+    extents = None
     in_start = 0
     prev_start = prev_end = None
+    # The bounds of the tile [in_start, in_end) are (low, high); before
+    # is prefix_max[in_start - 1] and after is suffix_min[in_end], so
+    # the certificates read "before < high" and "after > low".
+    before = _BEFORE_START
+    low = suffix_min(0) if num_inputs else 0
     while in_start < num_inputs:
-        stop = min(in_start + max_inputs, num_inputs)
-        lows = np.minimum.accumulate(first[in_start:stop])
-        highs = np.maximum.accumulate(last[in_start:stop])
-        # Window width minus one of every prefix; negative when empty
-        # (-1 - _NO_OUTPUT is still an int32).
-        spans = highs - lows
-        size = stop - in_start
-        while spans[size - 1] >= max_outputs and size > 1:
+        size = min(max_inputs, num_inputs - in_start)
+        high = prefix_max(in_start + size - 1)
+        rejected = 0
+        while high - low >= max_outputs and size > 1:
+            rejected, rejected_high = in_start + size, high
             size //= 2
-        out_end = int(highs[size - 1]) + 1
-        out_start = int(lows[size - 1]) if out_end else 0
+            high = prefix_max(in_start + size - 1)
+        in_end = in_start + size
+        after = suffix_min(in_end) if in_end < num_inputs else _PAST_END
+        # A rejection is trusted when the certificates hold at the
+        # smallest rejected candidate: both bounds are monotone, so they
+        # then hold at every larger one too.
+        if rejected and not (before < rejected_high and (
+                rejected == num_inputs or suffix_min(rejected) > low)):
+            if extents is None:
+                extents = _output_extents(rules)
+            size, low, high = _running_window(
+                *extents, in_start, min(in_start + max_inputs, num_inputs),
+                max_outputs)
+            in_end = in_start + size
+            after = suffix_min(in_end) if in_end < num_inputs else _PAST_END
+        elif not (before < high and after > low):
+            if extents is None:
+                extents = _output_extents(rules)
+            low, high = _exact_window(*extents, in_start, in_end)
+        before = prefix_max(in_end - 1)
+        out_end = high + 1
+        out_start = low if out_end else 0
         overlap = 0
         if out_end:
             if prev_end is not None:
@@ -280,7 +364,7 @@ def _plan_tiles(
         out_starts.append(out_start)
         out_ends.append(out_end)
         overlaps.append(overlap)
-        in_start += size
+        in_start, low = in_end, after
     edges = np.array(starts + [num_inputs], dtype=np.int64)
     # Needles in the pairs' dtype: int64 needles would make searchsorted
     # copy every int32 list up to int64 first.

@@ -88,7 +88,10 @@ def voxelize(
     the rest only move its centroid.
 
     Args:
-        cloud: Input sweep (will be cropped to the grid range).
+        cloud: Input sweep.  Points outside the grid's range are left
+            out; a cloud already cropped to it (as
+            :meth:`~repro.data.synthetic.SceneGenerator.generate` makes
+            them) is read without a copy.  The cloud is not modified.
         grid: Target BEV grid.
         max_points_per_pillar: Points beyond this per pillar are dropped
             (random subsampling would need an RNG; we keep the first K,
@@ -100,9 +103,12 @@ def voxelize(
     Returns:
         A :class:`PillarBatch` with coordinates in CPR order.
     """
-    cloud = cloud.crop(grid)
-    cols = ((cloud.points[:, 0] - grid.x_range[0]) / grid.pillar_size).astype(np.int64)
-    rows = ((cloud.points[:, 1] - grid.y_range[0]) / grid.pillar_size).astype(np.int64)
+    points, intensity = cloud.points, cloud.intensity
+    inside = cloud.in_range(grid)
+    if not inside.all():
+        points, intensity = points[inside], intensity[inside]
+    cols = ((points[:, 0] - grid.x_range[0]) / grid.pillar_size).astype(np.int64)
+    rows = ((points[:, 1] - grid.y_range[0]) / grid.pillar_size).astype(np.int64)
     np.clip(cols, 0, grid.nx - 1, out=cols)
     np.clip(rows, 0, grid.ny - 1, out=rows)
     flat = rows * grid.nx + cols
@@ -127,7 +133,7 @@ def voxelize(
 
     # Points sorted by pillar; those past a max_pillars cap are dropped.
     order = order[: counts.sum()]
-    points = cloud.points[order]
+    points = points[order]
     pillar = np.repeat(np.arange(num_pillars), counts)
     slot = np.arange(len(order)) - first_index[pillar]
 
@@ -146,7 +152,7 @@ def voxelize(
     pillar, slot, points = pillar[keep], slot[keep], points[keep]
     block = np.empty((len(points), DECORATED_DIM), dtype=np.float32)
     block[:, 0:3] = points
-    block[:, 3] = cloud.intensity[order[keep]]
+    block[:, 3] = intensity[order[keep]]
     block[:, 4:7] = points - centroid[pillar]
     block[:, 7] = points[:, 0] - center_x[pillar]
     block[:, 8] = points[:, 1] - center_y[pillar]

@@ -91,10 +91,10 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def crop(self, grid) -> "PointCloud":
-        """Return a copy keeping only points inside ``grid``'s 3D range."""
+    def in_range(self, grid) -> np.ndarray:
+        """Boolean mask of the points inside ``grid``'s 3D range."""
         x, y, z = self.points[:, 0], self.points[:, 1], self.points[:, 2]
-        mask = (
+        return (
             (x >= grid.x_range[0])
             & (x < grid.x_range[1])
             & (y >= grid.y_range[0])
@@ -102,6 +102,10 @@ class PointCloud:
             & (z >= grid.z_range[0])
             & (z < grid.z_range[1])
         )
+
+    def crop(self, grid) -> "PointCloud":
+        """Return a copy keeping only points inside ``grid``'s 3D range."""
+        mask = self.in_range(grid)
         return PointCloud(self.points[mask], self.intensity[mask], list(self.boxes))
 
     def concat(self, other: "PointCloud") -> "PointCloud":

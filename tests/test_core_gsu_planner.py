@@ -7,27 +7,37 @@ return the same tiles on random frames of every :class:`ConvType`, on
 degenerate frames and on capacities that force one-input tiles.  The
 per-input output extents it plans from equal their ``ufunc.at``
 definition on every Table I model's layers.
+
+The planner prices candidates by prefix-max / suffix-min bounds and
+trusts them only under two certificates.  :class:`TestBoundCertificates`
+builds rules from arbitrary per-input extents, so either certificate,
+or both, fails, and checks the tiles against :func:`reference_plan` and
+the number of tiles the planner leaves to its slow paths against
+:func:`slow_paths`, an independent restatement of when they are needed.
 """
 
 import copy
+import itertools
 import pickle
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import trace_model
-from repro.core import TilePlan, plan_tiles
+from repro.core import SpadeAccelerator, TilePlan, plan_tiles
+from repro.core import gsu
+from repro.core.config import SPADE_HE, SPADE_LE
 from repro.core.gsu import (
     _NO_OUTPUT,
     _output_extents,
     _output_window,
     _plan_tiles,
 )
-from repro.engine import TraceCache
+from repro.engine import FrameProvider, Scenario, TraceCache
 from repro.models import TABLE1_PAPER, build_model_spec
 from repro.sparse import ConvType, Rules, RulePairs, build_rules, unflatten
 
@@ -383,3 +393,202 @@ class TestOutputExtents:
         for have, expect in zip(_output_extents(rules),
                                 extents_by_ufunc_at(rules)):
             np.testing.assert_array_equal(have, expect)
+
+
+def rules_from_extents(extents):
+    """Rules whose inputs have the given output extents.
+
+    ``extents`` holds one ``(first, last)`` pair per input, or ``None``
+    for an input without pairs.  Each input feeds its two extremes; the
+    pairs are dealt, in input order, to the first offset whose list they
+    keep ascending in ``in_idx`` and non-decreasing in ``out_idx`` (the
+    property :func:`reference_plan` relies on), so any extents can be
+    built, however far from monotone.
+    """
+    chains = []
+    for index, extent in enumerate(extents):
+        for output in sorted(set(extent or ())):
+            for chain in chains:
+                if chain[-1][0] < index and chain[-1][1] <= output:
+                    chain.append((index, output))
+                    break
+            else:
+                chains.append([(index, output)])
+    pairs = [RulePairs(np.array([i for i, _ in chain], np.int32),
+                       np.array([o for _, o in chain], np.int32))
+             for chain in chains or [[]]]
+    num_inputs = len(extents)
+    num_outputs = 1 + max((max(e) for e in extents if e), default=0)
+    return Rules(ConvType.SPCONV, 3, 1, (1, num_inputs), (1, num_outputs),
+                 unflatten(np.arange(num_inputs), (1, num_inputs)),
+                 unflatten(np.arange(num_outputs), (1, num_outputs)), pairs)
+
+
+def extent_lists(extents):
+    """``(first, last)`` as lists, with the planner's values for an
+    input without pairs."""
+    return ([extent[0] if extent else _NO_OUTPUT for extent in extents],
+            [extent[1] if extent else -1 for extent in extents])
+
+
+def slow_paths(extents, max_inputs, max_outputs):
+    """Per tile of the reference plan: how the planner must price it.
+
+    The bounds of inputs ``[s, e)`` are ``max(last[:e])`` and
+    ``min(first[s:])``.  They are exact when no input before ``s``
+    reaches the first (the prefix certificate) and no input from ``e``
+    on reaches the second (the suffix certificate).  A tile is halved on
+    the bounds until they fit; the rejection is trusted when both
+    certificates hold at the smallest rejected candidate, else the tile
+    falls back ("prefix", "suffix" or "both" name the failures).  A
+    trusted tile's window needs an exact pass ("window") unless both
+    certificates hold at the tile itself ("fast").
+    """
+    firsts, lasts = extent_lists(extents)
+    num_inputs = len(extents)
+
+    def prefix_ok(start, end):
+        return start == 0 or max(lasts[:start]) < max(lasts[:end])
+
+    def suffix_ok(start, end):
+        return end == num_inputs or min(firsts[end:]) > min(firsts[start:])
+
+    kinds = []
+    for tile in reference_plan(rules_from_extents(extents), max_inputs,
+                               max_outputs):
+        start = tile.in_start
+        size = min(max_inputs, num_inputs - start)
+        rejected = None
+        while (max(lasts[:start + size]) - min(firsts[start:])
+               >= max_outputs and size > 1):
+            rejected = start + size
+            size //= 2
+        failed = ([] if rejected is None else
+                  [name for name, ok in (("prefix", prefix_ok),
+                                         ("suffix", suffix_ok))
+                   if not ok(start, rejected)])
+        if failed:
+            kinds.append("both" if len(failed) == 2 else failed[0])
+        elif prefix_ok(start, start + size) and suffix_ok(start,
+                                                           start + size):
+            kinds.append("fast")
+        else:
+            kinds.append("window")
+    return kinds
+
+
+def count_slow_paths(monkeypatch):
+    """Counts of the planner's two slow paths, by name."""
+    calls = {"fallback": 0, "window": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(gsu, "_running_window",
+                        counted("fallback", gsu._running_window))
+    monkeypatch.setattr(gsu, "_exact_window",
+                        counted("window", gsu._exact_window))
+    return calls
+
+
+@pytest.fixture
+def slow_path_calls(monkeypatch):
+    return count_slow_paths(monkeypatch)
+
+
+def check_slow_paths(calls, extents, max_inputs, max_outputs):
+    """Plan ``extents`` afresh: the reference tiles, and the slow paths
+    taken exactly where :func:`slow_paths` needs them."""
+    rules = rules_from_extents(extents)
+    assert [array.tolist() for array in _output_extents(rules)] == list(
+        extent_lists(extents))
+    check_plan(rules, max_inputs, max_outputs)
+    kinds = slow_paths(extents, max_inputs, max_outputs)
+    assert calls == {
+        "fallback": sum(kind in ("prefix", "suffix", "both")
+                        for kind in kinds),
+        "window": kinds.count("window"),
+    }, kinds
+    return kinds
+
+
+#: Hand-built extents and capacities, and how each tile is priced.
+CERTIFICATE_CASES = {
+    # An earlier input's output reaches past the tile's own.
+    "prefix-fails": ([(0, 30), (1, 2), (2, 3), (3, 4), (4, 5)], 2, 5,
+                     ["fast", "prefix", "prefix"]),
+    # A later input's output reaches below the tile's own.
+    "suffix-fails": ([(10, 11), (11, 12), (0, 13)], 2, 3,
+                     ["suffix", "fast"]),
+    "both-fail": ([(0, 30), (5, 6), (6, 7), (0, 8)], 2, 5,
+                  ["suffix", "both", "window"]),
+    # Certified at the smallest rejected candidate (5 inputs) but not at
+    # the accepted one (2 inputs): no fallback, one exact window.
+    "certified-rejection-inexact-tile": (
+        [(3, 4), (3, 5), (0, 9), (9, 10), (10, 11)], 4, 6,
+        ["window", "fast", "fast"]),
+    # The second tile's rejected candidate has its largest output at its
+    # first input and its smallest at its last: still certified.
+    "extremes-at-the-edges": (
+        [(0, 1), (5, 20), (2, 6), (7, 8), (8, 9)], 2, 10,
+        ["fast", "window", "prefix", "window"]),
+    "no-pairs-start-middle-end": (
+        [None, None, (2, 3), None, (0, 9), None, (5, 6), None, None],
+        3, 4, ["window", "window", "fast", "prefix", "window"]),
+    "one-input-tiles": ([(i, i + 3) for i in range(7)], 5, 1,
+                        ["fast"] * 7),
+}
+
+
+class TestBoundCertificates:
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_CASES))
+    def test_hand_built_cases(self, slow_path_calls, name):
+        extents, max_inputs, max_outputs, kinds = CERTIFICATE_CASES[name]
+        assert check_slow_paths(slow_path_calls, extents, max_inputs,
+                                max_outputs) == kinds
+
+    def test_cases_cover_every_failure(self):
+        kinds = set(itertools.chain.from_iterable(
+            slow_paths(*case[:3]) for case in CERTIFICATE_CASES.values()))
+        assert kinds == {"fast", "window", "prefix", "suffix", "both"}
+
+    @given(
+        st.lists(st.one_of(st.none(), st.tuples(
+            st.integers(0, 40), st.integers(0, 40)).map(sorted)),
+            min_size=1, max_size=24),
+        st.integers(1, 30),
+        st.one_of(st.integers(1, 3), st.integers(1, 45)),
+    )
+    @example([None, (0, 30), (1, 2), None, (0, 3), (8, 9), None], 3, 4)
+    @example([None] * 5, 3, 1)
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_extents(self, extents, max_inputs, max_outputs):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_slow_paths(count_slow_paths(monkeypatch), extents,
+                             max_inputs, max_outputs)
+
+    def test_table1_frames_take_the_fast_path(self, slow_path_calls):
+        """Seed-0 frames of every Table I model, HE and LE, with and
+        without the dataflow optimisations: the bounds alone plan all
+        but a handful of tiles."""
+        provider = FrameProvider()
+        tiles = 0
+        for model in sorted(TABLE1_PAPER):
+            frame = provider.frame_for(Scenario(seed=0), model)
+            trace = trace_model(build_model_spec(model), frame.coords,
+                                grid_shape=frame.grid.shape)
+            for config, optimize in itertools.product(
+                    (SPADE_HE, SPADE_LE), (True, False)):
+                SpadeAccelerator(config, optimize).run_trace(trace)
+            # Tiles of every distinct plan: memoized ones plan once.
+            rules = {id(layer.rules): layer.rules for layer in trace.layers
+                     if layer.rules is not None}
+            tiles += sum(schedule.num_tiles for each in rules.values()
+                         for key, schedule in each._plans.items()
+                         if key != "bounds")
+        assert tiles > 4000
+        assert slow_path_calls["fallback"] == 0, slow_path_calls
+        assert slow_path_calls["window"] <= tiles // 500, slow_path_calls

@@ -165,6 +165,25 @@ class TestVoxelize:
             offsets = mini_batch.point_features[pillar, :count, 4:7]
             assert np.abs(offsets.mean(axis=0)).max() < 1.0
 
+    @pytest.mark.parametrize("outside", [False, True],
+                             ids=["cropped", "with-points-outside"])
+    def test_leaves_its_input_unchanged(self, kitti_sweep, outside):
+        # A generated sweep is cropped already, so voxelize reads its
+        # arrays without a copy; with points outside, it crops a copy.
+        cloud = kitti_sweep
+        if outside:
+            cloud = cloud.concat(cloud_at([[-5.0, 0.0, -1.0],
+                                           [1.0, 0.0, 9.0]]))
+        assert cloud.in_range(KITTI_GRID).all() != outside
+        points, intensity = cloud.points.copy(), cloud.intensity.copy()
+        batch = voxelize(cloud, KITTI_GRID)
+        assert np.array_equal(cloud.points, points)
+        assert np.array_equal(cloud.intensity, intensity)
+        expected = voxelize(kitti_sweep.crop(KITTI_GRID), KITTI_GRID)
+        for name in ("coords", "point_counts", "point_features"):
+            assert np.array_equal(getattr(batch, name),
+                                  getattr(expected, name)), name
+
 
 class TestVoxelizeMatchesReferenceLoop:
     """voxelize's array decoration is byte-identical to the loop it replaced."""
