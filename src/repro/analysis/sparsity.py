@@ -44,6 +44,7 @@ from ..sparse.coords import (
 )
 from ..sparse.rulegen import (
     ConvType,
+    PaddedGrid,
     Rules,
     build_rules_delta,
     build_rules_sharded,
@@ -56,12 +57,15 @@ class StreamState:
     """Active-set state flowing between layers.
 
     ``importance`` is None when it is not tracked: on dense streams and
-    past the model's last pruned layer.
+    past the model's last pruned layer.  ``grid`` is the active set's
+    :class:`~repro.sparse.rulegen.PaddedGrid` when the layer that wrote
+    it built one, for the next layer's rulegen; None otherwise.
     """
 
     shape: tuple
     coords: np.ndarray = None          # None means the stream is dense
     importance: np.ndarray = None
+    grid: PaddedGrid = None
 
     @property
     def is_dense(self) -> bool:
@@ -180,15 +184,19 @@ def _propagate_importance(rules: Rules, importance: np.ndarray) -> np.ndarray:
 def _prune_state(
     coords: np.ndarray, importance: np.ndarray, keep_ratio: float
 ) -> tuple:
-    """Keep the top ``keep_ratio`` fraction of pillars by importance."""
+    """Keep the top ``keep_ratio`` fraction of pillars by importance.
+
+    Returns ``(coords, importance, kept)``: ``kept`` holds the ascending
+    positions of the pillars kept, or is None when every pillar is.
+    """
     keep = int(round(len(coords) * keep_ratio))
     if keep >= len(coords):
-        return coords, importance
+        return coords, importance, None
     if keep <= 0:
-        return coords[:0], importance[:0]
+        return coords[:0], importance[:0], np.zeros(0, dtype=np.intp)
     kept = np.argpartition(importance, -keep)[-keep:]
     kept = np.sort(kept)
-    return coords[kept], importance[kept]
+    return coords[kept], importance[kept], kept
 
 
 #: Below this much full-rebuild work (active inputs x window offsets)
@@ -265,12 +273,13 @@ def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
     With ``track_importance`` off the new state's importance is None; a
     layer with ``prune_keep`` needs it on.  ``rules``, when given, are an
     earlier layer's rules for this layer's geometry and input (see
-    :func:`_shared_rules`), reused as they are.
+    :func:`_shared_rules`), reused as they are; their output grid was
+    taken when they were built, so the new state carries none.
     """
     via_delta = rules is None and _delta_applicable(prev_rules, spec, state)
     if via_delta:
         rules = build_rules_delta(prev_rules, state.coords,
-                                  shards=rulegen_shards)
+                                  shards=rulegen_shards, grid=state.grid)
     elif rules is None:
         # build_rules_sharded degrades to the fused unsharded path at
         # shards <= 1, so the dispatch lives in one place.
@@ -281,7 +290,9 @@ def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
             kernel_size=spec.kernel_size,
             stride=spec.stride,
             shards=rulegen_shards,
+            grid=state.grid,
         )
+    out_grid = rules.take_grid()
     out_importance = (
         _propagate_importance(rules, state.importance)
         if track_importance else None
@@ -289,9 +300,11 @@ def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
     out_coords = rules.out_coords
     out_after = len(out_coords)
     if spec.prune_keep is not None:
-        out_coords, out_importance = _prune_state(
+        out_coords, out_importance, kept = _prune_state(
             out_coords, out_importance, spec.prune_keep
         )
+        if kept is not None and out_grid is not None:
+            out_grid = out_grid.subset(kept)
         out_after = len(out_coords)
     trace = LayerTrace(
         spec=spec,
@@ -306,7 +319,8 @@ def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
         via_delta=via_delta,
     )
     new_state = StreamState(
-        shape=rules.out_shape, coords=out_coords, importance=out_importance
+        shape=rules.out_shape, coords=out_coords, importance=out_importance,
+        grid=out_grid,
     )
     return trace, new_state
 
@@ -419,6 +433,20 @@ def trace_model(
     :func:`_shared_rules`); it is looked up before the delta route, so a
     sharing layer is never ``via_delta``.
 
+    A layer whose rules came from the padded table hands its numbered
+    output cells to the next layer: the grid is taken off the new
+    ``Rules`` at once (:meth:`~repro.sparse.rulegen.Rules.take_grid`),
+    rides on the :class:`StreamState`, and lets the next stride-1
+    layer skip rebuilding its padded input cells and mask.  A pruned
+    stream hands on its kept cells without the mask; shared-rules
+    layers, DECONV outputs, the branch union and the over-cap sorted
+    route hand nothing on.  No traced ``Rules`` keeps a grid.
+
+    The union of the deconv branches is built only when a sparse head
+    reads it (SCP2 and SCP3 among the Table I models); a dense head
+    reads only the branches' grid.  The branch grids are checked
+    before either.
+
     Returns:
         A :class:`ModelTrace` with one :class:`LayerTrace` per layer.
 
@@ -481,6 +509,7 @@ def trace_model(
     stage_snapshots = {}
     deconv_outputs = []
     head_input = None
+    union_pending = False
     head_shared_output = None
     current_stage = None
 
@@ -520,10 +549,19 @@ def trace_model(
             if deconv_outputs:
                 _check_branch_shapes(spec, grid_shape or spec.grid.shape,
                                      deconv_outputs)
-                head_input = _union_states(deconv_outputs)
+                # A dense head reads only the branches' grid: the union
+                # is built when a sparse head first reads it.
+                head_input = StreamState(shape=deconv_outputs[0].shape)
+                union_pending = True
             else:
                 head_input = state
-        source = head_shared_output if head_shared_output is not None else head_input
+        if head_shared_output is not None:
+            source = head_shared_output
+        else:
+            if union_pending and layer.op is LayerOp.SPARSE:
+                head_input = _union_states(deconv_outputs)
+                union_pending = False
+            source = head_input
         if layer.op is LayerOp.SPARSE:
             layer_trace, out_state = run_sparse(layer, source)
         else:

@@ -86,7 +86,7 @@ class PointAccSimulator:
         self.hit_time = hit_time
         self._sorter = BitonicMergeRuleGen(merger_length=64)
 
-    def _gather_scatter(self, trace: LayerTrace) -> tuple:
+    def _gather_scatter(self, trace: LayerTrace, memo: dict = None) -> tuple:
         """Tiled output-stationary gathers with boundary refetches.
 
         PointAcc processes outputs in cache-capacity tiles; within a tile,
@@ -96,6 +96,13 @@ class PointAccSimulator:
         been evicted by the time the next tile needs them and are fetched
         again — the "multiple input fetches near active output tile
         boundaries" the paper's trace analysis reports.
+
+        The inputs every tile fetches come from :func:`_tile_input_spans`,
+        which prices all of a layer's tiles in one array pass.  ``memo``,
+        when given, maps ``(id(rules), tile_outputs)`` to that count, so
+        layers sharing one ``Rules`` object and tile size within one
+        :meth:`run_trace` call price their tiles once; it must not
+        outlive the rules it keys.
         """
         rules = trace.rules
         spec = trace.spec
@@ -107,26 +114,11 @@ class PointAccSimulator:
         tile_outputs = max(1, (self.cache_bytes // 2) // max(out_bytes, 1))
         num_outputs = rules.num_outputs
         accesses = sum(len(pair) for pair in rules.pairs) + num_outputs
-        # Union input range [lo, hi) each output tile needs across
-        # offsets; inputs in the overlap with the next tile's range have
-        # been evicted in between and are fetched twice — the boundary
-        # refetches the paper's trace analysis reports.
-        # int32 like the pairs: mixed-dtype needles would make
-        # searchsorted copy each out_idx list to int64 first, and
-        # mixed-dtype min/max cast on every offset.
-        edges = np.append(np.arange(0, num_outputs, tile_outputs),
-                          num_outputs).astype(np.int32)
-        lo = np.full(len(edges) - 1, np.iinfo(np.int32).max, np.int32)
-        hi = np.zeros(len(edges) - 1, dtype=np.int32)
-        for pair in rules.pairs:
-            bounds = np.searchsorted(pair.out_idx, edges)
-            left, right = bounds[:-1], bounds[1:]
-            hit = np.flatnonzero(right > left)
-            lo[hit] = np.minimum(lo[hit], pair.in_idx[left[hit]])
-            hi[hit] = np.maximum(hi[hit], pair.in_idx[right[hit] - 1] + 1)
-        touched = hi > 0
-        fetched_lines = (int((hi[touched] - lo[touched]).sum())
-                         * lines_per_input)
+        memo = {} if memo is None else memo
+        key = (id(rules), tile_outputs)
+        if key not in memo:
+            memo[key] = _tile_input_spans(rules, tile_outputs)
+        fetched_lines = memo[key] * lines_per_input
         # Output scatter: each output line written back once.
         out_lines = -(-num_outputs * out_bytes // self.cache_line)
         fetched_lines += out_lines
@@ -169,13 +161,13 @@ class PointAccSimulator:
         )
         return self._sparse_result(trace, schedule)
 
-    def _sparse_result(self, trace: LayerTrace, schedule: LayerSchedule
-                       ) -> PointAccLayerResult:
+    def _sparse_result(self, trace: LayerTrace, schedule: LayerSchedule,
+                       memo: dict = None) -> PointAccLayerResult:
         mapping = self._sorter.run(trace.rules.num_inputs,
                                    trace.rules.kernel_size).cycles
         # dram_bytes counts activation traffic (the Fig. 14 comparison);
         # weight traffic is identical for both accelerators and omitted.
-        gather_scatter, dram_bytes = self._gather_scatter(trace)
+        gather_scatter, dram_bytes = self._gather_scatter(trace, memo)
         mxu = schedule.breakdown["mxu"] + schedule.breakdown["load_wgt"]
         return PointAccLayerResult(
             name=trace.spec.name,
@@ -188,15 +180,55 @@ class PointAccSimulator:
     def run_trace(self, model_trace: ModelTrace) -> PointAccModelResult:
         """Every layer of a traced frame; the sparse layers' MXU time
         comes from one unoptimised
-        :func:`~repro.core.dataflow.schedule_sparse_layers` pass."""
+        :func:`~repro.core.dataflow.schedule_sparse_layers` pass, and
+        layers that share one ``Rules`` object and tile size price their
+        tiles once."""
         result = PointAccModelResult(model_name=model_trace.spec.name)
         sparse = iter(schedule_sparse_layers(
             sparse_layers(model_trace), self.config, optimize=False))
+        memo = {}
         for trace in model_trace.layers:
             result.layers.append(
                 self.run_layer(trace) if trace.rules is None
-                else self._sparse_result(trace, next(sparse)))
+                else self._sparse_result(trace, next(sparse), memo))
         return result
+
+
+def _tile_input_spans(rules, tile_outputs: int) -> int:
+    """Inputs fetched over all output tiles of ``tile_outputs`` rows.
+
+    Each tile fetches the union input range ``[lo, hi)`` it needs across
+    offsets; inputs in the overlap with the next tile's range have been
+    evicted in between and are fetched twice — the boundary refetches
+    the paper's trace analysis reports.  Every offset's ``out_idx`` and
+    ``in_idx`` ascend, so a tile's entries of one offset are the slice
+    between two ``searchsorted`` bounds, its first input is ``in_idx``
+    at the left bound and its last at the right bound less one.  One
+    searchsorted and one ``take`` per non-empty offset fill (K, T)
+    matrices of firsts and lasts; a min and a max over the offset axis
+    give every tile's range at once.
+    """
+    num_outputs = rules.num_outputs
+    pairs = [pair for pair in rules.pairs if len(pair)]
+    if not pairs:
+        return 0
+    # int32 like the pairs: mixed-dtype needles would make searchsorted
+    # copy each out_idx list to int64 first.
+    edges = np.append(np.arange(0, num_outputs, tile_outputs),
+                      num_outputs).astype(np.int32)
+    bounds = np.stack([pair.out_idx.searchsorted(edges) for pair in pairs])
+    left, right = bounds[:, :-1], bounds[:, 1:]
+    # Row k holds offset k's left bounds, then its right bounds less one;
+    # an empty (offset, tile) reads a clipped, masked-out position.
+    ends = np.concatenate([left, right - 1], axis=1)
+    inputs = np.stack([pair.in_idx.take(row, mode="clip")
+                       for pair, row in zip(pairs, ends)])
+    tiles = left.shape[1]
+    hit = right > left
+    lo = np.where(hit, inputs[:, :tiles], np.iinfo(np.int32).max).min(axis=0)
+    hi = np.where(hit, inputs[:, tiles:] + 1, 0).max(axis=0)
+    touched = hi > 0
+    return int((hi[touched] - lo[touched]).sum())
 
 
 @dataclass

@@ -40,6 +40,12 @@ Entry points:
   table is at output resolution.  A dilating layer's output set is one
   scatter of the inputs and a shifted OR per kernel step.  All the
   offsets that every input feeds share one ``arange`` as ``in_idx``.
+  The table's numbered output cells and cleared output mask are the
+  next stride-1 layer's padded input grid whenever both pad by 1
+  (stride-1 kernels up to 3, k3 s2 strided layers), so the rules carry
+  them as a transient :class:`PaddedGrid` that
+  :func:`repro.analysis.sparsity.trace_model` takes and hands on, and a
+  layer given one skips rebuilding its cells and mask from coordinates.
   Grids whose padded table exceeds
   :data:`repro.sparse.coords._DENSE_TABLE_CELLS` keep the sorted route —
   the output set from :mod:`repro.sparse.coords` and a (K, P) candidate
@@ -65,6 +71,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,16 +160,19 @@ class Rules:
             order; int32 ``in_idx`` / ``out_idx``, so the pair arrays
             take ``8 * total_pairs`` bytes.
 
-    Nothing writes to a ``Rules`` after RuleGen: several layers of one
-    trace may hold the same object (see
-    :func:`repro.analysis.sparsity.trace_model`).
+    Nothing writes to a ``Rules`` after RuleGen, but for the one
+    :meth:`take_grid` that clears its transient slot before any other
+    layer sees it: several layers of one trace may hold the same object
+    (see :func:`repro.analysis.sparsity.trace_model`).
 
     ``_plans`` is the GSU planner's private memo (see
-    :func:`repro.core.gsu.plan_tiles`).  It is not state: pickling and
-    copying drop it, so a pickled :class:`Rules` holds exactly the
-    fields above whether or not it was ever planned.  Loading gives
-    every pair and coordinate array its canonical dtype object (see
-    :mod:`repro.core.gsu` for why).
+    :func:`repro.core.gsu.plan_tiles`), and ``_grid`` the output
+    :class:`PaddedGrid` a padded-table build leaves for the next layer
+    (see :meth:`take_grid`).  Neither is state: pickling and copying
+    drop both, so a pickled :class:`Rules` holds exactly the fields
+    above whether or not it was ever planned or handed its grid on.
+    Loading gives every pair and coordinate array its canonical dtype
+    object (see :mod:`repro.core.gsu` for why).
     """
 
     conv_type: ConvType
@@ -175,10 +185,13 @@ class Rules:
     pairs: list = field(default_factory=list)
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    _grid: "PaddedGrid" = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_plans", None)
+        state.pop("_grid", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -187,6 +200,7 @@ class Rules:
         self.__dict__.update((sys.intern(key), value)
                              for key, value in state.items())
         self._plans = {}
+        self._grid = None
         # An unpickled array's dtype equals np.dtype(np.int32) but is a
         # different object, which sends ufunc.at off its fast path.  The
         # dtype is swapped in place, not by a view: a trace shares its
@@ -199,6 +213,16 @@ class Rules:
             canonical = np.dtype(array.dtype.type)
             if array.dtype == canonical:
                 array.dtype = canonical
+
+    def take_grid(self) -> "PaddedGrid":
+        """The output grid rulegen left here, or None; the slot is cleared.
+
+        A layer built on the padded table leaves its numbered output
+        cells for the next layer to build from (see :class:`PaddedGrid`).
+        The caller takes them once, so no kept ``Rules`` holds them.
+        """
+        grid, self._grid = self._grid, None
+        return grid
 
     @property
     def num_inputs(self) -> int:
@@ -223,6 +247,37 @@ class Rules:
         if self.num_inputs == 0:
             return 0.0
         return self.num_outputs / self.num_inputs
+
+
+class PaddedGrid(NamedTuple):
+    """A layer's active cells on its halo-padded flat grid.
+
+    ``shape`` is the grid padded by ``pad`` cells on each side.  ``flat``
+    holds the active cells' flat indices on it, ascending (CPR order);
+    ``mask`` marks the same cells on the flat padded grid with its pad
+    ring clear, or is None when the producer built none.  Both arrays
+    are read-only: one grid may feed several layers.
+
+    The next stride-1 layer whose padded grid has the same ``shape`` and
+    ``pad`` takes ``flat`` as its input cells and ``mask`` as its input
+    mask, instead of rebuilding both from the coordinates.
+    """
+
+    shape: tuple
+    pad: int
+    flat: np.ndarray
+    mask: np.ndarray = None
+
+    def subset(self, kept: np.ndarray) -> "PaddedGrid":
+        """The grid of the active cells at ascending positions ``kept``;
+        it has no mask."""
+        return PaddedGrid(self.shape, self.pad, _read_only(self.flat[kept]))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only."""
+    array.flags.writeable = False
+    return array
 
 
 def _lookup_sorted(haystack_flat: np.ndarray, needles_flat: np.ndarray) -> np.ndarray:
@@ -380,12 +435,14 @@ def _dilate_mask(mask: np.ndarray, steps: range, width: int) -> np.ndarray:
 
 
 def _number_outputs(mask: np.ndarray, table: np.ndarray, shape: tuple,
-                    pad: int) -> np.ndarray:
-    """Number the outputs ``mask`` marks in ``table``; their coordinates.
+                    pad: int) -> tuple:
+    """Number the outputs ``mask`` marks in ``table``.
 
     Both are flat over the padded ``shape``.  The mask's pad ring is
     cleared first (outputs off the grid), so ``flatnonzero`` yields the
     sorted output set, and its cells are unpadded into coordinates.
+    Returns the coordinates and the outputs' :class:`PaddedGrid`: the
+    cells and the cleared mask, made read-only.
     """
     grid = mask.reshape(shape)
     grid[:pad] = grid[-pad:] = False
@@ -394,13 +451,15 @@ def _number_outputs(mask: np.ndarray, table: np.ndarray, shape: tuple,
     table[out_flat] = np.arange(len(out_flat), dtype=np.int32)
     out_coords = unflatten(out_flat, shape)
     out_coords -= pad
-    return out_coords
+    return out_coords, PaddedGrid(shape, pad, _read_only(out_flat),
+                                  _read_only(mask))
 
 
 def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
-                  conv_type: ConvType, kernel_size: int,
-                  stride: int) -> tuple:
-    """``(out_coords, _GridTable)`` of one non-empty layer, or ``None``.
+                  conv_type: ConvType, kernel_size: int, stride: int,
+                  grid: PaddedGrid = None) -> tuple:
+    """``(out_coords, _GridTable, out grid)`` of one non-empty layer, or
+    ``None``.
 
     The table is an int32 grid holding each active output's row number
     and -1 elsewhere, padded by ``pad`` cells on each side so no kernel
@@ -420,13 +479,20 @@ def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
     * DECONV's table is unpadded at output resolution: its block offsets
       are non-negative and never leave the grid.
 
+    The out grid is the layer's numbered output cells and mask on its
+    padded table (a :class:`PaddedGrid`), or None for DECONV.  A
+    stride-1 layer with kernel <= 3 and a k3 s2 strided layer both pad
+    by 1, so that grid is the next stride-1 layer's padded input grid.
+    Given as ``grid`` with this layer's padded shape, it replaces the
+    cells computed from ``in_coords`` and the scattered input mask; SUBM
+    passes it on unchanged.
+
     Returns ``None`` when the table exceeds
     :data:`repro.sparse.coords._DENSE_TABLE_CELLS`.
     """
-    rows = in_coords[:, 0].astype(np.int64)
-    cols = in_coords[:, 1].astype(np.int64)
-
     if conv_type is ConvType.DECONV:
+        rows = in_coords[:, 0].astype(np.int64)
+        cols = in_coords[:, 1].astype(np.int64)
         cells = out_shape[0] * out_shape[1]
         if not _dense_table_fits(cells):
             return None
@@ -441,35 +507,47 @@ def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
         table[out_flat] = np.arange(len(out_flat), dtype=np.int32)
         return (unflatten(out_flat, out_shape),
                 _GridTable(table, [(None, base)],
-                           [(0, shift) for shift in shifts]))
+                           [(0, shift) for shift in shifts]),
+                None)
 
     offsets = kernel_offsets(kernel_size).astype(np.int64)
     if conv_type in (ConvType.STRIDED, ConvType.STRIDED_SUBM):
-        return _strided_table(rows, cols, out_shape, conv_type, offsets,
+        return _strided_table(in_coords, out_shape, conv_type, offsets,
                               stride)
 
     pad = max(int(np.abs(offsets).max()), 1)
     shape = (in_shape[0] + 2 * pad, in_shape[1] + 2 * pad)
     if not _dense_table_fits(shape[0] * shape[1]):
         return None
-    pflat = (rows + pad) * shape[1] + cols + pad
+    if (grid is not None and grid.shape == shape and grid.pad == pad
+            and len(grid.flat) == len(in_coords)):
+        pflat, mask = grid.flat, grid.mask
+    else:
+        rows = in_coords[:, 0].astype(np.int64)
+        cols = in_coords[:, 1].astype(np.int64)
+        pflat = _read_only((rows + pad) * shape[1] + cols + pad)
+        mask = None
     table = np.full(shape[0] * shape[1], -1, dtype=np.int32)
     if conv_type is ConvType.SUBM:
         table[pflat] = np.arange(len(pflat), dtype=np.int32)
         out_coords = in_coords.copy()
+        out_grid = PaddedGrid(shape, pad, pflat, mask)
     else:
-        mask = np.zeros(shape[0] * shape[1], dtype=bool)
-        mask[pflat] = True
+        if mask is None:
+            mask = np.zeros(shape[0] * shape[1], dtype=bool)
+            mask[pflat] = True
         steps = range(int(offsets[:, 0].min()), int(offsets[:, 0].max()) + 1)
-        out_coords = _number_outputs(_dilate_mask(mask, steps, shape[1]),
-                                     table, shape, pad)
+        out_coords, out_grid = _number_outputs(
+            _dilate_mask(mask, steps, shape[1]), table, shape, pad)
     # Input p at kernel offset o feeds output q = p - o.
     shifts = (-(offsets[:, 0] * shape[1] + offsets[:, 1])).tolist()
-    return out_coords, _GridTable(table, [(None, pflat)],
-                                  [(0, shift) for shift in shifts])
+    return (out_coords,
+            _GridTable(table, [(None, pflat)],
+                       [(0, shift) for shift in shifts]),
+            out_grid)
 
 
-def _strided_table(rows: np.ndarray, cols: np.ndarray, out_shape: tuple,
+def _strided_table(in_coords: np.ndarray, out_shape: tuple,
                    conv_type: ConvType, offsets: np.ndarray,
                    stride: int) -> tuple:
     """:func:`_padded_table` of a STRIDED or STRIDED_SUBM layer."""
@@ -482,8 +560,12 @@ def _strided_table(rows: np.ndarray, cols: np.ndarray, out_shape: tuple,
     shape = (out_shape[0] + 2 * pad, out_shape[1] + 2 * pad)
     if not _dense_table_fits(shape[0] * shape[1]):
         return None
-    base = (rows // stride + pad) * shape[1] + cols // stride + pad
-    parity = (rows % stride) * stride + cols % stride
+    # Quotient and parity in one int32 pass per axis; the cells widen
+    # to int64 for indexing.
+    row_q, row_r = np.divmod(in_coords[:, 0], stride)
+    col_q, col_r = np.divmod(in_coords[:, 1], stride)
+    base = (row_q.astype(np.int64) + pad) * shape[1] + col_q + pad
+    parity = row_r * stride + col_r
     classes = []
     for parity_class in range(stride * stride):
         members = np.flatnonzero(parity == parity_class)
@@ -503,9 +585,10 @@ def _strided_table(rows: np.ndarray, cols: np.ndarray, out_shape: tuple,
         for parity_class, shift in map(lookup, window):
             mask[classes[parity_class][1] + shift] = True
     table = np.full(shape[0] * shape[1], -1, dtype=np.int32)
-    out_coords = _number_outputs(mask, table, shape, pad)
-    return out_coords, _GridTable(table, classes,
-                                  [lookup(offset) for offset in offsets])
+    out_coords, out_grid = _number_outputs(mask, table, shape, pad)
+    return (out_coords,
+            _GridTable(table, classes, [lookup(offset) for offset in offsets]),
+            out_grid)
 
 
 def _fused_pairs(
@@ -578,22 +661,25 @@ def _fused_pairs(
 
 
 def _layer_rules(in_coords: np.ndarray, in_shape: tuple,
-                 conv_type: ConvType, kernel_size: int,
-                 stride: int) -> tuple:
+                 conv_type: ConvType, kernel_size: int, stride: int,
+                 grid: PaddedGrid = None) -> tuple:
     """``(rules without pairs, band_pairs)`` of one layer.
 
     ``band_pairs(start, stop)`` returns the per-offset pairs of the
     inputs ``[start, stop)``, from the padded table when it fits and from
-    the sorted output set otherwise.
+    the sorted output set otherwise.  On the padded table, ``grid`` is
+    the input's :class:`PaddedGrid` when the caller holds it, and the
+    rules' grid slot gets the output's (see :meth:`Rules.take_grid`).
     """
     out_shape, effective_kernel = _layer_geometry(in_shape, conv_type,
                                                   kernel_size, stride)
     padded = None
     if len(in_coords):
         padded = _padded_table(in_coords, in_shape, out_shape, conv_type,
-                               effective_kernel, stride)
+                               effective_kernel, stride, grid)
+    out_grid = None
     if padded is not None:
-        out_coords, table = padded
+        out_coords, table, out_grid = padded
         band_pairs = table.pairs
     else:
         out_coords, out_shape, effective_kernel = _resolve_output(
@@ -614,6 +700,7 @@ def _layer_rules(in_coords: np.ndarray, in_shape: tuple,
         in_coords=in_coords,
         out_coords=out_coords,
     )
+    rules._grid = out_grid
     return rules, band_pairs
 
 
@@ -623,12 +710,14 @@ def build_rules(
     conv_type: ConvType,
     kernel_size: int = 3,
     stride: int = 1,
+    grid: PaddedGrid = None,
 ) -> Rules:
     """Generate the input-output mapping for one sparse convolution layer.
 
     One halo-padded grid table per layer gives the output set and every
     offset's pairs (see :func:`_padded_table`); grids above the table cap
-    take the sorted route.  Bit-identical to :func:`build_rules_reference`.
+    take the sorted route.  Bit-identical to :func:`build_rules_reference`,
+    with or without ``grid``.
 
     Args:
         in_coords: (P, 2) CPR-sorted active input coordinates.
@@ -636,13 +725,18 @@ def build_rules(
         conv_type: Which sparse convolution variant.
         kernel_size: Kernel edge; DECONV forces ``kernel_size = stride``.
         stride: 1 for SPCONV/SUBM/SPCONV_P; >=2 for STRIDED/DECONV.
+        grid: Optional :class:`PaddedGrid` of ``in_coords``, as the
+            previous layer's :meth:`Rules.take_grid` returned it; used
+            when its padded shape is this layer's.
 
     Returns:
-        A :class:`Rules` with ascending per-offset index lists.
+        A :class:`Rules` with ascending per-offset index lists; on the
+        padded-table route its grid slot holds the output's
+        :class:`PaddedGrid`.
     """
     in_coords = np.asarray(in_coords, dtype=np.int32)
     rules, band_pairs = _layer_rules(in_coords, in_shape, conv_type,
-                                     kernel_size, stride)
+                                     kernel_size, stride, grid)
     if len(in_coords) == 0:
         return _empty_rules(rules)
     rules.pairs = band_pairs(0, len(in_coords))
@@ -678,6 +772,7 @@ def build_rules_sharded(
     stride: int = 1,
     shards: int = None,
     max_workers: int = None,
+    grid: PaddedGrid = None,
 ) -> Rules:
     """Row-parallel rule generation over CPR row bands.
 
@@ -700,15 +795,16 @@ def build_rules_sharded(
             than the occupied-row count degrade gracefully.
         max_workers: Thread-pool width for the band fan-out; defaults to
             ``min(bands, cpu_count)``.
+        grid: The input's :class:`PaddedGrid`, as for :func:`build_rules`.
     """
     shards = resolve_rulegen_shards(shards)
     in_coords = np.asarray(in_coords, dtype=np.int32)
     if shards <= 1 or len(in_coords) == 0:
         return build_rules(in_coords, in_shape, conv_type, kernel_size,
-                           stride)
+                           stride, grid)
 
     rules, band_pairs = _layer_rules(in_coords, in_shape, conv_type,
-                                     kernel_size, stride)
+                                     kernel_size, stride, grid)
     row_pointers, _ = cpr_encode(in_coords, in_shape)
     bands = _band_bounds(row_pointers, in_coords, shards)
     workers = min(max_workers or os.cpu_count() or 1, len(bands))
@@ -808,6 +904,7 @@ def build_rules_delta(
     prev_rules: Rules,
     in_coords: np.ndarray,
     shards: int = None,
+    grid: PaddedGrid = None,
 ) -> Rules:
     """The new sequential frame's rules, seeded by the previous frame's.
 
@@ -824,6 +921,8 @@ def build_rules_delta(
         prev_rules: Rules of the predecessor frame (same layer geometry).
         in_coords: (P, 2) CPR-sorted active coordinates of the new frame.
         shards: Row-shard count used by the rebuild.
+        grid: The input's :class:`PaddedGrid`, used by the rebuild; a
+            shared result carries no output grid.
 
     Returns:
         A :class:`Rules` for the new frame.
@@ -842,5 +941,5 @@ def build_rules_delta(
         )
     return build_rules_sharded(
         in_coords, tuple(prev_rules.in_shape), prev_rules.conv_type,
-        prev_rules.kernel_size, prev_rules.stride, shards=shards,
+        prev_rules.kernel_size, prev_rules.stride, shards=shards, grid=grid,
     )
