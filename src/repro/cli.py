@@ -503,7 +503,6 @@ def _describe_spec_file(name: str) -> bool:
          f"{[(s.name, s.seed, s.frames) for s in spec.scenarios]}")
     _out(f"  resolved    : backend={settings.backend} "
          f"workers={settings.workers} "
-         f"rulegen_shards={settings.rulegen_shards} "
          f"delta_trace={settings.delta_trace}")
     _out(f"  cache_dir   : {settings.cache_dir}")
     if spec.cells:
@@ -545,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend",
                      help="override the spec's execution backend")
     run.add_argument("--workers", help="parallel backend pool width")
-    run.add_argument("--rulegen-shards", dest="rulegen_shards",
-                     help="rulegen row bands")
     run.add_argument("--cache-dir", dest="cache_dir",
                      help="persistent trace-cache directory")
     run.add_argument("--delta-trace", dest="delta_trace",

@@ -271,19 +271,17 @@ class TraceCache:
     def get_trace(self, spec: ModelSpec, coords: np.ndarray,
                   importance: np.ndarray = None,
                   grid_shape: tuple = None,
-                  rulegen_shards: int = None,
                   prev_trace: ModelTrace = None,
                   label: tuple = None) -> ModelTrace:
         """The traced model for this exact (spec, frame), computing once.
 
         Lookup order: memory tier, disk tier, :func:`trace_model`.
         Concurrent callers with the same key block on the first caller's
-        computation instead of duplicating it.  ``rulegen_shards`` and
-        ``prev_trace`` only affect how a missing trace is computed
-        (row-parallel rulegen; layers routed to ``build_rules_delta``
-        with the previous sequential frame's rules, shared or rebuilt) —
-        never the key, because both paths are bit-identical to the full
-        build, so cache hits and
+        computation instead of duplicating it.  ``prev_trace`` only
+        affects how a missing trace is computed (layers routed to
+        ``build_rules_delta`` with the previous sequential frame's rules,
+        shared or rebuilt) — never the key, because the delta path is
+        bit-identical to the full build, so cache hits and
         shipped artifacts stay interchangeable across modes.  ``label``
         is an optional (scenario, model) tag recorded for
         :meth:`stats` — purely observability, also key-neutral.
@@ -314,7 +312,6 @@ class TraceCache:
                 with telemetry.span(span_name, "engine"):
                     trace = trace_model(spec, coords, importance,
                                         grid_shape=grid_shape,
-                                        rulegen_shards=rulegen_shards,
                                         prev_trace=prev_trace)
                 with telemetry.span("cache-put", "cache"):
                     stored = self._disk_store(key, trace)

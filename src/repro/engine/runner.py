@@ -191,9 +191,9 @@ def lookup_trace(settings: EngineSettings, cache: TraceCache,
     """The (cached) trace of one frame of one grid cell.
 
     The one trace-lookup policy: the frame comes from ``frames``, the
-    trace from ``cache``, with ``settings``' rulegen shards;
-    ``prev_trace`` (the previous sequential frame's trace) seeds the
-    delta path on a miss only when ``settings.delta_trace`` is on.
+    trace from ``cache``; ``prev_trace`` (the previous sequential
+    frame's trace) seeds the delta path on a miss only when
+    ``settings.delta_trace`` is on.
     :meth:`ExperimentRunner.trace_for` traces through it, and so do the
     process backend's pool workers.
     """
@@ -202,7 +202,6 @@ def lookup_trace(settings: EngineSettings, cache: TraceCache,
         spec,
         built.coords,
         built.point_counts.astype(float),
-        rulegen_shards=settings.rulegen_shards,
         prev_trace=prev_trace if settings.delta_trace else None,
         label=(scenario.name, spec.name),
     )
@@ -236,11 +235,6 @@ class ExperimentRunner:
         max_workers: Pool width for parallel backends; the
             ``REPRO_ENGINE_WORKERS`` environment variable overrides the
             default when no explicit value is given.
-        rulegen_shards: Row-band count for within-trace parallel rule
-            generation (:func:`~repro.sparse.rulegen.build_rules_sharded`);
-            defaults to ``REPRO_ENGINE_RULEGEN_SHARDS``, else 1 (fused
-            unsharded rulegen).  Sharded rules are bit-identical, so the
-            table never changes — only trace speed.
         delta_trace: When True, batched scenarios trace as sequential
             delta chains: frame 0 builds rules in full and frames
             1..N-1 are routed to
@@ -260,7 +254,6 @@ class ExperimentRunner:
                  cache: TraceCache = None,
                  frame_provider: FrameProvider = None,
                  cell_filter=None, backend=None, max_workers: int = None,
-                 rulegen_shards: int = None,
                  delta_trace: bool = None,
                  faults: str = None):
         self.simulators = resolve_simulators(simulators)
@@ -297,7 +290,6 @@ class ExperimentRunner:
         self.settings = EngineSettings.resolve(
             backend=getattr(backend, "name", backend),
             workers=max_workers,
-            rulegen_shards=rulegen_shards,
             cache_dir=getattr(self.cache, "disk_dir", None),
             delta_trace=delta_trace,
             faults=faults,

@@ -9,8 +9,8 @@ resolution (:meth:`~Settings.resolve` for a whole snapshot,
 (:meth:`~Settings.as_dict`), :data:`ENGINE_ENV_VARS`, the generated
 ``docs/knobs.md``, the spec's knob keys and the ``repro run``
 overrides.  This module is also the one place the engine's environment
-variables are read: the runner, the backends, the cache and rulegen
-all delegate here.
+variables are read: the runner, the backends and the cache all delegate
+here.
 
 Every knob resolves explicit value > environment variable > default,
 and a malformed value — wherever it came from — raises a
@@ -29,10 +29,6 @@ BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
 
 #: Environment variable overriding the parallel backends' pool width.
 WORKERS_ENV_VAR = "REPRO_ENGINE_WORKERS"
-
-#: Environment variable giving the default row-band count for sharded
-#: rule generation.
-RULEGEN_SHARDS_ENV_VAR = "REPRO_ENGINE_RULEGEN_SHARDS"
 
 #: Environment variable naming the trace cache's persistent disk tier.
 CACHE_DIR_ENV_VAR = "REPRO_TRACE_CACHE_DIR"
@@ -208,7 +204,6 @@ class EngineSettings(Settings):
         backend: Execution backend name, ``"serial"`` or
             ``"process"``.
         workers: Pool width of the parallel backends.
-        rulegen_shards: Row bands per rule-generation pass.
         cache_dir: Persistent trace-cache directory, or ``None`` for a
             memory-only cache.
         delta_trace: When True, batched scenarios trace as sequential
@@ -223,7 +218,6 @@ class EngineSettings(Settings):
     workers: int = knob(WORKERS_ENV_VAR, positive_int,
                         factory=default_workers, shown="min(8, cpus)",
                         source="max_workers")
-    rulegen_shards: int = knob(RULEGEN_SHARDS_ENV_VAR, positive_int, 1)
     cache_dir: str = knob(CACHE_DIR_ENV_VAR, text_or_none,
                           none_is_value=True)
     delta_trace: bool = knob(DELTA_TRACE_ENV_VAR, boolean_flag, False)

@@ -143,8 +143,6 @@ class ExperimentSpec:
             serial).
         workers: Pool width of the parallel backends, or ``None`` to
             inherit ``REPRO_ENGINE_WORKERS``.
-        rulegen_shards: Rulegen row bands, or ``None`` to inherit
-            ``REPRO_ENGINE_RULEGEN_SHARDS``.
         cache_dir: Persistent trace-cache directory for this experiment,
             or ``None`` to inherit ``REPRO_TRACE_CACHE_DIR``.
         delta_trace: Trace sequential frames as delta chains (frame 0
@@ -166,7 +164,6 @@ class ExperimentSpec:
     name: str = "experiment"
     backend: str = None
     workers: int = None
-    rulegen_shards: int = None
     cache_dir: str = None
     delta_trace: bool = None
     faults: str = None

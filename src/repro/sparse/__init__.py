@@ -28,7 +28,6 @@ from .pruning import (
     topk_prune,
 )
 from .rulegen import (
-    RULEGEN_SHARDS_ENV_VAR,
     ConvType,
     PaddedGrid,
     RulePairs,
@@ -36,8 +35,6 @@ from .rulegen import (
     build_rules,
     build_rules_delta,
     build_rules_reference,
-    build_rules_sharded,
-    resolve_rulegen_shards,
 )
 from .tensor import SparseTensor
 
@@ -46,15 +43,12 @@ __all__ = [
     "cpr_decode",
     "cpr_encode",
     "PaddedGrid",
-    "RULEGEN_SHARDS_ENV_VAR",
     "RulePairs",
     "Rules",
     "SparseTensor",
     "build_rules",
     "build_rules_delta",
     "build_rules_reference",
-    "build_rules_sharded",
-    "resolve_rulegen_shards",
     "cpr_sort",
     "dense_conv2d_reference",
     "dense_deconv2d_reference",

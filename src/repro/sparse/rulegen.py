@@ -23,11 +23,10 @@ conflict-free scatter all rely on (asserted in tests).
 
 Every entry point returns int32 index lists (:class:`RulePairs`): the
 padded table already holds int32 output rows, input rows come from an
-int32 ``arange`` (or a parity class's rows, or ``flatnonzero`` cast
-once on the sorted route), and sharding and delta concatenate or share
-those arrays unchanged.  The disk tier's key
-carries the format (:data:`repro.engine.cache.TRACE_FORMAT`), so traces
-pickled with int64 pairs are never loaded as int32 ones.
+int32 ``arange`` (or a parity class's rows), the reference loop casts
+its lookups once, and delta shares those arrays unchanged.  The disk
+tier's key carries the format (:data:`repro.engine.cache.TRACE_FORMAT`),
+so traces pickled with int64 pairs are never loaded as int32 ones.
 
 Entry points:
 
@@ -46,29 +45,20 @@ Entry points:
   them as a transient :class:`PaddedGrid` that
   :func:`repro.analysis.sparsity.trace_model` takes and hands on, and a
   layer given one skips rebuilding its cells and mask from coordinates.
-  Grids whose padded table exceeds
-  :data:`repro.sparse.coords._DENSE_TABLE_CELLS` keep the sorted route —
-  the output set from :mod:`repro.sparse.coords` and a (K, P) candidate
-  batch resolved by ``searchsorted`` (:func:`_fused_pairs`);
-* :func:`build_rules_sharded` — the **row-sharded** path mirroring the
-  RGU's row-parallel processing of the CPR encoding: the frame is split
-  into row bands along the CPR ``row_pointers``, every band gathers from
-  the layer's one table (or searches its one sorted output set), bands
-  run concurrently (the numpy kernels release the GIL), and the merged
-  per-offset lists are bit-identical to the unsharded reference;
+  A grid whose padded table exceeds
+  :data:`repro.sparse.coords._DENSE_TABLE_CELLS` is built by
+  :func:`build_rules_reference` and hands no grid on;
 * :func:`build_rules_delta` — a sequential frame's rules, sharing the
   previous frame's arrays when the active set is unchanged and
   rebuilding otherwise;
-* :func:`build_rules_reference` — the original per-offset loop, kept as
-  the validation oracle every other path is asserted against (and as
-  the "legacy" arm of the trace-scaling benchmark).
+* :func:`build_rules_reference` — the original per-offset loop: the
+  validation oracle every table build is asserted against, and the
+  builder for grids past the table cap.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -78,7 +68,6 @@ import numpy as np
 from .coords import (
     _dense_table_fits,
     _unique_flat_sorted,
-    cpr_encode,
     dilate,
     downsample_coords,
     flatten,
@@ -86,32 +75,6 @@ from .coords import (
     unflatten,
     upsample_coords,
 )
-
-#: Environment variable giving the default shard count for
-#: :func:`build_rules_sharded` callers that do not pass one explicitly
-#: (the engine's ``ExperimentRunner(rulegen_shards=...)`` knob reads it).
-#: The canonical definition lives in :mod:`repro.engine.settings` — the
-#: one place every engine knob is read — but the sparse layer cannot
-#: import the engine at module level (the engine imports this module),
-#: so the literal is mirrored here and pinned equal by a test.
-RULEGEN_SHARDS_ENV_VAR = "REPRO_ENGINE_RULEGEN_SHARDS"
-
-
-def resolve_rulegen_shards(value=None) -> int:
-    """Validate a shard count; ``None`` falls back to the environment.
-
-    Delegates to the engine's ``rulegen_shards`` knob
-    (:meth:`repro.engine.settings.EngineSettings.resolve_one`, where
-    every engine environment knob is declared) — imported lazily to keep
-    the sparse layer free of module-level engine dependencies.
-    Non-integer and non-positive values raise a :class:`ValueError`
-    naming the offending source; with no explicit value and no
-    environment override the result is 1 (unsharded).
-    """
-    from ..engine.settings import EngineSettings
-
-    return EngineSettings.resolve_one("rulegen_shards", value)
-
 
 class ConvType(Enum):
     """Sparse convolution operation kinds."""
@@ -369,8 +332,8 @@ class _GridTable:
     """One layer's flat cell -> output-row table and its input lookups.
 
     The inputs fall into ``classes``, each ``(rows, cells)``: the
-    class's ascending int32 input rows (``None`` when the class is every
-    input) and their flat cells in the table's grid.  Kernel offset
+    class's ascending int32 input rows and their flat cells in the
+    table's grid.  Kernel offset
     ``k`` reads only its class ``offsets[k][0]``:
     ``table[cells + offsets[k][1]]`` is the output row each member feeds
     at that offset, -1 when it feeds none.
@@ -388,24 +351,16 @@ class _GridTable:
         self.classes = [(rows, cells + low) for rows, cells in self.classes]
         self.offsets = [(index, shift - low) for index, shift in self.offsets]
 
-    def pairs(self, start: int, stop: int) -> list:
-        """Per-offset :class:`RulePairs` of the inputs ``[start, stop)``.
+    def pairs(self) -> list:
+        """Per-offset :class:`RulePairs` of every input.
 
-        Each class's rows in the band are one array: an offset that every
-        one of them feeds takes it as ``in_idx`` uncopied, so on a
-        one-class table every full offset shares one ``arange``.
+        Each class's rows are one array: an offset that every one of them
+        feeds takes it as ``in_idx`` uncopied, so on a one-class table
+        every full offset shares one ``arange``.
         """
-        band = []
-        for rows, cells in self.classes:
-            if rows is None:
-                band.append((np.arange(start, stop, dtype=np.int32),
-                             cells[start:stop]))
-                continue
-            lo, hi = rows.searchsorted(np.array([start, stop], np.int32))
-            band.append((rows[lo:hi], cells[lo:hi]))
         pairs = []
         for index, shift in self.offsets:
-            rows, cells = band[index]
+            rows, cells = self.classes[index]
             idx = self.table[shift:][cells]
             if len(idx) and idx.min() < 0:
                 live = idx >= 0
@@ -506,7 +461,8 @@ def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
         table = np.full(cells, -1, dtype=np.int32)
         table[out_flat] = np.arange(len(out_flat), dtype=np.int32)
         return (unflatten(out_flat, out_shape),
-                _GridTable(table, [(None, base)],
+                _GridTable(table,
+                           [(np.arange(len(base), dtype=np.int32), base)],
                            [(0, shift) for shift in shifts]),
                 None)
 
@@ -527,9 +483,10 @@ def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
         cols = in_coords[:, 1].astype(np.int64)
         pflat = _read_only((rows + pad) * shape[1] + cols + pad)
         mask = None
+    every_input = np.arange(len(pflat), dtype=np.int32)
     table = np.full(shape[0] * shape[1], -1, dtype=np.int32)
     if conv_type is ConvType.SUBM:
-        table[pflat] = np.arange(len(pflat), dtype=np.int32)
+        table[pflat] = every_input
         out_coords = in_coords.copy()
         out_grid = PaddedGrid(shape, pad, pflat, mask)
     else:
@@ -542,7 +499,7 @@ def _padded_table(in_coords: np.ndarray, in_shape: tuple, out_shape: tuple,
     # Input p at kernel offset o feeds output q = p - o.
     shifts = (-(offsets[:, 0] * shape[1] + offsets[:, 1])).tolist()
     return (out_coords,
-            _GridTable(table, [(None, pflat)],
+            _GridTable(table, [(every_input, pflat)],
                        [(0, shift) for shift in shifts]),
             out_grid)
 
@@ -591,119 +548,6 @@ def _strided_table(in_coords: np.ndarray, out_shape: tuple,
             out_grid)
 
 
-def _fused_pairs(
-    in_block: np.ndarray,
-    in_base: int,
-    out_flat: np.ndarray,
-    out_shape: tuple,
-    conv_type: ConvType,
-    kernel_size: int,
-    stride: int,
-) -> list:
-    """Per-offset :class:`RulePairs` of one CPR input slice (sorted route).
-
-    All K kernel offsets are resolved in one batch: candidates form a
-    (K, P) block, the valid ones are flattened offset-major and searched
-    in the sorted ``out_flat`` by one :func:`_lookup_sorted` call instead
-    of the K separate lookups of the reference loop.  ``in_base`` lifts
-    block-local input rows to global indices for the sharded path.
-    """
-    rows = in_block[:, 0].astype(np.int64)
-    cols = in_block[:, 1].astype(np.int64)
-
-    if conv_type is ConvType.DECONV:
-        offsets = _deconv_offsets(stride)
-        flat = (
-            (rows[None, :] * stride + offsets[:, None, 0]) * out_shape[1]
-            + cols[None, :] * stride
-            + offsets[:, None, 1]
-        )
-        # Every upsampled position exists by construction, so the lookup
-        # needs no found-mask.
-        idx = _lookup_sorted(out_flat, flat.reshape(-1)).reshape(
-            len(offsets), -1)
-        return [
-            RulePairs(
-                np.arange(in_base, in_base + len(in_block), dtype=np.int32),
-                idx[index],
-            )
-            for index in range(len(offsets))
-        ]
-
-    offsets = kernel_offsets(kernel_size).astype(np.int64)
-    # Input p at kernel offset o feeds output q with stride*q + o = p.
-    # Rows and columns stay separate planes: the (K, P) arithmetic is
-    # materially cheaper than broadcasting a (K, P, 2) block.
-    cand_rows = rows[None, :] - offsets[:, None, 0]
-    cand_cols = cols[None, :] - offsets[:, None, 1]
-    if stride == 1:
-        valid = np.ones((len(offsets), len(in_block)), dtype=bool)
-    else:
-        valid = (cand_rows % stride == 0) & (cand_cols % stride == 0)
-        cand_rows = cand_rows // stride
-        cand_cols = cand_cols // stride
-    valid &= (
-        (cand_rows >= 0)
-        & (cand_rows < out_shape[0])
-        & (cand_cols >= 0)
-        & (cand_cols < out_shape[1])
-    )
-    found = _lookup_sorted(out_flat,
-                           (cand_rows * out_shape[1] + cand_cols)[valid])
-    idx = np.full(valid.shape, -1, dtype=np.int32)
-    idx[valid] = found
-
-    pairs = []
-    for index in range(len(offsets)):
-        hit = np.flatnonzero(idx[index] >= 0).astype(np.int32)
-        pairs.append(RulePairs(hit + in_base, idx[index, hit]))
-    return pairs
-
-
-def _layer_rules(in_coords: np.ndarray, in_shape: tuple,
-                 conv_type: ConvType, kernel_size: int, stride: int,
-                 grid: PaddedGrid = None) -> tuple:
-    """``(rules without pairs, band_pairs)`` of one layer.
-
-    ``band_pairs(start, stop)`` returns the per-offset pairs of the
-    inputs ``[start, stop)``, from the padded table when it fits and from
-    the sorted output set otherwise.  On the padded table, ``grid`` is
-    the input's :class:`PaddedGrid` when the caller holds it, and the
-    rules' grid slot gets the output's (see :meth:`Rules.take_grid`).
-    """
-    out_shape, effective_kernel = _layer_geometry(in_shape, conv_type,
-                                                  kernel_size, stride)
-    padded = None
-    if len(in_coords):
-        padded = _padded_table(in_coords, in_shape, out_shape, conv_type,
-                               effective_kernel, stride, grid)
-    out_grid = None
-    if padded is not None:
-        out_coords, table, out_grid = padded
-        band_pairs = table.pairs
-    else:
-        out_coords, out_shape, effective_kernel = _resolve_output(
-            in_coords, in_shape, conv_type, kernel_size, stride
-        )
-        out_flat = flatten(out_coords, out_shape)
-
-        def band_pairs(start, stop):
-            return _fused_pairs(in_coords[start:stop], start, out_flat,
-                                out_shape, conv_type, effective_kernel,
-                                stride)
-    rules = Rules(
-        conv_type=conv_type,
-        kernel_size=effective_kernel,
-        stride=stride,
-        in_shape=in_shape,
-        out_shape=out_shape,
-        in_coords=in_coords,
-        out_coords=out_coords,
-    )
-    rules._grid = out_grid
-    return rules, band_pairs
-
-
 def build_rules(
     in_coords: np.ndarray,
     in_shape: tuple,
@@ -715,9 +559,10 @@ def build_rules(
     """Generate the input-output mapping for one sparse convolution layer.
 
     One halo-padded grid table per layer gives the output set and every
-    offset's pairs (see :func:`_padded_table`); grids above the table cap
-    take the sorted route.  Bit-identical to :func:`build_rules_reference`,
-    with or without ``grid``.
+    offset's pairs (see :func:`_padded_table`).  An empty frame, or a
+    grid whose table exceeds the cap, is built by
+    :func:`build_rules_reference`.  Bit-identical to the reference, with
+    or without ``grid``.
 
     Args:
         in_coords: (P, 2) CPR-sorted active input coordinates.
@@ -735,95 +580,27 @@ def build_rules(
         :class:`PaddedGrid`.
     """
     in_coords = np.asarray(in_coords, dtype=np.int32)
-    rules, band_pairs = _layer_rules(in_coords, in_shape, conv_type,
-                                     kernel_size, stride, grid)
-    if len(in_coords) == 0:
-        return _empty_rules(rules)
-    rules.pairs = band_pairs(0, len(in_coords))
-    return rules
-
-
-def _band_bounds(row_pointers: np.ndarray, in_coords: np.ndarray,
-                 shards: int) -> list:
-    """Row-aligned (start, stop) pillar slices of ~equal population.
-
-    Cut points target equal pillar counts, then snap outward to the CPR
-    row boundary so every band is a whole number of rows (a row is the
-    RGU's atomic work unit).  Degenerate frames (fewer occupied rows than
-    shards) simply yield fewer bands.
-    """
-    total = len(in_coords)
-    targets = (np.arange(1, shards) * total) // shards
-    cut_rows = in_coords[targets, 0]
-    starts = row_pointers[cut_rows]
-    bounds = np.unique(np.concatenate([[0], starts, [total]]))
-    return [
-        (int(bounds[index]), int(bounds[index + 1]))
-        for index in range(len(bounds) - 1)
-        if bounds[index + 1] > bounds[index]
-    ]
-
-
-def build_rules_sharded(
-    in_coords: np.ndarray,
-    in_shape: tuple,
-    conv_type: ConvType,
-    kernel_size: int = 3,
-    stride: int = 1,
-    shards: int = None,
-    max_workers: int = None,
-    grid: PaddedGrid = None,
-) -> Rules:
-    """Row-parallel rule generation over CPR row bands.
-
-    The frame is split into ``shards`` contiguous row bands along the CPR
-    ``row_pointers`` (the paper's RGU processes the CPR encoding
-    row-parallel the same way); every band gathers from the layer's one
-    grid table (or searches its one sorted output set), bands run on a
-    thread pool (the numpy kernels release the GIL), and the per-offset
-    lists are merged in band order — which preserves the ascending-index
-    invariant because bands partition the inputs in CPR order.
-
-    The result is bit-identical to :func:`build_rules` /
-    :func:`build_rules_reference` for every :class:`ConvType`, any shard
-    count (including counts exceeding the occupied-row count) and empty
-    frames.
-
-    Args:
-        shards: Number of row bands; ``None`` reads
-            ``REPRO_ENGINE_RULEGEN_SHARDS`` (default 1).  Values larger
-            than the occupied-row count degrade gracefully.
-        max_workers: Thread-pool width for the band fan-out; defaults to
-            ``min(bands, cpu_count)``.
-        grid: The input's :class:`PaddedGrid`, as for :func:`build_rules`.
-    """
-    shards = resolve_rulegen_shards(shards)
-    in_coords = np.asarray(in_coords, dtype=np.int32)
-    if shards <= 1 or len(in_coords) == 0:
-        return build_rules(in_coords, in_shape, conv_type, kernel_size,
-                           stride, grid)
-
-    rules, band_pairs = _layer_rules(in_coords, in_shape, conv_type,
-                                     kernel_size, stride, grid)
-    row_pointers, _ = cpr_encode(in_coords, in_shape)
-    bands = _band_bounds(row_pointers, in_coords, shards)
-    workers = min(max_workers or os.cpu_count() or 1, len(bands))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            per_band = list(pool.map(lambda band: band_pairs(*band), bands))
-    else:
-        per_band = [band_pairs(*band) for band in bands]
-
-    # An offset whose bands together hold every input shares one arange
-    # as in_idx, as on the unsharded route.
-    every_row = np.arange(len(in_coords), dtype=np.int32)
-    rules.pairs = []
-    for index in range(len(per_band[0])):
-        in_parts = [band[index].in_idx for band in per_band]
-        in_idx = (every_row if sum(map(len, in_parts)) == len(every_row)
-                  else np.concatenate(in_parts))
-        rules.pairs.append(RulePairs(
-            in_idx, np.concatenate([band[index].out_idx for band in per_band])))
+    out_shape, effective_kernel = _layer_geometry(in_shape, conv_type,
+                                                  kernel_size, stride)
+    padded = None
+    if len(in_coords):
+        padded = _padded_table(in_coords, in_shape, out_shape, conv_type,
+                               effective_kernel, stride, grid)
+    if padded is None:
+        return build_rules_reference(in_coords, in_shape, conv_type,
+                                     kernel_size, stride)
+    out_coords, table, out_grid = padded
+    rules = Rules(
+        conv_type=conv_type,
+        kernel_size=effective_kernel,
+        stride=stride,
+        in_shape=in_shape,
+        out_shape=out_shape,
+        in_coords=in_coords,
+        out_coords=out_coords,
+        pairs=table.pairs(),
+    )
+    rules._grid = out_grid
     return rules
 
 
@@ -836,10 +613,9 @@ def build_rules_reference(
 ) -> Rules:
     """The original per-offset rule-generation loop (validation oracle).
 
-    K separate lookups, one per kernel offset — the pre-fusion hot path.
-    :func:`build_rules` and :func:`build_rules_sharded` are asserted
-    bit-identical to this implementation in the test suite, and the
-    trace-scaling benchmark measures the fused speedup against it.
+    K separate lookups, one per kernel offset.  :func:`build_rules` is
+    asserted bit-identical to this implementation in the test suite, and
+    calls it for empty frames and for grids past the table cap.
     """
     in_coords = np.asarray(in_coords, dtype=np.int32)
     out_coords, out_shape, kernel_size = _resolve_output(
@@ -903,7 +679,6 @@ def build_rules_reference(
 def build_rules_delta(
     prev_rules: Rules,
     in_coords: np.ndarray,
-    shards: int = None,
     grid: PaddedGrid = None,
 ) -> Rules:
     """The new sequential frame's rules, seeded by the previous frame's.
@@ -911,7 +686,7 @@ def build_rules_delta(
     When the new frame's active set equals ``prev_rules.in_coords`` the
     previous structure is reused as-is: Rules are immutable once built,
     so the arrays are shared, not copied.  Any other frame is rebuilt
-    through :func:`build_rules_sharded` with the previous frame's layer
+    through :func:`build_rules` with the previous frame's layer
     geometry — on the padded-table route a rebuild is a handful of
     P-element gathers, cheaper than patching the previous rules at every
     diff size.  Either way the result is bit-identical to
@@ -920,7 +695,6 @@ def build_rules_delta(
     Args:
         prev_rules: Rules of the predecessor frame (same layer geometry).
         in_coords: (P, 2) CPR-sorted active coordinates of the new frame.
-        shards: Row-shard count used by the rebuild.
         grid: The input's :class:`PaddedGrid`, used by the rebuild; a
             shared result carries no output grid.
 
@@ -939,7 +713,7 @@ def build_rules_delta(
             out_coords=prev_rules.out_coords,
             pairs=[RulePairs(p.in_idx, p.out_idx) for p in prev_rules.pairs],
         )
-    return build_rules_sharded(
+    return build_rules(
         in_coords, tuple(prev_rules.in_shape), prev_rules.conv_type,
-        prev_rules.kernel_size, prev_rules.stride, shards=shards, grid=grid,
+        prev_rules.kernel_size, prev_rules.stride, grid,
     )

@@ -25,7 +25,7 @@ from repro.engine.result import mean_result
 from repro.engine.settings import (
     BACKEND_ENV_VAR,
     CACHE_DIR_ENV_VAR,
-    RULEGEN_SHARDS_ENV_VAR,
+    DELTA_TRACE_ENV_VAR,
     WORKERS_ENV_VAR,
 )
 
@@ -225,11 +225,10 @@ class TestFrameBatching:
         real_trace_model = cache_module.trace_model
 
         def counting(spec, coords, importance=None, grid_shape=None,
-                     rulegen_shards=None, prev_trace=None):
+                     prev_trace=None):
             calls.append(spec.name)
             return real_trace_model(spec, coords, importance,
                                     grid_shape=grid_shape,
-                                    rulegen_shards=rulegen_shards,
                                     prev_trace=prev_trace)
 
         monkeypatch.setattr(cache_module, "trace_model", counting)
@@ -481,32 +480,22 @@ class TestScenarioChunksBuildEachFrameOnce:
 
 
 class TestTraceStageKnobs:
-    @pytest.mark.parametrize("value", ["0", "-1", "half", ""])
-    def test_invalid_rulegen_shards_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, value)
-        with pytest.raises(ValueError, match=RULEGEN_SHARDS_ENV_VAR):
+    @pytest.mark.parametrize("value", ["2", "-1", "half", ""])
+    def test_invalid_delta_trace_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(DELTA_TRACE_ENV_VAR, value)
+        with pytest.raises(ValueError, match=DELTA_TRACE_ENV_VAR):
             _subset_runner()
 
-    @pytest.mark.parametrize("value", [0, -1, "many", 1.5])
-    def test_invalid_rulegen_shards_argument_rejected(self, value):
-        with pytest.raises(ValueError, match="rulegen_shards"):
-            _subset_runner(rulegen_shards=value)
+    @pytest.mark.parametrize("value", [2, -1, "many", 1.5])
+    def test_invalid_delta_trace_argument_rejected(self, value):
+        with pytest.raises(ValueError, match="delta_trace"):
+            _subset_runner(delta_trace=value)
 
-    def test_rulegen_shards_env_default(self, monkeypatch):
-        monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "2")
-        assert _subset_runner().settings.rulegen_shards == 2
-        monkeypatch.delenv(RULEGEN_SHARDS_ENV_VAR)
-        assert _subset_runner().settings.rulegen_shards == 1
-
-    def test_sharded_runner_table_identical(self):
-        """Acceptance: rulegen sharding changes speed only — the table is
-        bit-identical to the unsharded run."""
-        plain = _subset_runner(models=["SPP3"]).run(backend="serial")
-        sharded = _subset_runner(models=["SPP3"],
-                                 rulegen_shards=3).run(backend="serial")
-        assert len(plain) == len(sharded)
-        for left, right in zip(plain, sharded):
-            assert left == right
+    def test_delta_trace_env_default(self, monkeypatch):
+        monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "1")
+        assert _subset_runner().settings.delta_trace is True
+        monkeypatch.delenv(DELTA_TRACE_ENV_VAR)
+        assert _subset_runner().settings.delta_trace is False
 
 
 class TestSerialFallback:

@@ -166,12 +166,13 @@ class TestEnvironmentWiring:
         assert cache.disk_dir is None
         assert cache.stats()["disk_dir"] is None
 
-    def test_rulegen_shards_do_not_change_the_key(self, tmp_path):
-        """Sharded rulegen is bit-identical, so a trace computed sharded
-        must be found by an unsharded lookup (and vice versa)."""
+    def test_prev_trace_does_not_change_the_key(self, tmp_path):
+        """Delta rulegen is bit-identical, so a trace computed from the
+        previous frame's must be found by a plain lookup."""
         spec, coords = tiny_spec(), tiny_frame()
-        sharded = TraceCache(disk_dir=tmp_path)
-        computed = sharded.get_trace(spec, coords, rulegen_shards=4)
+        prev = TraceCache().get_trace(spec, tiny_frame(seed=1))
+        delta = TraceCache(disk_dir=tmp_path)
+        computed = delta.get_trace(spec, coords, prev_trace=prev)
         plain = TraceCache(disk_dir=tmp_path)
         loaded = plain.get_trace(spec, coords)
         assert plain.stats()["disk_hits"] == 1

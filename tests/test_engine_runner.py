@@ -146,11 +146,10 @@ class TestRunnerCaching:
         real_trace_model = cache_module.trace_model
 
         def counting(spec, coords, importance=None, grid_shape=None,
-                     rulegen_shards=None, prev_trace=None):
+                     prev_trace=None):
             calls.append(spec.name)
             return real_trace_model(spec, coords, importance,
                                     grid_shape=grid_shape,
-                                    rulegen_shards=rulegen_shards,
                                     prev_trace=prev_trace)
 
         monkeypatch.setattr(cache_module, "trace_model", counting)
@@ -369,11 +368,10 @@ class TestRunnerParallelism:
         real_trace_model = cache_module.trace_model
 
         def counting(spec, coords, importance=None, grid_shape=None,
-                     rulegen_shards=None, prev_trace=None):
+                     prev_trace=None):
             calls.append(spec.name)
             return real_trace_model(spec, coords, importance,
                                     grid_shape=grid_shape,
-                                    rulegen_shards=rulegen_shards,
                                     prev_trace=prev_trace)
 
         monkeypatch.setattr(cache_module, "trace_model", counting)

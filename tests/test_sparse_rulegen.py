@@ -1,6 +1,6 @@
 """Rule generation: every conv variant validated against dense references,
 plus the monotonicity invariants the whole accelerator depends on, and
-every route against the reference loop on frames that touch the border,
+build_rules against the reference loop on frames that touch the border,
 with the offsets that cover every input sharing one row index."""
 
 import dataclasses
@@ -17,7 +17,6 @@ from repro.sparse import (
     SparseTensor,
     build_rules,
     build_rules_reference,
-    build_rules_sharded,
     dense_conv2d_reference,
     dense_deconv2d_reference,
     init_conv_weight,
@@ -236,15 +235,10 @@ class TestRoutesOnBorderFrames:
         conv_type, stride = variant
         args = (coords, shape, conv_type, kernel, stride)
         reference = build_rules_reference(*args)
-        built = {"build_rules": build_rules(*args)}
-        for shards in (1, 2, 3, 4):
-            built[f"shards={shards}"] = build_rules_sharded(
-                *args, shards=shards, max_workers=2)
-        for label, rules in built.items():
-            assert_same_rules(reference, rules, label)
-            assert_full_offsets_share_rows(rules, label)
+        rules = build_rules(*args)
+        assert_same_rules(reference, rules, "build_rules")
+        assert_full_offsets_share_rows(rules, "build_rules")
 
-        rules = built["build_rules"]
         data = pickle.dumps(rules)
         assert len(data) <= len(pickle.dumps(unshared_copy(rules)))
         loaded = pickle.loads(data)
@@ -259,3 +253,63 @@ class TestRoutesOnBorderFrames:
         assert_full_offsets_share_rows(rules, "deconv")
         unshared = len(pickle.dumps(unshared_copy(rules)))
         assert len(pickle.dumps(rules)) < unshared
+
+
+#: Every variant at its canonical configuration plus off-nominal kernel
+#: sizes and strides (even kernels reach asymmetrically).
+PARITY_CASES = [
+    (ConvType.SPCONV, 1, 3),
+    (ConvType.SPCONV, 1, 2),
+    (ConvType.SPCONV, 1, 5),
+    (ConvType.SUBM, 1, 3),
+    (ConvType.SPCONV_P, 1, 3),
+    (ConvType.STRIDED, 2, 3),
+    (ConvType.STRIDED, 3, 3),
+    (ConvType.STRIDED_SUBM, 2, 3),
+    (ConvType.DECONV, 2, 2),
+    (ConvType.DECONV, 3, 3),
+]
+
+PARITY_CASE_IDS = [f"{ct.value}-s{stride}-k{ks}"
+                   for ct, stride, ks in PARITY_CASES]
+
+
+def frame_from_flat(flat):
+    return unflatten(np.sort(np.asarray(flat, np.int64)), SHAPE)
+
+
+def random_frame(count, seed=0):
+    rng = np.random.default_rng(seed)
+    total = SHAPE[0] * SHAPE[1]
+    return frame_from_flat(rng.choice(total, count, replace=False))
+
+
+PARITY_FRAMES = {
+    "typical": random_frame(120),
+    "sparse": random_frame(7, seed=3),
+    "empty": np.zeros((0, 2), np.int32),
+    "single-row": frame_from_flat(5 * SHAPE[1] + np.arange(0, 30, 3)),
+    "single-pillar": frame_from_flat([8 * SHAPE[1] + 17]),
+    "half-dense": random_frame(SHAPE[0] * SHAPE[1] // 2, seed=7),
+}
+
+
+class TestFusedParity:
+    @pytest.mark.parametrize("conv_type,stride,kernel", PARITY_CASES,
+                             ids=PARITY_CASE_IDS)
+    @pytest.mark.parametrize("frame", sorted(PARITY_FRAMES))
+    def test_fused_matches_reference(self, conv_type, stride, kernel, frame):
+        coords = PARITY_FRAMES[frame]
+        reference = build_rules_reference(
+            coords, SHAPE, conv_type, kernel_size=kernel, stride=stride
+        )
+        fused = build_rules(
+            coords, SHAPE, conv_type, kernel_size=kernel, stride=stride
+        )
+        assert_same_rules(reference, fused, frame)
+
+    def test_index_dtypes_are_int32(self):
+        rules = build_rules(PARITY_FRAMES["typical"], SHAPE, ConvType.SPCONV)
+        for pair in rules.pairs:
+            assert pair.in_idx.dtype == np.int32
+            assert pair.out_idx.dtype == np.int32

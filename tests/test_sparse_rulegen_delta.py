@@ -2,7 +2,7 @@
 reference loop when frame N's rules are derived from frame N-1's, for
 every ConvType — empty transitions, identical frames (arrays shared),
 100%-changed frames, random toggles (hypothesis) and multi-frame delta
-chains through the sharded rebuild."""
+chains through the full rebuild."""
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ SHAPE = (26, 34)
 TOTAL = SHAPE[0] * SHAPE[1]
 
 #: Every variant at its canonical configuration plus off-nominal kernel
-#: sizes and strides — the same grid the fused/sharded parity suites
-#: pin, so the delta path honors the identical contract.
+#: sizes and strides — the same grid the fused parity suite pins, so
+#: the delta path honors the identical contract.
 CASES = [
     (ConvType.SPCONV, 1, 3),
     (ConvType.SPCONV, 1, 2),
@@ -155,7 +155,7 @@ class TestDeltaChains:
     def test_chained_deltas_do_not_drift(self, seed):
         """Frames 1..N patch from the *previous delta result*, so any
         drift would compound — parity must hold at every link, for a
-        random walk of toggles, through the sharded rebuild."""
+        random walk of toggles, through the full rebuild."""
         rng = np.random.default_rng(seed)
         flat = set(rng.choice(TOTAL, 100, replace=False).tolist())
         for conv_type, stride, kernel in (
@@ -178,7 +178,7 @@ class TestDeltaChains:
                     else:
                         walk.add(cell)
                 coords = frame_from_flat(sorted(walk))
-                rules = build_rules_delta(rules, coords, shards=3)
+                rules = build_rules_delta(rules, coords)
                 expect = build_rules_reference(
                     coords, SHAPE, conv_type, kernel_size=kernel,
                     stride=stride,
