@@ -275,8 +275,11 @@ def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
     layer with ``prune_keep`` needs it on.  ``rules``, when given, are an
     earlier layer's rules for this layer's geometry and input (see
     :func:`_shared_rules`), reused as they are; their output grid was
-    taken when they were built, so the new state carries none.
+    taken when they were built.  A SUBM layer's output cells are its
+    input cells, so a shared SUBM layer hands on its input grid; any
+    other shared layer hands on none.
     """
+    shared_subm = rules is not None and rules.conv_type is ConvType.SUBM
     via_delta = rules is None and _delta_applicable(prev_rules, spec, state)
     if via_delta:
         rules = build_rules_delta(prev_rules, state.coords, grid=state.grid)
@@ -289,7 +292,7 @@ def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
             stride=spec.stride,
             grid=state.grid,
         )
-    out_grid = rules.take_grid()
+    out_grid = state.grid if shared_subm else rules.take_grid()
     out_importance = (
         _propagate_importance(rules, state.importance)
         if track_importance else None

@@ -55,8 +55,8 @@ class SpConv2DAccModel:
         """Simulate one sparse layer from its rule stream."""
         contributions = np.zeros(rules.num_outputs, dtype=np.int64)
         for pair in rules.pairs:
-            if len(pair):
-                np.add.at(contributions, pair.out_idx, 1)
+            contributions += np.bincount(pair.out_idx,
+                                         minlength=rules.num_outputs)
         active_outputs = contributions[contributions > 0]
         if len(active_outputs) == 0:
             return SpConv2DAccReport(0.0, 0.0, 0, 0)

@@ -22,6 +22,17 @@ a contiguous input range are then a contiguous slice of each offset's
 list whose first and last outputs are its extremes — what the scalar
 search reads, and what the extents summarize.
 
+The extents take one element-wise fold per offset.  An offset that
+every input feeds has ``in_idx = arange``, so its ``out_idx`` already
+holds one output per input.  Any other offset is first scattered into
+one reused per-input buffer (``spread``), one write per pair; this is
+exact because ``in_idx`` is unique within an offset.  An input the
+offset misses keeps the row an earlier offset left there, which is
+already folded in, or -1 before any.  ``last`` folds with a signed
+maximum, where -1 is the smallest value, and ``first`` with a minimum
+over ``uint32`` views, where -1 is the largest, so neither needs a
+second pass for the inputs an offset misses.
+
 The extents are folded once more, into a running maximum of ``last``
 (``PM[i] = max(last[:i + 1])``) and a suffix minimum of ``first``
 (``SM[i] = min(first[i:])``; ``prefix_max`` and ``suffix_min`` in the
@@ -67,14 +78,10 @@ Rule pairs arrive as int32 (see
 :class:`~repro.sparse.rulegen.RulePairs`), and the planner keeps them
 so.  The extents, ``PM`` and ``SM`` are int32 too, and tile edges are
 searched as int32 needles: ``searchsorted`` with needles of another
-dtype first copies the whole list to the common one.  Traces loaded from
-the disk tier need one more step, taken in ``Rules.__setstate__``: an
-unpickled array's dtype equals ``np.dtype(np.int32)`` but is not that
-object, and with such arrays ``np.minimum.at`` / ``np.maximum.at`` leave
-their fast path (about 20x slower per offset).  ``Rules`` therefore
-swaps the canonical dtype object into each loaded pair and coordinate
-array, in place: no copy, and arrays the trace shares between layers
-stay shared.
+dtype first copies the whole list to the common one.  Nothing here
+needs more than the dtype's value: an array loaded from the disk tier
+carries a dtype equal to ``np.dtype(np.int32)`` but not that object,
+and the scatter and folds run as fast on it.
 """
 
 from __future__ import annotations
@@ -224,21 +231,28 @@ def _output_extents(rules: Rules) -> tuple:
     """(first, last): per input, its smallest and largest output index.
 
     Inputs without pairs get ``first = _NO_OUTPUT`` and ``last = -1``, so
-    they never widen a window.
+    they never widen a window.  One element-wise fold per offset (see
+    the module docstring).
     """
-    first = np.full(rules.num_inputs, _NO_OUTPUT, dtype=np.int32)
-    last = np.full(rules.num_inputs, -1, dtype=np.int32)
-    # One offset at a time: concatenating the offsets first is a little
-    # faster but raises peak memory by a copy of every pair.
+    num_inputs = rules.num_inputs
+    first = np.full(num_inputs, _NO_OUTPUT, dtype=np.int32)
+    last = np.full(num_inputs, -1, dtype=np.int32)
+    # -1 is the largest uint32, so a missed input never lowers first;
+    # _NO_OUTPUT is below it, so inputs without pairs keep it.
+    lowest = first.view(np.uint32)
+    spread = None
     for pair in rules.pairs:
-        if len(pair) == rules.num_inputs:
+        if len(pair) == num_inputs:
             # Ascending, unique and covering every input: in_idx is
-            # arange, so the extents update element-wise.
-            np.minimum(first, pair.out_idx, out=first)
-            np.maximum(last, pair.out_idx, out=last)
+            # arange, so out_idx is already one row per input.
+            row = pair.out_idx
         else:
-            np.minimum.at(first, pair.in_idx, pair.out_idx)
-            np.maximum.at(last, pair.in_idx, pair.out_idx)
+            if spread is None:
+                spread = np.full(num_inputs, -1, dtype=np.int32)
+            spread[pair.in_idx.astype(np.intp)] = pair.out_idx
+            row = spread
+        np.maximum(last, row, out=last)
+        np.minimum(lowest, row.view(np.uint32), out=lowest)
     return first, last
 
 

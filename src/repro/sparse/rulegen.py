@@ -134,8 +134,9 @@ class Rules:
     (see :meth:`take_grid`).  Neither is state: pickling and copying
     drop both, so a pickled :class:`Rules` holds exactly the fields
     above whether or not it was ever planned or handed its grid on.
-    Loading gives every pair and coordinate array its canonical dtype
-    object (see :mod:`repro.core.gsu` for why).
+    Loading keeps the arrays as pickle restores them: their dtype equals
+    ``np.dtype(np.int32)`` but need not be that object, and no reader
+    depends on which.
     """
 
     conv_type: ConvType
@@ -164,18 +165,6 @@ class Rules:
                              for key, value in state.items())
         self._plans = {}
         self._grid = None
-        # An unpickled array's dtype equals np.dtype(np.int32) but is a
-        # different object, which sends ufunc.at off its fast path.  The
-        # dtype is swapped in place, not by a view: a trace shares its
-        # coordinate arrays between layers, and a view would break that
-        # sharing and grow the trace when it is pickled again.
-        arrays = [self.in_coords, self.out_coords]
-        for pair in self.pairs:
-            arrays += (pair.in_idx, pair.out_idx)
-        for array in arrays:
-            canonical = np.dtype(array.dtype.type)
-            if array.dtype == canonical:
-                array.dtype = canonical
 
     def take_grid(self) -> "PaddedGrid":
         """The output grid rulegen left here, or None; the slot is cleared.

@@ -5,8 +5,12 @@ of a tile priced by :func:`repro.core.gsu._output_window` (two scalar
 ``searchsorted`` calls per kernel offset).  :func:`plan_tiles` must
 return the same tiles on random frames of every :class:`ConvType`, on
 degenerate frames and on capacities that force one-input tiles.  The
-per-input output extents it plans from equal their ``ufunc.at``
-definition on every Table I model's layers.
+per-input output extents it plans from (one scatter and two folds per
+offset) equal :func:`extents_by_ufunc_at`, their ``ufunc.at``
+definition, value for value and dtype for dtype: on random frames of
+every :class:`ConvType` with and without pair-less inputs, on
+degenerate frames, on every Table I model's layers, and on pickled and
+loaded rules, whose arrays keep the dtype object pickle restores.
 
 The planner prices candidates by prefix-max / suffix-min bounds and
 trusts them only under two certificates.  :class:`TestBoundCertificates`
@@ -366,7 +370,42 @@ def extents_by_ufunc_at(rules):
     return first, last
 
 
+def check_extents(rules, label=""):
+    """:func:`_output_extents` equals the definition, as int32."""
+    for have, expect in zip(_output_extents(rules),
+                            extents_by_ufunc_at(rules)):
+        assert have.dtype == expect.dtype == np.int32, label
+        np.testing.assert_array_equal(have, expect, err_msg=label)
+
+
+def pickled_and_loaded(rules):
+    """``rules`` through pickle; asserts its pair arrays came back with
+    an int32 dtype that is not the canonical object."""
+    loaded = pickle.loads(pickle.dumps(rules))
+    for pair in loaded.pairs:
+        if len(pair):
+            assert pair.out_idx.dtype == np.int32
+            assert pair.out_idx.dtype is not np.dtype(np.int32)
+    return loaded
+
+
 class TestOutputExtents:
+    @given(frames(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_frames(self, case, loaded):
+        rules = case[0]
+        check_extents(pickled_and_loaded(rules) if loaded else rules)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("conv_type,stride", VARIANTS)
+    @pytest.mark.parametrize("flat", [[], [17], list(range(42))],
+                             ids=["empty", "single", "full"])
+    def test_degenerate_frames(self, conv_type, stride, flat, loaded):
+        coords = unflatten(np.asarray(flat, np.int64), (6, 7))
+        rules = build_rules(coords, (6, 7), conv_type, stride=stride)
+        for each in (rules, without_pairs(rules, np.arange(0, 42, 2))):
+            check_extents(pickled_and_loaded(each) if loaded else each)
+
     @pytest.mark.parametrize("model", sorted(TABLE1_PAPER))
     @pytest.mark.parametrize("frame", sorted(extent_frames()))
     def test_equal_ufunc_at_definition(self, model, frame):
@@ -376,12 +415,7 @@ class TestOutputExtents:
         for layer in trace.layers:
             if layer.rules is None:
                 continue
-            got = _output_extents(layer.rules)
-            want = extents_by_ufunc_at(layer.rules)
-            for have, expect in zip(got, want):
-                assert have.dtype == expect.dtype == np.int32
-                np.testing.assert_array_equal(have, expect,
-                                              err_msg=layer.spec.name)
+            check_extents(layer.rules, layer.spec.name)
 
     def test_full_and_partial_offsets_mixed(self):
         coords = extent_frames()["random-and-ring"]
@@ -390,9 +424,8 @@ class TestOutputExtents:
         rules.pairs[0] = full.pairs[0]
         assert [len(pair) == rules.num_inputs
                 for pair in rules.pairs] == [True, False, False, False]
-        for have, expect in zip(_output_extents(rules),
-                                extents_by_ufunc_at(rules)):
-            np.testing.assert_array_equal(have, expect)
+        check_extents(rules)
+        check_extents(pickled_and_loaded(rules))
 
 
 def rules_from_extents(extents):

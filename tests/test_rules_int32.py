@@ -3,8 +3,7 @@
 The routes ``test_sparse_dense_tables`` does not compare (a shared delta
 and the RGU's streaming model) yield int32 ``in_idx`` / ``out_idx``; a
 traced layer's pair arrays take exactly 8 bytes per pair; a pickled
-trace loads with the canonical int32 dtype object and plans the same
-tiles; the disk tier keys carry the trace format; and a reader that
+trace loads as int32 and plans the same tiles; the disk tier keys carry the trace format; and a reader that
 scales an index widens it before multiplying.
 """
 
@@ -97,8 +96,8 @@ class TestPickleRoundTrip:
         loaded = pickle.loads(pickle.dumps(traces["SPP2"]))
         for rules in traced_layers(loaded):
             for pair in rules.pairs:
-                assert pair.in_idx.dtype is INT32
-                assert pair.out_idx.dtype is INT32
+                assert pair.in_idx.dtype == INT32
+                assert pair.out_idx.dtype == INT32
 
     def test_loaded_rules_plan_the_same_tiles(self, traces):
         fresh = traced_layers(traces["SCP2"])
@@ -112,7 +111,7 @@ class TestPickleRoundTrip:
                                               want.pairs_per_offset)
 
     def test_a_non_int32_pickle_keeps_its_values(self):
-        """The dtype swap keeps each array's own width: it never
+        """Loading keeps each array's own width: it never
         reinterprets another width's bytes as int32."""
         rules = build_rules(random_frame(60), SHAPE, ConvType.SUBM)
         rules.pairs = [RulePairs(p.in_idx.astype(np.int64),
@@ -120,7 +119,7 @@ class TestPickleRoundTrip:
                        for p in rules.pairs]
         loaded = pickle.loads(pickle.dumps(rules))
         for want, got in zip(rules.pairs, loaded.pairs):
-            assert got.in_idx.dtype is np.dtype(np.int64)
+            assert got.in_idx.dtype == np.int64
             np.testing.assert_array_equal(got.in_idx, want.in_idx)
             np.testing.assert_array_equal(got.out_idx, want.out_idx)
 

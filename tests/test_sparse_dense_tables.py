@@ -920,8 +920,7 @@ class TestSharedRulesStayUnwritten:
             oracle = trace_model(spec, coords, grid_shape=shape)
         data, oracle_data = pickle.dumps(trace), pickle.dumps(oracle)
         assert len(data) < len(oracle_data)
-        # Loading fixes every array's dtype object in place; a numpy
-        # that deprecates that assignment makes this fail loudly.
+        # Loading must not warn: any warning fails this.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = pickle.loads(data)
@@ -939,7 +938,7 @@ class TestSharedRulesStayUnwritten:
         for layer in loaded.layers:
             if layer.rules is not None:
                 for pair in layer.rules.pairs:
-                    assert pair.in_idx.dtype is np.dtype(np.int32)
+                    assert pair.in_idx.dtype == np.int32
 
 
 #: Each Table I family's total backbone stride.

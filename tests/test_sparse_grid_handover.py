@@ -8,7 +8,9 @@ coordinates.  Every rule built from a handed-over grid must equal
 :func:`build_rules_reference` bit for bit: over random chains of every
 stride-1 and k3 s2 layer kind with pruning between them, through shared
 rules and the delta route, and past the table cap, where the reference
-loop builds the rules.  No traced
+loop builds the rules.  A layer that reuses a SUBM layer's rules hands
+its input grid on, as a SUBM layer's output cells are its input cells;
+chains traced through ``trace_model`` check that case.  No traced
 ``Rules`` keeps a grid, a traced trace pickles to the bytes it had
 without the hand-over, and handed-over arrays are read-only.
 """
@@ -24,7 +26,14 @@ from hypothesis import strategies as st
 from repro.analysis import sparsity
 from repro.analysis.sparsity import trace_model
 from repro.engine.runner import FrameProvider, Scenario
-from repro.models import TABLE1_PAPER, build_model_spec
+from repro.data.grids import KITTI_GRID
+from repro.models import (
+    TABLE1_PAPER,
+    LayerOp,
+    LayerSpec,
+    ModelSpec,
+    build_model_spec,
+)
 from repro.sparse import (
     ConvType,
     PaddedGrid,
@@ -223,6 +232,75 @@ class TestHandedOverGridsMatchReference:
         assert rules.take_grid() is None
 
 
+def chain_spec(chain):
+    """A model whose backbone is ``chain``: ``trace_model`` shares one
+    ``Rules`` between layers that see one input with one geometry, as
+    consecutive SUBM layers of one kernel do."""
+    layers = []
+    for step, (index, keep) in enumerate(chain):
+        conv_type, kernel, stride = LAYERS[index]
+        layers.append(LayerSpec(
+            name=f"B1C{step + 1}", op=LayerOp.SPARSE, in_channels=4,
+            out_channels=4, kernel_size=kernel, stride=stride,
+            conv_type=conv_type, prune_keep=keep if keep < 1 else None,
+            stage=1))
+    return ModelSpec("chain", "pointpillars", KITTI_GRID, 4, layers)
+
+
+def run_traced_chain(coords, shape, chain, monkeypatch):
+    """Trace ``chain`` and check every layer against the reference and
+    every handed-on grid against its stream; returns the recorded
+    states (see :func:`record_states`)."""
+    states = record_states(monkeypatch)
+    trace = trace_model(chain_spec(chain), coords, grid_shape=shape)
+    assert len(states) == len(trace.layers) == len(chain)
+    for (name, layer, shared, source, state), traced in zip(states,
+                                                            trace.layers):
+        expect = build_rules_reference(source.coords, source.shape,
+                                       layer.conv_type,
+                                       kernel_size=layer.kernel_size,
+                                       stride=layer.stride)
+        assert_rules_identical(expect, traced.rules, name)
+        assert traced.rules._grid is None, name
+        if (shared and layer.conv_type is ConvType.SUBM
+                and layer.prune_keep is None):
+            # A SUBM layer's output cells are its input cells.
+            assert state.grid is source.grid, name
+        if state.grid is not None:
+            assert_grid_describes(state.grid, state.coords, state.shape)
+    return states
+
+
+class TestTracedChains:
+    """Chains through ``trace_model``, where layers share rules."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=chains())
+    def test_random_chains(self, case):
+        coords, shape, chain = case
+        with pytest.MonkeyPatch.context() as patch:
+            run_traced_chain(coords, shape, chain, patch)
+
+    @pytest.mark.parametrize("subm", [0, 1])
+    @pytest.mark.parametrize("keep", [1.0, 0.5])
+    def test_shared_subm_hands_its_input_grid_on(self, subm, keep,
+                                                 monkeypatch):
+        """SUBM, the same SUBM (shared, maybe pruned), then SPCONV k3:
+        the SPCONV table is built from the grid the shared layer passed
+        on."""
+        coords = random_frame((30, 34), 300, seed=11)
+        matched = count_matched_grids(monkeypatch)
+        states = run_traced_chain(coords, (30, 34),
+                                  [(subm, 1.0), (subm, keep), (2, 1.0)],
+                                  monkeypatch)
+        assert [shared for _, _, shared, _, _ in states] == [
+            False, True, False]
+        assert states[1][4].grid is not None
+        # The first SUBM k1 table is padded by 1 too, so it is built
+        # from no grid; only the SPCONV gets one.
+        assert matched == [ConvType.SPCONV]
+
+
 class TestOverCapRoute:
     @pytest.mark.parametrize("builder", sorted(BUILDERS))
     @settings(max_examples=20, deadline=None)
@@ -270,6 +348,23 @@ def assert_traces_identical(expect, got):
         np.testing.assert_array_equal(have.in_coords, want.in_coords,
                                       err_msg=name)
         assert_rules_identical(want.rules, have.rules, name)
+
+
+def record_states(monkeypatch):
+    """Record ``(name, layer, shared, input state, output state)`` of
+    every sparse layer ``trace_model`` runs."""
+    states = []
+    execute = sparsity._execute_sparse_layer
+
+    def recording(layer, state, *args, rules=None, **kwargs):
+        layer_trace, out_state = execute(layer, state, *args, rules=rules,
+                                         **kwargs)
+        states.append((layer.name, layer, rules is not None, state,
+                       out_state))
+        return layer_trace, out_state
+
+    monkeypatch.setattr(sparsity, "_execute_sparse_layer", recording)
+    return states
 
 
 def count_matched_grids(monkeypatch):
@@ -347,27 +442,31 @@ class TestTracedRules:
                 assert_rules_identical(expect, layer.rules, layer.spec.name)
             prev = trace
 
-    def test_shared_layers_hand_nothing_on(self, monkeypatch):
-        """A layer that reuses an earlier layer's rules passes no grid,
-        so the layer after it builds from coordinates."""
-        spec = build_model_spec("SPP3")
+    def test_shared_subm_layers_hand_their_input_grid_on(self,
+                                                         monkeypatch):
+        """A layer that reuses an earlier SUBM layer's rules passes its
+        input grid on, so the layer after it (D1 here) builds from that
+        grid; a shared layer of any other kind passes none."""
+        spec = build_model_spec("SCP3")
         coords = random_frame((48, 64), 800, seed=7)
-        states = []
-        execute = sparsity._execute_sparse_layer
-
-        def recording(layer, state, *args, rules=None, **kwargs):
-            layer_trace, out_state = execute(layer, state, *args,
-                                             rules=rules, **kwargs)
-            states.append((layer.name, rules is not None, out_state))
-            return layer_trace, out_state
-
-        monkeypatch.setattr(sparsity, "_execute_sparse_layer", recording)
+        states = record_states(monkeypatch)
         trace = trace_model(spec, coords, grid_shape=(48, 64))
-        shared = [name for name, was_shared, _ in states if was_shared]
-        assert shared
-        for name, was_shared, state in states:
-            if was_shared:
+        shared = {layer.conv_type for _, layer, was_shared, _, _ in states
+                  if was_shared}
+        # SUBM backbone layers and the SPCONV_P head Hfused.
+        assert shared == {ConvType.SUBM, ConvType.SPCONV_P}
+        for name, layer, was_shared, source, state in states:
+            if not was_shared:
+                continue
+            if layer.conv_type is ConvType.SUBM:
+                assert state.grid is source.grid is not None, name
+            else:
                 assert state.grid is None, name
+        # D1 (SUBM k1) reads stage 1, whose last layers share one SUBM's
+        # rules, and gets a grid of its own padded shape.
+        d1 = [source for name, _, _, source, _ in states if name == "D1"]
+        assert len(d1) == 1 and d1[0].grid.pad == 1
+        assert_grid_describes(d1[0].grid, d1[0].coords, d1[0].shape)
         for layer in trace.layers:
             if layer.rules is not None:
                 assert layer.rules._grid is None
