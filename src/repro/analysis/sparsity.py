@@ -249,50 +249,56 @@ def _delta_applicable(prev_rules: Rules, spec: LayerSpec,
 
 
 def _shared_rules(built: list, geometry: tuple,
-                  coords: np.ndarray) -> Rules:
+                  coords: np.ndarray) -> tuple:
     """An earlier layer's rules for ``geometry`` and input ``coords``.
 
-    ``built`` holds ``(geometry, input coords, Rules)`` for each layer of
-    the trace that built its rules.  Geometry is ``(conv_type,
-    kernel_size, stride, in_shape)``, every argument rule generation
-    reads, so an entry equal in geometry and coords has exactly the
-    rules this layer would build.  Returns None when there is none.
+    ``built`` holds ``(geometry, input coords, Rules, output grid)`` for
+    each layer of the trace that built its rules; the grid is the one
+    taken off the new ``Rules``, before any prune.  Geometry is
+    ``(conv_type, kernel_size, stride, in_shape)``, every argument rule
+    generation reads, so an entry equal in geometry and coords has
+    exactly the rules (and output cells) this layer would build.
+    Returns ``(rules, grid)``, or None when there is none.
     """
-    for key, seen, rules in built:
+    for key, seen, rules, grid in built:
         if key == geometry and (seen is coords
                                 or np.array_equal(seen, coords)):
-            return rules
+            return rules, grid
     return None
 
 
 def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
                           prev_rules: Rules = None,
                           track_importance: bool = True,
-                          rules: Rules = None) -> tuple:
-    """Run one sparse layer geometrically; returns (LayerTrace, new state).
+                          shared: tuple = None) -> tuple:
+    """Run one sparse layer geometrically.
 
-    With ``track_importance`` off the new state's importance is None; a
-    layer with ``prune_keep`` needs it on.  ``rules``, when given, are an
-    earlier layer's rules for this layer's geometry and input (see
-    :func:`_shared_rules`), reused as they are; their output grid was
-    taken when they were built.  A SUBM layer's output cells are its
-    input cells, so a shared SUBM layer hands on its input grid; any
-    other shared layer hands on none.
+    Returns ``(LayerTrace, new state, output grid)``; the output grid is
+    the one the rules were built with, before this layer's prune subsets
+    it.  With ``track_importance`` off the new state's importance is
+    None; a layer with ``prune_keep`` needs it on.  ``shared``, when
+    given, is ``(rules, grid)`` from an earlier layer with this layer's
+    geometry and input (see :func:`_shared_rules`): the rules are reused
+    as they are and the grid is handed on, subset by this layer's prune.
     """
-    shared_subm = rules is not None and rules.conv_type is ConvType.SUBM
-    via_delta = rules is None and _delta_applicable(prev_rules, spec, state)
-    if via_delta:
-        rules = build_rules_delta(prev_rules, state.coords, grid=state.grid)
-    elif rules is None:
-        rules = build_rules_sharded(
-            state.coords,
-            state.shape,
-            spec.conv_type,
-            kernel_size=spec.kernel_size,
-            stride=spec.stride,
-            grid=state.grid,
-        )
-    out_grid = state.grid if shared_subm else rules.take_grid()
+    via_delta = shared is None and _delta_applicable(prev_rules, spec, state)
+    if shared is not None:
+        rules, grid = shared
+    else:
+        if via_delta:
+            rules = build_rules_delta(prev_rules, state.coords,
+                                      grid=state.grid)
+        else:
+            rules = build_rules_sharded(
+                state.coords,
+                state.shape,
+                spec.conv_type,
+                kernel_size=spec.kernel_size,
+                stride=spec.stride,
+                grid=state.grid,
+            )
+        grid = rules.take_grid()
+    out_grid = grid
     out_importance = (
         _propagate_importance(rules, state.importance)
         if track_importance else None
@@ -322,7 +328,7 @@ def _execute_sparse_layer(spec: LayerSpec, state: StreamState,
         shape=rules.out_shape, coords=out_coords, importance=out_importance,
         grid=out_grid,
     )
-    return trace, new_state
+    return trace, new_state, grid
 
 
 def _execute_dense_layer(spec: LayerSpec, state: StreamState) -> tuple:
@@ -432,10 +438,11 @@ def trace_model(
     ``Rules`` at once (:meth:`~repro.sparse.rulegen.Rules.take_grid`),
     rides on the :class:`StreamState`, and lets the next stride-1
     layer skip rebuilding its padded input cells and mask.  A pruned
-    stream hands on its kept cells without the mask; shared-rules
-    layers, DECONV outputs, the branch union and grids past the table
-    cap (built by the reference loop) hand nothing on.  No traced
-    ``Rules`` keeps a grid.
+    stream hands on its kept cells without the mask.  A layer that
+    shares an earlier layer's rules hands on the grid that layer took,
+    subset by its own prune.  DECONV outputs, the branch union and grids
+    past the table cap (built by the reference loop) hand nothing on.
+    No traced ``Rules`` keeps a grid.
 
     The union of the deconv branches is built only when a sparse head
     reads it (SCP2 and SCP3 among the Table I models); a dense head
@@ -483,21 +490,21 @@ def trace_model(
         default=-1,
     )
 
-    built = []  # (geometry, input coords, Rules) per layer that built
+    built = []  # (geometry, input coords, Rules, grid) per layer that built
 
     def run_sparse(layer: LayerSpec, source: StreamState) -> tuple:
         index = len(trace.layers)
         geometry = (layer.conv_type, layer.kernel_size, layer.stride,
                     tuple(source.shape))
         shared = _shared_rules(built, geometry, source.coords)
-        layer_trace, out_state = _execute_sparse_layer(
+        layer_trace, out_state, grid = _execute_sparse_layer(
             layer, source,
             prev_rules=prev_rules_for(index),
             track_importance=index <= last_prune,
-            rules=shared,
+            shared=shared,
         )
         if shared is None:
-            built.append((geometry, source.coords, layer_trace.rules))
+            built.append((geometry, source.coords, layer_trace.rules, grid))
         return layer_trace, out_state
 
     stage_snapshots = {}
@@ -585,110 +592,6 @@ def compute_savings(
     model_trace = trace_model(spec, coords, importance)
     dense_trace = trace_model(dense_spec, coords, importance)
     return model_trace, dense_trace, model_trace.savings_vs(dense_trace)
-
-
-class SparsityAnalyzer:
-    """Streaming per-layer sparsity/overhead aggregator.
-
-    The incremental-analyzer idiom: the analyzer is attached once,
-    ingests layer observations *as results complete* (rows streaming out
-    of a backend), and keeps only constant-size running aggregates —
-    count / mean / min / max per (model, layer, field) — never the rows
-    themselves.  That is what lets a
-    :class:`~repro.engine.manifest.RunObserver` surface per-layer
-    analytics in the run manifest of an arbitrarily long sweep without
-    retaining its tables.
-
-    :meth:`ingest_result` takes one engine row
-    (:class:`~repro.engine.result.SimResult` or its JSON record); every
-    numeric field of its ``per_layer`` dicts is tracked, so
-    simulator-specific detail (``overhead_fraction``, ``effective_ta``,
-    ``energy_pj``, ...) aggregates without the analyzer knowing any
-    simulator's schema.
-    """
-
-    def __init__(self):
-        self._layers = {}          # (model, layer) -> {field: stats}
-        self._order = []           # first-seen (model, layer) keys
-        self.rows_ingested = 0
-
-    def _track(self, model: str, layer: str, fields: dict) -> None:
-        key = (str(model), str(layer))
-        stats = self._layers.get(key)
-        if stats is None:
-            stats = self._layers[key] = {}
-            self._order.append(key)
-        for name, value in fields.items():
-            if isinstance(value, bool):
-                value = float(value)
-            elif not isinstance(value, (int, float)):
-                continue
-            value = float(value)
-            if value != value:     # NaN never aggregates
-                continue
-            entry = stats.get(name)
-            if entry is None:
-                stats[name] = [1, value, value, value]
-            else:
-                entry[0] += 1
-                entry[1] += value
-                if value < entry[2]:
-                    entry[2] = value
-                if value > entry[3]:
-                    entry[3] = value
-
-    def ingest_result(self, result) -> None:
-        """Accumulate one engine row's ``per_layer`` detail.
-
-        ``result`` may be a :class:`~repro.engine.result.SimResult` or
-        its JSON record dict; rows without per-layer detail (platform
-        models, ``"mean"`` aggregate rows) are counted but contribute
-        nothing.
-        """
-        if isinstance(result, dict):
-            model = result.get("model")
-            per_layer = result.get("per_layer") or []
-        else:
-            model = result.model
-            per_layer = result.per_layer or []
-        self.rows_ingested += 1
-        for entry in per_layer:
-            if not isinstance(entry, dict):
-                continue
-            name = entry.get("name")
-            if name is None:
-                continue
-            self._track(model, name, entry)
-
-    def layer_stats(self) -> list:
-        """The running aggregates, one dict per (model, layer).
-
-        Layers appear in first-seen order; each carries
-        ``{"model", "layer", "fields": {name: {count, mean, min,
-        max}}}``.
-        """
-        out = []
-        for key in self._order:
-            model, layer = key
-            fields = {}
-            for name, (count, total, low, high) in sorted(
-                    self._layers[key].items()):
-                fields[name] = {
-                    "count": count,
-                    "mean": total / count,
-                    "min": low,
-                    "max": high,
-                }
-            out.append({"model": model, "layer": layer, "fields": fields})
-        return out
-
-    def summary(self) -> dict:
-        """JSON-safe snapshot for manifests: counts + per-layer stats."""
-        return {
-            "rows_ingested": self.rows_ingested,
-            "layers": len(self._layers),
-            "per_layer": self.layer_stats(),
-        }
 
 
 def iopr_series(trace: ModelTrace) -> list:

@@ -25,8 +25,8 @@
   ``repro`` CLI front-end (:mod:`repro.cli`) runs from the shell;
 * :mod:`repro.engine.manifest`   — :class:`RunManifest` +
   :class:`RunObserver`: the per-run provenance artifact (spec hash, git
-  rev, settings, per-unit/phase timings, cache stats, streaming
-  analytics) written alongside every ``repro run --out`` sink;
+  rev, settings, per-unit/phase timings, cache stats) written
+  alongside every ``repro run --out`` sink;
 * :mod:`repro.engine.journal`    — :class:`RunJournal`, the per-run
   write-ahead log behind ``repro run --resume`` (checkpoint every
   completed work group, recover torn tails, stitch byte-identical

@@ -226,8 +226,8 @@ def observe_unit_done(runner, scenario_name: str, model_name: str,
                       worker: str = None, cache: dict = None) -> None:
     """Report one finished work group to the runner's observer, if any.
 
-    ``results`` are the group's streamed rows (fed to the observer's
-    per-layer analyzer); ``worker`` identifies the executing
+    ``results`` are the group's streamed rows (journaled, and counted
+    by the observer); ``worker`` identifies the executing
     process-pool worker (None in-process); ``cache`` is the counter
     delta of the worker-side cache that traced the group (None when it
     was the runner's own cache, whose delta the observer takes itself).

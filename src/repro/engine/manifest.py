@@ -5,22 +5,21 @@ out of a sweep; the :class:`RunManifest` written next to it records
 *how* — the resolved experiment spec and its content hash, the git
 revision of the tree, the resolved engine settings, which backend (and,
 for process runs, which pool workers) executed the plan, per-unit and
-per-phase timings, trace-cache hit/miss/disk statistics, delta-tracing
-utilization, and streaming per-layer sparsity analytics.  Together with
-the table it makes a run a self-contained, diffable reproduction
-artifact: ``repro report`` renders both, and two manifests can be
-compared field-for-field to explain why two tables differ.
+per-phase timings, trace-cache hit/miss/disk statistics and
+delta-tracing utilization.  Together with the table it makes a run a
+self-contained, diffable reproduction artifact: ``repro report``
+renders both, and two manifests can be compared field-for-field to
+explain why two tables differ.
 
 The data flows in through a :class:`RunObserver` — a thread-safe hook
 the :class:`~repro.engine.runner.ExperimentRunner` carries for the
 duration of one ``run()`` call.  Backends report through module helpers
 in :mod:`~repro.engine.backends` (the same pattern as progress
 reporting): each finished work group contributes one *unit* record
-(scenario, model, wall seconds, row count, executing worker), the
-whole run contributes one ``"run"`` *phase* timing, and every streamed
-row's per-layer detail feeds a
-:class:`~repro.analysis.sparsity.SparsityAnalyzer` incrementally, so
-observation never retains tables or traces.
+(scenario, model, wall seconds, row count, executing worker) and the
+whole run contributes one ``"run"`` *phase* timing.  Observation
+counts rows but never retains them; per-layer figures are derived
+from the table itself (see :mod:`repro.report`).
 
 Coverage by backend: the serial backend times units in-process; the
 process backend times them inside its worker processes and ships the
@@ -45,7 +44,6 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ..analysis.sparsity import SparsityAnalyzer
 from .cache import CACHE_DELTA_KEYS, counter_delta
 
 #: Schema identifier stamped into every manifest file.
@@ -112,7 +110,7 @@ class RunObserver:
 
     Attach one to :meth:`ExperimentRunner.run(observer=...)
     <repro.engine.runner.ExperimentRunner.run>`; every backend then
-    reports per-unit timings and streamed rows through it (see
+    reports per-unit timings and row counts through it (see
     :func:`~repro.engine.backends.observe_unit_done`).  All methods are
     thread-safe.
 
@@ -123,8 +121,6 @@ class RunObserver:
             None).
         phases: ``[{"name": "run", "seconds": ...}]`` — the total run's
             wall time, appended by :meth:`finish`.
-        analyzer: The :class:`~repro.analysis.sparsity.SparsityAnalyzer`
-            fed every streamed row's per-layer detail.
         cache_stats: Trace-cache statistics delta over the observed run
             — the runner's own cache plus every worker-side delta
             passed to :meth:`record_unit` (populated by :meth:`finish`).
@@ -137,7 +133,6 @@ class RunObserver:
     def __init__(self):
         self.units = []
         self.phases = []
-        self.analyzer = SparsityAnalyzer()
         self.cache_stats = {}
         self.telemetry = None
         self._lock = threading.Lock()
@@ -175,17 +170,14 @@ class RunObserver:
     def record_unit(self, scenario: str, model: str, seconds: float,
                     results=(), worker: str = None,
                     cache: dict = None) -> None:
-        """One finished work group: timing plus its streamed rows.
+        """One finished work group: its timing and row count.
 
         ``cache`` is the :func:`~repro.engine.cache.counter_delta` of
         the cache that traced the group when that is not the runner's
         own (a pool worker's); it is added to
         :attr:`cache_stats` at :meth:`finish`.
         """
-        rows = 0
-        for result in results:
-            rows += 1
-            self.analyzer.ingest_result(result)
+        rows = sum(1 for _ in results)
         with self._lock:
             if cache:
                 for key in CACHE_DELTA_KEYS:
@@ -218,7 +210,6 @@ class RunObserver:
                 "units": [dict(unit) for unit in self.units],
                 "phases": [dict(phase) for phase in self.phases],
                 "cache": dict(self.cache_stats),
-                "analysis": self.analyzer.summary(),
                 "telemetry": (None if self.telemetry is None
                               else json.loads(
                                   json.dumps(self.telemetry))),
@@ -250,8 +241,6 @@ class RunManifest:
             routed to ``build_rules_delta`` (shared or rebuilt),
             ``shared_layers`` reusing an earlier layer's rules in the
             same trace, and ``full_layers`` built directly.
-        analysis: Streaming per-layer sparsity/overhead aggregates from
-            the run's :class:`~repro.analysis.sparsity.SparsityAnalyzer`.
         journal: Run-journal summary (path, spec hash, resumed vs
             appended unit counts, torn/dropped line recovery), or None
             when the run was not journaled.
@@ -271,7 +260,6 @@ class RunManifest:
     phases: list = field(default_factory=list)
     units: list = field(default_factory=list)
     cache: dict = field(default_factory=dict)
-    analysis: dict = field(default_factory=dict)
     journal: dict = None
     telemetry: dict = None
 
@@ -286,7 +274,7 @@ class RunManifest:
             table: The resulting
                 :class:`~repro.engine.result.ExperimentTable`.
             observer: The :class:`RunObserver` passed to ``run()``;
-                None yields a manifest without timings/analytics.
+                None yields a manifest without timings.
             backend: Override for the recorded backend name; defaults
                 to the runner's configured backend.
             journal: The run's
@@ -324,7 +312,6 @@ class RunManifest:
             phases=observed.get("phases", []),
             units=observed.get("units", []),
             cache=observed.get("cache", {}),
-            analysis=observed.get("analysis", {}),
             journal=(journal.summary()
                      if hasattr(journal, "summary") else journal),
             telemetry=observed.get("telemetry"),
@@ -348,7 +335,6 @@ class RunManifest:
             "phases": self.phases,
             "units": self.units,
             "cache": self.cache,
-            "analysis": self.analysis,
             "journal": self.journal,
         }
         # Untraced manifests stay byte-compatible with earlier
@@ -359,7 +345,11 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        """Rebuild a manifest from its dict form, validating the schema."""
+        """Rebuild a manifest from its dict form, validating the schema.
+
+        Keys this build does not know are ignored, so a manifest that
+        carries a block later builds dropped still loads.
+        """
         if not isinstance(data, dict) \
                 or data.get("schema") != MANIFEST_SCHEMA:
             raise ValueError(
@@ -376,8 +366,8 @@ class RunManifest:
             key: data.get(key)
             for key in ("name", "created", "spec", "spec_hash",
                         "git_rev", "backend", "settings", "table",
-                        "phases", "units", "cache", "analysis",
-                        "journal", "telemetry")
+                        "phases", "units", "cache", "journal",
+                        "telemetry")
         })
 
     def to_json(self, indent: int = 2) -> str:

@@ -384,8 +384,8 @@ class ExperimentRunner:
                 instead.  Every backend reports through the same seam.
             observer: Optional
                 :class:`~repro.engine.manifest.RunObserver` collecting
-                per-unit timings, phase timings, cache statistics and
-                streaming per-layer analytics for a
+                per-unit timings and row counts, phase timings and
+                cache statistics for a
                 :class:`~repro.engine.manifest.RunManifest`.  Every
                 backend reports through the same seam as progress.
             journal: Optional :class:`~repro.engine.journal.RunJournal`
@@ -428,9 +428,9 @@ class ExperimentRunner:
         if observer is not None:
             self._observer = observer
             observer.attach(self)
-            # Replay resumed units so the manifest's unit log and
-            # streaming analytics cover the whole sweep, not just the
-            # groups executed after the resume point.
+            # Replay resumed units so the manifest's unit log and row
+            # counts cover the whole sweep, not just the groups
+            # executed after the resume point.
             for group in groups:
                 key = self._group_key(group)
                 if key in done:

@@ -32,9 +32,9 @@ fig11  PE utilization and DRAM traffic by simulator         Fig. 11
 
 Figures are *derived from the table*, not stored: a figure with no
 backing data (e.g. fig10 when no simulator models energy) is simply
-omitted.  Per-layer figures aggregate through the same
-:class:`~repro.analysis.sparsity.SparsityAnalyzer` the run manifest's
-streaming analytics use, so report and manifest never disagree.
+omitted.  The per-layer figures (fig2, fig5) group the rows'
+``per_layer`` detail by (simulator, model, layer): each row is one
+accelerator's layer, never an average over accelerators.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import html
 from pathlib import Path
 
 from .analysis.report import format_table
-from .analysis.sparsity import SparsityAnalyzer
 from .engine.manifest import RunManifest, manifest_path_for
 from .engine.result import RESULT_COLUMNS, ExperimentTable
 
@@ -134,38 +133,51 @@ def _cells(table: ExperimentTable, groups: dict):
             if (scenario, model) in present]
 
 
-def layer_aggregates(table: ExperimentTable) -> list:
-    """Per-(model, layer) field aggregates over the whole table.
+def _layer_stats(table: ExperimentTable) -> dict:
+    """Count / mean / min / max of every numeric ``per_layer`` field,
+    per (simulator, model, layer), in first-seen order.
 
-    The same :class:`~repro.analysis.sparsity.SparsityAnalyzer`
-    aggregation the run manifest's streaming analytics use, recomputed
-    from the serialized rows — so a report built from the sink alone
-    matches the manifest built during the run.
+    Maps each key to ``{field: {"count", "mean", "min", "max"}}``.
+    Booleans count as 0 / 1; NaN, non-numeric values and rows without
+    per-layer detail (platform models, ``"mean"`` rows) add nothing.
     """
-    analyzer = SparsityAnalyzer()
-    for result in table.results:
-        analyzer.ingest_result(result)
-    return analyzer.layer_stats()
+    values = {}
+    for row in table.results:
+        for entry in row.per_layer or ():
+            if not isinstance(entry, dict) or entry.get("name") is None:
+                continue
+            fields = values.setdefault(
+                (str(row.simulator), str(row.model), str(entry["name"])),
+                {})
+            for name, value in entry.items():
+                if not isinstance(value, (int, float)) or value != value:
+                    continue
+                fields.setdefault(name, []).append(float(value))
+    return {
+        key: {name: {"count": len(seen), "mean": sum(seen) / len(seen),
+                     "min": min(seen), "max": max(seen)}
+              for name, seen in sorted(fields.items())}
+        for key, fields in values.items()
+    }
 
 
 def fig_workload(table: ExperimentTable) -> dict:
     """fig2: per-layer workload (inputs / outputs / MACs means)."""
     rows = []
-    for entry in layer_aggregates(table):
-        fields = entry["fields"]
+    for key, fields in _layer_stats(table).items():
         picked = [fields.get(name) for name in
                   ("inputs", "outputs", "macs")]
         if all(stat is None for stat in picked):
             continue
-        rows.append(tuple([entry["model"], entry["layer"]] + [
-            "-" if stat is None else stat["mean"] for stat in picked
-        ]))
+        rows.append(key + tuple(
+            "-" if stat is None else stat["mean"] for stat in picked))
     if not rows:
         return None
     return {
         "id": "fig2",
         "title": "Per-layer workload (paper Fig. 2)",
-        "headers": ["model", "layer", "inputs", "outputs", "macs"],
+        "headers": ["simulator", "model", "layer", "inputs", "outputs",
+                    "macs"],
         "rows": rows,
     }
 
@@ -173,18 +185,16 @@ def fig_workload(table: ExperimentTable) -> dict:
 def fig_overhead(table: ExperimentTable) -> dict:
     """fig5: per-layer sparse overhead fraction (mean / min / max)."""
     rows = []
-    for entry in layer_aggregates(table):
-        stat = entry["fields"].get("overhead_fraction")
-        if stat is None:
-            continue
-        rows.append((entry["model"], entry["layer"], stat["mean"],
-                     stat["min"], stat["max"]))
+    for key, fields in _layer_stats(table).items():
+        stat = fields.get("overhead_fraction")
+        if stat is not None:
+            rows.append(key + (stat["mean"], stat["min"], stat["max"]))
     if not rows:
         return None
     return {
         "id": "fig5",
         "title": "Per-layer sparse overhead fraction (paper Fig. 5)",
-        "headers": ["model", "layer", "mean", "min", "max"],
+        "headers": ["simulator", "model", "layer", "mean", "min", "max"],
         "rows": rows,
     }
 
@@ -465,11 +475,6 @@ def _manifest_summary_rows(manifest: RunManifest) -> list:
                      f"earlier layer of their trace, "
                      f"{cache.get('delta_layers', 0)} routed to "
                      f"build_rules_delta (shared or rebuilt)"))
-    analysis = manifest.analysis or {}
-    if analysis:
-        rows.append(("analytics",
-                     f"{analysis.get('rows_ingested', 0)} row(s), "
-                     f"{analysis.get('layers', 0)} layer(s) tracked"))
     return rows
 
 

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.sparsity import SparsityAnalyzer
 from repro.engine import (
     ExperimentSpec,
     RunManifest,
@@ -142,14 +141,6 @@ class TestRunObserver:
         assert second.cache_stats["misses"] == 0
         assert second.cache_stats["hits"] >= 1
 
-    def test_streaming_analytics_aggregate_per_layer(self):
-        runner, table, observer = observed_run()
-        summary = observer.analyzer.summary()
-        assert summary["rows_ingested"] == len(table)
-        assert summary["layers"] > 0
-        fields = summary["per_layer"][0]["fields"]
-        assert "overhead_fraction" in fields or "macs" in fields
-
     def test_thread_safe_unit_recording(self):
         observer = RunObserver()
         threads = [
@@ -171,7 +162,7 @@ class TestRunObserver:
         runner, table, observer = observed_run()
         snapshot = observer.as_dict()
         assert json.loads(json.dumps(snapshot)) == snapshot
-        assert "dist" not in snapshot
+        assert "dist" not in snapshot and "analysis" not in snapshot
 
 
 class TestRunManifest:
@@ -187,7 +178,9 @@ class TestRunManifest:
         assert manifest.table["simulators"] == ["SPADE.HE",
                                                 "DenseAcc.HE"]
         assert manifest.units == observer.units
-        assert manifest.analysis["rows_ingested"] == 2
+        assert sum(unit["rows"] for unit in manifest.units) \
+            == manifest.table["rows"]
+        assert "analysis" not in manifest.to_dict()
 
     def test_json_round_trip(self, tmp_path):
         runner, table, observer = observed_run()
@@ -294,38 +287,3 @@ class TestBackendCoverage:
             assert len(workers) == 1
             assert next(iter(workers)).startswith("process-")
 
-    def test_process_backend_matches_serial_analytics(self):
-        serial = observed_run(small_spec())[2]
-        pooled = observed_run(
-            small_spec(backend="process", workers=2))[2]
-        assert serial.analyzer.layer_stats() \
-            == pooled.analyzer.layer_stats()
-
-
-class TestSparsityAnalyzerUnit:
-    def test_counts_every_row_from_the_start(self):
-        # No gate: a fresh analyzer ingests at once, and rows without
-        # per-layer detail count but add no layers.
-        analyzer = SparsityAnalyzer()
-        analyzer.ingest_result({"model": "M",
-                                "per_layer": [{"name": "L", "x": 1}]})
-        analyzer.ingest_result({"model": "M", "per_layer": None})
-        assert analyzer.summary()["rows_ingested"] == 2
-        assert analyzer.summary()["layers"] == 1
-        assert set(analyzer.summary()) == {"rows_ingested", "layers",
-                                           "per_layer"}
-
-    def test_aggregates_count_mean_min_max(self):
-        analyzer = SparsityAnalyzer()
-        for value in (1.0, 3.0):
-            analyzer.ingest_result({
-                "model": "M",
-                "per_layer": [{"name": "L", "metric": value,
-                               "skipme": "text"}],
-            })
-        entry = analyzer.layer_stats()[0]
-        assert entry["model"] == "M" and entry["layer"] == "L"
-        stats = entry["fields"]["metric"]
-        assert stats == {"count": 2, "mean": 2.0, "min": 1.0,
-                         "max": 3.0}
-        assert "skipme" not in entry["fields"]

@@ -2,6 +2,7 @@
 HTML rendering, and the two-run diff mode."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,56 @@ from repro.engine import (
     manifest_path_for,
 )
 from repro.engine.cache import TraceCache
+
+SMOKE_SPEC = (Path(__file__).resolve().parent.parent / "examples" / "specs"
+              / "smoke.json")
+
+# fig2 / fig5 of the smoke spec's table (SPP3, seed-0 KITTI frame):
+# layer order, per-simulator MACs, TraceStats' pillar counts and the
+# per-simulator overhead fractions.
+SPP3_LAYERS = (
+    "B1C1", "B1C2", "B1C3", "B1C4", "B2C1", "B2C2", "B2C3", "B2C4", "B2C5",
+    "B2C6", "B3C1", "B3C2", "B3C3", "B3C4", "B3C5", "B3C6", "D1", "D2",
+    "D3", "Hfused",
+)
+SMOKE_SPARSE_MACS = (
+    50_720_768, 68_083_712, 68_083_712, 68_083_712, 50_388_992,
+    131_596_288, 131_596_288, 131_596_288, 131_596_288,
+    131_596_288, 94_240_768, 244_318_208, 244_318_208,
+    244_318_208, 244_318_208, 244_318_208, 26_771_456, 98_304_000,
+    348_127_232, 1_481_048_064,
+)
+SMOKE_DENSE_MACS = (
+    1_974_730_752, 1_974_730_752, 1_974_730_752, 1_974_730_752,
+    987_365_376, 1_974_730_752, 1_974_730_752, 1_974_730_752,
+    1_974_730_752, 1_974_730_752, 987_365_376, 1_974_730_752,
+    1_974_730_752, 1_974_730_752, 1_974_730_752, 1_974_730_752,
+    438_829_056, 877_658_112, 1_755_316_224, 1_481_048_064,
+)
+SMOKE_TRACE_COUNTS = (
+    (6767, 3268), (3268, 3268), (3268, 3268), (3268, 3268), (3268, 1500),
+    (1500, 1500), (1500, 1500), (1500, 1500), (1500, 1500), (1500, 1500),
+    (1500, 664), (664, 664), (664, 664), (664, 664), (664, 664), (664, 664),
+    (3268, 3268), (1500, 6000), (664, 10624), (53568, 53568),
+)
+SMOKE_SPADE_OVERHEAD = (
+    0.41922399311672875, 0.3214022854929305, 0.3214022854929305,
+    0.3214022854929305, 0.45015206432529264, 0.2854662534889343,
+    0.2854662534889343, 0.2854662534889343, 0.2854662534889343,
+    0.2854662534889343, 0.46872586872586874, 0.3542670504155483,
+    0.3542670504155483, 0.3542670504155483, 0.3542670504155483,
+    0.3542670504155483, 0.21669477234401346, 0.24694376528117357,
+    0.26148728255596365, 0.1824715681807778,
+)
+SMOKE_DENSE_OVERHEAD = (
+    0.17610540753979798, 0.17610540753979798, 0.17610540753979798,
+    0.17610540753979798, 0.14918611205834664, 0.1330458769651035,
+    0.1330458769651035, 0.1330458769651035, 0.1330458769651035,
+    0.1330458769651035, 0.14312022779107814, 0.13939288113306048,
+    0.13939288113306048, 0.13939288113306048, 0.13939288113306048,
+    0.13939288113306048, 0.10370408914195661, 0.11638156693248924,
+    0.13574259039745296, 0.1824715681807778,
+)
 
 
 def run_spec(**overrides):
@@ -92,21 +143,85 @@ class TestFigures:
             assert energy == pytest.approx(cell_metric(
                 table, "energy_mj", scenario, model, simulator))
 
-    def test_workload_and_overhead_come_from_layer_aggregates(
-            self, table):
-        layers = {(e["model"], e["layer"]): e["fields"]
-                  for e in report.layer_aggregates(table)}
+    def test_workload_and_overhead_come_from_layer_stats(self, table):
+        layers = report._layer_stats(table)
         workload = report.fig_workload(table)
         assert workload is not None
         for row in workload["rows"]:
-            assert (row[0], row[1]) in layers
+            assert row[:3] in layers
+            assert row[5] == layers[row[:3]]["macs"]["mean"]
         overhead = report.fig_overhead(table)
         assert overhead is not None
-        for model, layer, mean, low, high in overhead["rows"]:
-            stat = layers[(model, layer)]["overhead_fraction"]
+        for simulator, model, layer, mean, low, high in overhead["rows"]:
+            stat = layers[(simulator, model, layer)]["overhead_fraction"]
             assert (mean, low, high) == (stat["mean"], stat["min"],
                                          stat["max"])
             assert low <= mean <= high
+
+    def test_two_simulators_aggregate_apart(self):
+        """One layer of two simulators is two rows.  Booleans count as
+        0 / 1; text, NaN and a row without per-layer detail add
+        nothing."""
+        def row(simulator, macs, overhead, frame):
+            return {"simulator": simulator, "model": "M",
+                    "scenario": "s", "frame": frame,
+                    "per_layer": [{"name": "L", "macs": macs,
+                                   "overhead_fraction": overhead,
+                                   "gated": True, "kind": "subm"}]}
+
+        table = ExperimentTable()
+        for record in (row("A", 10, 0.1, 0), row("A", 30, float("nan"), 1),
+                       row("B", 100, 0.5, 0),
+                       {"simulator": "B", "model": "M", "frame": "mean"}):
+            table.append_record(record)
+        assert report.fig_workload(table)["rows"] == [
+            ("A", "M", "L", "-", "-", 20.0),
+            ("B", "M", "L", "-", "-", 100.0),
+        ]
+        # NaN never aggregates: A's overhead comes from frame 0 alone.
+        assert report.fig_overhead(table)["rows"] == [
+            ("A", "M", "L", 0.1, 0.1, 0.1),
+            ("B", "M", "L", 0.5, 0.5, 0.5),
+        ]
+        stats = report._layer_stats(table)
+        assert stats[("A", "M", "L")]["macs"] == {
+            "count": 2, "mean": 20.0, "min": 10.0, "max": 30.0}
+        assert stats[("A", "M", "L")]["gated"]["mean"] == 1.0
+        assert "kind" not in stats[("A", "M", "L")]
+        assert stats[("B", "M", "L")]["macs"]["count"] == 1
+
+    def test_smoke_table_layer_figures_are_pinned(self):
+        table = ExperimentSpec.load(SMOKE_SPEC).build_runner().run()
+        workload = report.fig_workload(table)
+        assert workload["headers"] == ["simulator", "model", "layer",
+                                       "inputs", "outputs", "macs"]
+        assert [row[:3] for row in workload["rows"]] == [
+            (simulator, "SPP3", layer)
+            for simulator in ("SPADE.HE", "DenseAcc.HE", "TraceStats")
+            for layer in SPP3_LAYERS]
+        columns = {}
+        for simulator, _, _, inputs, outputs, macs in workload["rows"]:
+            columns.setdefault(simulator, []).append((inputs, outputs,
+                                                      macs))
+        assert columns["SPADE.HE"] == [("-", "-", float(macs))
+                                       for macs in SMOKE_SPARSE_MACS]
+        assert columns["DenseAcc.HE"] == [("-", "-", float(macs))
+                                          for macs in SMOKE_DENSE_MACS]
+        assert columns["TraceStats"] == [
+            (float(inputs), float(outputs), float(macs))
+            for (inputs, outputs), macs in zip(SMOKE_TRACE_COUNTS,
+                                               SMOKE_SPARSE_MACS)]
+        overhead = report.fig_overhead(table)
+        assert overhead["headers"] == ["simulator", "model", "layer",
+                                       "mean", "min", "max"]
+        means = {}
+        for simulator, model, layer, mean, low, high in overhead["rows"]:
+            assert low == mean == high       # one frame per cell
+            means.setdefault(simulator, []).append((layer, mean))
+        assert means == {
+            "SPADE.HE": list(zip(SPP3_LAYERS, SMOKE_SPADE_OVERHEAD)),
+            "DenseAcc.HE": list(zip(SPP3_LAYERS, SMOKE_DENSE_OVERHEAD)),
+        }
 
     def test_full_paper_figure_set(self, table):
         figures = report.build_figures(table)
@@ -191,6 +306,33 @@ class TestText:
         text = report.build_report(results)
         assert "run manifest" in text and "spec hash" in text
         assert "dist" not in dict(report._manifest_summary_rows(manifest))
+
+    def test_manifest_with_an_analysis_block_still_renders(self, run,
+                                                           tmp_path):
+        """A manifest written while the run kept streaming per-layer
+        aggregates carries an ``analysis`` key; it still loads, and
+        `repro report` renders it with its figures from the table."""
+        runner, table, observer = run
+        old = RunManifest.collect(runner, table,
+                                  observer=observer).to_dict()
+        old["analysis"] = {
+            "rows_ingested": len(table), "layers": 1,
+            "per_layer": [{"model": "SPP3", "layer": "B1C1",
+                           "fields": {"macs": {"count": 1, "mean": 1.0,
+                                               "min": 1.0, "max": 1.0}}}],
+        }
+        manifest = RunManifest.from_dict(old)
+        assert not hasattr(manifest, "analysis")
+        assert "analysis" not in manifest.to_dict()
+        results = tmp_path / "old.json"
+        table.to_json(results)
+        manifest_path_for(results).write_text(json.dumps(old))
+        text = report.build_report(results)
+        assert "run manifest" in text and "spec hash" in text
+        assert "Per-layer workload (paper Fig. 2)" in text
+        assert "analytics" not in text
+        html = report.build_report(results, as_html=True)
+        assert '<table id="fig2"' in html and '<table id="fig5"' in html
 
     def test_without_a_manifest_says_so(self, tmp_path, table):
         results = tmp_path / "bare.json"

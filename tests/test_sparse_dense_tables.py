@@ -360,9 +360,9 @@ def capture_importances(monkeypatch):
     union = sparsity._union_states
 
     def executing(spec, *args, **kwargs):
-        layer_trace, state = execute(spec, *args, **kwargs)
+        layer_trace, state, grid = execute(spec, *args, **kwargs)
         seen.append((spec.name, state.importance))
-        return layer_trace, state
+        return layer_trace, state, grid
 
     def uniting(states):
         state = union(states)

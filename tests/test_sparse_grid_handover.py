@@ -8,9 +8,9 @@ coordinates.  Every rule built from a handed-over grid must equal
 :func:`build_rules_reference` bit for bit: over random chains of every
 stride-1 and k3 s2 layer kind with pruning between them, through shared
 rules and the delta route, and past the table cap, where the reference
-loop builds the rules.  A layer that reuses a SUBM layer's rules hands
-its input grid on, as a SUBM layer's output cells are its input cells;
-chains traced through ``trace_model`` check that case.  No traced
+loop builds the rules.  A layer that reuses an earlier layer's rules
+hands on the grid that layer's rules were built with, subset by its own
+prune; chains traced through ``trace_model`` check that case.  No traced
 ``Rules`` keeps a grid, a traced trace pickles to the bytes it had
 without the hand-over, and handed-over arrays are read-only.
 """
@@ -262,10 +262,7 @@ def run_traced_chain(coords, shape, chain, monkeypatch):
                                        stride=layer.stride)
         assert_rules_identical(expect, traced.rules, name)
         assert traced.rules._grid is None, name
-        if (shared and layer.conv_type is ConvType.SUBM
-                and layer.prune_keep is None):
-            # A SUBM layer's output cells are its input cells.
-            assert state.grid is source.grid, name
+        assert_hands_on_the_shared_grid(name, layer, shared, state)
         if state.grid is not None:
             assert_grid_describes(state.grid, state.coords, state.shape)
     return states
@@ -293,7 +290,7 @@ class TestTracedChains:
         states = run_traced_chain(coords, (30, 34),
                                   [(subm, 1.0), (subm, keep), (2, 1.0)],
                                   monkeypatch)
-        assert [shared for _, _, shared, _, _ in states] == [
+        assert [shared is not None for _, _, shared, _, _ in states] == [
             False, True, False]
         assert states[1][4].grid is not None
         # The first SUBM k1 table is padded by 1 too, so it is built
@@ -350,18 +347,33 @@ def assert_traces_identical(expect, got):
         assert_rules_identical(want.rules, have.rules, name)
 
 
+def assert_hands_on_the_shared_grid(name, layer, shared, state):
+    """A layer that shares ``(rules, grid)`` hands that grid on, subset
+    when its own prune drops pillars."""
+    if shared is None:
+        return
+    grid = shared[1]
+    if grid is None:
+        assert state.grid is None, name
+    elif len(state.coords) == len(grid.flat):
+        assert state.grid is grid, name
+    else:
+        assert layer.prune_keep is not None, name
+        assert state.grid.mask is None, name
+
+
 def record_states(monkeypatch):
     """Record ``(name, layer, shared, input state, output state)`` of
-    every sparse layer ``trace_model`` runs."""
+    every sparse layer ``trace_model`` runs; ``shared`` is the
+    ``(rules, grid)`` the layer reused, or None."""
     states = []
     execute = sparsity._execute_sparse_layer
 
-    def recording(layer, state, *args, rules=None, **kwargs):
-        layer_trace, out_state = execute(layer, state, *args, rules=rules,
-                                         **kwargs)
-        states.append((layer.name, layer, rules is not None, state,
-                       out_state))
-        return layer_trace, out_state
+    def recording(layer, state, *args, shared=None, **kwargs):
+        layer_trace, out_state, grid = execute(layer, state, *args,
+                                               shared=shared, **kwargs)
+        states.append((layer.name, layer, shared, state, out_state))
+        return layer_trace, out_state, grid
 
     monkeypatch.setattr(sparsity, "_execute_sparse_layer", recording)
     return states
@@ -442,28 +454,34 @@ class TestTracedRules:
                 assert_rules_identical(expect, layer.rules, layer.spec.name)
             prev = trace
 
-    def test_shared_subm_layers_hand_their_input_grid_on(self,
-                                                         monkeypatch):
-        """A layer that reuses an earlier SUBM layer's rules passes its
-        input grid on, so the layer after it (D1 here) builds from that
-        grid; a shared layer of any other kind passes none."""
-        spec = build_model_spec("SCP3")
+    @pytest.mark.parametrize("model, kinds", [
+        # SUBM backbone layers and the SPCONV_P head Hfused.
+        ("SCP3", {ConvType.SUBM, ConvType.SPCONV_P}),
+        # On the saturated frame a SPCONV output equals its input, so
+        # the SPCONV backbone layers after each stage's first share.
+        ("SPP1", {ConvType.SPCONV}),
+        ("SCP1", {ConvType.SPCONV}),
+    ])
+    def test_shared_layers_hand_on_their_rules_grid(self, model, kinds,
+                                                    monkeypatch):
+        """A layer that reuses an earlier layer's rules passes on the
+        grid those rules were built with, so the layer after it (D1
+        here) builds from that grid rather than from coordinates."""
+        spec = build_model_spec(model)
+        # 800 of 3,072 cells: every stage-1 SPCONV output fills the
+        # 24x32 grid.
         coords = random_frame((48, 64), 800, seed=7)
         states = record_states(monkeypatch)
         trace = trace_model(spec, coords, grid_shape=(48, 64))
-        shared = {layer.conv_type for _, layer, was_shared, _, _ in states
-                  if was_shared}
-        # SUBM backbone layers and the SPCONV_P head Hfused.
-        assert shared == {ConvType.SUBM, ConvType.SPCONV_P}
-        for name, layer, was_shared, source, state in states:
-            if not was_shared:
-                continue
-            if layer.conv_type is ConvType.SUBM:
-                assert state.grid is source.grid is not None, name
-            else:
-                assert state.grid is None, name
-        # D1 (SUBM k1) reads stage 1, whose last layers share one SUBM's
-        # rules, and gets a grid of its own padded shape.
+        shared = {layer.conv_type for _, layer, reused, _, _ in states
+                  if reused is not None}
+        assert shared == kinds
+        for name, layer, reused, source, state in states:
+            if reused is not None:
+                assert state.grid is not None, name
+            assert_hands_on_the_shared_grid(name, layer, reused, state)
+        # D1 (SUBM k1) reads stage 1, whose last layers share one
+        # layer's rules, and gets a grid of its own padded shape.
         d1 = [source for name, _, _, source, _ in states if name == "D1"]
         assert len(d1) == 1 and d1[0].grid.pad == 1
         assert_grid_describes(d1[0].grid, d1[0].coords, d1[0].shape)
@@ -479,9 +497,9 @@ class TestTracedRules:
         execute = sparsity._execute_sparse_layer
 
         def recording(layer, *args, **kwargs):
-            layer_trace, out_state = execute(layer, *args, **kwargs)
+            layer_trace, out_state, grid = execute(layer, *args, **kwargs)
             states[layer.name] = (layer, out_state)
-            return layer_trace, out_state
+            return layer_trace, out_state, grid
 
         monkeypatch.setattr(sparsity, "_execute_sparse_layer", recording)
         trace_model(spec, coords, grid_shape=(48, 64))
