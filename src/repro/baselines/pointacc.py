@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.sparsity import LayerTrace, ModelTrace
-from ..core.accelerator import sparse_layers
+from ..core.accelerator import dense_layer, sparse_layers
 from ..core.config import SpadeConfig
 from ..core.dataflow import (
     LayerSchedule,
@@ -130,18 +130,9 @@ class PointAccSimulator:
     def run_layer(self, trace: LayerTrace) -> PointAccLayerResult:
         spec = trace.spec
         if trace.rules is None:
-            schedule = schedule_dense_layer(
-                trace.out_shape[0] * trace.out_shape[1]
-                if not spec.upsample
-                else trace.in_shape[0] * trace.in_shape[1],
-                spec.in_channels,
-                spec.out_channels,
-                self.config,
-                kernel_size=spec.kernel_size,
-                upsample_stride=spec.stride if spec.upsample else 1,
-                out_width=trace.out_shape[1],
-                name=spec.name,
-            )
+            layer = dense_layer(trace)
+            schedule = schedule_dense_layer(*layer[:3], self.config,
+                                            *layer[3:])
             return PointAccLayerResult(
                 name=spec.name,
                 mapping_cycles=0,
@@ -270,18 +261,8 @@ def spade_no_overlap(model_trace: ModelTrace,
     for trace in model_trace.layers:
         spec = trace.spec
         if trace.rules is None:
-            schedule = schedule_dense_layer(
-                trace.out_shape[0] * trace.out_shape[1]
-                if not spec.upsample
-                else trace.in_shape[0] * trace.in_shape[1],
-                spec.in_channels,
-                spec.out_channels,
-                config,
-                kernel_size=spec.kernel_size,
-                upsample_stride=spec.stride if spec.upsample else 1,
-                out_width=trace.out_shape[1],
-                name=spec.name,
-            )
+            layer = dense_layer(trace)
+            schedule = schedule_dense_layer(*layer[:3], config, *layer[3:])
             gather_scatter += (
                 schedule.breakdown["gather_inp"]
                 + schedule.breakdown["scatter_out"]

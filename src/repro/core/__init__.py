@@ -11,9 +11,12 @@ from .config import SPADE_HE, SPADE_LE, SpadeConfig
 from .dataflow import (
     INSTRUCTIONS,
     LayerSchedule,
+    ScheduleArrays,
+    dense_schedule_arrays,
     schedule_dense_layer,
     schedule_sparse_layer,
     schedule_sparse_layers,
+    sparse_schedule_arrays,
 )
 from .dense import DenseAccelerator
 from .energy import EnergyBreakdown, EnergyModel
@@ -35,17 +38,20 @@ __all__ = [
     "ModelResult",
     "RGUCycleReport",
     "RGUModel",
+    "ScheduleArrays",
     "SpadeAccelerator",
     "SpadeConfig",
     "TilePlan",
     "TileSchedule",
     "accelerator_area",
+    "dense_schedule_arrays",
     "layer_traffic",
     "plan_tiles",
     "pointacc_like_area",
     "schedule_dense_layer",
     "schedule_sparse_layer",
     "schedule_sparse_layers",
+    "sparse_schedule_arrays",
     "sram_kilobytes",
     "streaming_rulegen",
     "SystolicArray",

@@ -4,23 +4,41 @@
 (per-layer rules and counts from one frame) and produces per-layer and
 model-level cycle counts, utilization, DRAM traffic and energy.  The
 DenseAcc baseline lives in :mod:`repro.core.dense`.
+
+A model is priced in one array pass: one
+:func:`~repro.core.dataflow.sparse_schedule_arrays` call for the sparse
+layers, one :func:`~repro.core.dataflow.dense_schedule_arrays` call for
+the dense ones, joined in layer order, then one
+:meth:`~repro.core.energy.EnergyModel.price` call.  :class:`ModelResult`
+keeps those arrays and takes its aggregates from them; its ``layers``
+(:class:`LayerResult` objects) are built on first read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from ..analysis.sparsity import LayerTrace, ModelTrace
-from ..models.specs import LayerOp
 from .config import SpadeConfig
 from .dataflow import (
+    INSTRUCTIONS,
     LayerSchedule,
+    ScheduleArrays,
+    dense_schedule_arrays,
     schedule_dense_layer,
     schedule_sparse_layer,
-    schedule_sparse_layers,
+    sparse_schedule_arrays,
 )
-from .energy import EnergyBreakdown, EnergyModel
+from .energy import (
+    COMPONENTS,
+    EnergyBreakdown,
+    EnergyModel,
+    component_total,
+    model_energy,
+)
 
 
 @dataclass
@@ -32,36 +50,53 @@ class LayerResult:
     energy: EnergyBreakdown
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelResult:
-    """Aggregate of one frame's execution on one accelerator."""
+    """Aggregate of one frame's execution on one accelerator.
+
+    Attributes:
+        model_name / accelerator: Labels.
+        traces: The executed :class:`LayerTrace` of every layer.
+        schedules: Their schedules, one row per layer.
+        energy_parts: (L, 6) picojoules per layer, columns in
+            :data:`~repro.core.energy.COMPONENTS` order.
+        clock_ghz: Core clock the latency is counted at.
+        layer_cycles: (L,) total cycles of every layer.
+        total_cycles / total_macs / total_dram_bytes: Sums over the
+            layers, as ints.
+    """
 
     model_name: str
     accelerator: str
-    layers: list = field(default_factory=list)
+    traces: tuple = ()
+    schedules: ScheduleArrays = field(default_factory=ScheduleArrays.empty)
+    energy_parts: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, len(COMPONENTS))))
     clock_ghz: float = 1.0
-    _aggregates: dict = field(default_factory=dict, repr=False, compare=False)
+    layer_cycles: np.ndarray = field(init=False, repr=False)
+    total_cycles: int = field(init=False)
+    total_macs: int = field(init=False)
+    total_dram_bytes: int = field(init=False)
 
-    def _aggregate(self, key, compute):
-        """Memoized per-model aggregate, recomputed if layers were added.
+    def __post_init__(self):
+        self.layer_cycles = self.schedules.cycles
+        self.total_cycles = int(self.layer_cycles.sum())
+        self.total_macs = int(self.schedules.macs.sum())
+        self.total_dram_bytes = int(self.schedules.dram_bytes.sum())
 
-        Aggregates are accessed many times per result (every metric of
-        the unified schema, every table row), so they are computed once
-        and invalidated by layer count — layers are append-only.
-        """
-        count = len(self.layers)
-        cached = self._aggregates.get(key)
-        if cached is None or cached[0] != count:
-            cached = (count, compute())
-            self._aggregates[key] = cached
-        return cached[1]
+    @cached_property
+    def layers(self) -> tuple:
+        """One :class:`LayerResult` per layer, built on first read."""
+        return tuple(
+            LayerResult(trace, schedule, EnergyBreakdown(*energy))
+            for trace, schedule, energy in zip(
+                self.traces, self.schedules.schedules(),
+                self.energy_parts.tolist()))
 
     @property
-    def total_cycles(self) -> int:
-        return self._aggregate(
-            "cycles",
-            lambda: sum(layer.schedule.total_cycles for layer in self.layers),
-        )
+    def layer_energy_pj(self) -> np.ndarray:
+        """(L,) total picojoules of every layer."""
+        return component_total(self.energy_parts.T)
 
     @property
     def latency_ms(self) -> float:
@@ -71,30 +106,18 @@ class ModelResult:
     def fps(self) -> float:
         return 1e3 / self.latency_ms if self.total_cycles else 0.0
 
-    @property
+    @cached_property
     def total_macs(self) -> int:
-        return self._aggregate(
-            "macs", lambda: sum(layer.schedule.macs for layer in self.layers)
-        )
+        return int(self.schedules.macs.sum())
 
-    @property
+    @cached_property
     def total_dram_bytes(self) -> int:
-        return self._aggregate(
-            "dram",
-            lambda: sum(layer.schedule.dram_bytes for layer in self.layers),
-        )
-
-    def _sum_energy(self) -> EnergyBreakdown:
-        total = EnergyBreakdown()
-        for layer in self.layers:
-            total.add(layer.energy)
-        return total
+        return int(self.schedules.dram_bytes.sum())
 
     @property
     def energy(self) -> EnergyBreakdown:
-        # Copy so callers mutating the returned breakdown (e.g. via
-        # ``add``) cannot corrupt the cache.
-        return replace(self._aggregate("energy", self._sum_energy))
+        """Per-component totals; a new object on every read."""
+        return model_energy(self.energy_parts)
 
     @property
     def energy_mj(self) -> float:
@@ -108,13 +131,10 @@ class ModelResult:
 
     def breakdown(self) -> dict:
         """Summed instruction breakdown across layers (cycles)."""
-        def compute():
-            total = Counter()
-            for layer in self.layers:
-                total.update(layer.schedule.breakdown)
-            return dict(total)
-
-        return dict(self._aggregate("breakdown", compute))
+        if not len(self.schedules):
+            return {}
+        return dict(zip(INSTRUCTIONS,
+                        self.schedules.breakdown.sum(axis=0).tolist()))
 
 
 class SpadeAccelerator:
@@ -146,62 +166,79 @@ class SpadeAccelerator:
                 optimize=self.optimize,
             )
         else:
-            schedule = self._dense_schedule(trace)
-        return self._result(trace, schedule)
+            layer = dense_layer(trace)
+            schedule = schedule_dense_layer(*layer[:3], self.config,
+                                            *layer[3:])
+        energy = self.energy_model.layer_energy(
+            schedule, spec.in_channels, spec.out_channels)
+        return LayerResult(trace=trace, schedule=schedule, energy=energy)
 
     def run_trace(self, model_trace: ModelTrace) -> ModelResult:
-        """Execute a full traced model frame.
-
-        Every sparse layer is scheduled in one
-        :func:`~repro.core.dataflow.schedule_sparse_layers` pass.
-        """
-        result = ModelResult(
-            model_name=model_trace.spec.name,
-            accelerator=f"SPADE.{self.config.name}"
+        """Execute a full traced model frame in one array pass."""
+        traces = tuple(model_trace.layers)
+        sparse = [index for index, trace in enumerate(traces)
+                  if trace.rules is not None]
+        dense = [index for index, trace in enumerate(traces)
+                 if trace.rules is None]
+        schedules = ScheduleArrays.join([
+            (sparse_schedule_arrays(sparse_layers(model_trace), self.config,
+                                    self.optimize), sparse),
+            (dense_schedule_arrays([dense_layer(traces[index])
+                                    for index in dense], self.config),
+             dense),
+        ])
+        return price_model(
+            model_trace.spec.name,
+            f"SPADE.{self.config.name}"
             + ("" if self.optimize else " (no dataflow opt)"),
-            clock_ghz=self.config.clock_ghz,
-        )
-        sparse = iter(schedule_sparse_layers(
-            sparse_layers(model_trace), self.config, self.optimize))
-        for trace in model_trace.layers:
-            schedule = (next(sparse) if trace.rules is not None
-                        else self._dense_schedule(trace))
-            result.layers.append(self._result(trace, schedule))
-        return result
+            traces, schedules, self.energy_model)
 
-    def _dense_schedule(self, trace: LayerTrace) -> LayerSchedule:
-        spec = trace.spec
-        num_pixels = (
-            trace.in_shape[0] * trace.in_shape[1]
-            if spec.upsample
-            else trace.out_shape[0] * trace.out_shape[1]
-        )
-        return schedule_dense_layer(
-            num_pixels,
-            spec.in_channels,
-            spec.out_channels,
-            self.config,
-            kernel_size=spec.kernel_size,
-            upsample_stride=spec.stride if spec.upsample else 1,
-            out_width=trace.out_shape[1],
-            name=spec.name,
-        )
 
-    def _result(self, trace: LayerTrace, schedule: LayerSchedule
-                ) -> LayerResult:
-        energy = self.energy_model.layer_energy(
-            schedule, trace.spec.in_channels, trace.spec.out_channels
-        )
-        return LayerResult(trace=trace, schedule=schedule, energy=energy)
+def price_model(model_name: str, accelerator: str, traces: tuple,
+                schedules: ScheduleArrays,
+                energy_model: EnergyModel) -> ModelResult:
+    """The :class:`ModelResult` of scheduled layers: their energy is
+    priced in one :meth:`~repro.core.energy.EnergyModel.price` call."""
+    return ModelResult(
+        model_name=model_name,
+        accelerator=accelerator,
+        traces=traces,
+        schedules=schedules,
+        energy_parts=energy_model.price(
+            schedules,
+            [trace.spec.in_channels for trace in traces],
+            [trace.spec.out_channels for trace in traces]),
+        clock_ghz=energy_model.config.clock_ghz,
+    )
 
 
 def sparse_layers(model_trace: ModelTrace) -> list:
     """The traced model's sparse layers, in order, as the
     ``(rules, in_channels, out_channels, name, prune)`` tuples
-    :func:`~repro.core.dataflow.schedule_sparse_layers` reads."""
+    :func:`~repro.core.dataflow.sparse_schedule_arrays` reads."""
     return [
         (trace.rules, trace.spec.in_channels, trace.spec.out_channels,
          trace.spec.name, trace.spec.prune_keep is not None)
         for trace in model_trace.layers
         if trace.rules is not None
     ]
+
+
+def dense_layer(trace: LayerTrace) -> tuple:
+    """A traced layer run densified, as the ``(num_pixels, in_channels,
+    out_channels, kernel_size, upsample_stride, out_width, name)`` tuple
+    :func:`~repro.core.dataflow.dense_schedule_arrays` reads.
+
+    ``num_pixels`` counts input pixels for an upsampling layer and
+    output pixels otherwise.
+    """
+    spec = trace.spec
+    num_pixels = (
+        trace.in_shape[0] * trace.in_shape[1]
+        if spec.upsample
+        else trace.out_shape[0] * trace.out_shape[1]
+    )
+    return (num_pixels, spec.in_channels, spec.out_channels,
+            spec.kernel_size, spec.stride if spec.upsample else 1,
+            trace.out_shape[1], spec.name)
+

@@ -23,11 +23,24 @@ Two dataflow optimizations (Fig. 8) are modeled:
   immediately (no accumulation exists across offsets) frees BUFout from
   holding the ``stride^2``-times-larger output window, restoring a full
   ``T_a``.
+
+A model is priced in one array pass.  :func:`sparse_schedule_arrays`
+costs the tiles of every sparse layer together and
+:func:`dense_schedule_arrays` every dense layer; both return a
+:class:`ScheduleArrays`, one row per layer holding the non-hidden
+cycles of each instruction, the rule entries, MACs, DRAM bytes, tiles,
+pruned outputs, both optimisation flags and the effective ``T_a``.  The
+energy model (:meth:`~repro.core.energy.EnergyModel.price`) and the
+result rows read those arrays.  :class:`LayerSchedule` objects are
+views built from them on request: :meth:`ScheduleArrays.schedules`,
+:func:`schedule_sparse_layers`, :func:`schedule_sparse_layer` and
+:func:`schedule_dense_layer` all return rows of the same pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,10 +100,152 @@ class LayerSchedule:
     @property
     def overhead_fraction(self) -> float:
         """Fraction of time the PE array is stalled (Fig. 8(c) metric)."""
-        total = self.total_cycles
-        if total == 0:
-            return 0.0
-        return 1.0 - self.mxu_cycles / total
+        return float(overhead_fractions(self.mxu_cycles, self.total_cycles))
+
+
+def overhead_fractions(mxu, cycles):
+    """``1 - mxu / cycles``, the PE-array stall fraction, or 0.0 where
+    ``cycles`` is 0; elementwise over arrays."""
+    cycles = np.asarray(cycles)
+    return np.where(cycles > 0, 1.0 - mxu / np.maximum(cycles, 1), 0.0)
+
+
+#: Per-layer counts that follow the instruction cycles in a
+#: :attr:`ScheduleArrays.table` row; the two flags are stored as 0/1.
+COUNTS = ("rule_entries", "macs", "dram_bytes", "num_tiles",
+          "pruned_outputs", "weight_grouping", "ganged_scatter")
+
+_COLUMNS = INSTRUCTIONS + COUNTS
+
+
+def _layer_schedule(name: str, conv_type: str, row, effective_ta
+                    ) -> LayerSchedule:
+    """The :class:`LayerSchedule` of one table row of Python ints."""
+    (*breakdown, rule_entries, macs, dram_bytes, num_tiles,
+     pruned_outputs, weight_grouping, ganged_scatter) = row
+    return LayerSchedule(
+        name=name,
+        conv_type=conv_type,
+        macs=macs,
+        num_tiles=num_tiles,
+        breakdown=dict(zip(INSTRUCTIONS, breakdown)),
+        dram_bytes=dram_bytes,
+        rule_entries=rule_entries,
+        pruned_outputs=pruned_outputs,
+        weight_grouping=bool(weight_grouping),
+        ganged_scatter=bool(ganged_scatter),
+        effective_ta=effective_ta,
+    )
+
+
+def _column(name: str) -> property:
+    index = _COLUMNS.index(name)
+    return property(lambda self: self.table[:, index],
+                    doc=f"(L,) int64 ``{name}`` of every layer.")
+
+
+@dataclass(frozen=True, eq=False)
+class ScheduleArrays:
+    """The schedules of a sequence of layers, one array row per layer.
+
+    Attributes:
+        names: Layer labels.
+        conv_types: Each layer's ``ConvType`` value, or ``"dense"``.
+        table: (L, 14) int64: the non-hidden cycles of every one of
+            :data:`INSTRUCTIONS`, then :data:`COUNTS`.
+        effective_ta: (L,) float64 mean inputs per tile; a dense
+            layer's holds its integral ``T_a``.
+    """
+
+    names: list
+    conv_types: list
+    table: np.ndarray
+    effective_ta: np.ndarray
+
+    rule_entries = _column("rule_entries")
+    macs = _column("macs")
+    dram_bytes = _column("dram_bytes")
+    num_tiles = _column("num_tiles")
+    pruned_outputs = _column("pruned_outputs")
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    @property
+    def breakdown(self) -> np.ndarray:
+        """(L, 7) cycles, columns in :data:`INSTRUCTIONS` order."""
+        return self.table[:, :len(INSTRUCTIONS)]
+
+    @cached_property
+    def cycles(self) -> np.ndarray:
+        """(L,) total cycles of every layer."""
+        return self.breakdown.sum(axis=1)
+
+    def overhead_fractions(self) -> np.ndarray:
+        """(L,) PE-array stall fraction of every layer."""
+        return overhead_fractions(
+            self.table[:, INSTRUCTIONS.index("mxu")], self.cycles)
+
+    def effective_ta_values(self) -> list:
+        """``effective_ta`` as :class:`LayerSchedule` holds it: an int
+        (the planned ``T_a``) for a dense layer, a float otherwise."""
+        return [int(ta) if conv_type == "dense" else ta
+                for conv_type, ta in zip(self.conv_types,
+                                         self.effective_ta.tolist())]
+
+    def schedules(self) -> list:
+        """One :class:`LayerSchedule` per row, built now."""
+        return [_layer_schedule(*fields) for fields in zip(
+            self.names, self.conv_types, self.table.tolist(),
+            self.effective_ta_values())]
+
+    @classmethod
+    def empty(cls) -> "ScheduleArrays":
+        """The arrays of no layers."""
+        return cls([], [], np.zeros((0, len(_COLUMNS)), np.int64),
+                   np.zeros(0))
+
+    @classmethod
+    def of(cls, schedules) -> "ScheduleArrays":
+        """The arrays of existing :class:`LayerSchedule` objects."""
+        rows = [[schedule.breakdown.get(key, 0) for key in INSTRUCTIONS]
+                + [getattr(schedule, key) for key in COUNTS]
+                for schedule in schedules]
+        return cls(
+            [schedule.name for schedule in schedules],
+            [schedule.conv_type for schedule in schedules],
+            np.array(rows, dtype=np.int64).reshape(-1, len(_COLUMNS)),
+            np.array([schedule.effective_ta for schedule in schedules],
+                     dtype=np.float64),
+        )
+
+    @classmethod
+    def join(cls, parts) -> "ScheduleArrays":
+        """Interleave ``(arrays, positions)`` parts into one sequence.
+
+        Row ``i`` of a part lands at its ``positions[i]``; the positions
+        of all parts together are ``0 .. L-1``, each once.
+        """
+        parts = [(arrays, positions) for arrays, positions in parts
+                 if len(positions)]
+        if not parts:
+            return cls.empty()
+        if len(parts) == 1:
+            return parts[0][0]
+        positions = [index for _, part in parts for index in part]
+        names = [name for arrays, _ in parts for name in arrays.names]
+        conv_types = [conv_type for arrays, _ in parts
+                      for conv_type in arrays.conv_types]
+        table = np.concatenate([arrays.table for arrays, _ in parts])
+        effective_ta = np.concatenate([arrays.effective_ta
+                                       for arrays, _ in parts])
+        if positions != sorted(positions):
+            order = sorted(range(len(positions)), key=positions.__getitem__)
+            names = [names[index] for index in order]
+            conv_types = [conv_types[index] for index in order]
+            table = table[order]
+            effective_ta = effective_ta[order]
+        return cls(names, conv_types, table, effective_ta)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -144,6 +299,16 @@ def schedule_sparse_layers(
     config: SpadeConfig,
     optimize: bool = True,
 ) -> list:
+    """:func:`sparse_schedule_arrays` as one :class:`LayerSchedule` per
+    layer, in order."""
+    return sparse_schedule_arrays(layers, config, optimize).schedules()
+
+
+def sparse_schedule_arrays(
+    layers,
+    config: SpadeConfig,
+    optimize: bool = True,
+) -> ScheduleArrays:
     """Schedule a model's sparse convolutions on SPADE in one array pass.
 
     Tiles are planned per layer (:func:`plan_tiles`, memoized on the
@@ -152,8 +317,8 @@ def schedule_sparse_layers(
     arithmetic costs the same few numpy operations for a whole model as
     for one layer; per-layer sums come from one int64
     ``np.add.reduceat``, which is exact.  Layers without inputs stay out
-    of the arrays (``reduceat`` has no empty segment) and get an
-    all-zero breakdown.
+    of the arrays (``reduceat`` has no empty segment) and keep an
+    all-zero row.
 
     Args:
         layers: One ``(rules, in_channels, out_channels, name, prune)``
@@ -163,112 +328,134 @@ def schedule_sparse_layers(
         optimize: Enable weight grouping / ganged scatter / adaptive T_a.
 
     Returns:
-        One :class:`LayerSchedule` per layer, in order.
+        The :class:`ScheduleArrays` of the layers, in order.
     """
-    pe_r, pe_c = config.pe_rows, config.pe_cols
-    fill = pe_r + pe_c
-    bpc = config.dram_bytes_per_cycle
-    weight_tile_bytes = pe_r * pe_c * config.wgt_bytes
-
-    schedules = []
-    # Per non-empty layer: its schedule, its rules, its tile plan and
-    # its scalars (n_c * n_m, weight group, C, M, n_m, weight bytes).
-    planned, tilings, scalars = [], [], []
-    for rules, in_channels, out_channels, name, prune in layers:
-        schedule = LayerSchedule(
-            name=name,
-            conv_type=rules.conv_type.value,
-            macs=0,
-            num_tiles=0,
-            weight_grouping=(optimize and rules.conv_type is ConvType.STRIDED
-                             and rules.stride > 1),
-            ganged_scatter=(optimize and rules.conv_type is ConvType.DECONV),
-        )
-        schedules.append(schedule)
-        if rules.num_inputs == 0:
-            schedule.breakdown = dict.fromkeys(INSTRUCTIONS, 0)
+    act = config.act_bytes
+    names, conv_types, flags = [], [], []
+    # The positions and tile plans of the layers with inputs, and the
+    # flat per-layer scalars _price_tiles reads; channel pairs repeat
+    # across a model, so their buffer sizes are worked out once.
+    planned, tilings, scalars, sizes = [], [], [], {}
+    for index, (rules, in_channels, out_channels, name, prune) in (
+            enumerate(layers)):
+        conv_type = rules.conv_type
+        weight_grouping = (optimize and conv_type is ConvType.STRIDED
+                           and rules.stride > 1)
+        ganged_scatter = optimize and conv_type is ConvType.DECONV
+        names.append(name)
+        conv_types.append(conv_type.value)
+        flags += (weight_grouping, ganged_scatter)
+        num_inputs = rules.num_inputs
+        if num_inputs == 0:
             continue
-        ta_cap = config.buf_in_capacity_pillars(in_channels)
-        to_cap = config.buf_out_capacity_pillars(out_channels)
-        if schedule.ganged_scatter:
+        channels = (in_channels, out_channels)
+        if channels not in sizes:
+            sizes[channels] = _layer_sizes(in_channels, out_channels,
+                                           config)
+        ta_cap, to_cap, n_cm, n_m = sizes[channels]
+        if ganged_scatter:
             # Outputs leave the buffer per offset; the window constraint
             # reduces to the per-offset output count (= tile input count).
             to_cap = max(to_cap, ta_cap * rules.stride * rules.stride)
-        tiling = plan_tiles(rules, ta_cap, to_cap)
-        schedule.num_tiles = tiling.num_tiles
-        schedule.effective_ta = rules.num_inputs / max(tiling.num_tiles, 1)
-        schedule.pruned_outputs = rules.num_outputs if prune else 0
-        n_c = _ceil_div(max(in_channels, 1), pe_r)
-        n_m = _ceil_div(max(out_channels, 1), pe_c)
-        group = _group_factor(rules.conv_type, rules.stride,
-                              schedule.weight_grouping, rules.kernel_size)
-        layer_weight_bytes = (
-            len(rules.pairs) * in_channels * out_channels * config.wgt_bytes
+        planned.append(index)
+        tilings.append(plan_tiles(rules, ta_cap, to_cap))
+        num_outputs = rules.num_outputs
+        scalars += (
+            n_cm,
+            _group_factor(conv_type, rules.stride, weight_grouping,
+                          rules.kernel_size),
+            n_m,
+            in_channels * act,
+            out_channels * act,
+            len(rules.pairs) * in_channels * out_channels * config.wgt_bytes,
+            in_channels * out_channels,
+            (num_inputs * in_channels + num_outputs * out_channels) * act,
+            num_outputs if prune else 0,
+            num_inputs,
         )
-        planned.append((schedule, rules))
-        tilings.append(tiling)
-        scalars.append((n_c * n_m, group, in_channels, out_channels, n_m,
-                        layer_weight_bytes))
-    if not planned:
-        return schedules
+    table = np.zeros((len(names), len(_COLUMNS)), np.int64)
+    table[:, -2:] = np.array(flags, dtype=np.int64).reshape(-1, 2)
+    effective_ta = np.zeros(len(names))
+    if planned:
+        table[planned, :-2], effective_ta[planned] = _price_tiles(
+            tilings, scalars, config)
+    return ScheduleArrays(names, conv_types, table, effective_ta)
 
-    # Per-tile cost vectors over the tiles of every planned layer, layer
-    # after layer; ``starts`` indexes each layer's first tile.
+
+def _layer_sizes(in_channels: int, out_channels: int,
+                 config: SpadeConfig) -> tuple:
+    """``(T_a cap, BUFout cap, n_c * n_m, n_m)`` of a C -> M layer."""
+    n_m = _ceil_div(max(out_channels, 1), config.pe_cols)
+    return (config.buf_in_capacity_pillars(in_channels),
+            config.buf_out_capacity_pillars(out_channels),
+            _ceil_div(max(in_channels, 1), config.pe_rows) * n_m, n_m)
+
+
+def _price_tiles(tilings, scalars, config: SpadeConfig) -> tuple:
+    """The table rows, less the flags, and the effective ``T_a`` of the
+    planned layers of :func:`sparse_schedule_arrays`.
+
+    ``scalars`` holds ten ints per layer: n_c * n_m, weight group, n_m,
+    input and output bytes per pillar, layer weight bytes, C * M,
+    activation DRAM bytes, pruned outputs and inputs.
+    """
+    pe_r, pe_c = config.pe_rows, config.pe_cols
+    bpc = config.dram_bytes_per_cycle
     num_tiles = [tiling.num_tiles for tiling in tilings]
-    starts = np.cumsum([0] + num_tiles[:-1])
-    layer_scalars = np.array(scalars, dtype=np.int64).T
-    tile_n_cm, tile_group, tile_in, tile_out = np.repeat(
-        layer_scalars[:4], num_tiles, axis=1)
-    n_m, weight_bytes = layer_scalars[4:]
+    tiles = np.array(num_tiles, dtype=np.int64)
+    # Each layer's first tile in the concatenated tile vectors.
+    starts = np.cumsum(tiles) - tiles
+    layer = np.array(scalars, dtype=np.int64).reshape(len(tilings), -1).T
+    (weight_bytes, channel_product, activation_bytes, pruned,
+     num_inputs) = layer[5:]
+    # The per-layer sizes broadcast over each layer's tiles.
+    per_tile = np.repeat(layer[:5], num_tiles, axis=1)
+    tile_n_cm, tile_group, tile_n_m = per_tile[:3]
     (tile_pairs, active_offsets, in_start, in_end, out_start, out_end,
      overlap) = np.concatenate([
         getattr(tiling, vector) for vector in _TILE_VECTORS
         for tiling in tilings]).reshape(len(_TILE_VECTORS), -1)
-    in_width = in_end - in_start
-    out_width = out_end - out_start
 
     # Passes stream back-to-back (weights preloaded into shadow
     # registers), so the systolic fill/drain is paid once per tile.
-    tile_mxu = tile_pairs * tile_n_cm + fill
+    tile_mxu = tile_pairs * tile_n_cm + (pe_r + pe_c)
     tile_loads = -(-(active_offsets * tile_n_cm) // tile_group)
-    tile_gather = -(-(in_width * tile_in * config.act_bytes) // bpc)
-    tile_scatter = -(-(out_width * tile_out * config.act_bytes) // bpc)
-    tile_rulegen = tile_pairs + RGUModel.PIPELINE_FILL
-    tile_wgt = -(-(tile_loads * weight_tile_bytes) // bpc)
+    gather, scatter = -(-(np.stack([in_end - in_start, out_end - out_start])
+                          * per_tile[3:]) // bpc)
+    # Rows: RuleGen, input gather and per-tile weight fetch (which hide
+    # behind the previous tile's MXU time), then the Load_wgt, MXU,
+    # Copy_psum and scatter stall cycles and the rule entries.
+    cost = np.empty((8, len(tile_mxu)), np.int64)
+    np.add(tile_pairs, RGUModel.PIPELINE_FILL, out=cost[0])
+    cost[1] = gather
+    cost[2] = -(-(tile_loads * (pe_r * pe_c * config.wgt_bytes)) // bpc)
     # Gathers and RuleGen of tile t hide behind the MXU time of tile t-1;
     # nothing precedes a layer's first tile.
     hiding = np.empty_like(tile_mxu)
     hiding[1:] = tile_mxu[:-1]
     hiding[starts] = 0
-    stalls = np.maximum(np.stack([tile_rulegen, tile_gather, tile_wgt])
-                        - hiding, 0)
-    (rulegen, gather_inp, wgt_stalls, loads, mxu, copies, scatter_out,
-     entries) = np.add.reduceat(
-        np.vstack([stalls, tile_loads, tile_mxu, overlap,
-                   np.maximum(tile_scatter - tile_mxu, 0), tile_pairs]),
-        starts, axis=1)
+    cost[:3] -= hiding
+    np.maximum(cost[:3], 0, out=cost[:3])
+    np.multiply(tile_loads, pe_r, out=cost[3])
+    cost[4] = tile_mxu
+    np.multiply(overlap, tile_n_m, out=cost[5])
+    np.maximum(scatter - tile_mxu, 0, out=cost[6])
+    cost[7] = tile_pairs
+    sums = np.add.reduceat(cost, starts, axis=1)
 
     weights_fit = weight_bytes <= config.buf_wgt_bytes
     # Weights that fit take one up-front streamed fetch, paid at layer
     # start (nothing of the layer runs yet, so it cannot hide); weights
     # that do not are refetched per tile and hide like the gathers.
-    gather_wgt = np.where(weights_fit, -(-weight_bytes // bpc), wgt_stalls)
-    rows = np.stack([rulegen, gather_inp, gather_wgt, loads * pe_r, mxu,
-                     copies * n_m, scatter_out, entries], axis=1)
-    for (schedule, rules), layer, fits, row in zip(
-            planned, scalars, weights_fit.tolist(), rows.tolist()):
-        _, _, in_ch, out_ch, _, layer_weight_bytes = layer
-        *breakdown, rule_entries = row
-        schedule.breakdown = dict(zip(INSTRUCTIONS, breakdown))
-        schedule.rule_entries = rule_entries
-        schedule.macs = rule_entries * in_ch * out_ch
-        weight_refetches = 1 if fits else schedule.num_tiles
-        schedule.dram_bytes = (
-            rules.num_inputs * in_ch * config.act_bytes
-            + rules.num_outputs * out_ch * config.act_bytes
-            + layer_weight_bytes * weight_refetches
-        )
-    return schedules
+    sums[2] = np.where(weights_fit, -(-weight_bytes // bpc), sums[2])
+    rows = np.vstack([
+        sums,
+        sums[7] * channel_product,
+        activation_bytes + weight_bytes * np.where(weights_fit, 1, tiles),
+        tiles,
+        pruned,
+    ])
+    return rows.T, num_inputs / tiles
 
 
 def schedule_dense_layer(
@@ -289,6 +476,34 @@ def schedule_dense_layer(
     RuleGen; boundary partial sums between raster tiles contribute a
     two-row ``Copy_psum`` overlap for 3x3 kernels.
     """
+    row, ta = _dense_row(num_pixels, in_channels, out_channels,
+                         kernel_size, upsample_stride, out_width, config)
+    return _layer_schedule(name, "dense", row, ta)
+
+
+def dense_schedule_arrays(layers, config: SpadeConfig) -> ScheduleArrays:
+    """:func:`schedule_dense_layer` of every layer, as arrays.
+
+    Args:
+        layers: One ``(num_pixels, in_channels, out_channels,
+            kernel_size, upsample_stride, out_width, name)`` tuple per
+            layer, each field as in :func:`schedule_dense_layer`.
+        config: Accelerator instance.
+    """
+    priced = [_dense_row(*layer[:-1], config) for layer in layers]
+    return ScheduleArrays(
+        [layer[-1] for layer in layers],
+        ["dense"] * len(layers),
+        np.array([row for row, _ in priced],
+                 dtype=np.int64).reshape(-1, len(_COLUMNS)),
+        np.array([ta for _, ta in priced], dtype=np.float64),
+    )
+
+
+def _dense_row(num_pixels: int, in_channels: int, out_channels: int,
+               kernel_size: int, upsample_stride: int, out_width: int,
+               config: SpadeConfig) -> tuple:
+    """One dense layer's table row (Python ints) and its ``T_a``."""
     pe_r, pe_c = config.pe_rows, config.pe_cols
     n_c = _ceil_div(max(in_channels, 1), pe_r)
     n_m = _ceil_div(max(out_channels, 1), pe_c)
@@ -332,26 +547,12 @@ def schedule_dense_layer(
     gather_wgt_stall = gather_wgt // max(num_tiles, 1) + max(
         0, gather_wgt - mxu_busy
     )
-
-    schedule = LayerSchedule(
-        name=name,
-        conv_type="dense",
-        macs=macs,
-        num_tiles=num_tiles,
-        effective_ta=ta,
-    )
-    schedule.breakdown = {
-        "rulegen": 0,
-        "gather_inp": stall_gather,
-        "gather_wgt": gather_wgt_stall,
-        "load_wgt": load_wgt,
-        "mxu": mxu_busy,
-        "copy_psum": copy_psum,
-        "scatter_out": stall_scatter,
-    }
-    schedule.dram_bytes = (
+    dram_bytes = (
         num_pixels * in_channels * config.act_bytes
         + out_pixels * out_channels * config.act_bytes
         + layer_weight_bytes * weight_refetches
     )
-    return schedule
+    # No RuleGen, rule entries, pruning or dataflow optimisation.
+    row = (0, stall_gather, gather_wgt_stall, load_wgt, mxu_busy, copy_psum,
+           stall_scatter, 0, macs, dram_bytes, num_tiles, 0, 0, 0)
+    return row, ta

@@ -5,14 +5,18 @@ convolution operations without RGU, GSU, and pruning support": the same
 MXU and buffers, processing the *densified* pseudo-image of every layer.
 It is the reference point for the paper's sparsity-proportional speedup
 and energy-savings claims (Figs. 9, 10(c), 11(c), 12).
+
+A model is priced like SPADE's, in one array pass:
+:func:`~repro.core.dataflow.dense_schedule_arrays` over every layer,
+then :func:`~repro.core.accelerator.price_model`.
 """
 
 from __future__ import annotations
 
 from ..analysis.sparsity import LayerTrace, ModelTrace
-from .accelerator import LayerResult, ModelResult
+from .accelerator import LayerResult, ModelResult, dense_layer, price_model
 from .config import SpadeConfig
-from .dataflow import schedule_dense_layer
+from .dataflow import dense_schedule_arrays, schedule_dense_layer
 from .energy import EnergyModel
 
 
@@ -24,33 +28,21 @@ class DenseAccelerator:
         self.energy_model = EnergyModel(config)
 
     def run_layer(self, trace: LayerTrace) -> LayerResult:
-        spec = trace.spec
-        if spec.upsample:
-            num_pixels = trace.in_shape[0] * trace.in_shape[1]
-        else:
-            num_pixels = trace.out_shape[0] * trace.out_shape[1]
-        schedule = schedule_dense_layer(
-            num_pixels,
-            spec.in_channels,
-            spec.out_channels,
-            self.config,
-            kernel_size=spec.kernel_size,
-            upsample_stride=spec.stride if spec.upsample else 1,
-            out_width=trace.out_shape[1],
-            name=spec.name,
-        )
+        layer = dense_layer(trace)
+        schedule = schedule_dense_layer(*layer[:3], self.config, *layer[3:])
         energy = self.energy_model.layer_energy(
-            schedule, spec.in_channels, spec.out_channels
+            schedule, trace.spec.in_channels, trace.spec.out_channels
         )
         return LayerResult(trace=trace, schedule=schedule, energy=energy)
 
     def run_trace(self, model_trace: ModelTrace) -> ModelResult:
         """Execute a traced model with every layer densified."""
-        result = ModelResult(
-            model_name=model_trace.spec.name,
-            accelerator=f"DenseAcc.{self.config.name}",
-            clock_ghz=self.config.clock_ghz,
+        traces = tuple(model_trace.layers)
+        return price_model(
+            model_trace.spec.name,
+            f"DenseAcc.{self.config.name}",
+            traces,
+            dense_schedule_arrays([dense_layer(trace) for trace in traces],
+                                  self.config),
+            self.energy_model,
         )
-        for layer_trace in model_trace.layers:
-            result.layers.append(self.run_layer(layer_trace))
-        return result

@@ -62,18 +62,32 @@ def _fps(latency_ms: float) -> float:
 
 def _from_model_result(simulator_name: str, result: ModelResult,
                        config: SpadeConfig) -> SimResult:
-    """SPADE and DenseAcc share :class:`ModelResult`; adapt it once."""
+    """SPADE and DenseAcc share :class:`ModelResult`; adapt it once.
+
+    The per-layer detail comes straight from the result's arrays, one
+    ``tolist()`` per column; no per-layer object is built.
+    """
+    schedules = result.schedules
     per_layer = [
         {
-            "name": layer.trace.spec.name,
-            "cycles": layer.schedule.total_cycles,
-            "macs": layer.schedule.macs,
-            "dram_bytes": layer.schedule.dram_bytes,
-            "energy_pj": layer.energy.total_pj,
-            "overhead_fraction": layer.schedule.overhead_fraction,
-            "effective_ta": layer.schedule.effective_ta,
+            "name": name,
+            "cycles": cycles,
+            "macs": macs,
+            "dram_bytes": dram_bytes,
+            "energy_pj": energy_pj,
+            "overhead_fraction": overhead_fraction,
+            "effective_ta": effective_ta,
         }
-        for layer in result.layers
+        for (name, cycles, macs, dram_bytes, energy_pj, overhead_fraction,
+             effective_ta) in zip(
+            schedules.names,
+            result.layer_cycles.tolist(),
+            schedules.macs.tolist(),
+            schedules.dram_bytes.tolist(),
+            result.layer_energy_pj.tolist(),
+            schedules.overhead_fractions().tolist(),
+            schedules.effective_ta_values(),
+        )
     ]
     return SimResult(
         simulator=simulator_name,
@@ -86,7 +100,7 @@ def _from_model_result(simulator_name: str, result: ModelResult,
         utilization=result.utilization(config),
         per_layer=per_layer,
         extras={
-            "breakdown": dict(result.breakdown()),
+            "breakdown": result.breakdown(),
             "total_macs": result.total_macs,
         },
     )

@@ -24,7 +24,7 @@ The figure set mirrors the source paper's evaluation:
 id     contents                                             paper fig.
 ====== ==================================================== ==========
 fig2   per-layer workload (inputs / outputs / MACs)         Fig. 2
-fig5   per-layer sparse overhead fraction                   Fig. 5
+fig5   per-layer PE-array stall fraction (1 - MXU/total)    Fig. 5
 fig9   speedup over the baseline simulator (latency)        Fig. 9
 fig10  energy per frame by simulator                        Fig. 10
 fig11  PE utilization and DRAM traffic by simulator         Fig. 11
@@ -183,7 +183,12 @@ def fig_workload(table: ExperimentTable) -> dict:
 
 
 def fig_overhead(table: ExperimentTable) -> dict:
-    """fig5: per-layer sparse overhead fraction (mean / min / max)."""
+    """fig5: per-layer PE-array stall fraction (mean / min / max).
+
+    The rows' ``overhead_fraction`` is ``1 - MXU / total cycles``: the
+    time the PE array waits, whatever it waits on.  DenseAcc reports it
+    too, so it is not an overhead of sparsity.
+    """
     rows = []
     for key, fields in _layer_stats(table).items():
         stat = fields.get("overhead_fraction")
@@ -193,7 +198,8 @@ def fig_overhead(table: ExperimentTable) -> dict:
         return None
     return {
         "id": "fig5",
-        "title": "Per-layer sparse overhead fraction (paper Fig. 5)",
+        "title": ("Per-layer PE-array stall fraction, 1 - MXU / total "
+                  "cycles (paper Fig. 5)"),
         "headers": ["simulator", "model", "layer", "mean", "min", "max"],
         "rows": rows,
     }

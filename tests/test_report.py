@@ -212,6 +212,10 @@ class TestFigures:
             for (inputs, outputs), macs in zip(SMOKE_TRACE_COUNTS,
                                                SMOKE_SPARSE_MACS)]
         overhead = report.fig_overhead(table)
+        # 1 - MXU / total: DenseAcc stalls too, so the title names the
+        # PE array, not sparsity.
+        assert overhead["title"] == ("Per-layer PE-array stall fraction, "
+                                     "1 - MXU / total cycles (paper Fig. 5)")
         assert overhead["headers"] == ["simulator", "model", "layer",
                                        "mean", "min", "max"]
         means = {}
